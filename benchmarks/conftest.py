@@ -1,9 +1,9 @@
 """Shared workload builders for the experiment benches (E1..E8).
 
-Every bench prints the rows EXPERIMENTS.md records and asserts the
-*shape* of the paper's claim (who wins, what scales, what is unchanged),
-then hands one representative simulation to pytest-benchmark for wall-
-clock timing.
+Every bench prints the rows of its experiment (listed under "Paper-claim
+benches" in ROADMAP.md) and asserts the *shape* of the paper's claim (who
+wins, what scales, what is unchanged), then hands one representative
+simulation to pytest-benchmark for wall-clock timing.
 """
 
 from __future__ import annotations

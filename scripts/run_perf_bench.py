@@ -66,16 +66,13 @@ trajectory is tracked across PRs.
 
 Full runs also record ``speedup_vs_seed_v0`` on *every* workload entry:
 workloads that postdate the recorded seed baseline get a proxy measured
-under the seed execution model (strict kernel + object router core) and
-stored in ``baselines.seed_v0`` with a provenance marker.  Quick runs
-additionally run the ``router_step`` microbenchmark — ns per
-router-cycle at full load for each router core executor (``object`` /
-``array`` / ``batched``) — whose per-core numbers the CI perf gate
-bounds like any other workload (slower-than-threshold fails) — and the
-``sweep_fork`` benchmark: a 4-way design-space sweep forked warm from
-one checkpointed prefix vs the same sweep run cold, recording
-``warm_start_speedup`` (gated > 1x) and ``results_match`` (forked
-metrics must equal cold metrics per configuration).
+under the seed execution model (the strict kernel) and stored in
+``baselines.seed_v0`` with a provenance marker.  Quick runs
+additionally run the ``sweep_fork`` benchmark: a 4-way design-space
+sweep forked warm from one checkpointed prefix vs the same sweep run
+cold, recording ``warm_start_speedup`` (gated > 1x) and
+``results_match`` (forked metrics must equal cold metrics per
+configuration).
 
 ``--check-against BASELINE.json`` turns the script into a perf gate: it
 fails (exit 1) if any selected workload's activity-kernel
@@ -107,7 +104,6 @@ import cProfile
 import functools
 import io
 import json
-import os
 import platform
 import pstats
 import sys
@@ -426,113 +422,27 @@ WORKLOADS = {
 for _name in SCENARIO_WORKLOADS:
     WORKLOADS[_name] = _scenario_builder(_name)
 
-#: Router executors measured by the router_step microbench (the same
-#: names SocBuilder(router_core=...) accepts).
-ROUTER_CORES = ("object", "array", "batched")
-
-
-def _with_router_core(core, fn, *args, **kwargs):
-    """Run ``fn`` with REPRO_ROUTER_CORE pinned to ``core``."""
-    saved = os.environ.get("REPRO_ROUTER_CORE")
-    os.environ["REPRO_ROUTER_CORE"] = core
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ROUTER_CORE", None)
-        else:
-            os.environ["REPRO_ROUTER_CORE"] = saved
-
-
 def measure_seed_proxy(name, builder, cycles, scale) -> dict:
     """A seed-v0 stand-in for workloads the seed tree could not run.
 
     ``baselines.seed_v0`` was measured once on the seed kernel; later
     workloads (VCs, adaptive routing, faults) have no such number, so
     ``speedup_vs_seed_v0`` silently disappeared from their entries.
-    The seed's execution model — tick every component every cycle,
-    object-based routers — still exists as ``Simulator(strict=True)``
-    plus ``router_core="object"``, so we measure that once and record
-    it with a provenance marker; the uniform speedup loop then treats
-    it exactly like a real seed number.
+    The seed's execution model — tick every component every cycle —
+    still exists as ``Simulator(strict=True)``, so we measure that once
+    and record it with a provenance marker; the uniform speedup loop
+    then treats it exactly like a real seed number.
     """
-    print(f"   measuring seed_v0 proxy for {name} (strict kernel, "
-          f"object router core)")
-    numbers = _with_router_core(
-        "object", run_workload, builder, True, cycles, scale
-    )
+    print(f"   measuring seed_v0 proxy for {name} (strict kernel)")
+    numbers = run_workload(builder, True, cycles, scale)
     return {
         "cycles": cycles,
         "wall_s": numbers["wall_s"],
         "flits": numbers["flits_forwarded"],
         "flits_per_s": numbers["flits_per_s"],
-        "proxy": "strict kernel + object router core (the seed-v0 "
-                 "execution model), measured retroactively — this "
-                 "workload did not exist at seed v0",
-    }
-
-
-class _StepTimer:
-    """Accumulates wall time spent inside wrapped router-step calls."""
-
-    __slots__ = ("calls", "elapsed")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.elapsed = 0.0
-
-    def wrap(self, fn):
-        timer = time.perf_counter
-
-        def timed(cycle, _fn=fn, _timer=timer):
-            t0 = _timer()
-            result = _fn(cycle)
-            self.elapsed += _timer() - t0
-            self.calls += 1
-            return result
-
-        return timed
-
-
-def run_router_step_bench(
-    warmup_cycles: int = 300, measure_cycles: int = 700
-) -> dict:
-    """ns per router-cycle at full load, per executor.
-
-    Builds the ``saturated`` workload under each router core, warms the
-    fabric into steady-state saturation, then wraps the router step
-    entry points (``Router.tick`` / ``ArrayCore.tick`` /
-    ``ArrayCore.step`` under the batched stepper) with a timing shim
-    and measures the remainder of the window.  The per-call timer
-    overhead (~100 ns) is identical across executors, so the *relative*
-    number is what the CI gate watches.
-    """
-    cores = {}
-    for core in ROUTER_CORES:
-        soc = _with_router_core(core, build_saturated, False, 1)
-        soc.run(warmup_cycles)
-        timer = _StepTimer()
-        for plane in soc.fabric._planes:
-            stepper = plane.router_stepper
-            if stepper is not None:
-                for acore in stepper.cores:
-                    acore.step = timer.wrap(acore.step)
-            else:
-                for router in plane.routers.values():
-                    router.tick = timer.wrap(router.tick)
-        soc.run(measure_cycles)
-        ns = timer.elapsed * 1e9 / timer.calls if timer.calls else 0.0
-        cores[core] = {
-            "router_steps": timer.calls,
-            "ns_per_router_cycle": round(ns, 1),
-        }
-        print(f"   router_step[{core}]: {ns:.0f} ns/router-cycle "
-              f"({timer.calls} steps)")
-    return {
-        "workload": "saturated",
-        "warmup_cycles": warmup_cycles,
-        "measure_cycles": measure_cycles,
-        "cores": cores,
+        "proxy": "strict kernel (the seed-v0 execution model), "
+                 "measured retroactively — this workload did not exist "
+                 "at seed v0",
     }
 
 
@@ -820,51 +730,6 @@ def check_against(
                 f"(bar {bar}x), fingerprint_match={match} {verdict}"
             )
             continue
-        if name == "router_step":
-            # The microbench gates ns per router-cycle per executor:
-            # *lower* is better, so the threshold bounds the slowdown.
-            base_cores = (base_entry or {}).get("cores", {})
-            cores = {
-                core: numbers["ns_per_router_cycle"]
-                for core, numbers in entry.get("cores", {}).items()
-            }
-
-            def _slow_cores():
-                return [
-                    core
-                    for core, ns in cores.items()
-                    if base_cores.get(core, {}).get("ns_per_router_cycle")
-                    and ns / base_cores[core]["ns_per_router_cycle"]
-                    > 1.0 + threshold
-                ]
-
-            note = ""
-            if _slow_cores() and remeasure is not None:
-                print("   perf-gate router_step: slow, re-measuring once")
-                fresh = remeasure("router_step")
-                for core, numbers in (fresh or {}).get("cores", {}).items():
-                    if core in cores:
-                        cores[core] = min(
-                            cores[core], numbers["ns_per_router_cycle"]
-                        )
-                note = ", best of retry"
-            for core, current_ns in sorted(cores.items()):
-                base_ns = base_cores.get(core, {}).get(
-                    "ns_per_router_cycle", 0
-                )
-                if not base_ns or not current_ns:
-                    continue
-                ratio = current_ns / base_ns
-                verdict = "ok"
-                if ratio > 1.0 + threshold:
-                    verdict = f"REGRESSION (>{threshold:.0%} slower)"
-                    regressions += 1
-                print(
-                    f"   perf-gate router_step[{core}]: {current_ns:.0f} "
-                    f"vs baseline {base_ns:.0f} ns/router-cycle "
-                    f"({ratio:.2f}x{note}) {verdict}"
-                )
-            continue
         if not base_entry or "activity" not in base_entry:
             continue  # no (or malformed) baseline for this workload
         if base_entry["activity"]["cycles"] != entry["activity"]["cycles"]:
@@ -1144,8 +1009,6 @@ def main(argv=None) -> int:
         results[section][name] = entry
 
     if args.quick and not args.workload:
-        print("== router_step microbench ==")
-        results[section]["router_step"] = run_router_step_bench()
         print("== sweep_fork (warm-start sweep vs cold sweep) ==")
         results[section]["sweep_fork"] = run_sweep_fork_bench()
 
@@ -1191,8 +1054,6 @@ def main(argv=None) -> int:
             # One fresh activity-kernel measurement of a workload whose
             # first sample fell past the gate threshold, so a transient
             # scheduling burst on the runner cannot fail the gate alone.
-            if name == "router_step":
-                return run_router_step_bench()
             if name not in WORKLOADS or name not in windows:
                 return None
             return run_workload(

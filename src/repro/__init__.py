@@ -11,7 +11,8 @@ Public entry points:
 - :mod:`repro.ip` — workload generators and memory targets;
 - :mod:`repro.niu` — NIUs, tag policies and the gate-count model.
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See PAPER.md for the source paper and ROADMAP.md for the architecture
+snapshot and how to run the tests, examples and benches.
 """
 
 __version__ = "0.1.0"

@@ -119,7 +119,7 @@ def coverage_score(protocol: str, attachment: str) -> float:
 
 
 def format_matrix(attachment: str) -> str:
-    """Printable matrix for benches and EXPERIMENTS.md."""
+    """Printable matrix for the paper-claim benches."""
     matrix = coverage_matrix(attachment)
     lines = [f"feature coverage via {attachment.upper()}:"]
     for protocol in sorted(matrix):

@@ -2,8 +2,8 @@
 
 One transfer occupies the bus from grant to response — including slave
 wait states, the classic shared-bus bottleneck (no SPLIT/RETRY credit is
-given to the baseline; DESIGN.md records this as the AHB-without-split
-worst case, which matches most shipped AHB fabrics of the era).
+given to the baseline: this is the AHB-without-split worst case, which
+matches most shipped AHB fabrics of the era).
 
 Reference-socket feature set (what bridges must down-convert to):
 single outstanding transfer per master and on the bus, strict in-order

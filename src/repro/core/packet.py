@@ -45,9 +45,8 @@ class UserBit:
             raise ValueError(f"user bit {self.name!r}: width must be >= 1")
 
 
-# Baseline header fields and their widths in bits.  Widths follow the
-# modelling in DESIGN.md §2: they matter for *relative* area/bandwidth
-# numbers, not absolute silicon.
+# Baseline header fields and their widths in bits.  The widths matter
+# for *relative* area/bandwidth numbers, not absolute silicon.
 _BASE_HEADER_BITS = {
     "kind": 1,  # request / response
     "opcode": 3,  # 7 opcodes

@@ -1,10 +1,10 @@
 """IP block models: traffic-generating masters and memory-like targets.
 
 The paper's SoC contains off-the-shelf VCs; we substitute synthetic but
-protocol-accurate workloads (see DESIGN.md §2): traffic sources produce
-abstract intents, protocol master models turn them into socket-legal
-request streams, and :class:`~repro.ip.slaves.MemoryDevice` terminates
-them behind target NIUs.
+protocol-accurate workloads: traffic sources produce abstract intents,
+protocol master models turn them into socket-legal request streams, and
+:class:`~repro.ip.slaves.MemoryDevice` terminates them behind target
+NIUs.
 """
 
 from repro.ip.slaves import MemoryDevice

@@ -22,18 +22,6 @@ registered with a :class:`~repro.sim.kernel.Simulator` also marks itself
 on the kernel's per-cycle *dirty list* at first push, so the kernel
 commits only queues that actually staged something instead of iterating
 every queue every cycle.
-
-Core contract
--------------
-The router hot core (:mod:`repro.transport.router_core`) inlines
-:meth:`SimQueue.pop` and :meth:`SimQueue.push` on its transfer path.
-That inlining relies on invariants that are therefore part of this
-class's contract: ``_committed`` is a deque that is never rebound
-(cached references stay valid), ``_occ`` is committed + staged,
-``pop`` = counter/occupancy update + ``popleft`` + pop-waiter wakes,
-``push`` = capacity check (exact :class:`OverflowError` message) +
-stage + counters + first-push dirty-list registration.  Change any of
-these in both places, and keep the fields in ``__slots__``.
 """
 
 from __future__ import annotations
@@ -211,9 +199,9 @@ class SimQueue(WakeHooks, Snapshottable):
     )
 
     def _restore_state(self, state) -> None:
-        # _committed is restored in place by the base hook (never rebound
-        # — the dense router core caches the deque).  Derived occupancy
-        # is recomputed; dirty-list membership is the kernel's to rebuild
+        # _committed is restored in place by the base hook (never
+        # rebound).  Derived occupancy is recomputed; dirty-list
+        # membership is the kernel's to rebuild
         # (Simulator._restore_state), since an unregistered queue has no
         # dirty list to join.
         super()._restore_state(state)

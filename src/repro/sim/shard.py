@@ -472,10 +472,9 @@ class ShardOwnership:
     """Maps every component and queue of a sharded build to its shard.
 
     Ownership is recorded by *registration interval*: the build wraps
-    each creation block in :meth:`owned_by` (or :meth:`shared` for
-    plane-wide executors like the batched router stepper) and every
-    component/queue registered inside the block belongs to that block's
-    shard.  :meth:`finalize` verifies the cover is total, so a new
+    each creation block in :meth:`owned_by` and every component/queue
+    registered inside the block belongs to that block's shard — exactly
+    one.  :meth:`finalize` verifies the cover is total, so a new
     subsystem that forgets to declare ownership fails loudly at build
     time instead of silently desyncing shards.
     """
@@ -485,7 +484,6 @@ class ShardOwnership:
         self.n_shards = n_shards
         self.component_owner: Dict[str, int] = {}
         self.queue_owner: Dict[str, int] = {}
-        self.shared_components: set = set()
 
     @contextmanager
     def owned_by(self, shard: int):
@@ -498,20 +496,6 @@ class ShardOwnership:
         for queue in sim._queues[q0:]:
             self.queue_owner[queue.name] = shard
 
-    @contextmanager
-    def shared(self):
-        sim = self.sim
-        c0 = len(sim._components)
-        q0 = len(sim._queues)
-        yield
-        for component in sim._components[c0:]:
-            self.shared_components.add(component.name)
-        for queue in sim._queues[q0:]:
-            raise ShardConfigError(
-                f"queue {queue.name!r} registered in a shared scope; "
-                f"queues must belong to exactly one shard"
-            )
-
     def components_of(self, shard: int) -> set:
         return {n for n, s in self.component_owner.items() if s == shard}
 
@@ -523,7 +507,6 @@ class ShardOwnership:
             c.name
             for c in self.sim._components
             if c.name not in self.component_owner
-            and c.name not in self.shared_components
         ]
         unowned_queues = [
             q.name for q in self.sim._queues if q.name not in self.queue_owner
@@ -635,8 +618,7 @@ def restrict_to_shard(soc, shard: int) -> None:
         )
     owner = ownership.component_owner
     for component in soc.sim._components:
-        owner_shard = owner.get(component.name)
-        if owner_shard is not None and owner_shard != shard:
+        if owner[component.name] != shard:
             mute_component(component)
     for plane in soc.fabric._planes:
         for tx in plane.boundary_tx.values():

@@ -34,8 +34,7 @@ its runtime-mutable attributes in ``_snapshot_fields`` and the base
 implementation shallow-copies containers on capture and restores them
 **in place** (never rebinding a list/dict/set/deque the live object
 holds — other objects may legitimately cache references to those
-containers, e.g. the dense router core caches each input queue's
-committed deque).  ``random.Random`` attributes are captured as
+containers).  ``random.Random`` attributes are captured as
 ``getstate()`` tuples and restored with ``setstate`` so replayed draws
 are exact.  Classes with derived state or child objects override the
 hooks and call ``super()``.

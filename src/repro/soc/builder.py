@@ -30,7 +30,6 @@ from repro.sim.trace import Tracer
 from repro.soc.config import EscapeVcPolicy, InitiatorSpec, TargetSpec
 from repro.transport import topology as topo_mod
 from repro.transport.network import Fabric
-from repro.transport.router_core import resolve_router_core
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
 
@@ -340,9 +339,7 @@ class SocBuilder:
         vc_policy=None,
         vc_separation: bool = False,
         adaptive_vcs: Optional[int] = None,
-        stream_fast_path: bool = True,
         faults=None,
-        router_core: Optional[str] = None,
         traffic=None,
         workload=None,
         shards=None,
@@ -368,20 +365,10 @@ class SocBuilder:
         self.vc_policy = vc_policy
         self.vc_separation = vc_separation
         self.adaptive_vcs = adaptive_vcs
-        # Router body-flit streaming fast path (PR 5).  On by default —
-        # byte-identical to the reference arbitration (pinned by
-        # tests/test_event_wheel.py); the knob exists so experiments and
-        # regressions can run the slow path declaratively.
-        self.stream_fast_path = stream_fast_path
         # Deterministic fault schedule (PR 6): a
         # :class:`~repro.transport.faults.FaultSchedule` applied to every
         # plane of the fabric, validated at build time with named errors.
         self.faults = faults
-        # Router hot-core executor (PR 7): "object" | "array" | "batched".
-        # None resolves the REPRO_ROUTER_CORE env var, defaulting to the
-        # batched struct-of-arrays stepper; the determinism suite pins
-        # all three byte-identical (see transport.router_core).
-        self.router_core = router_core
         # Declarative traffic (PR 9): traffic= is an iterable of
         # TrafficSpec records (each naming its master=), workload= maps
         # initiator name -> ready TrafficSource or TrafficSpec.  Both
@@ -639,9 +626,7 @@ class SocBuilder:
             vcs=vcs,
             vc_policy=self.vc_policy,
             vc_separation=self.vc_separation,
-            stream_fast_path=self.stream_fast_path,
             faults=self.faults,
-            router_core=resolve_router_core(self.router_core),
             shard_plan=shard_plan,
             shard_ownership=shard_ownership,
         )

@@ -50,24 +50,6 @@ class Flit:
     def is_tail(self) -> bool:
         return self.seq == self.count - 1
 
-    def route_fields(self) -> tuple:
-        """The transport-visible routing fields as one comparable tuple.
-
-        Everything a router reads off a flit (plus identity), in field
-        order — the canonical flit digest for state fingerprints (see
-        ``ArrayCore.state_fingerprint``) and round-trip tests.
-        """
-        return (
-            self.packet_id,
-            self.seq,
-            self.count,
-            self.dest,
-            self.src,
-            self.priority,
-            self.lock_related,
-            self.vc,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")
         return (

@@ -56,11 +56,6 @@ from repro.transport.faults import (
 from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
 from repro.transport.qos import make_arbiter
 from repro.transport.router import Router
-from repro.transport.router_core import (
-    ROUTER_CORES,
-    ArrayCore,
-    BatchedPlaneStepper,
-)
 from repro.transport.routing import (
     EscapeVcPolicy,
     VcPolicy,
@@ -505,9 +500,7 @@ class Network(Snapshottable):
         vcs: int = 1,
         vc_policy=None,
         split_ejection_by_kind: bool = False,
-        stream_fast_path: bool = True,
         faults: Optional[FaultSchedule] = None,
-        router_core: str = "object",
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
@@ -626,30 +619,6 @@ class Network(Snapshottable):
         self._sequenced = routing == "adaptive"
         self._pair_seq: Dict[Tuple[int, int], int] = {}
 
-        # Router hot-core executor (see transport.router_core).  The
-        # batched stepper is registered immediately *before* the router
-        # block so its tick slot is exactly where the routers' would
-        # have been — execution order relative to the fault injector,
-        # links and endpoint ports is unchanged.
-        if router_core not in ROUTER_CORES:
-            raise ValueError(
-                f"{name}: router_core must be one of {ROUTER_CORES}, "
-                f"got {router_core!r}"
-            )
-        self.router_core = router_core
-        self.router_stepper: Optional[BatchedPlaneStepper] = None
-        if router_core == "batched":
-            stepper = BatchedPlaneStepper(f"{name}.rcore")
-            if fabric_domain is not None:
-                stepper.set_clock_domain(fabric_domain)
-            # The stepper executes every shard's routers, so in a sharded
-            # build it is *shared*: each worker keeps it live and the
-            # foreign routers' cores simply never activate (no flits ever
-            # reach them).
-            with self._shared_scope():
-                sim.add(stepper)
-            self.router_stepper = stepper
-
         self.routers: Dict[Hashable, Router] = {}
         for router_id in topology.routers:
             router = Router(
@@ -667,7 +636,6 @@ class Network(Snapshottable):
                     if adaptive_tables is not None
                     else None
                 ),
-                stream_fast_path=stream_fast_path,
             )
             if fabric_domain is not None:
                 router.set_clock_domain(fabric_domain)
@@ -729,18 +697,6 @@ class Network(Snapshottable):
         for endpoint in topology.endpoints:
             with self._own(topology.router_of(endpoint)):
                 self._attach_endpoint(endpoint, endpoint_queue_capacity)
-
-        # Dense cores are frozen only now: every input/output of every
-        # router is wired, so the (port, vc) -> dense id maps are final.
-        if router_core != "object":
-            for router in self.routers.values():
-                core = ArrayCore(router)
-                if self.router_stepper is not None:
-                    self.router_stepper.adopt(core)
-                else:
-                    core.attach()
-            if self.router_stepper is not None:
-                self.router_stepper.freeze()
 
     def _attach_endpoint(
         self, endpoint: int, endpoint_queue_capacity: int
@@ -831,11 +787,6 @@ class Network(Snapshottable):
         return self._shard_ownership.owned_by(
             self._shard_plan.shard_of(router_id)
         )
-
-    def _shared_scope(self):
-        if self._shard_ownership is None:
-            return nullcontext()
-        return self._shard_ownership.shared()
 
     def _build_boundary(
         self, qname: str, src: Hashable, dst: Hashable
@@ -1140,9 +1091,7 @@ class Fabric:
         vcs: int = 1,
         vc_policy=None,
         vc_separation: bool = False,
-        stream_fast_path: bool = True,
         faults: Optional[FaultSchedule] = None,
-        router_core: str = "object",
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
@@ -1179,9 +1128,7 @@ class Fabric:
             fabric_domain=fabric_domain,
             endpoint_domains=endpoint_domains,
             vcs=vcs,
-            stream_fast_path=stream_fast_path,
             faults=faults,
-            router_core=router_core,
             shard_plan=shard_plan,
             shard_ownership=shard_ownership,
         )

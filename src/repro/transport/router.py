@@ -155,13 +155,6 @@ class Router(Component, Snapshottable):
         self._dead_ports: frozenset = frozenset()
         self._fault_degraded = False
         self._healthy_adaptive = adaptive_table
-        # Dense hot-core executor bound to this router, if any (see
-        # transport.router_core).  When set, ``tick`` is rebound to the
-        # core's step function (and, under the batched stepper, ``wake``
-        # / ``is_idle`` are rebound too); the dict state above remains
-        # authoritative for wiring-time mutation and is written through
-        # by the core at every transition external readers depend on.
-        self._array_core = None
         # stats
         self.flits_forwarded = 0
         self.packets_forwarded = 0
@@ -855,8 +848,7 @@ class Router(Component, Snapshottable):
     # wiring (inputs/outputs, sorted lists, candidate-key maps, neighbour
     # geometry), _escape_vc_cache (pure geometry), _healthy_adaptive
     # (pristine build table).  adaptive_table IS captured — fault epochs
-    # swap it for a degraded copy; the dense core re-validates by
-    # identity, so installing the restored object just works.
+    # swap it for a degraded copy.
     _snapshot_fields = (
         "_input_alloc",
         "_input_head",
@@ -881,11 +873,6 @@ class Router(Component, Snapshottable):
     )
 
     def _snapshot_state(self) -> dict:
-        core = self._array_core
-        if core is not None:
-            # Ages and the adaptive fail cache live dense-only between
-            # syncs; make the dicts authoritative before capture.
-            core.sync_to_router()
         state = super()._snapshot_state()
         state["arbiter"] = self.arbiter.snapshot()
         return state
@@ -893,9 +880,6 @@ class Router(Component, Snapshottable):
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
         self.arbiter.restore(state["arbiter"])
-        core = self._array_core
-        if core is not None:
-            core.resync_from_router()
 
     # ------------------------------------------------------------------ #
     # introspection (tests / benches)

@@ -11,9 +11,9 @@ standard ``poll``/``lookahead``/``done`` questions, plus one extra hook
 
 The engine is deliberately *not* a kernel component: like every other
 traffic source it is event-deterministic — identical across the strict
-and activity kernels, across router cores, and across checkpoint/restore
-(it implements the :class:`~repro.sim.snapshot.Snapshottable` contract,
-including the channel token logs it shares with peer engines).
+and activity kernels and across checkpoint/restore (it implements the
+:class:`~repro.sim.snapshot.Snapshottable` contract, including the
+channel token logs it shares with peer engines).
 
 ``compute`` descriptors model the endpoint's local work: the descriptor
 completes ``delay`` cycles after its last dependency completes, without

@@ -4,7 +4,7 @@ A *scenario* is any object (typically a module) exposing:
 
 - ``build(**params)`` — construct and return a ready-to-run
   :class:`~repro.soc.builder.NocSoc` (by convention accepting at least
-  ``strict_kernel=`` and ``router_core=``);
+  ``strict_kernel=``);
 - ``describe()`` — a one-line human description.
 
 Bench workloads, examples and tests resolve scenarios through

@@ -1,8 +1,8 @@
 """Built-in scenarios: each module is a registry entry.
 
 A scenario module exposes ``build(**params) -> NocSoc`` (accepting at
-least ``strict_kernel=`` and ``router_core=``) and ``describe()``; this
-package registers every built-in under its module name on import, which
+least ``strict_kernel=``) and ``describe()``; this package registers
+every built-in under its module name on import, which
 :mod:`repro.workloads` triggers — so ``repro.workloads.get("dma_chain")``
 works as soon as the package is imported.
 """

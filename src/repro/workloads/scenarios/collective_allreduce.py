@@ -34,7 +34,6 @@ def build(
     block_bytes: int = 256,
     compute_delay: int = 16,
     strict_kernel=None,
-    router_core=None,
 ) -> NocSoc:
     if masters * block_bytes > _SCRATCH_SIZE:
         raise ValueError(
@@ -52,7 +51,6 @@ def build(
     builder = SocBuilder(
         name="collective_allreduce",
         strict_kernel=strict_kernel,
-        router_core=router_core,
         workload=workload,
         topology=topo.torus(4, 4, endpoints=masters + 1),
         routing="dor",

@@ -77,7 +77,6 @@ def build(
     beat_bytes: int = 4,
     compute_delay: int = 12,
     strict_kernel=None,
-    router_core=None,
 ) -> NocSoc:
     chunk = bursts * burst_beats * beat_bytes
     if masters * links * chunk > _SRC_SIZE:
@@ -97,7 +96,6 @@ def build(
     builder = SocBuilder(
         name="dma_chain",
         strict_kernel=strict_kernel,
-        router_core=router_core,
         workload=workload,
     )
     for name in workload:

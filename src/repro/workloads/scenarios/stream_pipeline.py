@@ -109,7 +109,6 @@ def build(
     burst_beats: int = 8,
     beat_bytes: int = 4,
     strict_kernel=None,
-    router_core=None,
 ) -> NocSoc:
     if stages < 2:
         raise ValueError("stream_pipeline needs at least two stages")
@@ -123,7 +122,6 @@ def build(
     builder = SocBuilder(
         name="stream_pipeline",
         strict_kernel=strict_kernel,
-        router_core=router_core,
         workload=workload,
     )
     for name in workload:

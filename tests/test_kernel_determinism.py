@@ -357,56 +357,6 @@ def test_activity_kernel_matches_reference(build, cycles):
         assert activity[key] == reference[key], f"{key} diverged"
 
 
-@pytest.mark.parametrize(
-    "build, cycles",
-    [
-        (build_mixed_soc, 4000),
-        (build_lock_soc, 3000),
-        (build_gals_soc, 5000),
-        (build_vc_gals_soc, 5000),
-        (build_adaptive_gals_soc, 5000),
-        (build_faulted_adaptive_gals_soc, 5000),
-    ],
-    ids=[
-        "mixed-protocols",
-        "legacy-lock",
-        "gals-serialized-links",
-        "vc-dateline-gals",
-        "adaptive-escape-gals",
-        "faulted-adaptive-gals",
-    ],
-)
-def test_router_cores_match_object_reference(build, cycles, monkeypatch):
-    """PR 7: the array and batched struct-of-arrays executors are
-    byte-identical to the object router on every workload — stats,
-    queue counters, traces, memory images, fault stats, histograms."""
-    prints = {}
-    for core in ("object", "array", "batched"):
-        monkeypatch.setenv("REPRO_ROUTER_CORE", core)
-        prints[core] = fingerprint(build(strict=False), cycles)
-    for core in ("array", "batched"):
-        for key in prints["object"]:
-            assert prints[core][key] == prints["object"][key], (
-                f"router_core={core}: {key} diverged from object"
-            )
-
-
-def test_batched_core_strict_kernel_matches(monkeypatch):
-    """Cross-kernel x cross-core pin: the batched stepper under the
-    strict tick-everything kernel equals the object router under the
-    activity kernel, on the hardest workload (faults + CDC + VCs)."""
-    monkeypatch.setenv("REPRO_ROUTER_CORE", "object")
-    reference = fingerprint(
-        build_faulted_adaptive_gals_soc(strict=False), 5000
-    )
-    monkeypatch.setenv("REPRO_ROUTER_CORE", "batched")
-    strict_batched = fingerprint(
-        build_faulted_adaptive_gals_soc(strict=True), 5000
-    )
-    for key in reference:
-        assert strict_batched[key] == reference[key], f"{key} diverged"
-
-
 def test_activity_kernel_completes_all_traffic():
     soc = build_mixed_soc(strict=False)
     soc.run_to_completion()

@@ -272,6 +272,21 @@ def test_worker_count_must_match_shard_count():
         )
 
 
+def test_every_component_and_queue_has_exactly_one_owner():
+    """No plane-wide executors: the ownership map is a total function
+    from registered components and queues onto the plan's shards."""
+    soc = build_sharded_adaptive_gals(2)
+    ownership = soc.shard_ownership
+    assert sorted(ownership.component_owner) == sorted(
+        c.name for c in soc.sim.components
+    )
+    assert sorted(ownership.queue_owner) == sorted(soc.sim._queue_names)
+    owners = set(ownership.component_owner.values()) | set(
+        ownership.queue_owner.values()
+    )
+    assert owners == {0, 1}
+
+
 # --------------------------------------------------------------------- #
 # plans: auto-partitioner and explicit-plan validation
 # --------------------------------------------------------------------- #

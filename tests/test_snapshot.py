@@ -5,9 +5,8 @@ run is *byte-identical* to an uninterrupted one — same trace stream,
 same queue counters, same histograms, same memory images — at every
 layer and from every adversarial snapshot point: mid-wormhole, inside a
 degraded fault epoch with the watchdog armed, mid-CDC-crossing, and on
-a fully parked timing wheel.  These tests pin that, across all three
-router cores and both kernels, and pin the fork sweep's warm == cold
-equivalence on top.
+a fully parked timing wheel.  These tests pin that on both kernels,
+and pin the fork sweep's warm == cold equivalence on top.
 """
 
 import functools
@@ -25,8 +24,6 @@ from repro.sim.snapshot import (
 from repro.soc import FaultSchedule
 from repro.sweep import Checkpoint, CheckpointFormatError, Override, fork
 from repro.sweep.fork import run_cold
-
-CORES = ("object", "array", "batched")
 
 # Reuse the determinism suite's autouse id-counter isolation.
 _fresh_global_ids = tkd._fresh_global_ids
@@ -54,29 +51,23 @@ def _roundtrip(build, total, at, strict=False):
     return checkpoint
 
 
-@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("strict", [False, True], ids=["activity", "strict"])
-def test_mid_wormhole_roundtrip(core, strict, monkeypatch):
+def test_mid_wormhole_roundtrip(strict):
     """Cycle 850 of the lock workload: wormholes in flight, router LOCK
     ownership held, arbiters mid-rotation."""
-    monkeypatch.setenv("REPRO_ROUTER_CORE", core)
     _roundtrip(tkd.build_lock_soc, 3000, 850, strict)
 
 
-@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("strict", [False, True], ids=["activity", "strict"])
-def test_mid_fault_epoch_roundtrip(core, strict, monkeypatch):
+def test_mid_fault_epoch_roundtrip(strict):
     """Cycle 500 sits inside the [400, 900) degraded window: degraded
     route tables pushed, dead ports masked, partition watchdog armed."""
-    monkeypatch.setenv("REPRO_ROUTER_CORE", core)
     _roundtrip(tkd.build_faulted_adaptive_gals_soc, 5000, 500, strict)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_mid_cdc_crossing_roundtrip(core, monkeypatch):
+def test_mid_cdc_crossing_roundtrip():
     """Cycle 777 of the GALS build: phits mid-shift on serialized links,
     entries maturing inside CDC synchronizers, three clock domains."""
-    monkeypatch.setenv("REPRO_ROUTER_CORE", core)
     _roundtrip(tkd.build_gals_soc, 5000, 777, False)
 
 

@@ -1,11 +1,11 @@
 """Programmable endpoints (PR 9): DMA programs, streams, traces, registry.
 
 Pins the workload-layer contracts: descriptor programs execute their
-dependency DAGs identically on every kernel and router core, stream
-credit loops actually backpressure, record→replay reproduces the
-byte-identical determinism fingerprint, the scenario registry fails by
-name, and the declarative TrafficSpec is observably equivalent to the
-legacy constructors it unified.
+dependency DAGs identically on both kernels, stream credit loops
+actually backpressure, record→replay reproduces the byte-identical
+determinism fingerprint, the scenario registry fails by name, and the
+declarative TrafficSpec is observably equivalent to the legacy
+constructors it unified.
 """
 
 import types
@@ -320,11 +320,11 @@ class TestStreams:
 # --------------------------------------------------------------------- #
 # trace record -> replay
 # --------------------------------------------------------------------- #
-def _hotspot_soc(sources, *, strict=False, router_core=None):
+def _hotspot_soc(sources, *, strict=False):
     """Scaled-down adaptive hotspot: four masters, one slow hot target."""
     reset_ids()
     builder = SocBuilder(
-        name="hotspot", strict_kernel=strict, router_core=router_core,
+        name="hotspot", strict_kernel=strict,
         topology=topo.torus(4, 4, endpoints=len(sources) + 2),
         routing="adaptive", vcs=3, vc_policy="escape",
         workload=dict(sources),
@@ -352,21 +352,20 @@ def _hotspot_sources():
 
 
 class TestTraceRoundTrip:
-    @pytest.mark.parametrize("core", ["object", "array", "batched"])
-    def test_replay_reproduces_fingerprint(self, core):
+    def test_replay_reproduces_fingerprint(self):
         writer = TraceWriter(note="adaptive hotspot")
         recorded = {
             name: writer.record(name, source)
             for name, source in _hotspot_sources().items()
         }
-        soc = _hotspot_soc(recorded, router_core=core)
+        soc = _hotspot_soc(recorded)
         soc.run_to_completion()
         original = fingerprint_soc(soc)
 
         replay = TraceReplay.from_jsonl(writer.to_jsonl())
         assert replay.masters() == sorted(recorded)
         replayed = {name: replay.source(name) for name in recorded}
-        soc2 = _hotspot_soc(replayed, router_core=core)
+        soc2 = _hotspot_soc(replayed)
         soc2.run_to_completion()
         assert fingerprint_soc(soc2) == original
 
@@ -514,7 +513,7 @@ class TestTrafficSpec:
 
 
 # --------------------------------------------------------------------- #
-# cross-kernel / cross-core determinism + checkpointing
+# cross-kernel determinism + checkpointing
 # --------------------------------------------------------------------- #
 class TestScenarioDeterminism:
     @pytest.mark.parametrize("name", ["dma_chain", "stream_pipeline",
@@ -527,16 +526,6 @@ class TestScenarioDeterminism:
             soc.run_to_completion()
             prints.append(fingerprint_soc(soc))
         assert prints[0] == prints[1]
-
-    @pytest.mark.parametrize("core", ["object", "array", "batched"])
-    def test_router_cores_agree_on_dma_chain(self, core):
-        reset_ids()
-        soc = get("dma_chain").build(strict_kernel=False, router_core=core)
-        soc.run_to_completion()
-        reset_ids()
-        ref = get("dma_chain").build(strict_kernel=True, router_core=core)
-        ref.run_to_completion()
-        assert fingerprint_soc(soc) == fingerprint_soc(ref)
 
     def test_checkpoint_restores_mid_chain(self):
         """Capture a DMA run mid-chain; the restored continuation matches
