@@ -47,6 +47,7 @@ from repro.sim.shard import (
     ShardPlan,
 )
 from repro.sim.snapshot import Snapshottable
+from repro.sim.stats import Histogram
 from repro.transport.faults import (
     FaultConfigError,
     FaultInjector,
@@ -263,7 +264,12 @@ class EjectionPort(Component, Snapshottable):
         # packet's injection-to-delivery latency goes into registry
         # histograms under "<flow_prefix>.prio<p>" and
         # "<flow_prefix>.pair.<src>-><dst>".  None disables recording.
+        # The two handles are cached per (priority, source), resolved at
+        # that flow's first packet so registry creation order is what
+        # per-packet lookups gave; StatsRegistry.restore mutates the
+        # registered objects in place, so the handles survive a restore.
         self._flow_prefix = flow_prefix
+        self._flow_hists: Dict[Tuple[int, int], Tuple[Histogram, Histogram]] = {}
         self.flit_queues = list(flit_queues)
         self.vcs = len(self.flit_queues)
         if isinstance(packet_queues, SimQueue):
@@ -336,11 +342,19 @@ class EjectionPort(Component, Snapshottable):
         if self._flow_prefix is None or packet.injected_cycle < 0:
             return
         latency = self._simulator.cycle - packet.injected_cycle
-        stats = self._simulator.stats
-        stats.histogram(f"{self._flow_prefix}.prio{packet.priority}").add(latency)
-        stats.histogram(
-            f"{self._flow_prefix}.pair.{packet.route_source}->{self.endpoint}"
-        ).add(latency)
+        flow = (packet.priority, packet.route_source)
+        hists = self._flow_hists.get(flow)
+        if hists is None:
+            stats = self._simulator.stats
+            hists = self._flow_hists[flow] = (
+                stats.histogram(f"{self._flow_prefix}.prio{packet.priority}"),
+                stats.histogram(
+                    f"{self._flow_prefix}.pair."
+                    f"{packet.route_source}->{self.endpoint}"
+                ),
+            )
+        hists[0].add(latency)
+        hists[1].add(latency)
 
     def is_idle(self) -> bool:
         # Anything buffered — a committed flit or a parked reorder-buffer

@@ -9,6 +9,7 @@ tree, and arbitrary graphs for irregular SoC floorplans.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -16,6 +17,7 @@ import networkx as nx
 RouterId = Hashable
 
 
+@lru_cache(maxsize=4096)
 def router_sort_key(router: RouterId):
     """Canonical, type-aware sort key for router ids.
 
@@ -25,6 +27,10 @@ def router_sort_key(router: RouterId):
     tie-break) order between fabrics narrower and wider than 10 routers.
     Categories (numbers, strings, tuples) are kept disjoint so
     heterogeneous id sets still have a total order.
+
+    Memoised: every build sorts the same few ids hundreds of times.  Ids
+    that compare equal (``1`` / ``1.0`` / ``True``) share one cache entry
+    and already had equal keys.
     """
     if isinstance(router, tuple):
         return (2, tuple(router_sort_key(element) for element in router))

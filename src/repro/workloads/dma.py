@@ -25,6 +25,7 @@ poll and becomes visible a cycle later, exactly like a completed burst.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction, make_read, make_write
@@ -149,6 +150,36 @@ class DmaEngine(Snapshottable):
     surfaces this engine's :meth:`diagnose_stall` — a DMA program
     targeting an unmapped address fails loudly, by name.
     ``on_error="continue"`` counts the burst as done and carries on.
+
+    Deterministic progress
+    ----------------------
+    ``poll`` / ``_advance`` / ``lookahead`` / ``done`` visit a *ready
+    frontier*, never the whole program.  ``_blocked[i]`` counts the
+    distinct ``after`` dependencies of descriptor ``i`` still incomplete;
+    three ascending index lists hold what can act:
+
+    ``_open_computes``
+        computes with no blocked dependency whose due cycle has not been
+        observed; ``_advance`` removes each as it stamps it.
+    ``_open_bursts``
+        read/write descriptors with no blocked dependency and bursts left
+        to issue; ``poll`` removes each with its last burst.
+    ``_waiting``
+        descriptors with ``wait`` channels and bursts left to issue,
+        *whatever their dependencies* — ``lookahead`` parks on their token
+        visibility even while ``after`` is pending (an early poll is
+        harmless).  Filled at build, emptied by ``poll``.
+
+    ``_finish`` — a descriptor completing, via ``notify_complete`` or a
+    due compute — is the only inserter: it decrements each dependent's
+    count and ``insort``s those that reach zero.  Dependencies point
+    backwards, so whatever a compute releases has a larger index and
+    lands behind ``_advance``'s cursor: one ascending pass stamps the
+    same computes in the same order as rescanning to a fixed point, and
+    the first token-ready entry of ``_open_bursts`` is the lowest
+    eligible index.  All of it is derived from ``_complete_cycle`` and
+    ``_issued``, so ``_rebuild_frontier`` recomputes it after a restore
+    and the checkpoint format never sees it.
     """
 
     _snapshot_fields = (
@@ -193,6 +224,7 @@ class DmaEngine(Snapshottable):
         self.complete_log: List[Tuple[int, int, int]] = []
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._master = None  # set by bind_master (wiring, not state)
+        self._rebuild_frontier()
         # Channels this program touches, by name — the snapshot captures
         # their token logs through every engine that references them
         # (idempotent: all captures happen at the same instant).
@@ -210,6 +242,10 @@ class DmaEngine(Snapshottable):
     def _validate_program(self) -> None:
         if not self.program:
             raise DmaProgramError(f"{self.name}: empty descriptor program")
+        # Per-engine tables (descriptors may be shared, never mutated):
+        # ``after`` deduplicated — an edge counts once — and its reverse.
+        self._after: List[Tuple[int, ...]] = []
+        self._dependents: List[List[int]] = [[] for _ in self.program]
         for i, desc in enumerate(self.program):
             label = f"{self.name}: descriptor {i}"
             if not isinstance(desc, DmaDescriptor):
@@ -225,6 +261,12 @@ class DmaEngine(Snapshottable):
                         f"earlier descriptors (0..{i - 1}) — programs are "
                         f"DAGs by construction"
                     )
+            after = desc.after
+            if len(after) > 1:
+                after = tuple(sorted(set(after)))
+            self._after.append(after)
+            for j in after:
+                self._dependents[j].append(i)
             if desc.op == "compute":
                 if desc.delay < 0:
                     raise DmaProgramError(f"{label}: delay must be >= 0")
@@ -238,9 +280,9 @@ class DmaEngine(Snapshottable):
                         f"{label}: compute steps have exactly one burst"
                     )
             else:
-                if desc.bursts < 1 or desc.beats < 1:
+                if desc.bursts < 1 or desc.beats < 1 or desc.beat_bytes < 1:
                     raise DmaProgramError(
-                        f"{label}: bursts and beats must be >= 1"
+                        f"{label}: bursts, beats and beat_bytes must be >= 1"
                     )
                 if desc.ring is not None and desc.ring < 1:
                     raise DmaProgramError(f"{label}: ring must be >= 1")
@@ -257,60 +299,79 @@ class DmaEngine(Snapshottable):
                 channel.add_waiter(master)
 
     # ------------------------------------------------------------------ #
-    # deterministic progress
+    # deterministic progress: the ready frontier
     # ------------------------------------------------------------------ #
-    def _deps_complete(self, i: int) -> bool:
-        cc = self._complete_cycle
-        return all(cc[j] is not None for j in self.program[i].after)
+    def _rebuild_frontier(self) -> None:
+        """Derive the frontier from ``_complete_cycle`` / ``_issued`` (at
+        construction and after every restore)."""
+        cc, issued = self._complete_cycle, self._issued
+        blocked = self._blocked = list(map(len, self._after))
+        self._open_computes: List[int] = []
+        self._open_bursts: List[int] = []
+        self._waiting: List[int] = []
+        self._remaining = cc.count(None)
+        for i, desc in enumerate(self.program):
+            if cc[i] is not None:
+                for k in self._dependents[i]:  # k > i: settled before visited
+                    blocked[k] -= 1
+            elif desc.op == "compute":
+                if not blocked[i]:
+                    self._open_computes.append(i)
+            elif issued[i] < desc.bursts:
+                if not blocked[i]:
+                    self._open_bursts.append(i)
+                if desc.wait:
+                    self._waiting.append(i)
 
-    def _compute_due_at(self, i: int) -> Optional[int]:
-        """Pure: the cycle compute ``i`` completes, if derivable now."""
+    def _finish(self, i: int, cycle: int) -> None:
+        """Descriptor ``i`` completed at ``cycle`` — the only place that
+        releases dependents into the open sets."""
+        self._complete_cycle[i] = cycle
+        self._remaining -= 1
+        blocked = self._blocked
+        for k in self._dependents[i]:
+            blocked[k] -= 1
+            if not blocked[k]:
+                if self.program[k].op == "compute":
+                    insort(self._open_computes, k)
+                else:
+                    insort(self._open_bursts, k)
+
+    def _compute_due_at(self, i: int) -> int:
+        """Pure: the cycle open compute ``i`` completes."""
         due = self._compute_done[i]
         if due is not None:
             return due
-        if not self._deps_complete(i):
-            return None
-        desc = self.program[i]
-        start = max(
-            (self._complete_cycle[j] for j in desc.after), default=0
-        )
-        return start + desc.delay
+        cc = self._complete_cycle
+        start = max((cc[j] for j in self._after[i]), default=0)
+        return start + self.program[i].delay
 
     def _advance(self, cycle: int) -> None:
         """Stamp every compute completion due by ``cycle`` and fire its
         signal.  Only poll/notify paths call this (never lookahead), so
         the stamps land at the same events on every kernel."""
-        progress = True
-        while progress:
-            progress = False
-            for i, desc in enumerate(self.program):
-                if desc.op != "compute" or self._complete_cycle[i] is not None:
-                    continue
-                if self._compute_done[i] is None:
-                    due = self._compute_due_at(i)
-                    if due is None:
-                        continue
-                    self._compute_done[i] = due
-                    progress = True
-                due = self._compute_done[i]
-                if due is not None and cycle >= due:
-                    # Completion time is the due cycle itself — not the
-                    # observing poll's cycle — so it is scheduling-free.
-                    self._complete_cycle[i] = due
-                    self.complete_log.append((i, 0, due))
-                    for channel in desc.signal:
-                        channel.put(cycle)
-                        self._signals_fired[i] += 1
-                    progress = True
+        open_computes = self._open_computes
+        k = 0
+        while k < len(open_computes):
+            i = open_computes[k]
+            due = self._compute_done[i] = self._compute_due_at(i)
+            if cycle < due:
+                k += 1
+                continue
+            # Completion time is the due cycle itself — not the observing
+            # poll's cycle — so it is scheduling-free.  What this releases
+            # lands at or behind slot ``k``: same pass.
+            del open_computes[k]
+            self._finish(i, due)
+            self.complete_log.append((i, 0, due))
+            for channel in self.program[i].signal:
+                channel.put(cycle)
+                self._signals_fired[i] += 1
 
-    def _burst_eligible(self, i: int, cycle: int) -> bool:
-        desc = self.program[i]
-        if desc.op == "compute" or self._issued[i] >= desc.bursts:
-            return False
-        if not self._deps_complete(i):
-            return False
+    def _tokens_visible(self, i: int, cycle: int) -> bool:
+        """Every wait channel of open burst ``i`` shows its next token."""
         need = self._issued[i] + 1
-        return all(ch.level(cycle) >= need for ch in desc.wait)
+        return all(ch.level(cycle) >= need for ch in self.program[i].wait)
 
     def _make_txn(self, i: int, burst: int) -> Transaction:
         desc = self.program[i]
@@ -347,11 +408,17 @@ class DmaEngine(Snapshottable):
         self._advance(cycle)
         if self._halted is not None:
             return None
-        for i in range(len(self.program)):
-            if self._burst_eligible(i, cycle):
+        open_bursts = self._open_bursts
+        for k, i in enumerate(open_bursts):  # lowest index first
+            if self._tokens_visible(i, cycle):
+                desc = self.program[i]
                 burst = self._issued[i]
                 txn = self._make_txn(i, burst)
                 self._issued[i] += 1
+                if burst + 1 == desc.bursts:  # last burst: leaves the frontier
+                    del open_bursts[k]
+                    if desc.wait:
+                        self._waiting.remove(i)
                 self._txn_desc[txn.txn_id] = i
                 self.issue_log.append((i, burst, cycle))
                 return txn
@@ -362,33 +429,25 @@ class DmaEngine(Snapshottable):
         if self._halted is not None:
             return None  # halted forever: nothing will ever re-arm us
         horizon: Optional[int] = None
-        for i, desc in enumerate(self.program):
-            if desc.op == "compute":
-                if self._complete_cycle[i] is not None:
-                    continue
-                due = self._compute_due_at(i)
-                if due is None:
-                    continue  # deps unresolved: a completion re-arms us
-                if due <= cycle:
-                    return ("at", cycle)  # poll must stamp + signal it
-                horizon = due if horizon is None else min(horizon, due)
-                continue
-            if self._issued[i] >= desc.bursts:
-                continue
-            if self._burst_eligible(i, cycle):
+        for i in self._open_computes:
+            due = self._compute_due_at(i)
+            if due <= cycle:
+                return ("at", cycle)  # poll must stamp + signal it
+            horizon = due if horizon is None else min(horizon, due)
+        for i in self._open_bursts:
+            if self._tokens_visible(i, cycle):
                 return ("at", cycle)
-            if desc.wait:
-                # Enough tokens already put on every wait channel but not
-                # all visible yet: park until the latest needed token's
-                # visibility cycle.  (Deps may still be pending then — an
-                # early poll is harmless.)  A channel still short of
-                # tokens wakes us via its put() instead.
-                need = self._issued[i] + 1
-                if all(ch.total() >= need for ch in desc.wait):
-                    at = max(
-                        [cycle] + [ch.visible_at(need) for ch in desc.wait]
-                    )
-                    horizon = at if horizon is None else min(horizon, at)
+        for i in self._waiting:
+            # Enough tokens already put on every wait channel but not
+            # all visible yet: park until the latest needed token's
+            # visibility cycle.  (Deps may still be pending then — an
+            # early poll is harmless.)  A channel still short of
+            # tokens wakes us via its put() instead.
+            need = self._issued[i] + 1
+            wait = self.program[i].wait
+            if all(ch.total() >= need for ch in wait):
+                at = max([cycle] + [ch.visible_at(need) for ch in wait])
+                horizon = at if horizon is None else min(horizon, at)
         if horizon is not None:
             return ("at", horizon)
         # Dormant: only a completion (response-channel wake) or a channel
@@ -396,11 +455,7 @@ class DmaEngine(Snapshottable):
         return None
 
     def done(self) -> bool:
-        if self._halted is not None:
-            return False
-        if self._txn_desc:
-            return False
-        return all(c is not None for c in self._complete_cycle)
+        return self._halted is None and not (self._txn_desc or self._remaining)
 
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
@@ -428,7 +483,7 @@ class DmaEngine(Snapshottable):
             self._done_bursts[i] == desc.bursts
             and self._issued[i] == desc.bursts
         ):
-            self._complete_cycle[i] = cycle
+            self._finish(i, cycle)
             self._advance(cycle)  # a finished dep may release computes
 
     # ------------------------------------------------------------------ #
@@ -445,7 +500,7 @@ class DmaEngine(Snapshottable):
             if self._complete_cycle[i] is not None:
                 continue
             if desc.op == "compute":
-                if self._compute_due_at(i) is None:
+                if self._blocked[i]:
                     reasons.append(
                         f"desc {i} {desc.describe()} waiting on "
                         f"after={desc.after}"
@@ -457,7 +512,7 @@ class DmaEngine(Snapshottable):
                     f"desc {i} {desc.describe()}: {inflight} burst(s) "
                     f"in flight"
                 )
-            elif not self._deps_complete(i):
+            elif self._blocked[i]:
                 reasons.append(
                     f"desc {i} {desc.describe()} waiting on "
                     f"after={desc.after}"
@@ -489,3 +544,4 @@ class DmaEngine(Snapshottable):
         super()._restore_state(state)
         for name, puts in state["channels"].items():
             self._channels[name]._puts[:] = puts
+        self._rebuild_frontier()  # derived state: never snapshotted

@@ -95,6 +95,24 @@ def test_parked_wheel_roundtrip():
 # --------------------------------------------------------------------- #
 # serialization
 # --------------------------------------------------------------------- #
+def test_cached_flow_histogram_handles_survive_restore():
+    """Ejection ports cache their per-flow histogram handles; restoring
+    into the *same* SoC must keep them pointing at the registered objects
+    (StatsRegistry.restore mutates in place), so flow_stats() after
+    snapshot -> run -> restore -> deliver equals the uninterrupted run."""
+    reference = tkd.build_mixed_soc(strict=False)
+    reference.run(1500)
+    soc = tkd.build_mixed_soc(strict=False)
+    soc.run(400)
+    checkpoint = Checkpoint.capture(soc)
+    at_cut = soc.flow_stats()
+    soc.run(300)  # handles now cached; samples recorded past the cut
+    checkpoint.restore_into(soc)
+    assert soc.flow_stats() == at_cut
+    soc.run(1100)
+    assert soc.flow_stats() == reference.flow_stats() != at_cut
+
+
 def test_checkpoint_bytes_and_file_roundtrip(tmp_path):
     soc = tkd.build_mixed_soc(strict=False)
     soc.run(1000)

@@ -12,6 +12,7 @@ import types
 
 import pytest
 
+from repro.core.transaction import ResponseStatus
 from repro.ip.traffic import (
     PoissonTraffic,
     TrafficSeedError,
@@ -150,6 +151,22 @@ class TestDmaProgramValidation:
     def test_on_error_knob(self):
         with pytest.raises(ValueError, match="on_error"):
             DmaEngine("e", [DmaDescriptor("read")], on_error="ignore")
+
+    def test_beat_bytes_rejected_at_build(self):
+        with pytest.raises(DmaProgramError, match="beat_bytes"):
+            DmaEngine("e", [DmaDescriptor("read", beat_bytes=0)])
+
+    def test_duplicate_after_counts_once(self):
+        """A repeated edge is one dependency: the engine normalises its
+        own table and leaves the (shareable) descriptor untouched."""
+        shared = DmaDescriptor("write", after=(0, 0))
+        engines = [DmaEngine(f"e{k}", [DmaDescriptor("read"), shared])
+                   for k in range(2)]
+        assert shared.after == (0, 0)
+        for engine in engines:
+            engine.notify_complete(engine.poll(0).txn_id, 3, ResponseStatus.OKAY)
+            engine.notify_complete(engine.poll(3).txn_id, 5, ResponseStatus.OKAY)
+            assert engine.done()
 
 
 # --------------------------------------------------------------------- #
@@ -543,3 +560,64 @@ class TestScenarioDeterminism:
         assert fresh.sim.cycle == 150
         fresh.run_to_completion()
         assert fingerprint_soc(fresh) == uninterrupted
+
+    @staticmethod
+    def _fan_in_soc():
+        """Two engines: a fan-in + compute cascade gated on a channel the
+        second engine signals.  Returns (soc, first engine)."""
+        ready = StreamChannel("ready")
+        fan = DmaEngine("fan", [
+            DmaDescriptor("read", address=0x000, bursts=2),
+            DmaDescriptor("read", address=0x100, bursts=3),
+            DmaDescriptor("compute", delay=40, after=(0, 1)),
+            DmaDescriptor("compute", delay=0, after=(2,)),
+            DmaDescriptor("compute", delay=6, after=(3, 0)),
+            DmaDescriptor("write", address=0x800, after=(4,), wait=ready,
+                          bursts=2, pattern=9),
+            DmaDescriptor("write", address=0xC00, after=(5, 2), pattern=5),
+        ])
+        feeder = DmaEngine("feeder", [
+            DmaDescriptor("read", address=0x400, bursts=2, signal=ready),
+        ])
+        return _dma_soc({"fan": fan, "feeder": feeder}), fan
+
+    def test_checkpoint_restores_at_every_frontier_shape(self):
+        """The frontier is derived state: whatever it held at the cut —
+        nothing issued, bursts in flight, a compute armed but not due,
+        the last descriptor in flight, everything done — the restored
+        engine rebuilds it and finishes on the uninterrupted fingerprint."""
+        soc, fan = self._fan_in_soc()
+        soc.run_to_completion()
+        uninterrupted, end = fingerprint_soc(soc), soc.sim.cycle
+        issued = {(d, b): c for d, b, c in fan.issue_log}
+        armed = fan._complete_cycle[1] + 20  # compute 2 is due 40 after
+        cuts = {
+            "before first issue": 0,
+            "bursts in flight": issued[(1, 0)] + 1,
+            "compute armed, not due": armed,
+            "last descriptor in flight": issued[(6, 0)] + 1,
+            "done": end,
+        }
+        for label, at in cuts.items():
+            donor, fan = self._fan_in_soc()
+            donor.run(at)
+            if label == "compute armed, not due":
+                assert fan._compute_done[2] is not None
+                assert fan._complete_cycle[2] is None
+            elif label == "last descriptor in flight":
+                assert fan._issued[6] == 1 and not fan.done()
+            checkpoint = Checkpoint.capture(donor)
+            restored, fan = self._fan_in_soc()
+            checkpoint.restore_into(restored)
+            assert restored.sim.cycle == at, label
+            restored.run_to_completion()
+            assert fan.done(), label
+            assert fingerprint_soc(restored) == uninterrupted, label
+
+    def test_engine_snapshot_format_unchanged(self):
+        """Old checkpoints still load: the frontier adds no field."""
+        assert DmaEngine._snapshot_fields == (
+            "_issued", "_done_bursts", "_complete_cycle", "_compute_done",
+            "_signals_fired", "_txn_desc", "_halted", "bursts_completed",
+            "issue_log", "complete_log", "completions",
+        )
