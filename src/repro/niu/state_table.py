@@ -197,13 +197,6 @@ class StateTable(Snapshottable):
     # ------------------------------------------------------------------ #
     # stream-order queries (reorder-buffer behaviour)
     # ------------------------------------------------------------------ #
-    def oldest_open(self, stream: StreamKey) -> Optional[StateEntry]:
-        """Oldest (lowest stream_seq) entry of a stream, if any."""
-        entries = [e for e in self._entries.values() if e.stream == stream]
-        if not entries:
-            return None
-        return min(entries, key=lambda e: e.stream_seq)
-
     @property
     def has_responded(self) -> bool:
         """Any entry holding a returned response (O(1) precheck for the

@@ -41,14 +41,6 @@ class SResp(enum.Enum):
     ERR = "ERR"
 
 
-def sresp_from_status(status: ResponseStatus, excl_failed: bool) -> SResp:
-    if status.is_error:
-        return SResp.ERR
-    if excl_failed:
-        return SResp.FAIL
-    return SResp.DVA
-
-
 @dataclass
 class OcpRequest:
     mcmd: MCmd

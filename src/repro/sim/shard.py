@@ -308,9 +308,7 @@ class ShardLinkTx(Component, Snapshottable):
         if self._pending_credits:
             due = self._pending_credits[0][0]
             return due if due > now else now
-        if any(queue._committed for queue in self.feeds):
-            return None  # credit-starved: receive_credits() wakes us
-        return None
+        return None  # idle, or credit-starved: receive_credits() wakes us
 
     def tick(self, cycle: int) -> None:
         # Mature credit returns that came due.
@@ -495,9 +493,6 @@ class ShardOwnership:
             self.component_owner[component.name] = shard
         for queue in sim._queues[q0:]:
             self.queue_owner[queue.name] = shard
-
-    def components_of(self, shard: int) -> set:
-        return {n for n, s in self.component_owner.items() if s == shard}
 
     def queues_of(self, shard: int) -> set:
         return {n for n, s in self.queue_owner.items() if s == shard}

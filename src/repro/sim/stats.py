@@ -8,7 +8,7 @@ every experiment prints comparable, reproducible numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.sim.snapshot import Snapshottable
 
@@ -73,10 +73,10 @@ class Histogram(Snapshottable):
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not self._samples:
-            return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} out of range [0, 100]")
+        if not self._samples:
+            return 0.0
         ordered = sorted(self._samples)
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]
@@ -219,22 +219,3 @@ class StatsRegistry:
                 f"open={lat.open_count}"
             )
         return "\n".join(lines)
-
-
-def merge_summaries(
-    summaries: List[Dict[str, float]], weights: Optional[List[float]] = None
-) -> Dict[str, float]:
-    """Combine per-run histogram summaries (weighted by sample count)."""
-    if not summaries:
-        return {}
-    if weights is None:
-        weights = [s.get("count", 1.0) for s in summaries]
-    total = sum(weights) or 1.0
-    merged: Dict[str, float] = {
-        "count": sum(s.get("count", 0.0) for s in summaries),
-        "mean": sum(s.get("mean", 0.0) * w for s, w in zip(summaries, weights))
-        / total,
-        "min": min(s.get("min", 0.0) for s in summaries),
-        "max": max(s.get("max", 0.0) for s in summaries),
-    }
-    return merged

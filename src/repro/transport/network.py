@@ -154,11 +154,6 @@ class InjectionPort(Component, Snapshottable):
         "flits_injected",
     )
 
-    @property
-    def flit_queue(self) -> SimQueue:
-        """The VC-0 feed (compatibility accessor for single-VC planes)."""
-        return self.flit_queues[0]
-
     def pending_flits(self) -> int:
         return sum(len(pending) for pending in self._pending)
 

@@ -36,10 +36,14 @@ def test_histogram_empty_is_zeroes():
 
 
 def test_percentile_bounds_checked():
+    empty = Histogram("empty")
     h = Histogram("h")
     h.add(1)
-    with pytest.raises(ValueError):
-        h.percentile(101)
+    # The range check comes before the empty-histogram early return.
+    for hist in (empty, h):
+        for p in (101, 150, -0.1):
+            with pytest.raises(ValueError):
+                hist.percentile(p)
 
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=200))
