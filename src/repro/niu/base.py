@@ -143,10 +143,12 @@ class InitiatorNiu(Component, Snapshottable):
         make every tick a no-op.  All three re-arming events wake us —
         a response packet push, a native request push, and a freed
         native response slot (registered in __init__/_attach_socket) —
-        so the kernel may park the engine until one fires."""
+        so the kernel may park the engine until one fires.  A responded
+        entry held back by stream order becomes deliverable only through
+        an older response packet or a release inside our own tick."""
         if not self._native_req_queues:
             return now  # no socket attached: cannot prove dormancy
-        if self._rsp_packets or self.table.has_responded:
+        if self._rsp_packets or self.table.deliverable():
             return now
         for queue in self._native_req_queues:
             if queue._committed:

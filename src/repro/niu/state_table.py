@@ -197,12 +197,6 @@ class StateTable(Snapshottable):
     # ------------------------------------------------------------------ #
     # stream-order queries (reorder-buffer behaviour)
     # ------------------------------------------------------------------ #
-    @property
-    def has_responded(self) -> bool:
-        """Any entry holding a returned response (O(1) precheck for the
-        per-cycle delivery scan and the NIU's dormancy predicate)."""
-        return self._responded_count > 0
-
     def deliverable(self) -> List[StateEntry]:
         """Responded entries that are the oldest of their stream.
 

@@ -563,15 +563,13 @@ class VcPhysicalLink(Component, Snapshottable):
 
         # Sender-side credit loop: mature in-flight returns, then return
         # credits for flits the downstream consumer has drained since the
-        # last producer edge.  Credits already travelling back
-        # (in_return_loop) still count as outstanding, so subtract them
-        # or every pre-maturation edge would re-return the same credit.
+        # last producer edge (CreditCounter.step: everything outstanding
+        # that is neither on our wires, buffered downstream nor already
+        # travelling back).
+        in_flight_vc = self._in_flight_vc
+        downstreams = self.downstreams
         for vc, credit in enumerate(self.credits):
-            credit.advance()
-            held = self._in_flight_vc[vc] + self.downstreams[vc].occupancy
-            freed = credit.outstanding - credit.in_return_loop - held
-            if freed > 0:
-                credit.give_back(freed)
+            credit.step(in_flight_vc[vc] + downstreams[vc]._occ)
 
         # Shift phits of the flit currently on the wires.
         if self._shifting is not None:

@@ -153,6 +153,11 @@ class ProtocolMaster(Component, Snapshottable):
         # draws for those cycles were already consumed).  -1 = no
         # lookahead pending; the strict kernel never sets it.
         self._armed_at = -1
+        # True while the last try_issue refusal found every request
+        # channel pushable — i.e. the protocol's own outstanding limit
+        # refused it, which only collect_responses can lift.  Sampled at
+        # the refusal (see tick), cleared by a successful issue.
+        self._limit_blocked = False
         self._latency_stat = None  # resolved at bind()
         #: Native status translated to the transaction-layer vocabulary,
         #: recorded by subclasses before returning from collect_responses.
@@ -172,6 +177,7 @@ class ProtocolMaster(Component, Snapshottable):
         "_pending",
         "_inflight",
         "_armed_at",
+        "_limit_blocked",
         "completion_status",
         "issued",
         "completed",
@@ -195,6 +201,15 @@ class ProtocolMaster(Component, Snapshottable):
     # subclass interface
     # ------------------------------------------------------------------ #
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
+        """Push ``txn``'s protocol records and return True, or refuse.
+
+        A refusal has one of two causes: socket backpressure (a request
+        channel that cannot be pushed) or state only
+        :meth:`collect_responses` changes (the protocol's outstanding
+        limit).  No time-based refusals — :meth:`tick` parks a master
+        refused while every request channel is pushable until a response
+        arrives, so a refusal that lifts by itself would never be retried.
+        """
         raise NotImplementedError
 
     def collect_responses(self, cycle: int) -> List[int]:
@@ -204,12 +219,9 @@ class ProtocolMaster(Component, Snapshottable):
     # common engine
     # ------------------------------------------------------------------ #
     def is_idle(self) -> bool:
-        """Masters sleep only once their traffic is fully retired.
-
-        While the source still has (or may generate) intents the master
-        must poll every cycle — sources are cycle-driven (think time,
-        Bernoulli rates), so there is no queue event to wake on.  Once
-        :meth:`finished` is true it is true forever: no wake needed.
+        """Masters retire only once their traffic is fully spent (shorter
+        sleeps are :meth:`next_event_cycle`'s).  Once :meth:`finished` is
+        true it is true forever: no wake needed.
         """
         return self.finished()
 
@@ -245,8 +257,6 @@ class ProtocolMaster(Component, Snapshottable):
         return False
 
     def next_event_cycle(self, now: int):
-        if self._pending is not None:
-            return now  # retrying try_issue against socket backpressure
         socket = getattr(self, "socket", None)
         if socket is None:
             return now  # unknown subclass wiring: never skip
@@ -255,6 +265,11 @@ class ProtocolMaster(Component, Snapshottable):
                 return now  # responses waiting to be collected
         if self._has_local_completions():
             return now
+        if self._pending is not None:
+            # Refused by our own outstanding limit: dormant until a
+            # response (push-wake registered in bind()) lets
+            # collect_responses lower it.  Socket backpressure stays hot.
+            return None if self._limit_blocked else now
         armed_at = self._armed_at
         if armed_at >= 0:
             return armed_at if armed_at > now else now
@@ -296,9 +311,12 @@ class ProtocolMaster(Component, Snapshottable):
                     self._pending = self.traffic.poll(cycle)
             else:
                 self._pending = self.traffic.poll(cycle)
-        if self._pending is not None and self.try_issue(self._pending, cycle):
+        if self._pending is None:
+            return
+        if self.try_issue(self._pending, cycle):
             txn = self._pending
             self._pending = None
+            self._limit_blocked = False
             txn.issued_cycle = cycle
             self._inflight[txn.txn_id] = txn
             if txn.opcode.expects_response:
@@ -310,6 +328,14 @@ class ProtocolMaster(Component, Snapshottable):
                 )
             self._latency_stat.start(txn.txn_id, cycle)
             self.issued += 1
+        else:
+            # Sample the cause now, never later: a consumer ticking after
+            # us may pop a full channel this same cycle, and the refusal
+            # would then pass for a limit block that no response ends.
+            socket = getattr(self, "socket", None)
+            self._limit_blocked = socket is not None and all(
+                queue.can_push() for queue in socket.request_channels.values()
+            )
 
     def _complete(self, txn_id: int, cycle: int) -> None:
         txn = self._inflight.pop(txn_id, None)

@@ -168,6 +168,15 @@ class Component:
         is only safe when the component is truly empty of work, because
         push visibility is commit-delayed and push-wakes therefore land
         exactly when the new work becomes observable.
+
+        Own-limit corollary: work held back by state that only the
+        component's *own* tick changes (a master at its outstanding
+        limit, a response held by stream order) is dormant — the tick
+        that changes it needs an input, and inputs push-wake.  But
+        sample the reason *when refused, never later*: by the retire
+        sweep a later-ticking consumer may have popped the full queue
+        that actually refused the work, and what was backpressure (hot)
+        would read as an own-limit block (``None``) that nothing ends.
         """
         return now
 

@@ -31,7 +31,8 @@ class CreditCounter(Snapshottable):
     The sender calls :meth:`consume` per flit sent; the receiver calls
     :meth:`give_back` per flit drained.  Returned credits become usable
     ``return_latency`` cycles later, via :meth:`advance` called once per
-    cycle.
+    cycle.  A link that derives the drained count from buffer occupancy
+    does all three in one :meth:`step`.
     """
 
     _snapshot_fields = (
@@ -50,6 +51,7 @@ class CreditCounter(Snapshottable):
         "_available",
         "_in_flight",
         "_now",
+        "_returning",
         "total_consumed",
         "total_returned",
     )
@@ -64,6 +66,9 @@ class CreditCounter(Snapshottable):
         self._available = capacity
         self._in_flight: Deque[Tuple[int, int]] = deque()  # (due_cycle, count)
         self._now = 0
+        # Sum of the _in_flight counts, kept incrementally (derived: not
+        # captured, rebuilt on restore like SimQueue._occ).
+        self._returning = 0
         self.total_consumed = 0
         self.total_returned = 0
 
@@ -90,13 +95,29 @@ class CreditCounter(Snapshottable):
             self._restore(count)
         else:
             self._in_flight.append((self._now + self.return_latency, count))
+            self._returning += count
 
     def advance(self) -> None:
         """Advance one cycle; mature in-flight credit returns."""
         self._now += 1
         while self._in_flight and self._in_flight[0][0] <= self._now:
             __, count = self._in_flight.popleft()
+            self._returning -= count
             self._restore(count)
+
+    def step(self, held: int) -> None:
+        """One sender-side cycle: :meth:`advance`, then give back every
+        outstanding credit that is neither already in the return loop nor
+        among the ``held`` ones (flits still on the wires or buffered
+        downstream).  O(1) while the counter is whole: nothing is
+        outstanding, so nothing can be returning or held."""
+        if self._available == self.capacity:
+            self._now += 1
+            return
+        self.advance()
+        freed = self.capacity - self._available - self._returning - held
+        if freed > 0:
+            self.give_back(freed)
 
     def _restore(self, count: int) -> None:
         if self._available + count > self.capacity:
@@ -114,7 +135,11 @@ class CreditCounter(Snapshottable):
     @property
     def in_return_loop(self) -> int:
         """Credits given back but not yet matured (still in flight)."""
-        return sum(count for _due, count in self._in_flight)
+        return self._returning
+
+    def _restore_state(self, state) -> None:
+        super()._restore_state(state)
+        self._returning = sum(count for _due, count in self._in_flight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

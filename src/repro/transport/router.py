@@ -113,13 +113,14 @@ class Router(Component, Snapshottable):
             self._n_adaptive = policy.adaptive_vcs(vcs)
             self._escape_on = policy.escape
             self._escape_base_vc = policy.escape_base(vcs)
-        # Allocation hot-path caches: the escape VC of a hop is a pure
-        # function of (in port, out port, in VC) geometry; and a head that
+        # Allocation hot-path caches: the output VC of a hop (the escape
+        # VC on an adaptive router) is a pure function of (input VC, out
+        # port) geometry — VcPolicy is stateless; and a head that
         # found no free candidate (with no locks involved) stays blocked
         # until an output VC is released, so its failed scan is cached
         # against a release/lock version stamp instead of repeated every
         # cycle.
-        self._escape_vc_cache: Dict[Tuple[str, str, int], int] = {}
+        self._vc_cache: Dict[Tuple[VcKey, str], int] = {}
         self._alloc_fail: Dict[VcKey, Optional[Tuple[int, Flit]]] = {}
         self._release_version = 0
         # Buffers keyed by (port, vc); vc is always 0 when vcs == 1.
@@ -317,20 +318,23 @@ class Router(Component, Snapshottable):
 
     def _output_vc_for(self, ivc: VcKey, out_port: str) -> int:
         """Ask the VC policy for the output VC of a head flit on ``ivc``."""
-        in_port, in_vc = ivc
-        out_vc = self.vc_policy.output_vc(
-            self.router_id,
-            self._in_neighbor.get(in_port),
-            self._out_neighbor.get(out_port),
-            in_vc,
-            self.vcs,
-        )
-        if not 0 <= out_vc < self.vcs:
-            raise ValueError(
-                f"{self.name}: VC policy {self.vc_policy.name!r} chose VC "
-                f"{out_vc} outside 0..{self.vcs - 1} for {in_port}:{in_vc}"
-                f" -> {out_port}"
+        out_vc = self._vc_cache.get((ivc, out_port))
+        if out_vc is None:
+            in_port, in_vc = ivc
+            out_vc = self.vc_policy.output_vc(
+                self.router_id,
+                self._in_neighbor.get(in_port),
+                self._out_neighbor.get(out_port),
+                in_vc,
+                self.vcs,
             )
+            if not 0 <= out_vc < self.vcs:
+                raise ValueError(
+                    f"{self.name}: VC policy {self.vc_policy.name!r} chose VC "
+                    f"{out_vc} outside 0..{self.vcs - 1} for {in_port}:{in_vc}"
+                    f" -> {out_port}"
+                )
+            self._vc_cache[(ivc, out_port)] = out_vc
         return out_vc
 
     def _allocate_adaptive(
@@ -417,8 +421,8 @@ class Router(Component, Snapshottable):
                 if eport not in refused:
                     refused.append(eport)
             else:
-                cache_key = (in_port, eport, in_vc)
-                evc = self._escape_vc_cache.get(cache_key)
+                cache_key = (ivc, eport)
+                evc = self._vc_cache.get(cache_key)
                 if evc is None:
                     evc = self.vc_policy.escape_output_vc(
                         self.router_id,
@@ -427,7 +431,7 @@ class Router(Component, Snapshottable):
                         in_vc,
                         self.vcs,
                     )
-                    self._escape_vc_cache[cache_key] = evc
+                    self._vc_cache[cache_key] = evc
                 okey = (eport, evc)
                 if output_owner[okey] is None:
                     free = self._downstream_free(okey)
@@ -846,7 +850,7 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # Everything the tick and fault paths mutate.  Not captured:
     # wiring (inputs/outputs, sorted lists, candidate-key maps, neighbour
-    # geometry), _escape_vc_cache (pure geometry), _healthy_adaptive
+    # geometry), _vc_cache (pure geometry), _healthy_adaptive
     # (pristine build table).  adaptive_table IS captured — fault epochs
     # swap it for a degraded copy.
     _snapshot_fields = (

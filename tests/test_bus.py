@@ -5,6 +5,7 @@ import pytest
 from repro.bus import build_bus_soc, coverage_matrix, coverage_score
 from repro.bus.coverage import FeatureSupport, format_matrix
 from repro.core.transaction import Opcode, Transaction, make_read, make_write
+from repro.ip.masters import cpu_workload, dma_workload, random_workload
 from repro.ip.traffic import ScriptedTraffic
 from repro.soc import InitiatorSpec, TargetSpec
 
@@ -166,3 +167,52 @@ class TestCoverageMatrices:
     def test_unknown_attachment(self):
         with pytest.raises(ValueError):
             coverage_matrix("wireless")
+
+
+def _mixed_bus_run():
+    """Miniature of paper bench E1b's bus side: the five initiators of
+    ``benchmarks/conftest.py::mixed_initiators(count=30, rate=0.2)`` —
+    OCP posted writes included — on the shared bus, to completion."""
+    ranges = [(0, 0x4000), (0x4000, 0x4000)]
+    initiators = [
+        InitiatorSpec("cpu_ahb", "AHB",
+                      cpu_workload("cpu_ahb", ranges, count=30, seed=1)),
+        InitiatorSpec("gpu_axi", "AXI",
+                      random_workload("gpu_axi", ranges, count=30, seed=2,
+                                      tags=4, rate=0.2, burst_beats=(1, 4, 8)),
+                      protocol_kwargs={"id_count": 4}),
+        InitiatorSpec("dsp_ocp", "OCP",
+                      random_workload("dsp_ocp", ranges, count=30, seed=3,
+                                      threads=2, rate=0.2),
+                      protocol_kwargs={"threads": 2}),
+        InitiatorSpec("io_bvci", "BVCI",
+                      random_workload("io_bvci", ranges, count=30, seed=4,
+                                      rate=0.2)),
+        InitiatorSpec("acc_msg", "PROPRIETARY",
+                      dma_workload("acc_msg", base=0x2000, bytes_total=1024)),
+    ]
+    targets = [
+        TargetSpec("dram", size=0x4000, read_latency=6, write_latency=3),
+        TargetSpec("sram", size=0x4000, read_latency=2, write_latency=1),
+    ]
+    soc = build_bus_soc(initiators, targets)
+    cycles = soc.run_to_completion(max_cycles=100_000)
+    return soc.sim.strict, cycles, {
+        name: (m.issued, m.completed, soc.master_latency(name))
+        for name, m in soc.masters.items()
+    }
+
+
+def test_mixed_bus_completes_identically_on_both_kernels(monkeypatch):
+    """Bridges pop their master's request channel *after* the master
+    ticked, the case where a parked-on-backpressure master (an OCP one
+    with only posted writes outstanding gets no response to wake it)
+    never comes back: the activity run must finish, on the reference
+    kernel's cycle, with its per-master counts and latencies."""
+    monkeypatch.delenv("REPRO_SIM_STRICT", raising=False)
+    activity = _mixed_bus_run()
+    monkeypatch.setenv("REPRO_SIM_STRICT", "1")  # build_bus_soc takes no kernel
+    reference = _mixed_bus_run()
+    assert (activity[0], reference[0]) == (False, True)
+    assert activity[1:] == reference[1:]
+    assert sum(done for _, done, _ in activity[2].values()) > 120

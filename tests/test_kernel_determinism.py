@@ -17,6 +17,7 @@ from repro.ip.masters import (
     random_workload,
     sync_workload,
 )
+from repro.ip.traffic import TrafficSpec
 from repro.sim.fingerprint import fingerprint, reset_ids
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -331,6 +332,43 @@ def _build_gals_like(strict, **extra):
     return builder.build()
 
 
+def build_vc_torus_soc(strict):
+    """Unsharded miniature of the e2e ``sharded_torus_2p`` fabric (a
+    sharded build rejects the strict kernel): 4x4 DOR/dateline torus,
+    2 VCs multiplexed over narrow pipelined links with per-VC credit
+    loops, and 12 open-loop AXI masters offered far more than the
+    fabric carries — they sit at their own outstanding limit, and their
+    NIUs hold responses back in ID order, for most of the run."""
+    _reset_ids()
+    ranges = [(i * 0x1000, 0x1000) for i in range(4)]
+    builder = SocBuilder(
+        trace=Tracer(enabled=True),
+        strict_kernel=strict,
+        topology=topo.torus(4, 4, endpoints=16),
+        routing="dor",
+        vcs=2,
+        vc_policy="dateline",
+        links={"router": LinkSpec(phit_bits=64, pipeline_latency=3)},
+    )
+    for index in range(12):
+        builder.add_initiator(
+            InitiatorSpec(
+                f"ip{index}", "AXI",
+                TrafficSpec(
+                    kind="poisson", seed=30 + index, count=10**9, rate=0.5,
+                    pairs=ranges, tags=4, burst_beats=(4, 8),
+                ),
+                protocol_kwargs={"id_count": 4},
+            )
+        )
+    for index in range(4):
+        builder.add_target(
+            TargetSpec(f"mem{index}", size=0x1000, read_latency=3,
+                       write_latency=2)
+        )
+    return builder.build()
+
+
 @pytest.mark.parametrize(
     "build, cycles",
     [
@@ -340,6 +378,7 @@ def _build_gals_like(strict, **extra):
         (build_vc_gals_soc, 5000),
         (build_adaptive_gals_soc, 5000),
         (build_faulted_adaptive_gals_soc, 5000),
+        (build_vc_torus_soc, 1000),
     ],
     ids=[
         "mixed-protocols",
@@ -348,6 +387,7 @@ def _build_gals_like(strict, **extra):
         "vc-dateline-gals",
         "adaptive-escape-gals",
         "faulted-adaptive-gals",
+        "vc-torus-saturated",
     ],
 )
 def test_activity_kernel_matches_reference(build, cycles):
@@ -355,6 +395,23 @@ def test_activity_kernel_matches_reference(build, cycles):
     reference = fingerprint(build(strict=True), cycles)
     for key in reference:
         assert activity[key] == reference[key], f"{key} diverged"
+
+
+def test_limit_blocked_masters_do_not_tick():
+    """Count guard (exact, noise-free) on the parking of limit-blocked
+    masters: on the saturated torus every master spends most cycles
+    refused by its own outstanding limit, and must be off the run list
+    for them — not merely refused faster."""
+    soc = build_vc_torus_soc(strict=False)
+    ticks = dict.fromkeys(soc.masters, 0)
+    for name, master in soc.masters.items():
+        def counted(cycle, _name=name, _tick=master.tick):
+            ticks[_name] += 1
+            _tick(cycle)
+        master.tick = counted
+    soc.run(1000)
+    assert soc.total_completed() > 300
+    assert max(ticks.values()) < 500, ticks
 
 
 def test_activity_kernel_completes_all_traffic():

@@ -5,6 +5,8 @@ attachment point (NIU/bridge) at socket level, so the protocol rules are
 exercised without the fabric.
 """
 
+import copy
+
 import pytest
 
 from repro.core.transaction import Opcode, make_read, make_write
@@ -283,3 +285,94 @@ class TestMsgMaster:
         txn.excl = True
         with pytest.raises(ProtocolError):
             run_master(MsgMaster, "MSG", [txn])
+
+
+# --------------------------------------------------------------------- #
+# parking: a master refused by its own outstanding limit sleeps until a
+# response; one refused by socket backpressure stays hot
+# --------------------------------------------------------------------- #
+PARKING_CASES = [
+    # master class, stub protocol, kwargs giving an outstanding limit <= 2
+    (AhbMaster, "AHB", {}),
+    (AxiMaster, "AXI", {"max_outstanding_reads": 2}),
+    (OcpMaster, "OCP", {"threads": 1, "per_thread_outstanding": 2}),
+    (PvciMaster, "VCI", {}),
+    (BvciMaster, "VCI", {"max_outstanding": 2}),
+    (AvciMaster, "VCI", {"max_outstanding": 2}),
+    (MsgMaster, "MSG", {"max_outstanding": 2}),
+]
+_parking = pytest.mark.parametrize(
+    "master_cls, protocol, kwargs", PARKING_CASES,
+    ids=[cls.protocol_name for cls, _, _ in PARKING_CASES],
+)
+
+
+class Popper(Component):
+    """Pops one record per request channel per cycle.  Registered after
+    the master, so its pop lands later in the cycle the master was
+    refused in."""
+
+    def __init__(self, name, master):
+        super().__init__(name)
+        self.master = master
+
+    def tick(self, cycle):
+        for queue in self.master.socket.request_channels.values():
+            if queue:
+                queue.pop()
+
+
+@_parking
+def test_limit_blocked_master_parks_until_a_response(master_cls, protocol, kwargs):
+    sim = Simulator(strict=False)
+    reads = [make_read(0x10 * i) for i in range(6)]
+    master = master_cls("m", sim, ScriptedTraffic(reads), **kwargs)
+    sim.add(master)
+    # Accepts every request, answers none of them (yet).
+    stub = StubResponder("stub", master, protocol, delay=10**9)
+    sim.add(stub)
+    for _ in range(16):
+        sim.step()
+    assert 1 <= master.issued == master.outstanding <= 2
+    assert master._pending is not None and master._limit_blocked
+    assert master.next_event_cycle(sim.cycle) is None
+    assert not master._scheduled  # a retire sweep took it off the run list
+
+    issued = master.issued
+    before = copy.deepcopy(master.snapshot())
+    for extra in range(5):
+        master.tick(sim.cycle + extra)
+    assert master.snapshot() == before  # every parked tick is a no-op
+
+    _, channel, response = stub.pending[0]
+    master.socket.rsp(channel).push(response)
+    sim.step()  # commit: the response is visible, the push-wake fired
+    assert master._scheduled
+    assert master.next_event_cycle(sim.cycle) == sim.cycle
+    sim.step()
+    assert master.completed == 1 and master.issued == issued + 1
+
+
+@_parking
+def test_backpressured_master_stays_hot_when_popped_same_cycle(
+    master_cls, protocol, kwargs
+):
+    """The refusal reason is sampled at the refusal: by the time anyone
+    asks next_event_cycle, a later-ticking consumer has already popped
+    the full channel, and "every channel has room" would misread socket
+    backpressure as an own-limit block that no response ever ends."""
+    sim = Simulator(strict=False)
+    master = master_cls("m", sim, ScriptedTraffic([make_read(0x0)]), **kwargs)
+    sim.add(master)
+    sim.add(Popper("popper", master))
+    for queue in master.socket.request_channels.values():
+        while queue.can_push():
+            queue.push(object())
+        queue.commit()
+    sim.step()
+    assert master.issued == 0 and master._pending is not None
+    assert all(q.can_push() for q in master.socket.request_channels.values())
+    assert not master._limit_blocked
+    assert master.next_event_cycle(sim.cycle) == sim.cycle
+    sim.step()
+    assert master.issued == 1  # the cycle the strict kernel issues it too

@@ -29,8 +29,13 @@ from repro.sweep.fork import run_cold
 _fresh_global_ids = tkd._fresh_global_ids
 
 
-def _roundtrip(build, total, at, strict=False):
-    """Uninterrupted run vs checkpoint-at-``at`` + restore + continue."""
+def _roundtrip(build, total, at, strict=False, probe=None):
+    """Uninterrupted run vs checkpoint-at-``at`` + restore + continue.
+
+    ``probe(soc)`` returns a tuple of state the cut is meant to catch
+    mid-flight: every element must be truthy on the donor at the cut,
+    and the restored SoC must read the same.
+    """
     soc = build(strict=strict)
     soc.run(total)
     reference = fingerprint_soc(soc)
@@ -39,11 +44,14 @@ def _roundtrip(build, total, at, strict=False):
     donor.run(at)
     checkpoint = Checkpoint.capture(donor)
     assert checkpoint.cycle == at
+    at_cut = probe(donor) if probe is not None else None
     donor.run(97)  # mutate the donor afterwards: the checkpoint is detached
 
     resumed = build(strict=strict)
     checkpoint.restore_into(resumed)
     assert resumed.sim.cycle == at
+    if probe is not None:
+        assert all(at_cut) and probe(resumed) == at_cut
     resumed.run(total - at)
     restored = fingerprint_soc(resumed)
     for key in reference:
@@ -69,6 +77,26 @@ def test_mid_cdc_crossing_roundtrip():
     """Cycle 777 of the GALS build: phits mid-shift on serialized links,
     entries maturing inside CDC synchronizers, three clock domains."""
     _roundtrip(tkd.build_gals_soc, 5000, 777, False)
+
+
+def test_parked_masters_and_returning_credits_roundtrip():
+    """Cycle 500 of the saturated VC torus: masters parked on their own
+    outstanding limit (the captured ``_limit_blocked``) and credits in
+    the VC links' return loops (``CreditCounter._returning`` is derived
+    state, rebuilt on restore)."""
+
+    def probe(soc):
+        parked = sorted(
+            name for name, master in soc.masters.items()
+            if master._limit_blocked and not master._scheduled
+        )
+        returning = [
+            credit.in_return_loop
+            for link in soc.fabric.physical_links for credit in link.credits
+        ]
+        return parked, returning, sum(returning)
+
+    _roundtrip(tkd.build_vc_torus_soc, 1000, 500, probe=probe)
 
 
 def test_parked_wheel_roundtrip():
