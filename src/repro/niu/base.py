@@ -85,11 +85,16 @@ class InitiatorNiu(Component, Snapshottable):
         # (the cache holds a strong reference, so `is` stays sound).
         self._peek_key = None
         self._peek_txn: Optional[Transaction] = None
+        # Last native request TagPolicy.admit refused, and the table
+        # version it was refused against (see _issue_requests).
+        self._refused_txn: Optional[Transaction] = None
+        self._refused_version = -1
 
     # -- state capture ----------------------------------------------------
     # The peek-cache pair rides along so a restored NIU re-decodes (or
     # not) exactly as the original would; the checkpoint deepcopy keeps
-    # `_peek_key is <head record>` aliasing intact.
+    # `_peek_key is <head record>` aliasing intact.  The refusal memo is
+    # a pure cache: never captured, dropped on restore.
     _snapshot_fields = (
         "requests_sent",
         "responses_delivered",
@@ -108,6 +113,7 @@ class InitiatorNiu(Component, Snapshottable):
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
         self.table.restore(state["table"])
+        self._refused_txn = None
 
     def _attach_socket(self, socket) -> None:
         """Store the master socket and register activity wakes.
@@ -181,7 +187,7 @@ class InitiatorNiu(Component, Snapshottable):
             self.stall_cycles += 1
 
     def _accept_responses(self, cycle: int) -> None:
-        queue = self.fabric.responses(self.endpoint)
+        queue = self._rsp_packets
         while queue._committed:
             packet: NocPacket = queue.pop()
             entry = self.table.match_response(
@@ -216,7 +222,17 @@ class InitiatorNiu(Component, Snapshottable):
                 return
 
     def _issue_requests(self, cycle: int) -> Tuple[bool, bool]:
-        """Returns (issued anything, saw a native request at all)."""
+        """Returns (issued anything, saw a native request at all).
+
+        A :meth:`TagPolicy.admit` refusal is memoised on the identity of
+        the refused ``peek_native`` object (held here, so ``is`` cannot
+        alias a later request) and the table's ``version``: ``admit``
+        reads only table state that ``version`` covers, and the table's
+        writers run only inside our own tick, so an unchanged version
+        re-refuses the same request without decoding it again.  The
+        other exits (injection space, posted stores, decode errors)
+        depend on state outside the table and are not memoised.
+        """
         issued_any = False
         saw_native = False
         for _ in range(self.issues_per_cycle):
@@ -224,6 +240,11 @@ class InitiatorNiu(Component, Snapshottable):
             if txn is None:
                 break
             saw_native = True
+            if (
+                txn is self._refused_txn
+                and self.table.version == self._refused_version
+            ):
+                break
             try:
                 slv_addr, offset = self.address_map.decode_span(
                     txn.address, txn.total_bytes
@@ -242,6 +263,8 @@ class InitiatorNiu(Component, Snapshottable):
                 issued_any = True
                 continue
             if not self.policy.admit(txn, slv_addr, self.table):
+                self._refused_txn = txn
+                self._refused_version = self.table.version
                 break
             if not self.fabric.can_inject_request(self.endpoint):
                 break
@@ -428,7 +451,7 @@ class TargetNiu(Component, Snapshottable):
     # request path
     # ------------------------------------------------------------------ #
     def _accept_requests(self, cycle: int) -> None:
-        queue = self.fabric.requests(self.endpoint)
+        queue = self._req_packets
         if self.locks is not None:
             # Park lock-blocked heads aside so a bystander that slipped
             # into the queue around the LOCK can never head-of-line

@@ -48,7 +48,15 @@ class StateTableFullError(RuntimeError):
 
 
 class StateTable(Snapshottable):
-    """Bounded outstanding-transaction table with stream-order queries."""
+    """Bounded outstanding-transaction table with stream-order queries.
+
+    ``version`` counts the table's writes: :meth:`allocate`,
+    :meth:`release` and :meth:`mark_responded` — the only three methods
+    that change what a query can return — each bump it, so an answer
+    derived from the table (a :meth:`TagPolicy.admit` refusal, say)
+    holds while ``version`` does.  It is a cache stamp, not state: not
+    snapshotted, and meaningless across :meth:`restore`.
+    """
 
     # Entries hold live Transaction/StateEntry objects; the checkpoint
     # layer's shared-memo deepcopy preserves aliasing with the NIU's
@@ -79,6 +87,7 @@ class StateTable(Snapshottable):
         # Live entries per stream (admission checks run per issue
         # attempt, so the population query must not scan the table).
         self._stream_counts: Dict[StreamKey, int] = {}
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # allocation / release
@@ -118,6 +127,7 @@ class StateTable(Snapshottable):
         self._stream_counts[stream] = self._stream_counts.get(stream, 0) + 1
         self.total_allocated += 1
         self.high_watermark = max(self.high_watermark, len(self._entries))
+        self.version += 1
         return entry
 
     def release(self, txn_id: int) -> StateEntry:
@@ -132,6 +142,7 @@ class StateTable(Snapshottable):
             self._stream_counts[entry.stream] = remaining
         else:
             del self._stream_counts[entry.stream]
+        self.version += 1
         return entry
 
     # ------------------------------------------------------------------ #
@@ -192,6 +203,7 @@ class StateTable(Snapshottable):
         entry.status = status
         entry.payload = payload
         self._responded_count += 1
+        self.version += 1
         return entry
 
     # ------------------------------------------------------------------ #

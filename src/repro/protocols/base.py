@@ -298,8 +298,15 @@ class ProtocolMaster(Component, Snapshottable):
         return ready if ready > now else now
 
     def tick(self, cycle: int) -> None:
-        for txn_id in self.collect_responses(cycle):
+        completed = self.collect_responses(cycle)
+        for txn_id in completed:
             self._complete(txn_id, cycle)
+        if self._limit_blocked and not completed:
+            # Still refused, exactly: the pending intent was refused with
+            # every request channel pushable — by the outstanding limit,
+            # which only a completion lowers (try_issue's contract) —
+            # and only we push those channels, so they are pushable yet.
+            return
         if self._pending is None:
             armed_at = self._armed_at
             if armed_at >= 0:
@@ -332,6 +339,8 @@ class ProtocolMaster(Component, Snapshottable):
             # Sample the cause now, never later: a consumer ticking after
             # us may pop a full channel this same cycle, and the refusal
             # would then pass for a limit block that no response ends.
+            # A limit block also short-circuits the ticks that follow
+            # (top of this method) until a completion arrives.
             socket = getattr(self, "socket", None)
             self._limit_blocked = socket is not None and all(
                 queue.can_push() for queue in socket.request_channels.values()

@@ -112,21 +112,26 @@ class Packetizer:
             packet, self.flit_payload_bits, header_bits=self._header_bits
         )
         packet_id = next(_flit_packet_ids)
-        flits: List[Flit] = []
-        for seq in range(count):
-            flits.append(
-                Flit(
-                    packet_id=packet_id,
-                    seq=seq,
-                    count=count,
-                    dest=packet.route_destination,
-                    src=packet.route_source,
-                    priority=packet.priority,
-                    lock_related=packet.is_lock_related,
-                    packet=packet if seq == 0 else None,
-                    vc=vc,
-                )
+        # The routing header is per packet: evaluate its properties once,
+        # not once per flit.
+        dest = packet.route_destination
+        src = packet.route_source
+        priority = packet.priority
+        lock_related = packet.is_lock_related
+        flits = [
+            Flit(
+                packet_id=packet_id,
+                seq=seq,
+                count=count,
+                dest=dest,
+                src=src,
+                priority=priority,
+                lock_related=lock_related,
+                vc=vc,
             )
+            for seq in range(count)
+        ]
+        flits[0].packet = packet  # carried on the head flit only
         return flits
 
 
@@ -153,15 +158,16 @@ class Reassembler(Snapshottable):
 
     def accept(self, flit: Flit) -> Optional[NocPacket]:
         """Feed one flit; returns a completed packet on tail, else None."""
+        seq = flit.seq
         if self._current is None:
-            if not flit.is_head:
+            if seq != 0:
                 raise ReassemblyError(
                     f"{self.name}: body flit {flit!r} without a head"
                 )
             self._current = flit
             self._received = 1
         else:
-            if flit.is_head:
+            if seq == 0:
                 raise ReassemblyError(
                     f"{self.name}: head flit {flit!r} while packet "
                     f"{self._current.packet_id} is incomplete"
@@ -172,7 +178,7 @@ class Reassembler(Snapshottable):
                     f"{self._current.packet_id}"
                 )
             self._received += 1
-        if flit.is_tail:
+        if seq == flit.count - 1:
             if self._received != self._current.count:
                 raise ReassemblyError(
                     f"{self.name}: packet {self._current.packet_id} closed "

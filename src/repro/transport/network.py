@@ -965,19 +965,22 @@ class Network(Snapshottable):
         return self._inject_queues[endpoint].can_push()
 
     def inject(self, endpoint: int, packet: NocPacket) -> None:
-        flits = flits_for_packet(
-            packet,
-            self.flit_payload_bits,
-            header_bits=self.packetizer._header_bits,
-        )
-        if self.mode is not SwitchingMode.WORMHOLE and flits > self.buffer_capacity:
-            raise BufferSizingError(
-                f"{self.name}: packet of {flits} flits needs buffers of "
-                f"min_buffer_for = {self.mode.min_buffer_for(flits)} flits "
-                f"under {self.mode} switching, but router "
-                f"{self.topology.router_of(endpoint)!r} (and every other) "
-                f"has buffer_capacity {self.buffer_capacity}"
+        if self.mode is not SwitchingMode.WORMHOLE:
+            # Only SAF/VCT need the length here; the injection port
+            # computes it again when it segments the packet.
+            flits = flits_for_packet(
+                packet,
+                self.flit_payload_bits,
+                header_bits=self.packetizer._header_bits,
             )
+            if flits > self.buffer_capacity:
+                raise BufferSizingError(
+                    f"{self.name}: packet of {flits} flits needs buffers of "
+                    f"min_buffer_for = {self.mode.min_buffer_for(flits)} flits "
+                    f"under {self.mode} switching, but router "
+                    f"{self.topology.router_of(endpoint)!r} (and every other) "
+                    f"has buffer_capacity {self.buffer_capacity}"
+                )
         if self._sequenced:
             pair = (endpoint, packet.route_destination)
             packet.fabric_seq = self._pair_seq.get(pair, 0)

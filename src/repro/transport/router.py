@@ -37,6 +37,27 @@ LOCK marker) and moves opaque flits.  Micro-architecture:
   port admits only packets from the locking master until that master's
   ``UNLOCK``/``STORE_COND_LOCKED`` tail passes.  Locks are per physical
   output port (they model a locked path, not a buffer).
+
+**The solo rule.**  Arbitration needs two requesters.  When the busy
+scan finds exactly one input (VC) holding flits — most loaded ticks:
+the switch moves about one flit per productive tick — that input either
+moves its front flit or ages by one, and the tick does only that: no
+``heads`` / ``wants`` maps, no walk over the outputs, no re-ageing of
+the other inputs.  A streaming input moves if its owned output has
+room; a fresh head is routed, must find its output (VC) unowned, pass
+lock admission (and, on the VC switch, the dead-port check and VC
+allocation, which run unchanged) and find room, and its grant is
+recorded with :meth:`Arbiter.note_sole_grant` exactly where the general
+path records one.  The gate, evaluated per tick: one busy input,
+``stream_fast_path`` set, an arbiter with ``sole_pick_is_grant``, and
+wormhole switching; the single-VC switch also stands down on a
+fault-degraded plane.  Everything else takes the general path, which
+is also the reference: two or more busy inputs (there is something to
+arbitrate), SAF/VCT (head departure depends on the buffered packet), a
+custom arbiter whose lone ``pick`` may do more than record a grant,
+degraded single-VC planes (dead-port masking lives in the general
+Phase A), and ``stream_fast_path = False`` — which tests assign after
+construction to compare the two, cycle for cycle.
 """
 
 from __future__ import annotations
@@ -92,9 +113,10 @@ class Router(Component, Snapshottable):
         # Body-flit streaming fast path: once a head holds its output VC
         # and an output is uncontested, later flits bypass candidate
         # construction and the arbiter call (the grant is still recorded
-        # — see Arbiter.note_sole_grant).  Disable to run the reference
-        # arbitration for every flit; tests pin that both produce the
-        # same flit interleaving, cycle for cycle.
+        # — see Arbiter.note_sole_grant), and a tick with one busy input
+        # takes the solo branch (module docstring).  Disable to run the
+        # reference arbitration for every flit; tests pin that both
+        # produce the same flit interleaving, cycle for cycle.
         self.stream_fast_path = stream_fast_path
         # Minimal-adaptive mode: route choice becomes a per-cycle
         # multi-candidate allocation decision (see _allocate_adaptive);
@@ -488,10 +510,45 @@ class Router(Component, Snapshottable):
             return
         input_alloc = self._input_alloc
         input_age = self._input_age
-        inputs = self.inputs
         outputs = self.outputs
         mode = self.mode
         wormhole = mode is SwitchingMode.WORMHOLE
+        arbiter = self.arbiter
+        # stream_fast_path is read per tick: tests clear it after
+        # construction to reach the reference arbitration below.
+        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
+        if len(busy) == 1 and sole_grant and wormhole and not self._fault_degraded:
+            # Solo tick (module docstring): the one busy input either
+            # moves its front flit or ages; Phases A-C below reduce to
+            # exactly this when nobody else holds a flit.
+            ivc, queue = busy[0]
+            okey = input_alloc[ivc]
+            if okey is None:
+                flit = queue._committed[0]
+                if flit.seq != 0:
+                    raise RuntimeError(
+                        f"{self.name}:{ivc[0]}: body flit {flit!r} at front "
+                        f"with no allocation (framing bug)"
+                    )
+                out_port = self._route(flit.dest)
+                okey = (out_port, 0)
+                if self._output_owner[okey] is not None or not outputs[okey].can_push():
+                    input_age[ivc] += 1
+                    return
+                holder = self._output_lock[out_port] if self.lock_support else None
+                if holder is not None and holder != flit.src:
+                    # Counted for a *ready* head only, like Phase B.
+                    self.lock_stalls_by_output[out_port] += 1
+                    self.lock_stall_cycles += 1
+                    input_age[ivc] += 1
+                    return
+                arbiter.note_sole_grant(out_port, self._ckey[ivc])
+            elif not outputs[okey].can_push():
+                input_age[ivc] += 1
+                return
+            self._transfer(ivc, okey, cycle)
+            input_age[ivc] = 0
+            return
         # Phase A: route heads with no allocation yet.  Streaming inputs
         # (mid-packet, output owned) need no per-cycle routing or desire
         # bookkeeping at all — Phase B continues them straight off the
@@ -532,11 +589,10 @@ class Router(Component, Snapshottable):
                     wants[okey] = [ivc]
 
         # Phase B: per-output arbitration and transfer.
+        inputs = self.inputs
         output_owner = self._output_owner
         output_lock = self._output_lock
         lock_support = self.lock_support
-        arbiter = self.arbiter
-        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
         sent_inputs: List[VcKey] = []
         lock_stalled_any = False
         for okey, out_queue in self._sorted_outputs:
@@ -660,6 +716,13 @@ class Router(Component, Snapshottable):
         fault_degraded = self._fault_degraded
         dead_ports = self._dead_ports
         fault_blocked = False
+        arbiter = self.arbiter
+        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
+        # Solo tick (module docstring): Phase V runs unchanged for the
+        # one busy input VC — it is shared, not twinned — and a ready
+        # flit then transfers at once; Phases B and C have nothing else
+        # to do.
+        solo = len(busy) == 1 and sole_grant and wormhole
         for ivc, queue in busy:
             flit = queue._committed[0]
             alloc = input_alloc[ivc]
@@ -716,6 +779,12 @@ class Router(Component, Snapshottable):
                 ready = capacity is None or out_queue._occ < capacity
             if ready:
                 out_port = okey[0]
+                if solo:
+                    # The VC switch records a grant for every flit.
+                    arbiter.note_sole_grant(out_port, self._ckey[ivc])
+                    self._transfer(ivc, okey, cycle)
+                    input_age[ivc] = 0
+                    return
                 if out_port in wants:
                     wants[out_port].append(ivc)
                 else:
@@ -726,11 +795,12 @@ class Router(Component, Snapshottable):
                 self.lock_stalls_by_output[out_port] += 1
         if fault_blocked:
             self.fault_stall_cycles += 1
+        if solo:
+            input_age[busy[0][0]] += 1
+            return
 
         # Phase B: switch allocation — one flit per physical output and
         # per physical input port per cycle, QoS-arbitrated across VCs.
-        arbiter = self.arbiter
-        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
         sent_ivcs: List[VcKey] = []
         used_input_ports: set = set()
         for out_port in self._physical_outputs:
@@ -790,41 +860,34 @@ class Router(Component, Snapshottable):
         self.flits_forwarded += 1
         self.output_busy_cycles[out_port] += 1
         seq = flit.seq
-        if seq != 0 and seq != flit.count - 1:
-            return  # body flit: no head/tail bookkeeping
-        if flit.is_head:
-            self._input_alloc[ivc] = okey
-            self._output_owner[okey] = ivc
-            self._input_head[ivc] = flit
-            if self.vcs == 1:
-                self._simulator.trace.log(
-                    cycle,
-                    self.name,
-                    "route",
-                    packet=flit.packet_id,
-                    dest=flit.dest,
-                    via=out_port,
-                )
-            else:
-                self._simulator.trace.log(
-                    cycle,
-                    self.name,
-                    "route",
-                    packet=flit.packet_id,
-                    dest=flit.dest,
-                    via=out_port,
-                    vc=out_vc,
-                )
-        if flit.is_tail:
+        tail = seq == flit.count - 1
+        if seq == 0:
+            head = flit
+            trace = self._simulator.trace
+            if trace.enabled:
+                detail = {"packet": flit.packet_id, "dest": flit.dest, "via": out_port}
+                if self.vcs > 1:
+                    detail["vc"] = out_vc
+                trace.log(cycle, self.name, "route", **detail)
+            if not tail:
+                self._input_alloc[ivc] = okey
+                self._output_owner[okey] = ivc
+                self._input_head[ivc] = flit
+                return
+        elif tail:
             head = self._input_head[ivc]
             assert head is not None
-            self._input_alloc[ivc] = None
-            self._output_owner[okey] = None
-            self._input_head[ivc] = None
-            self._release_version += 1  # a freed VC invalidates fail caches
-            self.packets_forwarded += 1
-            if self.lock_support and head.lock_related and head.packet is not None:
-                self._update_lock(out_port, head, cycle)
+        else:
+            return  # body flit: no head/tail bookkeeping
+        # Tail (of a single-flit packet too: Phase V may have claimed
+        # the output VC for it, so the three are cleared, never set).
+        self._input_alloc[ivc] = None
+        self._output_owner[okey] = None
+        self._input_head[ivc] = None
+        self._release_version += 1  # a freed VC invalidates fail caches
+        self.packets_forwarded += 1
+        if self.lock_support and head.lock_related and head.packet is not None:
+            self._update_lock(out_port, head, cycle)
 
     def _update_lock(self, out_port: str, head: Flit, cycle: int) -> None:
         packet = head.packet

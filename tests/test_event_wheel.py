@@ -21,8 +21,10 @@ from test_kernel_determinism import (
     build_adaptive_gals_soc,
     build_faulted_adaptive_gals_soc,
     build_gals_soc,
+    build_lock_soc,
     build_mixed_soc,
     build_vc_gals_soc,
+    build_vc_torus_soc,
     fingerprint,
 )
 
@@ -315,11 +317,12 @@ def _disable_fast_path(soc):
 
 
 class TestBodyFlitFastPath:
-    """The streaming fast path (held grants + sole-candidate bypass)
-    must produce the same flit interleaving as running the reference
-    arbitration for every flit — pinned by full-fingerprint equality,
-    which covers queue counters, traces, per-router stats and memory
-    images, cycle for cycle."""
+    """The streaming fast path (held grants + sole-candidate bypass +
+    solo ticks) must produce the same flit interleaving as running the
+    reference arbitration for every flit — pinned by full-fingerprint
+    equality, which covers queue counters, traces, per-router stats and
+    memory images, cycle for cycle.  The flag is cleared *after*
+    construction, so the router must read it in the tick."""
 
     @pytest.mark.parametrize(
         "build, cycles",
@@ -327,8 +330,17 @@ class TestBodyFlitFastPath:
             (build_mixed_soc, 4000),
             (build_vc_gals_soc, 5000),
             (build_adaptive_gals_soc, 5000),
+            # LOCK / READEX ... UNLOCK: single-flit packets, head and
+            # tail at once, that set and clear port locks.
+            (build_lock_soc, 3000),
+            (build_vc_torus_soc, 1000),
+            # A degraded plane: dead ports and swapped tables mid-run.
+            (build_faulted_adaptive_gals_soc, 5000),
         ],
-        ids=["single-vc", "vc-dateline-gals", "adaptive-escape-gals"],
+        ids=[
+            "single-vc", "vc-dateline-gals", "adaptive-escape-gals",
+            "legacy-lock", "vc-torus-saturated", "faulted-adaptive-gals",
+        ],
     )
     def test_fast_path_matches_slow_path(self, build, cycles):
         fast = fingerprint(build(strict=False), cycles)

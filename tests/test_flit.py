@@ -5,6 +5,7 @@ import pytest
 from repro.core.packet import NocPacket, PacketFormat, PacketKind
 from repro.core.transaction import Opcode
 from repro.transport.flit import (
+    Flit,
     Packetizer,
     Reassembler,
     ReassemblyError,
@@ -86,6 +87,38 @@ class TestPacketizer:
         a = p.segment(read_request())
         b = p.segment(read_request())
         assert a[0].packet_id != b[0].packet_id
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            write_request(beats=8),
+            read_request(beats=8).make_response(payload=[0] * 8),
+            NocPacket(kind=PacketKind.REQUEST, opcode=Opcode.LOCK, slv_addr=2,
+                      mst_addr=3, tag=1, priority=2),
+            read_request(beats=1),  # no payload: head and tail at once
+        ],
+        ids=["request", "response", "lock", "zero-payload"],
+    )
+    def test_header_fields_hoisted_not_changed(self, packet):
+        """``segment`` reads the routing header once per packet; every
+        flit must still equal, field for field, one built by reading the
+        packet's properties per flit (the pre-hoist construction)."""
+        flits = Packetizer(128).segment(packet, vc=1)
+        count = flits_for_packet(packet, 128)
+        assert flits == [
+            Flit(
+                packet_id=flits[0].packet_id,
+                seq=seq,
+                count=count,
+                dest=packet.route_destination,
+                src=packet.route_source,
+                priority=packet.priority,
+                lock_related=packet.is_lock_related,
+                packet=packet if seq == 0 else None,
+                vc=1,
+            )
+            for seq in range(count)
+        ]
 
     def test_format_validation_applied(self):
         fmt = PacketFormat(slv_addr_bits=1, mst_addr_bits=1, tag_bits=1)

@@ -86,6 +86,48 @@ def build_mixed_soc(strict):
     return builder.build()
 
 
+def build_saturated_mixed_soc(strict, rate=0.95):
+    """The e2e ``mixed_saturated`` SoC (paper Fig 2: AHB, AXI, OCP, BVCI
+    and proprietary masters, two memories), every source open loop at
+    ``rate``: NIUs refuse on tag policy and masters sit at their own
+    outstanding limit for most of the run.  Untraced — the memo and
+    short-circuit guards run it for thousands of cycles."""
+    _reset_ids()
+    ranges = [(0, 0x4000), (0x4000, 0x4000)]
+
+    def source(offset, **extra):
+        return TrafficSpec(
+            kind="poisson", seed=1105 + offset, count=10**9, rate=rate,
+            pairs=ranges, **extra,
+        )
+
+    builder = SocBuilder(strict_kernel=strict)
+    builder.add_initiator(InitiatorSpec("cpu_ahb", "AHB", source(1)))
+    builder.add_initiator(
+        InitiatorSpec(
+            "gpu_axi", "AXI", source(2, tags=4, burst_beats=(1, 4, 8)),
+            protocol_kwargs={"id_count": 4},
+        )
+    )
+    builder.add_initiator(
+        InitiatorSpec(
+            "dsp_ocp", "OCP", source(3, threads=2),
+            protocol_kwargs={"threads": 2},
+        )
+    )
+    builder.add_initiator(InitiatorSpec("io_bvci", "BVCI", source(4)))
+    builder.add_initiator(
+        InitiatorSpec("acc_msg", "PROPRIETARY", source(5, burst_beats=(8,)))
+    )
+    builder.add_target(
+        TargetSpec("dram", size=0x4000, read_latency=6, write_latency=3)
+    )
+    builder.add_target(
+        TargetSpec("sram", size=0x4000, read_latency=2, write_latency=1)
+    )
+    return builder.build()
+
+
 def build_lock_soc(strict):
     """Legacy-lock critical sections: exercises router LOCK ownership and
     target-NIU lock managers, the stateful transport paths."""

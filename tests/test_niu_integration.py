@@ -14,7 +14,12 @@ from repro.core.transaction import (
     make_write,
 )
 from repro.ip.traffic import ScriptedTraffic
+from repro.niu.tag_policy import TagPolicy
+from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
+
+from test_kernel_determinism import _fresh_global_ids  # noqa: F401
+from test_kernel_determinism import build_saturated_mixed_soc
 
 
 def build(protocol, intents, protocol_kwargs=None, targets=2, policy=None):
@@ -231,3 +236,39 @@ class TestNiuAccounting:
         assert niu.posted_sent == 5
         assert niu.table.total_allocated == 0
         assert soc.target_nius["mem0"].posted_served == 5
+
+
+class TestRefusalMemo:
+    """Count guards (exact, noise-free) on the memoised
+    ``TagPolicy.admit`` refusal of ``InitiatorNiu._issue_requests``."""
+
+    def test_stalled_niu_does_not_re_derive_its_refusal(self, monkeypatch):
+        admits = []
+        real_admit = TagPolicy.admit
+
+        def counted_admit(policy, txn, slv_addr, table):
+            admits.append(table)
+            return real_admit(policy, txn, slv_addr, table)
+
+        monkeypatch.setattr(TagPolicy, "admit", counted_admit)
+        soc = build_saturated_mixed_soc(strict=False)
+        soc.run(2000)
+        memoised = len(admits)
+        nius = soc.initiator_nius
+        attempts = sum(n.requests_sent + n.stall_cycles for n in nius.values())
+        assert sum(n.stall_cycles for n in nius.values()) > 2000
+        assert memoised < 0.5 * attempts
+
+        # The same run with the memo defeated every cycle: admit is
+        # asked on (nearly) every attempt again, and nothing observable
+        # moves — stall_cycles still counts every stalled tick.
+        del admits[:]
+        defeated = build_saturated_mixed_soc(strict=False)
+        for _ in range(2000):
+            for niu in defeated.initiator_nius.values():
+                niu._refused_txn = None
+            defeated.run(1)
+        assert len(admits) > 0.9 * attempts
+        for name, niu in nius.items():
+            assert defeated.initiator_nius[name].stall_cycles == niu.stall_cycles
+        assert fingerprint_soc(defeated) == fingerprint_soc(soc)

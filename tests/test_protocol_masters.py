@@ -327,6 +327,13 @@ def test_limit_blocked_master_parks_until_a_response(master_cls, protocol, kwarg
     sim = Simulator(strict=False)
     reads = [make_read(0x10 * i) for i in range(6)]
     master = master_cls("m", sim, ScriptedTraffic(reads), **kwargs)
+    tries = []
+
+    def counted_try_issue(txn, cycle, _try_issue=master.try_issue):
+        tries.append(cycle)
+        return _try_issue(txn, cycle)
+
+    master.try_issue = counted_try_issue
     sim.add(master)
     # Accepts every request, answers none of them (yet).
     stub = StubResponder("stub", master, protocol, delay=10**9)
@@ -340,9 +347,13 @@ def test_limit_blocked_master_parks_until_a_response(master_cls, protocol, kwarg
 
     issued = master.issued
     before = copy.deepcopy(master.snapshot())
+    refused = len(tries)
     for extra in range(5):
         master.tick(sim.cycle + extra)
     assert master.snapshot() == before  # every parked tick is a no-op
+    # ...and a cheap one: the limit refusal stands until a completion,
+    # so the ticks before the retire sweep do not ask try_issue again.
+    assert len(tries) == refused
 
     _, channel, response = stub.pending[0]
     master.socket.rsp(channel).push(response)
@@ -351,6 +362,8 @@ def test_limit_blocked_master_parks_until_a_response(master_cls, protocol, kwarg
     assert master.next_event_cycle(sim.cycle) == sim.cycle
     sim.step()
     assert master.completed == 1 and master.issued == issued + 1
+    # Asked again in the very tick that collected the response.
+    assert tries[refused:] == [sim.cycle - 1]
 
 
 @_parking

@@ -99,6 +99,40 @@ def test_parked_masters_and_returning_credits_roundtrip():
     _roundtrip(tkd.build_vc_torus_soc, 1000, 500, probe=probe)
 
 
+def test_refusal_memo_is_dropped_on_restore_never_captured():
+    """Cycle 1500 of the saturated mixed SoC: ``io_bvci``'s NIU holds a
+    memoised admit refusal and masters sit limit-blocked (their ticks
+    short-circuit).  The memo is a pure cache — absent from the
+    snapshot, cleared by restore — so a rebuilt SoC *and* the donor
+    itself, restored after running on, both continue byte-identically.
+    (By 1500 every per-pair flow histogram exists, so the same-SoC
+    restore is exact: ``StatsRegistry.restore`` cannot discard a stat
+    first created after the cut.)"""
+    build = functools.partial(tkd.build_saturated_mixed_soc, strict=False)
+    total, at = 2000, 1500
+    soc = build()
+    soc.run(total)
+    reference = fingerprint_soc(soc)
+
+    donor = build()
+    donor.run(at)
+    niu = donor.initiator_nius["io_bvci"]
+    assert niu._refused_txn is niu._peek_txn is not None
+    assert niu._refused_version == niu.table.version
+    assert any(master._limit_blocked for master in donor.masters.values())
+    assert not {"_refused_txn", "_refused_version"} & set(niu.snapshot()["state"])
+    checkpoint = Checkpoint.capture(donor)
+    donor.run(97)  # moves the donor's memo and table version on
+
+    for resumed in (build(), donor):
+        checkpoint.restore_into(resumed)
+        assert resumed.initiator_nius["io_bvci"]._refused_txn is None
+        resumed.run(total - at)
+        restored = fingerprint_soc(resumed)
+        for key in reference:
+            assert restored[key] == reference[key], f"{key} diverged"
+
+
 def test_parked_wheel_roundtrip():
     """Checkpoint a fully drained SoC (every component parked or retired,
     wheel possibly holding stale entries): the restored system must stay

@@ -56,6 +56,28 @@ class TestAllocation:
         assert (a.stream_seq, b.stream_seq, c.stream_seq) == (0, 0, 1)
 
 
+def test_version_moves_on_exactly_the_three_writers():
+    """``version`` stamps answers derived from the table (the NIU's
+    memoised admit refusal): every write must move it, no read may."""
+    t = StateTable("t", capacity=2)
+    assert t.version == 0
+    a = alloc(t, stream=(0,), slv=3)
+    assert t.version == 1
+    t.can_allocate(), len(t), a.txn_id in t, t.entry(a.txn_id), t.entries()
+    t.match_response(0, 3), t.deliverable(), t.outstanding_targets((0,))
+    t.stream_population((0,))
+    assert t.version == 1
+    t.mark_responded(a.txn_id, ResponseStatus.OKAY, None)
+    assert t.version == 2
+    t.deliverable()
+    assert t.version == 2
+    t.release(a.txn_id)
+    assert t.version == 3
+    with pytest.raises(KeyError):
+        t.release(a.txn_id)  # a refused write is not a write
+    assert t.version == 3
+
+
 class TestResponseMatching:
     def test_matches_oldest_with_tag_and_target(self):
         t = StateTable("t", capacity=4)
