@@ -107,11 +107,6 @@ class MemoryDevice(Component, Snapshottable):
         super()._restore_state(state)
         self.store.restore(state["store"])
 
-    def is_idle(self) -> bool:
-        return not self._pipeline and not self.socket.requests
-
-    _next_event_known = True
-
     def next_event_cycle(self, now: int):
         """A request at the socket needs a tick now; otherwise the next
         event is the oldest pipeline entry's maturation cycle.  A matured
@@ -184,7 +179,7 @@ class MemoryDevice(Component, Snapshottable):
         self._pipeline.append((cycle + max(1, latency), response))
 
     def idle(self) -> bool:
-        return self.is_idle()
+        return not self._pipeline and not self.socket.requests
 
     @property
     def stored_bytes(self) -> int:

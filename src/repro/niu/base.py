@@ -58,16 +58,12 @@ class InitiatorNiu(Component, Snapshottable):
         endpoint: int,
         address_map: AddressMap,
         policy: TagPolicy,
-        deliveries_per_cycle: int = 1,
-        issues_per_cycle: int = 1,
     ) -> None:
         super().__init__(name)
         self.fabric = fabric
         self.endpoint = endpoint
         self.address_map = address_map
         self.policy = policy
-        self.deliveries_per_cycle = deliveries_per_cycle
-        self.issues_per_cycle = issues_per_cycle
         self.table = StateTable(f"{name}.table", policy.max_outstanding)
         self.requests_sent = 0
         self.responses_delivered = 0
@@ -128,20 +124,6 @@ class InitiatorNiu(Component, Snapshottable):
             queue.wake_on_push(self)
         for queue in socket.response_channels.values():
             queue.wake_on_pop(self)
-
-    def is_idle(self) -> bool:
-        """No outstanding table entries, no arrived responses, and no
-        native request waiting: the engine has nothing to advance."""
-        if not self._native_req_queues:
-            return False  # no socket attached: cannot prove quiescence
-        if len(self.table) or self._rsp_packets:
-            return False
-        for queue in self._native_req_queues:
-            if queue:
-                return False
-        return True
-
-    _next_event_known = True
 
     def next_event_cycle(self, now: int):
         """Dormant while merely *waiting*: outstanding table entries with
@@ -205,24 +187,16 @@ class InitiatorNiu(Component, Snapshottable):
             )
 
     def _deliver_responses(self, cycle: int) -> None:
-        delivered = 0
-        while delivered < self.deliveries_per_cycle:
-            ready = self.table.deliverable()
-            if not ready:
-                return
-            progressed = False
-            for entry in ready:
-                if self.push_native_response(entry):
-                    self.table.release(entry.txn_id)
-                    self.responses_delivered += 1
-                    delivered += 1
-                    progressed = True
-                    break
-            if not progressed:
+        """Hand the socket one deliverable response per cycle."""
+        for entry in self.table.deliverable():
+            if self.push_native_response(entry):
+                self.table.release(entry.txn_id)
+                self.responses_delivered += 1
                 return
 
     def _issue_requests(self, cycle: int) -> Tuple[bool, bool]:
-        """Returns (issued anything, saw a native request at all).
+        """Issue at most one native request per cycle; returns (issued
+        it, saw a native request at all).
 
         A :meth:`TagPolicy.admit` refusal is memoised on the identity of
         the refused ``peek_native`` object (held here, so ``is`` cannot
@@ -233,49 +207,40 @@ class InitiatorNiu(Component, Snapshottable):
         other exits (injection space, posted stores, decode errors)
         depend on state outside the table and are not memoised.
         """
-        issued_any = False
-        saw_native = False
-        for _ in range(self.issues_per_cycle):
-            txn = self.peek_native(cycle)
-            if txn is None:
-                break
-            saw_native = True
-            if (
-                txn is self._refused_txn
-                and self.table.version == self._refused_version
-            ):
-                break
-            try:
-                slv_addr, offset = self.address_map.decode_span(
-                    txn.address, txn.total_bytes
-                )
-            except DecodeError:
-                if not self._reject_decode(txn, cycle):
-                    break
-                issued_any = True
-                continue
-            if txn.opcode is Opcode.STORE_POSTED:
-                if not self.fabric.can_inject_request(self.endpoint):
-                    break
-                self.pop_native()
-                self._inject(txn, slv_addr, offset, tag=self.policy.tag_for(txn))
-                self.posted_sent += 1
-                issued_any = True
-                continue
-            if not self.policy.admit(txn, slv_addr, self.table):
-                self._refused_txn = txn
-                self._refused_version = self.table.version
-                break
-            if not self.fabric.can_inject_request(self.endpoint):
-                break
-            self.pop_native()
-            tag = self.policy.tag_for(txn)
-            self.table.allocate(
-                txn, tag, slv_addr, offset, self.policy.stream_of(txn), cycle
+        txn = self.peek_native(cycle)
+        if txn is None:
+            return False, False
+        if (
+            txn is self._refused_txn
+            and self.table.version == self._refused_version
+        ):
+            return False, True
+        try:
+            slv_addr, offset = self.address_map.decode_span(
+                txn.address, txn.total_bytes
             )
-            self._inject(txn, slv_addr, offset, tag)
-            issued_any = True
-        return issued_any, saw_native
+        except DecodeError:
+            return self._reject_decode(txn, cycle), True
+        if txn.opcode is Opcode.STORE_POSTED:
+            if not self.fabric.can_inject_request(self.endpoint):
+                return False, True
+            self.pop_native()
+            self._inject(txn, slv_addr, offset, tag=self.policy.tag_for(txn))
+            self.posted_sent += 1
+            return True, True
+        if not self.policy.admit(txn, slv_addr, self.table):
+            self._refused_txn = txn
+            self._refused_version = self.table.version
+            return False, True
+        if not self.fabric.can_inject_request(self.endpoint):
+            return False, True
+        self.pop_native()
+        tag = self.policy.tag_for(txn)
+        self.table.allocate(
+            txn, tag, slv_addr, offset, self.policy.stream_of(txn), cycle
+        )
+        self._inject(txn, slv_addr, offset, tag)
+        return True, True
 
     def _reject_decode(self, txn: Transaction, cycle: int) -> bool:
         """Complete an unmapped address with DECERR, never entering the
@@ -410,21 +375,6 @@ class TargetNiu(Component, Snapshottable):
             self.locks.restore(state["locks"])
 
     # ------------------------------------------------------------------ #
-    def is_idle(self) -> bool:
-        """No packet waiting, nothing outstanding at the target IP, and
-        no response pending injection: the NIU has nothing to advance.
-        A non-empty parked list keeps the NIU scheduled (conservative:
-        the lock state it waits on changes inside our own ticks)."""
-        return not (
-            self._req_packets
-            or self._order
-            or self._pending
-            or self._parked
-            or self.slave_socket.responses
-        )
-
-    _next_event_known = True
-
     def next_event_cycle(self, now: int):
         """Dormant while every accepted request is at the target IP and
         nothing else needs the engine: no delivered packet, no finished

@@ -8,20 +8,18 @@ the three physical concerns the paper names:
   flits into *phits* of configurable width, so halving the wire count
   doubles cycles-per-flit without any transport/transaction change;
 - **matching clocks** — :mod:`repro.phys.clocking` provides clock domains
-  with integer ratios and :class:`~repro.phys.cdc.CdcFifo` a synchronizer
-  FIFO with the classic two-flop crossing latency;
+  with integer ratios, and a link whose two ends sit in different
+  domains passes every flit through its synchronizer (the classic
+  two-flop crossing latency);
 - **off-chip communication** — a narrow, high-latency ``PhysicalLink``
   configuration (see the E7 bench).
 """
 
-from repro.phys.cdc import CdcFifo
-from repro.phys.clocking import ClockDomain, ClockedRegion, make_clock_domain
+from repro.phys.clocking import ClockDomain, make_clock_domain
 from repro.phys.link import LinkSpec, PhysicalLink, phits_per_flit
 
 __all__ = [
-    "CdcFifo",
     "ClockDomain",
-    "ClockedRegion",
     "LinkSpec",
     "PhysicalLink",
     "make_clock_domain",

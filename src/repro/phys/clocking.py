@@ -1,28 +1,20 @@
 """Clock domains with integer frequency ratios.
 
-The simulation kernel ticks at the fastest clock in the system.  Two ways
-to slow a component down:
+The simulation kernel ticks at the fastest clock in the system.
+:meth:`~repro.sim.component.Component.set_clock_domain` places a
+registered component in a slower domain; both kernels (activity and
+strict) then tick it only on that domain's edges, with kernel cycle
+numbers.  This is what :class:`~repro.soc.builder.SocBuilder` uses for
+its ``clock_domains=`` / per-spec ``region=`` knobs.
 
-- :meth:`~repro.sim.component.Component.set_clock_domain` places a
-  registered component directly in a domain; both kernels (activity and
-  strict) then tick it only on that domain's edges, with kernel cycle
-  numbers.  This is what :class:`~repro.soc.builder.SocBuilder` uses for
-  its ``clock_domains=`` / per-spec ``region=`` knobs.
-- :class:`ClockedRegion` wraps unregistered children and forwards every
-  N-th kernel tick to them with *local* cycle numbers (legacy wrapper,
-  useful for self-contained experiments).
-
-Either way this models GALS-style NoCs where the switch fabric runs
-faster than attached IP — a physical-layer concern that, per the paper,
-must not leak upward.
+This models GALS-style NoCs where the switch fabric runs faster than
+attached IP — a physical-layer concern that, per the paper, must not
+leak upward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-from repro.sim.component import Component
 
 
 @dataclass(frozen=True)
@@ -48,10 +40,6 @@ class ClockDomain:
         event-wheel kernel aligns a component's next event to."""
         return kernel_cycle + (self.phase - kernel_cycle) % self.divisor
 
-    def local_cycle(self, kernel_cycle: int) -> int:
-        """This domain's own cycle count at kernel time ``kernel_cycle``."""
-        return (kernel_cycle - self.phase + self.divisor - 1) // self.divisor
-
 
 def make_clock_domain(name: str, value) -> ClockDomain:
     """Coerce a declarative clock-domain value into a :class:`ClockDomain`.
@@ -73,31 +61,3 @@ def make_clock_domain(name: str, value) -> ClockDomain:
         f"clock domain {name!r}: expected ClockDomain, divisor int or "
         f"(divisor, phase) tuple, got {value!r}"
     )
-
-
-class ClockedRegion(Component):
-    """Ticks its children only on their clock domain's edges."""
-
-    def __init__(self, name: str, domain: ClockDomain) -> None:
-        super().__init__(name)
-        self.domain = domain
-        self._children: List[Component] = []
-
-    def add(self, component: Component) -> Component:
-        self._children.append(component)
-        return component
-
-    def bind(self, simulator) -> None:
-        super().bind(simulator)
-        for child in self._children:
-            child.bind(simulator)
-
-    def tick(self, cycle: int) -> None:
-        if self.domain.active(cycle):
-            local = self.domain.local_cycle(cycle)
-            for child in self._children:
-                child.tick(local)
-
-    def finish(self) -> None:
-        for child in self._children:
-            child.finish()

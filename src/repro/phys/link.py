@@ -161,9 +161,9 @@ class PhysicalLink(Component, Snapshottable):
 
     Activity contract: the link registers ``wake_on_push`` with its
     upstream queue and ``wake_on_pop`` with its downstream queue, and
-    :meth:`is_idle` is true only when nothing is buffered upstream,
-    shifting, piped, crossing or awaiting delivery — so serialized links
-    retire from the schedule exactly like any other component.  The link
+    it is dormant only when nothing is buffered upstream, shifting,
+    piped, crossing or awaiting delivery — so serialized links retire
+    from the schedule exactly like any other component.  The link
     itself is never domain-gated by the kernel (it spans two domains);
     it self-gates each side on the matching domain's edges.
     """
@@ -236,16 +236,9 @@ class PhysicalLink(Component, Snapshottable):
             + len(self._deliver)
         )
 
-    def is_idle(self) -> bool:
-        """Nothing upstream and nothing in flight: every tick is a no-op
-        until the upstream queue commits a push (which wakes us)."""
-        return self.in_flight == 0 and not self.upstream
-
     def idle(self) -> bool:
         """No flit on the wires or in the synchronizer (drain check)."""
         return self.in_flight == 0
-
-    _next_event_known = True
 
     def next_event_cycle(self, now: int):
         """Next clock edge on which this link's tick changes *visible*
@@ -415,10 +408,10 @@ class VcPhysicalLink(Component, Snapshottable):
     ``sync_stages`` consumer edges through the synchronizer.
 
     Activity contract: the link wakes on any upstream push or downstream
-    pop, and :meth:`is_idle` is true only when nothing is staged, in
-    flight, *or awaiting credit maturation* — credit bookkeeping advances
-    in :meth:`tick`, so the link must stay scheduled until every counter
-    is full again or the strict and activity kernels would disagree.
+    pop, and it is dormant only when nothing is staged, in flight, *or
+    awaiting credit maturation* — credit bookkeeping advances in
+    :meth:`tick`, so the link must stay scheduled until every counter is
+    full again or the strict and activity kernels would disagree.
     """
 
     def __init__(
@@ -487,26 +480,16 @@ class VcPhysicalLink(Component, Snapshottable):
             + len(self._crossing)
         )
 
-    def is_idle(self) -> bool:
-        if self.in_flight or any(self.upstreams):
-            return False
-        # Credits still travelling back (or held by occupied downstream
-        # buffers) evolve inside tick; sleep only once every counter is
-        # whole again.
-        return all(c.available == c.capacity for c in self.credits)
-
     def idle(self) -> bool:
         """No flit on the wires or in the synchronizer (drain check)."""
         return self.in_flight == 0
-
-    _next_event_known = True
 
     def next_event_cycle(self, now: int):
         """Like :meth:`PhysicalLink.next_event_cycle`, with one extra
         producer-side clause: credit bookkeeping (maturation and the
         drain-driven give-back) advances on every producer edge while any
         counter is below capacity, so those edges stay unskippable until
-        the credit loop is whole again — mirroring :meth:`is_idle`."""
+        the credit loop is whole again."""
         producer = self.producer_domain
         consumer = self.consumer_domain
         best = None

@@ -218,13 +218,6 @@ class ProtocolMaster(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # common engine
     # ------------------------------------------------------------------ #
-    def is_idle(self) -> bool:
-        """Masters retire only once their traffic is fully spent (shorter
-        sleeps are :meth:`next_event_cycle`'s).  Once :meth:`finished` is
-        true it is true forever: no wake needed.
-        """
-        return self.finished()
-
     def bind(self, simulator) -> None:
         """Register response-channel wakes so a dormant master (parked by
         the time-skipping kernel while waiting on completions) is put
@@ -249,14 +242,17 @@ class ProtocolMaster(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # time-skipping protocol
     # ------------------------------------------------------------------ #
-    _next_event_known = True
-
     def _has_local_completions(self) -> bool:
         """Completions to deliver that are not on a response channel
         (protocols with locally-completed posted writes override)."""
         return False
 
     def next_event_cycle(self, now: int):
+        if self.finished():
+            # Traffic fully spent, and true forever: no wake needed.
+            # Checked first so a spent master never reaches lookahead
+            # (whose eager rng draws are for live sources only).
+            return None
         socket = getattr(self, "socket", None)
         if socket is None:
             return now  # unknown subclass wiring: never skip

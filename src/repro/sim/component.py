@@ -16,21 +16,19 @@ class Component:
     Activity contract
     -----------------
     The kernel is *activity-driven*: it only ticks components in its
-    active set.  A component stays in the active set as long as
-    :meth:`is_idle` returns False, which is the default — components
-    that do not opt in behave exactly as under a tick-everything kernel.
+    active set, and :meth:`next_event_cycle` is the one predicate that
+    takes a component out of it.  The default answers ``now`` ("I may
+    act on my next clock edge"), so a component that implements nothing
+    behaves exactly as under a tick-everything kernel.
 
-    Opting in means honouring two rules:
+    A component that answers a later cycle, or ``None`` for dormant,
+    promises that every external event that can create an earlier event
+    :meth:`wake`\\ s it.  Registering via :meth:`SimQueue.wake_on_push
+    <repro.sim.queue.SimQueue.wake_on_push>` /
+    :meth:`SimQueue.wake_on_pop <repro.sim.queue.SimQueue.wake_on_pop>`
+    covers the queue-borne events, which are the only legal ones.
 
-    - :meth:`is_idle` must be a pure predicate of *currently visible*
-      state ("this tick, and every future tick until external input
-      arrives, is a no-op"), evaluated after queue commits; and
-    - every external event that can make an idle component non-idle must
-      :meth:`wake` it.  Registering via :meth:`SimQueue.wake_on_push` /
-      :meth:`SimQueue.wake_on_pop <repro.sim.queue.SimQueue.wake_on_pop>`
-      covers the queue-borne events, which are the only legal ones.
-
-    Under those rules the activity-driven schedule is cycle-for-cycle
+    Under that rule the activity-driven schedule is cycle-for-cycle
     identical to ticking everything (``Simulator(strict=True)``).
 
     Clock domains
@@ -44,14 +42,6 @@ class Component:
     always receive the *kernel* cycle number — timestamps, latencies and
     traces stay in one global time base regardless of domain membership.
     """
-
-    #: Class-level opt-in flag for the next-event protocol: True means the
-    #: kernel may call :meth:`next_event_cycle` to skip dead cycles (and
-    #: park the component on its timing wheel).  Subclasses that override
-    #: :meth:`next_event_cycle` must set it; the default (False) keeps the
-    #: component ticking every cycle of its clock domain, exactly as
-    #: before.
-    _next_event_known = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -119,38 +109,34 @@ class Component:
                 self._parked_until = -1  # invalidate any timing-wheel slot
                 sim._wakes.append(self)
 
-    def is_idle(self) -> bool:
-        """True when ticking this component is a no-op until a wake.
-
-        Default False: the component is ticked every cycle.  Override
-        only together with wake registration — see the class docstring.
-        """
-        return False
-
     def next_event_cycle(self, now: int):
         """Earliest cycle >= ``now`` at which :meth:`tick` might not be a
         no-op, or ``None`` for "never, until something wakes me".
 
-        This is the time-skipping half of the activity contract (the
-        space half is :meth:`is_idle`).  A component that opts in (class
-        attribute ``_next_event_known = True``) promises:
+        This is the whole activity contract, evaluated on currently
+        visible state (after queue commits).  The answer promises:
 
         - every tick at a cycle *before* the returned value changes no
           consumer-visible state, no stats and no traces — the kernel may
           therefore skip those cycles entirely or park the component on
           its timing wheel until the returned cycle; and
-        - returning ``None`` additionally promises that every external
-          event that could create an earlier event :meth:`wake`\\ s the
-          component (the same queue-wake registration rule as
-          :meth:`is_idle` — a wake during a skipped window re-schedules
-          the component and invalidates its wheel slot).
+        - ``None`` (dormant: this tick, and every future tick until
+          external input arrives, is a no-op) additionally promises that
+          every external event that could create an event :meth:`wake`\\ s
+          the component — a wake during a skipped window re-schedules
+          the component and invalidates its wheel slot.
+
+        The kernel asks between steps, from its retire sweep and its
+        skip scan — which the strict kernel never runs — so the answer
+        must leave the outcome of every tick unchanged.
 
         Returning ``now`` means "I may act this coming cycle" and
-        disables skipping; that is the default, so components that do not
-        opt in behave exactly as before.  The kernel aligns returned
-        cycles to the component's clock-domain edges itself; multi-domain
-        components (physical links) must return edge-accurate cycles for
-        any internal per-edge state of their own.
+        disables skipping; that is the default, so a component that does
+        not override it ticks on every edge of its clock domain.  The
+        kernel aligns returned cycles to the component's clock-domain
+        edges itself; multi-domain components (physical links) must
+        return edge-accurate cycles for any internal per-edge state of
+        their own.
 
         Components with externally-timetabled events (e.g. the fault
         injector's cycle-stamped link-down/up edges) rely on this

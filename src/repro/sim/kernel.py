@@ -115,14 +115,16 @@ class Simulator(Snapshottable):
     --------------------------
     Instead of ticking every registered component each cycle, the kernel
     keeps an **active set**.  Components are active from registration and
-    stay active while :meth:`Component.is_idle` returns False (the
-    default, so plain components behave exactly as before).  A component
-    that reports idle is removed from the schedule and re-enters it only
-    when :meth:`Component.wake` is called — normally by a
-    :class:`SimQueue` it registered with (``wake_on_push`` fires at
-    commit time, when items become visible; ``wake_on_pop`` fires when
-    space frees).  Active components always tick in registration order,
-    so the schedule is deterministic.
+    leave the set by one contract, :meth:`Component.next_event_cycle`:
+    ``None`` (dormant) deschedules the component, a cycle at least
+    ``PARK_HORIZON`` away parks it on the timing wheel until then, and
+    anything nearer — the default answers ``now`` — keeps it ticking.  A
+    descheduled component re-enters the set only when
+    :meth:`Component.wake` is called — normally by a :class:`SimQueue`
+    it registered with (``wake_on_push`` fires at commit time, when
+    items become visible; ``wake_on_pop`` fires when space frees).
+    Active components always tick in registration order, so the
+    schedule is deterministic.
 
     Queue commits follow the same discipline: a push puts the queue on a
     per-cycle *dirty list* and only dirty queues are committed, so a
@@ -135,8 +137,8 @@ class Simulator(Snapshottable):
     edges (``cycle % divisor == phase``).  The gate is applied identically
     on the activity-driven path and the strict reference path, so domain
     membership composes with the active-set schedule without perturbing
-    determinism: an idle slow-domain component is retired and woken like
-    any other, and merely skips the off-edge cycles while scheduled.
+    determinism: a dormant slow-domain component is retired and woken
+    like any other, and merely skips the off-edge cycles while scheduled.
 
     ``strict=True`` (or the ``REPRO_SIM_STRICT=1`` environment variable)
     selects the brute-force reference path — tick every component, commit
@@ -287,48 +289,34 @@ class Simulator(Snapshottable):
             dirty.clear()
         else:
             self._quiet_step = True
-        # Retire components that report idle (post-commit, so anything
-        # that just became visible keeps its consumer scheduled).  The
-        # sweep runs every RETIRE_EVERY cycles: retirement is purely an
-        # optimisation (extra ticks of an idle component are no-ops), and
-        # sweeping on a cadence keeps busy phases from paying an is_idle
-        # scan per component per cycle while bursty traffic oscillates.
-        # The same sweep parks non-idle components whose declared next
-        # event is at least PARK_HORIZON out on the timing wheel (a
-        # dormant component — next event None — is simply descheduled;
-        # its wake registrations bring it back, exactly like retirement).
+        # Retire dormant components (post-commit, so anything that just
+        # became visible keeps its consumer scheduled).  The sweep runs
+        # every RETIRE_EVERY cycles: retirement is purely an optimisation
+        # (extra ticks of a dormant component are no-ops), and sweeping
+        # on a cadence keeps busy phases from paying a next-event call
+        # per component per cycle while bursty traffic oscillates.  A
+        # component whose next event, aligned to its clock edge, is at
+        # least PARK_HORIZON out is parked on the timing wheel; a dormant
+        # one (None) is simply descheduled and its wake registrations
+        # bring it back.
         if cycle & self._retire_mask == self._retire_mask:
             now = cycle + 1
             wheel = self._wheel
             retained = []
             retain = retained.append
             for component in run_list:
-                if component.is_idle():
+                event = component.next_event_cycle(now)
+                if event is None:
                     component._scheduled = False
                     continue
-                if component._next_event_known:
-                    event = component.next_event_cycle(now)
-                    if event is None:
-                        component._scheduled = False
-                        continue
-                    divisor = component._clk_divisor
-                    if divisor != 1:
-                        event += (component._clk_phase - event) % divisor
-                    if event >= now + PARK_HORIZON:
-                        component._scheduled = False
-                        component._parked_until = event
-                        wheel.schedule(event, component)
-                        continue
-                elif component._clk_divisor >= PARK_HORIZON:
-                    # Slow-domain component with no event protocol: its
-                    # next possible action is its next clock edge.
-                    divisor = component._clk_divisor
-                    event = now + (component._clk_phase - now) % divisor
-                    if event >= now + PARK_HORIZON:
-                        component._scheduled = False
-                        component._parked_until = event
-                        wheel.schedule(event, component)
-                        continue
+                divisor = component._clk_divisor
+                if divisor != 1:
+                    event += (component._clk_phase - event) % divisor
+                if event >= now + PARK_HORIZON:
+                    component._scheduled = False
+                    component._parked_until = event
+                    wheel.schedule(event, component)
+                    continue
                 retain(component)
             if len(retained) != len(run_list):
                 self._run_list = retained
@@ -353,13 +341,11 @@ class Simulator(Snapshottable):
         ``limit``.
 
         Called between steps with no wakes and no dirty queues pending:
-        every scheduled component is consulted for its next possible
-        activity cycle (its next clock edge when it does not speak the
-        next-event protocol), the timing wheel contributes its earliest
-        slot, and the minimum is where ``run`` may jump ``now`` to.  Any
+        every scheduled component is asked for its next event, aligned to
+        its clock edge, the timing wheel contributes its earliest slot,
+        and the minimum is where ``run`` may jump ``now`` to.  Any
         component that may act next cycle makes the answer ``self.cycle``
-        (no skip) — the scan bails out on the first such component, so a
-        busy fabric pays one attribute check per scheduled component.
+        (no skip) — the scan bails out on the first such component.
         """
         now = self.cycle
         horizon = limit
@@ -373,32 +359,18 @@ class Simulator(Snapshottable):
         run_list = self._run_list
         dormant = 0
         for component in run_list:
-            divisor = component._clk_divisor
-            if component._next_event_known:
-                event = component.next_event_cycle(now)
-                if event is None:
-                    # Dormant until a wake: deschedule right here (the
-                    # skip would jump past the retire sweeps that would
-                    # otherwise prune it).  Only a completed scan commits
-                    # this — an early bail-out leaves the list untouched.
-                    component._scheduled = False
-                    dormant += 1
-                    continue
-                if divisor != 1:
-                    event += (component._clk_phase - event) % divisor
-            elif component.is_idle():
-                # No event protocol, but idle: retire it now instead of
-                # waiting for the sweep — identical semantics (an idle
-                # component is dormant by the is_idle contract), and it
-                # unblocks skipping across the gaps between packets.
+            event = component.next_event_cycle(now)
+            if event is None:
+                # Dormant until a wake: deschedule right here (the skip
+                # would jump past the retire sweeps that would otherwise
+                # prune it).  Only a completed scan commits this — an
+                # early bail-out leaves the list untouched.
                 component._scheduled = False
                 dormant += 1
                 continue
-            elif divisor == 1:
-                self._rearm_dormant(run_list, dormant)
-                return now
-            else:
-                event = now + (component._clk_phase - now) % divisor
+            divisor = component._clk_divisor
+            if divisor != 1:
+                event += (component._clk_phase - event) % divisor
             if event <= now:
                 self._rearm_dormant(run_list, dormant)
                 return now
@@ -500,13 +472,7 @@ class Simulator(Snapshottable):
             if isinstance(component, Snapshottable):
                 entry["state"] = component.snapshot()
             components[component.name] = entry
-        queues = {}
-        for queue in self._queues:
-            if self._component_names.get(queue.name) is queue:
-                # Dual-registered channel (e.g. CdcFifo is both component
-                # and queue): captured once, through the component entry.
-                continue
-            queues[queue.name] = queue.snapshot()
+        queues = {queue.name: queue.snapshot() for queue in self._queues}
         wheel = self._wheel
         return {
             "cycle": self.cycle,
@@ -540,9 +506,7 @@ class Simulator(Snapshottable):
                 f"missing components {sorted(missing)!r}"
             )
         saved_queues = state["queues"]
-        expected_queues = {
-            q.name for q in self._queues if by_name.get(q.name) is not q
-        }
+        expected_queues = set(self._queue_names)
         if set(saved_queues) != expected_queues:
             raise SnapshotMismatchError(
                 "snapshot does not fit this build: "

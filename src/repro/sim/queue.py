@@ -32,37 +32,7 @@ from typing import Any, Deque, Iterator, List, Optional, Tuple
 from repro.sim.snapshot import Snapshottable
 
 
-class WakeHooks:
-    """Waiter registration shared by every wake-capable channel.
-
-    :class:`SimQueue` and :class:`~repro.phys.cdc.CdcFifo` both speak the
-    same protocol: components register once at wiring time and are woken
-    when items become consumer-visible (``wake_on_push``) or when space
-    frees (``wake_on_pop``).  Waiters are immutable tuples so the hot
-    wake loops iterate without copying.
-    """
-
-    # No slots of its own (CdcFifo inherits a __dict__ from Component);
-    # the class-level defaults below serve subclasses that never touch
-    # the waiter tuples.  SimQueue shadows both with real slots.
-    __slots__ = ()
-
-    _push_waiters: Tuple[Any, ...] = ()
-    _pop_waiters: Tuple[Any, ...] = ()
-
-    def wake_on_push(self, component) -> None:
-        """Wake ``component`` whenever staged items commit (new items
-        become consumer-visible)."""
-        if component not in self._push_waiters:
-            self._push_waiters += (component,)
-
-    def wake_on_pop(self, component) -> None:
-        """Wake ``component`` whenever an item is popped (space frees)."""
-        if component not in self._pop_waiters:
-            self._pop_waiters += (component,)
-
-
-class SimQueue(WakeHooks, Snapshottable):
+class SimQueue(Snapshottable):
     """Bounded FIFO with next-cycle push visibility.
 
     Parameters
@@ -111,6 +81,21 @@ class SimQueue(WakeHooks, Snapshottable):
         self._dirty = False
         self._push_waiters: Tuple[Any, ...] = ()
         self._pop_waiters: Tuple[Any, ...] = ()
+
+    # ------------------------------------------------------------------ #
+    # wake registration (once, at wiring time; waiters are immutable
+    # tuples so the hot wake loops iterate without copying)
+    # ------------------------------------------------------------------ #
+    def wake_on_push(self, component) -> None:
+        """Wake ``component`` whenever staged items commit (new items
+        become consumer-visible)."""
+        if component not in self._push_waiters:
+            self._push_waiters += (component,)
+
+    def wake_on_pop(self, component) -> None:
+        """Wake ``component`` whenever an item is popped (space frees)."""
+        if component not in self._pop_waiters:
+            self._pop_waiters += (component,)
 
     # ------------------------------------------------------------------ #
     # producer side

@@ -289,15 +289,6 @@ class ShardLinkTx(Component, Snapshottable):
         """Nothing on the wires and nothing staged (drain check)."""
         return self._shifting is None and not any(self.feeds) and not self.outbox
 
-    def is_idle(self) -> bool:
-        return (
-            self._shifting is None
-            and not self._pending_credits
-            and not any(self.feeds)
-        )
-
-    _next_event_known = True
-
     def next_event_cycle(self, now: int):
         if self._shifting is not None:
             return now
@@ -418,13 +409,6 @@ class ShardLinkRx(Component, Snapshottable):
 
     def idle(self) -> bool:
         return not self._inbox and not self.credit_outbox
-
-    def is_idle(self) -> bool:
-        return not self._inbox and not any(
-            queue._occ for queue in self.deliveries
-        )
-
-    _next_event_known = True
 
     def next_event_cycle(self, now: int):
         # Stay hot while a delivery queue holds flits: the destination
@@ -574,10 +558,6 @@ def _noop_tick(cycle: int) -> None:
     """Muted foreign component: the owning shard simulates it."""
 
 
-def _always_idle() -> bool:
-    return True
-
-
 def _never_events(now: int):
     return None
 
@@ -587,12 +567,11 @@ def mute_component(component: Component) -> None:
 
     The component stays registered (names, scheduling indices and
     snapshot shape are unchanged) but never acts: its tick is a no-op
-    and the kernel retires it as permanently idle.  Queue wakes may
+    and the kernel retires it as permanently dormant.  Queue wakes may
     still re-schedule it; the re-scheduled tick is a no-op and the next
     sweep retires it again.
     """
     component.tick = _noop_tick
-    component.is_idle = _always_idle
     component.next_event_cycle = _never_events
 
 

@@ -162,20 +162,27 @@ class StatsRegistry:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore via get-or-create, never discarding live objects.
+        """Restore via get-or-create, in place for every stat named.
 
         Components cache references to their stats (e.g. a protocol
         master resolves its latency stat once in ``bind``), so restore
         must mutate the registered objects in place.  A snapshot may
         name stats this build has not touched yet — get-or-create
-        registers them, exactly as first use would have.
+        registers them, exactly as first use would have.  A stat the
+        snapshot does not name was first used after the cut and is
+        dropped, so restoring into the SoC the snapshot came from leaves
+        no post-cut samples behind (lazily resolved handle caches must
+        be cleared by their owner's restore).
         """
-        for name, envelope in state["counters"].items():
-            self.counter(name).restore(envelope)
-        for name, envelope in state["histograms"].items():
-            self.histogram(name).restore(envelope)
-        for name, envelope in state["latencies"].items():
-            self.latency(name).restore(envelope)
+        for registered, saved, get in (
+            (self._counters, state["counters"], self.counter),
+            (self._histograms, state["histograms"], self.histogram),
+            (self._latencies, state["latencies"], self.latency),
+        ):
+            for name in registered.keys() - saved.keys():
+                del registered[name]
+            for name, envelope in saved.items():
+                get(name).restore(envelope)
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:

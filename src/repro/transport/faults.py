@@ -473,8 +473,6 @@ class FaultInjector(Component, Snapshottable):
     skip quiet stretches without ever skipping over a fault.
     """
 
-    _next_event_known = True
-
     def __init__(self, name: str, network, schedule: FaultSchedule) -> None:
         super().__init__(name)
         self.network = network
@@ -550,9 +548,6 @@ class FaultInjector(Component, Snapshottable):
         self.wake()
 
     # -- activity contract ------------------------------------------------
-    def is_idle(self) -> bool:
-        return self._idx >= len(self._events) and self._deadline is None
-
     def next_event_cycle(self, now: int):
         nxt = self._events[self._idx].cycle if self._idx < len(self._events) else None
         if self._deadline is not None and (nxt is None or self._deadline < nxt):

@@ -157,11 +157,6 @@ class InjectionPort(Component, Snapshottable):
     def pending_flits(self) -> int:
         return sum(len(pending) for pending in self._pending)
 
-    def is_idle(self) -> bool:
-        return not self.pending_flits() and not self.packet_queue
-
-    _next_event_known = True
-
     def next_event_cycle(self, now: int):
         """Dormant only when nothing is pending and no packet can be
         segmented (the packet pushes that end that are wake-registered in
@@ -261,8 +256,8 @@ class EjectionPort(Component, Snapshottable):
         # "<flow_prefix>.pair.<src>-><dst>".  None disables recording.
         # The two handles are cached per (priority, source), resolved at
         # that flow's first packet so registry creation order is what
-        # per-packet lookups gave; StatsRegistry.restore mutates the
-        # registered objects in place, so the handles survive a restore.
+        # per-packet lookups gave.  A pure cache: restore clears it and
+        # the handles re-resolve by get-or-create.
         self._flow_prefix = flow_prefix
         self._flow_hists: Dict[Tuple[int, int], Tuple[Histogram, Histogram]] = {}
         self.flit_queues = list(flit_queues)
@@ -312,6 +307,7 @@ class EjectionPort(Component, Snapshottable):
 
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
+        self._flow_hists.clear()
         for reassembler, envelope in zip(
             self.reassemblers, state["reassemblers"]
         ):
@@ -351,22 +347,14 @@ class EjectionPort(Component, Snapshottable):
         hists[0].add(latency)
         hists[1].add(latency)
 
-    def is_idle(self) -> bool:
-        # Anything buffered — a committed flit or a parked reorder-buffer
-        # packet — keeps the port hot: a delivery-queue pop can make a
-        # held tail (or parked packet) releasable in the same cycle it
-        # happens, which a pop-wake would only catch one cycle late.
-        return not any(self.flit_queues) and not self._rob_count
-
-    _next_event_known = True
-
     def next_event_cycle(self, now: int):
         """Dormant only while nothing is buffered: arrivals are
         wake-registered (flit-queue pushes).  A port holding a tail flit
-        blocked on its full delivery queue must stay *hot* rather than
-        waiting for the delivery pop's wake — the pop frees queue space
-        in the same cycle it happens, and the strict kernel lets a
-        later-ticked port deliver that same cycle."""
+        (or a parked reorder-buffer packet) blocked on its full delivery
+        queue must stay *hot* rather than waiting for the delivery pop's
+        wake — the pop frees queue space in the same cycle it happens,
+        and the strict kernel lets a later-ticked port deliver that same
+        cycle."""
         if self._rob_count:
             return now
         for queue in self.flit_queues:

@@ -85,6 +85,15 @@ VcKey = Tuple[str, int]
 class Router(Component, Snapshottable):
     """One switch.  Wiring is done by :class:`~repro.transport.network.Network`."""
 
+    #: Body-flit streaming fast path: once a head holds its output VC and
+    #: an output is uncontested, later flits bypass candidate
+    #: construction and the arbiter call (the grant is still recorded —
+    #: see Arbiter.note_sole_grant), and a tick with one busy input takes
+    #: the solo branch (module docstring).  Tests assign False on an
+    #: instance to run the reference arbitration for every flit and pin
+    #: that both produce the same flit interleaving, cycle for cycle.
+    stream_fast_path = True
+
     def __init__(
         self,
         name: str,
@@ -97,7 +106,6 @@ class Router(Component, Snapshottable):
         vcs: int = 1,
         vc_policy: Optional[VcPolicy] = None,
         adaptive_table: Optional[AdaptiveRoutingTable] = None,
-        stream_fast_path: bool = True,
     ) -> None:
         super().__init__(name)
         if vcs < 1:
@@ -110,14 +118,6 @@ class Router(Component, Snapshottable):
         self.lock_support = lock_support
         self.vcs = vcs
         self.vc_policy = vc_policy if vc_policy is not None else VcPolicy()
-        # Body-flit streaming fast path: once a head holds its output VC
-        # and an output is uncontested, later flits bypass candidate
-        # construction and the arbiter call (the grant is still recorded
-        # — see Arbiter.note_sole_grant), and a tick with one busy input
-        # takes the solo branch (module docstring).  Disable to run the
-        # reference arbitration for every flit; tests pin that both
-        # produce the same flit interleaving, cycle for cycle.
-        self.stream_fast_path = stream_fast_path
         # Minimal-adaptive mode: route choice becomes a per-cycle
         # multi-candidate allocation decision (see _allocate_adaptive);
         # ``table`` then holds the escape (deterministic) next hops.
@@ -483,8 +483,9 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # the cycle
     # ------------------------------------------------------------------ #
-    def is_idle(self) -> bool:
-        """Nothing buffered at any input VC: tick is provably a no-op.
+    def next_event_cycle(self, now: int):
+        """Dormant with nothing buffered at any input VC: tick is
+        provably a no-op.
 
         Ages are already 0 for empty inputs (they reset the tick the
         queue empties), owned outputs cannot progress without flits, and
@@ -493,13 +494,13 @@ class Router(Component, Snapshottable):
         """
         for _key, queue in self._sorted_inputs:
             if queue._committed:
-                return False
-        return True
+                return now
+        return None
 
     def tick(self, cycle: int) -> None:
         # Single busy scan shared by both switch flavours: collects the
         # input VCs holding flits (quiescent routers return on the empty
-        # list — see is_idle for why that is exact).
+        # list — see next_event_cycle for why that is exact).
         busy: List[tuple] = [
             item for item in self._sorted_inputs if item[1]._committed
         ]

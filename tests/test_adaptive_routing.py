@@ -350,7 +350,7 @@ class TestResequencing:
         assert eport.reorder_occupancy == 0
         assert eport.reorder_high_watermark == 2
         sim.run(10)
-        assert eport.is_idle()
+        assert eport.next_event_cycle(sim.cycle) is None
 
     def test_deterministic_planes_have_no_sequence(self):
         sim = Simulator()

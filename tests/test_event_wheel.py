@@ -1,7 +1,7 @@
 """Event-wheel kernel: next-event cycle skipping, parking and wakes.
 
-The time-skipping half of the activity contract
-(:meth:`Component.next_event_cycle`) is only legal if it is invisible:
+The activity contract (:meth:`Component.next_event_cycle`) is only
+legal if it is invisible:
 every observable — what components do, when queue items move, every stat
 — must be byte-identical to the strict tick-everything kernel.  These
 tests pin the kernel mechanics (skip targets, timing-wheel parking,
@@ -32,17 +32,12 @@ from test_kernel_determinism import (
 class PulseSource(Component):
     """Declares its next event precisely: pushes once at ``fire_at``."""
 
-    _next_event_known = True
-
     def __init__(self, name, queue, fire_at):
         super().__init__(name)
         self.queue = queue
         self.fire_at = fire_at
         self.fired = False
         self.tick_cycles = []
-
-    def is_idle(self):
-        return self.fired
 
     def next_event_cycle(self, now):
         if self.fired:
@@ -65,8 +60,8 @@ class RecordingConsumer(Component):
         queue.wake_on_push(self)
         self.received = []
 
-    def is_idle(self):
-        return not self.queue
+    def next_event_cycle(self, now):
+        return now if self.queue else None
 
     def tick(self, cycle):
         if self.queue:
@@ -74,7 +69,7 @@ class RecordingConsumer(Component):
 
 
 class GatedTicker(Component):
-    """Plain component (no event protocol) on a slow clock domain."""
+    """Plain component (default contract: every edge of its clock)."""
 
     def __init__(self, name):
         super().__init__(name)
@@ -127,16 +122,16 @@ class TestCycleSkipping:
 
     def test_unknown_component_disables_skipping(self):
         sim = Simulator()
-        t = sim.add(GatedTicker("t"))  # no next-event protocol, divisor 1
+        t = sim.add(GatedTicker("t"))  # default contract, divisor 1
         sim.run(40)
         assert t.ticks == list(range(40))
         assert sim.cycles_skipped == 0
 
     def test_gated_component_skips_to_its_edges(self):
-        """A component with no event protocol but a slow clock domain
-        still enables skipping: its next possible action is its next
-        clock edge, and ticks land exactly on the edges — identical to
-        the strict kernel's domain gating."""
+        """A default-contract component on a slow clock domain still
+        enables skipping: its next possible action is its next clock
+        edge, and ticks land exactly on the edges — identical to the
+        strict kernel's domain gating."""
         edges = None
         for strict in (True, False):
             sim = Simulator(strict=strict)
@@ -148,6 +143,20 @@ class TestCycleSkipping:
             assert t.ticks == edges
         assert edges == [2, 7, 12, 17, 22, 27]
         assert sim.cycles_skipped > 0  # the non-edge cycles were skipped
+
+        # A divisor of at least PARK_HORIZON beside a hot component (no
+        # whole-kernel skip): the retire sweep parks the default
+        # contract's ``now``, aligned to the next edge, on the wheel.
+        for strict in (True, False):
+            sim = Simulator(strict=strict)
+            t = sim.add(GatedTicker("t"))
+            t.set_clock_domain(ClockDomain("slow", divisor=16, phase=3))
+            hot = sim.add(GatedTicker("hot"))
+            sim.run(70)
+            assert t.ticks == [3, 19, 35, 51, 67]
+            assert hot.ticks == list(range(70))
+        assert sim.cycles_skipped == 0
+        assert sim.wheel_events > 0  # it parked between edges
 
 
 class TestTimingWheelParking:
@@ -178,8 +187,10 @@ class TestTimingWheelParking:
                 self.trigger = trigger
                 trigger.wake_on_push(self)
 
-            def is_idle(self):
-                return self.fired and not self.trigger
+            def next_event_cycle(self, now):
+                if self.trigger:
+                    return now
+                return super().next_event_cycle(now)
 
             def tick(self, cycle):
                 self.tick_cycles.append(cycle)

@@ -386,7 +386,7 @@ class TestWatchdogParking:
         sim.run(2 * injector.budget + 8)
         # drained + no heal pending -> parked, idle, wheel-skippable
         assert injector._parked and injector._deadline is None
-        assert injector.is_idle()
+        assert injector.next_event_cycle(sim.cycle) is None
         skipped = sim.cycles_skipped
         sim.run(5000)
         assert sim.cycles_skipped - skipped >= 4000
@@ -409,7 +409,7 @@ class TestWatchdogParking:
         net = self._net(sim, faults)
         sim.run(200)
         injector = net.fault_injector
-        assert injector._parked and injector.is_idle()
+        assert injector._parked and injector.next_event_cycle(sim.cycle) is None
         net.inject(0, request(2, 0, txn_id=7))
         with pytest.raises(FabricPartitionError):
             sim.run(4 * injector.budget)

@@ -1,10 +1,11 @@
 """Activity-driven kernel vs brute-force reference: byte-identical runs.
 
-The activity scheduler (wake/is_idle, dirty-queue commits, router early
-exits) is only legal if it is an *optimisation*: every seeded workload
-must produce exactly the same per-component stats, queue counters and
-trace sequence as ``Simulator(strict=True)``, which ticks every component
-and commits every queue each cycle.  These tests pin that contract.
+The activity scheduler (wake/next_event_cycle, dirty-queue commits,
+router early exits) is only legal if it is an *optimisation*: every
+seeded workload must produce exactly the same per-component stats, queue
+counters and trace sequence as ``Simulator(strict=True)``, which ticks
+every component and commits every queue each cycle.  These tests pin
+that contract.
 """
 
 import pytest

@@ -1,9 +1,8 @@
-"""Physical-layer tests: links, clock domains, CDC FIFOs."""
+"""Physical-layer tests: links, clock domains, link CDC."""
 
 import pytest
 
-from repro.phys.cdc import CdcFifo
-from repro.phys.clocking import ClockDomain, ClockedRegion, make_clock_domain
+from repro.phys.clocking import ClockDomain, make_clock_domain
 from repro.phys.link import LinkSpec, PhysicalLink, phits_per_flit
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -126,7 +125,7 @@ class TestSerialization:
         link = sim.add(PhysicalLink("link", up, down, flit_bits=72,
                                     phit_bits=36))
         sim.run(32)  # several retire sweeps with nothing to do
-        assert link.is_idle()
+        assert link.next_event_cycle(sim.cycle) is None
         assert sim.active_count == 0
         up.push(flit())
         sim.run_until(lambda: bool(down), max_cycles=64)
@@ -227,174 +226,6 @@ class TestClockDomains:
             ClockDomain("x", divisor=0)
         with pytest.raises(ValueError):
             ClockDomain("x", divisor=2, phase=2)
-
-    def test_clocked_region_ticks_at_ratio(self):
-        class Probe(Component):
-            def __init__(self):
-                super().__init__("probe")
-                self.local_cycles = []
-            def tick(self, cycle):
-                self.local_cycles.append(cycle)
-
-        sim = Simulator()
-        region = ClockedRegion("slow", ClockDomain("slow", divisor=4))
-        probe = region.add(Probe())
-        sim.add(region)
-        sim.run(12)
-        assert len(probe.local_cycles) == 3
-
-
-class TestCdcFifo:
-    def _fifo(self, prod_div=1, cons_div=1, stages=2, capacity=4):
-        sim = Simulator()
-        fifo = sim.add(
-            CdcFifo(
-                "cdc",
-                ClockDomain("p", prod_div),
-                ClockDomain("c", cons_div),
-                capacity=capacity,
-                sync_stages=stages,
-            )
-        )
-        return sim, fifo
-
-    def test_sync_latency_in_consumer_edges(self):
-        sim, fifo = self._fifo(stages=2)
-        fifo.push("x")
-        sim.run(1)
-        assert not fifo.can_pop()
-        sim.run(1)
-        assert fifo.can_pop()
-        assert fifo.pop() == "x"
-
-    def test_slow_consumer_clock_stretches_latency(self):
-        sim, fifo = self._fifo(cons_div=4, stages=2)
-        fifo.push("x")
-        sim.run(4)
-        assert not fifo.can_pop()
-        sim.run(4)
-        assert fifo.can_pop()
-
-    def test_order_preserved(self):
-        sim, fifo = self._fifo()
-        fifo.push(1)
-        fifo.push(2)
-        sim.run(3)
-        assert fifo.pop() == 1
-        assert fifo.pop() == 2
-
-    def test_capacity_includes_crossing(self):
-        sim, fifo = self._fifo(capacity=2)
-        fifo.push(1)
-        fifo.push(2)
-        assert not fifo.can_push()
-        with pytest.raises(OverflowError):
-            fifo.push(3)
-
-    def test_pop_empty_raises(self):
-        __, fifo = self._fifo()
-        with pytest.raises(IndexError):
-            fifo.pop()
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            CdcFifo("x", ClockDomain("a"), ClockDomain("b"), capacity=0)
-        with pytest.raises(ValueError):
-            CdcFifo("x", ClockDomain("a"), ClockDomain("b"), sync_stages=0)
-
-    def test_wake_protocol(self):
-        """The FIFO retires when nothing is crossing, self-wakes on push,
-        and wakes registered consumers when items mature."""
-        sim, fifo = self._fifo(stages=2)
-
-        class Consumer(Component):
-            def __init__(self):
-                super().__init__("consumer")
-                self.got = []
-            def is_idle(self):
-                return not fifo.can_pop()
-            def tick(self, cycle):
-                while fifo.can_pop():
-                    self.got.append(fifo.pop())
-
-        consumer = sim.add(Consumer())
-        fifo.wake_on_push(consumer)
-        sim.run(32)  # both idle and retired
-        assert fifo.is_idle() and sim.active_count == 0
-        fifo.push("a")
-        assert not fifo.is_idle()
-        sim.run(16)
-        assert consumer.got == ["a"]
-        assert sim.active_count == 0  # everything re-retired
-
-    def test_standalone_manual_tick_still_delivers(self):
-        """A FIFO ticked by hand (no Simulator) publishes matured items
-        immediately — the documented standalone contract."""
-        fifo = CdcFifo("solo", ClockDomain("p"), ClockDomain("c"),
-                       sync_stages=2)
-        fifo.push("a")
-        for cycle in range(4):
-            fifo.tick(cycle)
-        assert fifo.can_pop() and fifo.pop() == "a"
-        assert fifo.in_flight == 0
-
-    def test_maturation_commits_like_a_queue(self):
-        """Visibility flips at commit time, never mid-cycle: results are
-        identical under both kernels and independent of whether the
-        consumer registered before or after the FIFO."""
-        def run(strict, consumer_first):
-            sim = Simulator(strict=strict)
-            fifo = CdcFifo("cdc", ClockDomain("p"), ClockDomain("c"),
-                           sync_stages=2)
-
-            class Consumer(Component):
-                def __init__(self):
-                    super().__init__("consumer")
-                    self.got = []
-                def is_idle(self):
-                    return not fifo.can_pop()
-                def tick(self, cycle):
-                    while fifo.can_pop():
-                        self.got.append((cycle, fifo.pop()))
-
-            consumer = Consumer()
-            for c in ((consumer, fifo) if consumer_first else (fifo, consumer)):
-                sim.add(c)
-            fifo.wake_on_push(consumer)
-            sim.run(10)
-            fifo.push("x")
-            sim.run(10)
-            return consumer.got
-
-        outcomes = {
-            (strict, first): tuple(run(strict, first))
-            for strict in (False, True)
-            for first in (False, True)
-        }
-        assert len(set(outcomes.values())) == 1, outcomes
-
-    def test_wake_on_pop(self):
-        sim, fifo = self._fifo(capacity=1)
-
-        class Producer(Component):
-            def __init__(self):
-                super().__init__("producer")
-                self.sent = 0
-            def is_idle(self):
-                return self.sent >= 2 or not fifo.can_push()
-            def tick(self, cycle):
-                if self.sent < 2 and fifo.can_push():
-                    fifo.push(self.sent)
-                    self.sent += 1
-
-        producer = sim.add(Producer())
-        fifo.wake_on_pop(producer)
-        sim.run(12)
-        assert fifo.can_pop()
-        assert producer.sent == 1  # capacity 1: second push blocked
-        assert fifo.pop() == 0    # frees space and wakes the producer
-        sim.run(12)
-        assert producer.sent == 2
 
 
 class TestMakeClockDomain:

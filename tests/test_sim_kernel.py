@@ -133,7 +133,7 @@ def test_component_cannot_rebind():
 
 
 class SleepyConsumer(Component):
-    """Idle-protocol consumer: sleeps whenever its queue is empty."""
+    """Dormant whenever its queue is empty; a push wakes it."""
 
     def __init__(self, name, queue):
         super().__init__(name)
@@ -142,8 +142,8 @@ class SleepyConsumer(Component):
         self.ticks = []
         self.received = []
 
-    def is_idle(self):
-        return not self.queue
+    def next_event_cycle(self, now):
+        return now if self.queue else None
 
     def tick(self, cycle):
         self.ticks.append(cycle)

@@ -29,12 +29,13 @@ from repro.sweep.fork import run_cold
 _fresh_global_ids = tkd._fresh_global_ids
 
 
-def _roundtrip(build, total, at, strict=False, probe=None):
+def _roundtrip(build, total, at, strict=False, probe=None, same_soc=False):
     """Uninterrupted run vs checkpoint-at-``at`` + restore + continue.
 
     ``probe(soc)`` returns a tuple of state the cut is meant to catch
     mid-flight: every element must be truthy on the donor at the cut,
-    and the restored SoC must read the same.
+    and the restored SoC must read the same.  ``same_soc`` restores into
+    the donor itself (after it ran on) instead of a congruent rebuild.
     """
     soc = build(strict=strict)
     soc.run(total)
@@ -47,7 +48,7 @@ def _roundtrip(build, total, at, strict=False, probe=None):
     at_cut = probe(donor) if probe is not None else None
     donor.run(97)  # mutate the donor afterwards: the checkpoint is detached
 
-    resumed = build(strict=strict)
+    resumed = donor if same_soc else build(strict=strict)
     checkpoint.restore_into(resumed)
     assert resumed.sim.cycle == at
     if probe is not None:
@@ -99,15 +100,20 @@ def test_parked_masters_and_returning_credits_roundtrip():
     _roundtrip(tkd.build_vc_torus_soc, 1000, 500, probe=probe)
 
 
+def test_same_soc_restore_drops_stats_created_after_the_cut():
+    """Cycle 40 of the mixed SoC, restored into the donor after it ran
+    on to 137: the per-pair flow histograms first created in between
+    must go (and the ejection ports' handle caches with them), or their
+    post-cut samples are counted twice."""
+    _roundtrip(tkd.build_mixed_soc, 400, 40, same_soc=True)
+
+
 def test_refusal_memo_is_dropped_on_restore_never_captured():
     """Cycle 1500 of the saturated mixed SoC: ``io_bvci``'s NIU holds a
     memoised admit refusal and masters sit limit-blocked (their ticks
     short-circuit).  The memo is a pure cache — absent from the
     snapshot, cleared by restore — so a rebuilt SoC *and* the donor
-    itself, restored after running on, both continue byte-identically.
-    (By 1500 every per-pair flow histogram exists, so the same-SoC
-    restore is exact: ``StatsRegistry.restore`` cannot discard a stat
-    first created after the cut.)"""
+    itself, restored after running on, both continue byte-identically."""
     build = functools.partial(tkd.build_saturated_mixed_soc, strict=False)
     total, at = 2000, 1500
     soc = build()
@@ -158,10 +164,11 @@ def test_parked_wheel_roundtrip():
 # serialization
 # --------------------------------------------------------------------- #
 def test_cached_flow_histogram_handles_survive_restore():
-    """Ejection ports cache their per-flow histogram handles; restoring
-    into the *same* SoC must keep them pointing at the registered objects
-    (StatsRegistry.restore mutates in place), so flow_stats() after
-    snapshot -> run -> restore -> deliver equals the uninterrupted run."""
+    """Ejection ports cache their per-flow histogram handles; after a
+    restore into the *same* SoC they must point at the registered objects
+    again (StatsRegistry.restore mutates in place, the cache re-resolves),
+    so flow_stats() after snapshot -> run -> restore -> deliver equals
+    the uninterrupted run."""
     reference = tkd.build_mixed_soc(strict=False)
     reference.run(1500)
     soc = tkd.build_mixed_soc(strict=False)

@@ -257,7 +257,7 @@ class TestVcPhysicalLink:
         credit = link.credits[0]
         assert credit.available == credit.capacity
         assert credit.total_consumed == credit.total_returned == 4
-        assert link.is_idle() and link.in_flight == 0
+        assert link.next_event_cycle(sim.cycle) is None and link.in_flight == 0
         assert link.flits_per_vc[0] == 4 and link.phits_carried == 8
 
     def test_serialized_vc_ring_delivers_and_drains(self):
@@ -308,7 +308,7 @@ class TestVcPhysicalLink:
         assert credit.available == credit.capacity
         assert credit.in_return_loop == 0
         assert credit.total_consumed == credit.total_returned == 6
-        assert link.is_idle()
+        assert link.next_event_cycle(sim.cycle) is None
 
 
 # ---------------------------------------------------------------------- #
