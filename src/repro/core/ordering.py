@@ -103,7 +103,7 @@ class OrderingChecker(Snapshottable):
     _sequence: int = 0
 
     # _open_by_stream buckets alias the _IssueRecord objects in _records;
-    # the checkpoint layer's shared-memo deepcopy preserves that aliasing.
+    # the checkpoint layer's one pickle of the whole tree preserves that.
     _snapshot_fields = (
         "violations",
         "_records",

@@ -88,7 +88,7 @@ class InitiatorNiu(Component, Snapshottable):
 
     # -- state capture ----------------------------------------------------
     # The peek-cache pair rides along so a restored NIU re-decodes (or
-    # not) exactly as the original would; the checkpoint deepcopy keeps
+    # not) exactly as the original would; the checkpoint's one pickle keeps
     # `_peek_key is <head record>` aliasing intact.  The refusal memo is
     # a pure cache: never captured, dropped on restore.
     _snapshot_fields = (

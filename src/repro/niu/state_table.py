@@ -59,8 +59,8 @@ class StateTable(Snapshottable):
     """
 
     # Entries hold live Transaction/StateEntry objects; the checkpoint
-    # layer's shared-memo deepcopy preserves aliasing with the NIU's
-    # peeked-entry references.
+    # layer's one pickle of the whole tree preserves aliasing with the
+    # NIU's peeked-entry references.
     _snapshot_fields = (
         "_entries",
         "_seq",

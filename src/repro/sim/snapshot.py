@@ -5,18 +5,16 @@ Every stateful class in the simulator implements one small contract:
 - ``snapshot() -> dict`` — a versioned envelope around the object's
   runtime-mutable state.  The returned tree may (and does) reference
   *live* objects — flits, transactions, packets — without copying them:
-  callers that want an independent checkpoint take **one**
-  ``copy.deepcopy`` of the whole tree (see
-  :class:`repro.sweep.Checkpoint`), so cross-object aliasing (the same
-  flit visible from a queue and from a router's allocation-failure
-  cache, say) is preserved through a single shared memo.  Snapshotting
-  per-object with per-object copies would silently break those
-  identities.
+  :class:`repro.sweep.Checkpoint` detaches it with **one**
+  ``pickle.dumps`` of the whole tree, whose single memo preserves
+  cross-object aliasing (the same flit visible from a queue and from a
+  router's allocation-failure cache, say) — so everything captured must
+  pickle.  Copying per object would silently break those identities.
 - ``restore(envelope)`` — install a state tree previously produced by
   :meth:`snapshot` on a *congruently built* object (same builder, same
   config).  Restore assumes exclusive ownership of the tree it is
-  handed; callers that want to reuse a checkpoint deepcopy it per
-  restore.
+  handed; a reusable checkpoint keeps the pickle and unpickles a fresh
+  tree per restore.
 
 Wiring — queue waiter registrations, routing tables, port maps, clock
 domains — is deliberately **not** part of a snapshot: it is a pure

@@ -156,9 +156,9 @@ class NocSoc:
         """Capture the full runtime state of the SoC as one state tree.
 
         The tree holds *live references* into the running system; hand it
-        to :class:`repro.sweep.checkpoint.Checkpoint` (one shared-memo
-        deepcopy) before stepping the simulator again.  Structure/wiring
-        is not captured — restore targets a congruently rebuilt SoC.
+        to :class:`repro.sweep.checkpoint.Checkpoint` (one pickle of the
+        tree, so all of it must pickle) before stepping the simulator again.
+        Wiring is not captured — restore targets a congruently rebuilt SoC.
         """
         from repro.core.transaction import _txn_ids
         from repro.transport.flit import _flit_packet_ids

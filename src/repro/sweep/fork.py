@@ -140,9 +140,10 @@ def fork(
     if len(set(names)) != len(names):
         raise ValueError(f"override names must be unique, got {names}")
     fork_cycle = checkpoint.cycle
+    ckpt_bytes = checkpoint.to_bytes()  # once per sweep, not per override
     tasks = [
         (
-            checkpoint.to_bytes() if override.build is None else b"",
+            ckpt_bytes if override.build is None else b"",
             builder,
             override,
             cycles,

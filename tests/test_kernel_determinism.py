@@ -87,7 +87,7 @@ def build_mixed_soc(strict):
     return builder.build()
 
 
-def build_saturated_mixed_soc(strict, rate=0.95):
+def build_saturated_mixed_soc(strict, rate=0.95, **fabric):
     """The e2e ``mixed_saturated`` SoC (paper Fig 2: AHB, AXI, OCP, BVCI
     and proprietary masters, two memories), every source open loop at
     ``rate``: NIUs refuse on tag policy and masters sit at their own
@@ -102,7 +102,7 @@ def build_saturated_mixed_soc(strict, rate=0.95):
             pairs=ranges, **extra,
         )
 
-    builder = SocBuilder(strict_kernel=strict)
+    builder = SocBuilder(strict_kernel=strict, **fabric)
     builder.add_initiator(InitiatorSpec("cpu_ahb", "AHB", source(1)))
     builder.add_initiator(
         InitiatorSpec(

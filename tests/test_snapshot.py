@@ -10,20 +10,27 @@ and pin the fork sweep's warm == cold equivalence on top.
 """
 
 import functools
+import pickle
+import struct
 
 import pytest
 
+import repro.sweep.checkpoint as checkpoint_module
 import test_kernel_determinism as tkd
 from repro.ip.traffic import PoissonTraffic, TrafficSeedError
+from repro.sim.component import Component
 from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.snapshot import (
     SerialCounter,
+    SnapshotError,
     SnapshotMismatchError,
     SnapshotVersionError,
+    Snapshottable,
 )
 from repro.soc import FaultSchedule
 from repro.sweep import Checkpoint, CheckpointFormatError, Override, fork
 from repro.sweep.fork import run_cold
+from repro.transport import topology as topo
 
 # Reuse the determinism suite's autouse id-counter isolation.
 _fresh_global_ids = tkd._fresh_global_ids
@@ -98,6 +105,38 @@ def test_parked_masters_and_returning_credits_roundtrip():
         return parked, returning, sum(returning)
 
     _roundtrip(tkd.build_vc_torus_soc, 1000, 500, probe=probe)
+
+
+def test_aliases_inside_the_tree_survive_the_pickle():
+    """Cycle 626 of the saturated mixed SoC on an adaptive torus: an
+    NIU's ``_peek_key`` *is* its socket's head record and a router's
+    cached ``_alloc_fail`` flit *is* its input queue's front flit.  One
+    pickle of the whole tree (one memo) keeps each pair one object."""
+
+    def probe(soc):
+        peeked = sorted(
+            name for name, niu in soc.initiator_nius.items()
+            if any(
+                queue._committed and queue._committed[0] is niu._peek_key
+                for queue in niu._native_req_queues
+            )
+        )
+        blocked = sorted(
+            (router.name, ivc)
+            for plane in soc.fabric._planes
+            for router in plane.routers.values()
+            for ivc, cached in router._alloc_fail.items()
+            if cached is not None
+            and router.inputs[ivc]._committed
+            and cached[1] is router.inputs[ivc]._committed[0]
+        )
+        return peeked, blocked
+
+    build = functools.partial(
+        tkd.build_saturated_mixed_soc,
+        topology=topo.torus(3, 3, endpoints=7), routing="adaptive", vcs=3,
+    )
+    _roundtrip(build, 900, 626, probe=probe)
 
 
 def test_same_soc_restore_drops_stats_created_after_the_cut():
@@ -210,10 +249,74 @@ def test_checkpoint_bad_bytes():
         Checkpoint.from_bytes(b"not a checkpoint at all")
     soc = tkd.build_mixed_soc(strict=False)
     soc.run(10)
-    data = bytearray(Checkpoint.capture(soc).to_bytes())
+    good = Checkpoint.capture(soc).to_bytes()
+    data = bytearray(good)
     data[len(b"repro-ckpt")] = 0xFF  # corrupt the format version byte
     with pytest.raises(CheckpointFormatError):
         Checkpoint.from_bytes(bytes(data))
+
+    # v2 wire format: magic, version byte, cycle, payload length, payload.
+    header = len(b"repro-ckpt") + 1 + 8 + 8
+    v1_blob = b"repro-ckpt\x01" + pickle.dumps(soc.snapshot())
+    for rejected_unparsed in (
+        b"repro-ckpt",             # magic only
+        b"repro-ckpt\x01",         # ... and a version byte
+        b"repro-ckpt\x01garbage",  # ... and something that is no pickle
+        v1_blob,                   # a whole checkpoint of the v1 format
+        good[:header - 1],         # header cut short
+        good[:-1],                 # payload shorter than the header says
+        good + b"\x00",            # ... and longer
+    ):
+        with pytest.raises(CheckpointFormatError):
+            Checkpoint.from_bytes(rejected_unparsed)
+
+    # A payload of the right length is only looked at by a restore.
+    not_a_tree = pickle.dumps(["not", "a", "state", "tree"])
+    for rejected_at_restore in (
+        good[:header] + bytes(len(good) - header),
+        good[:header - 8] + struct.pack(">Q", len(not_a_tree)) + not_a_tree,
+    ):
+        parsed = Checkpoint.from_bytes(rejected_at_restore)
+        assert parsed.cycle == 10
+        with pytest.raises(CheckpointFormatError):
+            parsed.restore_into(soc)
+
+
+class _CountingPickle:
+    """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with the two
+    calls that cost a pass over the state tree counted."""
+
+    def __init__(self):
+        self.calls = {"dumps": 0, "loads": 0}
+
+    def dumps(self, *args):
+        self.calls["dumps"] += 1
+        return pickle.dumps(*args)
+
+    def loads(self, data):
+        self.calls["loads"] += 1
+        return pickle.loads(data)
+
+    def __getattr__(self, name):
+        return getattr(pickle, name)
+
+
+def test_copy_budget_of_a_serial_sweep(monkeypatch):
+    """One pass over the tree at capture, one per continuation, none to
+    parse or to serialise again: counts repeat exactly, so this is what
+    keeps a per-override copy from creeping back."""
+    counting = _CountingPickle()
+    monkeypatch.setattr(checkpoint_module, "pickle", counting)
+    donor = _mixed_builder()
+    donor.run(200)
+    checkpoint = Checkpoint.capture(donor)
+    fork(checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=50,
+         processes=0)
+    assert counting.calls == {"dumps": 1, "loads": 4}
+    blob = checkpoint.to_bytes()
+    assert checkpoint.to_bytes() == blob
+    assert Checkpoint.from_bytes(blob).cycle == 200
+    assert counting.calls == {"dumps": 1, "loads": 4}
 
 
 # --------------------------------------------------------------------- #
@@ -245,6 +348,27 @@ def test_restore_into_incongruent_build():
     other = tkd.build_lock_soc(strict=False)
     with pytest.raises(SnapshotMismatchError):
         checkpoint.restore_into(other)
+
+
+class _CallbackProbe(Component, Snapshottable):
+    """A user component that lists a callable among its captured fields."""
+
+    _snapshot_fields = ("on_tick",)
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.on_tick = lambda cycle: None
+
+    def tick(self, cycle):
+        self.on_tick(cycle)
+
+
+def test_capture_names_the_component_whose_state_does_not_pickle():
+    soc = tkd.build_mixed_soc(strict=False)
+    soc.sim.add(_CallbackProbe("user.probe"))
+    soc.run(10)
+    with pytest.raises(SnapshotError, match="component 'user.probe'"):
+        Checkpoint.capture(soc)
 
 
 def test_traffic_requires_explicit_seed():
@@ -297,6 +421,36 @@ def test_fork_matches_cold_runs():
         assert entry["mode"] == "fork"
         cold = run_cold(_mixed_builder, override, 1500, 2500)
         assert entry["metrics"] == cold, f"{override.name}: fork != cold"
+
+    # Independence without a defensive copy.  The fabric has drained by
+    # cycle 1500, so cut again at 40 (flits buffered in routers): one
+    # checkpoint restored into two SoCs, a restored flit scribbled on in
+    # the first — the second, and a third restore made afterwards, still
+    # read what was captured.
+    def router_flits(soc):
+        return [
+            flit
+            for plane in soc.fabric._planes
+            for router in plane.routers.values()
+            for queue in router.inputs.values()
+            for flit in queue._committed
+        ]
+
+    def read(soc):
+        return [(f.packet_id, f.seq, f.dest, f.vc) for f in router_flits(soc)]
+
+    donor = _mixed_builder()
+    donor.run(40)
+    captured = read(donor)
+    assert captured
+    checkpoint = Checkpoint.capture(donor)
+    first, second, third = (_mixed_builder() for _ in range(3))
+    checkpoint.restore_into(first)
+    checkpoint.restore_into(second)
+    router_flits(first)[0].dest = -1
+    checkpoint.restore_into(third)
+    assert read(first) != captured
+    assert read(second) == read(third) == captured
 
 
 def test_fork_pool_matches_serial():
