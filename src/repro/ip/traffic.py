@@ -102,10 +102,9 @@ class TrafficSpec:
     their own validation through it, so a spec and its equivalent direct
     construction accept and reject exactly the same inputs.
 
-    ``master`` may be left ``None`` when the spec is resolved by
-    ``SocBuilder(traffic=[...])``/``workload=`` against a named
-    initiator; :meth:`build` then stamps the initiator's name on the
-    source.
+    ``master`` may be left ``None`` when the spec sits on an
+    ``InitiatorSpec(traffic=...)``; :meth:`build` then stamps the
+    initiator's name on the source.
 
     Kind map (knobs beyond the shared ones):
 
@@ -221,7 +220,7 @@ class TrafficSpec:
         if name is None:
             raise ValueError(
                 f"TrafficSpec(kind={self.kind!r}) needs a master name — "
-                f"set master=... or resolve it via SocBuilder(traffic=[...])"
+                f"set master=... or put the spec on InitiatorSpec(traffic=...)"
             )
         if self.kind == "poisson":
             beats = self.burst_beats
@@ -360,7 +359,7 @@ class PoissonTraffic(Snapshottable):
     ) -> None:
         # All argument checking (rate window, range list, seed) lives in
         # the declarative spec — construct-and-validate one so direct
-        # construction and SocBuilder(traffic=[...]) reject identically.
+        # construction and a TrafficSpec reject identically.
         TrafficSpec(
             kind="poisson",
             master=name,

@@ -62,23 +62,12 @@ class LinkSpec:
     capacity:
         Staging-FIFO depth on each side of a non-transparent link;
         ``None`` inherits the network's buffer capacity.
-    fault_windows:
-        Deterministic down-windows ``(down_cycle, up_cycle)`` applied to
-        every inter-router link built from this spec (the spec describes
-        a link *class*, exactly like its width/latency fields).  Windows
-        must be non-negative, non-empty and strictly ascending without
-        overlap; the network folds them into the plane's
-        :class:`~repro.transport.faults.FaultSchedule` at build time,
-        where they get the same named-error validation as explicit
-        schedules.  Only inter-router link specs may carry windows —
-        endpoint (NIU) links are not faultable.
     """
 
     phit_bits: Optional[int] = None
     pipeline_latency: int = 0
     sync_stages: int = 2
     capacity: Optional[int] = None
-    fault_windows: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.phit_bits is not None and self.phit_bits < 1:
@@ -89,26 +78,6 @@ class LinkSpec:
             raise ValueError("LinkSpec: sync_stages must be >= 1")
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("LinkSpec: capacity must be >= 1 or None")
-        windows = tuple(tuple(w) for w in self.fault_windows)
-        object.__setattr__(self, "fault_windows", windows)
-        previous_up = -1
-        for window in windows:
-            if len(window) != 2:
-                raise ValueError(
-                    f"LinkSpec: fault window must be (down, up), got {window!r}"
-                )
-            down, up = window
-            if down < 0 or up <= down:
-                raise ValueError(
-                    f"LinkSpec: fault window {window!r} must satisfy "
-                    f"0 <= down < up"
-                )
-            if down <= previous_up:
-                raise ValueError(
-                    "LinkSpec: fault_windows must be strictly ascending "
-                    f"and non-overlapping, got {windows!r}"
-                )
-            previous_up = up
 
     def transparent(self, crosses_domains: bool = False) -> bool:
         """True when this spec can be wired as a raw shared queue."""

@@ -169,8 +169,5 @@ class Component:
     def tick(self, cycle: int) -> None:
         """Advance the component by one cycle.  Default: do nothing."""
 
-    def finish(self) -> None:
-        """Hook invoked once when the simulation ends (for flushing stats)."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -169,7 +169,6 @@ class Simulator(Snapshottable):
         self._component_names: Dict[str, Component] = {}
         self._queues: List[SimQueue] = []
         self._queue_names: Dict[str, SimQueue] = {}
-        self._finished = False
         # Activity scheduler state: the run list holds this cycle's active
         # components in registration order; wakes accumulate between steps
         # and merge in at the top of the next one.
@@ -417,36 +416,24 @@ class Simulator(Snapshottable):
         self,
         predicate: Callable[[], bool],
         max_cycles: int = 1_000_000,
-        check_every: int = 1,
     ) -> int:
         """Run until ``predicate()`` is true.
 
-        The predicate is evaluated every ``check_every`` cycles, but the
-        simulation never advances more than ``max_cycles`` cycles past the
-        starting point — the final stretch is clamped so a coarse
-        ``check_every`` cannot overshoot the budget.  Raises
-        :class:`RunBudgetExceededError` if ``max_cycles`` elapse first —
-        the standard way benches and tests detect deadlock/livelock.
+        The predicate is evaluated every cycle and the simulation never
+        advances more than ``max_cycles`` cycles past the starting
+        point.  Raises :class:`RunBudgetExceededError` if ``max_cycles``
+        elapse first — the standard way benches and tests detect
+        deadlock/livelock.
         """
         start = self.cycle
         while not predicate():
-            elapsed = self.cycle - start
-            if elapsed >= max_cycles:
+            if self.cycle - start >= max_cycles:
                 raise RunBudgetExceededError(
                     f"run_until exceeded {max_cycles} cycles "
                     f"(started at {start}, now {self.cycle})"
                 )
-            for _ in range(min(check_every, max_cycles - elapsed)):
-                self.step()
+            self.step()
         return self.cycle
-
-    def finish(self) -> None:
-        """Invoke every component's :meth:`Component.finish` hook once."""
-        if self._finished:
-            return
-        self._finished = True
-        for component in self._components:
-            component.finish()
 
     # ------------------------------------------------------------------ #
     # state capture
@@ -477,7 +464,6 @@ class Simulator(Snapshottable):
         return {
             "cycle": self.cycle,
             "cycles_skipped": self.cycles_skipped,
-            "finished": self._finished,
             "quiet_step": self._quiet_step,
             "components": components,
             "queues": queues,
@@ -515,7 +501,6 @@ class Simulator(Snapshottable):
             )
         self.cycle = state["cycle"]
         self.cycles_skipped = state["cycles_skipped"]
-        self._finished = state["finished"]
         self._quiet_step = state["quiet_step"]
         scheduled: List[Component] = []
         for name, entry in saved_components.items():

@@ -235,9 +235,7 @@ class NocSoc:
             }}
 
         Each ``summary`` is :meth:`Histogram.summary` — count/mean/min/
-        p50/p95/p99/p999/max.  On a ``vc_separation`` fabric both
-        directions share one plane, so "request" and "response" return
-        the same merged histograms.
+        p50/p95/p99/p999/max.
         """
         out: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
         registry = self.sim.stats._histograms
@@ -303,19 +301,15 @@ class SocBuilder:
     - ``vc_policy`` — a :class:`~repro.transport.routing.VcPolicy`
       instance or name (``"keep"``, ``"priority"``, ``"dateline"``,
       ``"escape"``); the dateline policy plus ``routing="dor"`` makes
-      ring/torus wormhole fabrics deadlock-free with 2 VCs;
-    - ``vc_separation`` — carry requests and responses on disjoint VC
-      classes of a *single* plane instead of two independent planes
-      (``vcs`` must be even).
+      ring/torus wormhole fabrics deadlock-free with 2 VCs.
 
     Adaptive routing (``routing="adaptive"``): every hop may forward on
     any output of the minimal set, chosen per cycle by downstream
     congestion, with the top two VCs reserved as the deterministic
     escape subnetwork (DOR + dateline) that keeps the fabric
     deadlock-free — see :class:`~repro.transport.routing.EscapeVcPolicy`.
-    ``adaptive_vcs=N`` sizes the adaptive class (total ``vcs`` becomes
-    ``N + 2``); alternatively set ``vcs`` directly (defaults to 3 — one
-    adaptive VC plus the escape pair — when neither is given).
+    ``vcs`` is the total, adaptive class plus the escape pair (left at
+    1 it defaults to 3: one adaptive VC plus the pair).
     """
 
     _LINK_CLASSES = ("router", "endpoint")
@@ -337,11 +331,7 @@ class SocBuilder:
         fabric_region: Optional[str] = None,
         vcs: int = 1,
         vc_policy=None,
-        vc_separation: bool = False,
-        adaptive_vcs: Optional[int] = None,
         faults=None,
-        traffic=None,
-        workload=None,
         shards=None,
     ) -> None:
         self.name = name
@@ -363,19 +353,10 @@ class SocBuilder:
         self.fabric_region = fabric_region
         self.vcs = vcs
         self.vc_policy = vc_policy
-        self.vc_separation = vc_separation
-        self.adaptive_vcs = adaptive_vcs
         # Deterministic fault schedule (PR 6): a
         # :class:`~repro.transport.faults.FaultSchedule` applied to every
         # plane of the fabric, validated at build time with named errors.
         self.faults = faults
-        # Declarative traffic (PR 9): traffic= is an iterable of
-        # TrafficSpec records (each naming its master=), workload= maps
-        # initiator name -> ready TrafficSource or TrafficSpec.  Both
-        # override/fill the per-spec traffic at build time, so initiators
-        # can be declared with traffic=None and wired by a scenario.
-        self.traffic = traffic
-        self.workload = workload
         # Sharded fabric (PR 10): shards=N partitions the topology into N
         # contiguous stripes (plan_shards), shards=ShardPlan(...) gives
         # the partition explicitly.  The build is then annotated with
@@ -400,41 +381,6 @@ class SocBuilder:
             raise ValueError(f"duplicate target {spec.name!r}")
         self.targets.append(spec)
         return self
-
-    # ------------------------------------------------------------------ #
-    def _resolve_traffic(self) -> Dict[str, object]:
-        """Merge the ``traffic=``/``workload=`` knobs into one validated
-        per-initiator source-override map."""
-        overrides: Dict[str, object] = {}
-        names = {spec.name for spec in self.initiators}
-
-        def assign(name: str, value, knob: str) -> None:
-            if name not in names:
-                raise ValueError(
-                    f"{knob}: no initiator named {name!r}; declared "
-                    f"initiators: {sorted(names)}"
-                )
-            if name in overrides:
-                raise ValueError(
-                    f"{knob}: initiator {name!r} was given traffic twice"
-                )
-            overrides[name] = value
-
-        for spec in self.traffic or []:
-            if not isinstance(spec, TrafficSpec):
-                raise ValueError(
-                    f"traffic=[...] entries must be TrafficSpec instances, "
-                    f"got {type(spec).__name__}"
-                )
-            if spec.master is None:
-                raise ValueError(
-                    "traffic=[...]: every TrafficSpec needs "
-                    "master=<initiator name>"
-                )
-            assign(spec.master, spec, "traffic")
-        for name, value in (self.workload or {}).items():
-            assign(name, value, "workload")
-        return overrides
 
     # ------------------------------------------------------------------ #
     def _default_topology(self, endpoints: int) -> Topology:
@@ -583,25 +529,10 @@ class SocBuilder:
             max_outstanding=max(8, max_outstanding),
         )
 
-        # VC-count resolution for adaptive fabrics: adaptive_vcs sizes the
-        # adaptive class on top of the escape pair; a bare
-        # routing="adaptive" defaults to the minimal 1 + 2 split.
+        # A bare routing="adaptive" defaults to the minimal split: one
+        # adaptive VC on top of the escape pair.
         vcs = self.vcs
-        if self.adaptive_vcs is not None:
-            if self.routing != "adaptive":
-                raise ValueError(
-                    f"adaptive_vcs={self.adaptive_vcs} requires "
-                    f"routing='adaptive', got routing={self.routing!r}"
-                )
-            if self.adaptive_vcs < 1:
-                raise ValueError("adaptive_vcs must be >= 1")
-            if vcs != 1:
-                raise ValueError(
-                    "give either vcs (total VC count) or adaptive_vcs "
-                    "(adaptive class size), not both"
-                )
-            vcs = self.adaptive_vcs + EscapeVcPolicy.escape_vcs
-        elif self.routing == "adaptive" and vcs == 1:
+        if self.routing == "adaptive" and vcs == 1:
             vcs = 1 + EscapeVcPolicy.escape_vcs
 
         fabric = Fabric(
@@ -625,7 +556,6 @@ class SocBuilder:
             endpoint_domains=endpoint_domains,
             vcs=vcs,
             vc_policy=self.vc_policy,
-            vc_separation=self.vc_separation,
             faults=self.faults,
             shard_plan=shard_plan,
             shard_ownership=shard_ownership,
@@ -639,24 +569,30 @@ class SocBuilder:
                 shard_plan.shard_of(topology.router_of(endpoint))
             )
 
-        traffic_overrides = self._resolve_traffic()
         masters: Dict[str, ProtocolMaster] = {}
         initiator_nius: Dict[str, InitiatorNiu] = {}
         for endpoint, spec in enumerate(self.initiators):
             master_cls = _MASTER_CLASSES[spec.protocol]
-            source = traffic_overrides.get(spec.name, spec.traffic)
+            source = spec.traffic
             if isinstance(source, TrafficSpec):
                 source = source.build(spec.name)
             if source is None:
                 raise ValueError(
                     f"initiator {spec.name!r} has no traffic source — give "
-                    f"InitiatorSpec(traffic=...), SocBuilder(traffic=[...])"
-                    f" or workload={{...}}"
+                    f"InitiatorSpec(traffic=...)"
+                )
+            taken_by = getattr(source, "_attached_master", None)
+            if taken_by is not None:
+                raise ValueError(
+                    f"initiator {spec.name!r}: its traffic source is already "
+                    f"attached to master {taken_by!r}; sources are stateful "
+                    f"— give a TrafficSpec or a fresh source per build"
                 )
             with owned_by_endpoint(endpoint):
                 master = master_cls(
                     spec.name, sim, source, **spec.protocol_kwargs
                 )
+                source._attached_master = master.name
                 domain = endpoint_domains.get(endpoint)
                 if domain is not None:
                     master.set_clock_domain(domain)

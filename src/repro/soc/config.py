@@ -58,14 +58,13 @@ KNOWN_PROTOCOLS = ("AHB", "AXI", "OCP", "PVCI", "BVCI", "AVCI", "PROPRIETARY")
 class InitiatorSpec:
     """One master IP + socket + NIU attachment.
 
-    ``traffic`` is any :class:`~repro.protocols.base.TrafficSource`, a
-    declarative :class:`~repro.ip.traffic.TrafficSpec` (built against
-    this initiator's name at build time), or ``None`` when the source is
-    supplied later through ``SocBuilder(traffic=[...])`` /
-    ``workload={...}`` — the builder raises at build time if it is still
-    unresolved.  ``protocol_kwargs`` feed the master model constructor
-    (e.g. OCP ``threads``, AXI ``id_count``); ``policy`` overrides the
-    NIU's default tag policy (benchmarks sweep this).
+    ``traffic`` is any :class:`~repro.protocols.base.TrafficSource`
+    (stateful: one build only) or a declarative
+    :class:`~repro.ip.traffic.TrafficSpec` (built fresh against this
+    initiator's name at every build); the builder raises at build time
+    if it is still ``None``.  ``protocol_kwargs`` feed the master model
+    constructor (e.g. OCP ``threads``, AXI ``id_count``); ``policy``
+    overrides the NIU's default tag policy (benchmarks sweep this).
 
     ``region`` names the clock domain (a key of the builder's
     ``clock_domains=`` mapping) that the master IP, its NIU and its

@@ -21,7 +21,7 @@ from repro.transport.faults import (
 )
 from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
 from repro.transport.flow_control import CreditCounter
-from repro.transport.network import BufferSizingError, Fabric, KindVcPolicy, Network
+from repro.transport.network import BufferSizingError, Fabric, Network
 from repro.transport.qos import AgeArbiter, Arbiter, PriorityArbiter, RoundRobinArbiter
 from repro.transport.router import Router
 from repro.transport.routing import (
@@ -55,7 +55,6 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "Flit",
-    "KindVcPolicy",
     "Network",
     "NoSurvivingPathError",
     "OverlappingFaultWindowError",

@@ -3,9 +3,8 @@
 A :class:`FaultSchedule` is a deterministic, cycle-stamped list of
 link-down/link-up and router-port-down/up events, validated against the
 topology at build time (named errors, see below) and attachable through
-``SocBuilder(faults=...)`` or per-link via
-:attr:`~repro.phys.link.LinkSpec.fault_windows`.  Faults are simulator
-state like everything else: the :class:`FaultInjector` is a regular
+``SocBuilder(faults=...)``.  Faults are simulator state like everything
+else: the :class:`FaultInjector` is a regular
 :class:`~repro.sim.component.Component` registered *before* the plane's
 routers, so fault edges apply at the exact scheduled cycle, before any
 router ticks, identically under the strict reference kernel and the
@@ -306,30 +305,6 @@ def _apply_event(
             down_ports.add(ev.target)
         else:
             down_ports.discard(ev.target)
-
-
-def expand_link_spec_windows(
-    topology: Topology, link_spec
-) -> List[FaultEvent]:
-    """Per-link :attr:`LinkSpec.fault_windows` as schedule events.
-
-    A window ``(down, up)`` on the inter-router link spec applies to
-    *every* inter-router link of the plane (the spec describes a link
-    class, exactly as its width/pipeline fields do).
-    """
-    windows = getattr(link_spec, "fault_windows", ())
-    if not windows:
-        return []
-    events: List[FaultEvent] = []
-    edges = sorted(
-        (tuple(sorted(edge, key=router_sort_key)) for edge in topology.graph.edges),
-        key=lambda e: (router_sort_key(e[0]), router_sort_key(e[1])),
-    )
-    for a, b in edges:
-        for down, up in windows:
-            events.append(FaultEvent(down, "link", (a, b), True))
-            events.append(FaultEvent(up, "link", (a, b), False))
-    return events
 
 
 # ---------------------------------------------------------------------- #

@@ -1,12 +1,9 @@
 """Network assembly: routers + links + injection/ejection ports.
 
 A :class:`Network` is one routing plane.  A :class:`Fabric` is what NIUs
-actually attach to: by default two independent planes — one for
-requests, one for responses — the standard construction that removes
-request/response protocol deadlock without virtual channels.  With
-``vc_separation=True`` the fabric instead builds **one** plane and puts
-requests and responses on disjoint virtual-channel classes — half the
-links for the same deadlock guarantee, the VC-era construction.
+actually attach to: two independent planes — one for requests, one for
+responses — the standard construction that removes request/response
+protocol deadlock without virtual channels.
 
 Every connection — inter-router and NIU↔router — is built through a
 :class:`~repro.phys.link.LinkSpec`.  The default spec (full width, no
@@ -34,7 +31,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.core.packet import NocPacket, PacketFormat, PacketKind
+from repro.core.packet import NocPacket, PacketFormat
 from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink, domains_cross
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -48,12 +45,7 @@ from repro.sim.shard import (
 )
 from repro.sim.snapshot import Snapshottable
 from repro.sim.stats import Histogram
-from repro.transport.faults import (
-    FaultConfigError,
-    FaultInjector,
-    FaultSchedule,
-    expand_link_spec_windows,
-)
+from repro.transport.faults import FaultInjector, FaultSchedule
 from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
 from repro.transport.qos import make_arbiter
 from repro.transport.router import Router
@@ -78,35 +70,6 @@ class BufferSizingError(ValueError):
     wedge silently mid-run) and at injection (a packet longer than the
     router input buffers admit under store-and-forward / cut-through).
     """
-
-
-class KindVcPolicy(VcPolicy):
-    """Request/response separation on disjoint VC classes.
-
-    Wraps an inner policy: requests ride VCs ``0 .. vcs/2 - 1``,
-    responses ``vcs/2 .. vcs - 1``, and the inner policy (dateline,
-    priority, …) operates inside each half.  Responses can therefore
-    never be blocked behind requests on any buffer, which removes
-    request/response protocol deadlock on a *single* plane.
-    """
-
-    name = "kind-split"
-
-    def __init__(self, inner: Optional[VcPolicy] = None) -> None:
-        self.inner = inner if inner is not None else VcPolicy()
-        self.min_vcs = 2 * self.inner.min_vcs
-
-    def injection_vc(self, packet, vcs: int) -> int:
-        half = vcs // 2
-        base = 0 if packet.kind is PacketKind.REQUEST else half
-        return base + self.inner.injection_vc(packet, half)
-
-    def output_vc(self, router, prev_router, next_router, in_vc, vcs):
-        half = vcs // 2
-        base = half if in_vc >= half else 0
-        return base + self.inner.output_vc(
-            router, prev_router, next_router, in_vc - base, half
-        )
 
 
 class InjectionPort(Component, Snapshottable):
@@ -214,10 +177,8 @@ class EjectionPort(Component, Snapshottable):
     """Reassembles flits arriving at an endpoint back into packets.
 
     One reassembler per VC (each VC carries whole packets, never
-    interleaved), one flit accepted per cycle round-robin over the VCs.
-    ``packet_queues`` is either a single queue or, on a plane with
-    request/response VC separation, a ``{PacketKind: queue}`` mapping —
-    the completed packet is delivered by its kind.
+    interleaved), one flit accepted per cycle round-robin over the VCs;
+    completed packets are delivered into ``packet_queue``.
 
     ``resequence=True`` (adaptive planes) interposes a *reorder buffer*
     between reassembly and delivery: adaptive route choice is per
@@ -244,7 +205,7 @@ class EjectionPort(Component, Snapshottable):
         name: str,
         endpoint: int,
         flit_queues: List[SimQueue],
-        packet_queues: Union[SimQueue, Dict[PacketKind, SimQueue]],
+        packet_queue: SimQueue,
         resequence: bool = False,
         flow_prefix: Optional[str] = None,
     ) -> None:
@@ -262,12 +223,7 @@ class EjectionPort(Component, Snapshottable):
         self._flow_hists: Dict[Tuple[int, int], Tuple[Histogram, Histogram]] = {}
         self.flit_queues = list(flit_queues)
         self.vcs = len(self.flit_queues)
-        if isinstance(packet_queues, SimQueue):
-            self._packet_queues = {kind: packet_queues for kind in PacketKind}
-            self.packet_queue: Optional[SimQueue] = packet_queues
-        else:
-            self._packet_queues = dict(packet_queues)
-            self.packet_queue = None
+        self.packet_queue = packet_queue
         self.reassemblers = [
             Reassembler(name if self.vcs == 1 else f"{name}.vc{vc}")
             for vc in range(self.vcs)
@@ -284,8 +240,7 @@ class EjectionPort(Component, Snapshottable):
         self.packets_resequenced = 0
         for queue in self.flit_queues:
             queue.wake_on_push(self)
-        for queue in self._packet_queues.values():
-            queue.wake_on_pop(self)
+        packet_queue.wake_on_pop(self)
 
     _snapshot_fields = (
         "_last_vc",
@@ -322,11 +277,6 @@ class EjectionPort(Component, Snapshottable):
     def reorder_occupancy(self) -> int:
         """Packets currently parked in the reorder buffer."""
         return self._rob_count
-
-    def _queue_for(self, vc: int, flit: Flit) -> SimQueue:
-        head = self.reassemblers[vc]._current if not flit.is_head else flit
-        assert head is not None and head.packet is not None
-        return self._packet_queues[head.packet.kind]
 
     def _record_flow(self, packet: NocPacket) -> None:
         """Injection-to-delivery latency into the per-flow histograms."""
@@ -366,9 +316,9 @@ class EjectionPort(Component, Snapshottable):
         if self._rob_count:
             self._flush_reorder()
         packet_queue = self.packet_queue
-        if self.vcs == 1 and packet_queue is not None and not self.resequence:
-            # Single-VC, single delivery queue, no resequencing: the
-            # historical ejection port, minus the rotation scaffolding.
+        if self.vcs == 1 and not self.resequence:
+            # Single-VC, no resequencing: the historical ejection port,
+            # minus the rotation scaffolding.
             queue = self.flit_queues[0]
             committed = queue._committed
             if not committed:
@@ -401,13 +351,12 @@ class EjectionPort(Component, Snapshottable):
                     self._stage_packet(packet)
                 self._last_vc = vc
                 return
-            out_queue = self._queue_for(vc, flit)
-            if flit.is_tail and not out_queue.can_push():
+            if flit.is_tail and not packet_queue.can_push():
                 continue
             queue.pop()
             packet = self.reassemblers[vc].accept(flit)
             if packet is not None:
-                out_queue.push(packet)
+                packet_queue.push(packet)
                 self.packets_ejected += 1
                 self._record_flow(packet)
             self._last_vc = vc
@@ -431,7 +380,7 @@ class EjectionPort(Component, Snapshottable):
         packet = head.packet
         src = packet.route_source
         if packet.fabric_seq == self._expected.get(src, 0):
-            return not self._packet_queues[packet.kind].can_push()
+            return not self.packet_queue.can_push()
         return False
 
     def _stage_packet(self, packet: NocPacket) -> None:
@@ -446,15 +395,13 @@ class EjectionPort(Component, Snapshottable):
 
     def _flush_reorder(self) -> None:
         """Release every in-order packet its delivery queue can take."""
+        out_queue = self.packet_queue
         for src in sorted(self._rob):
             pending = self._rob[src]
             expected = self._expected.get(src, 0)
             while True:
                 packet = pending.get(expected)
-                if packet is None:
-                    break
-                out_queue = self._packet_queues[packet.kind]
-                if not out_queue.can_push():
+                if packet is None or not out_queue.can_push():
                     break
                 out_queue.push(packet)
                 del pending[expected]
@@ -496,7 +443,6 @@ class Network(Snapshottable):
         endpoint_domains: Optional[Dict[int, object]] = None,
         vcs: int = 1,
         vc_policy=None,
-        split_ejection_by_kind: bool = False,
         faults: Optional[FaultSchedule] = None,
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
@@ -540,7 +486,6 @@ class Network(Snapshottable):
                 f"{name}: VC policy {self.vc_policy.name!r} needs at least "
                 f"{self.vc_policy.min_vcs} VCs, got vcs={vcs}"
             )
-        self.split_ejection_by_kind = split_ejection_by_kind
         self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
         self._link_feed_queues: List[SimQueue] = []
         self._validate_buffer_sizing()
@@ -568,45 +513,23 @@ class Network(Snapshottable):
         # a full heal (its recomputed tables are BFS-canonical, not DOR).
         self._adaptive_tables = adaptive_tables
 
-        # Fault schedule: the explicit SocBuilder/Fabric schedule merged
-        # with per-link down-windows declared on the inter-router link
-        # spec, validated here (named FaultConfigError subclasses).  The
-        # injector is registered *before* the routers so a fault epoch is
-        # visible to every router tick of its cycle, under both kernels.
-        if getattr(self.endpoint_link_spec, "fault_windows", ()):
-            raise FaultConfigError(
-                f"{name}: endpoint (NIU) links are not faultable — move "
-                f"fault_windows onto the inter-router link_spec, or fault "
-                f"the endpoint's local: ejection port in a FaultSchedule"
-            )
-        window_events = expand_link_spec_windows(topology, self.link_spec)
-        schedule = faults if faults is not None else FaultSchedule()
-        if window_events:
-            # A link-spec window downs the whole link class at once — a
-            # transient full-plane brownout that the static connectivity
-            # check would reject, even though every window heals by
-            # construction (LinkSpec validates down < up) and the runtime
-            # watchdog defers its deadline past the last pending up-event.
-            # So: the explicit schedule keeps its own strictness, the
-            # merged one waives only the build-time partition check.
-            if schedule:
-                schedule.validate(topology)
-            schedule = schedule.extended(window_events)
-            schedule.allow_partition = True
+        # Fault schedule, validated here (named FaultConfigError
+        # subclasses).  The injector is registered *before* the routers
+        # so a fault epoch is visible to every router tick of its cycle,
+        # under both kernels.
         self.fault_injector: Optional[FaultInjector] = None
         self._edge_links: Dict[tuple, Optional[Union[PhysicalLink, VcPhysicalLink]]] = {}
         self._edge_feeds: Dict[tuple, List[SimQueue]] = {}
-        if shard_plan is not None and schedule:
+        if shard_plan is not None and faults:
             raise ShardConfigError(
                 f"{name}: fault injection is out of scope for sharded "
                 f"fabrics (v1) — a fault epoch is a global event that "
                 f"the per-shard safe window cannot order; drop the fault "
-                f"schedule (and any LinkSpec.fault_windows) or the "
-                f"shards"
+                f"schedule or the shards"
             )
-        if schedule:
-            schedule.validate(topology)
-            self.fault_injector = FaultInjector(f"{name}.faults", self, schedule)
+        if faults:
+            faults.validate(topology)
+            self.fault_injector = FaultInjector(f"{name}.faults", self, faults)
             sim.add(self.fault_injector)
         # Adaptive route choice is per packet, so one (source, dest)
         # pair's packets can arrive out of order; the transaction layer
@@ -688,7 +611,7 @@ class Network(Snapshottable):
         # endpoint whose region differs from the fabric domain gets the
         # CDC folded into its links automatically.
         self._inject_queues: Dict[int, SimQueue] = {}
-        self._eject_queues: Dict[int, Union[SimQueue, Dict[PacketKind, SimQueue]]] = {}
+        self._eject_queues: Dict[int, SimQueue] = {}
         self.injection_ports: Dict[int, InjectionPort] = {}
         self.ejection_ports: Dict[int, EjectionPort] = {}
         for endpoint in topology.endpoints:
@@ -703,7 +626,6 @@ class Network(Snapshottable):
         sim = self.sim
         name = self.name
         fabric_domain = self.fabric_domain
-        split_ejection_by_kind = self.split_ejection_by_kind
         router = self.routers[self.topology.router_of(endpoint)]
         ep_domain = self.endpoint_domains.get(endpoint)
         inj_packets = sim.new_queue(
@@ -743,22 +665,9 @@ class Network(Snapshottable):
             router.add_output(
                 port_local(endpoint), ej_feeds[vc], vc=vc, order=endpoint
             )
-        ej_packets: Union[SimQueue, Dict[PacketKind, SimQueue]]
-        if split_ejection_by_kind:
-            ej_packets = {
-                PacketKind.REQUEST: sim.new_queue(
-                    f"{name}.ej.{endpoint}.pkts.req",
-                    capacity=endpoint_queue_capacity,
-                ),
-                PacketKind.RESPONSE: sim.new_queue(
-                    f"{name}.ej.{endpoint}.pkts.rsp",
-                    capacity=endpoint_queue_capacity,
-                ),
-            }
-        else:
-            ej_packets = sim.new_queue(
-                f"{name}.ej.{endpoint}.pkts", capacity=endpoint_queue_capacity
-            )
+        ej_packets = sim.new_queue(
+            f"{name}.ej.{endpoint}.pkts", capacity=endpoint_queue_capacity
+        )
         eport = EjectionPort(
             f"{name}.ej.{endpoint}",
             endpoint,
@@ -975,24 +884,8 @@ class Network(Snapshottable):
             self._pair_seq[pair] = packet.fabric_seq + 1
         self._inject_queues[endpoint].push(packet)
 
-    def ejected(
-        self, endpoint: int, kind: Optional[PacketKind] = None
-    ) -> SimQueue:
-        queues = self._eject_queues[endpoint]
-        if isinstance(queues, SimQueue):
-            return queues
-        if kind is None:
-            raise ValueError(
-                f"{self.name}: plane separates ejection by packet kind; "
-                f"pass kind= to ejected()"
-            )
-        return queues[kind]
-
-    def _eject_queue_list(self, endpoint: int) -> List[SimQueue]:
-        queues = self._eject_queues[endpoint]
-        if isinstance(queues, SimQueue):
-            return [queues]
-        return list(queues.values())
+    def ejected(self, endpoint: int) -> SimQueue:
+        return self._eject_queues[endpoint]
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -1012,10 +905,9 @@ class Network(Snapshottable):
         for port in self.injection_ports.values():
             if port.pending_flits() or port.packet_queue.occupancy:
                 return False
-        for endpoint in self._eject_queues:
-            for queue in self._eject_queue_list(endpoint):
-                if queue.occupancy:
-                    return False
+        for queue in self._eject_queues.values():
+            if queue.occupancy:
+                return False
         for eport in self.ejection_ports.values():
             for queue in eport.flit_queues:
                 if queue.occupancy:
@@ -1059,17 +951,14 @@ def _edge_sort_key(edge) -> tuple:
 
 
 class Fabric:
-    """Request/response planes, dual-network or VC-separated.
+    """The request plane and the response plane.
 
     This is the object NIUs bind to.  It also exposes the transaction-
     layer packet format in force, because the paper's configuration flow
     derives the format from the attached sockets and hands it to every
     NIU.
 
-    ``vcs``/``vc_policy`` configure virtual channels per plane.  With
-    ``vc_separation=True`` a single plane carries both directions on
-    disjoint VC classes (``vcs`` must be even; the inner policy operates
-    within each half) — the NIU-facing API is unchanged.
+    ``vcs``/``vc_policy`` configure virtual channels per plane.
     """
 
     def __init__(
@@ -1090,7 +979,6 @@ class Fabric:
         endpoint_domains: Optional[Dict[int, object]] = None,
         vcs: int = 1,
         vc_policy=None,
-        vc_separation: bool = False,
         faults: Optional[FaultSchedule] = None,
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
@@ -1103,18 +991,6 @@ class Fabric:
         self.fabric_domain = fabric_domain
         self.endpoint_domains = dict(endpoint_domains or {})
         self.vcs = vcs
-        self.vc_separation = vc_separation
-        if routing == "adaptive":
-            if vc_separation:
-                raise ValueError(
-                    f"{name}: adaptive routing is not supported with "
-                    f"vc_separation (the kind-split wrapper cannot carve "
-                    f"adaptive/escape classes out of each half); use the "
-                    f"default dual-plane fabric"
-                )
-            if vc_policy is None:
-                vc_policy = "escape"
-        policy = make_vc_policy(vc_policy)
         common = dict(
             mode=mode,
             flit_payload_bits=flit_payload_bits,
@@ -1128,35 +1004,14 @@ class Fabric:
             fabric_domain=fabric_domain,
             endpoint_domains=endpoint_domains,
             vcs=vcs,
+            vc_policy=vc_policy,
             faults=faults,
             shard_plan=shard_plan,
             shard_ownership=shard_ownership,
         )
-        if vc_separation:
-            if vcs < 2 or vcs % 2:
-                raise ValueError(
-                    f"{name}: vc_separation needs an even vcs >= 2 "
-                    f"(half per direction), got vcs={vcs}"
-                )
-            shared = Network(
-                sim,
-                topology,
-                name=f"{name}.shr",
-                vc_policy=KindVcPolicy(policy),
-                split_ejection_by_kind=True,
-                **common,
-            )
-            self.request_plane = shared
-            self.response_plane = shared
-            self._planes = [shared]
-        else:
-            self.request_plane = Network(
-                sim, topology, name=f"{name}.req", vc_policy=policy, **common
-            )
-            self.response_plane = Network(
-                sim, topology, name=f"{name}.rsp", vc_policy=policy, **common
-            )
-            self._planes = [self.request_plane, self.response_plane]
+        self.request_plane = Network(sim, topology, name=f"{name}.req", **common)
+        self.response_plane = Network(sim, topology, name=f"{name}.rsp", **common)
+        self._planes = [self.request_plane, self.response_plane]
 
     # request direction (initiator -> target)
     def can_inject_request(self, endpoint: int) -> bool:
@@ -1167,8 +1022,6 @@ class Fabric:
 
     def requests(self, endpoint: int) -> SimQueue:
         """Request packets delivered to target endpoint ``endpoint``."""
-        if self.vc_separation:
-            return self.request_plane.ejected(endpoint, PacketKind.REQUEST)
         return self.request_plane.ejected(endpoint)
 
     # response direction (target -> initiator)
@@ -1180,8 +1033,6 @@ class Fabric:
 
     def responses(self, endpoint: int) -> SimQueue:
         """Response packets delivered to initiator endpoint ``endpoint``."""
-        if self.vc_separation:
-            return self.response_plane.ejected(endpoint, PacketKind.RESPONSE)
         return self.response_plane.ejected(endpoint)
 
     def idle(self) -> bool:

@@ -1,4 +1,4 @@
-"""Programmable endpoints: DMA programs, streams, collectives, traces.
+"""Programmable endpoints: DMA programs, streams, collectives.
 
 The workload layer sits *above* the protocol masters: everything here is
 a :class:`~repro.protocols.base.TrafficSource` (or generates them), so
@@ -26,14 +26,6 @@ from repro.workloads.registry import (
     register,
 )
 from repro.workloads.streams import stream_pair
-from repro.workloads.trace import (
-    TRACE_FORMAT_VERSION,
-    TraceFormatError,
-    TraceReplay,
-    TraceReplayError,
-    TraceReplaySource,
-    TraceWriter,
-)
 
 # Imported last: registers the built-in scenarios with the registry.
 from repro.workloads import scenarios  # noqa: E402  (isort: skip)
@@ -43,12 +35,6 @@ __all__ = [
     "DmaEngine",
     "DmaProgramError",
     "StreamChannel",
-    "TRACE_FORMAT_VERSION",
-    "TraceFormatError",
-    "TraceReplay",
-    "TraceReplayError",
-    "TraceReplaySource",
-    "TraceWriter",
     "TrafficSpec",
     "UnknownScenarioError",
     "WorkloadStallError",

@@ -8,8 +8,8 @@ per-(writer, reader) stream channel, and the reader's descriptor waits
 on that channel before fetching — read-after-write ordering without any
 fabric-level synchronization primitive.
 
-Every generator returns ``{master_name: DmaEngine}``, ready for
-``SocBuilder(workload=...)``.  Write order per master is rotated by its
+Every generator returns ``{master_name: DmaEngine}``, one per
+``InitiatorSpec(traffic=...)``.  Write order per master is rotated by its
 own index so the pattern does not synchronously hammer one target.
 """
 

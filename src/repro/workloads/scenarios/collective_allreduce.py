@@ -41,7 +41,7 @@ def build(
             f"overflow the {_SCRATCH_SIZE:#x}-byte scratch memory"
         )
     names = [f"node{index}" for index in range(masters)]
-    workload = tree_reduction(
+    engines = tree_reduction(
         names,
         scratch_base=0,
         block_bytes=block_bytes,
@@ -51,7 +51,6 @@ def build(
     builder = SocBuilder(
         name="collective_allreduce",
         strict_kernel=strict_kernel,
-        workload=workload,
         topology=topo.torus(4, 4, endpoints=masters + 1),
         routing="dor",
         vcs=2,
@@ -59,7 +58,9 @@ def build(
     )
     for name in names:
         builder.add_initiator(
-            InitiatorSpec(name, "AXI", protocol_kwargs={"id_count": 4})
+            InitiatorSpec(
+                name, "AXI", engines[name], protocol_kwargs={"id_count": 4}
+            )
         )
     builder.add_target(
         TargetSpec(

@@ -84,7 +84,7 @@ def build(
             f"dma_chain: {masters} engines x {links} links x {chunk}B "
             f"chunks overflow the {_SRC_SIZE:#x}-byte regions"
         )
-    workload = {
+    engines = {
         f"dma{index}": DmaEngine(
             f"dma{index}",
             _chain_program(
@@ -93,14 +93,10 @@ def build(
         )
         for index in range(masters)
     }
-    builder = SocBuilder(
-        name="dma_chain",
-        strict_kernel=strict_kernel,
-        workload=workload,
-    )
-    for name in workload:
+    builder = SocBuilder(name="dma_chain", strict_kernel=strict_kernel)
+    for name, engine in engines.items():
         builder.add_initiator(
-            InitiatorSpec(name, "AXI", protocol_kwargs={"id_count": 4})
+            InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
         )
     builder.add_target(
         TargetSpec("src", size=_SRC_SIZE, read_latency=6, write_latency=3)

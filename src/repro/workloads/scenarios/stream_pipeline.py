@@ -112,21 +112,17 @@ def build(
 ) -> NocSoc:
     if stages < 2:
         raise ValueError("stream_pipeline needs at least two stages")
-    workload = {}
+    engines = {}
     for pipe in range(pipelines):
-        workload.update(
+        engines.update(
             _pipeline_engines(
                 pipe, stages, total_bursts, depth, burst_beats, beat_bytes
             )
         )
-    builder = SocBuilder(
-        name="stream_pipeline",
-        strict_kernel=strict_kernel,
-        workload=workload,
-    )
-    for name in workload:
+    builder = SocBuilder(name="stream_pipeline", strict_kernel=strict_kernel)
+    for name, engine in engines.items():
         builder.add_initiator(
-            InitiatorSpec(name, "AXI", protocol_kwargs={"id_count": 4})
+            InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
         )
     builder.add_target(
         TargetSpec("buf0", size=_BUF_SIZE, read_latency=2, write_latency=1)

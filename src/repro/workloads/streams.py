@@ -41,8 +41,8 @@ def stream_pair(
     """Build the two engines of one stream.
 
     Returns ``({producer: engine, consumer: engine}, {"data": ch,
-    "credit": ch})`` — the engine dict plugs straight into
-    ``SocBuilder(workload=...)``.
+    "credit": ch})`` — the engines go one per
+    ``InitiatorSpec(traffic=...)``.
     """
     if total_bursts < 1 or depth < 1:
         raise ValueError("total_bursts and depth must be >= 1")

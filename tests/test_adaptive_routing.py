@@ -19,7 +19,7 @@ from repro.sim.kernel import SimulationError, Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 from repro.transport.flit import Packetizer
-from repro.transport.network import EjectionPort, Fabric, Network
+from repro.transport.network import EjectionPort, Network
 from repro.transport.router import Router
 from repro.transport.routing import (
     EscapeVcPolicy,
@@ -378,11 +378,6 @@ class TestAdaptiveValidation:
             Network(Simulator(), topo.ring(4), routing="adaptive", vcs=3,
                     vc_policy="dateline")
 
-    def test_rejects_vc_separation(self):
-        with pytest.raises(ValueError):
-            Fabric(Simulator(), topo.torus(3, 3), routing="adaptive", vcs=4,
-                   vc_separation=True)
-
     def test_defaults_to_escape_policy(self):
         net = Network(Simulator(), topo.ring(4), routing="adaptive", vcs=3)
         assert isinstance(net.vc_policy, EscapeVcPolicy)
@@ -438,7 +433,7 @@ class TestAdaptiveLockSoc:
         builder = SocBuilder(
             topology=topo.torus(3, 3, endpoints=6),
             routing="adaptive",
-            adaptive_vcs=2,
+            vcs=4,
         )
         for i in range(3):
             builder.add_initiator(InitiatorSpec(

@@ -174,45 +174,6 @@ class TestScheduleValidation:
 
 
 # ---------------------------------------------------------------------- #
-# LinkSpec fault windows
-# ---------------------------------------------------------------------- #
-class TestLinkSpecWindows:
-    def test_windows_validated_at_spec_construction(self):
-        with pytest.raises(ValueError):
-            LinkSpec(fault_windows=((10, 10),))  # empty window
-        with pytest.raises(ValueError):
-            LinkSpec(fault_windows=((-5, 10),))
-        with pytest.raises(ValueError):
-            LinkSpec(fault_windows=((10, 50), (40, 80)))  # overlap
-
-    def test_windows_normalize_to_tuples(self):
-        spec = LinkSpec(fault_windows=[[10, 50], (100, 200)])
-        assert spec.fault_windows == ((10, 50), (100, 200))
-
-    def test_endpoint_links_not_faultable(self):
-        with pytest.raises(FaultConfigError):
-            Network(
-                Simulator(),
-                topo.ring(4),
-                routing="dor",
-                vcs=2,
-                vc_policy="dateline",
-                endpoint_link_spec=LinkSpec(fault_windows=((10, 50),)),
-            )
-
-    def test_windows_expand_to_every_inter_router_link(self):
-        t = topo.ring(4)
-        net = Network(
-            Simulator(), t, routing="dor", vcs=2, vc_policy="dateline",
-            link_spec=LinkSpec(fault_windows=((10_000, 20_000),)),
-        )
-        assert net.fault_injector is not None
-        events = net.fault_injector.schedule.events
-        # one down + one up per undirected edge
-        assert len(events) == 2 * len(t.graph.edges)
-
-
-# ---------------------------------------------------------------------- #
 # degraded-table recomputation (unit level)
 # ---------------------------------------------------------------------- #
 class TestDegradedTables:

@@ -404,47 +404,76 @@ RATE_OVERRIDES = [
 ]
 
 
+# The loaded cut: every source of the saturated SoC is open loop, so at
+# cycle 600 flits sit in router inputs, no master has finished, and an
+# override of every master's rate sends the four continuations four
+# different ways.
+def _saturated_builder():
+    return tkd.build_saturated_mixed_soc(strict=False)
+
+
+def _set_every_rate(rate, soc):
+    for master in soc.masters.values():
+        master.traffic.rate = rate
+
+
+LOADED_OVERRIDES = [
+    Override(name=f"rate={r}", apply=functools.partial(_set_every_rate, r))
+    for r in RATES
+]
+
+
+def router_flits(soc):
+    return [
+        flit
+        for plane in soc.fabric._planes
+        for router in plane.routers.values()
+        for queue in router.inputs.values()
+        for flit in queue._committed
+    ]
+
+
+def _loaded_checkpoint():
+    donor = _saturated_builder()
+    donor.run(600)
+    assert router_flits(donor)
+    assert not any(m.finished() for m in donor.masters.values())
+    return donor, Checkpoint.capture(donor)
+
+
+def _assert_continuations_differ(report):
+    completed = [
+        entry["metrics"]["completed"] for entry in report["configs"].values()
+    ]
+    assert len(set(completed)) == len(RATES), completed
+
+
 def test_fork_matches_cold_runs():
-    """The acceptance bar: >= 4 overrides forked from one warm prefix,
-    each byte-equal to a cold run applying the same override at the same
-    cycle."""
-    donor = _mixed_builder()
-    donor.run(1500)
-    checkpoint = Checkpoint.capture(donor)
+    """The acceptance bar: >= 4 overrides forked from one warm prefix of
+    a loaded fabric, each byte-equal to a cold run applying the same
+    override at the same cycle."""
+    donor, checkpoint = _loaded_checkpoint()
     report = fork(
-        checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=2500
+        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400
     )
-    assert report["fork_cycle"] == 1500
-    assert list(report["configs"]) == [o.name for o in RATE_OVERRIDES]
-    for override in RATE_OVERRIDES:
+    assert report["fork_cycle"] == 600
+    assert list(report["configs"]) == [o.name for o in LOADED_OVERRIDES]
+    for override in LOADED_OVERRIDES:
         entry = report["configs"][override.name]
         assert entry["mode"] == "fork"
-        cold = run_cold(_mixed_builder, override, 1500, 2500)
+        cold = run_cold(_saturated_builder, override, 600, 400)
         assert entry["metrics"] == cold, f"{override.name}: fork != cold"
+    _assert_continuations_differ(report)
 
-    # Independence without a defensive copy.  The fabric has drained by
-    # cycle 1500, so cut again at 40 (flits buffered in routers): one
-    # checkpoint restored into two SoCs, a restored flit scribbled on in
-    # the first — the second, and a third restore made afterwards, still
-    # read what was captured.
-    def router_flits(soc):
-        return [
-            flit
-            for plane in soc.fabric._planes
-            for router in plane.routers.values()
-            for queue in router.inputs.values()
-            for flit in queue._committed
-        ]
-
+    # Independence without a defensive copy: one checkpoint restored
+    # into two SoCs, a restored flit scribbled on in the first — the
+    # second, and a third restore made afterwards, still read what was
+    # captured.
     def read(soc):
         return [(f.packet_id, f.seq, f.dest, f.vc) for f in router_flits(soc)]
 
-    donor = _mixed_builder()
-    donor.run(40)
     captured = read(donor)
-    assert captured
-    checkpoint = Checkpoint.capture(donor)
-    first, second, third = (_mixed_builder() for _ in range(3))
+    first, second, third = (_saturated_builder() for _ in range(3))
     checkpoint.restore_into(first)
     checkpoint.restore_into(second)
     router_flits(first)[0].dest = -1
@@ -454,18 +483,17 @@ def test_fork_matches_cold_runs():
 
 
 def test_fork_pool_matches_serial():
-    donor = _mixed_builder()
-    donor.run(1500)
-    checkpoint = Checkpoint.capture(donor)
+    _donor, checkpoint = _loaded_checkpoint()
     serial = fork(
-        checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=1500,
+        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400,
         processes=0,
     )
     pooled = fork(
-        checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=1500,
+        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400,
         processes=2,
     )
     assert pooled == serial
+    _assert_continuations_differ(serial)
 
 
 def test_fork_fault_schedule_override():

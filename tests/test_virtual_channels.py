@@ -3,9 +3,8 @@
 The transport layer's VC machinery (PR 3): per-input-per-VC buffers with
 a VC-allocation stage in the router, per-VC link wiring through the
 LinkSpec machinery (``VcPhysicalLink`` time-multiplexing VCs over one
-physical channel with per-VC credits), the dateline VC policy that makes
-ring/torus wormhole fabrics deadlock-free with 2 VCs, and the
-request/response VC-separation fabric mode.
+physical channel with per-VC credits) and the dateline VC policy that
+makes ring/torus wormhole fabrics deadlock-free with 2 VCs.
 """
 
 import pytest
@@ -16,7 +15,7 @@ from repro.phys.link import LinkSpec, VcPhysicalLink
 from repro.sim.kernel import SimulationError, Simulator
 from repro.transport import topology as topo
 from repro.transport.flit import Flit
-from repro.transport.network import BufferSizingError, Fabric, KindVcPolicy, Network
+from repro.transport.network import BufferSizingError, Fabric, Network
 from repro.transport.routing import (
     DatelineVcPolicy,
     PriorityVcPolicy,
@@ -352,45 +351,6 @@ class TestSingleVcCompatibility:
             net.inject(0, request(2, 0, txn_id=7))
             got = pump_all(sim, net, [2], 1, max_cycles=2000)
             assert got[0].txn_id == 7
-
-
-# ---------------------------------------------------------------------- #
-# request/response VC separation on a single plane
-# ---------------------------------------------------------------------- #
-class TestVcSeparation:
-    def test_kind_policy_splits_classes(self):
-        policy = KindVcPolicy(DatelineVcPolicy())
-        req = request(1, 0)
-        rsp = req.make_response()
-        assert policy.injection_vc(req, 4) == 0
-        assert policy.injection_vc(rsp, 4) == 2
-        assert policy.min_vcs == 4
-        # responses stay in the upper window through a dateline crossing
-        assert policy.output_vc(3, 2, 0, 2, 4) == 3
-
-    def test_separated_fabric_runs_both_directions(self):
-        sim = Simulator()
-        fab = Fabric(sim, topo.mesh(2, 2), vcs=2, vc_separation=True)
-        fab.inject_request(0, request(3, 0, txn_id=1))
-        rsp = request(3, 0, txn_id=2).make_response(payload=None)
-        fab.inject_response(3, rsp)
-        sim.run_until(
-            lambda: bool(fab.requests(3)) and bool(fab.responses(0)),
-            max_cycles=200,
-        )
-        assert fab.requests(3).pop().txn_id == 1
-        assert fab.responses(0).pop().txn_id == 2
-        # one plane, not two
-        assert fab.request_plane is fab.response_plane
-        sim.run(20)
-        assert fab.idle()
-
-    def test_separation_needs_even_vcs(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Fabric(sim, topo.mesh(2, 2), vcs=3, vc_separation=True)
-        with pytest.raises(ValueError):
-            Fabric(sim, topo.mesh(2, 2), vcs=1, vc_separation=True)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,9 +1,8 @@
-"""Programmable endpoints (PR 9): DMA programs, streams, traces, registry.
+"""Programmable endpoints (PR 9): DMA programs, streams, registry.
 
 Pins the workload-layer contracts: descriptor programs execute their
 dependency DAGs identically on both kernels, stream credit loops
-actually backpressure, record→replay reproduces the byte-identical
-determinism fingerprint, the scenario registry fails by name, and the
+actually backpressure, the scenario registry fails by name, and the
 declarative TrafficSpec is observably equivalent to the legacy
 constructors it unified.
 """
@@ -28,11 +27,6 @@ from repro.workloads import (
     DmaEngine,
     DmaProgramError,
     StreamChannel,
-    TraceFormatError,
-    TraceReplay,
-    TraceReplayError,
-    TraceReplaySource,
-    TraceWriter,
     UnknownScenarioError,
     all_to_all,
     available,
@@ -183,12 +177,11 @@ def _dma_soc(engines, *, strict=False, faults=None, adaptive=False,
         )
         builder_kwargs.update(routing="adaptive", vcs=3, vc_policy="escape")
     builder = SocBuilder(
-        name="dma_test", strict_kernel=strict, faults=faults,
-        workload=dict(engines), **builder_kwargs,
+        name="dma_test", strict_kernel=strict, faults=faults, **builder_kwargs,
     )
-    for name in engines:
+    for name, engine in engines.items():
         builder.add_initiator(
-            InitiatorSpec(name, "AXI", protocol_kwargs={"id_count": 4})
+            InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
         )
     for spec in targets or [TargetSpec("mem", size=0x4000, read_latency=3,
                                        write_latency=2)]:
@@ -335,111 +328,6 @@ class TestStreams:
 
 
 # --------------------------------------------------------------------- #
-# trace record -> replay
-# --------------------------------------------------------------------- #
-def _hotspot_soc(sources, *, strict=False):
-    """Scaled-down adaptive hotspot: four masters, one slow hot target."""
-    reset_ids()
-    builder = SocBuilder(
-        name="hotspot", strict_kernel=strict,
-        topology=topo.torus(4, 4, endpoints=len(sources) + 2),
-        routing="adaptive", vcs=3, vc_policy="escape",
-        workload=dict(sources),
-    )
-    for name in sources:
-        builder.add_initiator(
-            InitiatorSpec(name, "AXI", protocol_kwargs={"id_count": 4})
-        )
-    builder.add_target(TargetSpec("hot", size=0x2000, read_latency=10,
-                                  write_latency=5, max_outstanding=1))
-    builder.add_target(TargetSpec("bg", size=0x2000, read_latency=2,
-                                  write_latency=1))
-    return builder.build()
-
-
-def _hotspot_sources():
-    return {
-        f"ip{i}": PoissonTraffic(
-            f"ip{i}", seed=40 + i, count=25,
-            address_ranges=[(0, 0x2000)] if i % 2 else [(0x2000, 0x2000)],
-            rate=0.5, tags=4, burst_beats=(2, 4),
-        )
-        for i in range(4)
-    }
-
-
-class TestTraceRoundTrip:
-    def test_replay_reproduces_fingerprint(self):
-        writer = TraceWriter(note="adaptive hotspot")
-        recorded = {
-            name: writer.record(name, source)
-            for name, source in _hotspot_sources().items()
-        }
-        soc = _hotspot_soc(recorded)
-        soc.run_to_completion()
-        original = fingerprint_soc(soc)
-
-        replay = TraceReplay.from_jsonl(writer.to_jsonl())
-        assert replay.masters() == sorted(recorded)
-        replayed = {name: replay.source(name) for name in recorded}
-        soc2 = _hotspot_soc(replayed)
-        soc2.run_to_completion()
-        assert fingerprint_soc(soc2) == original
-
-    def test_jsonl_round_trip_preserves_events(self):
-        writer = TraceWriter(note="rt")
-        recorded = {
-            name: writer.record(name, source)
-            for name, source in _hotspot_sources().items()
-        }
-        soc = _hotspot_soc(recorded)
-        soc.run_to_completion()
-        replay = TraceReplay.from_jsonl(writer.to_jsonl())
-        assert replay.note == "rt"
-        for name in recorded:
-            assert replay.events(name) == writer.events(name)
-            assert len(replay.events(name)) == 25
-
-    def test_duplicate_recording_rejected(self):
-        writer = TraceWriter()
-        writer.record("m", PoissonTraffic("m", seed=1, count=1,
-                                          address_ranges=[(0, 64)]))
-        with pytest.raises(ValueError, match="already"):
-            writer.record("m", PoissonTraffic("m", seed=1, count=1,
-                                              address_ranges=[(0, 64)]))
-
-    @pytest.mark.parametrize("text, match", [
-        ("", "empty"),
-        ("not json\n", "header"),
-        ('{"format": "other", "version": 1}\n', "not a repro-trace"),
-        ('{"format": "repro-trace", "version": 99, "masters": []}\n',
-         "version"),
-        ('{"format": "repro-trace", "version": 1, "masters": ["a"]}\n'
-         '{"m": "ghost", "c": 0}\n', "unknown master"),
-        ('{"format": "repro-trace", "version": 1, "masters": ["a"]}\n'
-         '{"m": "a", "c": 0}\n', "missing fields"),
-    ])
-    def test_format_errors_are_named(self, text, match):
-        with pytest.raises(TraceFormatError, match=match):
-            TraceReplay.from_jsonl(text)
-
-    def test_unknown_master_source(self):
-        replay = TraceReplay.from_jsonl(
-            '{"format": "repro-trace", "version": 1, "masters": ["a"]}\n'
-        )
-        with pytest.raises(TraceFormatError, match="no stream"):
-            replay.source("b")
-
-    def test_divergent_replay_raises(self):
-        event = {"c": 5, "o": "READ", "a": 0, "n": 1, "w": 4, "b": "INCR",
-                 "d": None, "t": 0, "g": 0, "x": 0, "p": 0}
-        source = TraceReplaySource("m", [event])
-        assert source.poll(4) is None  # early poll waits
-        with pytest.raises(TraceReplayError, match="recorded at cycle 5"):
-            source.poll(6)
-
-
-# --------------------------------------------------------------------- #
 # declarative TrafficSpec
 # --------------------------------------------------------------------- #
 class TestTrafficSpec:
@@ -466,14 +354,18 @@ class TestTrafficSpec:
             TrafficSpec(kind="poisson", seed=1, pairs=[(0, 64)]).build()
 
     def test_spec_equivalent_to_legacy_constructor(self):
-        """SocBuilder(traffic=[...]) and direct construction produce the
-        byte-identical run."""
+        """A TrafficSpec on the InitiatorSpec and direct construction
+        produce the byte-identical run."""
         def build(declarative):
             reset_ids()
             builder = SocBuilder(name="eq", strict_kernel=False)
             for i in range(2):
-                source = None
-                if not declarative:
+                if declarative:
+                    source = TrafficSpec(
+                        kind="poisson", master=f"m{i}", seed=7 + i,
+                        count=15, pairs=[(0, 0x1000)], rate=0.4,
+                    )
+                else:
                     source = PoissonTraffic(
                         f"m{i}", seed=7 + i, count=15,
                         address_ranges=[(0, 0x1000)], rate=0.4,
@@ -482,43 +374,12 @@ class TestTrafficSpec:
                     InitiatorSpec(f"m{i}", "AXI", source,
                                   protocol_kwargs={"id_count": 2})
                 )
-            if declarative:
-                builder.traffic = [
-                    TrafficSpec(kind="poisson", master=f"m{i}", seed=7 + i,
-                                count=15, pairs=[(0, 0x1000)], rate=0.4)
-                    for i in range(2)
-                ]
             builder.add_target(TargetSpec("mem", size=0x1000))
             soc = builder.build()
             soc.run_to_completion()
             return fingerprint_soc(soc)
 
         assert build(declarative=True) == build(declarative=False)
-
-    def test_builder_rejects_bad_traffic_entries(self):
-        builder = SocBuilder(traffic=[object()])
-        builder.add_initiator(InitiatorSpec("m", "AXI"))
-        builder.add_target(TargetSpec("mem", size=0x1000))
-        with pytest.raises(ValueError, match="TrafficSpec"):
-            builder.build()
-
-    def test_builder_rejects_unknown_and_duplicate_masters(self):
-        spec = TrafficSpec(kind="stream", master="ghost", base=0)
-        builder = SocBuilder(traffic=[spec])
-        builder.add_initiator(InitiatorSpec("m", "AXI"))
-        builder.add_target(TargetSpec("mem", size=0x1000))
-        with pytest.raises(ValueError, match="no initiator named 'ghost'"):
-            builder.build()
-
-        dup = TrafficSpec(kind="stream", master="m", base=0)
-        builder2 = SocBuilder(
-            traffic=[dup], workload={"m": TrafficSpec(kind="stream",
-                                                      master="m", base=0)}
-        )
-        builder2.add_initiator(InitiatorSpec("m", "AXI"))
-        builder2.add_target(TargetSpec("mem", size=0x1000))
-        with pytest.raises(ValueError, match="twice"):
-            builder2.build()
 
     def test_dma_kind_builds_engine(self):
         spec = TrafficSpec(kind="dma", master="m",
