@@ -151,7 +151,7 @@ class ShardPlan:
     def cut_edges(self, topology: Topology) -> List[Tuple[Hashable, Hashable]]:
         """Directed inter-router edges whose ends live in different shards."""
         cuts: List[Tuple[Hashable, Hashable]] = []
-        for a, b in topology.graph.edges:
+        for a, b in topology.links:
             if self.shard_of(a) != self.shard_of(b):
                 cuts.append((a, b))
                 cuts.append((b, a))

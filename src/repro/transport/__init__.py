@@ -17,7 +17,6 @@ from repro.transport.faults import (
     NoSurvivingPathError,
     OverlappingFaultWindowError,
     UnknownFaultTargetError,
-    compute_degraded_tables,
 )
 from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
 from repro.transport.flow_control import CreditCounter
@@ -32,8 +31,8 @@ from repro.transport.routing import (
     RoutingError,
     VcPolicy,
     compute_adaptive_tables,
-    compute_dor_tables,
-    compute_routing_tables,
+    compute_degraded_tables,
+    compute_tables,
     make_vc_policy,
     xy_route,
 )
@@ -71,8 +70,7 @@ __all__ = [
     "VcPolicy",
     "compute_adaptive_tables",
     "compute_degraded_tables",
-    "compute_dor_tables",
-    "compute_routing_tables",
+    "compute_tables",
     "flits_for_packet",
     "make_vc_policy",
     "router_sort_key",

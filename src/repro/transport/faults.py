@@ -30,12 +30,14 @@ model an unreachable device).
 
 Degraded-mode routing: on every fault epoch the injector recomputes the
 adaptive plane's candidate/escape tables on the *surviving* directed
-graph (see :func:`compute_degraded_tables`) and pushes them to the
-routers — a genuine reroute, not just dead-candidate filtering, so
-traffic detours around a failure even when every healthy-minimal
-neighbour is dead.  Deterministic planes (table/XY/DOR) keep their
-tables: a fault on a deterministic route makes the affected
-destinations unroutable, which the partition watchdog (below) detects.
+graph (:func:`~repro.transport.routing.compute_degraded_tables`, the
+builder that made the healthy tables, now with this epoch's links and
+ports down) and pushes them to the routers — a genuine reroute, not
+just dead-candidate filtering, so traffic detours around a failure even
+when every healthy-minimal neighbour is dead.  Deterministic planes
+(table/XY/DOR) keep their tables: a fault on a deterministic route
+makes the affected destinations unroutable, which the partition
+watchdog (below) detects.
 
 Partition detection: whenever any fault is active the injector arms a
 watchdog deadline (``partition_budget`` cycles past the last event that
@@ -57,17 +59,20 @@ budget.  Fault schedules and lock traffic should not be mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.component import Component
 from repro.sim.kernel import SimulationError
 from repro.sim.snapshot import Snapshottable
-from repro.transport.routing import AdaptiveRoutingTable, port_local, port_to
-from repro.transport.topology import Topology, router_sort_key
-
-RouterId = Hashable
-DirectedEdge = Tuple[RouterId, RouterId]
-PortKey = Tuple[RouterId, str]
+from repro.transport.routing import (
+    DirectedEdge,
+    PortKey,
+    compute_degraded_tables,
+    port_local,
+    port_to,
+    surviving_distances,
+)
+from repro.transport.topology import RouterId, Topology, router_sort_key
 
 
 class FaultConfigError(ValueError):
@@ -210,23 +215,22 @@ class FaultSchedule:
         the surviving graph (:class:`NoSurvivingPathError`, unless
         ``allow_partition``).
         """
-        graph = topology.graph
         for ev in self._events:
             if ev.kind == "link":
                 a, b = ev.target
-                if a not in graph or b not in graph or not graph.has_edge(a, b):
+                if not topology.has_link(a, b):
                     raise UnknownFaultTargetError(
                         f"fault schedule: no link {a!r} -- {b!r} in "
                         f"topology {topology.name!r}"
                     )
             else:
                 router, port = ev.target
-                if router not in graph:
+                if router not in topology.routers:
                     raise UnknownFaultTargetError(
                         f"fault schedule: unknown router {router!r} in "
                         f"topology {topology.name!r}"
                     )
-                valid = {port_to(n) for n in graph.neighbors(router)}
+                valid = {port_to(n) for n in topology.neighbors(router)}
                 valid.update(
                     port_local(ep) for ep in topology.endpoints_at(router)
                 )
@@ -307,119 +311,13 @@ def _apply_event(
             down_ports.discard(ev.target)
 
 
-# ---------------------------------------------------------------------- #
-# surviving-graph route recomputation
-# ---------------------------------------------------------------------- #
-def _alive_adjacency(
-    topology: Topology,
-    down_links: Set[DirectedEdge],
-    down_ports: Set[PortKey],
-) -> Dict[RouterId, List[RouterId]]:
-    """Directed surviving adjacency: r -> neighbours its output can reach."""
-    alive: Dict[RouterId, List[RouterId]] = {}
-    for router in topology.routers:
-        alive[router] = [
-            n
-            for n in topology.neighbors(router)
-            if (router, n) not in down_links
-            and (router, port_to(n)) not in down_ports
-        ]
-    return alive
-
-
-def _reverse_distances(
-    alive: Dict[RouterId, List[RouterId]], home: RouterId
-) -> Dict[RouterId, int]:
-    """BFS hop distance *to* ``home`` along surviving directed edges."""
-    reverse: Dict[RouterId, List[RouterId]] = {r: [] for r in alive}
-    for router, neighbors in alive.items():
-        for n in neighbors:
-            reverse[n].append(router)
-    dist = {home: 0}
-    frontier = [home]
-    while frontier:
-        nxt: List[RouterId] = []
-        for node in frontier:
-            d = dist[node] + 1
-            for pred in reverse[node]:
-                if pred not in dist:
-                    dist[pred] = d
-                    nxt.append(pred)
-        frontier = nxt
-    return dist
-
-
-def compute_degraded_tables(
-    topology: Topology,
-    down_links: Set[DirectedEdge],
-    down_ports: Set[PortKey],
-    healthy_escape: Optional[Dict[RouterId, Dict[int, str]]] = None,
-) -> Tuple[Dict[RouterId, AdaptiveRoutingTable], Dict[RouterId, Set[int]]]:
-    """Adaptive tables recomputed on the surviving directed graph.
-
-    Candidate sets are the alive neighbours strictly closer to the
-    destination's home router under *surviving-graph* BFS distance — a
-    genuine reroute, so a router whose healthy-minimal neighbours all
-    died still forwards along the detour.  The escape entry keeps the
-    healthy deterministic (DOR/XY) port wherever it is still alive and
-    minimal, preserving the proven escape construction away from the
-    fault; elsewhere it falls back to the first surviving candidate (a
-    per-destination BFS tree — acyclic per destination but *not* proven
-    deadlock-free across destinations, which is why the partition
-    watchdog and ``run_until`` budgets stay armed while degraded).
-
-    Returns ``(tables, unroutable)`` where ``unroutable[router]`` is the
-    set of endpoints unreachable from that router this epoch (empty sets
-    omitted).  An endpoint whose ``local:`` ejection port is down is
-    unreachable from everywhere, including its home router.
-    """
-    alive = _alive_adjacency(topology, down_links, down_ports)
-    routers = topology.routers
-    candidates: Dict[RouterId, Dict[int, Tuple[str, ...]]] = {
-        r: {} for r in routers
-    }
-    escape: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
-    unroutable: Dict[RouterId, Set[int]] = {}
-    big = 1 << 30
-    for endpoint in topology.endpoints:
-        home = topology.router_of(endpoint)
-        local_dead = (home, port_local(endpoint)) in down_ports
-        dist = {} if local_dead else _reverse_distances(alive, home)
-        for router in routers:
-            if router == home and not local_dead:
-                cands: Tuple[str, ...] = (port_local(endpoint),)
-            elif router in dist:
-                here = dist[router]
-                cands = tuple(
-                    port_to(n)
-                    for n in alive[router]
-                    if dist.get(n, big) < here
-                )
-            else:
-                cands = ()
-            candidates[router][endpoint] = cands
-            if cands:
-                choice = cands[0]
-                if healthy_escape is not None:
-                    preferred = healthy_escape[router].get(endpoint)
-                    if preferred in cands:
-                        choice = preferred
-                escape[router][endpoint] = choice
-            else:
-                unroutable.setdefault(router, set()).add(endpoint)
-    tables = {
-        r: AdaptiveRoutingTable(candidates[r], escape[r]) for r in routers
-    }
-    return tables, unroutable
-
-
 def unreachable_endpoint_pairs(
     topology: Topology,
     down_links: Set[DirectedEdge],
     down_ports: Set[PortKey],
 ) -> List[Tuple[int, int]]:
     """Ordered endpoint pairs ``(src, dst)`` with no surviving path."""
-    alive = _alive_adjacency(topology, down_links, down_ports)
+    _, distances_to = surviving_distances(topology, down_links, down_ports)
     stranded: List[Tuple[int, int]] = []
     endpoints = topology.endpoints
     for dst in endpoints:
@@ -427,7 +325,7 @@ def unreachable_endpoint_pairs(
         if (home, port_local(dst)) in down_ports:
             stranded.extend((src, dst) for src in endpoints if src != dst)
             continue
-        dist = _reverse_distances(alive, home)
+        dist = distances_to(home)
         for src in endpoints:
             if src != dst and topology.router_of(src) not in dist:
                 stranded.append((src, dst))

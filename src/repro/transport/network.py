@@ -59,7 +59,7 @@ from repro.transport.routing import (
     port_to,
 )
 from repro.transport.switching import SwitchingMode
-from repro.transport.topology import Topology, router_sort_key
+from repro.transport.topology import Topology
 
 
 class BufferSizingError(ValueError):
@@ -566,7 +566,7 @@ class Network(Snapshottable):
         # Inter-router links: router A's output "to:B" feeds router B's
         # input "in:A" (one link per direction, built per the link spec —
         # a transparent spec degenerates to one shared queue per VC).
-        for a, b in sorted(topology.graph.edges, key=_edge_sort_key):
+        for a, b in topology.links:
             for src, dst in ((a, b), (b, a)):
                 if shard_plan is not None and shard_plan.shard_of(
                     src
@@ -944,10 +944,6 @@ class Network(Snapshottable):
         )
         ports = sum(len(r.output_busy_cycles) for r in self.routers.values())
         return busy / (cycles * ports) if ports else 0.0
-
-
-def _edge_sort_key(edge) -> tuple:
-    return (router_sort_key(edge[0]), router_sort_key(edge[1]))
 
 
 class Fabric:

@@ -1,9 +1,11 @@
 """Deterministic routing and virtual-channel selection policies.
 
-Four routing schemes:
+Four routing schemes.  The three deterministic ones are one table loop
+(:func:`compute_tables`) fed three *next-hop rules* — given a router and
+a destination's home router, name the neighbour to forward to:
 
-- **table routing** — per-router lookup tables computed from BFS shortest
-  paths with canonical tie-breaking (deterministic across runs);
+- **table routing** — the canonically smallest neighbour on a BFS
+  shortest path (deterministic across runs, any router ids);
 - **XY routing** — dimension-ordered routing for meshes whose router ids
   are ``(x, y)`` tuples; provably deadlock-free on meshes;
 - **DOR routing** — dimension-ordered routing *with wraparound* for
@@ -17,7 +19,10 @@ Four routing schemes:
   while a reserved *escape* VC pair falls back to the deterministic
   scheme (DOR with dateline classes on rings/tori, XY on meshes).  See
   :class:`AdaptiveRoutingTable` / :class:`EscapeVcPolicy` and the
-  deadlock argument below.
+  deadlock argument below.  The candidate sets have one builder,
+  :func:`compute_degraded_tables`, which works on the *surviving*
+  directed graph of a fault epoch; the healthy tables
+  (:func:`compute_adaptive_tables`) are that builder with nothing down.
 
 Port naming convention (shared with :mod:`repro.transport.router`):
 ``to:<router>`` for an inter-router link towards ``<router>`` and
@@ -50,13 +55,12 @@ dependency graph is acyclic and wormhole routing cannot deadlock.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import networkx as nx
+from repro.transport.topology import RouterId, Topology, bfs_distances
 
-from repro.transport.topology import Topology, router_sort_key
-
-RouterId = Hashable
+DirectedEdge = Tuple[RouterId, RouterId]
+PortKey = Tuple[RouterId, str]
 
 
 class RoutingError(RuntimeError):
@@ -69,35 +73,6 @@ def port_to(neighbor: RouterId) -> str:
 
 def port_local(endpoint: int) -> str:
     return f"local:{endpoint}"
-
-
-def compute_routing_tables(
-    topology: Topology,
-) -> Dict[RouterId, Dict[int, str]]:
-    """``tables[router][endpoint] -> output port name``.
-
-    Next hops follow BFS shortest paths; among equal-length choices the
-    canonically smallest neighbour (see
-    :func:`~repro.transport.topology.router_sort_key`) wins, making
-    tables reproducible regardless of graph-internal ordering — and,
-    unlike the old ``key=str`` tie-break, independent of whether router
-    indices have one digit or two.
-    """
-    tables: Dict[RouterId, Dict[int, str]] = {r: {} for r in topology.routers}
-    for endpoint in topology.endpoints:
-        home = topology.router_of(endpoint)
-        # BFS distances from the endpoint's home router.
-        dist = nx.single_source_shortest_path_length(topology.graph, home)
-        for router in topology.routers:
-            if router == home:
-                tables[router][endpoint] = port_local(endpoint)
-                continue
-            best = min(
-                (n for n in topology.graph.neighbors(router) if dist[n] < dist[router]),
-                key=router_sort_key,
-            )
-            tables[router][endpoint] = port_to(best)
-    return tables
 
 
 def xy_route(router: RouterId, dest_router: RouterId) -> RouterId:
@@ -115,24 +90,6 @@ def xy_route(router: RouterId, dest_router: RouterId) -> RouterId:
     raise RoutingError(f"xy_route called with router == dest ({router!r})")
 
 
-def compute_xy_tables(topology: Topology) -> Dict[RouterId, Dict[int, str]]:
-    """Dimension-ordered tables for mesh topologies (tuple router ids)."""
-    tables: Dict[RouterId, Dict[int, str]] = {r: {} for r in topology.routers}
-    for endpoint in topology.endpoints:
-        home = topology.router_of(endpoint)
-        for router in topology.routers:
-            if router == home:
-                tables[router][endpoint] = port_local(endpoint)
-            else:
-                nxt = xy_route(router, home)
-                if not topology.graph.has_edge(router, nxt):
-                    raise RoutingError(
-                        f"XY next hop {router!r}->{nxt!r} is not a mesh link"
-                    )
-                tables[router][endpoint] = port_to(nxt)
-    return tables
-
-
 # ---------------------------------------------------------------------- #
 # dimension-ordered routing with wraparound (rings and tori)
 # ---------------------------------------------------------------------- #
@@ -143,13 +100,6 @@ def _ring_step(coord: int, dest: int, size: int) -> int:
     backward = (coord - dest) % size
     step = 1 if forward <= backward else -1
     return (coord + step) % size
-
-
-def _torus_dims(topology: Topology) -> Tuple[int, int]:
-    """Grid dimensions inferred from ``(x, y)`` router ids."""
-    xs = {r[0] for r in topology.graph.nodes}
-    ys = {r[1] for r in topology.graph.nodes}
-    return max(xs) + 1, max(ys) + 1
 
 
 def dor_route(
@@ -173,49 +123,32 @@ def dor_route(
     return _ring_step(router, dest_router, dims[0])
 
 
-def compute_dor_tables(topology: Topology) -> Dict[RouterId, Dict[int, str]]:
-    """Dimension-ordered wraparound tables for rings and tori.
-
-    Integer router ids are treated as a single ring; ``(x, y)`` ids as a
-    torus whose dimensions are inferred from the id set.  Every next hop
-    is checked against the graph, so a topology missing the wraparound
-    link the scheme wants (e.g. a plain mesh) fails loudly.
-    """
-    sample = topology.routers[0]
-    if isinstance(sample, tuple):
-        dims: Tuple[int, ...] = _torus_dims(topology)
-    else:
-        dims = (topology.graph.number_of_nodes(),)
-    tables: Dict[RouterId, Dict[int, str]] = {r: {} for r in topology.routers}
-    for endpoint in topology.endpoints:
-        home = topology.router_of(endpoint)
-        for router in topology.routers:
-            if router == home:
-                tables[router][endpoint] = port_local(endpoint)
-            else:
-                nxt = dor_route(router, home, dims)
-                if not topology.graph.has_edge(router, nxt):
-                    raise RoutingError(
-                        f"DOR next hop {router!r}->{nxt!r} is not a link of "
-                        f"{topology.name!r} (scheme needs ring/torus wraparound)"
-                    )
-                tables[router][endpoint] = port_to(nxt)
-    return tables
+def _dor_dims(topology: Topology) -> Tuple[int, ...]:
+    """Ring size per dimension: integer router ids are a single ring,
+    ``(x, y)`` ids a torus whose dimensions are inferred from the id set."""
+    routers = topology.routers
+    if isinstance(routers[0], tuple):
+        return max(r[0] for r in routers) + 1, max(r[1] for r in routers) + 1
+    return (len(routers),)
 
 
 ROUTING_SCHEMES = ("table", "xy", "dor", "adaptive")
 
 
-def compute_tables(
+def _next_hop_rule(
     topology: Topology, scheme: str
-) -> Dict[RouterId, Dict[int, str]]:
-    """Dispatch on the routing scheme name (the ``routing=`` knob)."""
+) -> Callable[[RouterId, RouterId], RouterId]:
+    """``rule(router, home) -> neighbour`` of a deterministic scheme."""
     if scheme == "table":
-        return compute_routing_tables(topology)
+        # BFS shortest paths (cached per home router on the topology);
+        # among equal-length choices the canonically smallest neighbour
+        # wins, so tables do not depend on the order links were listed in.
+        return lambda router, home: topology.minimal_neighbors(router, home)[0]
     if scheme == "xy":
-        return compute_xy_tables(topology)
+        return xy_route
     if scheme == "dor":
-        return compute_dor_tables(topology)
+        dims = _dor_dims(topology)
+        return lambda router, home: dor_route(router, home, dims)
     if scheme == "adaptive":
         raise ValueError(
             "adaptive routing has multi-output tables; "
@@ -224,6 +157,35 @@ def compute_tables(
     raise ValueError(
         f"unknown routing scheme {scheme!r}; known: {ROUTING_SCHEMES}"
     )
+
+
+def compute_tables(
+    topology: Topology, scheme: str
+) -> Dict[RouterId, Dict[int, str]]:
+    """``tables[router][endpoint] -> output port name`` under ``scheme``
+    (the ``routing=`` knob).
+
+    Every next hop is checked against the topology, so a scheme asked to
+    route a shape it does not fit (XY on a ring, DOR on a plain mesh
+    that lacks the wraparound link it wants) fails loudly.
+    """
+    next_hop = _next_hop_rule(topology, scheme)
+    routers = topology.routers
+    tables: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
+    for endpoint in topology.endpoints:
+        home = topology.router_of(endpoint)
+        for router in routers:
+            if router == home:
+                tables[router][endpoint] = port_local(endpoint)
+                continue
+            neighbor = next_hop(router, home)
+            if not topology.has_link(router, neighbor):
+                raise RoutingError(
+                    f"{scheme} next hop {router!r}->{neighbor!r} is not a "
+                    f"link of {topology.name!r}"
+                )
+            tables[router][endpoint] = port_to(neighbor)
+    return tables
 
 
 # ---------------------------------------------------------------------- #
@@ -264,21 +226,117 @@ class AdaptiveRoutingTable:
         return self.escape[dest]
 
 
+def surviving_distances(
+    topology: Topology, down_links: Set[DirectedEdge], down_ports: Set[PortKey]
+) -> Tuple[Dict[RouterId, List[RouterId]], Callable[[RouterId], Dict[RouterId, int]]]:
+    """The surviving directed graph of a fault epoch.
+
+    Returns ``(alive, distances_to)``: ``alive[router]`` lists the
+    neighbours the router's outputs still reach (canonical order), and
+    ``distances_to(home)`` maps every router that still has a path *to*
+    ``home`` to its hop count (one search per home router, memoised).
+    """
+    alive = {
+        router: [
+            n
+            for n in topology.neighbors(router)
+            if (router, n) not in down_links
+            and (router, port_to(n)) not in down_ports
+        ]
+        for router in topology.routers
+    }
+    reverse: Dict[RouterId, List[RouterId]] = {r: [] for r in alive}
+    for router, neighbors in alive.items():
+        for n in neighbors:
+            reverse[n].append(router)
+    memo: Dict[RouterId, Dict[RouterId, int]] = {}
+
+    def distances_to(home: RouterId) -> Dict[RouterId, int]:
+        if home not in memo:
+            memo[home] = bfs_distances(reverse.__getitem__, home)
+        return memo[home]
+
+    return alive, distances_to
+
+
+def compute_degraded_tables(
+    topology: Topology,
+    down_links: Set[DirectedEdge],
+    down_ports: Set[PortKey],
+    healthy_escape: Optional[Dict[RouterId, Dict[int, str]]] = None,
+) -> Tuple[Dict[RouterId, AdaptiveRoutingTable], Dict[RouterId, Set[int]]]:
+    """Adaptive tables computed on the surviving directed graph.
+
+    Candidate sets are the alive neighbours strictly closer to the
+    destination's home router under *surviving-graph* BFS distance — a
+    genuine reroute, so a router whose healthy-minimal neighbours all
+    died still forwards along the detour.  With nothing down that is
+    the minimal output set (on a mesh/torus exactly the minimal
+    quadrant, at most one neighbour per dimension with a non-zero
+    offset).  The escape entry keeps the healthy deterministic (DOR/XY)
+    port wherever it is still alive and minimal, preserving the proven
+    escape construction away from the fault; elsewhere it falls back to
+    the first surviving candidate (a per-destination BFS tree — acyclic
+    per destination but *not* proven deadlock-free across destinations,
+    which is why the partition watchdog and ``run_until`` budgets stay
+    armed while degraded).
+
+    Returns ``(tables, unroutable)`` where ``unroutable[router]`` is the
+    set of endpoints unreachable from that router this epoch (empty sets
+    omitted).  An endpoint whose ``local:`` ejection port is down is
+    unreachable from everywhere, including its home router.
+    """
+    alive, distances_to = surviving_distances(topology, down_links, down_ports)
+    routers = topology.routers
+    candidates: Dict[RouterId, Dict[int, Tuple[str, ...]]] = {
+        r: {} for r in routers
+    }
+    escape: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
+    unroutable: Dict[RouterId, Set[int]] = {}
+    for endpoint in topology.endpoints:
+        home = topology.router_of(endpoint)
+        local_dead = (home, port_local(endpoint)) in down_ports
+        dist = {} if local_dead else distances_to(home)
+        for router in routers:
+            if router == home and not local_dead:
+                cands: Tuple[str, ...] = (port_local(endpoint),)
+            elif router in dist:
+                here = dist[router]
+                cands = tuple(
+                    port_to(n)
+                    for n in alive[router]
+                    if n in dist and dist[n] < here
+                )
+            else:
+                cands = ()
+            candidates[router][endpoint] = cands
+            if cands:
+                choice = cands[0]
+                if healthy_escape is not None:
+                    preferred = healthy_escape[router].get(endpoint)
+                    if preferred in cands:
+                        choice = preferred
+                escape[router][endpoint] = choice
+            else:
+                unroutable.setdefault(router, set()).add(endpoint)
+    tables = {
+        r: AdaptiveRoutingTable(candidates[r], escape[r]) for r in routers
+    }
+    return tables, unroutable
+
+
 def compute_adaptive_tables(
     topology: Topology,
 ) -> Dict[RouterId, AdaptiveRoutingTable]:
     """Minimal output sets + deterministic escape tables per router.
 
-    The candidate sets come from BFS distances (on a mesh/torus that is
-    exactly the minimal quadrant, at most one neighbour per dimension
-    with a non-zero offset); the escape table is the strongest
-    deterministic scheme the topology supports: DOR where the wraparound
-    links exist, XY on plain meshes, canonical BFS tables for arbitrary
-    graphs (deadlock freedom of the escape subnetwork is only *argued*
-    for ring/torus — with dateline classes — and mesh; see
-    :class:`EscapeVcPolicy`).
+    The escape table is the strongest deterministic scheme the topology
+    supports: DOR where the wraparound links exist, XY on plain meshes,
+    canonical BFS tables for arbitrary graphs (deadlock freedom of the
+    escape subnetwork is only *argued* for ring/torus — with dateline
+    classes — and mesh; see :class:`EscapeVcPolicy`).  The candidate
+    sets are :func:`compute_degraded_tables` with nothing down.
     """
-    escape_tables: Optional[Dict[RouterId, Dict[int, str]]] = None
     for scheme in ("dor", "xy", "table"):
         try:
             escape_tables = compute_tables(topology, scheme)
@@ -288,22 +346,7 @@ def compute_adaptive_tables(
             # (topo.custom allows arbitrary hashables) — fall through to
             # the next scheme, ending at BFS tables which accept any id.
             continue
-    assert escape_tables is not None  # "table" never raises RoutingError
-    tables: Dict[RouterId, AdaptiveRoutingTable] = {}
-    for router in topology.routers:
-        candidates: Dict[int, Tuple[str, ...]] = {}
-        for endpoint in topology.endpoints:
-            home = topology.router_of(endpoint)
-            if router == home:
-                candidates[endpoint] = (port_local(endpoint),)
-            else:
-                candidates[endpoint] = tuple(
-                    port_to(n)
-                    for n in topology.minimal_neighbors(router, home)
-                )
-        tables[router] = AdaptiveRoutingTable(
-            candidates, escape_tables[router]
-        )
+    tables, _ = compute_degraded_tables(topology, set(), set(), escape_tables)
     return tables
 
 
@@ -443,7 +486,7 @@ class EscapeVcPolicy(VcPolicy):
     silently.  What still holds: routers whose ports all survive keep
     their DOR escape next-hops verbatim (the degraded recompute prefers
     the healthy escape port wherever it is alive and still minimal, see
-    :func:`~repro.transport.faults.compute_degraded_tables`), so away
+    :func:`compute_degraded_tables`), so away
     from the fault the dateline/DOR acyclicity argument is untouched;
     and blocked heads still request escape every cycle.  What is *lost*:
     at routers forced to detour, the escape entry falls back to a

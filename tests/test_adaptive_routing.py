@@ -110,7 +110,7 @@ class TestAdaptiveTables:
                 dist = t.distances_to(home)
                 for port in tables[router].outputs(endpoint):
                     neighbor = next(
-                        n for n in t.graph.neighbors(router)
+                        n for n in t.neighbors(router)
                         if port == port_to(n)
                     )
                     assert dist[neighbor] < dist[router]
@@ -199,7 +199,7 @@ class TestEscapeDeadlockFreedom:
         # traffic, so the cycle lives in the X ring exactly as on ring6.
         t = topo.torus(6, 3)
         return topo.Topology(
-            t.graph, {ep: (ep % 6, 0) for ep in range(12)}, name="torus6x3row"
+            t.links, {ep: (ep % 6, 0) for ep in range(12)}, name="torus6x3row"
         )
 
     def _build(self, shape, vcs, policy):

@@ -1,6 +1,5 @@
 """Unit tests for topology constructors."""
 
-import networkx as nx
 import pytest
 
 from repro.transport import topology as topo
@@ -9,8 +8,8 @@ from repro.transport import topology as topo
 class TestMesh:
     def test_router_and_link_counts(self):
         t = topo.mesh(3, 3)
-        assert t.graph.number_of_nodes() == 9
-        assert t.graph.number_of_edges() == 12  # 2*w*h - w - h
+        assert len(t.routers) == 9
+        assert len(t.links) == 12  # 2*w*h - w - h
 
     def test_default_endpoint_per_router(self):
         t = topo.mesh(2, 2)
@@ -35,14 +34,15 @@ class TestMesh:
 class TestOtherShapes:
     def test_torus_has_wraparound(self):
         t = topo.torus(3, 3)
-        assert t.graph.has_edge((0, 0), (2, 0))
-        assert t.graph.has_edge((0, 0), (0, 2))
+        assert t.has_link((0, 0), (2, 0)) and t.has_link((2, 0), (0, 0))
+        assert t.has_link((0, 0), (0, 2))
+        assert not t.has_link((0, 0), (1, 1))
         assert t.diameter() <= topo.mesh(3, 3).diameter()
 
     def test_ring(self):
         t = topo.ring(5)
-        assert t.graph.number_of_edges() == 5
-        assert all(t.graph.degree[n] == 2 for n in t.graph)
+        assert t.links == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert all(len(t.neighbors(r)) == 2 for r in t.routers)
 
     def test_ring_too_small(self):
         with pytest.raises(ValueError):
@@ -56,11 +56,11 @@ class TestOtherShapes:
     def test_tree_endpoints_on_leaves(self):
         t = topo.tree(depth=2, fanout=2, endpoints=4)
         for ep in t.endpoints:
-            assert t.graph.degree[t.router_of(ep)] == 1
+            assert len(t.neighbors(t.router_of(ep))) == 1
 
     def test_single_router_xbar(self):
         t = topo.single_router(6)
-        assert t.graph.number_of_nodes() == 1
+        assert t.routers == [0] and t.links == []
         assert all(t.router_of(ep) == 0 for ep in range(6))
 
     def test_custom(self):
@@ -127,20 +127,34 @@ class TestCanonicalOrdering:
 
 class TestValidation:
     def test_disconnected_graph_rejected(self):
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
-        with pytest.raises(ValueError):
-            topo.Topology(g, {0: 0})
+        with pytest.raises(ValueError, match="not connected"):
+            topo.Topology([(0, 1), (2, 3)], {0: 0})
 
     def test_endpoint_on_unknown_router_rejected(self):
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            topo.Topology(g, {0: 99})
+        with pytest.raises(ValueError, match="unknown router 99"):
+            topo.Topology([(0, 1)], {0: 99})
 
     def test_negative_endpoint_rejected(self):
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            topo.Topology(g, {-1: 0})
+        with pytest.raises(ValueError, match="negative endpoint"):
+            topo.Topology([(0, 1)], {-1: 0})
+
+    def test_no_routers_rejected(self):
+        with pytest.raises(ValueError, match="topology 'floorplan': no routers"):
+            topo.custom([], {0: "a"}, name="floorplan")
+
+    def test_self_link_rejected(self):
+        with pytest.raises(ValueError, match="topology 'floorplan': link 'a' -- 'a'"):
+            topo.custom(
+                [("a", "a"), ("a", "b")], {0: "a", 1: "b"}, name="floorplan"
+            )
+
+    def test_repeated_and_reversed_links_collapse(self):
+        t = topo.custom([("b", "a"), ("a", "b"), ("b", "a"), ("c", "b")], {0: "a"})
+        assert t.links == [("a", "b"), ("b", "c")]
+        assert t.neighbors("b") == ["a", "c"]
+
+    def test_linkless_router_is_named(self):
+        t = topo.Topology([], {0: "hub", 1: "hub"}, routers=["hub"])
+        assert t.routers == ["hub"] and t.diameter() == 0
+        with pytest.raises(ValueError, match="not connected"):
+            topo.Topology([(0, 1)], {0: 0}, routers=[2])

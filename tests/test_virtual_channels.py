@@ -21,7 +21,7 @@ from repro.transport.routing import (
     PriorityVcPolicy,
     RoutingError,
     VcPolicy,
-    compute_dor_tables,
+    compute_tables,
     make_vc_policy,
 )
 from repro.transport.switching import SwitchingMode
@@ -132,7 +132,7 @@ class TestDatelineDeadlockFreedom:
 
     def test_dor_rejects_topology_without_wraparound(self):
         with pytest.raises(RoutingError):
-            compute_dor_tables(topo.mesh(4, 4))
+            compute_tables(topo.mesh(4, 4), "dor")
 
 
 class TestDatelinePolicyUnit:
