@@ -571,6 +571,9 @@ class SocBuilder:
 
         masters: Dict[str, ProtocolMaster] = {}
         initiator_nius: Dict[str, InitiatorNiu] = {}
+        # Sources taken by this build, marked attached only on return: a
+        # build that raises leaves every ready source free for a retry.
+        claimed: Dict[int, str] = {}
         for endpoint, spec in enumerate(self.initiators):
             master_cls = _MASTER_CLASSES[spec.protocol]
             source = spec.traffic
@@ -582,17 +585,19 @@ class SocBuilder:
                     f"InitiatorSpec(traffic=...)"
                 )
             taken_by = getattr(source, "_attached_master", None)
+            if taken_by is None:
+                taken_by = claimed.get(id(source))
             if taken_by is not None:
                 raise ValueError(
                     f"initiator {spec.name!r}: its traffic source is already "
                     f"attached to master {taken_by!r}; sources are stateful "
                     f"— give a TrafficSpec or a fresh source per build"
                 )
+            claimed[id(source)] = spec.name
             with owned_by_endpoint(endpoint):
                 master = master_cls(
                     spec.name, sim, source, **spec.protocol_kwargs
                 )
-                source._attached_master = master.name
                 domain = endpoint_domains.get(endpoint)
                 if domain is not None:
                     master.set_clock_domain(domain)
@@ -638,6 +643,8 @@ class SocBuilder:
         if shard_plan is not None:
             self._install_shard_id_streams(soc)
             shard_ownership.finalize()
+        for master in masters.values():
+            master.traffic._attached_master = master.name
         return soc
 
     def _build_target(

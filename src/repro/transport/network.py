@@ -62,6 +62,26 @@ from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
 
 
+def plane_tables(topology: Topology, routing: str) -> tuple:
+    """``(tables, adaptive_tables or None)`` under ``routing``, computed
+    once per (topology, scheme) and memoised on the topology: the one way
+    a :class:`Network` gets tables.  Both planes' routers and the fault
+    injector's pristine copy share these objects, so they are read-only:
+    a fault epoch swaps a router's ``adaptive_table``, never edits one,
+    and no table may become a ``_snapshot_fields`` entry
+    (``_restore_field`` restores dicts in place, every plane's at once).
+    """
+    cached = topology._plane_tables.get(routing)
+    if cached is None:
+        if routing == "adaptive":
+            adaptive = compute_adaptive_tables(topology)
+            cached = ({r: t.escape for r, t in adaptive.items()}, adaptive)
+        else:
+            cached = (compute_tables(topology, routing), None)
+        topology._plane_tables[routing] = cached
+    return cached
+
+
 class BufferSizingError(ValueError):
     """A buffer/link capacity cannot satisfy the switching mode.
 
@@ -269,11 +289,6 @@ class EjectionPort(Component, Snapshottable):
             reassembler.restore(envelope)
 
     @property
-    def reassembler(self) -> Reassembler:
-        """VC-0 reassembler (compatibility accessor for single-VC planes)."""
-        return self.reassemblers[0]
-
-    @property
     def reorder_occupancy(self) -> int:
         """Packets currently parked in the reorder buffer."""
         return self._rob_count
@@ -420,6 +435,7 @@ class Network(Snapshottable):
     The plane's only runtime state of its own is the per-(src, dst)
     injection sequence stream of adaptive planes; everything else lives
     on the registered components, which the kernel captures by name.
+    Its routers' tables are :func:`plane_tables`' shared, read-only ones.
     """
 
     _snapshot_fields = ("_pair_seq",)
@@ -503,12 +519,7 @@ class Network(Snapshottable):
                     f"phits"
                 )
 
-        if routing == "adaptive":
-            adaptive_tables = compute_adaptive_tables(topology)
-            tables = {r: t.escape for r, t in adaptive_tables.items()}
-        else:
-            adaptive_tables = None
-            tables = compute_tables(topology, routing)
+        tables, adaptive_tables = plane_tables(topology, routing)
         # Pristine tables, kept so the fault injector can restore them on
         # a full heal (its recomputed tables are BFS-canonical, not DOR).
         self._adaptive_tables = adaptive_tables
@@ -599,12 +610,13 @@ class Network(Snapshottable):
                         # input buffer itself, nothing is ever in flight.
                         self._edge_links[(src, dst)] = None
                         self._edge_feeds[(src, dst)] = []
+                out_port, in_port = port_to(dst), f"in:{src}"
                 for vc in range(self.vcs):
                     self.routers[src].add_output(
-                        port_to(dst), feeds[vc], vc=vc, neighbor=dst
+                        out_port, feeds[vc], vc=vc, neighbor=dst
                     )
                     self.routers[dst].add_input(
-                        f"in:{src}", deliveries[vc], vc=vc, neighbor=src
+                        in_port, deliveries[vc], vc=vc, neighbor=src
                     )
 
         # Endpoint attachment: injection + ejection per endpoint.  An
@@ -637,10 +649,9 @@ class Network(Snapshottable):
             ep_domain,
             fabric_domain,
         )
+        inj_port = f"inj:{endpoint}"
         for vc in range(self.vcs):
-            router.add_input(
-                f"inj:{endpoint}", inj_deliveries[vc], vc=vc, order=endpoint
-            )
+            router.add_input(inj_port, inj_deliveries[vc], vc=vc, order=endpoint)
         port = InjectionPort(
             f"{name}.inj.{endpoint}",
             endpoint,
@@ -661,10 +672,9 @@ class Network(Snapshottable):
             fabric_domain,
             ep_domain,
         )
+        ej_port = port_local(endpoint)
         for vc in range(self.vcs):
-            router.add_output(
-                port_local(endpoint), ej_feeds[vc], vc=vc, order=endpoint
-            )
+            router.add_output(ej_port, ej_feeds[vc], vc=vc, order=endpoint)
         ej_packets = sim.new_queue(
             f"{name}.ej.{endpoint}.pkts", capacity=endpoint_queue_capacity
         )

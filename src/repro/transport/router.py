@@ -62,6 +62,7 @@ construction to compare the two, cycle for cycle.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.packet import PacketKind
@@ -148,8 +149,8 @@ class Router(Component, Snapshottable):
         # Buffers keyed by (port, vc); vc is always 0 when vcs == 1.
         self.inputs: Dict[VcKey, SimQueue] = {}
         self.outputs: Dict[VcKey, SimQueue] = {}
-        # Hot-path port lists, presorted at wiring time so tick never
-        # calls sorted() (arbitration order is the sorted (port, vc) key).
+        # Hot-path port lists, kept in canonical order as ports are wired
+        # so tick never sorts (arbitration order is the (port, vc) key).
         self._sorted_inputs: List[tuple] = []
         self._sorted_outputs: List[tuple] = []
         self._physical_outputs: List[str] = []
@@ -167,8 +168,8 @@ class Router(Component, Snapshottable):
         # otherwise "port@vc<N>" — one candidate per (input, VC)
         self._ckey: Dict[VcKey, str] = {}
         self._ckey_to_ivc: Dict[str, VcKey] = {}
-        # canonical iteration order per (port, vc) / per physical port
-        self._port_keys: Dict[VcKey, tuple] = {}
+        # canonical order per (vc key, queue) list entry / physical port
+        self._port_keys: Dict[Tuple[VcKey, SimQueue], tuple] = {}
         self._phys_out_keys: Dict[str, tuple] = {}
         # Fault state (pushed by transport.faults.FaultInjector, which is
         # registered before the routers so an epoch's state is visible to
@@ -226,6 +227,11 @@ class Router(Component, Snapshottable):
         neighbor: Optional[Hashable] = None,
         order: Optional[Hashable] = None,
     ) -> SimQueue:
+        """Wire input ``(port, vc)``; ``neighbor`` is the upstream router,
+        ``order`` the id an endpoint port sorts by.  ``insort`` puts it
+        at its canonical place in ``_sorted_inputs`` (ties keep insertion
+        order, as a stable sort did): canonical after every call, in any
+        call order, with no finish-wiring step."""
         key = (port, vc)
         if key in self.inputs:
             raise ValueError(f"{self.name}: duplicate input port {key!r}")
@@ -240,12 +246,11 @@ class Router(Component, Snapshottable):
         ckey = self._candidate_key(port, vc)
         self._ckey[key] = ckey
         self._ckey_to_ivc[ckey] = key
-        self._port_keys[key] = (
+        entry = (key, queue)
+        self._port_keys[entry] = (
             self._port_order(port, neighbor if order is None else order), vc
         )
-        self._sorted_inputs = sorted(
-            self.inputs.items(), key=lambda item: self._port_keys[item[0]]
-        )
+        insort(self._sorted_inputs, entry, key=self._port_keys.__getitem__)
         queue.wake_on_push(self)
         return queue
 
@@ -257,6 +262,7 @@ class Router(Component, Snapshottable):
         neighbor: Optional[Hashable] = None,
         order: Optional[Hashable] = None,
     ) -> SimQueue:
+        """:meth:`add_input`'s twin: ``_sorted_outputs``, ``_physical_outputs``."""
         key = (port, vc)
         if key in self.outputs:
             raise ValueError(f"{self.name}: duplicate output port {key!r}")
@@ -271,13 +277,12 @@ class Router(Component, Snapshottable):
             self.output_busy_cycles[port] = 0
             self.lock_stalls_by_output[port] = 0
             self._phys_out_keys[port] = port_order
-            self._physical_outputs = sorted(
-                self._output_lock, key=self._phys_out_keys.__getitem__
+            insort(
+                self._physical_outputs, port, key=self._phys_out_keys.__getitem__
             )
-        self._port_keys[key] = (port_order, vc)
-        self._sorted_outputs = sorted(
-            self.outputs.items(), key=lambda item: self._port_keys[item[0]]
-        )
+        entry = (key, queue)
+        self._port_keys[entry] = (port_order, vc)
+        insort(self._sorted_outputs, entry, key=self._port_keys.__getitem__)
         queue.wake_on_pop(self)
         return queue
 

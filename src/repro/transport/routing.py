@@ -167,24 +167,30 @@ def compute_tables(
 
     Every next hop is checked against the topology, so a scheme asked to
     route a shape it does not fit (XY on a ring, DOR on a plain mesh
-    that lacks the wraparound link it wants) fails loudly.
+    that lacks the wraparound link it wants) fails loudly: a port name
+    is formatted once per (router, neighbour), and a next hop missing
+    from that map is not a link.  Pure and uncached; a ``Network`` gets
+    its tables, shared, from ``network.plane_tables``.
     """
     next_hop = _next_hop_rule(topology, scheme)
     routers = topology.routers
+    ports = {r: {n: port_to(n) for n in topology.neighbors(r)} for r in routers}
     tables: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
     for endpoint in topology.endpoints:
         home = topology.router_of(endpoint)
+        local = port_local(endpoint)
         for router in routers:
             if router == home:
-                tables[router][endpoint] = port_local(endpoint)
+                tables[router][endpoint] = local
                 continue
             neighbor = next_hop(router, home)
-            if not topology.has_link(router, neighbor):
+            port = ports[router].get(neighbor)
+            if port is None:
                 raise RoutingError(
                     f"{scheme} next hop {router!r}->{neighbor!r} is not a "
                     f"link of {topology.name!r}"
                 )
-            tables[router][endpoint] = port_to(neighbor)
+            tables[router][endpoint] = port
     return tables
 
 

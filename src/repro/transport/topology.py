@@ -104,6 +104,8 @@ class Topology:
         # neighbour set of every (router, destination) pair, which would
         # be O(V * E) BFS runs without the cache.
         self._dist_maps: Dict[RouterId, Dict[RouterId, int]] = {}
+        # Routing tables per scheme (repro.transport.network.plane_tables).
+        self._plane_tables: Dict[str, tuple] = {}
         reached = self.distances_to(next(iter(self._neighbors)))
         if len(reached) != len(self._neighbors):
             raise ValueError(f"topology {name!r}: router graph is not connected")

@@ -151,6 +151,42 @@ class TestTopologyAndFabricKnobs:
         with pytest.raises(ValueError, match="'gpu0'.*fresh source per build"):
             builder.build()
 
+    def test_a_failed_build_leaves_ready_sources_free(self):
+        """A build that raises after taking a ready source must not mark
+        it attached: no SoC holds it, so the retry has to succeed."""
+        source = TrafficSpec(
+            kind="poisson", seed=5, count=20, pairs=[(0, 0x1000)]
+        ).build("cpu")
+        broken = InitiatorSpec(
+            "dma", "AXI", TrafficSpec(kind="poisson", seed=6, count=20,
+                                      pairs=[(0, 0x1000)]),
+            protocol_kwargs={"no_such_option": 1},
+        )
+        builder = SocBuilder()
+        builder.add_initiator(InitiatorSpec("cpu", "AXI", source))
+        builder.add_initiator(broken)
+        builder.add_target(TargetSpec("mem0", size=0x1000))
+        with pytest.raises(TypeError, match="no_such_option"):
+            builder.build()
+        broken.protocol_kwargs = {}
+        soc = builder.build()
+        assert soc.masters["cpu"].traffic is source
+        soc.run_to_completion(max_cycles=100_000)
+        assert soc.masters["cpu"].completed == 20
+        with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
+            builder.build()
+
+    def test_one_source_on_two_initiators_is_refused(self):
+        source = TrafficSpec(
+            kind="poisson", seed=5, count=20, pairs=[(0, 0x1000)]
+        ).build("a")
+        builder = SocBuilder()
+        builder.add_initiator(InitiatorSpec("a", "AXI", source))
+        builder.add_initiator(InitiatorSpec("b", "AXI", source))
+        builder.add_target(TargetSpec("mem0", size=0x1000))
+        with pytest.raises(ValueError, match="'b'.*attached to master 'a'"):
+            builder.build()
+
     def test_traffic_spec_builds_a_fresh_source_every_time(self):
         builder = SocBuilder()
         builder.add_initiator(InitiatorSpec(
