@@ -15,8 +15,7 @@ can express:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.bus.shared_bus import BusOp, BusReply, SharedBus
@@ -70,7 +69,7 @@ class Bridge(Component):
         self._current: Optional[Transaction] = None
         self._status = ResponseStatus.OKAY
         self._data: List[int] = []
-        self._outgoing: Deque[Tuple[int, Transaction]] = deque()  # (ready, txn)
+        self._outgoing: List[Tuple[int, Transaction]] = []  # (ready, txn)
         self.intents_converted = 0
         self.splits = 0
         self.lock_emulations = 0
@@ -216,7 +215,7 @@ class Bridge(Component):
     def tick(self, cycle: int) -> None:
         # 1. deliver matured native responses (bridge egress latency).
         while self._outgoing and self._outgoing[0][0] <= cycle:
-            __, txn = self._outgoing.popleft()
+            __, txn = self._outgoing.pop(0)
             self._push_native_response(txn)
 
         # 2. collect bus replies for the in-flight intent.

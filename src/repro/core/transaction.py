@@ -112,6 +112,9 @@ class ResponseStatus(enum.Enum):
 #: out exactly the ids the uninterrupted run would have.
 _txn_ids = SerialCounter()
 
+#: Per-beat widths, in bytes, a transaction may carry.
+BEAT_WIDTHS = (1, 2, 4, 8, 16)
+
 
 def _next_txn_id() -> int:
     return next(_txn_ids)
@@ -165,7 +168,7 @@ class Transaction:
             raise ValueError(f"negative address {self.address:#x}")
         if self.beats < 1:
             raise ValueError(f"beats must be >= 1, got {self.beats}")
-        if self.beat_bytes not in (1, 2, 4, 8, 16):
+        if self.beat_bytes not in BEAT_WIDTHS:
             raise ValueError(f"unsupported beat width {self.beat_bytes}")
         if self.beats == 1 and self.burst in (BurstType.INCR, BurstType.WRAP):
             self.burst = BurstType.SINGLE

@@ -10,8 +10,7 @@ share a target.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus
 from repro.protocols.base import SlaveRequest, SlaveResponse, SlaveSocket
@@ -81,7 +80,7 @@ class MemoryDevice(Component, Snapshottable):
         self.per_beat_cycles = per_beat_cycles
         self.error_ranges = list(error_ranges or [])
         self.store = ByteStore()
-        self._pipeline: Deque[Tuple[int, SlaveResponse]] = deque()
+        self._pipeline: List[Tuple[int, SlaveResponse]] = []
         self.reads_served = 0
         self.writes_served = 0
         self.errors_served = 0
@@ -145,7 +144,7 @@ class MemoryDevice(Component, Snapshottable):
             and self._pipeline[0][0] <= cycle
             and self.socket.responses.can_push()
         ):
-            __, response = self._pipeline.popleft()
+            __, response = self._pipeline.pop(0)
             self.socket.responses.push(response)
         # Accept one new request per cycle.
         if not self.socket.requests._committed:

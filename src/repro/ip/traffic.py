@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.transaction import (
+    BEAT_WIDTHS,
     Opcode,
     ResponseStatus,
     Transaction,
@@ -69,16 +70,6 @@ class TrafficSeedError(ValueError):
     equivalence and every determinism test.  Sources therefore demand an
     explicit integer seed.
     """
-
-
-def _require_seed(name: str, seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise TrafficSeedError(
-            f"traffic source {name!r}: seed must be an explicit int for "
-            f"reproducibility, got {seed!r} (random.Random(None) would "
-            f"seed from OS entropy)"
-        )
-    return seed
 
 
 #: Source kinds TrafficSpec can describe (the five classic constructors
@@ -149,59 +140,68 @@ class TrafficSpec:
     program: Optional[list] = field(default=None)
 
     # ------------------------------------------------------------------ #
+    def _burst_choices(self) -> Tuple[int, ...]:
+        """The poisson kind's burst lengths; ``()`` for a malformed value."""
+        beats = (1, 4) if self.burst_beats is None else self.burst_beats
+        if isinstance(beats, int):
+            return (beats,)
+        return tuple(beats) if isinstance(beats, (tuple, list)) else ()
+
     def validate(self) -> "TrafficSpec":
-        """Check every argument, raising the same errors (same types,
-        same messages) the legacy constructors always raised."""
+        """Check every argument.  A bad knob raises a ``ValueError`` that
+        names the spec and the knob (a missing seed a
+        :class:`TrafficSeedError`); the legacy constructors route through
+        here, so they and a spec reject exactly the same inputs."""
         name = self.master if self.master is not None else f"<{self.kind}>"
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(
                 f"traffic spec {name!r}: unknown kind {self.kind!r}; "
                 f"known kinds: {TRAFFIC_KINDS}"
             )
+        checks = []  # (knob, holds, requirement)
+        if self.kind in ("poisson", "dependent"):
+            fraction = self.read_fraction
+            checks += [
+                ("pairs", bool(self.pairs), "at least one (base, size) range"),
+                ("read_fraction", fraction is None or 0 <= fraction <= 1, "in [0, 1]"),
+                ("beat_bytes", self.beat_bytes in BEAT_WIDTHS, f"one of {BEAT_WIDTHS}"),
+            ]
         if self.kind == "poisson":
-            if not 0.0 < self.rate <= 1.0:
-                raise ValueError("rate must be in (0, 1]")
-            if not self.pairs:
-                raise ValueError("need at least one address range")
-            if self.burst_beats is not None and isinstance(
-                self.burst_beats, bool
-            ):
-                raise ValueError(
-                    f"traffic spec {name!r}: burst_beats must be an int or "
-                    f"a tuple of ints"
-                )
-        elif self.kind == "dependent":
-            if not self.pairs:
-                raise ValueError("need at least one address range")
+            beats = self._burst_choices()
+            beats_ok = bool(beats) and all(type(n) is int and n > 0 for n in beats)
+            checks += [
+                ("rate", 0.0 < self.rate <= 1.0, "in (0, 1]"),
+                ("threads", self.threads >= 1, ">= 1"),
+                ("tags", self.tags >= 1, ">= 1"),
+                ("burst_beats", beats_ok, "an int >= 1 or a non-empty tuple of them"),
+            ]
         elif self.kind == "stream":
-            if self.bytes_total <= 0:
-                raise ValueError(
-                    f"traffic spec {name!r}: bytes_total must be > 0"
-                )
-            if self.burst_beats is not None and not isinstance(
-                self.burst_beats, int
-            ):
-                raise ValueError(
-                    f"traffic spec {name!r}: stream burst_beats must be a "
-                    f"single int, got {self.burst_beats!r}"
-                )
+            beats = self.burst_beats
+            checks += [
+                ("bytes_total", self.bytes_total > 0, "> 0"),
+                ("burst_beats", beats is None or isinstance(beats, int), "an int"),
+            ]
         elif self.kind == "sync":
-            if self.style not in ("lock", "excl"):
-                raise ValueError("style must be 'lock' or 'excl'")
+            checks += [("style", self.style in ("lock", "excl"), "'lock' or 'excl'")]
         elif self.kind == "scripted":
-            if self.intents is None:
-                raise ValueError(
-                    f"traffic spec {name!r}: scripted kind needs "
-                    f"intents=[Transaction, ...]"
-                )
+            checks += [("intents", self.intents is not None, "a list of Transactions")]
         elif self.kind == "dma":
-            if not self.program:
+            checks += [("program", bool(self.program), "a non-empty list")]
+        for knob, holds, requirement in checks:
+            if not holds:
                 raise ValueError(
-                    f"traffic spec {name!r}: dma kind needs a non-empty "
-                    f"program=[DmaDescriptor, ...]"
+                    f"traffic spec {name!r}: {knob} must be {requirement}, "
+                    f"got {getattr(self, knob)!r}"
                 )
-        if self.kind in _SEEDED_KINDS:
-            _require_seed(name, self.seed)
+        seed = self.seed
+        if self.kind in _SEEDED_KINDS and (
+            not isinstance(seed, int) or isinstance(seed, bool)
+        ):
+            raise TrafficSeedError(
+                f"traffic source {name!r}: seed must be an explicit int for "
+                f"reproducibility, got {seed!r} (random.Random(None) would "
+                f"seed from OS entropy)"
+            )
         return self
 
     # ------------------------------------------------------------------ #
@@ -223,13 +223,6 @@ class TrafficSpec:
                 f"set master=... or put the spec on InitiatorSpec(traffic=...)"
             )
         if self.kind == "poisson":
-            beats = self.burst_beats
-            if beats is None:
-                beats = (1, 4)
-            elif isinstance(beats, int):
-                beats = (beats,)
-            else:
-                beats = tuple(beats)
             return PoissonTraffic(
                 name,
                 self.seed,
@@ -239,7 +232,7 @@ class TrafficSpec:
                 read_fraction=(
                     0.6 if self.read_fraction is None else self.read_fraction
                 ),
-                burst_beats=beats,
+                burst_beats=self._burst_choices(),
                 beat_bytes=self.beat_bytes,
                 threads=self.threads,
                 tags=self.tags,
@@ -357,15 +350,17 @@ class PoissonTraffic(Snapshottable):
         priority: int = 0,
         posted_writes: bool = False,
     ) -> None:
-        # All argument checking (rate window, range list, seed) lives in
-        # the declarative spec — construct-and-validate one so direct
-        # construction and a TrafficSpec reject identically.
-        TrafficSpec(
+        spec = TrafficSpec(
             kind="poisson",
             master=name,
             seed=seed,
             rate=rate,
             pairs=list(address_ranges),
+            read_fraction=read_fraction,
+            burst_beats=burst_beats,
+            beat_bytes=beat_bytes,
+            threads=threads,
+            tags=tags,
         ).validate()
         self.name = name
         self.rng = random.Random(seed)
@@ -373,7 +368,7 @@ class PoissonTraffic(Snapshottable):
         self.address_ranges = list(address_ranges)
         self.rate = rate
         self.read_fraction = read_fraction
-        self.burst_beats = burst_beats
+        self.burst_beats = spec._burst_choices()
         self.beat_bytes = beat_bytes
         self.threads = threads
         self.tags = tags
@@ -487,6 +482,8 @@ class DependentTraffic(Snapshottable):
             master=name,
             seed=seed,
             pairs=list(address_ranges),
+            read_fraction=read_fraction,
+            beat_bytes=beat_bytes,
         ).validate()
         self.name = name
         self.rng = random.Random(seed)

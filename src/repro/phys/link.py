@@ -20,9 +20,8 @@ built with no physical layer at all).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
@@ -167,9 +166,9 @@ class PhysicalLink(Component, Snapshottable):
         self.crosses_domains = domains_cross(producer_domain, consumer_domain)
         self.serialization = phits_per_flit(flit_bits, phit_bits)
         self._shifting: Optional[Tuple[Flit, int]] = None  # (flit, phits left)
-        self._pipe: Deque[Tuple[int, Flit]] = deque()  # (ready cycle, flit)
-        self._crossing: Deque[List] = deque()  # [consumer edges left, flit]
-        self._deliver: Deque[Flit] = deque()  # synchronized, awaiting room
+        self._pipe: List[Tuple[int, Flit]] = []  # (ready cycle, flit)
+        self._crossing: List[List] = []  # [consumer edges left, flit]
+        self._deliver: List[Flit] = []  # synchronized, awaiting room
         # Edge bookkeeping for the time-skipping kernel: shifting and
         # synchronizer aging are *internal* per-edge state (nothing
         # outside the link can observe a partially shifted flit), so a
@@ -273,21 +272,21 @@ class PhysicalLink(Component, Snapshottable):
                     for entry in self._crossing:
                         entry[0] -= edges
                     while self._crossing and self._crossing[0][0] <= 0:
-                        self._deliver.append(self._crossing.popleft()[1])
+                        self._deliver.append(self._crossing.pop(0)[1])
                 # Pipeline-matured flits enter the synchronizer.
                 while self._pipe and self._pipe[0][0] <= cycle:
-                    __, flit = self._pipe.popleft()
+                    __, flit = self._pipe.pop(0)
                     self._crossing.append([self.sync_stages, flit])
                 # Deliver synchronized flits while downstream has room.
                 while self._deliver and self.downstream.can_push():
-                    self.downstream.push(self._deliver.popleft())
+                    self.downstream.push(self._deliver.pop(0))
                     self.flits_carried += 1
             elif self._pipe:
                 # Same-domain link: deliver flits whose pipeline matured.
                 while self._pipe and self._pipe[0][0] <= cycle:
                     if not self.downstream.can_push():
                         break
-                    __, flit = self._pipe.popleft()
+                    __, flit = self._pipe.pop(0)
                     self.downstream.push(flit)
                     self.flits_carried += 1
 
@@ -425,8 +424,8 @@ class VcPhysicalLink(Component, Snapshottable):
                 CreditCounter(queue.capacity, credit_return_latency)
             )
         self._shifting: Optional[Tuple[int, Flit, int]] = None  # (vc, flit, left)
-        self._pipe: Deque[Tuple[int, int, Flit]] = deque()  # (ready, vc, flit)
-        self._crossing: Deque[List] = deque()  # [edges left, vc, flit]
+        self._pipe: List[Tuple[int, int, Flit]] = []  # (ready, vc, flit)
+        self._crossing: List[List] = []  # [edges left, vc, flit]
         self._in_flight_vc = [0] * self.vcs
         self._next_vc = 0
         self.flits_carried = 0
@@ -500,14 +499,14 @@ class VcPhysicalLink(Component, Snapshottable):
                     for entry in self._crossing:
                         entry[0] -= 1
                     while self._crossing and self._crossing[0][0] <= 0:
-                        __, vc, flit = self._crossing.popleft()
+                        __, vc, flit = self._crossing.pop(0)
                         self._deliver(vc, flit)
                 while self._pipe and self._pipe[0][0] <= cycle:
-                    __, vc, flit = self._pipe.popleft()
+                    __, vc, flit = self._pipe.pop(0)
                     self._crossing.append([self.sync_stages, vc, flit])
             else:
                 while self._pipe and self._pipe[0][0] <= cycle:
-                    __, vc, flit = self._pipe.popleft()
+                    __, vc, flit = self._pipe.pop(0)
                     self._deliver(vc, flit)
 
         if producer is not None and not producer.active(cycle):

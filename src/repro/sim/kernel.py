@@ -395,8 +395,11 @@ class Simulator(Snapshottable):
         activity cycle lies in the future (and nothing was woken or
         staged), ``now`` advances straight to the earliest such event —
         see :meth:`Component.next_event_cycle` for why this is exact.
-        The strict kernel executes every cycle, as always.
+        The strict kernel executes every cycle, as always.  ``run(0)`` is
+        a no-op; a negative count raises :class:`ValueError`.
         """
+        if cycles < 0:
+            raise ValueError(f"cycles must be >= 0, got {cycles}")
         end = self.cycle + cycles
         if self.strict:
             while self.cycle < end:

@@ -70,10 +70,9 @@ builds.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import repro.core.transaction as _txn_mod
 import repro.transport.flit as _flit_mod
@@ -247,7 +246,7 @@ class ShardLinkTx(Component, Snapshottable):
         self.serialization = phits_per_flit(flit_bits, phit_bits)
         self._credits = list(delivery_capacities)
         self.capacities = list(delivery_capacities)
-        self._pending_credits: Deque[Tuple[int, int, int]] = deque()  # (due, vc, n)
+        self._pending_credits: List[Tuple[int, int, int]] = []  # (due, vc, n)
         self._shifting: Optional[Tuple[int, object, int]] = None  # (vc, flit, left)
         self._next_vc = 0
         self._seq = 0
@@ -306,7 +305,7 @@ class ShardLinkTx(Component, Snapshottable):
         pending = self._pending_credits
         credits = self._credits
         while pending and pending[0][0] <= cycle:
-            __, vc, count = pending.popleft()
+            __, vc, count = pending.pop(0)
             credits[vc] += count
             if credits[vc] > self.capacities[vc]:
                 raise RuntimeError(
@@ -373,7 +372,7 @@ class ShardLinkRx(Component, Snapshottable):
         super().__init__(name)
         self.deliveries = list(deliveries)
         self.vcs = len(self.deliveries)
-        self._inbox: Deque[Tuple[int, int, int, object]] = deque()
+        self._inbox: List[Tuple[int, int, int, object]] = []
         self._seen_pops = [0] * self.vcs
         self.credit_outbox: List[Tuple[int, int, int]] = []
         self._peer_tx: Optional[ShardLinkTx] = None
@@ -426,7 +425,7 @@ class ShardLinkRx(Component, Snapshottable):
         inbox = self._inbox
         deliveries = self.deliveries
         while inbox and inbox[0][0] <= cycle:
-            __, vc, __seq, flit = inbox.popleft()
+            __, vc, __seq, flit = inbox.pop(0)
             deliveries[vc].push(flit)  # a held credit guarantees room
             self.flits_delivered += 1
         # Observe pops since the last tick; pops happen in the router

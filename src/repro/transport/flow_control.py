@@ -19,8 +19,7 @@ needed, and the fault injector's ``phits_in_flight_at_cut`` stat merely
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Tuple
+from typing import List, Tuple
 
 from repro.sim.snapshot import Snapshottable
 
@@ -64,7 +63,7 @@ class CreditCounter(Snapshottable):
         self.capacity = capacity
         self.return_latency = return_latency
         self._available = capacity
-        self._in_flight: Deque[Tuple[int, int]] = deque()  # (due_cycle, count)
+        self._in_flight: List[Tuple[int, int]] = []  # (due_cycle, count)
         self._now = 0
         # Sum of the _in_flight counts, kept incrementally (derived: not
         # captured, rebuilt on restore like SimQueue._occ).
@@ -101,7 +100,7 @@ class CreditCounter(Snapshottable):
         """Advance one cycle; mature in-flight credit returns."""
         self._now += 1
         while self._in_flight and self._in_flight[0][0] <= self._now:
-            __, count = self._in_flight.popleft()
+            __, count = self._in_flight.pop(0)
             self._returning -= count
             self._restore(count)
 

@@ -46,6 +46,16 @@ def test_components_tick_each_cycle():
     assert sim.cycle == 5
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_run_rejects_a_negative_cycle_count(strict):
+    sim = Simulator(strict=strict)
+    t = sim.add(Ticker("t"))
+    assert sim.run(0) == 0 and t.ticks == []
+    with pytest.raises(ValueError, match="cycles must be >= 0, got -5"):
+        sim.run(-5)
+    assert sim.cycle == 0 and t.ticks == []
+
+
 def test_duplicate_component_name_rejected():
     sim = Simulator()
     sim.add(Ticker("t"))

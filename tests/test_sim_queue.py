@@ -56,6 +56,16 @@ def test_peek_out_of_range():
         q.peek(1)
 
 
+@pytest.mark.parametrize("index", [-1, -2])
+def test_peek_negative_index_is_out_of_range(index):
+    """Negative indices do not count from the newest item."""
+    q = SimQueue("q")
+    q.push(1)
+    q.commit()
+    with pytest.raises(IndexError, match=rf"queue 'q': peek\({index}\)"):
+        q.peek(index)
+
+
 def test_unbounded_queue():
     q = SimQueue("q", capacity=None)
     for i in range(1000):

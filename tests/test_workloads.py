@@ -7,12 +7,14 @@ declarative TrafficSpec is observably equivalent to the legacy
 constructors it unified.
 """
 
+import re
 import types
 
 import pytest
 
 from repro.core.transaction import ResponseStatus
 from repro.ip.traffic import (
+    DependentTraffic,
     PoissonTraffic,
     TrafficSeedError,
     TrafficSpec,
@@ -348,6 +350,37 @@ class TestTrafficSpec:
         with pytest.raises(ValueError, match="rate"):
             TrafficSpec(kind="poisson", master="m", seed=1,
                         pairs=[(0, 64)], rate=1.5).validate()
+
+    @pytest.mark.parametrize("kind, knob, value", [
+        ("poisson", "threads", 0),
+        ("poisson", "tags", 0),
+        ("poisson", "burst_beats", ()),
+        ("poisson", "burst_beats", (0,)),
+        ("poisson", "beat_bytes", 3),
+        ("poisson", "read_fraction", 1.5),
+        ("dependent", "read_fraction", -0.1),
+        ("dependent", "beat_bytes", 3),
+    ])
+    def test_bad_knob_fails_at_build_naming_spec_and_knob(self, kind, knob,
+                                                           value):
+        """Each of these used to build and then crash (or silently
+        misbehave) in the source's first intent; the spec and the direct
+        constructor now refuse it up front with the same message."""
+        spec = TrafficSpec(kind=kind, master="m", seed=1, pairs=[(0, 64)],
+                           **{knob: value})
+        message = f"traffic spec 'm': {knob} must be .*, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=message) as from_spec:
+            spec.build()
+        source = PoissonTraffic if kind == "poisson" else DependentTraffic
+        with pytest.raises(ValueError) as direct:
+            source("m", seed=1, count=1, address_ranges=[(0, 64)],
+                   **{knob: value})
+        assert str(direct.value) == str(from_spec.value)
+
+    def test_an_int_burst_means_one_length_built_either_way(self):
+        direct = PoissonTraffic("m", seed=1, count=1, address_ranges=[(0, 64)],
+                                rate=1.0, burst_beats=4)
+        assert direct.poll(0).beats == 4
 
     def test_master_required_to_build(self):
         with pytest.raises(ValueError, match="master name"):
