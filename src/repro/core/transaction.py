@@ -27,6 +27,12 @@ class Opcode(enum.Enum):
     exclusive (non-blocking) synchronization reuses ``LOAD``/``STORE``
     with the ``excl`` user bit set — exactly the paper's single-bit
     "NoC service".
+
+    Each member's families are plain attributes, set once as the class
+    is created: ``is_write``, ``is_read``, ``expects_response`` (posted
+    stores complete at the NIU; everything else gets a reply) and
+    ``is_locking`` (the legacy blocking-synchronization family, paper
+    §3).
     """
 
     LOAD = "LOAD"
@@ -37,28 +43,11 @@ class Opcode(enum.Enum):
     LOCK = "LOCK"
     UNLOCK = "UNLOCK"
 
-    @property
-    def is_write(self) -> bool:
-        return self in (Opcode.STORE, Opcode.STORE_POSTED, Opcode.STORE_COND_LOCKED)
-
-    @property
-    def is_read(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.READEX)
-
-    @property
-    def expects_response(self) -> bool:
-        """Posted stores complete at the NIU; everything else gets a reply."""
-        return self is not Opcode.STORE_POSTED
-
-    @property
-    def is_locking(self) -> bool:
-        """True for legacy blocking-synchronization opcodes (paper §3)."""
-        return self in (
-            Opcode.READEX,
-            Opcode.STORE_COND_LOCKED,
-            Opcode.LOCK,
-            Opcode.UNLOCK,
-        )
+    def __init__(self, value: str) -> None:
+        self.is_write = value in ("STORE", "STORE_POSTED", "STORE_COND_LOCKED")
+        self.is_read = value in ("LOAD", "READEX")
+        self.expects_response = value != "STORE_POSTED"
+        self.is_locking = value in ("READEX", "STORE_COND_LOCKED", "LOCK", "UNLOCK")
 
 
 class BurstType(enum.Enum):
@@ -102,9 +91,8 @@ class ResponseStatus(enum.Enum):
     SLVERR = "SLVERR"  # target signalled an error
     DECERR = "DECERR"  # no target decoded for the address
 
-    @property
-    def is_error(self) -> bool:
-        return self in (ResponseStatus.SLVERR, ResponseStatus.DECERR)
+    def __init__(self, value: str) -> None:
+        self.is_error = value in ("SLVERR", "DECERR")
 
 
 #: Global transaction-id stream.  A SerialCounter (not itertools.count)

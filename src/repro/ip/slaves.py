@@ -84,10 +84,9 @@ class MemoryDevice(Component, Snapshottable):
         self.reads_served = 0
         self.writes_served = 0
         self.errors_served = 0
-        # Activity wiring: new requests wake the device; a popped
-        # response frees the retire path while the pipeline drains.
+        # Activity wiring: new requests wake the device; a matured
+        # response blocked on the channel keeps it hot (next_event_cycle).
         socket.requests.wake_on_push(self)
-        socket.responses.wake_on_pop(self)
 
     # -- state capture ----------------------------------------------------
     _snapshot_fields = (
@@ -109,11 +108,11 @@ class MemoryDevice(Component, Snapshottable):
     def next_event_cycle(self, now: int):
         """A request at the socket needs a tick now; otherwise the next
         event is the oldest pipeline entry's maturation cycle.  A matured
-        entry blocked on a full response channel keeps the device hot
-        rather than deferring to the pop-wake: a pop frees channel space
-        in the same cycle it happens, and the strict kernel lets a
-        later-ticked device retire into that slot immediately.  Dormant
-        (``None``) only when truly empty — new requests push-wake us."""
+        entry blocked on a full response channel keeps the device hot: a
+        pop frees channel space in the same cycle it happens and wakes
+        nobody, and the strict kernel lets a later-ticked device retire
+        into that slot immediately.  Dormant (``None``) only when truly
+        empty — new requests push-wake us."""
         if self.socket.requests._committed:
             return now
         if self._pipeline:

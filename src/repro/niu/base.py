@@ -115,25 +115,24 @@ class InitiatorNiu(Component, Snapshottable):
         """Store the master socket and register activity wakes.
 
         Subclasses call this instead of assigning ``self.socket`` so new
-        native requests (push) and freed response channels (pop) put the
-        NIU back on the schedule.
+        native requests (push) put the NIU back on the schedule.
         """
         self.socket = socket
         self._native_req_queues = tuple(socket.request_channels.values())
         for queue in self._native_req_queues:
             queue.wake_on_push(self)
-        for queue in socket.response_channels.values():
-            queue.wake_on_pop(self)
 
     def next_event_cycle(self, now: int):
         """Dormant while merely *waiting*: outstanding table entries with
         no arrived response, nothing deliverable and no native request
-        make every tick a no-op.  All three re-arming events wake us —
-        a response packet push, a native request push, and a freed
-        native response slot (registered in __init__/_attach_socket) —
-        so the kernel may park the engine until one fires.  A responded
-        entry held back by stream order becomes deliverable only through
-        an older response packet or a release inside our own tick."""
+        make every tick a no-op.  Both re-arming events wake us — a
+        response packet push and a native request push (registered in
+        __init__/_attach_socket) — so the kernel may park the engine
+        until one fires.  A deliverable entry refused by a full native
+        response channel keeps us hot, so a freed slot needs no wake.  A
+        responded entry held back by stream order becomes deliverable
+        only through an older response packet or a release inside our
+        own tick."""
         if not self._native_req_queues:
             return now  # no socket attached: cannot prove dormancy
         if self._rsp_packets or self.table.deliverable():
@@ -338,12 +337,11 @@ class TargetNiu(Component, Snapshottable):
         self.excl_failures = 0
         self.lock_blocked_cycles = 0
         # Activity wiring: arriving request packets and finished target-IP
-        # accesses wake the NIU; a drained slave request slot lets a
-        # capacity-stalled head packet proceed.
+        # accesses wake the NIU; a capacity-stalled head packet keeps it
+        # hot until a slave request slot drains.
         self._req_packets = fabric.requests(endpoint)
         self._req_packets.wake_on_push(self)
         slave_socket.responses.wake_on_push(self)
-        slave_socket.requests.wake_on_pop(self)
 
     # -- state capture ----------------------------------------------------
     _snapshot_fields = (

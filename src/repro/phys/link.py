@@ -128,10 +128,11 @@ class PhysicalLink(Component, Snapshottable):
         the CDC is part of the link, not a bolt-on.
 
     Activity contract: the link registers ``wake_on_push`` with its
-    upstream queue and ``wake_on_pop`` with its downstream queue, and
-    it is dormant only when nothing is buffered upstream, shifting,
-    piped, crossing or awaiting delivery — so serialized links retire
-    from the schedule exactly like any other component.  The link
+    upstream queue only, and it is dormant only when nothing is buffered
+    upstream, shifting, piped, crossing or awaiting delivery — so
+    serialized links retire from the schedule exactly like any other
+    component.  A flit blocked on a full downstream queue keeps the link
+    hot on its consumer edges, so a downstream pop needs no wake.  The link
     itself is never domain-gated by the kernel (it spans two domains);
     it self-gates each side on the matching domain's edges.
     """
@@ -189,7 +190,6 @@ class PhysicalLink(Component, Snapshottable):
         self.flits_carried = 0
         self.phits_carried = 0
         upstream.wake_on_push(self)
-        downstream.wake_on_pop(self)
 
     # ------------------------------------------------------------------ #
     # activity protocol
@@ -221,7 +221,7 @@ class PhysicalLink(Component, Snapshottable):
         tell the intermediate edges happened or not.  Pipeline maturation
         and blocked delivery contribute their own consumer edges, an
         idle-but-fed producer its next edge; a fully empty link is
-        dormant (upstream-push / downstream-pop wakes re-arm it).
+        dormant (an upstream push-wake re-arms it).
         """
         producer = self.producer_domain
         consumer = self.consumer_domain
@@ -375,11 +375,13 @@ class VcPhysicalLink(Component, Snapshottable):
     two ends sit in different clock domains every flit takes
     ``sync_stages`` consumer edges through the synchronizer.
 
-    Activity contract: the link wakes on any upstream push or downstream
-    pop, and it is dormant only when nothing is staged, in flight, *or
-    awaiting credit maturation* — credit bookkeeping advances in
-    :meth:`tick`, so the link must stay scheduled until every counter is
-    full again or the strict and activity kernels would disagree.
+    Activity contract: the link wakes on any upstream push, and it is
+    dormant only when nothing is staged, in flight, *or awaiting credit
+    maturation* — credit bookkeeping advances in :meth:`tick`, so the
+    link must stay scheduled until every counter is full again or the
+    strict and activity kernels would disagree.  That same rule keeps
+    it scheduled while any delivered flit is still buffered downstream
+    (its credit is out), so a downstream pop needs no wake.
     """
 
     def __init__(
@@ -433,8 +435,6 @@ class VcPhysicalLink(Component, Snapshottable):
         self.flits_per_vc = [0] * self.vcs
         for queue in self.upstreams:
             queue.wake_on_push(self)
-        for queue in self.downstreams:
-            queue.wake_on_pop(self)
 
     # ------------------------------------------------------------------ #
     # activity protocol

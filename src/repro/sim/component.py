@@ -23,10 +23,12 @@ class Component:
 
     A component that answers a later cycle, or ``None`` for dormant,
     promises that every external event that can create an earlier event
-    :meth:`wake`\\ s it.  Registering via :meth:`SimQueue.wake_on_push
-    <repro.sim.queue.SimQueue.wake_on_push>` /
-    :meth:`SimQueue.wake_on_pop <repro.sim.queue.SimQueue.wake_on_pop>`
-    covers the queue-borne events, which are the only legal ones.
+    :meth:`wake`\\ s it.  Wakes run one way: registering via
+    :meth:`SimQueue.wake_on_push <repro.sim.queue.SimQueue.wake_on_push>`
+    covers the queue-borne events (a push commit wakes consumers), which
+    are the only legal ones.  Producers never sleep on space — work
+    blocked on a full queue keeps its component scheduled (the stay-hot
+    rule below) — so a pop wakes nobody.
 
     Under that rule the activity-driven schedule is cycle-for-cycle
     identical to ticking everything (``Simulator(strict=True)``).
@@ -145,15 +147,15 @@ class Component:
         land on it exactly, even if the whole fabric is otherwise quiet.
 
         Stay-hot rule: a component holding work that only *downstream
-        queue space* would release must return ``now``, never ``None``.
-        :meth:`~repro.sim.queue.SimQueue.pop` frees capacity in the same
-        cycle it happens, and the strict kernel lets a later-registered
-        component use that slot immediately — whereas a pop-registered
-        :meth:`wake` only re-arms the component on the *next* cycle,
-        shifting its action one cycle late relative to strict.  ``None``
-        is only safe when the component is truly empty of work, because
-        push visibility is commit-delayed and push-wakes therefore land
-        exactly when the new work becomes observable.
+        queue space* would release must return ``now`` (its next clock
+        edge), never ``None``.  :meth:`~repro.sim.queue.SimQueue.pop` frees
+        capacity in the same cycle it happens, and the strict kernel lets
+        a later-registered component use that slot immediately; a pop
+        wakes nobody, so only a component that is still scheduled can
+        match that.  ``None`` is only safe when the component holds no
+        work that space could release, because push visibility is
+        commit-delayed and push-wakes therefore land exactly when new
+        work becomes observable.
 
         Own-limit corollary: work held back by state that only the
         component's *own* tick changes (a master at its outstanding

@@ -122,7 +122,9 @@ class Simulator(Snapshottable):
     descheduled component re-enters the set only when
     :meth:`Component.wake` is called — normally by a :class:`SimQueue`
     it registered with (``wake_on_push`` fires at commit time, when
-    items become visible; ``wake_on_pop`` fires when space frees).
+    items become visible).  Wakes run one way, from a push commit to the
+    queue's consumers: a pop wakes nobody, because a producer holding
+    work blocked on space never leaves the set (the stay-hot rule).
     Active components always tick in registration order, so the
     schedule is deterministic.
 

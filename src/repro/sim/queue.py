@@ -14,10 +14,13 @@ layer on top of this primitive.
 
 Activity contract
 -----------------
-Queues are the kernel's wake fabric.  A component registered with
-:meth:`wake_on_push` is woken when staged items *commit* (the moment they
-become consumer-visible); one registered with :meth:`wake_on_pop` is woken
-when an item is popped (the moment producer-side space frees up).  A queue
+Queues are the kernel's wake fabric, in one direction only: a component
+registered with :meth:`wake_on_push` is woken when staged items *commit*
+(the moment they become consumer-visible).  A pop wakes nobody.
+Producers never sleep on space: a component holding work blocked on a
+full queue stays scheduled (the stay-hot rule of
+:meth:`~repro.sim.component.Component.next_event_cycle`), so the slot a
+pop frees is seen by the producer's next tick without a wake.  A queue
 registered with a :class:`~repro.sim.kernel.Simulator` also marks itself
 on the kernel's per-cycle *dirty list* at first push, so the kernel
 commits only queues that actually staged something instead of iterating
@@ -57,7 +60,6 @@ class SimQueue(Snapshottable):
         "_kernel",
         "_dirty",
         "_push_waiters",
-        "_pop_waiters",
     )
 
     def __init__(self, name: str, capacity: Optional[int] = 4) -> None:
@@ -77,26 +79,20 @@ class SimQueue(Snapshottable):
         self.total_pushed = 0
         self.total_popped = 0
         self.high_watermark = 0
-        # Activity-kernel hooks: set by Simulator.add_queue / wake_on_*.
+        # Activity-kernel hooks: set by Simulator.add_queue / wake_on_push.
         self._kernel = None
         self._dirty = False
         self._push_waiters: Tuple[Any, ...] = ()
-        self._pop_waiters: Tuple[Any, ...] = ()
 
     # ------------------------------------------------------------------ #
-    # wake registration (once, at wiring time; waiters are immutable
-    # tuples so the hot wake loops iterate without copying)
+    # wake registration (once, at wiring time; waiters are an immutable
+    # tuple so the hot wake loop iterates without copying)
     # ------------------------------------------------------------------ #
     def wake_on_push(self, component) -> None:
         """Wake ``component`` whenever staged items commit (new items
         become consumer-visible)."""
         if component not in self._push_waiters:
             self._push_waiters += (component,)
-
-    def wake_on_pop(self, component) -> None:
-        """Wake ``component`` whenever an item is popped (space frees)."""
-        if component not in self._pop_waiters:
-            self._pop_waiters += (component,)
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -153,10 +149,7 @@ class SimQueue(Snapshottable):
             raise IndexError(f"queue {self.name!r} is empty")
         self.total_popped += 1
         self._occ -= 1
-        item = self._committed.pop(0)
-        for waiter in self._pop_waiters:
-            waiter.wake()
-        return item
+        return self._committed.pop(0)
 
     # ------------------------------------------------------------------ #
     # kernel side
@@ -221,9 +214,6 @@ class SimQueue(Snapshottable):
             self.total_popped += len(self._staged)
             self._occ -= len(self._staged)
             self._staged.clear()
-        if items:
-            for waiter in self._pop_waiters:
-                waiter.wake()
         return items
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

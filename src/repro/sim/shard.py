@@ -377,8 +377,6 @@ class ShardLinkRx(Component, Snapshottable):
         self.credit_outbox: List[Tuple[int, int, int]] = []
         self._peer_tx: Optional[ShardLinkTx] = None
         self.flits_delivered = 0
-        for queue in self.deliveries:
-            queue.wake_on_pop(self)
 
     def set_remote(self) -> None:
         """Worker mode: credits stay in ``credit_outbox`` for the barrier."""

@@ -111,5 +111,22 @@ class TargetSpec:
     region: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"target {self.name!r}: size must be > 0")
+        """A knob that would wedge the target NIU (``max_outstanding`` < 1
+        never serves) or that the memory would silently clamp (negative
+        latencies) is a ``ValueError`` naming the target and the knob."""
+        ranges_ok = all(
+            len(r) == 2 and r[0] >= 0 and r[1] >= 1 for r in self.error_ranges or ()
+        )
+        for knob, holds, requirement in (
+            ("size", self.size > 0, "> 0"),
+            ("read_latency", self.read_latency >= 0, ">= 0"),
+            ("write_latency", self.write_latency >= 0, ">= 0"),
+            ("per_beat_cycles", self.per_beat_cycles >= 0, ">= 0"),
+            ("max_outstanding", self.max_outstanding >= 1, ">= 1"),
+            ("error_ranges", ranges_ok, "(offset >= 0, size >= 1) pairs"),
+        ):
+            if not holds:
+                raise ValueError(
+                    f"target {self.name!r}: {knob} must be {requirement}, "
+                    f"got {getattr(self, knob)!r}"
+                )

@@ -9,7 +9,6 @@ inspected — the transaction payload rides opaquely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -77,8 +76,13 @@ def flits_for_packet(
             f"header ({header_bits}b) does not fit one flit "
             f"({flit_payload_bits}b) — widen the flit or shrink the format"
         )
-    payload_bits = packet.payload_bits()
-    return 1 + math.ceil(payload_bits / flit_payload_bits)
+    return flit_count(packet, flit_payload_bits)
+
+
+def flit_count(packet: NocPacket, flit_payload_bits: int) -> int:
+    """The one flit-count formula, for widths the caller has checked: a
+    head flit plus the payload in ``flit_payload_bits``-wide body flits."""
+    return 1 - (-packet.payload_bits() // flit_payload_bits)
 
 
 class Packetizer:
@@ -108,9 +112,7 @@ class Packetizer:
     def segment(self, packet: NocPacket, vc: int = 0) -> List[Flit]:
         if self.packet_format is not None:
             packet.validate_against(self.packet_format)
-        count = flits_for_packet(
-            packet, self.flit_payload_bits, header_bits=self._header_bits
-        )
+        count = flit_count(packet, self.flit_payload_bits)
         packet_id = next(_flit_packet_ids)
         # The routing header is per packet: evaluate its properties once,
         # not once per flit.

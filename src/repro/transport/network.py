@@ -28,6 +28,7 @@ NIU-facing API (all packet granularity; flits and VCs are internal):
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
@@ -46,7 +47,7 @@ from repro.sim.shard import (
 from repro.sim.snapshot import Snapshottable
 from repro.sim.stats import Histogram
 from repro.transport.faults import FaultInjector, FaultSchedule
-from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
+from repro.transport.flit import Flit, Packetizer, Reassembler, flit_count
 from repro.transport.qos import make_arbiter
 from repro.transport.router import Router
 from repro.transport.routing import (
@@ -92,6 +93,12 @@ class BufferSizingError(ValueError):
     """
 
 
+@functools.cache  # one immutable table per VC count, shared by every port
+def _vc_rotations(vcs: int) -> tuple:
+    """VC visiting order after last-served VC ``v``: ``v+1 .. v+vcs`` mod ``vcs``."""
+    return tuple(tuple((v + k) % vcs for k in range(1, vcs + 1)) for v in range(vcs))
+
+
 class InjectionPort(Component, Snapshottable):
     """Segments packets from a NIU into flits feeding the local router.
 
@@ -124,11 +131,16 @@ class InjectionPort(Component, Snapshottable):
         self.vc_policy = vc_policy if vc_policy is not None else VcPolicy()
         self._pending: List[List[Flit]] = [[] for _ in range(self.vcs)]
         self._last_vc = self.vcs - 1
+        self._rotation = _vc_rotations(self.vcs)
+        # The head packet the VC policy last placed, and its VC: the
+        # policy is stateless by contract, so a waiting head is asked once.
+        # A function of the packet it holds: never captured, and no
+        # restore can make it wrong.
+        self._head_packet: Optional[NocPacket] = None
+        self._head_vc = 0
         self.packets_injected = 0
         self.flits_injected = 0
         packet_queue.wake_on_push(self)
-        for queue in self.flit_queues:
-            queue.wake_on_pop(self)
 
     _snapshot_fields = (
         "_pending",
@@ -145,8 +157,8 @@ class InjectionPort(Component, Snapshottable):
         segmented (the packet pushes that end that are wake-registered in
         __init__).  A port holding flits blocked on a full feed must stay
         *hot*: a downstream pop frees feed space in the same cycle it
-        happens, and the strict kernel lets a later-ticked port use that
-        space immediately — a pop-wake would re-arm us one cycle late."""
+        happens and wakes nobody, and the strict kernel lets a
+        later-ticked port use that space immediately."""
         if self.packet_queue._committed:
             return now
         for pending in self._pending:
@@ -171,26 +183,34 @@ class InjectionPort(Component, Snapshottable):
                 self.flit_queues[0].push(pending.pop(0))
                 self.flits_injected += 1
             return
-        if self.packet_queue:
-            vc = self.vc_policy.injection_vc(self.packet_queue.peek(), self.vcs)
-            if not 0 <= vc < self.vcs:
-                raise ValueError(
-                    f"{self.name}: VC policy chose injection VC {vc} "
-                    f"outside 0..{self.vcs - 1}"
-                )
-            if not self._pending[vc]:
-                packet = self.packet_queue.pop()
+        pending_by_vc = self._pending
+        committed = self.packet_queue._committed
+        if committed:
+            packet = committed[0]
+            if packet is self._head_packet:
+                vc = self._head_vc
+            else:
+                vc = self.vc_policy.injection_vc(packet, self.vcs)
+                if not 0 <= vc < self.vcs:
+                    raise ValueError(
+                        f"{self.name}: VC policy chose injection VC {vc} "
+                        f"outside 0..{self.vcs - 1}"
+                    )
+                self._head_packet, self._head_vc = packet, vc
+            if not pending_by_vc[vc]:
+                self.packet_queue.pop()
                 packet.injected_cycle = cycle
-                self._pending[vc] = self.packetizer.segment(packet, vc=vc)
+                pending_by_vc[vc] = self.packetizer.segment(packet, vc=vc)
                 self.packets_injected += 1
         # One flit per cycle onto the feed, round-robin over ready VCs.
-        for offset in range(1, self.vcs + 1):
-            vc = (self._last_vc + offset) % self.vcs
-            if self._pending[vc] and self.flit_queues[vc].can_push():
-                self.flit_queues[vc].push(self._pending[vc].pop(0))
+        flit_queues = self.flit_queues
+        for vc in self._rotation[self._last_vc]:
+            pending = pending_by_vc[vc]
+            if pending and flit_queues[vc].can_push():
+                flit_queues[vc].push(pending.pop(0))
                 self.flits_injected += 1
                 self._last_vc = vc
-                break
+                return
 
 
 class EjectionPort(Component, Snapshottable):
@@ -249,18 +269,23 @@ class EjectionPort(Component, Snapshottable):
             for vc in range(self.vcs)
         ]
         self._last_vc = self.vcs - 1
+        self._rotation = _vc_rotations(self.vcs)
         self.packets_ejected = 0
         self.resequence = resequence
         self._rob: Dict[int, Dict[int, NocPacket]] = {}  # src -> seq -> pkt
         self._expected: Dict[int, int] = {}  # src -> next seq to release
         self._rob_count = 0
+        # A releasable packet (its pair's next expected) was refused
+        # delivery space: the one reorder-buffer state a tick can act on
+        # without a new flit (a gap leaves it clear).  A function of _rob
+        # and _expected: never captured, recomputed on restore.
+        self._rob_blocked = False
         self.reorder_high_watermark = 0
         #: Packets that arrived ahead of a same-pair predecessor and had
         #: to wait in the reorder buffer (adaptive planes only).
         self.packets_resequenced = 0
         for queue in self.flit_queues:
             queue.wake_on_push(self)
-        packet_queue.wake_on_pop(self)
 
     _snapshot_fields = (
         "_last_vc",
@@ -283,6 +308,10 @@ class EjectionPort(Component, Snapshottable):
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
         self._flow_hists.clear()
+        expected = self._expected
+        self._rob_blocked = any(
+            expected.get(src, 0) in pending for src, pending in self._rob.items()
+        )
         for reassembler, envelope in zip(
             self.reassemblers, state["reassemblers"]
         ):
@@ -293,34 +322,34 @@ class EjectionPort(Component, Snapshottable):
         """Packets currently parked in the reorder buffer."""
         return self._rob_count
 
-    def _record_flow(self, packet: NocPacket) -> None:
-        """Injection-to-delivery latency into the per-flow histograms."""
+    def _record_flow(self, packet: NocPacket, src: int) -> None:
+        """Injection-to-delivery latency into the per-flow histograms
+        (``src`` is the packet's route source, as its flits carry it)."""
         if self._flow_prefix is None or packet.injected_cycle < 0:
             return
         latency = self._simulator.cycle - packet.injected_cycle
-        flow = (packet.priority, packet.route_source)
+        flow = (packet.priority, src)
         hists = self._flow_hists.get(flow)
         if hists is None:
             stats = self._simulator.stats
             hists = self._flow_hists[flow] = (
                 stats.histogram(f"{self._flow_prefix}.prio{packet.priority}"),
-                stats.histogram(
-                    f"{self._flow_prefix}.pair."
-                    f"{packet.route_source}->{self.endpoint}"
-                ),
+                stats.histogram(f"{self._flow_prefix}.pair.{src}->{self.endpoint}"),
             )
         hists[0].add(latency)
         hists[1].add(latency)
 
     def next_event_cycle(self, now: int):
-        """Dormant only while nothing is buffered: arrivals are
-        wake-registered (flit-queue pushes).  A port holding a tail flit
-        (or a parked reorder-buffer packet) blocked on its full delivery
-        queue must stay *hot* rather than waiting for the delivery pop's
-        wake — the pop frees queue space in the same cycle it happens,
-        and the strict kernel lets a later-ticked port deliver that same
+        """Dormant while no flit is buffered and the reorder buffer, if
+        it holds anything, only waits on a gap: the packet that fills
+        the gap arrives as flits, and flit-queue pushes are
+        wake-registered.  A port holding a tail flit (or a releasable
+        reorder-buffer packet, ``_rob_blocked``) blocked on its full
+        delivery queue must stay *hot*: the consumer's pop frees queue
+        space in the same cycle it happens and wakes nobody, and the
+        strict kernel lets a later-ticked port deliver that same
         cycle."""
-        if self._rob_count:
+        if self._rob_blocked:
             return now
         for queue in self.flit_queues:
             if queue._committed:
@@ -328,105 +357,85 @@ class EjectionPort(Component, Snapshottable):
         return None
 
     def tick(self, cycle: int) -> None:
-        if self._rob_count:
+        if self._rob_blocked:
             self._flush_reorder()
         packet_queue = self.packet_queue
-        if self.vcs == 1 and not self.resequence:
-            # Single-VC, no resequencing: the historical ejection port,
-            # minus the rotation scaffolding.
-            queue = self.flit_queues[0]
-            committed = queue._committed
-            if not committed:
-                return
-            flit = committed[0]
-            if flit.seq == flit.count - 1 and not packet_queue.can_push():
-                return  # hold the tail: packet-granularity backpressure
-            queue.pop()
-            packet = self.reassemblers[0].accept(flit)
-            if packet is not None:
-                packet_queue.push(packet)
-                self.packets_ejected += 1
-                self._record_flow(packet)
-            return
         # One flit per cycle; hold a tail until its packet queue has room
         # so backpressure propagates into the fabric at packet granularity
         # — per VC, so a full queue on one VC never stalls the others.
-        for offset in range(1, self.vcs + 1):
-            vc = (self._last_vc + offset) % self.vcs
-            queue = self.flit_queues[vc]
-            if not queue:
+        flit_queues = self.flit_queues
+        resequence = self.resequence
+        for vc in self._rotation[self._last_vc]:
+            committed = flit_queues[vc]._committed
+            if not committed:
                 continue
-            flit = queue.peek()
-            if self.resequence:
-                if flit.is_tail and self._hold_tail(vc, flit):
+            flit = committed[0]
+            if flit.seq == flit.count - 1 and not packet_queue.can_push():
+                if not resequence:
                     continue
-                queue.pop()
-                packet = self.reassemblers[vc].accept(flit)
-                if packet is not None:
-                    self._stage_packet(packet)
-                self._last_vc = vc
-                return
-            if flit.is_tail and not packet_queue.can_push():
-                continue
-            queue.pop()
+                # Only the tail of its pair's next expected packet is held:
+                # the reorder buffer absorbs an out-of-order tail, which
+                # could otherwise block the gap-filling packet behind it.
+                head = self.reassemblers[vc]._current if flit.seq else flit
+                if head.packet.fabric_seq == self._expected.get(flit.src, 0):
+                    continue
+            flit_queues[vc].pop()
             packet = self.reassemblers[vc].accept(flit)
             if packet is not None:
-                packet_queue.push(packet)
-                self.packets_ejected += 1
-                self._record_flow(packet)
+                if resequence:
+                    self._stage_packet(packet, flit.src)
+                else:
+                    packet_queue.push(packet)
+                    self.packets_ejected += 1
+                    self._record_flow(packet, flit.src)
             self._last_vc = vc
             return
 
     # ------------------------------------------------------------------ #
     # resequencing (adaptive planes)
     # ------------------------------------------------------------------ #
-    def _hold_tail(self, vc: int, flit: Flit) -> bool:
-        """Should this tail wait in its flit queue another cycle?
-
-        A tail completing the *next expected* packet of its pair is held
-        only while its delivery queue is full (packet-granularity
-        backpressure, as on deterministic planes).  An out-of-order tail
-        is never refused: holding it at the front of its flit queue
-        could permanently block a gap-filling packet queued behind it on
-        the same ejection VC.
-        """
-        head = self.reassemblers[vc]._current if not flit.is_head else flit
-        assert head is not None and head.packet is not None
-        packet = head.packet
-        src = packet.route_source
-        if packet.fabric_seq == self._expected.get(src, 0):
-            return not self.packet_queue.can_push()
-        return False
-
-    def _stage_packet(self, packet: NocPacket) -> None:
-        src = packet.route_source
-        if packet.fabric_seq != self._expected.get(src, 0):
-            self.packets_resequenced += 1
-        self._rob.setdefault(src, {})[packet.fabric_seq] = packet
+    def _stage_packet(self, packet: NocPacket, src: int) -> None:
+        expected = self._expected.setdefault(src, 0)
+        pending = self._rob.setdefault(src, {})
+        pending[packet.fabric_seq] = packet
         self._rob_count += 1
         if self._rob_count > self.reorder_high_watermark:
             self.reorder_high_watermark = self._rob_count
-        self._flush_reorder()
+        if packet.fabric_seq != expected:
+            self.packets_resequenced += 1
+            return  # waits on a gap: nothing became releasable
+        # The pair's next expected packet: its tail was not held, so the
+        # delivery queue has room, hence no other pair holds a releasable
+        # packet (_rob_blocked implies a full queue): only this run moves.
+        self._rob_blocked = self._release(src, pending, expected)
 
     def _flush_reorder(self) -> None:
-        """Release every in-order packet its delivery queue can take."""
+        """Release every in-order packet its delivery queue can take; a
+        releasable packet left behind sets ``_rob_blocked``."""
+        refused = [
+            self._release(src, self._rob[src], self._expected[src])
+            for src in sorted(self._rob)
+        ]
+        self._rob_blocked = any(refused)
+
+    def _release(
+        self, src: int, pending: Dict[int, NocPacket], expected: int
+    ) -> bool:
+        """Deliver ``src``'s in-order run from ``expected`` while the
+        delivery queue has room; True when a releasable packet was
+        refused space."""
         out_queue = self.packet_queue
-        for src in sorted(self._rob):
-            pending = self._rob[src]
-            expected = self._expected.get(src, 0)
-            while True:
-                packet = pending.get(expected)
-                if packet is None or not out_queue.can_push():
-                    break
-                out_queue.push(packet)
-                del pending[expected]
-                self._rob_count -= 1
-                expected += 1
-                self.packets_ejected += 1
-                self._record_flow(packet)
-            self._expected[src] = expected
-            if not pending:
-                del self._rob[src]
+        while expected in pending and out_queue.can_push():
+            packet = pending.pop(expected)
+            out_queue.push(packet)
+            self._rob_count -= 1
+            expected += 1
+            self.packets_ejected += 1
+            self._record_flow(packet, src)
+        self._expected[src] = expected
+        if not pending:
+            del self._rob[src]
+        return expected in pending
 
 
 class Network(Snapshottable):
@@ -875,11 +884,7 @@ class Network(Snapshottable):
         if self.mode is not SwitchingMode.WORMHOLE:
             # Only SAF/VCT need the length here; the injection port
             # computes it again when it segments the packet.
-            flits = flits_for_packet(
-                packet,
-                self.flit_payload_bits,
-                header_bits=self.packetizer._header_bits,
-            )
+            flits = flit_count(packet, self.flit_payload_bits)
             if flits > self.buffer_capacity:
                 raise BufferSizingError(
                     f"{self.name}: packet of {flits} flits needs buffers of "

@@ -283,7 +283,6 @@ class Router(Component, Snapshottable):
         entry = (key, queue)
         self._port_keys[entry] = (port_order, vc)
         insort(self._sorted_outputs, entry, key=self._port_keys.__getitem__)
-        queue.wake_on_pop(self)
         return queue
 
     def apply_fault_state(

@@ -462,11 +462,12 @@ class TestAdaptiveLockSoc:
 # ---------------------------------------------------------------------- #
 # adaptive vs DOR + dateline on a hotspot SoC
 # ---------------------------------------------------------------------- #
-def hotspot_soc(routing):
+def hotspot_soc(routing, strict=None):
     """4x4 torus: six masters hammer one slow target ("hot", long
     latencies and a one-deep outstanding window, so its backpressure
     tree reaches deep into the fabric); six more stream to three fast
-    background targets whose DOR paths share links with that tree."""
+    background targets whose DOR paths share links with that tree.
+    ``strict`` selects the kernel as ``SocBuilder(strict_kernel=)``."""
     reset_ids()
     hot_range = [(0, 0x2000)]
     bg_ranges = [(0x2000, 0x2000), (0x4000, 0x2000), (0x6000, 0x2000)]
@@ -474,7 +475,8 @@ def hotspot_soc(routing):
         fabric = dict(routing="adaptive", vcs=3, vc_policy="escape")
     else:
         fabric = dict(routing="dor", vcs=2, vc_policy="dateline")
-    builder = SocBuilder(topology=topo.torus(4, 4, endpoints=16), **fabric)
+    builder = SocBuilder(topology=topo.torus(4, 4, endpoints=16),
+                         strict_kernel=strict, **fabric)
     for index in range(12):
         hot = index % 2 == 0
         builder.add_initiator(InitiatorSpec(

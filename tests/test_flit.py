@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.packet import NocPacket, PacketFormat, PacketKind
-from repro.core.transaction import Opcode
+from repro.core.transaction import BEAT_WIDTHS, Opcode
 from repro.transport.flit import (
     Flit,
     Packetizer,
     Reassembler,
     ReassemblyError,
+    flit_count,
     flits_for_packet,
 )
 
@@ -59,6 +60,25 @@ class TestFlitCount:
     def test_tiny_flit_rejected(self):
         with pytest.raises(ValueError):
             flits_for_packet(read_request(), 4)
+
+    @pytest.mark.parametrize("flit_payload_bits", [64, 72, 128, 256])
+    def test_packetizer_count_is_flits_for_packet(self, flit_payload_bits):
+        """The packetizer counts with the widths its constructor checked,
+        by the one formula ``Network.inject`` sizes SAF/VCT packets with:
+        equal to ``flits_for_packet`` for every kind, opcode, beat count
+        and beat width."""
+        packetizer = Packetizer(flit_payload_bits)
+        for kind in PacketKind:
+            for opcode in Opcode:
+                for beats in (1, 2, 3, 4, 7, 8, 16):
+                    for beat_bytes in BEAT_WIDTHS:
+                        packet = NocPacket(
+                            kind=kind, opcode=opcode, slv_addr=1, mst_addr=0,
+                            tag=0, beats=beats, beat_bytes=beat_bytes,
+                        )
+                        count = flits_for_packet(packet, flit_payload_bits)
+                        assert flit_count(packet, flit_payload_bits) == count
+                        assert len(packetizer.segment(packet)) == count
 
 
 class TestPacketizer:

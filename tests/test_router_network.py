@@ -263,6 +263,26 @@ class TestFabric:
         assert 0.0 < net.mean_link_utilization(sim.cycle) < 1.0
 
 
+def test_pop_reschedules_nothing():
+    """Queues wake only their consumers: popping the output of an idle,
+    descheduled router — the next router's input — leaves it
+    descheduled.  A producer never sleeps on space (work blocked on a
+    full queue keeps it scheduled), so a pop has nobody to wake."""
+    sim = Simulator()
+    net = Network(sim, topo.mesh(2, 1))
+    upstream, downstream = net.routers.values()
+    link = upstream.outputs[(port_to(downstream.router_id), 0)]
+    assert link is downstream.inputs[(f"in:{upstream.router_id}", 0)]
+    sim.run(8)  # one retire sweep: every component is idle
+    assert not upstream._scheduled and not downstream._scheduled
+    link.push(Packetizer().segment(request(1, 0))[0])
+    sim.step()  # the commit wakes the link's consumer only
+    assert downstream._scheduled and not upstream._scheduled
+    link.pop()
+    assert not upstream._scheduled
+    assert upstream not in sim._wakes
+
+
 # ---------------------------------------------------------------------- #
 # solo ticks vs the reference arbitration
 # ---------------------------------------------------------------------- #

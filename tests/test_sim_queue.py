@@ -174,19 +174,6 @@ def test_wake_on_push_fires_at_commit_not_push():
     assert consumer.wakes == 1
 
 
-def test_wake_on_pop_fires_per_pop_and_drain():
-    q = SimQueue("q", capacity=4)
-    producer = _WakeRecorder()
-    q.wake_on_pop(producer)
-    q.push(1)
-    q.push(2)
-    q.commit()
-    q.pop()
-    assert producer.wakes == 1
-    q.drain()
-    assert producer.wakes == 2
-
-
 def test_wake_registration_is_idempotent():
     q = SimQueue("q", capacity=4)
     consumer = _WakeRecorder()

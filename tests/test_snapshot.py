@@ -139,6 +139,34 @@ def test_aliases_inside_the_tree_survive_the_pickle():
     _roundtrip(build, 900, 626, probe=probe)
 
 
+@pytest.mark.parametrize("same_soc", [False, True], ids=["rebuilt", "same-soc"])
+def test_reorder_buffer_gap_roundtrip(same_soc):
+    """Cycle 330 of the adaptive hotspot SoC: one target's ejection port
+    holds packets behind a gap (``_rob_blocked`` clear, nothing to do
+    until a flit arrives) while the hot target's holds a releasable
+    packet refused delivery space (``_rob_blocked`` set).  The flag is a
+    function of the buffer, never captured: a rebuilt SoC and the donor
+    itself, restored after running on, both recompute it and continue
+    byte-identically."""
+
+    def probe(soc):
+        eports = [
+            eport
+            for plane in soc.fabric._planes
+            for eport in plane.ejection_ports.values()
+        ]
+        waiting = sorted(
+            e.name for e in eports if e._rob_count and not e._rob_blocked
+        )
+        blocked = sorted(e.name for e in eports if e._rob_blocked)
+        return waiting, blocked
+
+    checkpoint = _roundtrip(
+        tkd.build_adaptive_hotspot_soc, 800, 330, probe=probe, same_soc=same_soc
+    )
+    assert b"_rob_blocked" not in checkpoint.to_bytes()
+
+
 def test_same_soc_restore_drops_stats_created_after_the_cut():
     """Cycle 40 of the mixed SoC, restored into the donor after it ran
     on to 137: the per-pair flow histograms first created in between

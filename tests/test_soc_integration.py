@@ -237,6 +237,24 @@ class TestTopologyAndFabricKnobs:
         with pytest.raises(ValueError, match="alias"):
             build_bus_soc(inits, tgts)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_outstanding", 0),  # the target NIU never serves: a wedge
+            ("max_outstanding", -2),
+            ("read_latency", -3),  # the memory clamped these to 1
+            ("write_latency", -1),
+            ("per_beat_cycles", -2),
+            ("error_ranges", [(0x200, -4)]),
+            ("error_ranges", [(-1, 0x10)]),
+        ],
+    )
+    def test_target_knob_rejected_at_spec(self, knob, value):
+        """A knob that wedges the target or that the memory would silently
+        ignore fails when the spec is made, naming the target and knob."""
+        with pytest.raises(ValueError, match=rf"target 'mem0': {knob} must be"):
+            TargetSpec("mem0", size=0x1000, **{knob: value})
+
 
 class TestPhysicalLayerKnobs:
     def _scripted_specs(self):

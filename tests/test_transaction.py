@@ -16,7 +16,37 @@ from repro.core.transaction import (
 )
 
 
+#: Every opcode's families: (is_write, is_read, expects_response,
+#: is_locking).
+OPCODE_FAMILIES = {
+    Opcode.LOAD: (False, True, True, False),
+    Opcode.STORE: (True, False, True, False),
+    Opcode.STORE_POSTED: (True, False, False, False),
+    Opcode.READEX: (False, True, True, True),
+    Opcode.STORE_COND_LOCKED: (True, False, True, True),
+    Opcode.LOCK: (False, False, True, True),
+    Opcode.UNLOCK: (False, False, True, True),
+}
+
+#: Every response status's ``is_error``.
+STATUS_IS_ERROR = {
+    ResponseStatus.OKAY: False,
+    ResponseStatus.EXOKAY: False,
+    ResponseStatus.SLVERR: True,
+    ResponseStatus.DECERR: True,
+}
+
+
 class TestOpcode:
+    def test_family_table(self):
+        """The families are member attributes, fixed when the class is
+        created; this pins them for every member of both enums."""
+        assert {
+            op: (op.is_write, op.is_read, op.expects_response, op.is_locking)
+            for op in Opcode
+        } == OPCODE_FAMILIES
+        assert {s: s.is_error for s in ResponseStatus} == STATUS_IS_ERROR
+
     def test_classification(self):
         assert Opcode.LOAD.is_read and not Opcode.LOAD.is_write
         assert Opcode.STORE.is_write and not Opcode.STORE.is_read
