@@ -14,7 +14,7 @@ from repro.bus.coverage import PROTOCOL_FEATURES
 from repro.core.layer import build_layer_config
 from repro.core.ordering import ordering_for_protocol
 from repro.core.transaction import make_read
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.niu.gate_count import bridge_gate_count, niu_gate_count
 from repro.niu.tag_policy import TagPolicy
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
@@ -26,7 +26,7 @@ def unloaded_latency_noc(protocol):
     builder = SocBuilder()
     builder.add_initiator(
         InitiatorSpec("m", protocol,
-                      ScriptedTraffic([make_read(0x40)]))
+                      TrafficSpec(kind="scripted", intents=[make_read(0x40)]))
     )
     builder.add_target(TargetSpec("mem", size=0x1000, read_latency=4))
     soc = builder.build()
@@ -36,7 +36,8 @@ def unloaded_latency_noc(protocol):
 
 def unloaded_latency_bus(protocol, bridge_latency=2):
     soc = build_bus_soc(
-        [InitiatorSpec("m", protocol, ScriptedTraffic([make_read(0x40)]))],
+        [InitiatorSpec("m", protocol,
+                       TrafficSpec(kind="scripted", intents=[make_read(0x40)]))],
         [TargetSpec("mem", size=0x1000, read_latency=4)],
         bridge_latency=bridge_latency,
     )
@@ -109,7 +110,8 @@ def test_e8_burst_splitting_cost(benchmark, heading):
         soc = build_bus_soc(
             [InitiatorSpec(
                 "m", "AXI",
-                ScriptedTraffic([make_write(0x0, list(range(beats)))]),
+                TrafficSpec(kind="scripted",
+                            intents=[make_write(0x0, list(range(beats)))]),
             )],
             [TargetSpec("mem", size=0x1000)],
         )
@@ -120,6 +122,7 @@ def test_e8_burst_splitting_cost(benchmark, heading):
         assert transfers == math.ceil(beats / 16)
     benchmark(lambda: build_bus_soc(
         [InitiatorSpec("m", "AXI",
-                       ScriptedTraffic([make_write(0x0, list(range(32)))]))],
+                       TrafficSpec(kind="scripted",
+                                   intents=[make_write(0x0, list(range(32)))]))],
         [TargetSpec("mem", size=0x1000)],
     ).run_to_completion(max_cycles=50_000))

@@ -12,8 +12,7 @@ untouched — which is why OCP/AXI introduced these transactions.
 import pytest
 
 from repro.core.transaction import make_read
-from repro.ip.masters import sync_workload
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 
@@ -27,15 +26,16 @@ def sync_soc(style, transport_lock_support=None):
         builder.add_initiator(
             InitiatorSpec(
                 f"sync{i}", protocol,
-                sync_workload(f"sync{i}", style, sema_addr=0x0,
-                              work_addr=0x100 + 0x40 * i,
-                              iterations=6, work_ops=3, seed=i),
+                TrafficSpec(kind="sync", style=style, sema_addr=0x0,
+                            work_addr=0x100 + 0x40 * i, iterations=6,
+                            work_ops=3),
             )
         )
     builder.add_initiator(
         InitiatorSpec(
             "bystander", "BVCI",
-            ScriptedTraffic([make_read(0x200 + 4 * i) for i in range(40)]),
+            TrafficSpec(kind="scripted",
+                        intents=[make_read(0x200 + 4 * i) for i in range(40)]),
         )
     )
     builder.add_target(TargetSpec("sema", size=0x1000))
@@ -98,9 +98,8 @@ def test_e3_exclusive_scales_with_contention(benchmark, heading):
             builder.add_initiator(
                 InitiatorSpec(
                     f"sync{i}", "AXI",
-                    sync_workload(f"sync{i}", "excl", sema_addr=0x0,
-                                  work_addr=0x100 + 0x40 * i,
-                                  iterations=4, seed=i),
+                    TrafficSpec(kind="sync", style="excl", sema_addr=0x0,
+                                work_addr=0x100 + 0x40 * i, iterations=4),
                 )
             )
         builder.add_target(TargetSpec("sema", size=0x1000))

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import build_noc, mixed_targets
 from repro.core.ordering import OrderingModel
-from repro.ip.masters import random_workload
+from repro.ip import TrafficSpec
 from repro.niu.tag_policy import TagPolicy
 from repro.soc import InitiatorSpec, TargetSpec
 
@@ -21,15 +21,15 @@ RANGES = [(0, 0x4000), (0x4000, 0x4000)]
 def three_model_soc():
     inits = [
         InitiatorSpec("ahb", "AHB",
-                      random_workload("ahb", RANGES, count=60, seed=1,
-                                      rate=0.5)),
+                      TrafficSpec(kind="poisson", pairs=RANGES, count=60,
+                                  seed=1, rate=0.5)),
         InitiatorSpec("ocp", "OCP",
-                      random_workload("ocp", RANGES, count=60, seed=2,
-                                      threads=4, rate=0.5),
+                      TrafficSpec(kind="poisson", pairs=RANGES, count=60,
+                                  seed=2, threads=4, rate=0.5),
                       protocol_kwargs={"threads": 4}),
         InitiatorSpec("axi", "AXI",
-                      random_workload("axi", RANGES, count=60, seed=3,
-                                      tags=4, rate=0.5),
+                      TrafficSpec(kind="poisson", pairs=RANGES, count=60,
+                                  seed=3, tags=4, rate=0.5),
                       protocol_kwargs={"id_count": 4}),
     ]
     return build_noc(inits, mixed_targets())
@@ -46,8 +46,8 @@ def axi_soc(outstanding, multi_target=True):
     inits = [
         InitiatorSpec(
             "axi", "AXI",
-            random_workload("axi", RANGES, count=150, seed=7, tags=4,
-                            rate=1.0, burst_beats=(1, 4)),
+            TrafficSpec(kind="poisson", pairs=RANGES, count=150, seed=7,
+                        tags=4, rate=1.0, burst_beats=(1, 4)),
             policy=policy,
             protocol_kwargs={"id_count": 4,
                              "max_outstanding_reads": outstanding,

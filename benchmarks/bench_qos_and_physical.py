@@ -10,7 +10,7 @@ shows bandwidth scaling with no transaction-level change.
 import pytest
 
 from benchmarks.conftest import build_noc, mixed_targets
-from repro.ip.masters import random_workload, video_workload
+from repro.ip import TrafficSpec
 from repro.phys.link import phits_per_flit
 from repro.soc import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo
@@ -24,8 +24,9 @@ def qos_soc(priority_on):
     inits = [
         InitiatorSpec(
             "video", "AXI",
-            video_workload("video", base=0x0, bytes_total=2048,
-                           priority=2 if priority_on else 0, gap_cycles=2),
+            TrafficSpec(kind="stream", base=0x0, bytes_total=2048,
+                        write=False, priority=2 if priority_on else 0,
+                        gap_cycles=2),
             protocol_kwargs={"id_count": 2},
         ),
     ]
@@ -33,9 +34,9 @@ def qos_soc(priority_on):
         inits.append(
             InitiatorSpec(
                 f"bulk{i}", "BVCI",
-                random_workload(f"bulk{i}", [(0, 0x4000)], count=60,
-                                seed=20 + i, rate=1.0, read_fraction=0.0,
-                                burst_beats=(8,), priority=0),
+                TrafficSpec(kind="poisson", pairs=[(0, 0x4000)], count=60,
+                            seed=20 + i, rate=1.0, read_fraction=0.0,
+                            burst_beats=(8,)),
             )
         )
     return build_noc(inits,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ip.masters import cpu_workload, dma_workload, random_workload
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
@@ -19,20 +19,22 @@ def mixed_initiators(count=40, rate=0.25):
     ranges = [(0, 0x4000), (0x4000, 0x4000)]
     return [
         InitiatorSpec("cpu_ahb", "AHB",
-                      cpu_workload("cpu_ahb", ranges, count=count, seed=1)),
+                      TrafficSpec(kind="dependent", pairs=ranges, count=count,
+                                  seed=1)),
         InitiatorSpec("gpu_axi", "AXI",
-                      random_workload("gpu_axi", ranges, count=count, seed=2,
-                                      tags=4, rate=rate, burst_beats=(1, 4, 8)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=2, tags=4, rate=rate,
+                                  burst_beats=(1, 4, 8)),
                       protocol_kwargs={"id_count": 4}),
         InitiatorSpec("dsp_ocp", "OCP",
-                      random_workload("dsp_ocp", ranges, count=count, seed=3,
-                                      threads=2, rate=rate),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=3, threads=2, rate=rate),
                       protocol_kwargs={"threads": 2}),
         InitiatorSpec("io_bvci", "BVCI",
-                      random_workload("io_bvci", ranges, count=count, seed=4,
-                                      rate=rate)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=4, rate=rate)),
         InitiatorSpec("acc_msg", "PROPRIETARY",
-                      dma_workload("acc_msg", base=0x2000, bytes_total=1024)),
+                      TrafficSpec(kind="stream", base=0x2000, bytes_total=1024)),
     ]
 
 

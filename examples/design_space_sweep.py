@@ -13,7 +13,7 @@ Run:  python examples/design_space_sweep.py
 
 import functools
 
-from repro.ip.masters import cpu_workload, random_workload
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint, Override, fork
 from repro.transport import topology as topo
@@ -26,13 +26,14 @@ RUN_CYCLES = 2500
 def _populate(builder: SocBuilder) -> SocBuilder:
     builder.add_initiator(
         InitiatorSpec("cpu", "AXI",
-                      cpu_workload("cpu", RANGES, count=300, seed=11),
+                      TrafficSpec(kind="dependent", pairs=RANGES, count=300,
+                                  seed=11),
                       protocol_kwargs={"id_count": 4})
     )
     builder.add_initiator(
         InitiatorSpec("gpu", "AXI",
-                      random_workload("gpu", RANGES, count=5000, seed=12,
-                                      rate=0.3, tags=4),
+                      TrafficSpec(kind="poisson", pairs=RANGES, count=5000,
+                                  seed=12, rate=0.3, tags=4),
                       protocol_kwargs={"id_count": 4})
     )
     builder.add_target(TargetSpec("sram", size=0x2000, read_latency=2))

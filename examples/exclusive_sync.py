@@ -11,8 +11,7 @@ Run:  python examples/exclusive_sync.py
 """
 
 from repro.core.transaction import make_read
-from repro.ip.masters import sync_workload
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 
@@ -24,15 +23,16 @@ def build(style: str):
         builder.add_initiator(
             InitiatorSpec(
                 f"sync{i}", protocol,
-                sync_workload(f"sync{i}", style, sema_addr=0x0,
-                              work_addr=0x100 + 0x40 * i,
-                              iterations=8, work_ops=4, seed=i),
+                TrafficSpec(kind="sync", style=style, sema_addr=0x0,
+                            work_addr=0x100 + 0x40 * i, iterations=8,
+                            work_ops=4),
             )
         )
     builder.add_initiator(
         InitiatorSpec(
             "bystander", "BVCI",
-            ScriptedTraffic([make_read(0x200 + 4 * i) for i in range(50)]),
+            TrafficSpec(kind="scripted",
+                        intents=[make_read(0x200 + 4 * i) for i in range(50)]),
         )
     )
     builder.add_target(TargetSpec("sema", size=0x1000))

@@ -14,7 +14,7 @@ Run:  python examples/mixed_protocol_soc.py
 """
 
 from repro.bus import build_bus_soc, coverage_score
-from repro.ip.masters import cpu_workload, dma_workload, random_workload
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 PROTOCOLS = ["AHB", "AXI", "OCP", "BVCI", "PROPRIETARY"]
@@ -24,20 +24,23 @@ def make_specs():
     ranges = [(0, 0x4000), (0x4000, 0x4000)]
     initiators = [
         InitiatorSpec("cpu_ahb", "AHB",
-                      cpu_workload("cpu_ahb", ranges, count=50, seed=1)),
+                      TrafficSpec(kind="dependent", pairs=ranges, count=50,
+                                  seed=1)),
         InitiatorSpec("gpu_axi", "AXI",
-                      random_workload("gpu_axi", ranges, count=50, seed=2,
-                                      tags=4, burst_beats=(1, 4, 8)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=50,
+                                  seed=2, rate=0.25, tags=4,
+                                  burst_beats=(1, 4, 8)),
                       protocol_kwargs={"id_count": 4}),
         InitiatorSpec("dsp_ocp", "OCP",
-                      random_workload("dsp_ocp", ranges, count=50, seed=3,
-                                      threads=2),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=50,
+                                  seed=3, rate=0.25, threads=2),
                       protocol_kwargs={"threads": 2}),
         InitiatorSpec("io_bvci", "BVCI",
-                      random_workload("io_bvci", ranges, count=30, seed=4)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=30,
+                                  seed=4, rate=0.25)),
         InitiatorSpec("acc_msg", "PROPRIETARY",
-                      dma_workload("acc_msg", base=0x1000,
-                                   bytes_total=2048)),
+                      TrafficSpec(kind="stream", base=0x1000,
+                                  bytes_total=2048)),
     ]
     targets = [
         TargetSpec("dram", size=0x4000, read_latency=6, write_latency=3),

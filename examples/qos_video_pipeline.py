@@ -10,7 +10,7 @@ block or NIU — and watch transaction latency respond.
 Run:  python examples/qos_video_pipeline.py
 """
 
-from repro.ip.masters import random_workload, video_workload
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 
@@ -24,8 +24,8 @@ def build(video_priority: int, flit_bits: int = 128):
     builder.add_initiator(
         InitiatorSpec(
             "video", "AXI",
-            video_workload("video", base=0x0, bytes_total=4096,
-                           priority=video_priority, gap_cycles=2),
+            TrafficSpec(kind="stream", base=0x0, bytes_total=4096,
+                        write=False, priority=video_priority, gap_cycles=2),
             protocol_kwargs={"id_count": 2},
         )
     )
@@ -33,8 +33,8 @@ def build(video_priority: int, flit_bits: int = 128):
         builder.add_initiator(
             InitiatorSpec(
                 f"bulk{i}", "BVCI",
-                random_workload(f"bulk{i}", [(0, 0x4000)], count=60,
-                                seed=30 + i, rate=0.8, burst_beats=(4, 8)),
+                TrafficSpec(kind="poisson", pairs=[(0, 0x4000)], count=60,
+                            seed=30 + i, rate=0.8, burst_beats=(4, 8)),
             )
         )
     builder.add_target(TargetSpec("dram", size=0x4000, read_latency=4))

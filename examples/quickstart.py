@@ -9,18 +9,18 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.transaction import make_read, make_write
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
 def main() -> None:
     # 1. Declare the IP: what socket each block speaks, what it will do.
-    cpu_program = ScriptedTraffic([
+    cpu_program = TrafficSpec(kind="scripted", intents=[
         make_write(0x0000, [0x11, 0x22, 0x33, 0x44]),  # 4-beat INCR burst
         make_read(0x0000, beats=4),
         make_read(0x2000),  # second memory
     ])
-    dsp_program = ScriptedTraffic([
+    dsp_program = TrafficSpec(kind="scripted", intents=[
         make_write(0x2000, [0xAA], posted=True),  # OCP posted write
         make_read(0x0000),
     ])

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 from repro.bus.bridge import Bridge
 from repro.bus.shared_bus import SharedBus
 from repro.core.address_map import AddressMap
+from repro.ip.traffic import TrafficSpec
 from repro.protocols.base import ProtocolMaster
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -59,8 +60,7 @@ class BusSoc:
 
         merged = Histogram("all-masters")
         for name in self.masters:
-            for sample in self.sim.stats.latency(f"{name}.txn").histogram.samples:
-                merged.add(sample)
+            merged.merge(self.sim.stats.latency(f"{name}.txn").histogram)
         return merged.summary()
 
     def total_completed(self) -> int:
@@ -120,7 +120,10 @@ def build_bus_soc(
     bridges: Dict[str, Bridge] = {}
     for spec in initiators:
         master_cls = _MASTER_CLASSES[spec.protocol]
-        master = master_cls(spec.name, sim, spec.traffic, **spec.protocol_kwargs)
+        source = spec.traffic
+        if isinstance(source, TrafficSpec):
+            source = source.build(spec.name)
+        master = master_cls(spec.name, sim, source, **spec.protocol_kwargs)
         sim.add(master)
         bridge = Bridge(
             f"{spec.name}.bridge",

@@ -35,8 +35,8 @@ their master.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.transaction import (
     BEAT_WIDTHS,
@@ -72,41 +72,38 @@ class TrafficSeedError(ValueError):
     """
 
 
-#: Source kinds TrafficSpec can describe (the five classic constructors
-#: below plus the DMA descriptor engine from repro.workloads).
-TRAFFIC_KINDS = ("scripted", "poisson", "dependent", "stream", "sync", "dma")
-
-_SEEDED_KINDS = ("poisson", "dependent", "sync")
+_SEEDED_KINDS = ("poisson", "dependent")
 
 
 @dataclass
 class TrafficSpec:
-    """One declarative record describing any traffic source.
+    """One declarative record describing any traffic source — the only
+    way to make one.
 
-    The five ad-hoc source constructors grew five different call shapes;
-    this is the single shape that covers them all — ``kind`` picks the
-    source class, the shared knobs (``seed``, ``rate``, ``priority``,
-    ``pairs``) mean the same thing for every kind, and the kind-specific
-    knobs are ignored by kinds that do not use them.  ``validate()`` is
-    the one place every argument check (including
-    :class:`TrafficSeedError`) happens; the legacy constructors route
-    their own validation through it, so a spec and its equivalent direct
-    construction accept and reject exactly the same inputs.
+    ``kind`` picks the source class; the shared knobs (``seed``,
+    ``rate``, ``priority``, ``pairs``) mean the same thing for every
+    kind, and the kind-specific knobs are ignored by kinds that do not
+    use them.  Every knob has exactly one default, the one declared
+    here.  ``validate()`` is the one place every argument check
+    (including :class:`TrafficSeedError`) happens, and :meth:`build`
+    always runs it before constructing the source, so a bad knob fails
+    at build time with an error naming the spec and the knob.
 
     ``master`` may be left ``None`` when the spec sits on an
     ``InitiatorSpec(traffic=...)``; :meth:`build` then stamps the
     initiator's name on the source.
 
-    Kind map (knobs beyond the shared ones):
+    Kind map (knobs beyond the shared ones; ``None`` picks the kind's
+    value in brackets):
 
     - ``"scripted"`` — ``intents`` (list of prebuilt Transactions);
-    - ``"poisson"`` — ``count``, ``read_fraction``, ``burst_beats``
-      (tuple of candidate lengths), ``beat_bytes``, ``threads``,
-      ``tags``, ``posted``;
-    - ``"dependent"`` — ``count``, ``think_cycles``, ``read_fraction``,
-      ``beat_bytes``;
-    - ``"stream"`` — ``base``, ``bytes_total``, ``burst_beats`` (int),
-      ``beat_bytes``, ``write``, ``posted``, ``gap_cycles``;
+    - ``"poisson"`` — ``count``, ``read_fraction`` [0.6],
+      ``burst_beats`` [(1, 4)] (an int or a tuple of candidate
+      lengths), ``beat_bytes``, ``threads``, ``tags``, ``posted``;
+    - ``"dependent"`` — ``count``, ``think_cycles``,
+      ``read_fraction`` [0.8], ``beat_bytes``;
+    - ``"stream"`` — ``base``, ``bytes_total``, ``burst_beats`` [8]
+      (an int), ``beat_bytes``, ``write``, ``posted``, ``gap_cycles``;
     - ``"sync"`` — ``style``, ``sema_addr``, ``work_addr``,
       ``iterations``, ``work_ops``;
     - ``"dma"`` — ``program`` (list of
@@ -137,7 +134,7 @@ class TrafficSpec:
     iterations: int = 4
     work_ops: int = 3
     intents: Optional[List[Transaction]] = None
-    program: Optional[list] = field(default=None)
+    program: Optional[list] = None
 
     # ------------------------------------------------------------------ #
     def _burst_choices(self) -> Tuple[int, ...]:
@@ -150,8 +147,7 @@ class TrafficSpec:
     def validate(self) -> "TrafficSpec":
         """Check every argument.  A bad knob raises a ``ValueError`` that
         names the spec and the knob (a missing seed a
-        :class:`TrafficSeedError`); the legacy constructors route through
-        here, so they and a spec reject exactly the same inputs."""
+        :class:`TrafficSeedError`)."""
         name = self.master if self.master is not None else f"<{self.kind}>"
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(
@@ -164,8 +160,11 @@ class TrafficSpec:
             checks += [
                 ("pairs", bool(self.pairs), "at least one (base, size) range"),
                 ("read_fraction", fraction is None or 0 <= fraction <= 1, "in [0, 1]"),
-                ("beat_bytes", self.beat_bytes in BEAT_WIDTHS, f"one of {BEAT_WIDTHS}"),
             ]
+        if self.kind in ("poisson", "dependent", "stream"):
+            checks.append(
+                ("beat_bytes", self.beat_bytes in BEAT_WIDTHS, f"one of {BEAT_WIDTHS}")
+            )
         if self.kind == "poisson":
             beats = self._burst_choices()
             beats_ok = bool(beats) and all(type(n) is int and n > 0 for n in beats)
@@ -177,9 +176,10 @@ class TrafficSpec:
             ]
         elif self.kind == "stream":
             beats = self.burst_beats
+            beats_ok = beats is None or (type(beats) is int and beats >= 1)
             checks += [
                 ("bytes_total", self.bytes_total > 0, "> 0"),
-                ("burst_beats", beats is None or isinstance(beats, int), "an int"),
+                ("burst_beats", beats_ok, "an int >= 1"),
             ]
         elif self.kind == "sync":
             checks += [("style", self.style in ("lock", "excl"), "'lock' or 'excl'")]
@@ -215,72 +215,12 @@ class TrafficSpec:
         self.validate()
         if name is None:
             name = self.master
-        if self.kind == "scripted":
-            return ScriptedTraffic(self.intents)
-        if name is None:
+        if name is None and self.kind != "scripted":
             raise ValueError(
                 f"TrafficSpec(kind={self.kind!r}) needs a master name — "
                 f"set master=... or put the spec on InitiatorSpec(traffic=...)"
             )
-        if self.kind == "poisson":
-            return PoissonTraffic(
-                name,
-                self.seed,
-                self.count,
-                list(self.pairs),
-                rate=self.rate,
-                read_fraction=(
-                    0.6 if self.read_fraction is None else self.read_fraction
-                ),
-                burst_beats=self._burst_choices(),
-                beat_bytes=self.beat_bytes,
-                threads=self.threads,
-                tags=self.tags,
-                priority=self.priority,
-                posted_writes=self.posted,
-            )
-        if self.kind == "dependent":
-            return DependentTraffic(
-                name,
-                self.seed,
-                self.count,
-                list(self.pairs),
-                think_cycles=self.think_cycles,
-                read_fraction=(
-                    0.8 if self.read_fraction is None else self.read_fraction
-                ),
-                beat_bytes=self.beat_bytes,
-                priority=self.priority,
-            )
-        if self.kind == "stream":
-            return StreamTraffic(
-                name,
-                base=self.base,
-                bytes_total=self.bytes_total,
-                burst_beats=(
-                    8 if self.burst_beats is None else self.burst_beats
-                ),
-                beat_bytes=self.beat_bytes,
-                write=self.write,
-                posted=self.posted,
-                priority=self.priority,
-                gap_cycles=self.gap_cycles,
-            )
-        if self.kind == "sync":
-            return SyncWorkload(
-                name,
-                self.style,
-                self.sema_addr,
-                self.work_addr,
-                iterations=self.iterations,
-                work_ops=self.work_ops,
-                seed=self.seed,
-            )
-        # "dma": the engine lives in the workloads subsystem; imported
-        # lazily so repro.ip has no import-time dependency on it.
-        from repro.workloads.dma import DmaEngine
-
-        return DmaEngine(name, self.program, priority=self.priority)
+        return _SOURCES[self.kind](self, name)
 
 
 class ScriptedTraffic(Snapshottable):
@@ -288,9 +228,8 @@ class ScriptedTraffic(Snapshottable):
 
     _snapshot_fields = ("_next", "completions")
 
-    def __init__(self, intents: Iterable[Transaction]) -> None:
-        self._intents: List[Transaction] = list(intents)
-        TrafficSpec(kind="scripted", intents=self._intents).validate()
+    def __init__(self, spec: TrafficSpec, name: Optional[str]) -> None:
+        self._intents: List[Transaction] = list(spec.intents)
         self._next = 0
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
@@ -318,62 +257,32 @@ class ScriptedTraffic(Snapshottable):
 class PoissonTraffic(Snapshottable):
     """Open-loop random traffic with a Bernoulli-per-cycle injection rate.
 
-    Parameters
-    ----------
-    rate:
-        Probability of wanting to inject each cycle (offered load knob).
-    address_ranges:
-        ``(base, size)`` windows the source targets, chosen uniformly.
-    read_fraction:
-        Probability an intent is a read.
-    burst_beats:
-        Candidate burst lengths, chosen uniformly.
-    threads / tags:
-        Spread for ``txn.thread`` / ``txn.txn_tag`` (protocol-dependent
-        meaning: OCP ThreadID, AXI/AVCI ID).
+    Each cycle a poll wants to inject with probability ``rate`` (the
+    offered-load knob).  An intent targets a uniformly chosen
+    ``(base, size)`` window of ``pairs``, is a read with probability
+    ``read_fraction``, has a uniformly chosen length from
+    ``burst_beats``, and spreads ``txn.thread`` / ``txn.txn_tag`` over
+    ``threads`` / ``tags`` (protocol-dependent meaning: OCP ThreadID,
+    AXI/AVCI ID).
     """
 
     _snapshot_fields = ("rng", "remaining", "completions", "_armed", "_predrawn")
 
-    def __init__(
-        self,
-        name: str,
-        seed: int,
-        count: int,
-        address_ranges: List[Tuple[int, int]],
-        rate: float = 0.2,
-        read_fraction: float = 0.6,
-        burst_beats: Tuple[int, ...] = (1, 4),
-        beat_bytes: int = 4,
-        threads: int = 1,
-        tags: int = 1,
-        priority: int = 0,
-        posted_writes: bool = False,
-    ) -> None:
-        spec = TrafficSpec(
-            kind="poisson",
-            master=name,
-            seed=seed,
-            rate=rate,
-            pairs=list(address_ranges),
-            read_fraction=read_fraction,
-            burst_beats=burst_beats,
-            beat_bytes=beat_bytes,
-            threads=threads,
-            tags=tags,
-        ).validate()
+    def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
-        self.rng = random.Random(seed)
-        self.remaining = count
-        self.address_ranges = list(address_ranges)
-        self.rate = rate
-        self.read_fraction = read_fraction
+        self.rng = random.Random(spec.seed)
+        self.remaining = spec.count
+        self.address_ranges = list(spec.pairs)
+        self.rate = spec.rate
+        self.read_fraction = (
+            0.6 if spec.read_fraction is None else spec.read_fraction
+        )
         self.burst_beats = spec._burst_choices()
-        self.beat_bytes = beat_bytes
-        self.threads = threads
-        self.tags = tags
-        self.priority = priority
-        self.posted_writes = posted_writes
+        self.beat_bytes = spec.beat_bytes
+        self.threads = spec.threads
+        self.tags = spec.tags
+        self.priority = spec.priority
+        self.posted_writes = spec.posted
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._armed: Optional[Transaction] = None
         # True when lookahead() already consumed the successful rate draw
@@ -466,33 +375,17 @@ class DependentTraffic(Snapshottable):
 
     _snapshot_fields = ("rng", "remaining", "_ready_at", "_waiting", "completions")
 
-    def __init__(
-        self,
-        name: str,
-        seed: int,
-        count: int,
-        address_ranges: List[Tuple[int, int]],
-        think_cycles: int = 2,
-        read_fraction: float = 0.8,
-        beat_bytes: int = 4,
-        priority: int = 0,
-    ) -> None:
-        TrafficSpec(
-            kind="dependent",
-            master=name,
-            seed=seed,
-            pairs=list(address_ranges),
-            read_fraction=read_fraction,
-            beat_bytes=beat_bytes,
-        ).validate()
+    def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
-        self.rng = random.Random(seed)
-        self.remaining = count
-        self.address_ranges = list(address_ranges)
-        self.think_cycles = think_cycles
-        self.read_fraction = read_fraction
-        self.beat_bytes = beat_bytes
-        self.priority = priority
+        self.rng = random.Random(spec.seed)
+        self.remaining = spec.count
+        self.address_ranges = list(spec.pairs)
+        self.think_cycles = spec.think_cycles
+        self.read_fraction = (
+            0.8 if spec.read_fraction is None else spec.read_fraction
+        )
+        self.beat_bytes = spec.beat_bytes
+        self.priority = spec.priority
         self._ready_at = 0
         self._waiting = False
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
@@ -501,12 +394,16 @@ class DependentTraffic(Snapshottable):
         if self.remaining <= 0 or self._waiting or cycle < self._ready_at:
             return None
         base, size = self.rng.choice(self.address_ranges)
-        address = base + self.rng.randrange(max(1, size // 4)) * 4
+        beat_bytes = self.beat_bytes
+        address = base + self.rng.randrange(max(1, size // beat_bytes)) * beat_bytes
         if self.rng.random() < self.read_fraction:
-            txn = make_read(address, master=self.name)
+            txn = make_read(address, beat_bytes=beat_bytes, master=self.name)
         else:
             txn = make_write(
-                address, [self.rng.randrange(1 << 32)], master=self.name
+                address,
+                [self.rng.randrange(1 << 32)],
+                beat_bytes=beat_bytes,
+                master=self.name,
             )
         txn.priority = self.priority
         self.remaining -= 1
@@ -534,35 +431,18 @@ class StreamTraffic(Snapshottable):
 
     _snapshot_fields = ("bursts_remaining", "_cursor", "_ready_at", "completions")
 
-    def __init__(
-        self,
-        name: str,
-        base: int,
-        bytes_total: int,
-        burst_beats: int = 8,
-        beat_bytes: int = 4,
-        write: bool = True,
-        posted: bool = False,
-        priority: int = 0,
-        gap_cycles: int = 0,
-    ) -> None:
-        TrafficSpec(
-            kind="stream",
-            master=name,
-            bytes_total=bytes_total,
-            burst_beats=burst_beats,
-        ).validate()
+    def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
-        self.base = base
-        self.burst_beats = burst_beats
-        self.beat_bytes = beat_bytes
-        self.write = write
-        self.posted = posted
-        self.priority = priority
-        self.gap_cycles = gap_cycles
-        burst_bytes = burst_beats * beat_bytes
-        self.bursts_remaining = max(1, bytes_total // burst_bytes)
-        self._cursor = base
+        self.base = spec.base
+        self.burst_beats = 8 if spec.burst_beats is None else spec.burst_beats
+        self.beat_bytes = spec.beat_bytes
+        self.write = spec.write
+        self.posted = spec.posted
+        self.priority = spec.priority
+        self.gap_cycles = spec.gap_cycles
+        burst_bytes = self.burst_beats * self.beat_bytes
+        self.bursts_remaining = max(1, spec.bytes_total // burst_bytes)
+        self._cursor = spec.base
         self._ready_at = 0
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
@@ -619,7 +499,6 @@ class SyncWorkload(Snapshottable):
     """
 
     _snapshot_fields = (
-        "rng",
         "iterations_left",
         "_state",
         "_work_left",
@@ -629,26 +508,13 @@ class SyncWorkload(Snapshottable):
         "completions",
     )
 
-    def __init__(
-        self,
-        name: str,
-        style: str,
-        sema_addr: int,
-        work_addr: int,
-        iterations: int = 4,
-        work_ops: int = 3,
-        seed: int = 0,
-    ) -> None:
-        TrafficSpec(
-            kind="sync", master=name, seed=seed, style=style
-        ).validate()
+    def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
-        self.style = style
-        self.sema_addr = sema_addr
-        self.work_addr = work_addr
-        self.iterations_left = iterations
-        self.work_ops = work_ops
-        self.rng = random.Random(seed)
+        self.style = spec.style
+        self.sema_addr = spec.sema_addr
+        self.work_addr = spec.work_addr
+        self.iterations_left = spec.iterations
+        self.work_ops = spec.work_ops
         self._state = "idle"
         self._work_left = 0
         self._inflight_id: Optional[int] = None
@@ -749,3 +615,25 @@ class SyncWorkload(Snapshottable):
                 self._state = "idle"
                 self.sections_completed += 1
                 self.iterations_left -= 1
+
+
+def _dma_engine(spec: TrafficSpec, name: str):
+    # The engine lives in the workloads subsystem; imported lazily so
+    # repro.ip has no import-time dependency on it.
+    from repro.workloads.dma import DmaEngine
+
+    return DmaEngine(name, spec.program, priority=spec.priority)
+
+
+#: kind -> the source class (or factory) TrafficSpec.build constructs.
+_SOURCES = {
+    "scripted": ScriptedTraffic,
+    "poisson": PoissonTraffic,
+    "dependent": DependentTraffic,
+    "stream": StreamTraffic,
+    "sync": SyncWorkload,
+    "dma": _dma_engine,
+}
+
+#: Source kinds TrafficSpec can describe.
+TRAFFIC_KINDS = tuple(_SOURCES)

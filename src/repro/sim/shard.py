@@ -613,9 +613,9 @@ def shard_next_event(sim: Simulator) -> Optional[int]:
 # --------------------------------------------------------------------- #
 def fingerprint_shard(soc, shard: int) -> Dict:
     """The slice of :func:`repro.sim.fingerprint.fingerprint_soc` owned
-    by ``shard``, with registry histograms as raw samples (shared
+    by ``shard``, with the registry histograms themselves (shared
     plane-level histograms — per-priority flow latencies — are recorded
-    by several shards and merge exactly by concatenation)."""
+    by several shards and merge exactly by adding their counts)."""
     ownership = soc.shard_ownership
     owned_queues = ownership.queues_of(shard)
     owner = ownership.component_owner
@@ -674,9 +674,6 @@ def fingerprint_shard(soc, shard: int) -> Dict:
         for name, m in soc.masters.items()
         if mine(m)
     }
-    histogram_samples = {
-        name: list(h._samples) for name, h in sim.stats._histograms.items()
-    }
     memory = {
         name: mem.store.image()
         for name, mem in sorted(soc.memories.items())
@@ -690,7 +687,7 @@ def fingerprint_shard(soc, shard: int) -> Dict:
         "initiator_nius": nius,
         "target_nius": tnius,
         "latencies": latencies,
-        "histogram_samples": histogram_samples,
+        "histograms": dict(sim.stats._histograms),
         "trace": sim.trace.dump(),
         "memory": memory,
         "completed": sum(m.completed for m in soc.masters.values() if mine(m)),
@@ -727,16 +724,13 @@ def merge_shard_fingerprints(fragments: List[Dict]) -> Dict:
                         f"{name!r} owned by two shards"
                     )
                 merged[section][name] = value
-    samples: Dict[str, List[float]] = {}
+    histograms: Dict[str, Histogram] = {}
     for fragment in fragments:
-        for name, values in fragment["histogram_samples"].items():
-            samples.setdefault(name, []).extend(values)
-    stats = {}
-    for name in sorted(samples):
-        histogram = Histogram(name)
-        histogram._samples.extend(samples[name])
-        stats[name] = histogram.summary()
-    merged["stats"] = stats
+        for name, part in fragment["histograms"].items():
+            histograms.setdefault(name, Histogram(name)).merge(part)
+    merged["stats"] = {
+        name: histograms[name].summary() for name in sorted(histograms)
+    }
     # Sharded builds reject enabled tracers, so every fragment's trace
     # dump is the empty string; join keeps the fingerprint_soc shape.
     merged["trace"] = "\n".join(t for t in (f["trace"] for f in fragments) if t)

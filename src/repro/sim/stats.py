@@ -36,50 +36,79 @@ class Counter(Snapshottable):
 
 
 class Histogram(Snapshottable):
-    """Simple value histogram with summary statistics."""
+    """Exact histogram: a ``{value: count}`` map with summary statistics.
 
-    _snapshot_fields = ("_samples",)
+    Memory is one entry per distinct value, however many samples arrive,
+    and two histograms merge by adding their counts (:meth:`merge`).
+    """
+
+    _snapshot_fields = ("_counts",)
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: List[float] = []
+        self._counts: Dict[float, int] = {}
 
     def add(self, value: float) -> None:
-        self._samples.append(float(value))
+        """Record one sample.
+
+        Feed integer values (every recorder in the simulator adds a whole
+        number of cycles): :meth:`mean` sums ``value * count`` per
+        distinct value, which is exactly the sum of the samples in any
+        order only while the samples are integers.
+        """
+        counts = self._counts
+        counts[value] = counts.get(value, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Add every sample of ``other`` to this histogram."""
+        counts = self._counts
+        for value, count in other._counts.items():
+            counts[value] = counts.get(value, 0) + count
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return sum(self._counts.values())
 
     @property
     def samples(self) -> List[float]:
-        return list(self._samples)
+        """Every sample, in ascending order."""
+        return [
+            float(value)
+            for value in sorted(self._counts)
+            for _ in range(self._counts[value])
+        ]
 
     def mean(self) -> float:
-        return sum(self._samples) / len(self._samples) if self._samples else 0.0
+        n = self.count
+        return sum(v * c for v, c in self._counts.items()) / n if n else 0.0
 
     def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
+        return float(min(self._counts)) if self._counts else 0.0
 
     def maximum(self) -> float:
-        return max(self._samples) if self._samples else 0.0
+        return float(max(self._counts)) if self._counts else 0.0
 
     def stddev(self) -> float:
-        n = len(self._samples)
+        n = self.count
         if n < 2:
             return 0.0
         mu = self.mean()
-        return math.sqrt(sum((s - mu) ** 2 for s in self._samples) / (n - 1))
+        spread = sum((v - mu) ** 2 * c for v, c in self._counts.items())
+        return math.sqrt(spread / (n - 1))
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} out of range [0, 100]")
-        if not self._samples:
+        n = self.count
+        if not n:
             return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        rank = max(1, math.ceil(p / 100.0 * n))
+        for value in sorted(self._counts):
+            rank -= self._counts[value]
+            if rank <= 0:
+                break
+        return float(value)
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -217,9 +217,7 @@ class NocSoc:
 
         merged = Histogram("all-masters")
         for name in self.masters:
-            hist = self.sim.stats.latency(f"{name}.txn").histogram
-            for sample in hist.samples:
-                merged.add(sample)
+            merged.merge(self.sim.stats.latency(f"{name}.txn").histogram)
         return merged.summary()
 
     def flow_stats(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
-from repro.ip.masters import random_workload, sync_workload
+from repro.ip import TrafficSpec
 from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import SimulationError, Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
@@ -438,14 +438,14 @@ class TestAdaptiveLockSoc:
         for i in range(3):
             builder.add_initiator(InitiatorSpec(
                 f"ip{i}", "AXI",
-                random_workload(f"ip{i}", [(0, 0x1000), (0x1000, 0x1000)],
-                                count=25, seed=i, tags=4, rate=0.6),
+                TrafficSpec(kind="poisson", pairs=[(0, 0x1000), (0x1000, 0x1000)],
+                            count=25, seed=i, tags=4, rate=0.6),
                 protocol_kwargs={"id_count": 4},
             ))
         builder.add_initiator(InitiatorSpec(
             "sync", "AHB",
-            sync_workload("sync", "lock", sema_addr=0x0, work_addr=0x200,
-                          iterations=2, seed=9),
+            TrafficSpec(kind="sync", style="lock", sema_addr=0x0,
+                        work_addr=0x200, iterations=2),
         ))
         builder.add_target(TargetSpec("m0", size=0x1000))
         builder.add_target(TargetSpec("m1", size=0x1000))
@@ -481,10 +481,10 @@ def hotspot_soc(routing, strict=None):
         hot = index % 2 == 0
         builder.add_initiator(InitiatorSpec(
             f"ip{index}", "AXI",
-            random_workload(f"ip{index}", hot_range if hot else bg_ranges,
-                            count=100_000, seed=20 + index,
-                            rate=0.9 if hot else 0.7, tags=4,
-                            burst_beats=(4, 8)),
+            TrafficSpec(kind="poisson", pairs=hot_range if hot else bg_ranges,
+                        count=100_000, seed=20 + index,
+                        rate=0.9 if hot else 0.7, tags=4,
+                        burst_beats=(4, 8)),
             protocol_kwargs={"id_count": 4},
         ))
     builder.add_target(TargetSpec("hot", size=0x2000, read_latency=14,

@@ -5,15 +5,14 @@ import pytest
 from repro.bus import build_bus_soc, coverage_matrix, coverage_score
 from repro.bus.coverage import FeatureSupport, format_matrix
 from repro.core.transaction import Opcode, Transaction, make_read, make_write
-from repro.ip.masters import cpu_workload, dma_workload, random_workload
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, TargetSpec
 
 
 def bus_soc(protocol, intents, protocol_kwargs=None, targets=2, **bus_kwargs):
     inits = [
         InitiatorSpec(
-            "m0", protocol, ScriptedTraffic(intents),
+            "m0", protocol, TrafficSpec(kind="scripted", intents=intents),
             protocol_kwargs=protocol_kwargs or {},
         )
     ]
@@ -99,10 +98,10 @@ class TestBridgePenalties:
 class TestBusArbitration:
     def _two_master_soc(self, arbitration):
         inits = [
-            InitiatorSpec("a", "BVCI",
-                          ScriptedTraffic([make_read(0x10 * i) for i in range(10)])),
-            InitiatorSpec("b", "BVCI",
-                          ScriptedTraffic([make_read(0x10 * i) for i in range(10)])),
+            InitiatorSpec(name, "BVCI",
+                          TrafficSpec(kind="scripted",
+                                      intents=[make_read(0x10 * i) for i in range(10)]))
+            for name in ("a", "b")
         ]
         return build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)],
                              arbitration=arbitration)
@@ -124,9 +123,9 @@ class TestBusArbitration:
             Transaction(opcode=Opcode.STORE_COND_LOCKED, address=0x0, data=[1]),
         ]
         inits = [
-            InitiatorSpec("locker", "AHB", ScriptedTraffic(seq)),
+            InitiatorSpec("locker", "AHB", TrafficSpec(kind="scripted", intents=seq)),
             InitiatorSpec("victim", "BVCI",
-                          ScriptedTraffic([make_read(0x20)])),
+                          TrafficSpec(kind="scripted", intents=[make_read(0x20)])),
         ]
         soc = build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)])
         soc.run_to_completion(max_cycles=50_000)
@@ -176,20 +175,22 @@ def _mixed_bus_run():
     ranges = [(0, 0x4000), (0x4000, 0x4000)]
     initiators = [
         InitiatorSpec("cpu_ahb", "AHB",
-                      cpu_workload("cpu_ahb", ranges, count=30, seed=1)),
+                      TrafficSpec(kind="dependent", pairs=ranges, count=30,
+                                  seed=1)),
         InitiatorSpec("gpu_axi", "AXI",
-                      random_workload("gpu_axi", ranges, count=30, seed=2,
-                                      tags=4, rate=0.2, burst_beats=(1, 4, 8)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=30,
+                                  seed=2, tags=4, rate=0.2,
+                                  burst_beats=(1, 4, 8)),
                       protocol_kwargs={"id_count": 4}),
         InitiatorSpec("dsp_ocp", "OCP",
-                      random_workload("dsp_ocp", ranges, count=30, seed=3,
-                                      threads=2, rate=0.2),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=30,
+                                  seed=3, threads=2, rate=0.2),
                       protocol_kwargs={"threads": 2}),
         InitiatorSpec("io_bvci", "BVCI",
-                      random_workload("io_bvci", ranges, count=30, seed=4,
-                                      rate=0.2)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=30,
+                                  seed=4, rate=0.2)),
         InitiatorSpec("acc_msg", "PROPRIETARY",
-                      dma_workload("acc_msg", base=0x2000, bytes_total=1024)),
+                      TrafficSpec(kind="stream", base=0x2000, bytes_total=1024)),
     ]
     targets = [
         TargetSpec("dram", size=0x4000, read_latency=6, write_latency=3),

@@ -6,8 +6,7 @@ sections both work; locks block unrelated traffic, exclusives don't.
 
 
 from repro.core.transaction import make_read
-from repro.ip.masters import sync_workload
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
@@ -19,12 +18,12 @@ def sync_soc(style, contenders=2, iterations=3, bystander=False):
             InitiatorSpec(
                 f"sync{i}",
                 protocol,
-                sync_workload(
-                    f"sync{i}", style,
+                TrafficSpec(
+                    kind="sync",
+                    style=style,
                     sema_addr=0x0,
                     work_addr=0x100 + 0x40 * i,
                     iterations=iterations,
-                    seed=i,
                 ),
             )
         )
@@ -32,8 +31,9 @@ def sync_soc(style, contenders=2, iterations=3, bystander=False):
         builder.add_initiator(
             InitiatorSpec(
                 "bystander", "BVCI",
-                ScriptedTraffic([make_read(0x1000 + 0x10 * i)
-                                 for i in range(20)]),
+                TrafficSpec(kind="scripted",
+                            intents=[make_read(0x1000 + 0x10 * i)
+                                     for i in range(20)]),
             )
         )
     builder.add_target(TargetSpec("sema", size=0x1000))

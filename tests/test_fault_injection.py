@@ -16,7 +16,7 @@ import repro.core.transaction as txn_mod
 import repro.transport.flit as flit_mod
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
-from repro.ip.masters import random_workload
+from repro.ip import TrafficSpec
 from repro.phys.link import LinkSpec
 from repro.sim.kernel import SimulationError, Simulator
 from repro.soc import (
@@ -81,8 +81,8 @@ def build_soc(strict=False, faults=None, routing="adaptive", count=40):
     for i in range(6):
         builder.add_initiator(InitiatorSpec(
             f"m{i}", "AXI",
-            random_workload(f"m{i}", ranges, count=count, seed=i, tags=4,
-                            rate=0.5, burst_beats=(1, 4)),
+            TrafficSpec(kind="poisson", pairs=ranges, count=count, seed=i,
+                        tags=4, rate=0.5, burst_beats=(1, 4)),
             protocol_kwargs={"id_count": 4},
         ))
     builder.add_target(TargetSpec("dram", size=0x2000, read_latency=6,

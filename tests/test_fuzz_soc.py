@@ -16,7 +16,7 @@ on every run:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ip.traffic import PoissonTraffic
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 from repro.transport.switching import SwitchingMode
@@ -77,10 +77,11 @@ def build_from_recipe(recipe):
         builder.add_initiator(
             InitiatorSpec(
                 f"m{i}", protocol,
-                PoissonTraffic(
-                    f"m{i}", seed=recipe["seed"] + i,
+                TrafficSpec(
+                    kind="poisson",
+                    seed=recipe["seed"] + i,
                     count=recipe["counts"],
-                    address_ranges=ranges,
+                    pairs=ranges,
                     rate=recipe["rate"],
                     threads=threads,
                     tags=tags,

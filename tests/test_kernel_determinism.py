@@ -12,13 +12,7 @@ import pytest
 
 import repro.core.transaction as txn_mod
 import repro.transport.flit as flit_mod
-from repro.ip.masters import (
-    cpu_workload,
-    dma_workload,
-    random_workload,
-    sync_workload,
-)
-from repro.ip.traffic import TrafficSpec
+from repro.ip import TrafficSpec
 from repro.sim.fingerprint import fingerprint, reset_ids
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -52,15 +46,16 @@ def build_mixed_soc(strict):
     builder = SocBuilder(trace=Tracer(enabled=True), strict_kernel=strict)
     builder.add_initiator(
         InitiatorSpec(
-            "cpu_ahb", "AHB", cpu_workload("cpu_ahb", ranges, count=20, seed=1)
+            "cpu_ahb", "AHB",
+            TrafficSpec(kind="dependent", pairs=ranges, count=20, seed=1),
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", ranges, count=20, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4, 8),
+            TrafficSpec(
+                kind="poisson", pairs=ranges, count=20, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4, 8),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -68,15 +63,15 @@ def build_mixed_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "dsp_ocp", "OCP",
-            random_workload("dsp_ocp", ranges, count=20, seed=3, threads=2,
-                            rate=0.3),
+            TrafficSpec(kind="poisson", pairs=ranges, count=20, seed=3,
+                        threads=2, rate=0.3),
             protocol_kwargs={"threads": 2},
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x2000, bytes_total=256),
+            TrafficSpec(kind="stream", base=0x2000, bytes_total=256),
         )
     )
     builder.add_target(
@@ -139,9 +134,8 @@ def build_lock_soc(strict):
         builder.add_initiator(
             InitiatorSpec(
                 f"sync{i}", "AHB",
-                sync_workload(f"sync{i}", "lock", sema_addr=0x0,
-                              work_addr=0x100 + 0x40 * i, iterations=3,
-                              seed=i),
+                TrafficSpec(kind="sync", style="lock", sema_addr=0x0,
+                            work_addr=0x100 + 0x40 * i, iterations=3),
             )
         )
     builder.add_target(
@@ -170,16 +164,16 @@ def build_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB",
-            cpu_workload("cpu_ahb", ranges, count=15, seed=1),
+            TrafficSpec(kind="dependent", pairs=ranges, count=15, seed=1),
             region="cpu",
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", ranges, count=15, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4),
+            TrafficSpec(
+                kind="poisson", pairs=ranges, count=15, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -187,7 +181,7 @@ def build_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x1000, bytes_total=128),
+            TrafficSpec(kind="stream", base=0x1000, bytes_total=128),
         )
     )
     builder.add_target(
@@ -225,16 +219,16 @@ def build_vc_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB",
-            cpu_workload("cpu_ahb", ranges, count=15, seed=1),
+            TrafficSpec(kind="dependent", pairs=ranges, count=15, seed=1),
             region="cpu",
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", ranges, count=15, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4),
+            TrafficSpec(
+                kind="poisson", pairs=ranges, count=15, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -242,7 +236,7 @@ def build_vc_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x1000, bytes_total=128),
+            TrafficSpec(kind="stream", base=0x1000, bytes_total=128),
         )
     )
     builder.add_target(
@@ -279,16 +273,16 @@ def build_adaptive_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB",
-            cpu_workload("cpu_ahb", ranges, count=15, seed=1),
+            TrafficSpec(kind="dependent", pairs=ranges, count=15, seed=1),
             region="cpu",
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", ranges, count=15, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4),
+            TrafficSpec(
+                kind="poisson", pairs=ranges, count=15, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -296,7 +290,7 @@ def build_adaptive_gals_soc(strict):
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x1000, bytes_total=128),
+            TrafficSpec(kind="stream", base=0x1000, bytes_total=128),
         )
     )
     builder.add_target(
@@ -345,16 +339,16 @@ def _build_gals_like(strict, **extra):
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB",
-            cpu_workload("cpu_ahb", ranges, count=15, seed=1),
+            TrafficSpec(kind="dependent", pairs=ranges, count=15, seed=1),
             region="cpu",
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", ranges, count=15, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4),
+            TrafficSpec(
+                kind="poisson", pairs=ranges, count=15, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -362,7 +356,7 @@ def _build_gals_like(strict, **extra):
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x1000, bytes_total=128),
+            TrafficSpec(kind="stream", base=0x1000, bytes_total=128),
         )
     )
     builder.add_target(

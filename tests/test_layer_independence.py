@@ -9,7 +9,7 @@ be byte-identical, while transport metrics are free to differ.
 
 import pytest
 
-from repro.ip.masters import random_workload
+from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport.switching import SwitchingMode
 
@@ -27,15 +27,16 @@ def build(mode=SwitchingMode.WORMHOLE, flit_bits=128, routing="table",
     builder.add_initiator(
         InitiatorSpec(
             "axi0", "AXI",
-            random_workload("axi0", ranges, count=30, seed=11, tags=4,
-                            burst_beats=(1, 4, 8)),
+            TrafficSpec(kind="poisson", pairs=ranges, count=30, seed=11,
+                        rate=0.25, tags=4, burst_beats=(1, 4, 8)),
             protocol_kwargs={"id_count": 4},
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "ocp0", "OCP",
-            random_workload("ocp0", ranges, count=30, seed=12, threads=2),
+            TrafficSpec(kind="poisson", pairs=ranges, count=30, seed=12,
+                        rate=0.25, threads=2),
             protocol_kwargs={"threads": 2},
         )
     )

@@ -13,7 +13,7 @@ from repro.core.transaction import (
     make_read,
     make_write,
 )
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.niu.tag_policy import TagPolicy
 from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
@@ -28,7 +28,7 @@ def build(protocol, intents, protocol_kwargs=None, targets=2, policy=None):
         InitiatorSpec(
             "m0",
             protocol,
-            ScriptedTraffic(intents),
+            TrafficSpec(kind="scripted", intents=intents),
             policy=policy,
             protocol_kwargs=protocol_kwargs or {},
         )
@@ -106,7 +106,8 @@ class TestSlaveErrors:
     def test_error_range_propagates_slverr(self):
         builder = SocBuilder()
         builder.add_initiator(
-            InitiatorSpec("m0", "AXI", ScriptedTraffic([make_read(0x80)]))
+            InitiatorSpec("m0", "AXI",
+                          TrafficSpec(kind="scripted", intents=[make_read(0x80)]))
         )
         builder.add_target(
             TargetSpec("mem0", size=0x1000, error_ranges=[(0x80, 0x10)])
@@ -188,7 +189,7 @@ class TestOrderingDelivery:
         builder = SocBuilder()
         intents = [make_read(0x0), make_read(0x1000)]  # slow then fast
         builder.add_initiator(
-            InitiatorSpec("m0", "BVCI", ScriptedTraffic(intents))
+            InitiatorSpec("m0", "BVCI", TrafficSpec(kind="scripted", intents=intents))
         )
         builder.add_target(TargetSpec("slow", size=0x1000, read_latency=40))
         builder.add_target(TargetSpec("fast", size=0x1000, read_latency=1))
@@ -207,7 +208,8 @@ class TestOrderingDelivery:
         fast_read = make_read(0x1000)
         fast_read.txn_tag = 1
         builder.add_initiator(
-            InitiatorSpec("m0", "AXI", ScriptedTraffic([slow_read, fast_read]))
+            InitiatorSpec("m0", "AXI",
+                          TrafficSpec(kind="scripted", intents=[slow_read, fast_read]))
         )
         builder.add_target(TargetSpec("slow", size=0x1000, read_latency=60))
         builder.add_target(TargetSpec("fast", size=0x1000, read_latency=1))

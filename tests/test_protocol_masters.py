@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro.core.transaction import Opcode, make_read, make_write
-from repro.ip.traffic import ScriptedTraffic
+from repro.ip import TrafficSpec
 from repro.protocols.ahb import AhbMaster, AhbRequest, AhbResponse, HBurst, HResp, hburst_for
 from repro.protocols.axi import AxiB, AxiMaster, AxiR, AxLock, XResp
 from repro.protocols.base import ProtocolError
@@ -88,9 +88,14 @@ class StubResponder(Component):
             self.pending.append((cycle + self.delay, channel_out, rsp))
 
 
+def scripted(intents):
+    """A ready source issuing ``intents`` in order, for a bare master."""
+    return TrafficSpec(kind="scripted", intents=intents).build()
+
+
 def run_master(master_cls, protocol, intents, sim_cycles=300, **kwargs):
     sim = Simulator()
-    traffic = ScriptedTraffic(intents)
+    traffic = scripted(intents)
     master = master_cls("m", sim, traffic, **kwargs)
     sim.add(master)
     sim.add(StubResponder("stub", master, protocol))
@@ -137,7 +142,7 @@ class TestAhbMaster:
             Transaction(opcode=Opcode.READEX, address=0x0),
             Transaction(opcode=Opcode.STORE_COND_LOCKED, address=0x0, data=[1]),
         ]
-        traffic = ScriptedTraffic(seq)
+        traffic = scripted(seq)
         master = AhbMaster("m", sim, traffic)
         sim.add(master)
         stub = StubResponder("stub", master, "AHB")
@@ -160,7 +165,7 @@ class TestAxiMaster:
     def test_reads_and_writes_use_separate_channels(self):
         intents = [make_read(0x0), make_write(0x4, [1])]
         sim = Simulator()
-        master = AxiMaster("m", sim, ScriptedTraffic(intents))
+        master = AxiMaster("m", sim, scripted(intents))
         sim.add(master)
         stub = StubResponder("stub", master, "AXI")
         sim.add(stub)
@@ -172,7 +177,7 @@ class TestAxiMaster:
         txn = make_read(0x0)
         txn.excl = True
         sim = Simulator()
-        master = AxiMaster("m", sim, ScriptedTraffic([txn]))
+        master = AxiMaster("m", sim, scripted([txn]))
         sim.add(master)
         stub = StubResponder("stub", master, "AXI")
         sim.add(stub)
@@ -219,7 +224,7 @@ class TestOcpMaster:
         store = make_write(0, [1])
         store.excl = True
         sim = Simulator()
-        master = OcpMaster("m", sim, ScriptedTraffic([load, store]))
+        master = OcpMaster("m", sim, scripted([load, store]))
         sim.add(master)
         stub = StubResponder("stub", master, "OCP")
         sim.add(stub)
@@ -326,7 +331,7 @@ class Popper(Component):
 def test_limit_blocked_master_parks_until_a_response(master_cls, protocol, kwargs):
     sim = Simulator(strict=False)
     reads = [make_read(0x10 * i) for i in range(6)]
-    master = master_cls("m", sim, ScriptedTraffic(reads), **kwargs)
+    master = master_cls("m", sim, scripted(reads), **kwargs)
     tries = []
 
     def counted_try_issue(txn, cycle, _try_issue=master.try_issue):
@@ -375,7 +380,7 @@ def test_backpressured_master_stays_hot_when_popped_same_cycle(
     the full channel, and "every channel has room" would misread socket
     backpressure as an own-limit block that no response ever ends."""
     sim = Simulator(strict=False)
-    master = master_cls("m", sim, ScriptedTraffic([make_read(0x0)]), **kwargs)
+    master = master_cls("m", sim, scripted([make_read(0x0)]), **kwargs)
     sim.add(master)
     sim.add(Popper("popper", master))
     for queue in master.socket.request_channels.values():

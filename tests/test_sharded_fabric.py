@@ -15,7 +15,7 @@ import pytest
 
 import repro.core.transaction as txn_mod
 import repro.transport.flit as flit_mod
-from repro.ip.masters import cpu_workload, dma_workload, random_workload
+from repro.ip import TrafficSpec
 from repro.sim.shard import ShardConfigError, ShardPlan, plan_shards
 from repro.soc import (
     FaultSchedule,
@@ -56,16 +56,16 @@ def _add_gals_endpoints(builder):
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB",
-            cpu_workload("cpu_ahb", RANGES, count=15, seed=1),
+            TrafficSpec(kind="dependent", pairs=RANGES, count=15, seed=1),
             region="cpu",
         )
     )
     builder.add_initiator(
         InitiatorSpec(
             "gpu_axi", "AXI",
-            random_workload(
-                "gpu_axi", RANGES, count=15, seed=2, tags=4, rate=0.3,
-                burst_beats=(1, 4),
+            TrafficSpec(
+                kind="poisson", pairs=RANGES, count=15, seed=2, tags=4,
+                rate=0.3, burst_beats=(1, 4),
             ),
             protocol_kwargs={"id_count": 4},
         )
@@ -73,7 +73,7 @@ def _add_gals_endpoints(builder):
     builder.add_initiator(
         InitiatorSpec(
             "acc_msg", "PROPRIETARY",
-            dma_workload("acc_msg", base=0x1000, bytes_total=128),
+            TrafficSpec(kind="stream", base=0x1000, bytes_total=128),
         )
     )
     builder.add_target(
@@ -176,12 +176,13 @@ def build_wormhole_adversary(shards=2):
     )
     builder.add_initiator(InitiatorSpec(
         "cpu0", "AXI",
-        random_workload("cpu0", RANGES, count=20, seed=7, rate=0.8,
-                        burst_beats=(8, 8)),
+        TrafficSpec(kind="poisson", pairs=RANGES, count=20, seed=7,
+                    rate=0.8, burst_beats=(8, 8)),
         protocol_kwargs={"id_count": 2},
     ))
     builder.add_initiator(InitiatorSpec(
-        "cpu1", "AHB", cpu_workload("cpu1", RANGES, count=20, seed=8),
+        "cpu1", "AHB",
+        TrafficSpec(kind="dependent", pairs=RANGES, count=20, seed=8),
     ))
     builder.add_target(TargetSpec(
         "dram", size=0x2000, read_latency=4, write_latency=2))
@@ -212,7 +213,8 @@ def _minimal_builder(**kwargs):
         **kwargs,
     )
     builder.add_initiator(InitiatorSpec(
-        "cpu0", "AHB", cpu_workload("cpu0", RANGES, count=4, seed=1)))
+        "cpu0", "AHB",
+        TrafficSpec(kind="dependent", pairs=RANGES, count=4, seed=1)))
     builder.add_target(TargetSpec(
         "mem", size=0x4000, read_latency=2, write_latency=1))
     return builder

@@ -17,7 +17,7 @@ import pytest
 
 import repro.sweep.checkpoint as checkpoint_module
 import test_kernel_determinism as tkd
-from repro.ip.traffic import PoissonTraffic, TrafficSeedError
+from repro.ip import TrafficSeedError, TrafficSpec
 from repro.sim.component import Component
 from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.snapshot import (
@@ -401,7 +401,8 @@ def test_capture_names_the_component_whose_state_does_not_pickle():
 
 def test_traffic_requires_explicit_seed():
     with pytest.raises(TrafficSeedError):
-        PoissonTraffic("bad", None, count=4, address_ranges=[(0, 0x100)])
+        TrafficSpec(kind="poisson", master="bad", count=4,
+                    pairs=[(0, 0x100)]).build()
 
 
 # --------------------------------------------------------------------- #

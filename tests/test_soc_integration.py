@@ -8,8 +8,7 @@ import pytest
 
 from repro.bus.system import build_bus_soc
 from repro.core.transaction import make_read, make_write
-from repro.ip.masters import cpu_workload, dma_workload, random_workload
-from repro.ip.traffic import ScriptedTraffic, TrafficSpec
+from repro.ip import TrafficSpec
 from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
@@ -18,17 +17,22 @@ from repro.transport import topology as topo
 def mixed_specs(count=25):
     ranges = [(0, 0x1000), (0x1000, 0x1000)]
     inits = [
-        InitiatorSpec("cpu0", "AHB", cpu_workload("cpu0", ranges, count=count, seed=1)),
+        InitiatorSpec("cpu0", "AHB",
+                      TrafficSpec(kind="dependent", pairs=ranges, count=count,
+                                  seed=1)),
         InitiatorSpec("gpu0", "AXI",
-                      random_workload("gpu0", ranges, count=count, seed=2, tags=4),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=2, rate=0.25, tags=4),
                       protocol_kwargs={"id_count": 4}),
         InitiatorSpec("dsp0", "OCP",
-                      random_workload("dsp0", ranges, count=count, seed=3, threads=2),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=3, rate=0.25, threads=2),
                       protocol_kwargs={"threads": 2}),
         InitiatorSpec("io0", "BVCI",
-                      random_workload("io0", ranges, count=count, seed=4)),
+                      TrafficSpec(kind="poisson", pairs=ranges, count=count,
+                                  seed=4, rate=0.25)),
         InitiatorSpec("acc0", "PROPRIETARY",
-                      dma_workload("acc0", base=0x800, bytes_total=256)),
+                      TrafficSpec(kind="stream", base=0x800, bytes_total=256)),
     ]
     tgts = [TargetSpec("mem0", size=0x1000), TargetSpec("mem1", size=0x1000)]
     return inits, tgts
@@ -72,7 +76,8 @@ class TestMixedProtocolSoc:
     def test_shared_memory_coherent_view(self):
         """A value written by one master is read back by another."""
         writer = InitiatorSpec(
-            "w", "AXI", ScriptedTraffic([make_write(0x500, [0x77, 0x88])])
+            "w", "AXI",
+            TrafficSpec(kind="scripted", intents=[make_write(0x500, [0x77, 0x88])]),
         )
         builder = SocBuilder()
         builder.add_initiator(writer)
@@ -81,7 +86,8 @@ class TestMixedProtocolSoc:
         soc.run_to_completion(max_cycles=20_000)
 
         reader_spec = InitiatorSpec(
-            "r", "OCP", ScriptedTraffic([make_read(0x500, beats=2)]),
+            "r", "OCP",
+            TrafficSpec(kind="scripted", intents=[make_read(0x500, beats=2)]),
             protocol_kwargs={"threads": 1},
         )
         builder2 = SocBuilder()
@@ -127,13 +133,13 @@ class TestTopologyAndFabricKnobs:
             SocBuilder().build()
         builder = SocBuilder()
         builder.add_initiator(
-            InitiatorSpec("a", "AHB", ScriptedTraffic([]))
+            InitiatorSpec("a", "AHB", TrafficSpec(kind="scripted", intents=[]))
         )
         with pytest.raises(ValueError):
             builder.build()  # no targets
         with pytest.raises(ValueError):
             builder.add_initiator(
-                InitiatorSpec("a", "AHB", ScriptedTraffic([]))
+                InitiatorSpec("a", "AHB", TrafficSpec(kind="scripted", intents=[]))
             )
 
     def test_second_build_with_a_used_source_is_refused(self):
@@ -142,7 +148,8 @@ class TestTopologyAndFabricKnobs:
         builder = SocBuilder()
         builder.add_initiator(InitiatorSpec(
             "gpu0", "AXI",
-            random_workload("gpu0", [(0, 0x1000)], count=40, seed=2),
+            TrafficSpec(kind="poisson", pairs=[(0, 0x1000)], count=40, seed=2,
+                        rate=0.25).build("gpu0"),
         ))
         builder.add_target(TargetSpec("mem0", size=0x1000))
         soc = builder.build()
@@ -207,7 +214,7 @@ class TestTopologyAndFabricKnobs:
         builder = SocBuilder()
         builder.add_initiator(
             InitiatorSpec("m", "AHB",
-                          ScriptedTraffic([make_read(0x8000_0000)]))
+                          TrafficSpec(kind="scripted", intents=[make_read(0x8000_0000)]))
         )
         builder.add_target(TargetSpec("lo", size=0x1000))
         builder.add_target(TargetSpec("hi", size=0x1000, base=0x8000_0000))
@@ -221,7 +228,7 @@ class TestTopologyAndFabricKnobs:
         range is a spec bug: the builder raises, naming the offender."""
         builder = SocBuilder()
         builder.add_initiator(
-            InitiatorSpec("m", "AHB", ScriptedTraffic([]))
+            InitiatorSpec("m", "AHB", TrafficSpec(kind="scripted", intents=[]))
         )
         builder.add_target(TargetSpec("lo", size=0x1000))
         builder.add_target(TargetSpec("alias", size=0x1000, base=0x800))
@@ -229,7 +236,7 @@ class TestTopologyAndFabricKnobs:
             builder.build()
 
     def test_aliased_target_base_rejected_by_bus_builder(self):
-        inits = [InitiatorSpec("m", "AHB", ScriptedTraffic([]))]
+        inits = [InitiatorSpec("m", "AHB", TrafficSpec(kind="scripted", intents=[]))]
         tgts = [
             TargetSpec("lo", size=0x1000),
             TargetSpec("alias", size=0x100, base=0x0),
@@ -265,7 +272,7 @@ class TestPhysicalLayerKnobs:
             make_read(0x1200),
         ]
         inits = [
-            InitiatorSpec("cpu", "AXI", ScriptedTraffic(list(script)),
+            InitiatorSpec("cpu", "AXI", TrafficSpec(kind="scripted", intents=script),
                           protocol_kwargs={"id_count": 2}),
         ]
         tgts = [TargetSpec("mem0", size=0x1000), TargetSpec("mem1", size=0x1000)]

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.transaction import Opcode, ResponseStatus, make_read
-from repro.ip.traffic import (
-    DependentTraffic,
-    PoissonTraffic,
-    ScriptedTraffic,
-    StreamTraffic,
-    SyncWorkload,
-)
+from repro.ip import TrafficSpec
 
 OK = ResponseStatus.OKAY
 
@@ -17,14 +11,14 @@ OK = ResponseStatus.OKAY
 class TestScripted:
     def test_issues_in_order_then_done(self):
         intents = [make_read(0x10 * i) for i in range(3)]
-        src = ScriptedTraffic(intents)
+        src = TrafficSpec(kind="scripted", intents=intents).build()
         polled = [src.poll(c) for c in range(4)]
         assert polled[:3] == intents
         assert polled[3] is None
         assert src.done()
 
     def test_records_completions(self):
-        src = ScriptedTraffic([make_read(0)])
+        src = TrafficSpec(kind="scripted", intents=[make_read(0)]).build()
         src.notify_complete(7, 42, OK)
         assert src.completions == [(7, 42, OK)]
 
@@ -32,21 +26,21 @@ class TestScripted:
 class TestPoisson:
     def test_reproducible_with_seed(self):
         def generate():
-            src = PoissonTraffic("m", seed=9, count=50,
-                                 address_ranges=[(0, 0x1000)], rate=1.0)
+            src = TrafficSpec(kind="poisson", master="m", seed=9, count=50,
+                              pairs=[(0, 0x1000)], rate=1.0).build()
             return [src.poll(c).describe() for c in range(50)]
         assert generate() == generate()
 
     def test_rate_throttles(self):
-        src = PoissonTraffic("m", seed=1, count=1000,
-                             address_ranges=[(0, 0x1000)], rate=0.1)
+        src = TrafficSpec(kind="poisson", master="m", seed=1, count=1000,
+                          pairs=[(0, 0x1000)], rate=0.1).build()
         issued = sum(1 for c in range(1000) if src.poll(c) is not None)
         assert 40 < issued < 250  # ~100 expected
 
     def test_addresses_within_ranges(self):
-        src = PoissonTraffic("m", seed=2, count=200,
-                             address_ranges=[(0x100, 0x100)],
-                             rate=1.0, burst_beats=(1, 4, 8))
+        src = TrafficSpec(kind="poisson", master="m", seed=2, count=200,
+                          pairs=[(0x100, 0x100)], rate=1.0,
+                          burst_beats=(1, 4, 8)).build()
         while not src.done():
             txn = src.poll(0)
             if txn is None:
@@ -55,9 +49,9 @@ class TestPoisson:
                 assert 0x100 <= addr < 0x200
 
     def test_threads_and_tags_spread(self):
-        src = PoissonTraffic("m", seed=3, count=100,
-                             address_ranges=[(0, 0x1000)], rate=1.0,
-                             threads=4, tags=4)
+        src = TrafficSpec(kind="poisson", master="m", seed=3, count=100,
+                          pairs=[(0, 0x1000)], rate=1.0, threads=4,
+                          tags=4).build()
         threads, tags = set(), set()
         while not src.done():
             txn = src.poll(0)
@@ -68,15 +62,17 @@ class TestPoisson:
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            PoissonTraffic("m", 1, 10, [(0, 64)], rate=0.0)
+            TrafficSpec(kind="poisson", master="m", seed=1, count=10,
+                        pairs=[(0, 64)], rate=0.0).build()
         with pytest.raises(ValueError):
-            PoissonTraffic("m", 1, 10, [], rate=0.5)
+            TrafficSpec(kind="poisson", master="m", seed=1, count=10,
+                        pairs=[], rate=0.5).build()
 
 
 class TestDependent:
     def test_waits_for_completion_and_think_time(self):
-        src = DependentTraffic("m", seed=1, count=2,
-                               address_ranges=[(0, 0x100)], think_cycles=5)
+        src = TrafficSpec(kind="dependent", master="m", seed=1, count=2,
+                          pairs=[(0, 0x100)], think_cycles=5).build()
         first = src.poll(0)
         assert first is not None
         assert src.poll(1) is None  # waiting
@@ -85,8 +81,8 @@ class TestDependent:
         assert src.poll(15) is not None
 
     def test_done_only_after_last_completion(self):
-        src = DependentTraffic("m", seed=1, count=1,
-                               address_ranges=[(0, 0x100)])
+        src = TrafficSpec(kind="dependent", master="m", seed=1, count=1,
+                          pairs=[(0, 0x100)]).build()
         txn = src.poll(0)
         assert not src.done()
         src.notify_complete(txn.txn_id, 5, OK)
@@ -95,8 +91,8 @@ class TestDependent:
 
 class TestStream:
     def test_covers_region_contiguously(self):
-        src = StreamTraffic("dma", base=0x100, bytes_total=256,
-                            burst_beats=8, beat_bytes=4)
+        src = TrafficSpec(kind="stream", master="dma", base=0x100,
+                          bytes_total=256, burst_beats=8, beat_bytes=4).build()
         addresses = []
         while not src.done():
             txn = src.poll(0)
@@ -104,20 +100,22 @@ class TestStream:
         assert addresses == [0x100 + 4 * i for i in range(64)]
 
     def test_gap_cycles_pace_bursts(self):
-        src = StreamTraffic("dma", base=0, bytes_total=128, gap_cycles=10)
+        src = TrafficSpec(kind="stream", master="dma", bytes_total=128,
+                          gap_cycles=10).build()
         assert src.poll(0) is not None
         assert src.poll(5) is None
         assert src.poll(10) is not None
 
     def test_read_mode_and_priority(self):
-        src = StreamTraffic("vid", base=0, bytes_total=64, write=False,
-                            priority=2)
+        src = TrafficSpec(kind="stream", master="vid", bytes_total=64,
+                          write=False, priority=2).build()
         txn = src.poll(0)
         assert txn.opcode is Opcode.LOAD
         assert txn.priority == 2
 
     def test_posted_mode(self):
-        src = StreamTraffic("dma", base=0, bytes_total=64, posted=True)
+        src = TrafficSpec(kind="stream", master="dma", bytes_total=64,
+                          posted=True).build()
         assert src.poll(0).opcode is Opcode.STORE_POSTED
 
 
@@ -134,8 +132,8 @@ class TestSyncWorkload:
         return cycle
 
     def test_lock_style_sequence(self):
-        src = SyncWorkload("m", "lock", sema_addr=0, work_addr=0x100,
-                           iterations=2, work_ops=2)
+        src = TrafficSpec(kind="sync", master="m", style="lock",
+                          work_addr=0x100, iterations=2, work_ops=2).build()
         ops = []
         def responder(txn):
             ops.append(txn.opcode)
@@ -147,8 +145,8 @@ class TestSyncWorkload:
         assert Opcode.STORE_COND_LOCKED in ops
 
     def test_excl_style_retries_on_failure(self):
-        src = SyncWorkload("m", "excl", sema_addr=0, work_addr=0x100,
-                           iterations=1, work_ops=1)
+        src = TrafficSpec(kind="sync", master="m", style="excl",
+                          work_addr=0x100, iterations=1, work_ops=1).build()
         fail_once = {"left": 1}
         def responder(txn):
             if txn.excl and txn.opcode.is_write:
@@ -165,4 +163,4 @@ class TestSyncWorkload:
 
     def test_invalid_style(self):
         with pytest.raises(ValueError):
-            SyncWorkload("m", "spin", 0, 0)
+            TrafficSpec(kind="sync", master="m", style="spin").build()

@@ -3,19 +3,21 @@
 Pins the workload-layer contracts: descriptor programs execute their
 dependency DAGs identically on both kernels, stream credit loops
 actually backpressure, the scenario registry fails by name, and the
-declarative TrafficSpec is observably equivalent to the legacy
-constructors it unified.
+declarative TrafficSpec — the one way to make a traffic source —
+validates every knob at build time and builds every kind.
 """
 
+import importlib
+import inspect
 import re
 import types
 
 import pytest
 
+import repro.ip
 from repro.core.transaction import ResponseStatus
-from repro.ip.traffic import (
-    DependentTraffic,
-    PoissonTraffic,
+from repro.ip import (
+    TRAFFIC_KINDS,
     TrafficSeedError,
     TrafficSpec,
     WorkloadStallError,
@@ -338,18 +340,10 @@ class TestTrafficSpec:
             TrafficSpec(kind="fractal").validate()
 
     def test_seed_required_for_random_kinds(self):
-        for kind in ("poisson", "dependent", "sync"):
+        for kind in ("poisson", "dependent"):
             with pytest.raises(TrafficSeedError):
                 TrafficSpec(kind=kind, master="m", pairs=[(0, 64)],
                             seed=None).validate()
-
-    def test_legacy_constructor_routes_through_spec_validation(self):
-        with pytest.raises(TrafficSeedError):
-            PoissonTraffic("m", seed=None, count=1,
-                           address_ranges=[(0, 64)])
-        with pytest.raises(ValueError, match="rate"):
-            TrafficSpec(kind="poisson", master="m", seed=1,
-                        pairs=[(0, 64)], rate=1.5).validate()
 
     @pytest.mark.parametrize("kind, knob, value", [
         ("poisson", "threads", 0),
@@ -360,59 +354,101 @@ class TestTrafficSpec:
         ("poisson", "read_fraction", 1.5),
         ("dependent", "read_fraction", -0.1),
         ("dependent", "beat_bytes", 3),
+        ("stream", "burst_beats", 0),
+        ("stream", "burst_beats", -2),
+        ("stream", "beat_bytes", 3),
     ])
     def test_bad_knob_fails_at_build_naming_spec_and_knob(self, kind, knob,
                                                            value):
         """Each of these used to build and then crash (or silently
-        misbehave) in the source's first intent; the spec and the direct
-        constructor now refuse it up front with the same message."""
+        misbehave) in the source's first intent; the spec now refuses it
+        up front, naming itself and the knob."""
         spec = TrafficSpec(kind=kind, master="m", seed=1, pairs=[(0, 64)],
                            **{knob: value})
         message = f"traffic spec 'm': {knob} must be .*, got {re.escape(repr(value))}"
-        with pytest.raises(ValueError, match=message) as from_spec:
+        with pytest.raises(ValueError, match=message):
             spec.build()
-        source = PoissonTraffic if kind == "poisson" else DependentTraffic
-        with pytest.raises(ValueError) as direct:
-            source("m", seed=1, count=1, address_ranges=[(0, 64)],
-                   **{knob: value})
-        assert str(direct.value) == str(from_spec.value)
 
     def test_an_int_burst_means_one_length_built_either_way(self):
-        direct = PoissonTraffic("m", seed=1, count=1, address_ranges=[(0, 64)],
-                                rate=1.0, burst_beats=4)
-        assert direct.poll(0).beats == 4
+        source = TrafficSpec(kind="poisson", master="m", seed=1, count=1,
+                             pairs=[(0, 64)], rate=1.0, burst_beats=4).build()
+        assert source.poll(0).beats == 4
+
+    def test_dependent_source_honours_beat_bytes(self):
+        source = TrafficSpec(kind="dependent", master="m", seed=3, count=40,
+                             pairs=[(0x100, 0x200)], beat_bytes=8).build()
+        for cycle in range(0, 400, 10):  # past each think window
+            txn = source.poll(cycle)
+            assert txn.beat_bytes == 8
+            assert txn.address % 8 == 0
+            assert 0x100 <= txn.address < 0x300
+            source.notify_complete(txn.txn_id, cycle, ResponseStatus.OKAY)
+        assert source.done()
+
+    def test_sync_needs_no_seed(self):
+        source = TrafficSpec(kind="sync", master="m").build()
+        assert source.poll(0) is not None
+        assert not hasattr(source, "rng")
+
+    def test_every_kind_builds_from_a_minimal_spec_with_its_knobs(self):
+        """The build table covers every kind, each source class takes
+        exactly ``(spec, name)``, and a built source carries the spec's
+        knob values: no class keeps a default of its own."""
+        minimal = {
+            "scripted": dict(intents=[]),
+            "poisson": dict(seed=1, pairs=[(0, 64)]),
+            "dependent": dict(seed=1, pairs=[(0, 64)]),
+            "stream": {},
+            "sync": {},
+            "dma": dict(program=[DmaDescriptor("read")]),
+        }
+        assert set(minimal) == set(TRAFFIC_KINDS)
+        knobs = {  # source attribute -> spec knob, per kind
+            "poisson": {"rate": "rate", "address_ranges": "pairs",
+                        "remaining": "count", "beat_bytes": "beat_bytes",
+                        "threads": "threads", "tags": "tags",
+                        "priority": "priority", "posted_writes": "posted"},
+            "dependent": {"address_ranges": "pairs", "remaining": "count",
+                          "think_cycles": "think_cycles",
+                          "beat_bytes": "beat_bytes", "priority": "priority"},
+            "stream": {"base": "base", "beat_bytes": "beat_bytes",
+                       "write": "write", "posted": "posted",
+                       "priority": "priority", "gap_cycles": "gap_cycles"},
+            "sync": {"style": "style", "sema_addr": "sema_addr",
+                     "work_addr": "work_addr", "iterations_left": "iterations",
+                     "work_ops": "work_ops"},
+        }
+        for kind in TRAFFIC_KINDS:
+            spec = TrafficSpec(kind=kind, master="m", **minimal[kind])
+            source = spec.build()
+            assert source is not spec.build()  # fresh every time
+            for attribute, knob in knobs.get(kind, {}).items():
+                assert getattr(source, attribute) == getattr(spec, knob), (
+                    kind, attribute)
+            if kind != "dma":  # DmaEngine is repro.workloads' own class
+                parameters = inspect.signature(type(source)).parameters
+                assert list(parameters) == ["spec", "name"], kind
+                assert all(p.default is p.empty for p in parameters.values())
+        # A None knob takes its kind's value.
+        poisson = TrafficSpec(kind="poisson", master="m", **minimal["poisson"])
+        assert poisson.build().read_fraction == 0.6
+        assert poisson.build().burst_beats == (1, 4)
+        dependent = TrafficSpec(kind="dependent", master="m",
+                                **minimal["dependent"])
+        assert dependent.build().read_fraction == 0.8
+        assert TrafficSpec(kind="stream", master="m").build().burst_beats == 8
+
+    def test_public_surface_is_the_spec(self):
+        assert sorted(repro.ip.__all__) == sorted([
+            "MemoryDevice", "TRAFFIC_KINDS", "TrafficSeedError",
+            "TrafficSpec", "WorkloadStallError",
+        ])
+        with pytest.raises(ModuleNotFoundError):  # the presets module
+            importlib.import_module(f"{repro.ip.__name__}.masters")
 
     def test_master_required_to_build(self):
         with pytest.raises(ValueError, match="master name"):
             TrafficSpec(kind="poisson", seed=1, pairs=[(0, 64)]).build()
-
-    def test_spec_equivalent_to_legacy_constructor(self):
-        """A TrafficSpec on the InitiatorSpec and direct construction
-        produce the byte-identical run."""
-        def build(declarative):
-            reset_ids()
-            builder = SocBuilder(name="eq", strict_kernel=False)
-            for i in range(2):
-                if declarative:
-                    source = TrafficSpec(
-                        kind="poisson", master=f"m{i}", seed=7 + i,
-                        count=15, pairs=[(0, 0x1000)], rate=0.4,
-                    )
-                else:
-                    source = PoissonTraffic(
-                        f"m{i}", seed=7 + i, count=15,
-                        address_ranges=[(0, 0x1000)], rate=0.4,
-                    )
-                builder.add_initiator(
-                    InitiatorSpec(f"m{i}", "AXI", source,
-                                  protocol_kwargs={"id_count": 2})
-                )
-            builder.add_target(TargetSpec("mem", size=0x1000))
-            soc = builder.build()
-            soc.run_to_completion()
-            return fingerprint_soc(soc)
-
-        assert build(declarative=True) == build(declarative=False)
 
     def test_dma_kind_builds_engine(self):
         spec = TrafficSpec(kind="dma", master="m",
