@@ -12,7 +12,7 @@ import pytest
 from repro.bus import build_bus_soc, coverage_score
 from repro.bus.coverage import PROTOCOL_FEATURES
 from repro.core.layer import build_layer_config
-from repro.core.ordering import ordering_for_protocol
+from repro.core.protocols import family
 from repro.core.transaction import make_read
 from repro.ip import TrafficSpec
 from repro.niu.gate_count import bridge_gate_count, niu_gate_count
@@ -57,7 +57,7 @@ def test_e8_per_protocol_penalties(benchmark, heading):
         # bridge on the same bus: what the conversion itself costs.
         bus_ideal = unloaded_latency_bus(protocol, bridge_latency=0)
         penalty = bus_lat - bus_ideal
-        policy = TagPolicy(ordering=ordering_for_protocol(protocol),
+        policy = TagPolicy(ordering=family(protocol).ordering,
                            tag_bits=fmt.tag_bits)
         niu = niu_gate_count(protocol, policy, fmt).total
         bridge = bridge_gate_count(protocol).total

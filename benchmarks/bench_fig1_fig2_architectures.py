@@ -17,7 +17,7 @@ from repro.bus.coverage import format_matrix
 from repro.core.layer import build_layer_config
 from repro.niu.gate_count import bridge_gate_count, niu_gate_count
 from repro.niu.tag_policy import TagPolicy
-from repro.core.ordering import ordering_for_protocol
+from repro.core.protocols import family
 
 PROTOCOLS = ["AHB", "AXI", "OCP", "BVCI", "PROPRIETARY"]
 
@@ -39,7 +39,7 @@ def attachment_gates():
     niu_total = 0.0
     bridge_total = 0.0
     for protocol in PROTOCOLS:
-        policy = TagPolicy(ordering=ordering_for_protocol(protocol))
+        policy = TagPolicy(ordering=family(protocol).ordering)
         niu_total += niu_gate_count(protocol, policy, cfg.packet_format).total
         bridge_total += bridge_gate_count(protocol).total
     return niu_total, bridge_total

@@ -11,7 +11,8 @@ The sweep regenerates that scaling surface: protocol × outstanding budget
 import pytest
 
 from repro.core.layer import build_layer_config
-from repro.core.ordering import OrderingModel, ordering_for_protocol
+from repro.core.ordering import OrderingModel
+from repro.core.protocols import family
 from repro.niu.gate_count import bridge_gate_count, niu_gate_count
 from repro.niu.tag_policy import TagPolicy
 
@@ -21,7 +22,7 @@ FMT = build_layer_config(PROTOCOLS, initiators=8, targets=8).packet_format
 
 def policy_for(protocol, outstanding, multi_target=True):
     return TagPolicy(
-        ordering=ordering_for_protocol(protocol),
+        ordering=family(protocol).ordering,
         tag_bits=FMT.tag_bits,
         max_outstanding=outstanding,
         per_stream_outstanding=outstanding,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.core.protocols import family
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.bus.shared_bus import BusOp, BusReply, SharedBus
 from repro.protocols.ahb import AhbResponse, hresp_from_status
@@ -26,17 +27,6 @@ from repro.protocols.ocp import OcpResponse, SResp
 from repro.protocols.proprietary import MsgKind, MsgResponse
 from repro.protocols.vci import VciResponse, rerror_from_status
 from repro.sim.component import Component
-
-#: request channel(s) per protocol, in polling order.
-_REQ_CHANNELS = {
-    "AHB": ["req"],
-    "AXI": ["ar", "aw"],
-    "OCP": ["req"],
-    "PVCI": ["cmd"],
-    "BVCI": ["cmd"],
-    "AVCI": ["cmd"],
-    "PROPRIETARY": ["msg"],
-}
 
 
 class Bridge(Component):
@@ -52,9 +42,7 @@ class Bridge(Component):
     ) -> None:
         super().__init__(name)
         self.master = master
-        self.protocol = protocol.upper()
-        if self.protocol not in _REQ_CHANNELS:
-            raise ValueError(f"no bridge for protocol {self.protocol!r}")
+        self.protocol = family(protocol).name
         self.bus = bus
         self.latency = latency
         self.index = bus.attach_master(name)
@@ -79,7 +67,8 @@ class Bridge(Component):
     # native side
     # ------------------------------------------------------------------ #
     def _pull_native(self) -> Optional[Transaction]:
-        channels = _REQ_CHANNELS[self.protocol]
+        # The socket's request channels, in polling order.
+        channels = list(self.master.socket.request_channels)
         if self.protocol == "AXI" and not self._prefer_first:
             channels = list(reversed(channels))
         for channel_name in channels:
@@ -256,9 +245,7 @@ class Bridge(Component):
                 self.intents_converted += 1
 
     def _pull_would_find(self, cycle: int) -> bool:
-        return any(
-            bool(self.master.socket.req(ch)) for ch in _REQ_CHANNELS[self.protocol]
-        )
+        return any(self.master.socket.request_channels.values())
 
     def idle(self) -> bool:
         return (

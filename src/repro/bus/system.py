@@ -16,10 +16,8 @@ from repro.ip.traffic import TrafficSpec
 from repro.protocols.base import ProtocolMaster
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
+from repro.soc.builder import MODELS
 from repro.soc.config import InitiatorSpec, TargetSpec
-
-# Master model classes are shared with the NoC builder.
-from repro.soc.builder import _MASTER_CLASSES
 
 
 class BusSoc:
@@ -119,7 +117,7 @@ def build_bus_soc(
     masters: Dict[str, ProtocolMaster] = {}
     bridges: Dict[str, Bridge] = {}
     for spec in initiators:
-        master_cls = _MASTER_CLASSES[spec.protocol]
+        master_cls = MODELS[spec.protocol][0]
         source = spec.traffic
         if isinstance(source, TrafficSpec):
             source = source.build(spec.name)

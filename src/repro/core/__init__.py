@@ -11,6 +11,9 @@ This package defines what IP blocks see when they plug into the NoC:
   observed response orders against them;
 - :mod:`repro.core.services` — "NoC services" such as exclusive-access
   monitors activated per NoC configuration;
+- :mod:`repro.core.protocols` — one row per socket family (ordering
+  model, services, default NIU tag policy, gate-model front end), read
+  by every layer that needs to know about a family;
 - :mod:`repro.core.address_map` — SoC address decoding to ``SlvAddr``;
 - :mod:`repro.core.layer` — the per-SoC transaction-layer configuration
   derived from the set of attached VC sockets.

@@ -2,10 +2,12 @@
 
 Paper §2: "transactions can be customized to the actual set of VCs that
 plug into the NoC, without altering the transport and physical layers".
-:func:`build_layer_config` is that customization step: it inspects the
-socket families attached to a NoC instance and derives
+:func:`build_layer_config` is that customization step: it reads the row
+(:mod:`repro.core.protocols`) of every socket family attached to a NoC
+instance and derives
 
-- the set of :class:`~repro.core.services.NocService` to activate,
+- the set of :class:`~repro.core.services.NocService` to activate (the
+  union of the rows' services),
 - the resulting :class:`~repro.core.packet.PacketFormat` (base header +
   the user bits those services need),
 - sizing parameters (tag bits from the largest outstanding-transaction
@@ -20,23 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import Iterable, List, Set
 
 from repro.core.packet import PacketFormat, UserBit
+from repro.core.protocols import family
 from repro.core.services import NocService
-
-#: Which services each socket family requires from the transaction layer.
-#: AXI masters may issue exclusive accesses; OCP masters lazy
-#: synchronization (same service); AHB masters legacy LOCKed sequences.
-PROTOCOL_SERVICES: Dict[str, Set[NocService]] = {
-    "AHB": {NocService.LEGACY_LOCK},
-    "AXI": {NocService.EXCLUSIVE_ACCESS},
-    "OCP": {NocService.EXCLUSIVE_ACCESS},
-    "PVCI": set(),
-    "BVCI": set(),
-    "AVCI": set(),
-    "PROPRIETARY": set(),
-}
 
 
 def _bits_for(count: int) -> int:
@@ -96,16 +86,10 @@ def build_layer_config(
         socket feature means passing one more entry here and touching the
         corresponding NIU — nothing else.
     """
-    protocol_list = [p.upper() for p in protocols]
+    rows = [family(p) for p in protocols]
     services: Set[NocService] = set(extra_services)
-    for protocol in protocol_list:
-        try:
-            services |= PROTOCOL_SERVICES[protocol]
-        except KeyError:
-            raise KeyError(
-                f"unknown protocol family {protocol!r}; known: "
-                f"{sorted(PROTOCOL_SERVICES)}"
-            ) from None
+    for row in rows:
+        services |= row.services
 
     # SlvAddr/MstAddr carry NoC node addresses; initiator and target NIUs
     # share one endpoint numbering space, so both fields must span it.
@@ -122,7 +106,7 @@ def build_layer_config(
         fmt = fmt.with_user_bit(bit)
 
     return TransactionLayerConfig(
-        protocols=protocol_list,
+        protocols=[row.name for row in rows],
         services=services,
         packet_format=fmt,
         initiators=initiators,

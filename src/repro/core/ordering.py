@@ -177,40 +177,3 @@ class OrderingChecker(Snapshottable):
         self._sequence = 0
         self.violations.clear()
 
-
-def interleaving_allowed(
-    model: OrderingModel,
-    earlier: Tuple[int, int],
-    later: Tuple[int, int],
-) -> bool:
-    """True if the later transaction's response may overtake the earlier's.
-
-    Convenience inverse of :meth:`OrderingModel.must_order`, used by NIUs
-    when deciding whether an incoming response can be forwarded or must be
-    held in the reorder buffer.
-    """
-    return not model.must_order(earlier, later)
-
-
-#: Map from socket protocol family name to its native ordering model.
-#: NIUs consult this to choose a default field-assignment policy.
-PROTOCOL_ORDERING: Dict[str, OrderingModel] = {
-    "AHB": OrderingModel.FULLY_ORDERED,
-    "PVCI": OrderingModel.FULLY_ORDERED,
-    "BVCI": OrderingModel.FULLY_ORDERED,
-    "OCP": OrderingModel.THREADED,
-    "AXI": OrderingModel.ID_BASED,
-    "AVCI": OrderingModel.ID_BASED,
-    "PROPRIETARY": OrderingModel.FULLY_ORDERED,
-}
-
-
-def ordering_for_protocol(protocol: str) -> OrderingModel:
-    """Native ordering model of a socket family (KeyError if unknown)."""
-    try:
-        return PROTOCOL_ORDERING[protocol.upper()]
-    except KeyError:
-        raise KeyError(
-            f"unknown protocol family {protocol!r}; known: "
-            f"{sorted(PROTOCOL_ORDERING)}"
-        ) from None

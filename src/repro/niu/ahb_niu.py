@@ -4,15 +4,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.address_map import AddressMap
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, Transaction
 from repro.niu.base import InitiatorNiu
 from repro.niu.state_table import StateEntry
-from repro.niu.tag_policy import TagPolicy
 from repro.protocols.ahb import AhbRequest, AhbResponse, HBurst, hresp_from_status
-from repro.protocols.base import MasterSocket
-from repro.transport.network import Fabric
 
 
 def _burst_from_hburst(hburst: HBurst) -> BurstType:
@@ -39,28 +34,6 @@ class AhbInitiatorNiu(InitiatorNiu):
     """
 
     protocol_name = "AHB"
-
-    def __init__(
-        self,
-        name: str,
-        fabric: Fabric,
-        endpoint: int,
-        address_map: AddressMap,
-        socket: MasterSocket,
-        policy: Optional[TagPolicy] = None,
-    ) -> None:
-        if policy is None:
-            policy = TagPolicy(
-                ordering=OrderingModel.FULLY_ORDERED,
-                tag_bits=1,
-                max_outstanding=1,
-                per_stream_outstanding=1,
-                multi_target=False,
-            )
-        if policy.ordering is not OrderingModel.FULLY_ORDERED:
-            raise ValueError("AHB NIU requires a fully-ordered policy")
-        super().__init__(name, fabric, endpoint, address_map, policy)
-        self._attach_socket(socket)
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("req")

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.address_map import AddressMap
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, Transaction
 from repro.niu.base import InitiatorNiu
 from repro.niu.state_table import StateEntry
-from repro.niu.tag_policy import TagPolicy
 from repro.protocols.axi import (
     AxBurst,
     AxLock,
@@ -25,8 +22,6 @@ from repro.protocols.axi import (
     AxiR,
     xresp_from_status,
 )
-from repro.protocols.base import MasterSocket
-from repro.transport.network import Fabric
 
 
 def _burst_from_axburst(axburst: AxBurst, beats: int) -> BurstType:
@@ -42,27 +37,8 @@ class AxiInitiatorNiu(InitiatorNiu):
 
     protocol_name = "AXI"
 
-    def __init__(
-        self,
-        name: str,
-        fabric: Fabric,
-        endpoint: int,
-        address_map: AddressMap,
-        socket: MasterSocket,
-        policy: Optional[TagPolicy] = None,
-    ) -> None:
-        if policy is None:
-            policy = TagPolicy(
-                ordering=OrderingModel.ID_BASED,
-                tag_bits=4,
-                max_outstanding=8,
-                per_stream_outstanding=4,
-                multi_target=True,
-            )
-        if policy.ordering is not OrderingModel.ID_BASED:
-            raise ValueError("AXI NIU requires an ID-based policy")
-        super().__init__(name, fabric, endpoint, address_map, policy)
-        self._attach_socket(socket)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._prefer_read = True
         self._peeked_channel: Optional[str] = None
 

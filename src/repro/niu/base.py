@@ -5,8 +5,9 @@ packets and returns response packets to the socket in the order its
 protocol demands.  The split between the generic engine here and the
 slim per-protocol subclasses (:mod:`repro.niu.ahb_niu` etc.) is the
 paper's compatibility argument made concrete: ordering, tagging, state
-tracking and service bits are one shared mechanism; a new socket only
-contributes record conversion.
+tracking and service bits are one shared mechanism.  A new socket
+contributes its row in :mod:`repro.core.protocols` (ordering model,
+services, default tag policy) and record conversion — nothing else.
 
 The target NIU terminates the socket protocol at the target side: it
 owns the per-target *NoC service* state (exclusive-access monitor, lock
@@ -19,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.address_map import AddressMap, DecodeError
 from repro.core.packet import NocPacket, PacketKind
+from repro.core.protocols import family
 from repro.core.services import ExclusiveMonitor, ExclusiveResult, LockManager
 from repro.core.transaction import (
     BurstType,
@@ -27,8 +29,13 @@ from repro.core.transaction import (
     Transaction,
 )
 from repro.niu.state_table import StateEntry, StateTable
-from repro.niu.tag_policy import TagPolicy
-from repro.protocols.base import SlaveRequest, SlaveResponse, SlaveSocket
+from repro.niu.tag_policy import TagPolicy, default_policy
+from repro.protocols.base import (
+    MasterSocket,
+    SlaveRequest,
+    SlaveResponse,
+    SlaveSocket,
+)
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
 from repro.sim.snapshot import Snapshottable
@@ -38,8 +45,14 @@ from repro.transport.network import Fabric
 class InitiatorNiu(Component, Snapshottable):
     """Generic initiator-NIU engine.
 
+    The engine wires itself to the master ``socket`` and takes its tag
+    policy from the family row named by :attr:`protocol_name`: with no
+    ``policy`` the row's default, and a policy of any other ordering
+    model is a ``ValueError``.
+
     Subclass contract (record conversion only):
 
+    - :attr:`protocol_name` — the socket family served;
     - :meth:`peek_native` — return the :class:`Transaction` encoded by
       the native request at the head of the socket (without consuming
       it), or ``None``;
@@ -57,12 +70,22 @@ class InitiatorNiu(Component, Snapshottable):
         fabric: Fabric,
         endpoint: int,
         address_map: AddressMap,
-        policy: TagPolicy,
+        socket: MasterSocket,
+        policy: Optional[TagPolicy] = None,
     ) -> None:
         super().__init__(name)
+        row = family(self.protocol_name)
+        if policy is None:
+            policy = default_policy(row.name)
+        elif policy.ordering is not row.ordering:
+            raise ValueError(
+                f"{name}: a {row.name} NIU needs a {row.ordering.value} tag "
+                f"policy, got {policy.ordering.value}"
+            )
         self.fabric = fabric
         self.endpoint = endpoint
         self.address_map = address_map
+        self.socket = socket
         self.policy = policy
         self.table = StateTable(f"{name}.table", policy.max_outstanding)
         self.requests_sent = 0
@@ -70,11 +93,15 @@ class InitiatorNiu(Component, Snapshottable):
         self.posted_sent = 0
         self.decode_errors = 0
         self.stall_cycles = 0
-        # Activity wiring: arriving response packets wake the engine;
-        # subclasses attach the socket via _attach_socket.
+        # Activity wiring: arriving response packets and new native
+        # requests wake the engine.
         self._rsp_packets = fabric.responses(endpoint)
         self._rsp_packets.wake_on_push(self)
-        self._native_req_queues: Tuple[SimQueue, ...] = ()
+        self._native_req_queues: Tuple[SimQueue, ...] = tuple(
+            socket.request_channels.values()
+        )
+        for queue in self._native_req_queues:
+            queue.wake_on_push(self)
         # peek_native decode cache: a blocked head request is re-peeked
         # every cycle, and native records are immutable once pushed, so
         # subclasses memoize the decoded Transaction by record identity
@@ -111,30 +138,16 @@ class InitiatorNiu(Component, Snapshottable):
         self.table.restore(state["table"])
         self._refused_txn = None
 
-    def _attach_socket(self, socket) -> None:
-        """Store the master socket and register activity wakes.
-
-        Subclasses call this instead of assigning ``self.socket`` so new
-        native requests (push) put the NIU back on the schedule.
-        """
-        self.socket = socket
-        self._native_req_queues = tuple(socket.request_channels.values())
-        for queue in self._native_req_queues:
-            queue.wake_on_push(self)
-
     def next_event_cycle(self, now: int):
         """Dormant while merely *waiting*: outstanding table entries with
         no arrived response, nothing deliverable and no native request
         make every tick a no-op.  Both re-arming events wake us — a
         response packet push and a native request push (registered in
-        __init__/_attach_socket) — so the kernel may park the engine
-        until one fires.  A deliverable entry refused by a full native
-        response channel keeps us hot, so a freed slot needs no wake.  A
-        responded entry held back by stream order becomes deliverable
-        only through an older response packet or a release inside our
-        own tick."""
-        if not self._native_req_queues:
-            return now  # no socket attached: cannot prove dormancy
+        __init__) — so the kernel may park the engine until one fires.
+        A deliverable entry refused by a full native response channel
+        keeps us hot, so a freed slot needs no wake.  A responded entry
+        held back by stream order becomes deliverable only through an
+        older response packet or a release inside our own tick."""
         if self._rsp_packets or self.table.deliverable():
             return now
         for queue in self._native_req_queues:

@@ -5,7 +5,8 @@ gate count to their expected performance within the system".  This model
 makes that scaling measurable.  It charges standard-cell-heuristic gate
 counts for each structure a NIU configuration instantiates:
 
-- protocol front-end FSM + channel registers (per-protocol constant);
+- protocol front-end FSM + channel registers (per-family constants, read
+  from the family's row in :mod:`repro.core.protocols`);
 - the state lookup table: entries × entry-bits, flop-based;
 - response-matching CAM over the state table (tag+target compare);
 - the reorder buffer when the policy allows multiple outstanding targets
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.packet import PacketFormat
+from repro.core.protocols import family
 from repro.niu.tag_policy import TagPolicy
 
 # Gate-equivalents per primitive (NAND2-equivalent heuristics).
@@ -32,20 +34,6 @@ GATES_PER_FLOP = 6.0
 GATES_PER_CAM_BIT = 10.0
 GATES_PER_MUX_BIT = 3.0
 GATES_PER_COMPARATOR_BIT = 4.0
-
-#: Protocol front-end complexity: control FSM states and channel
-#: register bits, calibrated so relative ordering matches published
-#: bridge/interface IP sizes (AHB < OCP ≈ VCI < AXI).
-PROTOCOL_FRONTEND = {
-    "AHB": {"fsm_gates": 900.0, "channel_bits": 110},
-    "PVCI": {"fsm_gates": 600.0, "channel_bits": 80},
-    "BVCI": {"fsm_gates": 1000.0, "channel_bits": 120},
-    "AVCI": {"fsm_gates": 1400.0, "channel_bits": 150},
-    "OCP": {"fsm_gates": 1200.0, "channel_bits": 140},
-    "AXI": {"fsm_gates": 1800.0, "channel_bits": 220},
-    "PROPRIETARY": {"fsm_gates": 500.0, "channel_bits": 70},
-}
-
 
 @dataclass
 class GateReport:
@@ -98,19 +86,12 @@ def niu_gate_count(
     must hold (the NIU cannot hand a reordered read to the socket until
     it has buffered its data).
     """
-    protocol = protocol.upper()
-    try:
-        frontend = PROTOCOL_FRONTEND[protocol]
-    except KeyError:
-        raise KeyError(
-            f"unknown protocol {protocol!r}; known: {sorted(PROTOCOL_FRONTEND)}"
-        ) from None
-
-    report = GateReport(protocol=protocol)
+    row = family(protocol)
+    report = GateReport(protocol=row.name)
 
     # 1. Protocol front end.
-    report.add("frontend_fsm", frontend["fsm_gates"])
-    report.add("channel_regs", frontend["channel_bits"] * GATES_PER_FLOP)
+    report.add("frontend_fsm", row.fsm_gates)
+    report.add("channel_regs", row.channel_bits * GATES_PER_FLOP)
 
     # 2. State lookup table (control bits only).
     control_bits = state_entry_bits(fmt, data_beats=0)
@@ -168,14 +149,11 @@ def bridge_gate_count(
     which is why per-socket bridges cost more area than per-socket NIUs
     sharing one uniform packet datapath (claim C1).
     """
-    protocol = protocol.upper()
-    report = GateReport(protocol=f"{protocol}->{reference_protocol} bridge")
-    for side, proto in (("socket_side", protocol), ("bus_side", reference_protocol)):
-        frontend = PROTOCOL_FRONTEND[proto.upper()]
-        report.add(f"{side}_fsm", frontend["fsm_gates"])
-        report.add(
-            f"{side}_regs", frontend["channel_bits"] * GATES_PER_FLOP
-        )
+    socket_row, bus_row = family(protocol), family(reference_protocol)
+    report = GateReport(protocol=f"{socket_row.name}->{reference_protocol} bridge")
+    for side, row in (("socket_side", socket_row), ("bus_side", bus_row)):
+        report.add(f"{side}_fsm", row.fsm_gates)
+        report.add(f"{side}_regs", row.channel_bits * GATES_PER_FLOP)
     report.add(
         "conversion_buffer", buffer_beats * 32 * GATES_PER_FLOP
     )

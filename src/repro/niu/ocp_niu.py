@@ -9,15 +9,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.address_map import AddressMap
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
 from repro.niu.base import InitiatorNiu
 from repro.niu.state_table import StateEntry
-from repro.niu.tag_policy import TagPolicy
-from repro.protocols.base import MasterSocket
 from repro.protocols.ocp import MCmd, OcpRequest, OcpResponse, SResp
-from repro.transport.network import Fabric
 
 _OPCODES = {
     MCmd.RD: (Opcode.LOAD, False),
@@ -32,28 +27,6 @@ class OcpInitiatorNiu(InitiatorNiu):
     """Initiator NIU for an OCP master socket."""
 
     protocol_name = "OCP"
-
-    def __init__(
-        self,
-        name: str,
-        fabric: Fabric,
-        endpoint: int,
-        address_map: AddressMap,
-        socket: MasterSocket,
-        policy: Optional[TagPolicy] = None,
-    ) -> None:
-        if policy is None:
-            policy = TagPolicy(
-                ordering=OrderingModel.THREADED,
-                tag_bits=2,
-                max_outstanding=8,
-                per_stream_outstanding=4,
-                multi_target=True,
-            )
-        if policy.ordering is not OrderingModel.THREADED:
-            raise ValueError("OCP NIU requires a threaded policy")
-        super().__init__(name, fabric, endpoint, address_map, policy)
-        self._attach_socket(socket)
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("req")

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.address_map import AddressMap
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, Transaction
 from repro.niu.base import InitiatorNiu
 from repro.niu.state_table import StateEntry
-from repro.niu.tag_policy import TagPolicy
-from repro.protocols.base import MasterSocket
 from repro.protocols.proprietary import MsgKind, MsgRequest, MsgResponse
-from repro.transport.network import Fabric
 
 _OPCODES = {
     MsgKind.GET: Opcode.LOAD,
@@ -32,25 +27,8 @@ class MsgInitiatorNiu(InitiatorNiu):
 
     protocol_name = "PROPRIETARY"
 
-    def __init__(
-        self,
-        name: str,
-        fabric: Fabric,
-        endpoint: int,
-        address_map: AddressMap,
-        socket: MasterSocket,
-        policy: Optional[TagPolicy] = None,
-    ) -> None:
-        if policy is None:
-            policy = TagPolicy(
-                ordering=OrderingModel.FULLY_ORDERED,
-                tag_bits=1,
-                max_outstanding=2,
-                per_stream_outstanding=2,
-                multi_target=False,
-            )
-        super().__init__(name, fabric, endpoint, address_map, policy)
-        self._attach_socket(socket)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.fences_served = 0
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:

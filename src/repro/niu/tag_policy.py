@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ordering import OrderingModel
+from repro.core.protocols import family
 from repro.core.transaction import Transaction
 from repro.niu.state_table import StateTable, StreamKey
 
@@ -107,25 +108,13 @@ class TagPolicy:
         )
 
 
-def minimal_policy(ordering: OrderingModel) -> TagPolicy:
-    """The cheapest legal policy: one outstanding transaction, one target."""
+def default_policy(protocol: str) -> TagPolicy:
+    """The initiator NIU's default policy for a socket family: its row."""
+    row = family(protocol)
     return TagPolicy(
-        ordering=ordering,
-        tag_bits=1,
-        max_outstanding=1,
-        per_stream_outstanding=1,
-        multi_target=False,
-    )
-
-
-def performance_policy(
-    ordering: OrderingModel, outstanding: int = 16
-) -> TagPolicy:
-    """A deep, multi-target policy for high-throughput NIUs."""
-    return TagPolicy(
-        ordering=ordering,
-        tag_bits=4,
-        max_outstanding=outstanding,
-        per_stream_outstanding=outstanding,
-        multi_target=True,
+        ordering=row.ordering,
+        tag_bits=row.tag_bits,
+        max_outstanding=row.max_outstanding,
+        per_stream_outstanding=row.per_stream_outstanding,
+        multi_target=row.multi_target,
     )

@@ -1,8 +1,8 @@
 """VCI initiator NIU, serving all three flavors (PVCI/BVCI/AVCI).
 
-The flavor decides the ordering model handed to the tag policy: PVCI and
-BVCI are fully ordered (Tag constantly 0); AVCI's ``TRDID`` maps onto the
-Tag exactly like an AXI ID.
+The flavor names the family row, and with it the ordering model handed
+to the tag policy: PVCI and BVCI are fully ordered (Tag constantly 0);
+AVCI's ``TRDID`` maps onto the Tag exactly like an AXI ID.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.address_map import AddressMap
-from repro.core.ordering import OrderingModel
+from repro.core.protocols import family
 from repro.core.transaction import BurstType, Opcode, Transaction
 from repro.niu.base import InitiatorNiu
 from repro.niu.state_table import StateEntry
@@ -23,12 +23,6 @@ from repro.protocols.vci import (
     rerror_from_status,
 )
 from repro.transport.network import Fabric
-
-_FLAVOR_ORDERING = {
-    "PVCI": OrderingModel.FULLY_ORDERED,
-    "BVCI": OrderingModel.FULLY_ORDERED,
-    "AVCI": OrderingModel.ID_BASED,
-}
 
 _OPCODES = {
     VciCmd.READ: Opcode.LOAD,
@@ -51,44 +45,9 @@ class VciInitiatorNiu(InitiatorNiu):
         flavor: str = "BVCI",
         policy: Optional[TagPolicy] = None,
     ) -> None:
-        flavor = flavor.upper()
-        if flavor not in _FLAVOR_ORDERING:
-            raise ValueError(f"unknown VCI flavor {flavor!r}")
-        ordering = _FLAVOR_ORDERING[flavor]
-        if policy is None:
-            if flavor == "PVCI":
-                policy = TagPolicy(
-                    ordering=ordering,
-                    tag_bits=1,
-                    max_outstanding=1,
-                    per_stream_outstanding=1,
-                    multi_target=False,
-                )
-            elif flavor == "BVCI":
-                policy = TagPolicy(
-                    ordering=ordering,
-                    tag_bits=1,
-                    max_outstanding=4,
-                    per_stream_outstanding=4,
-                    multi_target=False,
-                )
-            else:  # AVCI
-                policy = TagPolicy(
-                    ordering=ordering,
-                    tag_bits=3,
-                    max_outstanding=8,
-                    per_stream_outstanding=4,
-                    multi_target=True,
-                )
-        if policy.ordering is not ordering:
-            raise ValueError(
-                f"{flavor} NIU requires a {ordering.value} policy, got "
-                f"{policy.ordering.value}"
-            )
-        super().__init__(name, fabric, endpoint, address_map, policy)
-        self.flavor = flavor
-        self.protocol_name = flavor
-        self._attach_socket(socket)
+        # One class serves three families: the flavor names the row.
+        self.protocol_name = family(flavor).name
+        super().__init__(name, fabric, endpoint, address_map, socket, policy)
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("cmd")

@@ -10,6 +10,12 @@ provides:
   respecting that protocol's pipelining/ordering rules, and checks
   responses against the protocol's ordering model.
 
+A module holds the family's records and behaviour only.  What the rest
+of the stack knows about the family — ordering model, NoC services,
+default NIU tag policy, gate-model front end — is its one row in
+:mod:`repro.core.protocols`, which a master's ``ordering_model`` reads
+through its ``protocol_name``.
+
 The protocol models are intentionally independent of the NoC: they can be
 attached to an initiator NIU (:mod:`repro.niu`) or to a bus bridge
 (:mod:`repro.bus`), which is exactly the comparison in Figs 1/2.

@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
 from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
@@ -130,7 +129,6 @@ class AhbMaster(ProtocolMaster):
     """
 
     protocol_name = "AHB"
-    ordering_model = OrderingModel.FULLY_ORDERED
 
     def __init__(self, name: str, sim: Simulator, traffic, depth: int = 2) -> None:
         super().__init__(name, traffic)

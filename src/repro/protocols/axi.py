@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
 from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
@@ -112,7 +111,6 @@ class AxiMaster(ProtocolMaster):
     """
 
     protocol_name = "AXI"
-    ordering_model = OrderingModel.ID_BASED
 
     _snapshot_fields = ProtocolMaster._snapshot_fields + (
         "_reads_inflight",

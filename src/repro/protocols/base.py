@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol
 
 from repro.core.ordering import OrderingChecker, OrderingModel
+from repro.core.protocols import family
 from repro.core.transaction import ResponseStatus, Transaction
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -124,6 +125,8 @@ class ProtocolMaster(Component, Snapshottable):
 
     Subclass contract:
 
+    - :attr:`protocol_name` — the socket family modelled; its row in
+      :mod:`repro.core.protocols` gives :attr:`ordering_model`;
     - :meth:`try_issue` — if the pending intent can legally enter the
       socket this cycle, push the protocol records and return True;
     - :meth:`collect_responses` — pop whatever response channels have and
@@ -131,7 +134,6 @@ class ProtocolMaster(Component, Snapshottable):
     """
 
     protocol_name = "BASE"
-    ordering_model = OrderingModel.FULLY_ORDERED
 
     def __init__(
         self,
@@ -196,6 +198,11 @@ class ProtocolMaster(Component, Snapshottable):
         super()._restore_state(state)
         self.checker.restore(state["checker"])
         self.traffic.restore(state["traffic"])
+
+    @property
+    def ordering_model(self) -> OrderingModel:
+        """The native ordering model: the family row's."""
+        return family(self.protocol_name).ordering
 
     # ------------------------------------------------------------------ #
     # subclass interface

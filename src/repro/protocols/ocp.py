@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
@@ -75,7 +74,6 @@ class OcpMaster(ProtocolMaster):
     """
 
     protocol_name = "OCP"
-    ordering_model = OrderingModel.THREADED
 
     _snapshot_fields = ProtocolMaster._snapshot_fields + (
         "_thread_inflight",

@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
@@ -62,7 +61,6 @@ class MsgMaster(ProtocolMaster):
     """Proprietary message-port master: strictly ordered, posted PUTs."""
 
     protocol_name = "PROPRIETARY"
-    ordering_model = OrderingModel.FULLY_ORDERED
 
     _snapshot_fields = ProtocolMaster._snapshot_fields + (
         "_posted_complete",

@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.ordering import OrderingModel
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
@@ -70,7 +69,6 @@ def rerror_from_status(status: ResponseStatus) -> VciRerror:
 class _VciMasterBase(ProtocolMaster):
     """Shared issue/collect logic for the three flavors."""
 
-    flavor = "VCI"
     max_outstanding = 1
     supports_locked = False
     tagged = False
@@ -89,7 +87,7 @@ class _VciMasterBase(ProtocolMaster):
         if txn.excl:
             raise ProtocolError(
                 f"{self.name}: VCI has no exclusive access; "
-                f"{self.flavor} locked reads are the blocking alternative"
+                f"{self.protocol_name} locked reads are the blocking alternative"
             )
         if txn.opcode is Opcode.LOAD:
             return VciCmd.READ
@@ -104,7 +102,7 @@ class _VciMasterBase(ProtocolMaster):
                 raise ProtocolError(f"{self.name}: PVCI has no locked write")
             return VciCmd.STORE_COND
         raise ProtocolError(
-            f"{self.name}: cannot map {txn.opcode.value} to {self.flavor}"
+            f"{self.name}: cannot map {txn.opcode.value} to {self.protocol_name}"
         )
 
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
@@ -149,8 +147,6 @@ class PvciMaster(_VciMasterBase):
     """Peripheral VCI: one outstanding, no locking, fully ordered."""
 
     protocol_name = "PVCI"
-    ordering_model = OrderingModel.FULLY_ORDERED
-    flavor = "PVCI"
     max_outstanding = 1
     supports_locked = False
     tagged = False
@@ -160,8 +156,6 @@ class BvciMaster(_VciMasterBase):
     """Basic VCI: pipelined, fully ordered, locked reads supported."""
 
     protocol_name = "BVCI"
-    ordering_model = OrderingModel.FULLY_ORDERED
-    flavor = "BVCI"
     supports_locked = True
     tagged = False
 
@@ -181,8 +175,6 @@ class AvciMaster(_VciMasterBase):
     """Advanced VCI: TRDID-tagged, out-of-order across tags."""
 
     protocol_name = "AVCI"
-    ordering_model = OrderingModel.ID_BASED
-    flavor = "AVCI"
     supports_locked = True
     tagged = True
 

@@ -33,40 +33,17 @@ from repro.transport.network import Fabric
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
 
-_MASTER_CLASSES = {
-    "AHB": AhbMaster,
-    "AXI": AxiMaster,
-    "OCP": OcpMaster,
-    "PVCI": PvciMaster,
-    "BVCI": BvciMaster,
-    "AVCI": AvciMaster,
-    "PROPRIETARY": MsgMaster,
+#: Socket family → (master IP model, initiator NIU) classes; the bus
+#: builder reads the master half.
+MODELS = {
+    "AHB": (AhbMaster, AhbInitiatorNiu),
+    "AXI": (AxiMaster, AxiInitiatorNiu),
+    "OCP": (OcpMaster, OcpInitiatorNiu),
+    "PVCI": (PvciMaster, VciInitiatorNiu),
+    "BVCI": (BvciMaster, VciInitiatorNiu),
+    "AVCI": (AvciMaster, VciInitiatorNiu),
+    "PROPRIETARY": (MsgMaster, MsgInitiatorNiu),
 }
-
-
-def _make_initiator_niu(
-    spec: InitiatorSpec,
-    fabric: Fabric,
-    endpoint: int,
-    address_map: AddressMap,
-    master: ProtocolMaster,
-) -> InitiatorNiu:
-    name = f"{spec.name}.niu"
-    socket = master.socket
-    if spec.protocol == "AHB":
-        return AhbInitiatorNiu(name, fabric, endpoint, address_map, socket, spec.policy)
-    if spec.protocol == "AXI":
-        return AxiInitiatorNiu(name, fabric, endpoint, address_map, socket, spec.policy)
-    if spec.protocol == "OCP":
-        return OcpInitiatorNiu(name, fabric, endpoint, address_map, socket, spec.policy)
-    if spec.protocol in ("PVCI", "BVCI", "AVCI"):
-        return VciInitiatorNiu(
-            name, fabric, endpoint, address_map, socket,
-            flavor=spec.protocol, policy=spec.policy,
-        )
-    if spec.protocol == "PROPRIETARY":
-        return MsgInitiatorNiu(name, fabric, endpoint, address_map, socket, spec.policy)
-    raise ValueError(f"no NIU for protocol {spec.protocol!r}")
 
 
 class NocSoc:
@@ -573,7 +550,7 @@ class SocBuilder:
         # build that raises leaves every ready source free for a retry.
         claimed: Dict[int, str] = {}
         for endpoint, spec in enumerate(self.initiators):
-            master_cls = _MASTER_CLASSES[spec.protocol]
+            master_cls, niu_cls = MODELS[spec.protocol]
             source = spec.traffic
             if isinstance(source, TrafficSpec):
                 source = source.build(spec.name)
@@ -600,8 +577,11 @@ class SocBuilder:
                 if domain is not None:
                     master.set_clock_domain(domain)
                 sim.add(master)
-                niu = _make_initiator_niu(
-                    spec, fabric, endpoint, address_map, master
+                # One NIU class serves the three VCI families.
+                vci = {"flavor": spec.protocol} if niu_cls is VciInitiatorNiu else {}
+                niu = niu_cls(
+                    f"{spec.name}.niu", fabric, endpoint, address_map,
+                    master.socket, policy=spec.policy, **vci,
                 )
                 if domain is not None:
                     niu.set_clock_domain(domain)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.core.protocols import FAMILIES
 from repro.niu.tag_policy import TagPolicy
 from repro.phys.clocking import ClockDomain
 from repro.phys.link import LinkSpec
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 #: Socket families the builder knows how to instantiate.
-KNOWN_PROTOCOLS = ("AHB", "AXI", "OCP", "PVCI", "BVCI", "AVCI", "PROPRIETARY")
+KNOWN_PROTOCOLS = tuple(FAMILIES)
 
 
 @dataclass

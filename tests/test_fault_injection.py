@@ -260,6 +260,28 @@ class TestAdaptiveReroute:
                 assert router.adaptive_table is plane._adaptive_tables[rid]
                 assert not router._dead_ports
 
+    def test_port_down_then_up_reroutes_and_heals(self):
+        port = ((1, 1), "to:(2, 1)")
+        cut = FaultSchedule().port_down(60, *port)
+        healed = FaultSchedule().port_down(60, *port).port_up(400, *port)
+        for faults, heals in ((healed, True), (cut, False)):
+            soc = build_soc(faults=faults, count=80)
+            soc.run_to_completion()
+            assert soc.total_completed() == 480
+            assert soc.ordering_violations() == 0
+            routers = plane_routers(soc)
+            assert sum(r.faults_hit for r in routers) > 0
+            assert sum(r.packets_rerouted for r in routers) > 0
+            injector = soc.fabric.request_plane.fault_injector
+            expected = [(60, True), (400, False)] if heals else [(60, True)]
+            assert [(c, ev.down) for c, ev in injector.applied] == expected
+            pristine = all(
+                router.adaptive_table is plane._adaptive_tables[rid]
+                for plane in soc.fabric._planes
+                for rid, router in plane.routers.items()
+            )
+            assert pristine is heals  # without the port_up, degraded stays
+
     def test_throughput_retention_at_least_half(self):
         healthy = build_soc()
         healthy_cycles = healthy.run_to_completion()

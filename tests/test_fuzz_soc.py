@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from repro.ip import TrafficSpec
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
+from repro.soc.config import KNOWN_PROTOCOLS
 from repro.transport import topology as topo
 from repro.transport.switching import SwitchingMode
 
-PROTOCOL_CHOICES = ["AHB", "AXI", "OCP", "PVCI", "BVCI", "AVCI",
-                    "PROPRIETARY"]
+PROTOCOL_CHOICES = KNOWN_PROTOCOLS
 
 
 @st.composite

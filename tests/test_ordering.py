@@ -9,9 +9,8 @@ from repro.core.ordering import (
     OrderingChecker,
     OrderingModel,
     OrderingViolation,
-    interleaving_allowed,
-    ordering_for_protocol,
 )
+from repro.core.protocols import family
 
 
 class TestStreamKeys:
@@ -34,19 +33,18 @@ class TestStreamKeys:
         m = OrderingModel.THREADED
         assert m.must_order((1, 0), (1, 9))
         assert not m.must_order((1, 0), (2, 0))
-        assert interleaving_allowed(m, (1, 0), (2, 0))
 
 
 class TestProtocolMap:
     def test_known_protocols(self):
-        assert ordering_for_protocol("AHB") is OrderingModel.FULLY_ORDERED
-        assert ordering_for_protocol("ocp") is OrderingModel.THREADED
-        assert ordering_for_protocol("AXI") is OrderingModel.ID_BASED
-        assert ordering_for_protocol("AVCI") is OrderingModel.ID_BASED
+        assert family("AHB").ordering is OrderingModel.FULLY_ORDERED
+        assert family("ocp").ordering is OrderingModel.THREADED
+        assert family("AXI").ordering is OrderingModel.ID_BASED
+        assert family("AVCI").ordering is OrderingModel.ID_BASED
 
     def test_unknown_protocol(self):
-        with pytest.raises(KeyError):
-            ordering_for_protocol("PCIe")
+        with pytest.raises(KeyError, match="unknown socket family 'PCIe'"):
+            family("PCIe")
 
 
 class TestChecker:

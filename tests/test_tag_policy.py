@@ -5,7 +5,7 @@ import pytest
 from repro.core.ordering import OrderingModel
 from repro.core.transaction import make_read
 from repro.niu.state_table import StateTable
-from repro.niu.tag_policy import TagPolicy, minimal_policy, performance_policy
+from repro.niu.tag_policy import TagPolicy, default_policy
 
 
 def txn(thread=0, tag=0):
@@ -84,8 +84,13 @@ class TestAdmission:
 
 class TestGateModelHooks:
     def test_reorder_entries_follow_multi_target(self):
-        assert minimal_policy(OrderingModel.FULLY_ORDERED).reorder_entries == 0
-        assert performance_policy(OrderingModel.ID_BASED, 16).reorder_entries == 16
+        assert default_policy("AHB").reorder_entries == 0
+        deep = TagPolicy(
+            ordering=OrderingModel.ID_BASED,
+            max_outstanding=16,
+            per_stream_outstanding=16,
+        )
+        assert deep.reorder_entries == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,5 +101,5 @@ class TestGateModelHooks:
             TagPolicy(ordering=OrderingModel.ID_BASED, tag_bits=0)
 
     def test_describe(self):
-        text = minimal_policy(OrderingModel.THREADED).describe()
+        text = TagPolicy(ordering=OrderingModel.THREADED, max_outstanding=1).describe()
         assert "THREADED" in text and "outstanding=1" in text
