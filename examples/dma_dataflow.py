@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Programmable endpoints: DMA descriptor chains and a tree allreduce.
 
-Two scenarios from the workload registry run end-to-end and report the
-fabric's per-flow latency SLA surface:
+Two built-in scenarios (:mod:`repro.workloads.scenarios`) run end-to-end
+and report the fabric's per-flow latency SLA surface:
 
 - ``dma_chain`` — eight DMA engines executing chained
   read -> compute -> write descriptor programs between a slow source
@@ -19,7 +19,7 @@ protocol masters.
 Run:  PYTHONPATH=src python examples/dma_dataflow.py
 """
 
-import repro.workloads as workloads
+from repro.workloads.scenarios import collective_allreduce, dma_chain
 
 
 def print_flow_stats(soc) -> None:
@@ -34,13 +34,8 @@ def print_flow_stats(soc) -> None:
 
 
 def main() -> None:
-    print("=== scenario registry ===")
-    for name in workloads.available():
-        print(f"  {name}: {workloads.describe(name)}")
-
-    print()
     print("=== dma_chain: descriptor programs with dependencies ===")
-    soc = workloads.get("dma_chain").build()
+    soc = dma_chain.build()
     cycles = soc.run_to_completion()
     print(f"8 engines x 3-link chains completed at cycle {cycles} "
           f"({soc.total_completed()} transactions)")
@@ -48,7 +43,7 @@ def main() -> None:
 
     print()
     print("=== collective_allreduce: tree reduction on a 4x4 torus ===")
-    soc = workloads.get("collective_allreduce").build()
+    soc = collective_allreduce.build()
     cycles = soc.run_to_completion()
     print(f"8-node allreduce (3 combining rounds + broadcast) completed "
           f"at cycle {cycles} ({soc.total_completed()} transactions)")

@@ -126,10 +126,8 @@ class Bridge(Component):
                     )
                 )
         elif self.protocol == "OCP":
-            if status.is_error:
-                sresp = SResp.ERR
-            else:
-                sresp = SResp.DVA  # lazy-sync emulated by lock: never FAIL
+            # Lazy sync is emulated by a bus lock, so it never FAILs.
+            sresp = SResp.ERR if status.is_error else SResp.DVA
             self.master.socket.rsp("rsp").push(
                 OcpResponse(
                     sresp=sresp,

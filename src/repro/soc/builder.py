@@ -1,10 +1,16 @@
-"""Build a Fig-1 style layered-NoC SoC from declarative specs."""
+"""Build a Fig-1 style layered-NoC SoC from declarative specs.
+
+The spec checks, the address map, the traffic-source hand-out and master
+construction are module functions: the Fig-2 bus builder
+(:func:`repro.bus.system.build_bus_soc`) assembles from the same specs
+through the same four.
+"""
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.address_map import AddressMap
 from repro.core.layer import TransactionLayerConfig, build_layer_config
@@ -26,8 +32,9 @@ from repro.protocols.ocp import OcpMaster
 from repro.protocols.proprietary import MsgMaster
 from repro.protocols.vci import AvciMaster, BvciMaster, PvciMaster
 from repro.sim.kernel import RunBudgetExceededError, Simulator
+from repro.sim.stats import Histogram
 from repro.sim.trace import Tracer
-from repro.soc.config import EscapeVcPolicy, InitiatorSpec, TargetSpec
+from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo_mod
 from repro.transport.network import Fabric
 from repro.transport.switching import SwitchingMode
@@ -46,7 +53,142 @@ MODELS = {
 }
 
 
-class NocSoc:
+# --------------------------------------------------------------------- #
+# what both builders share
+# --------------------------------------------------------------------- #
+def spec_label(spec: Union[InitiatorSpec, TargetSpec]) -> str:
+    """``initiator 'name'`` or ``target 'name'``: how errors name a spec."""
+    kind = "initiator" if isinstance(spec, InitiatorSpec) else "target"
+    return f"{kind} {spec.name!r}"
+
+
+def check_specs(
+    initiators: Sequence[InitiatorSpec],
+    targets: Sequence[TargetSpec],
+    topology: Optional[Topology] = None,
+) -> None:
+    """The spec errors both builders raise before building anything: an
+    empty side, two specs sharing a name (an endpoint's components and
+    queues are named after its spec), and a topology without an endpoint
+    for every spec (initiators take endpoints ``0..``, targets follow)."""
+    if not initiators:
+        raise ValueError("SoC needs at least one initiator")
+    if not targets:
+        raise ValueError("SoC needs at least one target")
+    seen: Dict[str, Union[InitiatorSpec, TargetSpec]] = {}
+    for spec in (*initiators, *targets):
+        if spec.name in seen:
+            raise ValueError(
+                f"{spec_label(seen[spec.name])} and {spec_label(spec)} share "
+                f"a name; every component and queue of an endpoint is named "
+                f"after its spec"
+            )
+        seen[spec.name] = spec
+    wanted = len(initiators) + len(targets)
+    if topology is not None and any(
+        endpoint not in topology.endpoint_router for endpoint in range(wanted)
+    ):
+        raise ValueError(
+            f"topology {topology.name!r} has {len(topology.endpoint_router)} "
+            f"endpoints but the SoC attaches {wanted} specs "
+            f"({len(initiators)} initiators + {len(targets)} targets) to "
+            f"endpoints 0..{wanted - 1}"
+        )
+
+
+def build_address_map(targets: Sequence[TargetSpec], first_slave: int) -> AddressMap:
+    """Target ``i`` answers as slave ``first_slave + i``; a target without
+    an explicit ``base`` packs after the highest range so far."""
+    address_map = AddressMap()
+    cursor = 0
+    for slave, spec in enumerate(targets, start=first_slave):
+        base = cursor if spec.base is None else spec.base
+        try:
+            address_map.add_range(base, spec.size, slv_addr=slave, name=spec.name)
+        except ValueError as exc:
+            # Aliased targets are a spec bug: name the offender so the fix
+            # points at the TargetSpec, not the map internals.
+            raise ValueError(
+                f"target {spec.name!r}: explicit base {base:#x} aliases an "
+                f"already-assigned range in the address map ({exc})"
+            ) from exc
+        cursor = max(cursor, base + spec.size)
+    return address_map
+
+
+def hand_out_source(spec: InitiatorSpec, claimed: Dict[int, str]):
+    """``spec``'s traffic source for this build: a
+    :class:`~repro.ip.traffic.TrafficSpec` builds a fresh one; a ready
+    source is stateful, so one attached to a built SoC's master, or
+    already in ``claimed`` (source id → initiator name) by this build, is
+    refused.  Nothing is marked here: :func:`mark_attached` does it as a
+    build returns, so a build that raises leaves every source free."""
+    source = spec.traffic
+    if isinstance(source, TrafficSpec):
+        source = source.build(spec.name)
+    if source is None:
+        raise ValueError(
+            f"initiator {spec.name!r} has no traffic source — give "
+            f"InitiatorSpec(traffic=...)"
+        )
+    taken_by = getattr(source, "_attached_master", None)
+    if taken_by is None:
+        taken_by = claimed.get(id(source))
+    if taken_by is not None:
+        raise ValueError(
+            f"initiator {spec.name!r}: its traffic source is already "
+            f"attached to master {taken_by!r}; sources are stateful "
+            f"— give a TrafficSpec or a fresh source per build"
+        )
+    claimed[id(source)] = spec.name
+    return source
+
+
+def add_master(
+    spec: InitiatorSpec, sim: Simulator, source, domain: Optional[ClockDomain] = None
+) -> ProtocolMaster:
+    """Register ``spec``'s master IP model around ``source``, in ``domain``
+    (``None`` is the kernel reference clock)."""
+    master_cls = MODELS[spec.protocol][0]
+    master = master_cls(spec.name, sim, source, **spec.protocol_kwargs)
+    master.set_clock_domain(domain)
+    sim.add(master)
+    return master
+
+
+def mark_attached(masters: Dict[str, ProtocolMaster]) -> None:
+    """Mark every master's source taken, as a build returns."""
+    for master in masters.values():
+        master.traffic._attached_master = master.name
+
+
+class BuiltSoc:
+    """What both builders return: a simulator and its masters by name
+    (subclasses set ``sim`` and ``masters``), run and measured alike."""
+
+    sim: Simulator
+    masters: Dict[str, ProtocolMaster]
+
+    def run(self, cycles: int) -> int:
+        return self.sim.run(cycles)
+
+    def master_latency(self, name: str) -> Dict[str, float]:
+        return self.sim.stats.latency(f"{name}.txn").histogram.summary()
+
+    def aggregate_latency(self) -> Dict[str, float]:
+        merged = Histogram("all-masters")
+        for name in self.masters:
+            merged.merge(self.sim.stats.latency(f"{name}.txn").histogram)
+        return merged.summary()
+
+    def total_completed(self) -> int:
+        return sum(m.completed for m in self.masters.values())
+
+    def ordering_violations(self) -> int:
+        return sum(len(m.checker.violations) for m in self.masters.values())
+
+
+class NocSoc(BuiltSoc):
     """A built, runnable layered-NoC system."""
 
     def __init__(
@@ -121,9 +263,6 @@ class NocSoc:
                 f"with stuck workload traffic: " + " | ".join(reasons)
             ) from exc
 
-    def run(self, cycles: int) -> int:
-        return self.sim.run(cycles)
-
     # ------------------------------------------------------------------ #
     # state capture
     # ------------------------------------------------------------------ #
@@ -186,17 +325,6 @@ class NocSoc:
     # ------------------------------------------------------------------ #
     # metrics
     # ------------------------------------------------------------------ #
-    def master_latency(self, name: str) -> Dict[str, float]:
-        return self.sim.stats.latency(f"{name}.txn").histogram.summary()
-
-    def aggregate_latency(self) -> Dict[str, float]:
-        from repro.sim.stats import Histogram
-
-        merged = Histogram("all-masters")
-        for name in self.masters:
-            merged.merge(self.sim.stats.latency(f"{name}.txn").histogram)
-        return merged.summary()
-
     def flow_stats(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
         """Per-flow latency percentiles — the fabric's SLA surface.
 
@@ -232,12 +360,6 @@ class NocSoc:
                     by_pair[key[5:]] = summary
             out[direction] = {"priority": by_prio, "pairs": by_pair}
         return out
-
-    def total_completed(self) -> int:
-        return sum(m.completed for m in self.masters.values())
-
-    def ordering_violations(self) -> int:
-        return sum(len(m.checker.violations) for m in self.masters.values())
 
     def memory_image(self) -> Dict[str, Dict[int, int]]:
         """Byte image of every memory (layer-independence fingerprint)."""
@@ -358,42 +480,64 @@ class SocBuilder:
         return self
 
     # ------------------------------------------------------------------ #
+    def build(self) -> NocSoc:
+        """Assemble the SoC in six steps; each registers its components
+        after the step before, and component order is tick order:
+        :func:`check_specs`; :meth:`_regions` (clock domains);
+        :meth:`_shard_context` (``shards=`` only); :meth:`_fabric` (the
+        transaction-layer format from the socket set, then both transport
+        planes); :meth:`_attach_initiators` (each master, then its NIU);
+        :meth:`_attach_targets` (each target NIU, then its memory).  Ready
+        sources are marked attached only as the build returns."""
+        topology = self.topology or self._default_topology(
+            len(self.initiators) + len(self.targets)
+        )
+        check_specs(self.initiators, self.targets, topology)
+        sim = Simulator(trace=self.trace, strict=self.strict_kernel)
+        fabric_domain, endpoint_domains = self._regions()
+        plan, ownership, scope = self._shard_context(sim, topology)
+        layer_config, fabric = self._fabric(
+            sim, topology, fabric_domain, endpoint_domains, plan, ownership
+        )
+        address_map = build_address_map(self.targets, len(self.initiators))
+        masters, initiator_nius = self._attach_initiators(
+            fabric, address_map, endpoint_domains, scope
+        )
+        target_nius, memories = self._attach_targets(
+            fabric, layer_config, endpoint_domains, scope
+        )
+        soc = NocSoc(
+            sim, fabric, layer_config, address_map, masters, initiator_nius,
+            target_nius, memories, shard_plan=plan, shard_ownership=ownership,
+        )
+        if plan is not None:
+            self._install_shard_id_streams(soc)
+        mark_attached(masters)
+        return soc
+
+    # ------------------------------------------------------------------ #
+    # build steps
+    # ------------------------------------------------------------------ #
     def _default_topology(self, endpoints: int) -> Topology:
         width = max(2, math.ceil(math.sqrt(endpoints)))
         height = max(2, math.ceil(endpoints / width))
         return topo_mod.mesh(width, height, endpoints=endpoints)
 
-    def _build_address_map(self) -> AddressMap:
-        address_map = AddressMap()
-        cursor = 0
-        n_init = len(self.initiators)
-        for index, spec in enumerate(self.targets):
-            base = spec.base
-            if base is None:
-                base = cursor
-            try:
-                address_map.add_range(
-                    base, spec.size, slv_addr=n_init + index, name=spec.name
-                )
-            except ValueError as exc:
-                # Aliased targets are a spec bug: name the offender so
-                # the fix points at the TargetSpec, not the map internals.
-                raise ValueError(
-                    f"target {spec.name!r}: explicit base {base:#x} aliases "
-                    f"an already-assigned range in the SoC address map "
-                    f"({exc})"
-                ) from exc
-            cursor = max(cursor, base + spec.size)
-        return address_map
-
-    # ------------------------------------------------------------------ #
-    # physical-layer resolution
-    # ------------------------------------------------------------------ #
-    def _resolve_clock_domains(self) -> Dict[str, ClockDomain]:
-        return {
+    def _regions(self) -> Tuple[Optional[ClockDomain], Dict[int, ClockDomain]]:
+        """The fabric's clock domain and each endpoint's that names a
+        region (endpoints: the initiators, then the targets); an
+        undeclared region is a ValueError naming its owner."""
+        domains = {
             name: make_clock_domain(name, value)
             for name, value in (self.clock_domains or {}).items()
         }
+        fabric_domain = self._domain_for(self.fabric_region, domains, "fabric")
+        endpoint_domains: Dict[int, ClockDomain] = {}
+        for endpoint, spec in enumerate([*self.initiators, *self.targets]):
+            domain = self._domain_for(spec.region, domains, spec_label(spec))
+            if domain is not None:
+                endpoint_domains[endpoint] = domain
+        return fabric_domain, endpoint_domains
 
     def _domain_for(
         self,
@@ -410,6 +554,47 @@ class SocBuilder:
                 f"{owner}: unknown clock region {region!r}; declared "
                 f"domains: {sorted(domains) or '(none)'}"
             ) from None
+
+    def _shard_context(self, sim: Simulator, topology: Topology):
+        """``(plan, ownership, scope)`` of a ``shards=`` build: the
+        partition, the component/queue → shard recorder, and
+        ``scope(endpoint)``, which records what an endpoint registers to
+        its router's shard.  Without ``shards=``: ``(None, None, a no-op
+        scope)``.  Everything sharding adds to a build is here and in
+        :meth:`_install_shard_id_streams`."""
+        if self.shards is None:
+            return None, None, lambda endpoint: nullcontext()
+        from repro.sim.shard import (
+            ShardConfigError,
+            ShardOwnership,
+            ShardPlan,
+            plan_shards,
+        )
+
+        if sim.strict:
+            raise ShardConfigError(
+                "the strict reference kernel cannot drive sharded "
+                "builds (strict_kernel=True or REPRO_SIM_STRICT): it "
+                "ticks every component every cycle, which the "
+                "activity-driven round protocol does not reproduce — "
+                "drop strict_kernel or shards"
+            )
+        if sim.trace.enabled:
+            raise ShardConfigError(
+                "tracing is out of scope for sharded builds (v1): "
+                "per-shard event streams have no global order to "
+                "merge under — disable the tracer or drop shards"
+            )
+        if isinstance(self.shards, ShardPlan):
+            plan = self.shards
+        else:
+            plan = plan_shards(topology, int(self.shards))
+        ownership = ShardOwnership(sim, plan.n_shards)
+
+        def scope(endpoint: int):
+            return ownership.owned_by(plan.shard_of(topology.router_of(endpoint)))
+
+        return plan, ownership, scope
 
     def _resolve_links(self) -> Dict[str, Optional[LinkSpec]]:
         """Normalize the ``links=`` knob to {"router": spec, "endpoint": spec}."""
@@ -432,67 +617,12 @@ class SocBuilder:
             resolved[cls] = spec
         return resolved
 
-    def build(self) -> NocSoc:
-        if not self.initiators:
-            raise ValueError("SoC needs at least one initiator")
-        if not self.targets:
-            raise ValueError("SoC needs at least one target")
-        sim = Simulator(trace=self.trace, strict=self.strict_kernel)
-        endpoints = len(self.initiators) + len(self.targets)
-        topology = self.topology or self._default_topology(endpoints)
-
-        # Sharded fabric: resolve the plan and start ownership recording.
-        shard_plan = None
-        shard_ownership = None
-        if self.shards is not None:
-            from repro.sim.shard import (
-                ShardConfigError,
-                ShardOwnership,
-                ShardPlan,
-                plan_shards,
-            )
-
-            if sim.strict:
-                raise ShardConfigError(
-                    "the strict reference kernel cannot drive sharded "
-                    "builds (strict_kernel=True or REPRO_SIM_STRICT): it "
-                    "ticks every component every cycle, which the "
-                    "activity-driven round protocol does not reproduce — "
-                    "drop strict_kernel or shards"
-                )
-            if sim.trace.enabled:
-                raise ShardConfigError(
-                    "tracing is out of scope for sharded builds (v1): "
-                    "per-shard event streams have no global order to "
-                    "merge under — disable the tracer or drop shards"
-                )
-            if isinstance(self.shards, ShardPlan):
-                shard_plan = self.shards
-            else:
-                shard_plan = plan_shards(topology, int(self.shards))
-            shard_ownership = ShardOwnership(sim, shard_plan.n_shards)
-
-        # Physical layer: clock regions and per-link-class wire specs.
-        domains = self._resolve_clock_domains()
-        fabric_domain = self._domain_for(self.fabric_region, domains, "fabric")
-        link_specs = self._resolve_links()
-        endpoint_domains: Dict[int, ClockDomain] = {}
-        for endpoint, ispec in enumerate(self.initiators):
-            domain = self._domain_for(
-                ispec.region, domains, f"initiator {ispec.name!r}"
-            )
-            if domain is not None:
-                endpoint_domains[endpoint] = domain
-        n_init_specs = len(self.initiators)
-        for index, tspec in enumerate(self.targets):
-            domain = self._domain_for(
-                tspec.region, domains, f"target {tspec.name!r}"
-            )
-            if domain is not None:
-                endpoint_domains[n_init_specs + index] = domain
-
-        # Transaction-layer configuration from the attached socket set —
-        # the paper's per-SoC customization step.
+    def _fabric(
+        self, sim, topology, fabric_domain, endpoint_domains, plan, ownership
+    ) -> Tuple[TransactionLayerConfig, Fabric]:
+        """The transaction-layer configuration from the attached socket
+        set — the paper's per-SoC customization step — then the fabric
+        built to its packet format and lock service."""
         max_outstanding = max(
             (s.policy.max_outstanding for s in self.initiators if s.policy),
             default=8,
@@ -503,13 +633,10 @@ class SocBuilder:
             targets=len(self.targets),
             max_outstanding=max(8, max_outstanding),
         )
-
-        # A bare routing="adaptive" defaults to the minimal split: one
-        # adaptive VC on top of the escape pair.
-        vcs = self.vcs
-        if self.routing == "adaptive" and vcs == 1:
-            vcs = 1 + EscapeVcPolicy.escape_vcs
-
+        lock_support = self.transport_lock_support
+        if lock_support is None:
+            lock_support = NocService.LEGACY_LOCK in layer_config.services
+        link_specs = self._resolve_links()
         fabric = Fabric(
             sim,
             topology,
@@ -520,163 +647,91 @@ class SocBuilder:
             arbiter=self.arbiter,
             packet_format=layer_config.packet_format,
             routing=self.routing,
-            lock_support=(
-                NocService.LEGACY_LOCK in layer_config.services
-                if self.transport_lock_support is None
-                else self.transport_lock_support
-            ),
+            lock_support=lock_support,
             link_spec=link_specs["router"],
             endpoint_link_spec=link_specs["endpoint"],
             fabric_domain=fabric_domain,
             endpoint_domains=endpoint_domains,
-            vcs=vcs,
+            vcs=self.vcs,
             vc_policy=self.vc_policy,
             faults=self.faults,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
+            shard_plan=plan,
+            shard_ownership=ownership,
         )
-        address_map = self._build_address_map()
+        return layer_config, fabric
 
-        def owned_by_endpoint(endpoint: int):
-            if shard_ownership is None:
-                return nullcontext()
-            return shard_ownership.owned_by(
-                shard_plan.shard_of(topology.router_of(endpoint))
-            )
-
+    def _attach_initiators(self, fabric, address_map, endpoint_domains, scope):
+        """Endpoint ``i`` is initiator ``i``: its traffic source, its
+        master IP, then its NIU, both in the endpoint's clock domain."""
+        sim = fabric.sim
         masters: Dict[str, ProtocolMaster] = {}
-        initiator_nius: Dict[str, InitiatorNiu] = {}
-        # Sources taken by this build, marked attached only on return: a
-        # build that raises leaves every ready source free for a retry.
+        nius: Dict[str, InitiatorNiu] = {}
         claimed: Dict[int, str] = {}
         for endpoint, spec in enumerate(self.initiators):
-            master_cls, niu_cls = MODELS[spec.protocol]
-            source = spec.traffic
-            if isinstance(source, TrafficSpec):
-                source = source.build(spec.name)
-            if source is None:
-                raise ValueError(
-                    f"initiator {spec.name!r} has no traffic source — give "
-                    f"InitiatorSpec(traffic=...)"
-                )
-            taken_by = getattr(source, "_attached_master", None)
-            if taken_by is None:
-                taken_by = claimed.get(id(source))
-            if taken_by is not None:
-                raise ValueError(
-                    f"initiator {spec.name!r}: its traffic source is already "
-                    f"attached to master {taken_by!r}; sources are stateful "
-                    f"— give a TrafficSpec or a fresh source per build"
-                )
-            claimed[id(source)] = spec.name
-            with owned_by_endpoint(endpoint):
-                master = master_cls(
-                    spec.name, sim, source, **spec.protocol_kwargs
-                )
-                domain = endpoint_domains.get(endpoint)
-                if domain is not None:
-                    master.set_clock_domain(domain)
-                sim.add(master)
+            source = hand_out_source(spec, claimed)
+            domain = endpoint_domains.get(endpoint)
+            with scope(endpoint):
+                master = add_master(spec, sim, source, domain)
+                niu_cls = MODELS[spec.protocol][1]
                 # One NIU class serves the three VCI families.
                 vci = {"flavor": spec.protocol} if niu_cls is VciInitiatorNiu else {}
                 niu = niu_cls(
                     f"{spec.name}.niu", fabric, endpoint, address_map,
                     master.socket, policy=spec.policy, **vci,
                 )
-                if domain is not None:
-                    niu.set_clock_domain(domain)
+                niu.set_clock_domain(domain)
                 sim.add(niu)
             masters[spec.name] = master
-            initiator_nius[spec.name] = niu
+            nius[spec.name] = niu
+        return masters, nius
 
+    def _attach_targets(self, fabric, layer_config, endpoint_domains, scope):
+        """Endpoint ``len(initiators) + i`` is target ``i``: its NIU (with
+        an exclusive monitor and a lock manager when the socket set asks
+        for those services), then its memory, both in the endpoint's
+        clock domain."""
+        sim, services = fabric.sim, layer_config.services
         target_nius: Dict[str, TargetNiu] = {}
         memories: Dict[str, MemoryDevice] = {}
-        n_init = len(self.initiators)
-        for index, spec in enumerate(self.targets):
-            endpoint = n_init + index
-            with owned_by_endpoint(endpoint):
-                self._build_target(
-                    spec,
-                    endpoint,
-                    sim,
-                    fabric,
-                    layer_config,
-                    endpoint_domains,
-                    target_nius,
-                    memories,
+        for endpoint, spec in enumerate(self.targets, start=len(self.initiators)):
+            domain = endpoint_domains.get(endpoint)
+            with scope(endpoint):
+                socket = SlaveSocket(sim, f"{spec.name}.sock")
+                monitor = (
+                    ExclusiveMonitor(name=f"{spec.name}.monitor")
+                    if NocService.EXCLUSIVE_ACCESS in services
+                    else None
                 )
-
-        soc = NocSoc(
-            sim,
-            fabric,
-            layer_config,
-            address_map,
-            masters,
-            initiator_nius,
-            target_nius,
-            memories,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
-        )
-        if shard_plan is not None:
-            self._install_shard_id_streams(soc)
-            shard_ownership.finalize()
-        for master in masters.values():
-            master.traffic._attached_master = master.name
-        return soc
-
-    def _build_target(
-        self,
-        spec,
-        endpoint: int,
-        sim,
-        fabric,
-        layer_config,
-        endpoint_domains,
-        target_nius,
-        memories,
-    ) -> None:
-        socket = SlaveSocket(sim, f"{spec.name}.sock")
-        monitor = (
-            ExclusiveMonitor(name=f"{spec.name}.monitor")
-            if NocService.EXCLUSIVE_ACCESS in layer_config.services
-            else None
-        )
-        locks = (
-            LockManager(name=f"{spec.name}.locks")
-            if NocService.LEGACY_LOCK in layer_config.services
-            else None
-        )
-        target_niu = TargetNiu(
-            f"{spec.name}.niu",
-            fabric,
-            endpoint,
-            socket,
-            max_outstanding=spec.max_outstanding,
-            exclusive_monitor=monitor,
-            lock_manager=locks,
-        )
-        domain = endpoint_domains.get(endpoint)
-        if domain is not None:
-            target_niu.set_clock_domain(domain)
-        sim.add(target_niu)
-        memory = MemoryDevice(
-            spec.name,
-            socket,
-            size=spec.size,
-            read_latency=spec.read_latency,
-            write_latency=spec.write_latency,
-            per_beat_cycles=spec.per_beat_cycles,
-            error_ranges=spec.error_ranges,
-        )
-        if domain is not None:
-            memory.set_clock_domain(domain)
-        sim.add(memory)
-        target_nius[spec.name] = target_niu
-        memories[spec.name] = memory
+                locks = (
+                    LockManager(name=f"{spec.name}.locks")
+                    if NocService.LEGACY_LOCK in services
+                    else None
+                )
+                target_niu = TargetNiu(
+                    f"{spec.name}.niu", fabric, endpoint, socket,
+                    max_outstanding=spec.max_outstanding,
+                    exclusive_monitor=monitor, lock_manager=locks,
+                )
+                target_niu.set_clock_domain(domain)
+                sim.add(target_niu)
+                memory = MemoryDevice(
+                    spec.name,
+                    socket,
+                    size=spec.size,
+                    read_latency=spec.read_latency,
+                    write_latency=spec.write_latency,
+                    per_beat_cycles=spec.per_beat_cycles,
+                    error_ranges=spec.error_ranges,
+                )
+                memory.set_clock_domain(domain)
+                sim.add(memory)
+            target_nius[spec.name] = target_niu
+            memories[spec.name] = memory
+        return target_nius, memories
 
     def _install_shard_id_streams(self, soc: NocSoc) -> None:
-        """Give every id-allocating component its own id stream.
+        """Give every id-allocating component its own id stream, then
+        check that every component and queue has a shard owner.
 
         A single-process run interleaves all sources on the process
         globals (``transaction._txn_ids`` / ``flit._flit_packet_ids``);
@@ -712,3 +767,4 @@ class SocBuilder:
                     plane.injection_ports[endpoint], txn_id_stream(scope)
                 )
                 scope += 1
+        soc.shard_ownership.finalize()

@@ -439,12 +439,20 @@ class EjectionPort(Component, Snapshottable):
 
 
 class Network(Snapshottable):
-    """One routing plane: routers, links, injection/ejection ports.
+    """One routing plane, assembled in five steps; each registers its
+    components after the step before, and component order is tick order:
+
+    1. :meth:`_check_options` — every plane rule, before anything exists;
+    2. :meth:`_add_fault_injector` — ahead of the routers, so a fault
+       epoch is visible to every router tick of its cycle;
+    3. :meth:`_add_routers` — on :func:`plane_tables`' shared tables;
+    4. :meth:`_add_router_links` — one link per direction of every
+       topology link;
+    5. :meth:`_attach_endpoints` — injection, then ejection, per endpoint.
 
     The plane's only runtime state of its own is the per-(src, dst)
     injection sequence stream of adaptive planes; everything else lives
     on the registered components, which the kernel captures by name.
-    Its routers' tables are :func:`plane_tables`' shared, read-only ones.
     """
 
     _snapshot_fields = ("_pair_seq",)
@@ -472,53 +480,58 @@ class Network(Snapshottable):
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
-        self.sim = sim
-        self.topology = topology
-        self.name = name
-        self._shard_plan = shard_plan
-        self._shard_ownership = shard_ownership
-        #: Boundary halves of cut inter-router links, keyed (src, dst).
-        self.boundary_tx: Dict[tuple, ShardLinkTx] = {}
-        self.boundary_rx: Dict[tuple, ShardLinkRx] = {}
-        self.mode = mode
+        self.sim, self.topology, self.name = sim, topology, name
+        self.mode, self.routing = mode, routing
         self.flit_payload_bits = flit_payload_bits
         self.buffer_capacity = buffer_capacity
         self.packetizer = Packetizer(flit_payload_bits, packet_format)
-        self.link_spec = link_spec if link_spec is not None else LinkSpec()
-        self.endpoint_link_spec = (
-            endpoint_link_spec if endpoint_link_spec is not None else LinkSpec()
-        )
+        self.link_spec = link_spec or LinkSpec()
+        self.endpoint_link_spec = endpoint_link_spec or LinkSpec()
         self.fabric_domain = fabric_domain
         self.endpoint_domains = dict(endpoint_domains or {})
+        self._shard_plan, self._shard_ownership = shard_plan, shard_ownership
+        self.vcs, self.vc_policy = self._check_options(vcs, vc_policy, faults)
+        self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
+        self._link_feed_queues: List[SimQueue] = []
+        self._add_fault_injector(faults)
+        self._add_routers(arbiter, lock_support)
+        self._add_router_links()
+        self._attach_endpoints(endpoint_queue_capacity)
+
+    # ------------------------------------------------------------------ #
+    # assembly steps
+    # ------------------------------------------------------------------ #
+    def _check_options(
+        self, vcs: int, vc_policy, faults: Optional[FaultSchedule]
+    ) -> Tuple[int, VcPolicy]:
+        """Every plane rule, checked once and before anything is
+        registered; returns the resolved ``(vcs, VC policy)``.  A bare
+        ``routing="adaptive"`` is the minimal split: the escape policy
+        and, at ``vcs=1``, one adaptive VC on top of the escape pair."""
+        name, adaptive = self.name, self.routing == "adaptive"
+        if adaptive and vcs == 1:
+            vcs = 1 + EscapeVcPolicy.escape_vcs
         if vcs < 1:
             raise ValueError(f"{name}: vcs must be >= 1, got {vcs}")
-        self.vcs = vcs
-        self.routing = routing
-        if routing == "adaptive" and vc_policy is None:
-            vc_policy = "escape"  # the natural default for adaptive fabrics
-        self.vc_policy = make_vc_policy(vc_policy)
-        if routing == "adaptive" and not isinstance(
-            self.vc_policy, EscapeVcPolicy
-        ):
+        policy = make_vc_policy(
+            "escape" if adaptive and vc_policy is None else vc_policy
+        )
+        if adaptive and not isinstance(policy, EscapeVcPolicy):
             raise ValueError(
                 f"{name}: adaptive routing needs the escape VC policy "
                 f"(vc_policy='escape' or an EscapeVcPolicy instance) to "
-                f"split adaptive/escape VC classes, got "
-                f"{self.vc_policy.name!r}"
+                f"split adaptive/escape VC classes, got {policy.name!r}"
             )
-        if vcs < self.vc_policy.min_vcs:
+        if vcs < policy.min_vcs:
             raise ValueError(
-                f"{name}: VC policy {self.vc_policy.name!r} needs at least "
-                f"{self.vc_policy.min_vcs} VCs, got vcs={vcs}"
+                f"{name}: VC policy {policy.name!r} needs at least "
+                f"{policy.min_vcs} VCs, got vcs={vcs}"
             )
-        self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
-        self._link_feed_queues: List[SimQueue] = []
         self._validate_buffer_sizing()
-        if shard_plan is not None:
-            shard_plan.validate(topology)
-            if shard_plan.cut_edges(topology) and self.link_spec.transparent(
-                False
-            ):
+        plan = self._shard_plan
+        if plan is not None:
+            plan.validate(self.topology)
+            if plan.cut_edges(self.topology) and self.link_spec.transparent(False):
                 raise ShardConfigError(
                     f"{name}: the shard plan cuts inter-router links but "
                     f"the router link spec is transparent (an ideal wire "
@@ -527,98 +540,81 @@ class Network(Snapshottable):
                     f"LinkSpec with pipeline_latency >= 1 or narrowed "
                     f"phits"
                 )
-
-        tables, adaptive_tables = plane_tables(topology, routing)
-        # Pristine tables, kept so the fault injector can restore them on
-        # a full heal (its recomputed tables are BFS-canonical, not DOR).
-        self._adaptive_tables = adaptive_tables
-
-        # Fault schedule, validated here (named FaultConfigError
-        # subclasses).  The injector is registered *before* the routers
-        # so a fault epoch is visible to every router tick of its cycle,
-        # under both kernels.
-        self.fault_injector: Optional[FaultInjector] = None
-        self._edge_links: Dict[tuple, Optional[Union[PhysicalLink, VcPhysicalLink]]] = {}
-        self._edge_feeds: Dict[tuple, List[SimQueue]] = {}
-        if shard_plan is not None and faults:
-            raise ShardConfigError(
-                f"{name}: fault injection is out of scope for sharded "
-                f"fabrics (v1) — a fault epoch is a global event that "
-                f"the per-shard safe window cannot order; drop the fault "
-                f"schedule or the shards"
-            )
+            if faults:
+                raise ShardConfigError(
+                    f"{name}: fault injection is out of scope for sharded "
+                    f"fabrics (v1) — a fault epoch is a global event that "
+                    f"the per-shard safe window cannot order; drop the "
+                    f"fault schedule or the shards"
+                )
         if faults:
-            faults.validate(topology)
-            self.fault_injector = FaultInjector(f"{name}.faults", self, faults)
-            sim.add(self.fault_injector)
-        # Adaptive route choice is per packet, so one (source, dest)
-        # pair's packets can arrive out of order; the transaction layer
-        # is built on per-pair FIFO delivery, so adaptive planes stamp a
-        # per-pair sequence number at injection and resequence at
-        # ejection (see EjectionPort).  Deterministic planes skip both.
-        self._sequenced = routing == "adaptive"
-        self._pair_seq: Dict[Tuple[int, int], int] = {}
+            faults.validate(self.topology)  # named FaultConfigError subclasses
+        return vcs, policy
 
+    def _add_fault_injector(self, faults: Optional[FaultSchedule]) -> None:
+        """The plane's fault injector, when it has a schedule: registered
+        before the routers, so a fault epoch is visible to every router
+        tick of its cycle under both kernels."""
+        self.fault_injector: Optional[FaultInjector] = None
+        if faults:
+            self.fault_injector = FaultInjector(f"{self.name}.faults", self, faults)
+            self.sim.add(self.fault_injector)
+
+    def _add_routers(self, arbiter: str, lock_support: bool) -> None:
+        """One router per topology router, in the topology's canonical
+        order.  ``_adaptive_tables`` keeps the pristine adaptive tables a
+        fault injector restores on a full heal (its recomputed ones are
+        BFS-canonical, not DOR)."""
+        tables, adaptive = plane_tables(self.topology, self.routing)
+        self._adaptive_tables = adaptive
         self.routers: Dict[Hashable, Router] = {}
-        for router_id in topology.routers:
+        for router_id in self.topology.routers:
             router = Router(
-                name=f"{name}.r{router_id}",
+                name=f"{self.name}.r{router_id}",
                 router_id=router_id,
                 table=tables[router_id],
-                mode=mode,
-                buffer_capacity=buffer_capacity,
+                mode=self.mode,
+                buffer_capacity=self.buffer_capacity,
                 arbiter=make_arbiter(arbiter),
                 lock_support=lock_support,
-                vcs=vcs,
+                vcs=self.vcs,
                 vc_policy=self.vc_policy,
-                adaptive_table=(
-                    adaptive_tables[router_id]
-                    if adaptive_tables is not None
-                    else None
-                ),
+                adaptive_table=None if adaptive is None else adaptive[router_id],
             )
-            if fabric_domain is not None:
-                router.set_clock_domain(fabric_domain)
+            router.set_clock_domain(self.fabric_domain)
             with self._own(router_id):
-                sim.add(router)
+                self.sim.add(router)
             self.routers[router_id] = router
 
-        # Inter-router links: router A's output "to:B" feeds router B's
-        # input "in:A" (one link per direction, built per the link spec —
-        # a transparent spec degenerates to one shared queue per VC).
-        for a, b in topology.links:
+    def _add_router_links(self) -> None:
+        """Router A's output "to:B" feeds router B's input "in:A": one
+        link per direction, built per the link spec (a transparent spec
+        degenerates to one shared queue per VC), or a boundary tx/rx pair
+        where the shard plan cuts the edge (see repro.sim.shard)."""
+        plan, domain = self._shard_plan, self.fabric_domain
+        #: Boundary halves of cut inter-router links, keyed (src, dst).
+        self.boundary_tx: Dict[tuple, ShardLinkTx] = {}
+        self.boundary_rx: Dict[tuple, ShardLinkRx] = {}
+        self._edge_links: Dict[tuple, Optional[Union[PhysicalLink, VcPhysicalLink]]] = {}
+        self._edge_feeds: Dict[tuple, List[SimQueue]] = {}
+        for a, b in self.topology.links:
             for src, dst in ((a, b), (b, a)):
-                if shard_plan is not None and shard_plan.shard_of(
-                    src
-                ) != shard_plan.shard_of(dst):
-                    # Cut edge: the link becomes a boundary tx/rx pair,
-                    # feed queues on the source shard, delivery queues on
-                    # the destination shard (see repro.sim.shard).
-                    feeds, deliveries = self._build_boundary(
-                        f"{name}.link.{src}->{dst}", src, dst
-                    )
-                    self._edge_links[(src, dst)] = None
-                    self._edge_feeds[(src, dst)] = feeds
+                qname = f"{self.name}.link.{src}->{dst}"
+                cut = plan is not None and plan.shard_of(src) != plan.shard_of(dst)
+                if cut:
+                    feeds, deliveries = self._build_boundary(qname, src, dst)
                 else:
-                    links_before = len(self.links)
                     with self._own(src):
                         feeds, deliveries = self._build_link(
-                            f"{name}.link.{src}->{dst}",
-                            self.link_spec,
-                            fabric_domain,
-                            fabric_domain,
+                            qname, self.link_spec, domain, domain
                         )
-                    if len(self.links) > links_before:
-                        # Real link: the injector counts its staged/
-                        # in-flight phits when a fault cuts this edge
-                        # (they drain).
-                        self._edge_links[(src, dst)] = self.links[-1]
-                        self._edge_feeds[(src, dst)] = feeds
-                    else:
-                        # Transparent wire: the "link" is the downstream
-                        # input buffer itself, nothing is ever in flight.
-                        self._edge_links[(src, dst)] = None
-                        self._edge_feeds[(src, dst)] = []
+                # What a fault on this edge drains: a real link's staged and
+                # in-flight phits.  A transparent wire is the downstream
+                # input buffer itself, so nothing is ever in flight on it.
+                wired = feeds is not deliveries
+                link = self.links[-1] if wired and not cut else None
+                self._edge_links[(src, dst)] = link
+                self._edge_feeds[(src, dst)] = feeds if wired else []
                 out_port, in_port = port_to(dst), f"in:{src}"
                 for vc in range(self.vcs):
                     self.routers[src].add_output(
@@ -628,15 +624,21 @@ class Network(Snapshottable):
                         in_port, deliveries[vc], vc=vc, neighbor=src
                     )
 
-        # Endpoint attachment: injection + ejection per endpoint.  An
-        # endpoint whose region differs from the fabric domain gets the
-        # CDC folded into its links automatically.
+    def _attach_endpoints(self, endpoint_queue_capacity: int) -> None:
+        """Injection + ejection per endpoint, in endpoint order.  Adaptive
+        route choice is per packet, so one (source, dest) pair's packets
+        can arrive out of order; the transaction layer is built on
+        per-pair FIFO delivery, so adaptive planes stamp a per-pair
+        sequence number at injection and resequence at ejection (see
+        EjectionPort).  Deterministic planes skip both."""
+        self._sequenced = self.routing == "adaptive"
+        self._pair_seq: Dict[Tuple[int, int], int] = {}
         self._inject_queues: Dict[int, SimQueue] = {}
         self._eject_queues: Dict[int, SimQueue] = {}
         self.injection_ports: Dict[int, InjectionPort] = {}
         self.ejection_ports: Dict[int, EjectionPort] = {}
-        for endpoint in topology.endpoints:
-            with self._own(topology.router_of(endpoint)):
+        for endpoint in self.topology.endpoints:
+            with self._own(self.topology.router_of(endpoint)):
                 self._attach_endpoint(endpoint, endpoint_queue_capacity)
 
     def _attach_endpoint(
@@ -669,8 +671,7 @@ class Network(Snapshottable):
             inj_feeds,
             vc_policy=self.vc_policy,
         )
-        if ep_domain is not None:
-            port.set_clock_domain(ep_domain)
+        port.set_clock_domain(ep_domain)
         sim.add(port)
         self._inject_queues[endpoint] = inj_packets
         self.injection_ports[endpoint] = port
@@ -695,8 +696,7 @@ class Network(Snapshottable):
             resequence=self._sequenced,
             flow_prefix=f"{name}.flow",
         )
-        if ep_domain is not None:
-            eport.set_clock_domain(ep_domain)
+        eport.set_clock_domain(ep_domain)
         sim.add(eport)
         self._eject_queues[endpoint] = ej_packets
         self.ejection_ports[endpoint] = eport
@@ -750,16 +750,14 @@ class Network(Snapshottable):
                 pipeline_latency=spec.pipeline_latency,
                 credit_return_latency=credit_return,
             )
-            if self.fabric_domain is not None:
-                tx.set_clock_domain(self.fabric_domain)
+            tx.set_clock_domain(self.fabric_domain)
             self.sim.add(tx)
         with self._own(dst):
             deliveries = [
                 self.sim.new_queue(n, capacity=capacity) for n in names
             ]
             rx = ShardLinkRx(f"{qname}.phy.rx", deliveries)
-            if self.fabric_domain is not None:
-                rx.set_clock_domain(self.fabric_domain)
+            rx.set_clock_domain(self.fabric_domain)
             self.sim.add(rx)
         tx.bind_peer(rx)
         rx.bind_peer(tx)
@@ -962,66 +960,26 @@ class Network(Snapshottable):
 
 
 class Fabric:
-    """The request plane and the response plane.
+    """The request plane and the response plane: two :class:`Network`\\ s
+    built from one set of plane options (``**plane_options`` are
+    :class:`Network`'s keywords, defaults included), the request plane
+    first, so its components register — and tick — first.
 
     This is the object NIUs bind to.  It also exposes the transaction-
     layer packet format in force, because the paper's configuration flow
     derives the format from the attached sockets and hands it to every
     NIU.
-
-    ``vcs``/``vc_policy`` configure virtual channels per plane.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        name: str = "noc",
-        mode: SwitchingMode = SwitchingMode.WORMHOLE,
-        flit_payload_bits: int = 128,
-        buffer_capacity: int = 8,
-        arbiter: str = "priority",
-        packet_format: Optional[PacketFormat] = None,
-        routing: str = "table",
-        lock_support: bool = True,
-        link_spec: Optional[LinkSpec] = None,
-        endpoint_link_spec: Optional[LinkSpec] = None,
-        fabric_domain=None,
-        endpoint_domains: Optional[Dict[int, object]] = None,
-        vcs: int = 1,
-        vc_policy=None,
-        faults: Optional[FaultSchedule] = None,
-        shard_plan: Optional[ShardPlan] = None,
-        shard_ownership: Optional[ShardOwnership] = None,
+        self, sim: Simulator, topology: Topology, name: str = "noc", **plane_options
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.name = name
-        self.shard_plan = shard_plan
-        self.packet_format = packet_format
-        self.fabric_domain = fabric_domain
-        self.endpoint_domains = dict(endpoint_domains or {})
-        self.vcs = vcs
-        common = dict(
-            mode=mode,
-            flit_payload_bits=flit_payload_bits,
-            buffer_capacity=buffer_capacity,
-            arbiter=arbiter,
-            packet_format=packet_format,
-            routing=routing,
-            lock_support=lock_support,
-            link_spec=link_spec,
-            endpoint_link_spec=endpoint_link_spec,
-            fabric_domain=fabric_domain,
-            endpoint_domains=endpoint_domains,
-            vcs=vcs,
-            vc_policy=vc_policy,
-            faults=faults,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
-        )
-        self.request_plane = Network(sim, topology, name=f"{name}.req", **common)
-        self.response_plane = Network(sim, topology, name=f"{name}.rsp", **common)
+        self.packet_format = plane_options.get("packet_format")
+        self.request_plane = Network(sim, topology, f"{name}.req", **plane_options)
+        self.response_plane = Network(sim, topology, f"{name}.rsp", **plane_options)
         self._planes = [self.request_plane, self.response_plane]
 
     # request direction (initiator -> target)

@@ -72,7 +72,7 @@ from repro.sim.queue import SimQueue
 from repro.sim.snapshot import Snapshottable
 from repro.transport.flit import Flit
 from repro.transport.qos import Arbiter, Candidate, PriorityArbiter
-from repro.transport.routing import AdaptiveRoutingTable, EscapeVcPolicy, VcPolicy
+from repro.transport.routing import AdaptiveRoutingTable, VcPolicy
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import router_sort_key
 
@@ -109,8 +109,6 @@ class Router(Component, Snapshottable):
         adaptive_table: Optional[AdaptiveRoutingTable] = None,
     ) -> None:
         super().__init__(name)
-        if vcs < 1:
-            raise ValueError(f"{name}: vcs must be >= 1, got {vcs}")
         self.router_id = router_id
         self.table = table
         self.mode = mode
@@ -121,16 +119,9 @@ class Router(Component, Snapshottable):
         self.vc_policy = vc_policy if vc_policy is not None else VcPolicy()
         # Minimal-adaptive mode: route choice becomes a per-cycle
         # multi-candidate allocation decision (see _allocate_adaptive);
-        # ``table`` then holds the escape (deterministic) next hops.
+        # ``table`` then holds the escape (deterministic) next hops, and
+        # the VC policy is an EscapeVcPolicy (Network._check_options).
         self.adaptive_table = adaptive_table
-        if adaptive_table is not None and not isinstance(
-            self.vc_policy, EscapeVcPolicy
-        ):
-            raise ValueError(
-                f"{name}: adaptive routing needs an EscapeVcPolicy to "
-                f"split adaptive/escape VC classes, got "
-                f"{self.vc_policy.name!r}"
-            )
         if adaptive_table is not None:
             policy = self.vc_policy
             self._n_adaptive = policy.adaptive_vcs(vcs)

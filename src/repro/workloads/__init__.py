@@ -3,11 +3,9 @@
 The workload layer sits *above* the protocol masters: everything here is
 a :class:`~repro.protocols.base.TrafficSource` (or generates them), so
 the kernel, NIUs and fabric never know whether a master runs a random
-workload or a descriptor-chained DMA program.  The scenario registry
-(:func:`register`/:func:`get`/:func:`available`) names complete
-ready-to-run SoCs; the built-ins under
-:mod:`repro.workloads.scenarios` self-register on import of this
-package.
+workload or a descriptor-chained DMA program.  Complete ready-to-run
+SoCs built from them are the modules of
+:mod:`repro.workloads.scenarios`, each with a ``build()``.
 """
 
 from repro.ip.traffic import TrafficSpec, WorkloadStallError
@@ -18,17 +16,7 @@ from repro.workloads.collectives import (
     tree_reduction,
 )
 from repro.workloads.dma import DmaDescriptor, DmaEngine, DmaProgramError
-from repro.workloads.registry import (
-    UnknownScenarioError,
-    available,
-    describe,
-    get,
-    register,
-)
 from repro.workloads.streams import stream_pair
-
-# Imported last: registers the built-in scenarios with the registry.
-from repro.workloads import scenarios  # noqa: E402  (isort: skip)
 
 __all__ = [
     "DmaDescriptor",
@@ -36,15 +24,9 @@ __all__ = [
     "DmaProgramError",
     "StreamChannel",
     "TrafficSpec",
-    "UnknownScenarioError",
     "WorkloadStallError",
     "all_to_all",
-    "available",
-    "describe",
-    "get",
     "near_neighbor_exchange",
-    "register",
-    "scenarios",
     "stream_pair",
     "tree_reduction",
 ]

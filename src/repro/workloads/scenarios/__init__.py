@@ -1,15 +1,17 @@
-"""Built-in scenarios: each module is a registry entry.
+"""Built-in scenarios: one ready-to-run SoC per module.
 
-A scenario module exposes ``build(**params) -> NocSoc`` (accepting at
-least ``strict_kernel=``) and ``describe()``; this package registers
-every built-in under its module name on import, which
-:mod:`repro.workloads` triggers — so ``repro.workloads.get("dma_chain")``
-works as soon as the package is imported.
+Each module's ``build(**params)`` returns a
+:class:`~repro.soc.builder.NocSoc` and accepts at least
+``strict_kernel=``::
+
+    from repro.workloads.scenarios import dma_chain
+
+    soc = dma_chain.build()
+    soc.run_to_completion()
 """
 
 from __future__ import annotations
 
-from repro.workloads.registry import register
 from repro.workloads.scenarios import (
     collective_allreduce,
     dma_chain,
@@ -17,7 +19,3 @@ from repro.workloads.scenarios import (
 )
 
 __all__ = ["collective_allreduce", "dma_chain", "stream_pipeline"]
-
-register("dma_chain", dma_chain)
-register("stream_pipeline", stream_pipeline)
-register("collective_allreduce", collective_allreduce)

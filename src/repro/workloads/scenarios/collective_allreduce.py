@@ -16,16 +16,9 @@ from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo
 from repro.workloads.collectives import tree_reduction
 
-__all__ = ["build", "describe"]
+__all__ = ["build"]
 
 _SCRATCH_SIZE = 0x4000
-
-
-def describe() -> str:
-    return (
-        "binary-tree allreduce of 8 masters through memory scratch slots "
-        "on a 4x4 torus (DOR + dateline)"
-    )
 
 
 def build(

@@ -14,17 +14,10 @@ from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.workloads.dma import DmaDescriptor, DmaEngine
 
-__all__ = ["build", "describe"]
+__all__ = ["build"]
 
 _SRC_SIZE = 0x4000
 _DST_SIZE = 0x4000
-
-
-def describe() -> str:
-    return (
-        "8 DMA engines running chained read->compute->write descriptor "
-        "programs between a slow source and a fast destination memory"
-    )
 
 
 def _chain_program(

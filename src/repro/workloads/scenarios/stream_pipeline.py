@@ -17,16 +17,9 @@ from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.workloads.channels import StreamChannel
 from repro.workloads.dma import DmaDescriptor, DmaEngine
 
-__all__ = ["build", "describe"]
+__all__ = ["build"]
 
 _BUF_SIZE = 0x4000
-
-
-def describe() -> str:
-    return (
-        "2 four-stage streaming pipelines over memory ring buffers with "
-        "credit backpressure between every pair of stages"
-    )
 
 
 def _pipeline_engines(

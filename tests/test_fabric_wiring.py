@@ -1,5 +1,6 @@
 """A fabric is wired once: one table computation per topology, shared by
-both planes, and router port lists kept canonical as ports are added."""
+both planes, router port lists kept canonical as ports are added, and
+components and queues registered in a pinned order."""
 
 import hashlib
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bus.system import build_bus_soc
 from repro.ip.traffic import TrafficSpec
 from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import Simulator
@@ -23,6 +25,11 @@ from repro.transport.routing import (
     compute_tables,
     port_local,
     port_to,
+)
+from repro.workloads.scenarios import (
+    collective_allreduce,
+    dma_chain,
+    stream_pipeline,
 )
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -133,6 +140,67 @@ def test_e2e_workload_port_order_is_pinned(monkeypatch):
         reset_ids()
         soc = workloads.WORKLOADS[name]().builder(1105).build()
         assert port_order_digest(soc) == digest, name
+
+
+# --------------------------------------------------------------------- #
+# registration order: component order is tick order
+# --------------------------------------------------------------------- #
+#: sha256 (first 16 hex digits) of every component's class and name and
+#: every queue's name, each in registration order, for every e2e
+#: workload's SoC at seed 1105, the three scenarios and the Fig-2 bus SoC
+#: built from mixed_saturated's specs — taken before the builders were
+#: split into named steps.
+PINNED_REGISTRATION_ORDER = {
+    "bus_mixed_saturated": "8ca133f8fc8e4280",
+    "collective_allreduce": "097c0716f62beee0",
+    "dma_chain": "db8d6ce2004b3fa1",
+    "dma_completion": "6c185ea9232c2ff8",
+    "gals_links": "3915c87e9dfa3b60",
+    "mixed_saturated": "144b30c8545ea039",
+    "mixed_sparse": "144b30c8545ea039",
+    "sharded_torus_2p": "a8c15d9e35c7c899",
+    "stream_pipeline": "b6aa6d024fca873f",
+    "sweep_fork4": "144b30c8545ea039",
+    "torus_hotspot": "3131c2132e5cfe4b",
+}
+
+
+def registration_digest(sim):
+    blob = json.dumps(
+        [[[type(c).__name__, c.name] for c in sim.components],
+         [queue.name for queue in sim._queues]],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def registration_builds(workloads):
+    """``{label: build()}`` for every SoC whose order is pinned."""
+    builds = {
+        name: (lambda workload=workload: workload().builder(1105).build())
+        for name, workload in workloads.WORKLOADS.items()
+    }
+    for scenario in (collective_allreduce, dma_chain, stream_pipeline):
+        builds[scenario.__name__.rsplit(".", 1)[1]] = scenario.build
+
+    def bus():
+        specs = workloads.WORKLOADS["mixed_saturated"]().builder(1105)
+        return build_bus_soc(specs.initiators, specs.targets)
+
+    builds["bus_mixed_saturated"] = bus
+    return builds
+
+
+def test_registration_order_is_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(E2E))
+    import workloads
+
+    builds = registration_builds(workloads)
+    assert sorted(builds) == sorted(PINNED_REGISTRATION_ORDER)
+    for name, build in builds.items():
+        reset_ids()
+        digest = registration_digest(build().sim)
+        assert digest == PINNED_REGISTRATION_ORDER[name], name
 
 
 # --------------------------------------------------------------------- #

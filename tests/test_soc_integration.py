@@ -9,6 +9,7 @@ import pytest
 from repro.bus.system import build_bus_soc
 from repro.core.transaction import make_read, make_write
 from repro.ip import TrafficSpec
+from repro.niu.tag_policy import default_policy
 from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
@@ -360,6 +361,110 @@ class TestPhysicalLayerKnobs:
 
 
 # --------------------------------------------------------------------- #
+# spec errors and source hand-out, shared by both builders
+# --------------------------------------------------------------------- #
+def _traffic():
+    return TrafficSpec(kind="poisson", seed=5, count=20, pairs=[(0, 0x1000)])
+
+
+def build_noc(initiators, targets, **knobs):
+    builder = SocBuilder(**knobs)
+    builder.initiators.extend(initiators)
+    builder.targets.extend(targets)
+    return builder.build()
+
+
+def _cpu(**fields):
+    return InitiatorSpec("cpu", "AXI", _traffic(), **fields)
+
+
+def _mem(**fields):
+    return TargetSpec("mem", size=0x1000, **fields)
+
+
+#: (builder, initiators, targets, message) per rule.  Without these
+#: checks the first died as a bare ``KeyError: 2``, the second as a
+#: duplicate-component error, the bus built duplicate targets and every
+#: ignored field silently, and failed duplicate initiators on the
+#: internal queue name ``'cpu.sock.ar'``.
+SPEC_ERRORS = {
+    "noc_topology_too_small": (
+        lambda i, t: build_noc(i, t, topology=topo.single_router(2)),
+        [_cpu(), InitiatorSpec("dma", "AXI", _traffic())],
+        [_mem()],
+        "topology 'xbar' has 2 endpoints but the SoC attaches 3 specs "
+        "(2 initiators + 1 targets)",
+    ),
+    "noc_initiator_and_target_share_a_name": (
+        build_noc, [_cpu()], [TargetSpec("cpu")],
+        "initiator 'cpu' and target 'cpu' share a name",
+    ),
+    "bus_initiator_and_target_share_a_name": (
+        build_bus_soc, [_cpu()], [TargetSpec("cpu")],
+        "initiator 'cpu' and target 'cpu' share a name",
+    ),
+    "bus_duplicate_targets": (
+        build_bus_soc, [_cpu()], [_mem(), _mem(base=0x1000)],
+        "target 'mem' and target 'mem' share a name",
+    ),
+    "bus_duplicate_initiators": (
+        build_bus_soc, [_cpu(), _cpu()], [_mem()],
+        "initiator 'cpu' and initiator 'cpu' share a name",
+    ),
+    "bus_initiator_region": (
+        build_bus_soc, [_cpu(region="slow")], [_mem()],
+        "initiator 'cpu': the bus builder has no model for region='slow'",
+    ),
+    "bus_initiator_policy": (
+        build_bus_soc, [_cpu(policy=default_policy("AXI"))], [_mem()],
+        "initiator 'cpu': the bus builder has no model for policy=",
+    ),
+    "bus_target_region": (
+        build_bus_soc, [_cpu()], [_mem(region="io")],
+        "target 'mem': the bus builder has no model for region='io'",
+    ),
+    "bus_target_per_beat_cycles": (
+        build_bus_soc, [_cpu()], [_mem(per_beat_cycles=2)],
+        "target 'mem': the bus builder has no model for per_beat_cycles=2",
+    ),
+    "bus_target_error_ranges": (
+        build_bus_soc, [_cpu()], [_mem(error_ranges=[(0, 0x10)])],
+        "target 'mem': the bus builder has no model for error_ranges=[(0, 16)]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_ERRORS))
+def test_a_spec_error_names_what_to_fix(case):
+    build, initiators, targets, message = SPEC_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(initiators, targets)
+
+
+def test_the_bus_builder_hands_out_a_ready_source_once():
+    """A ready source is stateful.  The bus builder used to take it
+    unchecked: a second BusSoc around an exhausted source completed 0 of
+    its 20 transactions without an error, and SocBuilder accepted the
+    source afterwards.  Both builders now share one hand-out."""
+    source = _traffic().build("cpu")
+    spec = InitiatorSpec("cpu", "AXI", source)
+    targets = [_mem()]
+    with pytest.raises(ValueError, match="'dma'.*attached to master 'cpu'"):
+        build_bus_soc([spec, InitiatorSpec("dma", "AXI", source)], targets)
+    broken = InitiatorSpec("dma", "AXI", _traffic(),
+                           protocol_kwargs={"no_such_option": 1})
+    with pytest.raises(TypeError, match="no_such_option"):
+        build_bus_soc([spec, broken], targets)
+    soc = build_bus_soc([spec], targets)  # the failed builds marked nothing
+    soc.run_to_completion()
+    assert soc.total_completed() == 20
+    with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
+        build_bus_soc([spec], targets)
+    with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
+        build_noc([spec], targets)
+
+
+# --------------------------------------------------------------------- #
 # the option census
 # --------------------------------------------------------------------- #
 #: Builder options no bench, e2e workload or scenario sets, and why each
@@ -376,7 +481,7 @@ EXEMPT = {
 
 def test_every_builder_option_has_a_workload_or_an_excuse():
     """An option nobody sets is an unknown: every ``SocBuilder`` keyword
-    is set by some paper bench, e2e workload or registry scenario (files
+    is set by some paper bench, e2e workload or built-in scenario (files
     read as text, nothing imported), or its reason to stay is written in
     ``EXEMPT`` — and leaves it once a workload takes the option."""
     repo = pathlib.Path(__file__).resolve().parents[1]

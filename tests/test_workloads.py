@@ -1,9 +1,9 @@
-"""Programmable endpoints (PR 9): DMA programs, streams, registry.
+"""Programmable endpoints: DMA programs, streams, scenarios.
 
 Pins the workload-layer contracts: descriptor programs execute their
 dependency DAGs identically on both kernels, stream credit loops
-actually backpressure, the scenario registry fails by name, and the
-declarative TrafficSpec — the one way to make a traffic source —
+actually backpressure, every built-in scenario builds and completes, and
+the declarative TrafficSpec — the one way to make a traffic source —
 validates every knob at build time and builds every kind.
 """
 
@@ -31,15 +31,13 @@ from repro.workloads import (
     DmaEngine,
     DmaProgramError,
     StreamChannel,
-    UnknownScenarioError,
     all_to_all,
-    available,
-    describe,
-    get,
     near_neighbor_exchange,
-    register,
     stream_pair,
 )
+from repro.workloads import scenarios
+
+SCENARIOS = ["dma_chain", "stream_pipeline", "collective_allreduce"]
 
 
 @pytest.fixture(autouse=True)
@@ -49,40 +47,14 @@ def _fresh_ids():
 
 
 # --------------------------------------------------------------------- #
-# scenario registry
+# built-in scenarios
 # --------------------------------------------------------------------- #
 class TestScenarioRegistry:
-    def test_builtins_registered(self):
-        names = available()
-        assert names == tuple(sorted(names))
-        for name in ("dma_chain", "stream_pipeline", "collective_allreduce"):
-            assert name in names
-            assert isinstance(describe(name), str) and describe(name)
+    """The scenarios package: one module per built-in SoC."""
 
-    def test_unknown_scenario_named_error(self):
-        with pytest.raises(UnknownScenarioError) as err:
-            get("no_such_scenario")
-        assert "no_such_scenario" in str(err.value)
-        assert "available" in str(err.value)
-        assert isinstance(err.value, LookupError)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register("dma_chain", get("dma_chain"))
-
-    def test_module_contract_enforced(self):
-        no_build = types.SimpleNamespace(describe=lambda: "x")
-        with pytest.raises(ValueError, match="build"):
-            register("broken_scenario", no_build)
-        no_describe = types.SimpleNamespace(build=lambda **kw: None)
-        with pytest.raises(ValueError, match="describe"):
-            register("broken_scenario", no_describe)
-        assert "broken_scenario" not in available()
-
-    @pytest.mark.parametrize("name", ["dma_chain", "stream_pipeline",
-                                      "collective_allreduce"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_builtin_builds_and_completes(self, name):
-        soc = get(name).build(strict_kernel=False)
+        soc = getattr(scenarios, name).build(strict_kernel=False)
         soc.run_to_completion()
         assert soc.total_completed() > 0
 
@@ -463,13 +435,12 @@ class TestTrafficSpec:
 # cross-kernel determinism + checkpointing
 # --------------------------------------------------------------------- #
 class TestScenarioDeterminism:
-    @pytest.mark.parametrize("name", ["dma_chain", "stream_pipeline",
-                                      "collective_allreduce"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_strict_and_activity_agree(self, name):
         prints = []
         for strict in (True, False):
             reset_ids()
-            soc = get(name).build(strict_kernel=strict)
+            soc = getattr(scenarios, name).build(strict_kernel=strict)
             soc.run_to_completion()
             prints.append(fingerprint_soc(soc))
         assert prints[0] == prints[1]
@@ -478,14 +449,14 @@ class TestScenarioDeterminism:
         """Capture a DMA run mid-chain; the restored continuation matches
         the uninterrupted run byte-for-byte."""
         reset_ids()
-        soc = get("dma_chain").build(strict_kernel=False)
+        soc = scenarios.dma_chain.build(strict_kernel=False)
         soc.run(150)
         checkpoint = Checkpoint.capture(soc)
         soc.run_to_completion()
         uninterrupted = fingerprint_soc(soc)
 
         reset_ids()
-        fresh = get("dma_chain").build(strict_kernel=False)
+        fresh = scenarios.dma_chain.build(strict_kernel=False)
         checkpoint.restore_into(fresh)
         assert fresh.sim.cycle == 150
         fresh.run_to_completion()
