@@ -2,49 +2,46 @@
 
 Takes the *same* :class:`~repro.soc.config.InitiatorSpec` /
 :class:`~repro.soc.config.TargetSpec` lists as the NoC builder and goes
-through its spec checks, address map, traffic-source hand-out and master
+through its spec rows, address map, traffic-source hand-out and master
 construction, so benchmark E1 runs identical IP and workloads on both
 architectures.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.bus.bridge import Bridge
 from repro.bus.shared_bus import SharedBus
 from repro.core.address_map import AddressMap
+from repro.core.checks import Check, check
 from repro.protocols.base import ProtocolMaster
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 from repro.soc.builder import (
+    SOURCE_ROWS,
+    SPEC_ROWS,
     BuiltSoc,
     add_master,
     build_address_map,
-    check_specs,
-    hand_out_source,
+    hand_out,
     mark_attached,
     spec_label,
 )
 from repro.soc.config import InitiatorSpec, TargetSpec
 
 
+@dataclass(eq=False)
 class BusSoc(BuiltSoc):
     """A built, runnable bridged-bus system (mirrors :class:`NocSoc`)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        bus: SharedBus,
-        address_map: AddressMap,
-        masters: Dict[str, ProtocolMaster],
-        bridges: Dict[str, Bridge],
-    ) -> None:
-        self.sim = sim
-        self.bus = bus
-        self.address_map = address_map
-        self.masters = masters
-        self.bridges = bridges
+    sim: Simulator
+    bus: SharedBus
+    address_map: AddressMap
+    masters: Dict[str, ProtocolMaster]
+    bridges: Dict[str, Bridge]
 
     def quiescent(self) -> bool:
         return (
@@ -57,13 +54,27 @@ class BusSoc(BuiltSoc):
         return self.sim.run_until(self.quiescent, max_cycles=max_cycles)
 
 
-#: Spec fields the bus has no model for (clock regions, NIU tag policies,
-#: memory beat timing and error windows): set, each is refused by name
-#: rather than silently ignored.
-NOT_MODELLED = {
-    InitiatorSpec: ("region", "policy"),
-    TargetSpec: ("region", "per_beat_cycles", "error_ranges"),
-}
+def _not_modelled(side: str, field: str) -> Check:
+    """The row refusing ``field`` set on any spec of ``side``."""
+    def offender(s):
+        return next((spec for spec in getattr(s, side) if getattr(spec, field)), None)
+
+    return Check(
+        f"{side[:-1]}_{field}", (field,), lambda s: offender(s) is None,
+        lambda s: f"{spec_label(offender(s))}: the bus builder has no model "
+                  f"for {field}={getattr(offender(s), field)!r}; build this "
+                  f"spec with SocBuilder, or leave {field} unset",
+    )
+
+
+#: What :func:`build_bus_soc` refuses: the NoC builder's spec and source
+#: rows, and the spec fields the bus has no model for (clock regions, NIU
+#: tag policies, memory beat timing and error windows) — set, each is
+#: refused by name rather than silently ignored.
+BUS_ROWS = (*SPEC_ROWS, *(_not_modelled(side, field) for side, field in (
+    ("initiators", "region"), ("initiators", "policy"), ("targets", "region"),
+    ("targets", "per_beat_cycles"), ("targets", "error_ranges"),
+)), *SOURCE_ROWS)
 
 
 def build_bus_soc(
@@ -79,17 +90,12 @@ def build_bus_soc(
     Target ``i`` is bus slave ``i``; each master ticks before its bridge,
     and the bus after every bridge, so same-cycle requests are visible
     the next cycle (queues enforce this anyway; order is for
-    determinism).  Ready sources are marked attached only as the build
+    determinism).  :data:`BUS_ROWS` are checked before anything is
+    registered; ready sources are marked attached only as the build
     returns."""
-    check_specs(initiators, targets)
-    for spec in (*initiators, *targets):
-        for field in NOT_MODELLED[type(spec)]:
-            if getattr(spec, field):
-                raise ValueError(
-                    f"{spec_label(spec)}: the bus builder has no model for "
-                    f"{field}={getattr(spec, field)!r}; build this spec "
-                    f"with SocBuilder, or leave {field} unset"
-                )
+    sources = hand_out(initiators)
+    draft = SimpleNamespace(initiators=initiators, targets=targets, sources=sources)
+    check("bus", draft, BUS_ROWS)
     sim = Simulator(trace=trace)
     address_map = build_address_map(targets, first_slave=0)
     bus = SharedBus(
@@ -107,9 +113,8 @@ def build_bus_soc(
         )
     masters: Dict[str, ProtocolMaster] = {}
     bridges: Dict[str, Bridge] = {}
-    claimed: Dict[int, str] = {}
-    for spec in initiators:
-        master = add_master(spec, sim, hand_out_source(spec, claimed))
+    for spec, source in zip(initiators, sources):
+        master = add_master(spec, sim, source)
         bridge = Bridge(
             f"{spec.name}.bridge", master, spec.protocol, bus,
             latency=bridge_latency,

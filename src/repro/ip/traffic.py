@@ -46,6 +46,7 @@ from repro.core.transaction import (
     make_read,
     make_write,
 )
+from repro.core.checks import Check, check, knob
 from repro.sim.kernel import SimulationError
 from repro.sim.snapshot import Snapshottable
 
@@ -72,9 +73,6 @@ class TrafficSeedError(ValueError):
     """
 
 
-_SEEDED_KINDS = ("poisson", "dependent")
-
-
 @dataclass
 class TrafficSpec:
     """One declarative record describing any traffic source — the only
@@ -84,10 +82,10 @@ class TrafficSpec:
     ``rate``, ``priority``, ``pairs``) mean the same thing for every
     kind, and the kind-specific knobs are ignored by kinds that do not
     use them.  Every knob has exactly one default, the one declared
-    here.  ``validate()`` is the one place every argument check
-    (including :class:`TrafficSeedError`) happens, and :meth:`build`
-    always runs it before constructing the source, so a bad knob fails
-    at build time with an error naming the spec and the knob.
+    here.  Every argument check (including :class:`TrafficSeedError`) is
+    a row of :data:`TRAFFIC_ROWS`, which ``validate()`` runs and
+    :meth:`build` runs before constructing the source, so a bad knob
+    fails at build time with an error naming the spec and the knob.
 
     ``master`` may be left ``None`` when the spec sits on an
     ``InitiatorSpec(traffic=...)``; :meth:`build` then stamps the
@@ -145,82 +143,74 @@ class TrafficSpec:
         return tuple(beats) if isinstance(beats, (tuple, list)) else ()
 
     def validate(self) -> "TrafficSpec":
-        """Check every argument.  A bad knob raises a ``ValueError`` that
-        names the spec and the knob (a missing seed a
+        """Check every argument against its kind's :data:`TRAFFIC_ROWS`: a
+        ``ValueError`` naming the spec and the knob (a missing seed a
         :class:`TrafficSeedError`)."""
         name = self.master if self.master is not None else f"<{self.kind}>"
-        if self.kind not in TRAFFIC_KINDS:
-            raise ValueError(
-                f"traffic spec {name!r}: unknown kind {self.kind!r}; "
-                f"known kinds: {TRAFFIC_KINDS}"
-            )
-        checks = []  # (knob, holds, requirement)
-        if self.kind in ("poisson", "dependent"):
-            fraction = self.read_fraction
-            checks += [
-                ("pairs", bool(self.pairs), "at least one (base, size) range"),
-                ("read_fraction", fraction is None or 0 <= fraction <= 1, "in [0, 1]"),
-            ]
-        if self.kind in ("poisson", "dependent", "stream"):
-            checks.append(
-                ("beat_bytes", self.beat_bytes in BEAT_WIDTHS, f"one of {BEAT_WIDTHS}")
-            )
-        if self.kind == "poisson":
-            beats = self._burst_choices()
-            beats_ok = bool(beats) and all(type(n) is int and n > 0 for n in beats)
-            checks += [
-                ("rate", 0.0 < self.rate <= 1.0, "in (0, 1]"),
-                ("threads", self.threads >= 1, ">= 1"),
-                ("tags", self.tags >= 1, ">= 1"),
-                ("burst_beats", beats_ok, "an int >= 1 or a non-empty tuple of them"),
-            ]
-        elif self.kind == "stream":
-            beats = self.burst_beats
-            beats_ok = beats is None or (type(beats) is int and beats >= 1)
-            checks += [
-                ("bytes_total", self.bytes_total > 0, "> 0"),
-                ("burst_beats", beats_ok, "an int >= 1"),
-            ]
-        elif self.kind == "sync":
-            checks += [("style", self.style in ("lock", "excl"), "'lock' or 'excl'")]
-        elif self.kind == "scripted":
-            checks += [("intents", self.intents is not None, "a list of Transactions")]
-        elif self.kind == "dma":
-            checks += [("program", bool(self.program), "a non-empty list")]
-        for knob, holds, requirement in checks:
-            if not holds:
-                raise ValueError(
-                    f"traffic spec {name!r}: {knob} must be {requirement}, "
-                    f"got {getattr(self, knob)!r}"
-                )
-        seed = self.seed
-        if self.kind in _SEEDED_KINDS and (
-            not isinstance(seed, int) or isinstance(seed, bool)
-        ):
-            raise TrafficSeedError(
-                f"traffic source {name!r}: seed must be an explicit int for "
-                f"reproducibility, got {seed!r} (random.Random(None) would "
-                f"seed from OS entropy)"
-            )
+        check(f"traffic spec {name!r}", self, TRAFFIC_ROWS.get(self.kind, UNKNOWN_KIND))
         return self
 
     # ------------------------------------------------------------------ #
     def build(self, name: Optional[str] = None):
-        """Construct the concrete source this spec describes.
-
-        ``name`` (typically the initiator's name, supplied by the
-        builder) overrides ``master``; one of the two must be set for
-        every kind that stamps a master name on its intents.
-        """
+        """Construct the concrete source this spec describes.  ``name``
+        (the builder passes the initiator's) overrides ``master``; a kind
+        that stamps a master name needs one of the two (:data:`UNNAMED_ROWS`)."""
         self.validate()
         if name is None:
-            name = self.master
-        if name is None and self.kind != "scripted":
-            raise ValueError(
-                f"TrafficSpec(kind={self.kind!r}) needs a master name — "
-                f"set master=... or put the spec on InitiatorSpec(traffic=...)"
-            )
-        return _SOURCES[self.kind](self, name)
+            check(f"traffic spec '<{self.kind}>'", self, UNNAMED_ROWS)
+        return _SOURCES[self.kind](self, self.master if name is None else name)
+
+
+_RANDOM = (  # the poisson and dependent kinds draw from address windows
+    knob("pairs", lambda s: bool(s.pairs), "at least one (base, size) range"),
+    knob("read_fraction", lambda s: s.read_fraction is None
+         or 0 <= s.read_fraction <= 1, "in [0, 1]"),
+)
+_BEAT_BYTES = knob("beat_bytes", lambda s: s.beat_bytes in BEAT_WIDTHS,
+                   f"one of {BEAT_WIDTHS}")
+_SEED = Check(
+    "seed", ("seed",), lambda s: type(s.seed) is not bool and isinstance(s.seed, int),
+    lambda s: f"seed must be an explicit int for reproducibility, got {s.seed!r} "
+              f"(random.Random(None) would seed from OS entropy)", TrafficSeedError,
+)
+
+#: kind -> what a spec of that kind refuses, in order.
+TRAFFIC_ROWS = {
+    "scripted": (knob("intents", lambda s: s.intents is not None,
+                      "a list of Transactions"),),
+    "poisson": (
+        *_RANDOM, _BEAT_BYTES,
+        knob("rate", lambda s: 0.0 < s.rate <= 1.0, "in (0, 1]"),
+        knob("threads", lambda s: s.threads >= 1, ">= 1"),
+        knob("tags", lambda s: s.tags >= 1, ">= 1"),
+        knob("burst_beats", lambda s: all(type(n) is int and n > 0
+                                          for n in s._burst_choices() or [0]),
+             "an int >= 1 or a non-empty tuple of them"),
+        _SEED,
+    ),
+    "dependent": (*_RANDOM, _BEAT_BYTES, _SEED),
+    "stream": (
+        _BEAT_BYTES,
+        knob("bytes_total", lambda s: s.bytes_total > 0, "> 0"),
+        knob("burst_beats", lambda s: s.burst_beats is None
+             or (type(s.burst_beats) is int and s.burst_beats >= 1), "an int >= 1"),
+    ),
+    "sync": (knob("style", lambda s: s.style in ("lock", "excl"), "'lock' or 'excl'"),),
+    "dma": (knob("program", lambda s: bool(s.program), "a non-empty list"),),
+}
+
+#: What a spec of an unknown kind refuses.
+UNKNOWN_KIND = (Check("kind", ("kind",), lambda s: s.kind in TRAFFIC_ROWS,
+                      lambda s: f"unknown kind {s.kind!r}; known kinds: "
+                                f"{TRAFFIC_KINDS}"),)
+
+#: What :meth:`TrafficSpec.build` refuses when it gets no name.
+UNNAMED_ROWS = (Check(
+    "master", ("master", "kind"),
+    lambda s: s.master is not None or s.kind == "scripted",
+    lambda s: f"TrafficSpec(kind={s.kind!r}) needs a master name — set master=... "
+              f"or put the spec on InitiatorSpec(traffic=...)",
+),)
 
 
 class ScriptedTraffic(Snapshottable):
@@ -637,3 +627,13 @@ _SOURCES = {
 
 #: Source kinds TrafficSpec can describe.
 TRAFFIC_KINDS = tuple(_SOURCES)
+
+
+def issues_locks(source) -> bool:
+    """Whether a built ``source`` can issue a LOCK-family opcode: a
+    ``lock``-style sync workload, or a script holding a locking intent."""
+    if isinstance(source, SyncWorkload):
+        return source.style == "lock"
+    return isinstance(source, ScriptedTraffic) and any(
+        txn.opcode.is_locking for txn in source._intents
+    )

@@ -1,22 +1,26 @@
 """Build a Fig-1 style layered-NoC SoC from declarative specs.
 
-The spec checks, the address map, the traffic-source hand-out and master
-construction are module functions: the Fig-2 bus builder
+The spec rows, the address map, the traffic-source hand-out and its rows
+and master construction are shared: the Fig-2 bus builder
 (:func:`repro.bus.system.build_bus_soc`) assembles from the same specs
-through the same four.
+through the same code.  Every build-time refusal is a row
+(:mod:`repro.core.checks`), checked before anything is registered.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.address_map import AddressMap
+from repro.core.checks import Check, check, knob
 from repro.core.layer import TransactionLayerConfig, build_layer_config
 from repro.core.services import ExclusiveMonitor, LockManager, NocService
 from repro.ip.slaves import MemoryDevice
-from repro.ip.traffic import TrafficSpec, WorkloadStallError
+from repro.ip.traffic import TrafficSpec, WorkloadStallError, issues_locks
 from repro.niu.ahb_niu import AhbInitiatorNiu
 from repro.niu.axi_niu import AxiInitiatorNiu
 from repro.niu.base import InitiatorNiu, TargetNiu
@@ -32,10 +36,12 @@ from repro.protocols.ocp import OcpMaster
 from repro.protocols.proprietary import MsgMaster
 from repro.protocols.vci import AvciMaster, BvciMaster, PvciMaster
 from repro.sim.kernel import RunBudgetExceededError, Simulator
+from repro.sim.shard import ShardConfigError, ShardOwnership, ShardPlan, plan_shards
 from repro.sim.stats import Histogram
 from repro.sim.trace import Tracer
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo_mod
+from repro.transport.faults import FaultConfigError
 from repro.transport.network import Fabric
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
@@ -62,38 +68,49 @@ def spec_label(spec: Union[InitiatorSpec, TargetSpec]) -> str:
     return f"{kind} {spec.name!r}"
 
 
-def check_specs(
-    initiators: Sequence[InitiatorSpec],
-    targets: Sequence[TargetSpec],
-    topology: Optional[Topology] = None,
-) -> None:
-    """The spec errors both builders raise before building anything: an
-    empty side, two specs sharing a name (an endpoint's components and
-    queues are named after its spec), and a topology without an endpoint
-    for every spec (initiators take endpoints ``0..``, targets follow)."""
-    if not initiators:
-        raise ValueError("SoC needs at least one initiator")
-    if not targets:
-        raise ValueError("SoC needs at least one target")
+def _shared_name(s) -> Optional[Tuple[str, str]]:
+    """The labels of the first two specs sharing a name, or ``None``."""
     seen: Dict[str, Union[InitiatorSpec, TargetSpec]] = {}
-    for spec in (*initiators, *targets):
+    for spec in (*s.initiators, *s.targets):
         if spec.name in seen:
-            raise ValueError(
-                f"{spec_label(seen[spec.name])} and {spec_label(spec)} share "
-                f"a name; every component and queue of an endpoint is named "
-                f"after its spec"
-            )
+            return spec_label(seen[spec.name]), spec_label(spec)
         seen[spec.name] = spec
-    wanted = len(initiators) + len(targets)
-    if topology is not None and any(
-        endpoint not in topology.endpoint_router for endpoint in range(wanted)
-    ):
-        raise ValueError(
-            f"topology {topology.name!r} has {len(topology.endpoint_router)} "
-            f"endpoints but the SoC attaches {wanted} specs "
-            f"({len(initiators)} initiators + {len(targets)} targets) to "
-            f"endpoints 0..{wanted - 1}"
-        )
+    return None
+
+
+def _taken(s) -> Optional[Tuple[str, str]]:
+    """``(initiator, master)``: a source a built SoC or this one holds."""
+    claimed: Dict[int, str] = {}
+    for spec, source in zip(s.initiators, s.sources):
+        taken_by = getattr(source, "_attached_master", None) or claimed.get(id(source))
+        if taken_by:
+            return spec.name, taken_by
+        claimed[id(source)] = spec.name
+    return None
+
+
+#: What both builders refuse first: an empty side, two specs sharing a name
+#: (an endpoint's components and queues are named after its spec).
+SPEC_ROWS = (
+    Check("initiators", ("initiators",), lambda s: bool(s.initiators),
+          lambda s: "SoC needs at least one initiator"),
+    Check("targets", ("targets",), lambda s: bool(s.targets),
+          lambda s: "SoC needs at least one target"),
+    Check("names", ("initiators", "targets"), lambda s: not _shared_name(s),
+          lambda s: "{} and {} share a name; every component and queue of an "
+                    "endpoint is named after its spec".format(*_shared_name(s))),
+)
+
+#: The source hand-out's rows, on both builders (:func:`hand_out`).
+SOURCE_ROWS = (
+    Check("traffic", ("traffic",), lambda s: None not in s.sources,
+          lambda s: f"initiator {s.initiators[s.sources.index(None)].name!r} has "
+                    f"no traffic source — give InitiatorSpec(traffic=...)"),
+    Check("attached", ("traffic",), lambda s: not _taken(s),
+          lambda s: "initiator {!r}: its traffic source is already attached to "
+                    "master {!r}; sources are stateful — give a TrafficSpec or "
+                    "a fresh source per build".format(*_taken(s))),
+)
 
 
 def build_address_map(targets: Sequence[TargetSpec], first_slave: int) -> AddressMap:
@@ -116,32 +133,16 @@ def build_address_map(targets: Sequence[TargetSpec], first_slave: int) -> Addres
     return address_map
 
 
-def hand_out_source(spec: InitiatorSpec, claimed: Dict[int, str]):
-    """``spec``'s traffic source for this build: a
-    :class:`~repro.ip.traffic.TrafficSpec` builds a fresh one; a ready
-    source is stateful, so one attached to a built SoC's master, or
-    already in ``claimed`` (source id → initiator name) by this build, is
-    refused.  Nothing is marked here: :func:`mark_attached` does it as a
-    build returns, so a build that raises leaves every source free."""
-    source = spec.traffic
-    if isinstance(source, TrafficSpec):
-        source = source.build(spec.name)
-    if source is None:
-        raise ValueError(
-            f"initiator {spec.name!r} has no traffic source — give "
-            f"InitiatorSpec(traffic=...)"
-        )
-    taken_by = getattr(source, "_attached_master", None)
-    if taken_by is None:
-        taken_by = claimed.get(id(source))
-    if taken_by is not None:
-        raise ValueError(
-            f"initiator {spec.name!r}: its traffic source is already "
-            f"attached to master {taken_by!r}; sources are stateful "
-            f"— give a TrafficSpec or a fresh source per build"
-        )
-    claimed[id(source)] = spec.name
-    return source
+def hand_out(initiators: Sequence[InitiatorSpec]) -> list:
+    """Each initiator's source for this build (:data:`SOURCE_ROWS` check
+    them): a fresh one from a :class:`~repro.ip.traffic.TrafficSpec`, or
+    the ready source itself.  Nothing is marked here, so a build that
+    raises leaves every source free (:func:`mark_attached`)."""
+    return [
+        spec.traffic.build(spec.name)
+        if isinstance(spec.traffic, TrafficSpec) else spec.traffic
+        for spec in initiators
+    ]
 
 
 def add_master(
@@ -166,9 +167,6 @@ class BuiltSoc:
     """What both builders return: a simulator and its masters by name
     (subclasses set ``sim`` and ``masters``), run and measured alike."""
 
-    sim: Simulator
-    masters: Dict[str, ProtocolMaster]
-
     def run(self, cycles: int) -> int:
         return self.sim.run(cycles)
 
@@ -188,34 +186,21 @@ class BuiltSoc:
         return sum(len(m.checker.violations) for m in self.masters.values())
 
 
+@dataclass(eq=False)
 class NocSoc(BuiltSoc):
     """A built, runnable layered-NoC system."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        layer_config: TransactionLayerConfig,
-        address_map: AddressMap,
-        masters: Dict[str, ProtocolMaster],
-        initiator_nius: Dict[str, InitiatorNiu],
-        target_nius: Dict[str, TargetNiu],
-        memories: Dict[str, MemoryDevice],
-        shard_plan=None,
-        shard_ownership=None,
-    ) -> None:
-        self.sim = sim
-        self.fabric = fabric
-        self.layer_config = layer_config
-        self.address_map = address_map
-        self.masters = masters
-        self.initiator_nius = initiator_nius
-        self.target_nius = target_nius
-        self.memories = memories
-        # Sharded builds (SocBuilder(shards=...)): the partition and the
-        # component/queue -> shard ownership map (None otherwise).
-        self.shard_plan = shard_plan
-        self.shard_ownership = shard_ownership
+    sim: Simulator
+    fabric: Fabric
+    layer_config: TransactionLayerConfig
+    address_map: AddressMap
+    masters: Dict[str, ProtocolMaster]
+    initiator_nius: Dict[str, InitiatorNiu]
+    target_nius: Dict[str, TargetNiu]
+    memories: Dict[str, MemoryDevice]
+    # shards= builds only: the partition and the component/queue -> shard map
+    shard_plan: Optional[ShardPlan] = None
+    shard_ownership: Optional[ShardOwnership] = None
 
     # ------------------------------------------------------------------ #
     def quiescent(self) -> bool:
@@ -368,8 +353,100 @@ class NocSoc(BuiltSoc):
         }
 
 
+#: The connection classes ``links=`` may map to a :class:`LinkSpec`.
+LINK_CLASSES = ("router", "endpoint")
+#: The builder options each transport plane takes under the same name.
+PLANE_KNOBS = ("mode", "flit_payload_bits", "buffer_capacity", "arbiter", "routing",
+               "vcs", "vc_policy", "faults")
+
+
+def resolve_links(links) -> Dict[str, Optional[LinkSpec]]:
+    """``links=`` as ``{"router": spec, "endpoint": spec}`` (``None``: the
+    ideal wire); a bare :class:`LinkSpec` is the inter-router spec."""
+    if isinstance(links, LinkSpec):
+        links = {"router": links}
+    return {cls: (links or {}).get(cls) for cls in LINK_CLASSES}
+
+
+def _undeclared(s) -> Optional[Tuple[str, str]]:
+    """``(owner, region)``: the first clock region no domain declares."""
+    for spec in (None, *s.initiators, *s.targets):
+        region = s.fabric_region if spec is None else spec.region
+        if region is not None and region not in (s.clock_domains or {}):
+            return "fabric" if spec is None else spec_label(spec), region
+    return None
+
+
+#: What :meth:`SocBuilder.build` refuses, in order, before it registers
+#: anything (the plane options are :data:`~repro.transport.network.PLANE_ROWS`).
+#: The last four rows are sharding's, one block that leaves with it.
+BUILD_ROWS = (
+    *SPEC_ROWS,
+    Check("endpoints", ("topology",),
+          lambda s: all(ep in s.topology.endpoint_router
+                        for ep in range(len(s.initiators) + len(s.targets))),
+          lambda s: f"topology {s.topology.name!r} has "
+                    f"{len(s.topology.endpoint_router)} endpoints but the SoC "
+                    f"attaches {len(s.initiators) + len(s.targets)} specs "
+                    f"({len(s.initiators)} initiators + {len(s.targets)} targets) "
+                    f"to endpoints 0..{len(s.initiators) + len(s.targets) - 1}"),
+    Check("regions", ("fabric_region", "region"), lambda s: not _undeclared(s),
+          lambda s: "{}: unknown clock region {!r}; declared domains: ".format(
+              *_undeclared(s)) + str(sorted(s.clock_domains or {}) or "(none)")),
+    knob("links", lambda s: s.links is None or isinstance(s.links, (LinkSpec, dict)),
+         f"a LinkSpec or a mapping with keys from {LINK_CLASSES}"),
+    Check("link_classes", ("links",), lambda s: not isinstance(s.links, dict)
+          or all(cls in LINK_CLASSES for cls in s.links),
+          lambda s: "links: unknown link class {!r}; known: {}".format(next(
+              cls for cls in s.links if cls not in LINK_CLASSES), LINK_CLASSES)),
+    Check("link_specs", ("links",), lambda s: not isinstance(s.links, dict)
+          or all(isinstance(spec, LinkSpec) for spec in s.links.values()),
+          lambda s: "links[{!r}]: expected a LinkSpec".format(next(
+              cls for cls, spec in s.links.items() if not isinstance(spec, LinkSpec)))),
+    *SOURCE_ROWS,
+    Check("faults_lock", ("faults", "traffic"),
+          lambda s: not s.faults or not any(map(issues_locks, s.sources)),
+          lambda s: "initiator {!r} can issue LOCK-family opcodes, and faults= is "
+                    "set: a LOCK/UNLOCK pair that spans a fault epoch can strand "
+                    "a port lock — drop the fault schedule or the locking "
+                    "traffic".format(next(spec.name for spec, source in zip(
+                        s.initiators, s.sources) if issues_locks(source))),
+          FaultConfigError),
+    Check("shards_strict", ("shards", "strict_kernel"),
+          lambda s: s.shards is None or not s.sim.strict,
+          lambda s: "the strict reference kernel cannot drive sharded builds "
+                    "(strict_kernel=True or REPRO_SIM_STRICT): it ticks every "
+                    "component every cycle, which the activity-driven round "
+                    "protocol does not reproduce — drop strict_kernel or shards",
+          ShardConfigError),
+    Check("shards_trace", ("shards", "trace"),
+          lambda s: s.shards is None or not s.sim.trace.enabled,
+          lambda s: "tracing is out of scope for sharded builds (v1): per-shard "
+                    "event streams have no global order to merge under — "
+                    "disable the tracer or drop shards",
+          ShardConfigError),
+    Check("shards_links", ("shards", "links"), lambda s: s.shards is None
+          or not s.plan.cut_edges(s.topology)
+          or not (resolve_links(s.links)["router"] or LinkSpec()).transparent(False),
+          lambda s: "the shard plan cuts inter-router links but the router link "
+                    "spec is transparent (an ideal wire has zero lookahead, so "
+                    "there is no safe window to parallelize over) — give the "
+                    "inter-router links a LinkSpec with pipeline_latency >= 1 or "
+                    "narrowed phits",
+          ShardConfigError),
+    Check("shards_faults", ("shards", "faults"),
+          lambda s: s.shards is None or not s.faults,
+          lambda s: "fault injection is out of scope for sharded fabrics (v1) — "
+                    "a fault epoch is a global event that the per-shard safe "
+                    "window cannot order; drop the fault schedule or the shards",
+          ShardConfigError),
+)
+
+
 class SocBuilder:
-    """Accumulates specs, then :meth:`build`\\ s a :class:`NocSoc`.
+    """Accumulates specs, then :meth:`build`\\ s a :class:`NocSoc`; what a
+    build refuses is :data:`BUILD_ROWS` and the plane rows,
+    :data:`repro.transport.network.PLANE_ROWS`.
 
     Fabric-level knobs (switching mode, flit width, arbiter, routing,
     topology) are all constructor parameters so benchmarks can sweep them
@@ -408,8 +485,6 @@ class SocBuilder:
     ``vcs`` is the total, adaptive class plus the escape pair (left at
     1 it defaults to 3: one adaptive VC plus the pair).
     """
-
-    _LINK_CLASSES = ("router", "endpoint")
 
     def __init__(
         self,
@@ -459,58 +534,50 @@ class SocBuilder:
         # the partition explicitly.  The build is then annotated with
         # ownership metadata and per-source id streams so the same SoC
         # runs byte-identically in one process or across N worker
-        # processes (repro.sweep.parallel).  Incompatible knobs (faults,
-        # strict kernel, enabled tracer, transparent inter-router links)
-        # raise ShardConfigError at build time.
+        # processes (repro.sweep.parallel).
         self.shards = shards
         self.initiators: List[InitiatorSpec] = []
         self.targets: List[TargetSpec] = []
 
     # ------------------------------------------------------------------ #
     def add_initiator(self, spec: InitiatorSpec) -> "SocBuilder":
-        if any(s.name == spec.name for s in self.initiators):
-            raise ValueError(f"duplicate initiator {spec.name!r}")
         self.initiators.append(spec)
         return self
 
     def add_target(self, spec: TargetSpec) -> "SocBuilder":
-        if any(s.name == spec.name for s in self.targets):
-            raise ValueError(f"duplicate target {spec.name!r}")
         self.targets.append(spec)
         return self
 
     # ------------------------------------------------------------------ #
     def build(self) -> NocSoc:
-        """Assemble the SoC in six steps; each registers its components
-        after the step before, and component order is tick order:
-        :func:`check_specs`; :meth:`_regions` (clock domains);
-        :meth:`_shard_context` (``shards=`` only); :meth:`_fabric` (the
-        transaction-layer format from the socket set, then both transport
-        planes); :meth:`_attach_initiators` (each master, then its NIU);
+        """Check :data:`BUILD_ROWS` against :meth:`_draft`, then assemble
+        in steps that each register after the one before (component order
+        is tick order): :meth:`_regions`; :meth:`_shard_context`;
+        :meth:`_fabric` (the socket set's transaction-layer format, then
+        both planes, whose rows fire before either registers anything);
+        :meth:`_attach_initiators` (each master, then its NIU);
         :meth:`_attach_targets` (each target NIU, then its memory).  Ready
         sources are marked attached only as the build returns."""
-        topology = self.topology or self._default_topology(
-            len(self.initiators) + len(self.targets)
-        )
-        check_specs(self.initiators, self.targets, topology)
         sim = Simulator(trace=self.trace, strict=self.strict_kernel)
-        fabric_domain, endpoint_domains = self._regions()
-        plan, ownership, scope = self._shard_context(sim, topology)
-        layer_config, fabric = self._fabric(
-            sim, topology, fabric_domain, endpoint_domains, plan, ownership
-        )
+        draft = self._draft(sim)
+        check(self.name, draft, BUILD_ROWS)
         address_map = build_address_map(self.targets, len(self.initiators))
+        fabric_domain, endpoint_domains = self._regions()
+        ownership, scope = self._shard_context(sim, draft)
+        layer_config, fabric = self._fabric(
+            sim, draft, fabric_domain, endpoint_domains, ownership
+        )
         masters, initiator_nius = self._attach_initiators(
-            fabric, address_map, endpoint_domains, scope
+            fabric, address_map, endpoint_domains, scope, draft.sources
         )
         target_nius, memories = self._attach_targets(
             fabric, layer_config, endpoint_domains, scope
         )
         soc = NocSoc(
             sim, fabric, layer_config, address_map, masters, initiator_nius,
-            target_nius, memories, shard_plan=plan, shard_ownership=ownership,
+            target_nius, memories, shard_plan=draft.plan, shard_ownership=ownership,
         )
-        if plan is not None:
+        if draft.plan is not None:
             self._install_shard_id_streams(soc)
         mark_attached(masters)
         return soc
@@ -518,107 +585,52 @@ class SocBuilder:
     # ------------------------------------------------------------------ #
     # build steps
     # ------------------------------------------------------------------ #
-    def _default_topology(self, endpoints: int) -> Topology:
-        width = max(2, math.ceil(math.sqrt(endpoints)))
-        height = max(2, math.ceil(endpoints / width))
-        return topo_mod.mesh(width, height, endpoints=endpoints)
+    def _draft(self, sim: Simulator) -> SimpleNamespace:
+        """What :data:`BUILD_ROWS` read: the knobs and specs, and what a
+        build derives from them before registering anything — the
+        simulator, the topology, the sources (:func:`hand_out`) and the
+        shard plan."""
+        endpoints = len(self.initiators) + len(self.targets)
+        width = max(2, math.ceil(math.sqrt(endpoints)))  # the default: a mesh
+        topology = self.topology or topo_mod.mesh(
+            width, max(2, math.ceil(endpoints / width)), endpoints=endpoints)
+        plan = self.shards
+        if plan is not None and not isinstance(plan, ShardPlan):
+            plan = plan_shards(topology, int(plan))
+        return SimpleNamespace(**{**vars(self), "sim": sim, "topology": topology,
+                                  "plan": plan, "sources": hand_out(self.initiators)})
 
     def _regions(self) -> Tuple[Optional[ClockDomain], Dict[int, ClockDomain]]:
         """The fabric's clock domain and each endpoint's that names a
-        region (endpoints: the initiators, then the targets); an
-        undeclared region is a ValueError naming its owner."""
+        region (endpoints: the initiators, then the targets)."""
         domains = {
             name: make_clock_domain(name, value)
             for name, value in (self.clock_domains or {}).items()
         }
-        fabric_domain = self._domain_for(self.fabric_region, domains, "fabric")
-        endpoint_domains: Dict[int, ClockDomain] = {}
-        for endpoint, spec in enumerate([*self.initiators, *self.targets]):
-            domain = self._domain_for(spec.region, domains, spec_label(spec))
-            if domain is not None:
-                endpoint_domains[endpoint] = domain
-        return fabric_domain, endpoint_domains
+        endpoint_domains = {
+            endpoint: domains[spec.region]
+            for endpoint, spec in enumerate([*self.initiators, *self.targets])
+            if spec.region is not None
+        }
+        return domains.get(self.fabric_region), endpoint_domains
 
-    def _domain_for(
-        self,
-        region: Optional[str],
-        domains: Dict[str, ClockDomain],
-        owner: str,
-    ) -> Optional[ClockDomain]:
-        if region is None:
-            return None
-        try:
-            return domains[region]
-        except KeyError:
-            raise ValueError(
-                f"{owner}: unknown clock region {region!r}; declared "
-                f"domains: {sorted(domains) or '(none)'}"
-            ) from None
-
-    def _shard_context(self, sim: Simulator, topology: Topology):
-        """``(plan, ownership, scope)`` of a ``shards=`` build: the
-        partition, the component/queue → shard recorder, and
-        ``scope(endpoint)``, which records what an endpoint registers to
-        its router's shard.  Without ``shards=``: ``(None, None, a no-op
-        scope)``.  Everything sharding adds to a build is here and in
-        :meth:`_install_shard_id_streams`."""
-        if self.shards is None:
-            return None, None, lambda endpoint: nullcontext()
-        from repro.sim.shard import (
-            ShardConfigError,
-            ShardOwnership,
-            ShardPlan,
-            plan_shards,
-        )
-
-        if sim.strict:
-            raise ShardConfigError(
-                "the strict reference kernel cannot drive sharded "
-                "builds (strict_kernel=True or REPRO_SIM_STRICT): it "
-                "ticks every component every cycle, which the "
-                "activity-driven round protocol does not reproduce — "
-                "drop strict_kernel or shards"
-            )
-        if sim.trace.enabled:
-            raise ShardConfigError(
-                "tracing is out of scope for sharded builds (v1): "
-                "per-shard event streams have no global order to "
-                "merge under — disable the tracer or drop shards"
-            )
-        if isinstance(self.shards, ShardPlan):
-            plan = self.shards
-        else:
-            plan = plan_shards(topology, int(self.shards))
+    def _shard_context(self, sim: Simulator, draft: SimpleNamespace):
+        """``(ownership, scope)`` of a ``shards=`` build: the component/queue
+        → shard recorder, and ``scope(endpoint)``, which records what an
+        endpoint registers to its router's shard; ``(None, a no-op scope)``
+        without ``shards=``."""
+        plan, topology = draft.plan, draft.topology
+        if plan is None:
+            return None, lambda endpoint: nullcontext()
         ownership = ShardOwnership(sim, plan.n_shards)
 
         def scope(endpoint: int):
             return ownership.owned_by(plan.shard_of(topology.router_of(endpoint)))
 
-        return plan, ownership, scope
-
-    def _resolve_links(self) -> Dict[str, Optional[LinkSpec]]:
-        """Normalize the ``links=`` knob to {"router": spec, "endpoint": spec}."""
-        resolved: Dict[str, Optional[LinkSpec]] = {
-            cls: None for cls in self._LINK_CLASSES
-        }
-        if self.links is None:
-            return resolved
-        if isinstance(self.links, LinkSpec):
-            resolved["router"] = self.links
-            return resolved
-        for cls, spec in self.links.items():
-            if cls not in self._LINK_CLASSES:
-                raise ValueError(
-                    f"links: unknown link class {cls!r}; known: "
-                    f"{self._LINK_CLASSES}"
-                )
-            if not isinstance(spec, LinkSpec):
-                raise ValueError(f"links[{cls!r}]: expected a LinkSpec")
-            resolved[cls] = spec
-        return resolved
+        return ownership, scope
 
     def _fabric(
-        self, sim, topology, fabric_domain, endpoint_domains, plan, ownership
+        self, sim, draft, fabric_domain, endpoint_domains, ownership
     ) -> Tuple[TransactionLayerConfig, Fabric]:
         """The transaction-layer configuration from the attached socket
         set — the paper's per-SoC customization step — then the fabric
@@ -636,39 +648,24 @@ class SocBuilder:
         lock_support = self.transport_lock_support
         if lock_support is None:
             lock_support = NocService.LEGACY_LOCK in layer_config.services
-        link_specs = self._resolve_links()
+        links = resolve_links(self.links)
         fabric = Fabric(
-            sim,
-            topology,
-            name=self.name,
-            mode=self.mode,
-            flit_payload_bits=self.flit_payload_bits,
-            buffer_capacity=self.buffer_capacity,
-            arbiter=self.arbiter,
-            packet_format=layer_config.packet_format,
-            routing=self.routing,
-            lock_support=lock_support,
-            link_spec=link_specs["router"],
-            endpoint_link_spec=link_specs["endpoint"],
-            fabric_domain=fabric_domain,
-            endpoint_domains=endpoint_domains,
-            vcs=self.vcs,
-            vc_policy=self.vc_policy,
-            faults=self.faults,
-            shard_plan=plan,
-            shard_ownership=ownership,
+            sim, draft.topology, self.name,
+            **{knob: getattr(self, knob) for knob in PLANE_KNOBS},
+            packet_format=layer_config.packet_format, lock_support=lock_support,
+            link_spec=links["router"], endpoint_link_spec=links["endpoint"],
+            fabric_domain=fabric_domain, endpoint_domains=endpoint_domains,
+            shard_plan=draft.plan, shard_ownership=ownership,
         )
         return layer_config, fabric
 
-    def _attach_initiators(self, fabric, address_map, endpoint_domains, scope):
-        """Endpoint ``i`` is initiator ``i``: its traffic source, its
-        master IP, then its NIU, both in the endpoint's clock domain."""
+    def _attach_initiators(self, fabric, address_map, endpoint_domains, scope, sources):
+        """Endpoint ``i`` is initiator ``i``: its master IP around its
+        traffic source, then its NIU, both in the endpoint's clock domain."""
         sim = fabric.sim
         masters: Dict[str, ProtocolMaster] = {}
         nius: Dict[str, InitiatorNiu] = {}
-        claimed: Dict[int, str] = {}
-        for endpoint, spec in enumerate(self.initiators):
-            source = hand_out_source(spec, claimed)
+        for endpoint, (spec, source) in enumerate(zip(self.initiators, sources)):
             domain = endpoint_domains.get(endpoint)
             with scope(endpoint):
                 master = add_master(spec, sim, source, domain)
@@ -697,16 +694,10 @@ class SocBuilder:
             domain = endpoint_domains.get(endpoint)
             with scope(endpoint):
                 socket = SlaveSocket(sim, f"{spec.name}.sock")
-                monitor = (
-                    ExclusiveMonitor(name=f"{spec.name}.monitor")
-                    if NocService.EXCLUSIVE_ACCESS in services
-                    else None
-                )
-                locks = (
-                    LockManager(name=f"{spec.name}.locks")
-                    if NocService.LEGACY_LOCK in services
-                    else None
-                )
+                monitor = (ExclusiveMonitor(name=f"{spec.name}.monitor")
+                           if NocService.EXCLUSIVE_ACCESS in services else None)
+                locks = (LockManager(name=f"{spec.name}.locks")
+                         if NocService.LEGACY_LOCK in services else None)
                 target_niu = TargetNiu(
                     f"{spec.name}.niu", fabric, endpoint, socket,
                     max_outstanding=spec.max_outstanding,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.core.checks import Check, check, knob
 from repro.core.protocols import FAMILIES
 from repro.niu.tag_policy import TagPolicy
 from repro.phys.clocking import ClockDomain
@@ -54,6 +55,12 @@ __all__ = [
 #: Socket families the builder knows how to instantiate.
 KNOWN_PROTOCOLS = tuple(FAMILIES)
 
+#: What an ``InitiatorSpec`` refuses when it is made.
+INITIATOR_ROWS = (
+    Check("protocol", ("protocol",), lambda s: s.protocol in KNOWN_PROTOCOLS,
+          lambda s: f"unknown protocol {s.protocol!r}; known: {KNOWN_PROTOCOLS}"),
+)
+
 
 @dataclass
 class InitiatorSpec:
@@ -84,11 +91,22 @@ class InitiatorSpec:
 
     def __post_init__(self) -> None:
         self.protocol = self.protocol.upper()
-        if self.protocol not in KNOWN_PROTOCOLS:
-            raise ValueError(
-                f"initiator {self.name!r}: unknown protocol "
-                f"{self.protocol!r}; known: {KNOWN_PROTOCOLS}"
-            )
+        check(f"initiator {self.name!r}", self, INITIATOR_ROWS)
+
+
+#: What a ``TargetSpec`` refuses when it is made: a knob that would wedge
+#: the target NIU (``max_outstanding`` < 1 never serves) or that the
+#: memory would silently clamp (negative latencies).
+TARGET_ROWS = (
+    knob("size", lambda t: t.size > 0, "> 0"),
+    knob("read_latency", lambda t: t.read_latency >= 0, ">= 0"),
+    knob("write_latency", lambda t: t.write_latency >= 0, ">= 0"),
+    knob("per_beat_cycles", lambda t: t.per_beat_cycles >= 0, ">= 0"),
+    knob("max_outstanding", lambda t: t.max_outstanding >= 1, ">= 1"),
+    knob("error_ranges", lambda t: all(
+        len(r) == 2 and r[0] >= 0 and r[1] >= 1 for r in t.error_ranges or ()
+    ), "(offset >= 0, size >= 1) pairs"),
+)
 
 
 @dataclass
@@ -112,22 +130,4 @@ class TargetSpec:
     region: Optional[str] = None
 
     def __post_init__(self) -> None:
-        """A knob that would wedge the target NIU (``max_outstanding`` < 1
-        never serves) or that the memory would silently clamp (negative
-        latencies) is a ``ValueError`` naming the target and the knob."""
-        ranges_ok = all(
-            len(r) == 2 and r[0] >= 0 and r[1] >= 1 for r in self.error_ranges or ()
-        )
-        for knob, holds, requirement in (
-            ("size", self.size > 0, "> 0"),
-            ("read_latency", self.read_latency >= 0, ">= 0"),
-            ("write_latency", self.write_latency >= 0, ">= 0"),
-            ("per_beat_cycles", self.per_beat_cycles >= 0, ">= 0"),
-            ("max_outstanding", self.max_outstanding >= 1, ">= 1"),
-            ("error_ranges", ranges_ok, "(offset >= 0, size >= 1) pairs"),
-        ):
-            if not holds:
-                raise ValueError(
-                    f"target {self.name!r}: {knob} must be {requirement}, "
-                    f"got {getattr(self, knob)!r}"
-                )
+        check(f"target {self.name!r}", self, TARGET_ROWS)

@@ -32,25 +32,22 @@ import functools
 from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
+from repro.core.checks import Check, check, knob
 from repro.core.packet import NocPacket, PacketFormat
 from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink, domains_cross
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
-from repro.sim.shard import (
-    ShardConfigError,
-    ShardLinkRx,
-    ShardLinkTx,
-    ShardOwnership,
-    ShardPlan,
-)
+from repro.sim.shard import ShardLinkRx, ShardLinkTx, ShardOwnership, ShardPlan
 from repro.sim.snapshot import Snapshottable
 from repro.sim.stats import Histogram
 from repro.transport.faults import FaultInjector, FaultSchedule
 from repro.transport.flit import Flit, Packetizer, Reassembler, flit_count
-from repro.transport.qos import make_arbiter
+from repro.transport.qos import ARBITERS, make_arbiter
 from repro.transport.router import Router
 from repro.transport.routing import (
+    ROUTING_SCHEMES,
+    VC_POLICIES,
     EscapeVcPolicy,
     VcPolicy,
     compute_adaptive_tables,
@@ -438,6 +435,71 @@ class EjectionPort(Component, Snapshottable):
         return expected in pending
 
 
+def _undersized_link(plane: "Network") -> Optional[Tuple[str, int, int]]:
+    """``(link class, flits it stages, min_buffer_for)`` of the first link
+    class that cannot stage a packet of ``buffer_capacity`` flits, the
+    longest :meth:`Network.inject` admits under store-and-forward /
+    cut-through (its head would wait forever for space that cannot
+    exist), or ``None``.  Transparency is judged the way
+    :meth:`Network._build_link` wires a link: a domain crossing is real."""
+    if plane.mode is SwitchingMode.WORMHOLE:
+        return None
+    minimum = plane.mode.min_buffer_for(plane.buffer_capacity)
+    endpoint_crossing = any(
+        domains_cross(plane.endpoint_domains.get(ep), plane.fabric_domain)
+        for ep in plane.topology.endpoints
+    )
+    for cls, spec, crosses in (
+        ("router", plane.link_spec, False),
+        ("endpoint", plane.endpoint_link_spec, endpoint_crossing),
+    ):
+        transparent = spec.transparent(crosses)
+        capacity = plane.buffer_capacity if transparent else (
+            spec.capacity or plane.buffer_capacity)
+        if capacity < minimum:
+            return cls, capacity, minimum
+    return None
+
+
+def _policy(plane: "Network") -> VcPolicy:
+    return make_vc_policy(plane.vc_policy)
+
+
+#: Every plane rule, over the options as given (``vcs`` and ``vc_policy``
+#: after the adaptive defaults): :meth:`Network._check_options` checks
+#: them before the plane registers anything.
+PLANE_ROWS = (
+    knob("mode", lambda p: isinstance(p.mode, SwitchingMode),
+         f"a SwitchingMode, one of {[mode.name for mode in SwitchingMode]}"),
+    knob("routing", lambda p: p.routing in ROUTING_SCHEMES,
+         f"one of {ROUTING_SCHEMES}"),
+    knob("arbiter", lambda p: p.arbiter in ARBITERS, f"one of {sorted(ARBITERS)}"),
+    knob("buffer_capacity", lambda p: p.buffer_capacity >= 1, ">= 1"),
+    knob("vcs", lambda p: p.vcs >= 1, ">= 1"),
+    knob("vc_policy", lambda p: p.vc_policy is None
+         or isinstance(p.vc_policy, VcPolicy) or p.vc_policy in VC_POLICIES,
+         f"a VcPolicy or one of {sorted(VC_POLICIES)}"),
+    Check("adaptive_vc_policy", ("routing", "vc_policy"),
+          lambda p: p.routing != "adaptive" or isinstance(_policy(p), EscapeVcPolicy),
+          lambda p: f"adaptive routing needs the escape VC policy "
+                    f"(vc_policy='escape' or an EscapeVcPolicy instance) to "
+                    f"split adaptive/escape VC classes, got {_policy(p).name!r}"),
+    Check("policy_vcs", ("vc_policy", "vcs"),
+          lambda p: p.vcs >= _policy(p).min_vcs,
+          lambda p: f"VC policy {_policy(p).name!r} needs at least "
+                    f"{_policy(p).min_vcs} VCs, got vcs={p.vcs}"),
+    Check("link_staging", ("mode", "link_spec", "endpoint_link_spec"),
+          lambda p: _undersized_link(p) is None,
+          lambda p: "{0} links stage only {1} flits but {p.mode} switching admits "
+                    "packets up to {p.buffer_capacity} flits (router input buffer "
+                    "depth), which need min_buffer_for = {2}; a long packet would "
+                    "wedge at every router of {p.topology.name!r} — raise "
+                    "LinkSpec.capacity to >= {2} or lower buffer_capacity".format(
+                        *_undersized_link(p), p=p),
+          BufferSizingError),
+)
+
+
 class Network(Snapshottable):
     """One routing plane, assembled in five steps; each registers its
     components after the step before, and component order is tick order:
@@ -490,7 +552,8 @@ class Network(Snapshottable):
         self.fabric_domain = fabric_domain
         self.endpoint_domains = dict(endpoint_domains or {})
         self._shard_plan, self._shard_ownership = shard_plan, shard_ownership
-        self.vcs, self.vc_policy = self._check_options(vcs, vc_policy, faults)
+        self.arbiter = arbiter
+        self._check_options(vcs, vc_policy, faults)
         self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
         self._link_feed_queues: List[SimQueue] = []
         self._add_fault_injector(faults)
@@ -501,55 +564,20 @@ class Network(Snapshottable):
     # ------------------------------------------------------------------ #
     # assembly steps
     # ------------------------------------------------------------------ #
-    def _check_options(
-        self, vcs: int, vc_policy, faults: Optional[FaultSchedule]
-    ) -> Tuple[int, VcPolicy]:
-        """Every plane rule, checked once and before anything is
-        registered; returns the resolved ``(vcs, VC policy)``.  A bare
-        ``routing="adaptive"`` is the minimal split: the escape policy
-        and, at ``vcs=1``, one adaptive VC on top of the escape pair."""
-        name, adaptive = self.name, self.routing == "adaptive"
-        if adaptive and vcs == 1:
-            vcs = 1 + EscapeVcPolicy.escape_vcs
-        if vcs < 1:
-            raise ValueError(f"{name}: vcs must be >= 1, got {vcs}")
-        policy = make_vc_policy(
-            "escape" if adaptive and vc_policy is None else vc_policy
-        )
-        if adaptive and not isinstance(policy, EscapeVcPolicy):
-            raise ValueError(
-                f"{name}: adaptive routing needs the escape VC policy "
-                f"(vc_policy='escape' or an EscapeVcPolicy instance) to "
-                f"split adaptive/escape VC classes, got {policy.name!r}"
-            )
-        if vcs < policy.min_vcs:
-            raise ValueError(
-                f"{name}: VC policy {policy.name!r} needs at least "
-                f"{policy.min_vcs} VCs, got vcs={vcs}"
-            )
-        self._validate_buffer_sizing()
-        plan = self._shard_plan
-        if plan is not None:
-            plan.validate(self.topology)
-            if plan.cut_edges(self.topology) and self.link_spec.transparent(False):
-                raise ShardConfigError(
-                    f"{name}: the shard plan cuts inter-router links but "
-                    f"the router link spec is transparent (an ideal wire "
-                    f"has zero lookahead, so there is no safe window to "
-                    f"parallelize over) — give the inter-router links a "
-                    f"LinkSpec with pipeline_latency >= 1 or narrowed "
-                    f"phits"
-                )
-            if faults:
-                raise ShardConfigError(
-                    f"{name}: fault injection is out of scope for sharded "
-                    f"fabrics (v1) — a fault epoch is a global event that "
-                    f"the per-shard safe window cannot order; drop the "
-                    f"fault schedule or the shards"
-                )
+    def _check_options(self, vcs: int, vc_policy, faults: Optional[FaultSchedule]):
+        """:data:`PLANE_ROWS`, then the shard plan's and fault schedule's
+        own validation; sets the resolved ``vcs`` and VC policy.  A bare
+        ``routing="adaptive"`` is the minimal split: the escape policy and,
+        at ``vcs=1``, one adaptive VC on top of the escape pair."""
+        adaptive = self.routing == "adaptive"
+        self.vcs = 1 + EscapeVcPolicy.escape_vcs if adaptive and vcs == 1 else vcs
+        self.vc_policy = "escape" if adaptive and vc_policy is None else vc_policy
+        check(self.name, self, PLANE_ROWS)
+        self.vc_policy = make_vc_policy(self.vc_policy)
+        if self._shard_plan is not None:
+            self._shard_plan.validate(self.topology)
         if faults:
             faults.validate(self.topology)  # named FaultConfigError subclasses
-        return vcs, policy
 
     def _add_fault_injector(self, faults: Optional[FaultSchedule]) -> None:
         """The plane's fault injector, when it has a schedule: registered
@@ -767,50 +795,6 @@ class Network(Snapshottable):
         return feeds, deliveries
 
     # ------------------------------------------------------------------ #
-    # build-time validation
-    # ------------------------------------------------------------------ #
-    def _validate_buffer_sizing(self) -> None:
-        """Reject configurations that would wedge silently mid-run.
-
-        :meth:`inject` admits packets of up to ``buffer_capacity`` flits
-        under store-and-forward / cut-through (the router input buffer
-        depth), so every flit queue on the datapath — including the
-        staging buffers of non-transparent links — must hold at least
-        :meth:`SwitchingMode.min_buffer_for` of that many flits, or a
-        legally injected packet's head can wait forever for downstream
-        space that cannot exist.
-        """
-        if self.mode is SwitchingMode.WORMHOLE:
-            return
-        minimum = self.mode.min_buffer_for(self.buffer_capacity)
-        # A spec with no serialization/pipelining is still wired as a
-        # real (capacity-limited) link when the connection crosses clock
-        # domains, so judge transparency the way _build_link will.
-        endpoint_crossing = any(
-            domains_cross(self.endpoint_domains.get(ep), self.fabric_domain)
-            for ep in self.topology.endpoints
-        )
-        for cls, spec, crosses in (
-            ("router", self.link_spec, False),
-            ("endpoint", self.endpoint_link_spec, endpoint_crossing),
-        ):
-            capacity = (
-                self.buffer_capacity
-                if spec.transparent(crosses)
-                else (spec.capacity or self.buffer_capacity)
-            )
-            if capacity < minimum:
-                raise BufferSizingError(
-                    f"{self.name}: {cls} links stage only {capacity} flits "
-                    f"but {self.mode} switching admits packets up to "
-                    f"{self.buffer_capacity} flits (router input buffer "
-                    f"depth), which need min_buffer_for = {minimum}; a "
-                    f"long packet would wedge at every router of "
-                    f"{self.topology.name!r} — raise LinkSpec.capacity to "
-                    f">= {minimum} or lower buffer_capacity"
-                )
-
-    # ------------------------------------------------------------------ #
     # physical-layer wiring
     # ------------------------------------------------------------------ #
     def _build_link(
@@ -843,30 +827,18 @@ class Network(Snapshottable):
         feeds = [self.sim.new_queue(f"{n}.tx", capacity=capacity) for n in names]
         deliveries = [self.sim.new_queue(n, capacity=capacity) for n in names]
         flit_bits = self.packetizer.flit_bits
-        if vcs == 1:
-            link: Union[PhysicalLink, VcPhysicalLink] = PhysicalLink(
-                f"{qname}.phy",
-                feeds[0],
-                deliveries[0],
-                flit_bits=flit_bits,
-                phit_bits=spec.phit_bits or flit_bits,
-                pipeline_latency=spec.pipeline_latency,
-                producer_domain=producer_domain,
-                consumer_domain=consumer_domain,
-                sync_stages=spec.sync_stages,
-            )
-        else:
-            link = VcPhysicalLink(
-                f"{qname}.phy",
-                feeds,
-                deliveries,
-                flit_bits=flit_bits,
-                phit_bits=spec.phit_bits or flit_bits,
-                pipeline_latency=spec.pipeline_latency,
-                producer_domain=producer_domain,
-                consumer_domain=consumer_domain,
-                sync_stages=spec.sync_stages,
-            )
+        single = vcs == 1  # one VC: the plain link, on the one queue pair
+        link = (PhysicalLink if single else VcPhysicalLink)(
+            f"{qname}.phy",
+            feeds[0] if single else feeds,
+            deliveries[0] if single else deliveries,
+            flit_bits=flit_bits,
+            phit_bits=spec.phit_bits or flit_bits,
+            pipeline_latency=spec.pipeline_latency,
+            producer_domain=producer_domain,
+            consumer_domain=consumer_domain,
+            sync_stages=spec.sync_stages,
+        )
         self.sim.add(link)
         self.links.append(link)
         self._link_feed_queues.extend(feeds)
@@ -1010,10 +982,7 @@ class Fabric:
     @property
     def physical_links(self) -> List[Union[PhysicalLink, VcPhysicalLink]]:
         """Every non-transparent link across all planes (introspection)."""
-        links: List[Union[PhysicalLink, VcPhysicalLink]] = []
-        for plane in self._planes:
-            links.extend(plane.links)
-        return links
+        return [link for plane in self._planes for link in plane.links]
 
     def total_phits_carried(self) -> int:
         return sum(link.phits_carried for link in self.physical_links)

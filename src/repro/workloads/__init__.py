@@ -10,11 +10,7 @@ SoCs built from them are the modules of
 
 from repro.ip.traffic import TrafficSpec, WorkloadStallError
 from repro.workloads.channels import StreamChannel
-from repro.workloads.collectives import (
-    all_to_all,
-    near_neighbor_exchange,
-    tree_reduction,
-)
+from repro.workloads.collectives import tree_reduction
 from repro.workloads.dma import DmaDescriptor, DmaEngine, DmaProgramError
 from repro.workloads.streams import stream_pair
 
@@ -25,8 +21,6 @@ __all__ = [
     "StreamChannel",
     "TrafficSpec",
     "WorkloadStallError",
-    "all_to_all",
-    "near_neighbor_exchange",
     "stream_pair",
     "tree_reduction",
 ]

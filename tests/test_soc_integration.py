@@ -6,13 +6,20 @@ import re
 
 import pytest
 
-from repro.bus.system import build_bus_soc
-from repro.core.transaction import make_read, make_write
+from repro.bus.system import BUS_ROWS, build_bus_soc
+from repro.core.transaction import Opcode, Transaction, make_read, make_write
 from repro.ip import TrafficSpec
+from repro.ip.traffic import TRAFFIC_ROWS, UNKNOWN_KIND, UNNAMED_ROWS
 from repro.niu.tag_policy import default_policy
 from repro.sim.fingerprint import fingerprint_soc, reset_ids
-from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
+from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
+from repro.soc import FaultSchedule, InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
+from repro.soc.builder import BUILD_ROWS
+from repro.soc.config import INITIATOR_ROWS, TARGET_ROWS
 from repro.transport import topology as topo
+from repro.transport.network import PLANE_ROWS
+from repro.transport.switching import SwitchingMode
 
 
 def mixed_specs(count=25):
@@ -138,10 +145,12 @@ class TestTopologyAndFabricKnobs:
         )
         with pytest.raises(ValueError):
             builder.build()  # no targets
+        builder.add_target(TargetSpec("mem", size=0x1000))
+        builder.add_initiator(
+            InitiatorSpec("a", "AHB", TrafficSpec(kind="scripted", intents=[]))
+        )
         with pytest.raises(ValueError):
-            builder.add_initiator(
-                InitiatorSpec("a", "AHB", TrafficSpec(kind="scripted", intents=[]))
-            )
+            builder.build()  # two initiators named 'a': refused by a build row
 
     def test_second_build_with_a_used_source_is_refused(self):
         """A source object is stateful: a second SoC built around the
@@ -356,8 +365,12 @@ class TestPhysicalLayerKnobs:
             builder.build()
 
     def test_unknown_link_class_rejected(self):
+        inits, tgts = self._scripted_specs()
+        builder = SocBuilder(links={"diagonal": LinkSpec()})
+        builder.initiators.extend(inits)
+        builder.targets.extend(tgts)
         with pytest.raises(ValueError, match="link class"):
-            SocBuilder(links={"diagonal": LinkSpec()})._resolve_links()
+            builder.build()
 
 
 # --------------------------------------------------------------------- #
@@ -382,63 +395,369 @@ def _mem(**fields):
     return TargetSpec("mem", size=0x1000, **fields)
 
 
-#: (builder, initiators, targets, message) per rule.  Without these
-#: checks the first died as a bare ``KeyError: 2``, the second as a
+def noc(initiators=None, targets=None, **knobs):
+    """A one-AXI-master / one-memory NoC SoC, either side replaced."""
+    return build_noc([_cpu()] if initiators is None else initiators,
+                     [_mem()] if targets is None else targets, **knobs)
+
+
+def bus(initiators=None, targets=None):
+    """The same SoC through the bus builder."""
+    return build_bus_soc([_cpu()] if initiators is None else initiators,
+                         [_mem()] if targets is None else targets)
+
+
+def _with(**knobs):
+    """One initiator whose traffic spec sets ``knobs``."""
+    return [InitiatorSpec("cpu", "AXI", TrafficSpec(**knobs))]
+
+
+def _poisson(**knobs):
+    return _with(kind="poisson", seed=5, pairs=[(0, 0x1000)], **knobs)
+
+
+def _locking_pair():
+    """The 2x2 mesh with two AHB masters taking a LOCK section each."""
+    sync = TrafficSpec(kind="sync", style="lock", iterations=2)
+    return [InitiatorSpec("cpu0", "AHB", sync), InitiatorSpec("cpu1", "AHB", sync)]
+
+
+LINK_CUT = FaultSchedule().link_down(50, (0, 0), (1, 0)).link_up(400, (0, 0), (1, 0))
+PIPELINED = LinkSpec(phit_bits=32, pipeline_latency=1)
+
+
+def _all_rows():
+    """Every check row, keyed ``table.name``: the spec records, traffic
+    specs (then per kind), the plane, the NoC builder, the bus builder; a
+    row two tables share is keyed under the first."""
+    tables = {
+        "InitiatorSpec": INITIATOR_ROWS,
+        "TargetSpec": TARGET_ROWS,
+        "TrafficSpec": UNKNOWN_KIND + UNNAMED_ROWS,
+        **{f"TrafficSpec.{kind}": rows for kind, rows in TRAFFIC_ROWS.items()},
+        "Network": PLANE_ROWS,
+        "SocBuilder": BUILD_ROWS,
+        "build_bus_soc": BUS_ROWS,
+    }
+    rows = {}
+    for table, table_rows in tables.items():
+        for row in table_rows:
+            if not any(row is seen for seen in rows.values()):
+                rows[f"{table}.{row.name}"] = row
+    return rows
+
+
+ROWS = _all_rows()
+
+#: case -> (row, build, message): ``build`` makes the specs and the SoC,
+#: so a spec row fires inside it too; a ``bus_`` case goes through
+#: build_bus_soc.  The first ten cases are older than the table.  Without
+#: them the topology died as a bare ``KeyError: 2``, a shared name as a
 #: duplicate-component error, the bus built duplicate targets and every
-#: ignored field silently, and failed duplicate initiators on the
-#: internal queue name ``'cpu.sock.ar'``.
-SPEC_ERRORS = {
+#: ignored field silently, and failed duplicate initiators on the internal
+#: queue name ``'cpu.sock.ar'``.  Without the rest, the faults x LOCK mix
+#: built and ran, and the plane knobs died mid-build with a bare
+#: ``KeyError`` / ``AttributeError`` or on an internal queue name.
+REFUSALS = {
     "noc_topology_too_small": (
-        lambda i, t: build_noc(i, t, topology=topo.single_router(2)),
-        [_cpu(), InitiatorSpec("dma", "AXI", _traffic())],
-        [_mem()],
+        "SocBuilder.endpoints",
+        lambda: noc([_cpu(), InitiatorSpec("dma", "AXI", _traffic())],
+                    topology=topo.single_router(2)),
         "topology 'xbar' has 2 endpoints but the SoC attaches 3 specs "
         "(2 initiators + 1 targets)",
     ),
     "noc_initiator_and_target_share_a_name": (
-        build_noc, [_cpu()], [TargetSpec("cpu")],
+        "SocBuilder.names", lambda: noc(targets=[TargetSpec("cpu")]),
         "initiator 'cpu' and target 'cpu' share a name",
     ),
     "bus_initiator_and_target_share_a_name": (
-        build_bus_soc, [_cpu()], [TargetSpec("cpu")],
+        "SocBuilder.names", lambda: bus(targets=[TargetSpec("cpu")]),
         "initiator 'cpu' and target 'cpu' share a name",
     ),
     "bus_duplicate_targets": (
-        build_bus_soc, [_cpu()], [_mem(), _mem(base=0x1000)],
+        "SocBuilder.names", lambda: bus(targets=[_mem(), _mem(base=0x1000)]),
         "target 'mem' and target 'mem' share a name",
     ),
     "bus_duplicate_initiators": (
-        build_bus_soc, [_cpu(), _cpu()], [_mem()],
+        "SocBuilder.names", lambda: bus([_cpu(), _cpu()]),
         "initiator 'cpu' and initiator 'cpu' share a name",
     ),
     "bus_initiator_region": (
-        build_bus_soc, [_cpu(region="slow")], [_mem()],
+        "build_bus_soc.initiator_region", lambda: bus([_cpu(region="slow")]),
         "initiator 'cpu': the bus builder has no model for region='slow'",
     ),
     "bus_initiator_policy": (
-        build_bus_soc, [_cpu(policy=default_policy("AXI"))], [_mem()],
+        "build_bus_soc.initiator_policy",
+        lambda: bus([_cpu(policy=default_policy("AXI"))]),
         "initiator 'cpu': the bus builder has no model for policy=",
     ),
     "bus_target_region": (
-        build_bus_soc, [_cpu()], [_mem(region="io")],
+        "build_bus_soc.target_region", lambda: bus(targets=[_mem(region="io")]),
         "target 'mem': the bus builder has no model for region='io'",
     ),
     "bus_target_per_beat_cycles": (
-        build_bus_soc, [_cpu()], [_mem(per_beat_cycles=2)],
+        "build_bus_soc.target_per_beat_cycles",
+        lambda: bus(targets=[_mem(per_beat_cycles=2)]),
         "target 'mem': the bus builder has no model for per_beat_cycles=2",
     ),
     "bus_target_error_ranges": (
-        build_bus_soc, [_cpu()], [_mem(error_ranges=[(0, 0x10)])],
+        "build_bus_soc.target_error_ranges",
+        lambda: bus(targets=[_mem(error_ranges=[(0, 0x10)])]),
         "target 'mem': the bus builder has no model for error_ranges=[(0, 16)]",
+    ),
+    # the spec records, at construction
+    "noc_initiator_protocol": (
+        "InitiatorSpec.protocol",
+        lambda: noc([InitiatorSpec("cpu", "PCIe", _traffic())]),
+        "initiator 'cpu': unknown protocol 'PCIE'; known: ('AHB', 'AXI', ",
+    ),
+    **{
+        f"noc_target_{knob}": (
+            f"TargetSpec.{knob}",
+            lambda knob=knob, value=value: noc(targets=[TargetSpec("mem", **{knob: value})]),
+            f"target 'mem': {knob} must be {requirement}, got {value!r}",
+        )
+        for knob, value, requirement in (
+            ("size", 0, "> 0"),
+            ("read_latency", -3, ">= 0"),
+            ("write_latency", -1, ">= 0"),
+            ("per_beat_cycles", -2, ">= 0"),
+            ("max_outstanding", 0, ">= 1"),
+            ("error_ranges", [(0x200, -4)], "(offset >= 0, size >= 1) pairs"),
+        )
+    },
+    # traffic specs, as the builder hands sources out
+    "noc_traffic_kind": (
+        "TrafficSpec.kind", lambda: noc(_with(kind="fractal")),
+        "traffic spec '<fractal>': unknown kind 'fractal'; known kinds: (",
+    ),
+    "traffic_spec_without_a_master": (
+        "TrafficSpec.master", lambda: TrafficSpec(kind="stream").build(),
+        "TrafficSpec(kind='stream') needs a master name",
+    ),
+    "noc_traffic_scripted_intents": (
+        "TrafficSpec.scripted.intents", lambda: noc(_with(kind="scripted")),
+        "traffic spec '<scripted>': intents must be a list of Transactions, "
+        "got None",
+    ),
+    "noc_traffic_pairs": (
+        "TrafficSpec.poisson.pairs", lambda: noc(_with(kind="poisson", seed=5)),
+        "traffic spec '<poisson>': pairs must be at least one (base, size) "
+        "range, got None",
+    ),
+    "noc_traffic_read_fraction": (
+        "TrafficSpec.poisson.read_fraction",
+        lambda: noc(_poisson(read_fraction=1.5)),
+        "read_fraction must be in [0, 1], got 1.5",
+    ),
+    "noc_traffic_beat_bytes": (
+        "TrafficSpec.poisson.beat_bytes", lambda: noc(_poisson(beat_bytes=3)),
+        "beat_bytes must be one of (",
+    ),
+    "noc_traffic_rate": (
+        "TrafficSpec.poisson.rate", lambda: noc(_poisson(rate=0)),
+        "rate must be in (0, 1], got 0",
+    ),
+    "noc_traffic_threads": (
+        "TrafficSpec.poisson.threads", lambda: noc(_poisson(threads=0)),
+        "threads must be >= 1, got 0",
+    ),
+    "noc_traffic_tags": (
+        "TrafficSpec.poisson.tags", lambda: noc(_poisson(tags=0)),
+        "tags must be >= 1, got 0",
+    ),
+    "noc_traffic_burst_beats": (
+        "TrafficSpec.poisson.burst_beats", lambda: noc(_poisson(burst_beats=(0,))),
+        "burst_beats must be an int >= 1 or a non-empty tuple of them, got (0,)",
+    ),
+    "noc_traffic_seed": (
+        "TrafficSpec.poisson.seed",
+        lambda: noc(_with(kind="dependent", pairs=[(0, 0x1000)])),
+        "traffic spec '<dependent>': seed must be an explicit int for "
+        "reproducibility, got None",
+    ),
+    "noc_traffic_stream_bytes_total": (
+        "TrafficSpec.stream.bytes_total",
+        lambda: noc(_with(kind="stream", bytes_total=0)),
+        "bytes_total must be > 0, got 0",
+    ),
+    "noc_traffic_stream_burst_beats": (
+        "TrafficSpec.stream.burst_beats",
+        lambda: noc(_with(kind="stream", burst_beats=0)),
+        "burst_beats must be an int >= 1, got 0",
+    ),
+    "noc_traffic_sync_style": (
+        "TrafficSpec.sync.style", lambda: noc(_with(kind="sync", style="spin")),
+        "style must be 'lock' or 'excl', got 'spin'",
+    ),
+    "noc_traffic_dma_program": (
+        "TrafficSpec.dma.program", lambda: noc(_with(kind="dma")),
+        "program must be a non-empty list, got None",
+    ),
+    # the plane options: each died mid-build without its row
+    "noc_mode": (
+        "Network.mode", lambda: noc(mode="wormhole"),
+        "soc.req: mode must be a SwitchingMode, one of ['WORMHOLE', "
+        "'STORE_AND_FORWARD', 'VIRTUAL_CUT_THROUGH'], got 'wormhole'",
+    ),
+    "noc_routing": (
+        "Network.routing", lambda: noc(routing="nope"),
+        "soc.req: routing must be one of ('table', 'xy', 'dor', 'adaptive'), "
+        "got 'nope'",
+    ),
+    "noc_arbiter": (
+        "Network.arbiter", lambda: noc(arbiter="nope"),
+        "soc.req: arbiter must be one of ['age', 'priority', 'round-robin'], "
+        "got 'nope'",
+    ),
+    "noc_buffer_capacity": (
+        "Network.buffer_capacity", lambda: noc(buffer_capacity=0),
+        "soc.req: buffer_capacity must be >= 1, got 0",
+    ),
+    "noc_vcs": ("Network.vcs", lambda: noc(vcs=0), "soc.req: vcs must be >= 1, got 0"),
+    "noc_vc_policy": (
+        "Network.vc_policy", lambda: noc(vcs=2, vc_policy="nope"),
+        "soc.req: vc_policy must be a VcPolicy or one of ['dateline', 'escape', "
+        "'keep', 'priority'], got 'nope'",
+    ),
+    "noc_adaptive_vc_policy": (
+        "Network.adaptive_vc_policy",
+        lambda: noc(routing="adaptive", vcs=3, vc_policy="dateline"),
+        "soc.req: adaptive routing needs the escape VC policy",
+    ),
+    "noc_policy_vcs": (
+        "Network.policy_vcs", lambda: noc(vc_policy="dateline"),
+        "soc.req: VC policy 'dateline' needs at least 2 VCs, got vcs=1",
+    ),
+    "noc_link_staging": (
+        "Network.link_staging",
+        lambda: noc(mode=SwitchingMode.STORE_AND_FORWARD, buffer_capacity=16,
+                    links=LinkSpec(phit_bits=48, capacity=2)),
+        "soc.req: router links stage only 2 flits but",
+    ),
+    # the NoC builder's own rows
+    "noc_no_initiator": (
+        "SocBuilder.initiators", lambda: noc([]),
+        "soc: SoC needs at least one initiator",
+    ),
+    "bus_no_initiator": (
+        "SocBuilder.initiators", lambda: bus([]),
+        "bus: SoC needs at least one initiator",
+    ),
+    "noc_no_target": (
+        "SocBuilder.targets", lambda: noc(targets=[]),
+        "soc: SoC needs at least one target",
+    ),
+    "bus_no_target": (
+        "SocBuilder.targets", lambda: bus(targets=[]),
+        "bus: SoC needs at least one target",
+    ),
+    "noc_fabric_region": (
+        "SocBuilder.regions", lambda: noc(fabric_region="nope"),
+        "soc: fabric: unknown clock region 'nope'; declared domains: (none)",
+    ),
+    "noc_region": (
+        "SocBuilder.regions",
+        lambda: noc([_cpu(region="slow")], clock_domains={"fast": 2}),
+        "soc: initiator 'cpu': unknown clock region 'slow'; declared domains: "
+        "['fast']",
+    ),
+    "noc_links": (
+        "SocBuilder.links", lambda: noc(links=[PIPELINED]),
+        "soc: links must be a LinkSpec or a mapping with keys from ('router', "
+        "'endpoint'), got [LinkSpec(",
+    ),
+    "noc_link_class": (
+        "SocBuilder.link_classes", lambda: noc(links={"diagonal": PIPELINED}),
+        "soc: links: unknown link class 'diagonal'; known: ('router', 'endpoint')",
+    ),
+    "noc_link_spec": (
+        "SocBuilder.link_specs", lambda: noc(links={"router": 4}),
+        "soc: links['router']: expected a LinkSpec",
+    ),
+    "noc_no_traffic_source": (
+        "SocBuilder.traffic", lambda: noc([InitiatorSpec("cpu", "AXI")]),
+        "soc: initiator 'cpu' has no traffic source — give InitiatorSpec(traffic=...)",
+    ),
+    "bus_no_traffic_source": (
+        "SocBuilder.traffic", lambda: bus([InitiatorSpec("cpu", "AXI")]),
+        "bus: initiator 'cpu' has no traffic source",
+    ),
+    "noc_shared_ready_source": (
+        "SocBuilder.attached",
+        lambda: noc([InitiatorSpec(name, "AXI", source)
+                     for source in [_traffic().build("cpu")]
+                     for name in ("cpu", "dma")]),
+        "soc: initiator 'dma': its traffic source is already attached to master 'cpu'",
+    ),
+    "bus_shared_ready_source": (
+        "SocBuilder.attached",
+        lambda: bus([InitiatorSpec(name, "AXI", source)
+                     for source in [_traffic().build("cpu")]
+                     for name in ("cpu", "dma")]),
+        "bus: initiator 'dma': its traffic source is already attached to master 'cpu'",
+    ),
+    "noc_faults_with_lock_traffic": (
+        "SocBuilder.faults_lock",
+        lambda: noc(_locking_pair(), topology=topo.mesh(2, 2), faults=LINK_CUT),
+        "soc: initiator 'cpu0' can issue LOCK-family opcodes, and faults= is set",
+    ),
+    "noc_faults_with_a_ready_locking_script": (
+        "SocBuilder.faults_lock",
+        lambda: noc([InitiatorSpec("cpu", "AHB", TrafficSpec(
+            kind="scripted", intents=[make_read(0), Transaction(Opcode.LOCK, 0)],
+        ).build())], topology=topo.mesh(2, 2), faults=LINK_CUT),
+        "soc: initiator 'cpu' can issue LOCK-family opcodes",
+    ),
+    # sharding's block
+    "noc_shards_strict": (
+        "SocBuilder.shards_strict",
+        lambda: noc(shards=2, links=PIPELINED, strict_kernel=True),
+        "soc: the strict reference kernel cannot drive sharded builds",
+    ),
+    "noc_shards_trace": (
+        "SocBuilder.shards_trace",
+        lambda: noc(shards=2, links=PIPELINED, trace=Tracer(enabled=True)),
+        "soc: tracing is out of scope for sharded builds",
+    ),
+    "noc_shards_transparent_links": (
+        "SocBuilder.shards_links", lambda: noc(shards=2),
+        "soc: the shard plan cuts inter-router links but the router link spec "
+        "is transparent",
+    ),
+    "noc_shards_faults": (
+        "SocBuilder.shards_faults",
+        lambda: noc(shards=2, links=PIPELINED, faults=LINK_CUT),
+        "soc: fault injection is out of scope for sharded fabrics",
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SPEC_ERRORS))
-def test_a_spec_error_names_what_to_fix(case):
-    build, initiators, targets, message = SPEC_ERRORS[case]
-    with pytest.raises(ValueError, match=re.escape(message)):
-        build(initiators, targets)
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_spec_error_names_what_to_fix(case, monkeypatch):
+    """One case per check row: its error and message, raised before the
+    first component registers."""
+    row, build, message = REFUSALS[case]
+    added = []
+    monkeypatch.setattr(Simulator, "add", lambda sim, component: added.append(component))
+    with pytest.raises(ROWS[row].error, match=re.escape(message)):
+        build()
+    assert added == []
+
+
+def test_every_check_row_has_a_case():
+    """A row with no case or a case with no row fails, and so does a row
+    of the bus builder's table without a ``bus_`` case."""
+    assert {row for row, _, _ in REFUSALS.values()} == set(ROWS)
+    bus_cases = {row for case, (row, _, _) in REFUSALS.items() if case.startswith("bus_")}
+    assert {key for key, row in ROWS.items() if row in BUS_ROWS} == bus_cases
+
+
+def test_faults_refuse_only_sources_that_can_lock():
+    """Exclusive-access sync and plain traffic build with a fault schedule."""
+    excl = TrafficSpec(kind="sync", style="excl")
+    noc([InitiatorSpec("cpu0", "AXI", excl), _cpu()],
+        topology=topo.mesh(2, 2), faults=LINK_CUT)
 
 
 def test_the_bus_builder_hands_out_a_ready_source_once():

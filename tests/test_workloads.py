@@ -31,8 +31,6 @@ from repro.workloads import (
     DmaEngine,
     DmaProgramError,
     StreamChannel,
-    all_to_all,
-    near_neighbor_exchange,
     stream_pair,
 )
 from repro.workloads import scenarios
@@ -290,17 +288,6 @@ class TestStreams:
                 assert cons_complete[burst - depth] < cycle
                 lead_limited += 1
         assert lead_limited == total - depth
-
-    def test_all_to_all_and_neighbor_exchange_complete(self):
-        names = [f"m{i}" for i in range(4)]
-        for engines in (
-            all_to_all(names, mailbox_base=0, chunk_bytes=64),
-            near_neighbor_exchange(names, 2, 2, mailbox_base=0,
-                                   chunk_bytes=64),
-        ):
-            soc = _dma_soc(engines)
-            soc.run_to_completion()
-            assert all(engine.done() for engine in engines.values())
 
 
 # --------------------------------------------------------------------- #
