@@ -18,7 +18,7 @@ from repro.transport.faults import (
     OverlappingFaultWindowError,
     UnknownFaultTargetError,
 )
-from repro.transport.flit import Flit, Packetizer, Reassembler, flits_for_packet
+from repro.transport.flit import Flit, Packetizer, Reassembler
 from repro.transport.flow_control import CreditCounter
 from repro.transport.network import BufferSizingError, Fabric, Network
 from repro.transport.qos import AgeArbiter, Arbiter, PriorityArbiter, RoundRobinArbiter
@@ -71,7 +71,6 @@ __all__ = [
     "compute_adaptive_tables",
     "compute_degraded_tables",
     "compute_tables",
-    "flits_for_packet",
     "make_vc_policy",
     "router_sort_key",
     "xy_route",

@@ -57,28 +57,6 @@ class Flit:
         )
 
 
-def flits_for_packet(
-    packet: NocPacket,
-    flit_payload_bits: int,
-    header_bits: int = 64,
-) -> int:
-    """Number of flits a packet occupies on the fabric.
-
-    The head flit carries the header (assumed to fit one flit — formats
-    with huge user fields would need wider flits, which
-    :class:`Packetizer` checks); payload beats are packed into body flits
-    of ``flit_payload_bits`` each.
-    """
-    if flit_payload_bits < 8:
-        raise ValueError(f"flit payload width {flit_payload_bits} too small")
-    if header_bits > flit_payload_bits:
-        raise ValueError(
-            f"header ({header_bits}b) does not fit one flit "
-            f"({flit_payload_bits}b) — widen the flit or shrink the format"
-        )
-    return flit_count(packet, flit_payload_bits)
-
-
 def flit_count(packet: NocPacket, flit_payload_bits: int) -> int:
     """The one flit-count formula, for widths the caller has checked: a
     head flit plus the payload in ``flit_payload_bits``-wide body flits."""

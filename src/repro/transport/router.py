@@ -38,26 +38,44 @@ LOCK marker) and moves opaque flits.  Micro-architecture:
   ``UNLOCK``/``STORE_COND_LOCKED`` tail passes.  Locks are per physical
   output port (they model a locked path, not a buffer).
 
+**Two switches, one skeleton.**  Both ticks scan for busy inputs, try
+the solo branch (below) inline, and otherwise run three phases, each
+called once per tick.  Only the first phase differs, because only the
+allocation order does:
+
+- **Phase A** (single-VC, :meth:`Router._route_heads`) routes each
+  fresh head and checks its output is free, ready under the switching
+  mode and not locked against it; the output is claimed by the head's
+  own transfer in Phase B.  A streaming input simply asks to continue.
+- **Phase V** (VC, :meth:`Router._allocate_vcs`) first allocates the
+  output VC (:meth:`Router._allocate_vc`: table or adaptive route, dead
+  port and lock admission, claim), then applies the switching gate.
+- **Phase B** (:meth:`Router._switch`): per physical output in canonical
+  order, a lone contender is a recorded sole grant, several go to
+  ``arbiter.pick``; one flit per output and per input port.
+- **Phase C** (:meth:`Router._age`): inputs that sent reset their age,
+  the rest age by one.
+
+The steps inside the phases are written once: the SAF/VCT head gate
+(:meth:`Router._head_may_depart`), the lock- and fault-stall accounting
+(:meth:`Router._record_stalls`) and the move itself
+(:meth:`Router._transfer`).
+
 **The solo rule.**  Arbitration needs two requesters.  When the busy
-scan finds exactly one input (VC) holding flits — most loaded ticks:
-the switch moves about one flit per productive tick — that input either
-moves its front flit or ages by one, and the tick does only that: no
-``heads`` / ``wants`` maps, no walk over the outputs, no re-ageing of
-the other inputs.  A streaming input moves if its owned output has
-room; a fresh head is routed, must find its output (VC) unowned, pass
-lock admission (and, on the VC switch, the dead-port check and VC
-allocation, which run unchanged) and find room, and its grant is
-recorded with :meth:`Arbiter.note_sole_grant` exactly where the general
-path records one.  The gate, evaluated per tick: one busy input,
-``stream_fast_path`` set, an arbiter with ``sole_pick_is_grant``, and
-wormhole switching; the single-VC switch also stands down on a
-fault-degraded plane.  Everything else takes the general path, which
-is also the reference: two or more busy inputs (there is something to
-arbitrate), SAF/VCT (head departure depends on the buffered packet), a
-custom arbiter whose lone ``pick`` may do more than record a grant,
-degraded single-VC planes (dead-port masking lives in the general
-Phase A), and ``stream_fast_path = False`` — which tests assign after
-construction to compare the two, cycle for cycle.
+scan finds exactly one input (VC) holding flits — most loaded ticks —
+that input moves its front flit or ages by one, inline at the top of
+the tick: no ``wants`` map, no walk over the outputs.  A fresh head
+passes the same checks as in Phase A (on the VC switch,
+``_allocate_vc`` runs unchanged) and its grant is recorded with
+:meth:`Arbiter.note_sole_grant` exactly where Phase B records one.  The
+gate, per tick: one busy input, ``stream_fast_path`` set, an arbiter
+with ``sole_pick_is_grant`` (a custom lone ``pick`` may do more than
+record a grant), and wormhole switching (under SAF/VCT, departure
+depends on the buffered packet); the single-VC switch also stands down
+on a fault-degraded plane (dead-port masking lives in Phase A).
+Everything else runs the phases, which are also the reference: tests
+assign ``stream_fast_path = False`` after construction to run them on
+every tick and compare the two, cycle for cycle.
 """
 
 from __future__ import annotations
@@ -81,6 +99,10 @@ _LOCK_CLEARERS = (Opcode.UNLOCK, Opcode.STORE_COND_LOCKED)
 
 #: Key of one input (or output) virtual channel: ``(port name, vc)``.
 VcKey = Tuple[str, int]
+
+#: A stall entry for a head waiting on a downed output (the others name
+#: the output whose lock refused the head); see Router._record_stalls.
+_DOWNED = None
 
 
 class Router(Component, Snapshottable):
@@ -137,6 +159,20 @@ class Router(Component, Snapshottable):
         self._vc_cache: Dict[Tuple[VcKey, str], int] = {}
         self._alloc_fail: Dict[VcKey, Optional[Tuple[int, Flit]]] = {}
         self._release_version = 0
+        self._init_ports()
+        # Fault state (pushed by transport.faults.FaultInjector, which is
+        # registered before the routers so an epoch's state is visible to
+        # every router tick of the same cycle).  _dead_ports are this
+        # router's downed *output* ports; _healthy_adaptive keeps the
+        # pristine table so degraded grants can be classified.
+        self._dead_ports: frozenset = frozenset()
+        self._fault_degraded = False
+        self._healthy_adaptive = adaptive_table
+        self._init_stats()
+
+    def _init_ports(self) -> None:
+        """Empty port maps and per-port state; ``add_input`` /
+        ``add_output`` fill them as the network wires the router."""
         # Buffers keyed by (port, vc); vc is always 0 when vcs == 1.
         self.inputs: Dict[VcKey, SimQueue] = {}
         self.outputs: Dict[VcKey, SimQueue] = {}
@@ -162,15 +198,10 @@ class Router(Component, Snapshottable):
         # canonical order per (vc key, queue) list entry / physical port
         self._port_keys: Dict[Tuple[VcKey, SimQueue], tuple] = {}
         self._phys_out_keys: Dict[str, tuple] = {}
-        # Fault state (pushed by transport.faults.FaultInjector, which is
-        # registered before the routers so an epoch's state is visible to
-        # every router tick of the same cycle).  _dead_ports are this
-        # router's downed *output* ports; _healthy_adaptive keeps the
-        # pristine table so degraded grants can be classified.
-        self._dead_ports: frozenset = frozenset()
-        self._fault_degraded = False
-        self._healthy_adaptive = adaptive_table
-        # stats
+        # each physical output's VC-0 key: the single-VC switch's outputs
+        self._vc0_okey: Dict[str, VcKey] = {}
+
+    def _init_stats(self) -> None:
         self.flits_forwarded = 0
         self.packets_forwarded = 0
         #: Packets granted an adaptive-class vs escape-class output VC at
@@ -195,9 +226,6 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # wiring (Network calls these during construction)
     # ------------------------------------------------------------------ #
-    def _candidate_key(self, port: str, vc: int) -> str:
-        return port if self.vcs == 1 else f"{port}@vc{vc}"
-
     def _port_order(self, port: str, ident: Optional[Hashable]) -> tuple:
         """Canonical iteration/arbitration order for one port.
 
@@ -234,7 +262,7 @@ class Router(Component, Snapshottable):
         self._input_age[key] = 0
         self._alloc_fail[key] = None
         self._in_neighbor[port] = neighbor
-        ckey = self._candidate_key(port, vc)
+        ckey = port if self.vcs == 1 else f"{port}@vc{vc}"
         self._ckey[key] = ckey
         self._ckey_to_ivc[ckey] = key
         entry = (key, queue)
@@ -271,6 +299,8 @@ class Router(Component, Snapshottable):
             insort(
                 self._physical_outputs, port, key=self._phys_out_keys.__getitem__
             )
+        if vc == 0:
+            self._vc0_okey[port] = key
         entry = (key, queue)
         self._port_keys[entry] = (port_order, vc)
         insort(self._sorted_outputs, entry, key=self._port_keys.__getitem__)
@@ -290,12 +320,12 @@ class Router(Component, Snapshottable):
         while a packet whose head already won it drains across (a
         wormhole cannot be retracted mid-flight; there is no
         retransmission layer to recover stranded flits).  Adaptive
-        planes additionally receive the
-        surviving-graph tables (or their pristine healthy tables on full
-        heal).  The release-version bump invalidates every cached failed
-        allocation — blocked heads rescan under the new epoch — and the
-        wake covers the case where a heal un-blocks a router that was
-        idle-parked with frozen upstream traffic elsewhere.
+        planes additionally receive the surviving-graph tables (or their
+        pristine healthy tables on full heal).  The release-version bump
+        invalidates every cached failed allocation — blocked heads rescan
+        under the new epoch — and the wake covers the case where a heal
+        un-blocks a router that was idle-parked with frozen upstream
+        traffic elsewhere.
         """
         self._dead_ports = dead_ports
         self._fault_degraded = degraded
@@ -316,16 +346,12 @@ class Router(Component, Snapshottable):
                 f"(table has {sorted(self.table)})"
             ) from None
 
-    def _flits_of_front_packet(self, queue: SimQueue, head: Flit) -> int:
-        """Contiguous flits of the front packet currently buffered."""
-        buffered = 0
-        for flit in queue:
-            if flit.packet_id != head.packet_id:
-                break
-            buffered += 1
-            if buffered == head.count:
-                break
-        return buffered
+    def _framing_error(self, ivc: VcKey, flit: Flit) -> RuntimeError:
+        where = ivc[0] if self.vcs == 1 else f"{ivc[0]}:vc{ivc[1]}"
+        return RuntimeError(
+            f"{self.name}:{where}: body flit {flit!r} at front with no "
+            f"allocation (framing bug)"
+        )
 
     def _downstream_free(self, okey: VcKey) -> int:
         queue = self.outputs[okey]
@@ -333,12 +359,48 @@ class Router(Component, Snapshottable):
             return 1 << 30
         return queue.capacity - queue.occupancy
 
-    def _output_vc_for(self, ivc: VcKey, out_port: str) -> int:
-        """Ask the VC policy for the output VC of a head flit on ``ivc``."""
+    def _head_may_depart(self, queue: SimQueue, head: Flit, okey: VcKey) -> bool:
+        """The SAF/VCT gate on a head, both switches: the contiguous
+        flits of its packet buffered here against the room downstream.
+        (A wormhole head only needs one slot; the phases test that
+        inline.)"""
+        buffered = 0
+        for flit in queue:
+            if flit.packet_id != head.packet_id:
+                break
+            buffered += 1
+            if buffered == head.count:
+                break
+        return self.mode.head_may_depart(
+            flits_buffered=buffered,
+            packet_flits=head.count,
+            downstream_free=self._downstream_free(okey),
+        )
+
+    def _record_stalls(self, stalls: List[Optional[str]]) -> None:
+        """Stall accounting, both switches.  ``stalls`` holds one entry
+        per refused head: the output whose lock another master holds, or
+        ``_DOWNED`` for a head waiting on a downed output.  A tick counts
+        at most one lock-stall and one fault-stall cycle, and one stall
+        per refusing output in ``lock_stalls_by_output``."""
+        refused = set(stalls)
+        if _DOWNED in refused:
+            refused.discard(_DOWNED)
+            self.fault_stall_cycles += 1
+        if refused:
+            self.lock_stall_cycles += 1
+            for out_port in refused:
+                self.lock_stalls_by_output[out_port] += 1
+
+    def _output_vc_for(self, ivc: VcKey, out_port: str, escape=False) -> int:
+        """The VC policy's output VC for a head on ``ivc`` leaving by
+        ``out_port`` (its escape VC when ``escape``), cached."""
         out_vc = self._vc_cache.get((ivc, out_port))
         if out_vc is None:
             in_port, in_vc = ivc
-            out_vc = self.vc_policy.output_vc(
+            policy = self.vc_policy
+            choose = policy.escape_output_vc if escape else policy.output_vc
+            out_vc = choose(
                 self.router_id,
                 self._in_neighbor.get(in_port),
                 self._out_neighbor.get(out_port),
@@ -347,133 +409,158 @@ class Router(Component, Snapshottable):
             )
             if not 0 <= out_vc < self.vcs:
                 raise ValueError(
-                    f"{self.name}: VC policy {self.vc_policy.name!r} chose VC "
+                    f"{self.name}: VC policy {policy.name!r} chose VC "
                     f"{out_vc} outside 0..{self.vcs - 1} for {in_port}:{in_vc}"
                     f" -> {out_port}"
                 )
             self._vc_cache[(ivc, out_port)] = out_vc
         return out_vc
 
-    def _allocate_adaptive(
-        self, ivc: VcKey, flit: Flit, lock_stalled_ports: List[str]
+    # ------------------------------------------------------------------ #
+    # VC allocation (Phase V, one head at a time)
+    # ------------------------------------------------------------------ #
+    def _allocate_vc(
+        self, ivc: VcKey, flit: Flit, stalls: List[Optional[str]]
     ) -> Optional[VcKey]:
-        """Pick the least-congested admissible (output port, VC) for a head.
+        """Claim an output VC for the head at the front of ``ivc``, or
+        ``None`` to retry next cycle (appending to ``stalls`` when a lock
+        or a downed output is why).
 
-        The candidate set is every free adaptive-class VC of every output
-        in the packet's *minimal* set, plus the escape VC of the
-        deterministic (DOR/XY) output.  Candidates are scored by
-        downstream free space — credit/buffer slots left in the output
-        queue, which on a serialized link is the credit-backed staging
-        buffer — and the best strictly-greater score wins; ties keep the
-        earliest candidate, and candidates are enumerated in canonical
-        ``router_sort_key`` port order with VCs ascending and the escape
-        candidate last, so selection is deterministic and
-        cycle-reproducible.  Returns ``None`` when nothing is admissible
-        this cycle (the head retries, still requesting escape — that
-        retry loop is what the deadlock-freedom argument leans on).
-
-        Constraints preserving the rest of the transport contract:
-
-        - a packet whose input VC is escape-class stays on the escape
-          subnetwork (its dependency graph must remain acyclic);
-        - LOCK-family packets route escape-only, so a LOCK and its
-          paired UNLOCK traverse the *same* ports and the per-port lock
-          state they set and clear stays matched;
-        - lock admission applies per candidate port: a head refused one
-          locked port may still route around via another minimal output,
-          and only a head with no admissible candidate at all (with at
-          least one lock refusal) counts as lock-stalled.
+        Lock admission happens *here*: a head from a non-holding master
+        is refused the output VC while the port is locked — granting it
+        would let the blocked packet hoard the VC and stall the holder's
+        own UNLOCK forever.  Once granted, a stream always completes (a
+        packet admitted before the lock was set behaves as having entered
+        the locked path first, exactly like the single-VC switch).
         """
-        table = self.adaptive_table
-        in_port, in_vc = ivc
+        if flit.seq != 0:
+            raise self._framing_error(ivc, flit)
+        if self.adaptive_table is not None:
+            cached = self._alloc_fail[ivc]
+            if (
+                cached is not None
+                and cached[0] == self._release_version
+                and cached[1] is flit
+            ):
+                return None  # still blocked: nothing freed since
+            okey = self._allocate_adaptive(ivc, flit, stalls)
+            if okey is None:
+                return None  # no admissible candidate
+        else:
+            out_port = self._route(flit.dest)
+            if self._fault_degraded and out_port in self._dead_ports:
+                stalls.append(_DOWNED)
+                return None  # downed output: the head waits for a heal
+            if self.lock_support:
+                holder = self._output_lock[out_port]
+                if holder is not None and holder != flit.src:
+                    stalls.append(out_port)
+                    return None  # admission refused until UNLOCK passes
+            okey = (out_port, self._output_vc_for(ivc, out_port))
+            if self._output_owner[okey] is not None:
+                return None  # output VC busy
+        self._output_owner[okey] = ivc
+        self._input_alloc[ivc] = okey
+        self._input_head[ivc] = flit
+        return okey
+
+    def _allocate_adaptive(
+        self, ivc: VcKey, flit: Flit, stalls: List[Optional[str]]
+    ) -> Optional[VcKey]:
+        """The least-congested admissible (output port, VC) for a head, or
+        ``None`` (it retries, still requesting escape: the retry the
+        deadlock-freedom argument leans on).  Candidates, in canonical
+        port order, VCs ascending: every free adaptive-class VC of the
+        packet's *minimal* outputs, then the escape VC of its DOR/XY
+        output; the first best downstream free space wins.  An
+        escape-class input VC stays escape (its dependency graph must
+        stay acyclic); LOCK-family packets route escape-only, so a LOCK
+        and its UNLOCK set and clear the same locks.  Lock admission is
+        per candidate port; a head with none admissible is lock-stalled.
+        """
+        ports = self.adaptive_table.outputs(flit.dest)
+        if not ports or ports[0][0] == "l":  # unreachable, or "local:..."
+            return self._allocate_at_home(ivc, flit, ports, stalls)
         src = flit.src
-        lock_support = self.lock_support
-        output_lock = self._output_lock
+        locks = self._output_lock if self.lock_support else None
         output_owner = self._output_owner
         escape_on = self._escape_on
-        escape_base = self._escape_base_vc
-        ports = table.outputs(flit.dest)
-        if not ports:
-            # Destination unreachable this fault epoch: nothing to scan.
-            # The failure is cached against the epoch's release version
-            # (a heal bumps it) and the injector's watchdog reports the
-            # packet if the partition is permanent.
-            self._alloc_fail[ivc] = (self._release_version, flit)
-            return None
-        # Ejection at the home router: single local port, keep the class.
-        if ports[0][0] == "l":  # "local:..."
-            port = ports[0]
-            if lock_support:
-                holder = output_lock[port]
-                if holder is not None and holder != src:
-                    lock_stalled_ports.append(port)
-                    return None
-            okey = (port, in_vc)
-            if output_owner[okey] is None:
-                return okey
-            self._alloc_fail[ivc] = (self._release_version, flit)
-            return None
         refused: List[str] = []
         best: Optional[VcKey] = None
         best_free = -1
-        from_escape = escape_on and in_vc >= escape_base
-        if not (from_escape or (escape_on and flit.lock_related)):
+        if not escape_on or not (ivc[1] >= self._escape_base_vc or flit.lock_related):
             for port in ports:
-                if lock_support:
-                    holder = output_lock[port]
-                    if holder is not None and holder != src:
-                        refused.append(port)
-                        continue
+                holder = locks[port] if locks is not None else None
+                if holder is not None and holder != src:
+                    refused.append(port)
+                    continue
                 for vc in range(self._n_adaptive):
                     okey = (port, vc)
-                    if output_owner[okey] is not None:
-                        continue
-                    free = self._downstream_free(okey)
-                    if free > best_free:
-                        best, best_free = okey, free
+                    if output_owner[okey] is None:
+                        free = self._downstream_free(okey)
+                        if free > best_free:
+                            best, best_free = okey, free
         if escape_on:
-            eport = table.escape_port(flit.dest)
-            holder = output_lock[eport] if lock_support else None
+            eport = self.adaptive_table.escape_port(flit.dest)
+            holder = locks[eport] if locks is not None else None
             if holder is not None and holder != src:
                 if eport not in refused:
                     refused.append(eport)
             else:
-                cache_key = (ivc, eport)
-                evc = self._vc_cache.get(cache_key)
+                evc = self._vc_cache.get((ivc, eport))
                 if evc is None:
-                    evc = self.vc_policy.escape_output_vc(
-                        self.router_id,
-                        self._in_neighbor.get(in_port),
-                        self._out_neighbor[eport],
-                        in_vc,
-                        self.vcs,
-                    )
-                    self._vc_cache[cache_key] = evc
+                    evc = self._output_vc_for(ivc, eport, escape=True)
                 okey = (eport, evc)
                 if output_owner[okey] is None:
-                    free = self._downstream_free(okey)
-                    if free > best_free:
-                        best, best_free = okey, free
+                    if self._downstream_free(okey) > best_free:
+                        best = okey
         if best is None:
             if refused:
-                lock_stalled_ports.extend(refused)
+                stalls.extend(refused)
             else:
-                # Nothing free and no lock involved: the outcome cannot
-                # change until an output VC is released (or a lock
-                # changes), so skip rescans until the version bumps.
+                # Nothing free and no lock involved: nothing changes until
+                # an output VC is released or a lock moves (the version).
                 self._alloc_fail[ivc] = (self._release_version, flit)
             return None
-        if escape_on and best[1] >= escape_base:
+        self._count_adaptive_grant(flit.dest, ports, best)
+        return best
+
+    def _allocate_at_home(
+        self, ivc: VcKey, flit: Flit, ports: tuple, stalls: List[Optional[str]]
+    ) -> Optional[VcKey]:
+        """``_allocate_adaptive`` without a route choice: ejection at the
+        home router (the single local port, keeping the input's VC
+        class), or a destination unreachable this fault epoch — cached
+        against the release version, which a heal bumps; the injector's
+        watchdog reports the packet if the partition is permanent."""
+        if ports:
+            port = ports[0]
+            if self.lock_support:
+                holder = self._output_lock[port]
+                if holder is not None and holder != flit.src:
+                    stalls.append(port)
+                    return None
+            okey = (port, ivc[1])
+            if self._output_owner[okey] is None:
+                return okey
+        self._alloc_fail[ivc] = (self._release_version, flit)
+        return None
+
+    def _count_adaptive_grant(self, dest: int, ports: tuple, best: VcKey) -> None:
+        """An adaptive grant's class (escape or adaptive VC) and, on a
+        degraded plane, ``faults_hit`` when the candidate set differs
+        from the healthy one, ``packets_rerouted`` when the granted port
+        is outside it (a genuine detour)."""
+        if self._escape_on and best[1] >= self._escape_base_vc:
             self.packets_escape += 1
         else:
             self.packets_adaptive += 1
         if self._fault_degraded:
-            healthy = self._healthy_adaptive.candidates.get(flit.dest, ())
+            healthy = self._healthy_adaptive.candidates.get(dest, ())
             if ports != healthy:
                 self.faults_hit += 1
                 if best[0] not in healthy:
                     self.packets_rerouted += 1
-        return best
 
     # ------------------------------------------------------------------ #
     # the cycle
@@ -493,6 +580,7 @@ class Router(Component, Snapshottable):
         return None
 
     def tick(self, cycle: int) -> None:
+        """The single-VC switch: solo branch, else Phases A, B, C."""
         # Single busy scan shared by both switch flavours: collects the
         # input VCs holding flits (quiescent routers return on the empty
         # list — see next_event_cycle for why that is exact).
@@ -504,38 +592,37 @@ class Router(Component, Snapshottable):
         if self.vcs > 1 or self.adaptive_table is not None:
             self._tick_vc(cycle, busy)
             return
-        input_alloc = self._input_alloc
         input_age = self._input_age
         outputs = self.outputs
-        mode = self.mode
-        wormhole = mode is SwitchingMode.WORMHOLE
         arbiter = self.arbiter
         # stream_fast_path is read per tick: tests clear it after
         # construction to reach the reference arbitration below.
         sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
-        if len(busy) == 1 and sole_grant and wormhole and not self._fault_degraded:
+        if (
+            len(busy) == 1 and sole_grant and not self._fault_degraded
+            and self.mode is SwitchingMode.WORMHOLE
+        ):
             # Solo tick (module docstring): the one busy input either
-            # moves its front flit or ages; Phases A-C below reduce to
-            # exactly this when nobody else holds a flit.
+            # moves its front flit or ages; Phases A-C reduce to exactly
+            # this when nobody else holds a flit.
             ivc, queue = busy[0]
-            okey = input_alloc[ivc]
+            okey = self._input_alloc[ivc]
             if okey is None:
                 flit = queue._committed[0]
                 if flit.seq != 0:
-                    raise RuntimeError(
-                        f"{self.name}:{ivc[0]}: body flit {flit!r} at front "
-                        f"with no allocation (framing bug)"
-                    )
+                    raise self._framing_error(ivc, flit)
                 out_port = self._route(flit.dest)
                 okey = (out_port, 0)
-                if self._output_owner[okey] is not None or not outputs[okey].can_push():
+                if (
+                    self._output_owner[okey] is not None
+                    or not outputs[okey].can_push()
+                ):
                     input_age[ivc] += 1
                     return
                 holder = self._output_lock[out_port] if self.lock_support else None
                 if holder is not None and holder != flit.src:
-                    # Counted for a *ready* head only, like Phase B.
-                    self.lock_stalls_by_output[out_port] += 1
-                    self.lock_stall_cycles += 1
+                    # Counted for a *ready* head only, like Phase A.
+                    self._record_stalls([out_port])
                     input_age[ivc] += 1
                     return
                 arbiter.note_sole_grant(out_port, self._ckey[ivc])
@@ -545,305 +632,200 @@ class Router(Component, Snapshottable):
             self._transfer(ivc, okey, cycle)
             input_age[ivc] = 0
             return
-        # Phase A: route heads with no allocation yet.  Streaming inputs
-        # (mid-packet, output owned) need no per-cycle routing or desire
-        # bookkeeping at all — Phase B continues them straight off the
-        # owner table, which is the single-VC body-flit fast path.
-        heads: Dict[VcKey, Flit] = {}
-        wants: Dict[VcKey, List[VcKey]] = {}  # output -> ready head inputs
-        fault_degraded = self._fault_degraded
-        dead_ports = self._dead_ports
-        fault_blocked = False
-        for ivc, queue in busy:
-            if input_alloc[ivc] is not None:
-                continue
-            flit = queue._committed[0]
-            if flit.seq != 0:
-                raise RuntimeError(
-                    f"{self.name}:{ivc[0]}: body flit {flit!r} at front "
-                    f"with no allocation (framing bug)"
-                )
-            okey = (self._route(flit.dest), 0)
-            if fault_degraded and okey[0] in dead_ports:
-                fault_blocked = True
-                continue  # downed output: the head waits for a heal
-            if wormhole:
-                # Wormhole heads depart whenever downstream has a slot —
-                # no need to count buffered flits of the front packet.
-                ready = outputs[okey].can_push()
-            else:
-                ready = mode.head_may_depart(
-                    flits_buffered=self._flits_of_front_packet(queue, flit),
-                    packet_flits=flit.count,
-                    downstream_free=self._downstream_free(okey),
-                )
-            if ready:
-                heads[ivc] = flit
-                if okey in wants:
-                    wants[okey].append(ivc)
-                else:
-                    wants[okey] = [ivc]
+        wants, heads = self._route_heads(busy)
+        self._age(busy, self._switch(wants, heads, self._vc0_okey, sole_grant, cycle))
 
-        # Phase B: per-output arbitration and transfer.
-        inputs = self.inputs
-        output_owner = self._output_owner
-        output_lock = self._output_lock
-        lock_support = self.lock_support
-        sent_inputs: List[VcKey] = []
-        lock_stalled_any = False
-        for okey, out_queue in self._sorted_outputs:
-            owner = output_owner[okey]
-            if owner is not None:
-                # Continue the in-flight packet (even on a downed output:
-                # a packet that already won the port drains across the
-                # cut, like phits in flight — only new grants are masked).
-                # Nobody else may interleave, so no candidates and no
-                # arbitration — just "flit buffered, room downstream".
-                if inputs[owner]._committed and out_queue.can_push():
-                    self._transfer(owner, okey, cycle)
-                    sent_inputs.append(owner)
-                continue
-            contenders = wants.get(okey)
-            if contenders is None:
-                continue
-            out_port = okey[0]
-            holder = output_lock[out_port] if lock_support else None
-            if sole_grant and holder is None and len(contenders) == 1:
-                # Uncontested head: the winner is forced, so skip
-                # candidate construction and the policy call; the grant
-                # is still recorded so later round-robin ties break
-                # exactly as if pick() had run.
-                if out_queue.can_push():
-                    ivc = contenders[0]
-                    arbiter.note_sole_grant(out_port, self._ckey[ivc])
-                    self._transfer(ivc, okey, cycle)
-                    sent_inputs.append(ivc)
-                continue
-            candidates: List[Candidate] = []
-            lock_stalled = False
-            for ivc in contenders:
-                flit = heads[ivc]
-                if holder is not None and holder != flit.src:
-                    lock_stalled = True
-                    continue
-                packet = flit.packet
-                urgency = packet.user.get("urgency", 0) if packet else 0
-                candidates.append(
-                    Candidate(
-                        port=self._ckey[ivc],
-                        priority=flit.priority,
-                        age=input_age[ivc],
-                        urgency=urgency,
-                    )
-                )
-            if lock_stalled:
-                lock_stalled_any = True
-                self.lock_stalls_by_output[out_port] += 1
-            if not candidates or not out_queue.can_push():
-                continue
-            winner = arbiter.pick(out_port, candidates)
-            ivc = self._ckey_to_ivc[winner.port]
-            self._transfer(ivc, okey, cycle)
-            sent_inputs.append(ivc)
-        if lock_stalled_any:
-            # At most one stall cycle per cycle, however many outputs
-            # stalled (the per-output detail is in lock_stalls_by_output).
-            self.lock_stall_cycles += 1
-        if fault_blocked:
-            self.fault_stall_cycles += 1
-
-        # Phase C: age heads that waited.  Only inputs seen busy this
-        # cycle need touching — an input can only drain through our own
-        # transfers, which reset its age, so empty inputs are already 0.
-        for ivc, queue in busy:
-            if ivc in sent_inputs or not queue._committed:
+    def _tick_vc(self, cycle: int, busy: List[tuple]) -> None:
+        """The VC switch: solo branch, else Phases V, B, C.  An input VC
+        holding an allocation skips VC allocation, adaptive scoring and
+        routing entirely: its held grant *is* the decision."""
+        arbiter = self.arbiter
+        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
+        if len(busy) == 1 and sole_grant and self.mode is SwitchingMode.WORMHOLE:
+            # Solo tick (module docstring): Phase V's allocation runs
+            # unchanged for the one busy input VC, and a ready flit then
+            # moves at once; Phases B and C have nothing else to do.
+            ivc, queue = busy[0]
+            input_age = self._input_age
+            okey = self._input_alloc[ivc]
+            if okey is None:
+                stalls: List[Optional[str]] = []
+                okey = self._allocate_vc(ivc, queue._committed[0], stalls)
+                if okey is None:
+                    if stalls:
+                        self._record_stalls(stalls)
+                    input_age[ivc] += 1
+                    return
+            out_queue = self.outputs[okey]
+            capacity = out_queue.capacity
+            if capacity is None or out_queue._occ < capacity:
+                # The VC switch records a grant for every flit.
+                arbiter.note_sole_grant(okey[0], self._ckey[ivc])
+                self._transfer(ivc, okey, cycle)
                 input_age[ivc] = 0
             else:
                 input_age[ivc] += 1
+            return
+        wants = self._allocate_vcs(busy)
+        self._age(busy, self._switch(wants, self._input_head, None, sole_grant, cycle))
 
     # ------------------------------------------------------------------ #
-    # the cycle, multi-VC flavour
+    # the phases
     # ------------------------------------------------------------------ #
-    def _tick_vc(self, cycle: int, busy: List[tuple]) -> None:
-        """VC allocation -> switch allocation -> transfer, for vcs >= 2.
+    def _route_heads(
+        self, busy: List[tuple]
+    ) -> Tuple[Dict[str, List[VcKey]], Dict[VcKey, Flit]]:
+        """Phase A (single-VC): ``wants`` (output port -> asking inputs,
+        in input order) and ``heads`` (the fresh heads among them).  A
+        stream asks to continue when its output has room.  A fresh head
+        waits if its output is down (a fault stall), held, not ready under
+        the switching mode, or locked by another master (a lock stall,
+        counted only for a head that was otherwise ready)."""
+        input_alloc = self._input_alloc
+        output_owner = self._output_owner
+        outputs = self.outputs
+        wormhole = self.mode is SwitchingMode.WORMHOLE
+        dead_ports = self._dead_ports if self._fault_degraded else ()
+        locks = self._output_lock if self.lock_support else None
+        wants: Dict[str, List[VcKey]] = {}
+        heads: Dict[VcKey, Flit] = {}
+        stalls: List[Optional[str]] = []
+        for ivc, queue in busy:
+            okey = input_alloc[ivc]
+            if okey is None:
+                flit = queue._committed[0]
+                if flit.seq != 0:
+                    raise self._framing_error(ivc, flit)
+                okey = (self._route(flit.dest), 0)
+                out_port = okey[0]
+                if out_port in dead_ports:
+                    stalls.append(_DOWNED)
+                    continue  # the head waits for a heal
+                if output_owner[okey] is not None:
+                    continue  # Phase B continues the owner's stream
+                if not (outputs[okey].can_push() if wormhole
+                        else self._head_may_depart(queue, flit, okey)):
+                    continue
+                holder = locks[out_port] if locks is not None else None
+                if holder is not None and holder != flit.src:
+                    stalls.append(out_port)
+                    continue
+                heads[ivc] = flit
+            elif not outputs[okey].can_push():
+                continue
+            if okey[0] in wants:
+                wants[okey[0]].append(ivc)
+            else:
+                wants[okey[0]] = [ivc]
+        if stalls:
+            self._record_stalls(stalls)
+        return wants, heads
 
-        Differences from the single-VC fast path: a head flit must win a
-        free *output VC* (held until its tail passes) before it can
-        compete for the physical channel, and switch allocation sees one
-        candidate per (input port, VC) — so flits of different packets
-        interleave on a physical output, one flit per cycle, which is
-        exactly what defeats head-of-line blocking.
-
-        Body-flit fast path: an input VC holding an allocation skips VC
-        allocation, adaptive scoring and routing entirely (its held
-        grant *is* the decision), and an output port with a single
-        requesting VC skips candidate construction and the arbiter call
-        (the grant is still recorded; see Arbiter.note_sole_grant).
+    def _allocate_vcs(self, busy: List[tuple]) -> Dict[str, List[VcKey]]:
+        """Phase V (VC switch): ``wants`` (physical output -> asking input
+        VCs).  Fresh heads claim their output VC (:meth:`_allocate_vc`) in
+        canonical (port, vc) order, then the switching gate applies.  The
+        lock admission window is one cycle wide: allocation reads the lock
+        state *before* the transfers of the same cycle, so a head
+        VC-allocated in the very cycle a LOCK tail passes counts as having
+        entered the locked path first (tests/test_adaptive_routing.py).
         """
         input_alloc = self._input_alloc
-        input_head = self._input_head
-        input_age = self._input_age
-        output_owner = self._output_owner
-        output_lock = self._output_lock
-        lock_support = self.lock_support
         outputs = self.outputs
-        mode = self.mode
-        wormhole = mode is SwitchingMode.WORMHOLE
-
-        # Phase V: VC allocation.  Head flits at the front of an input VC
-        # with no allocation try to acquire their output VC; grants go in
-        # sorted (port, vc) order, deterministically.  Lock admission
-        # happens *here*: a head from a non-holding master is refused the
-        # output VC while the port is locked — granting it would let the
-        # blocked packet hoard the VC and stall the holder's own UNLOCK
-        # forever.  Once granted, a stream always completes (a packet
-        # admitted before the lock was set behaves as having entered the
-        # locked path first, exactly like the single-VC switch).  The
-        # admission window is one cycle wide: allocation (this phase)
-        # reads the lock state *before* the transfers of the same cycle,
-        # so a head VC-allocated in the very cycle a LOCK tail passes is
-        # treated as having entered the locked path first — deterministic,
-        # and pinned by tests/test_adaptive_routing.py.
-        # Phase A folded in: every allocated input VC with a flit at the
-        # front and room downstream becomes a switch-allocation request.
-        wants: Dict[str, List[VcKey]] = {}  # physical out port -> input VCs
-        lock_stalled_ports: List[str] = []
-        adaptive = self.adaptive_table
-        fault_degraded = self._fault_degraded
-        dead_ports = self._dead_ports
-        fault_blocked = False
-        arbiter = self.arbiter
-        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
-        # Solo tick (module docstring): Phase V runs unchanged for the
-        # one busy input VC — it is shared, not twinned — and a ready
-        # flit then transfers at once; Phases B and C have nothing else
-        # to do.
-        solo = len(busy) == 1 and sole_grant and wormhole
+        wormhole = self.mode is SwitchingMode.WORMHOLE
+        wants: Dict[str, List[VcKey]] = {}
+        stalls: List[Optional[str]] = []
         for ivc, queue in busy:
             flit = queue._committed[0]
-            alloc = input_alloc[ivc]
-            if alloc is None:
-                if flit.seq != 0:
-                    raise RuntimeError(
-                        f"{self.name}:{ivc[0]}:vc{ivc[1]}: body flit {flit!r} "
-                        f"at front with no allocation (framing bug)"
-                    )
-                if adaptive is not None:
-                    cached = self._alloc_fail[ivc]
-                    if (
-                        cached is not None
-                        and cached[0] == self._release_version
-                        and cached[1] is flit
-                    ):
-                        continue  # still blocked: nothing freed since
-                    okey = self._allocate_adaptive(
-                        ivc, flit, lock_stalled_ports
-                    )
-                    if okey is None:
-                        continue  # no admissible candidate; retry next cycle
-                else:
-                    out_port = self._route(flit.dest)
-                    if fault_degraded and out_port in dead_ports:
-                        fault_blocked = True
-                        continue  # downed output: the head waits for a heal
-                    if lock_support:
-                        holder = output_lock[out_port]
-                        if holder is not None and holder != flit.src:
-                            lock_stalled_ports.append(out_port)
-                            continue  # admission refused until UNLOCK passes
-                    okey = (out_port, self._output_vc_for(ivc, out_port))
-                    if output_owner[okey] is not None:
-                        continue  # output VC busy; retry next cycle
-                output_owner[okey] = ivc
-                input_alloc[ivc] = okey
-                input_head[ivc] = flit
-            else:
-                okey = alloc
+            okey = input_alloc[ivc]
+            if okey is None:
+                okey = self._allocate_vc(ivc, flit, stalls)
+                if okey is None:
+                    continue
             if flit.seq == 0 and not wormhole:
-                # Head under SAF/VCT (fresh or retrying): gate on the
-                # switching mode; wormhole heads just need a slot, below.
-                ready = mode.head_may_depart(
-                    flits_buffered=self._flits_of_front_packet(queue, flit),
-                    packet_flits=flit.count,
-                    downstream_free=self._downstream_free(okey),
-                )
+                # Head under SAF/VCT (fresh or retrying).
+                if not self._head_may_depart(queue, flit, okey):
+                    continue
             else:
-                # Streaming (or wormhole-head) request: flit buffered,
-                # room downstream — the held grant is the whole decision.
+                # Streaming (or wormhole-head) request: room downstream.
                 out_queue = outputs[okey]
                 capacity = out_queue.capacity
-                ready = capacity is None or out_queue._occ < capacity
-            if ready:
-                out_port = okey[0]
-                if solo:
-                    # The VC switch records a grant for every flit.
-                    arbiter.note_sole_grant(out_port, self._ckey[ivc])
-                    self._transfer(ivc, okey, cycle)
-                    input_age[ivc] = 0
-                    return
-                if out_port in wants:
-                    wants[out_port].append(ivc)
-                else:
-                    wants[out_port] = [ivc]
-        if lock_stalled_ports:
-            self.lock_stall_cycles += 1
-            for out_port in set(lock_stalled_ports):
-                self.lock_stalls_by_output[out_port] += 1
-        if fault_blocked:
-            self.fault_stall_cycles += 1
-        if solo:
-            input_age[busy[0][0]] += 1
-            return
+                if capacity is not None and out_queue._occ >= capacity:
+                    continue
+            if okey[0] in wants:
+                wants[okey[0]].append(ivc)
+            else:
+                wants[okey[0]] = [ivc]
+        if stalls:
+            self._record_stalls(stalls)
+        return wants
 
-        # Phase B: switch allocation — one flit per physical output and
-        # per physical input port per cycle, QoS-arbitrated across VCs.
-        sent_ivcs: List[VcKey] = []
+    def _switch(
+        self,
+        wants: Dict[str, List[VcKey]],
+        heads: Dict[VcKey, Optional[Flit]],
+        port_okeys: Optional[Dict[str, VcKey]],
+        sole_grant: bool,
+        cycle: int,
+    ) -> List[VcKey]:
+        """Phase B, both switches: at most one flit per physical output
+        and per input port, outputs in canonical order; returns the input
+        (VC)s that sent.  ``heads`` holds the head flit of every request
+        that needs a grant: all of them on the VC switch (``_input_head``;
+        VCs share the channel flit by flit), only fresh heads on the
+        single-VC switch, whose streams hold their port.  A flit leaves
+        by its claimed output VC, or on the single-VC switch by
+        ``port_okeys[port]``.  With ``sole_grant`` a lone contender skips
+        the candidates and the policy call; its grant is still recorded.
+        """
+        arbiter = self.arbiter
+        ckey = self._ckey
+        input_alloc = self._input_alloc
+        input_age = self._input_age
+        sent: List[VcKey] = []
         used_input_ports: set = set()
         for out_port in self._physical_outputs:
             contenders = wants.get(out_port)
             if contenders is None:
                 continue
-            if sole_grant and len(contenders) == 1:
-                ivc = contenders[0]
+            ivc = contenders[0]
+            if len(contenders) == 1 and (sole_grant or ivc not in heads):
                 if ivc[0] in used_input_ports:
                     continue  # input port already sent a flit this cycle
-                arbiter.note_sole_grant(out_port, self._ckey[ivc])
-                self._transfer(ivc, input_alloc[ivc], cycle)
-                sent_ivcs.append(ivc)
-                used_input_ports.add(ivc[0])
-                continue
-            candidates: List[Candidate] = []
-            for ivc in contenders:
-                if ivc[0] in used_input_ports:
-                    continue  # input port already sent a flit this cycle
-                head = input_head[ivc]
-                assert head is not None
-                packet = head.packet
-                urgency = packet.user.get("urgency", 0) if packet else 0
-                candidates.append(
-                    Candidate(
-                        port=self._ckey[ivc],
+                if ivc in heads:
+                    arbiter.note_sole_grant(out_port, ckey[ivc])
+            else:
+                candidates: List[Candidate] = []
+                for ivc in contenders:
+                    if ivc[0] in used_input_ports:
+                        continue
+                    head = heads[ivc]
+                    packet = head.packet
+                    candidates.append(Candidate(
+                        port=ckey[ivc],
                         priority=head.priority,
                         age=input_age[ivc],
-                        urgency=urgency,
-                    )
-                )
-            if not candidates:
-                continue
-            winner = arbiter.pick(out_port, candidates)
-            ivc = self._ckey_to_ivc[winner.port]
-            self._transfer(ivc, input_alloc[ivc], cycle)
-            sent_ivcs.append(ivc)
+                        urgency=packet.user.get("urgency", 0) if packet else 0,
+                    ))
+                if not candidates:
+                    continue
+                ivc = self._ckey_to_ivc[arbiter.pick(out_port, candidates).port]
+            # (a single-VC head claims its output by this very transfer)
+            okey = input_alloc[ivc] if port_okeys is None else port_okeys[out_port]
+            self._transfer(ivc, okey, cycle)
+            sent.append(ivc)
             used_input_ports.add(ivc[0])
+        return sent
 
-        # Phase C: age input VCs that waited with flits buffered.  Only
-        # the VCs seen non-empty in the busy scan need touching: an input
-        # can only drain through our own transfers (committed items grow
-        # at the kernel's post-tick commit), so an empty input's age is
-        # already 0 — either it was empty last cycle too, or its last
-        # flit left via a transfer that reset the age below.
+    def _age(self, busy: List[tuple], sent: List[VcKey]) -> None:
+        """Phase C, both switches: an input (VC) that sent resets its
+        age, one that waited with flits buffered ages by one.  Only the
+        inputs of the busy scan need touching: an input drains only
+        through our own transfers (committed items grow at the kernel's
+        post-tick commit), so an empty input's age is already 0."""
+        input_age = self._input_age
         for ivc, _queue in busy:
-            if ivc in sent_ivcs:
+            if ivc in sent:
                 input_age[ivc] = 0
             else:
                 input_age[ivc] += 1

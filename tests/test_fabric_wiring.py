@@ -11,7 +11,7 @@ import pytest
 
 from repro.bus.system import build_bus_soc
 from repro.ip.traffic import TrafficSpec
-from repro.sim.fingerprint import reset_ids
+from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.sim.kernel import Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
@@ -201,6 +201,35 @@ def test_registration_order_is_pinned(monkeypatch):
         reset_ids()
         digest = registration_digest(build().sim)
         assert digest == PINNED_REGISTRATION_ORDER[name], name
+
+
+#: ``fingerprint_hash`` of ``fingerprint_soc`` after the first 500
+#: cycles of every single-process e2e workload's SoC at seed 1105 (the
+#: sharded one runs in worker processes) — taken before the router's two
+#: ticks were split into named phases.  A window this short stays well
+#: under a second; the e2e bench checks the full windows.
+PINNED_WINDOW_FINGERPRINTS = {
+    "dma_completion": "51466a6976f0eee0",
+    "gals_links": "9681546a070ca89f",
+    "mixed_saturated": "b6b86f26f89e672b",
+    "mixed_sparse": "742b621aa2a41b2c",
+    "sweep_fork4": "b6b86f26f89e672b",
+    "torus_hotspot": "1f1f9f1172709ad9",
+}
+
+
+def test_short_windows_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(E2E))
+    import workloads
+
+    single_process = sorted(set(workloads.WORKLOADS) - {"sharded_torus_2p"})
+    assert single_process == sorted(PINNED_WINDOW_FINGERPRINTS)
+    for name in single_process:
+        reset_ids()
+        soc = workloads.WORKLOADS[name]().builder(1105).build()
+        soc.run(500)
+        digest = workloads.fingerprint_hash(fingerprint_soc(soc))
+        assert digest == PINNED_WINDOW_FINGERPRINTS[name], name
 
 
 # --------------------------------------------------------------------- #

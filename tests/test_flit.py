@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.packet import NocPacket, PacketFormat, PacketKind
+from repro.core.packet import NocPacket, PacketFormat, PacketKind, UserBit
 from repro.core.transaction import BEAT_WIDTHS, Opcode
 from repro.transport.flit import (
     Flit,
@@ -10,7 +10,6 @@ from repro.transport.flit import (
     Reassembler,
     ReassemblyError,
     flit_count,
-    flits_for_packet,
 )
 
 
@@ -38,35 +37,40 @@ def write_request(beats=4, beat_bytes=4):
     )
 
 
+def flits(packet, flit_payload_bits, packet_format=None):
+    return len(Packetizer(flit_payload_bits, packet_format).segment(packet))
+
+
 class TestFlitCount:
     def test_read_request_is_single_flit(self):
-        assert flits_for_packet(read_request(beats=16), 128) == 1
+        assert flits(read_request(beats=16), 128) == 1
 
     def test_write_payload_adds_flits(self):
         # 4 beats x 32 bits = 128 bits = 1 body flit
-        assert flits_for_packet(write_request(beats=4), 128) == 2
+        assert flits(write_request(beats=4), 128) == 2
         # 8 beats x 32 bits = 256 bits = 2 body flits
-        assert flits_for_packet(write_request(beats=8), 128) == 3
+        assert flits(write_request(beats=8), 128) == 3
 
     def test_narrow_flits_cost_more(self):
-        wide = flits_for_packet(write_request(beats=8), 256, header_bits=64)
-        narrow = flits_for_packet(write_request(beats=8), 64, header_bits=64)
-        assert narrow > wide
+        # both under the default 64-bit header
+        assert flits(write_request(beats=8), 64) > flits(write_request(beats=8), 256)
 
     def test_header_must_fit_flit(self):
+        wide = PacketFormat(user_bits=[UserBit("u", 33)])  # 100-bit header
+        assert wide.header_bits() == 100
         with pytest.raises(ValueError):
-            flits_for_packet(read_request(), 64, header_bits=100)
+            Packetizer(64, wide)
 
     def test_tiny_flit_rejected(self):
         with pytest.raises(ValueError):
-            flits_for_packet(read_request(), 4)
+            Packetizer(4)
 
     @pytest.mark.parametrize("flit_payload_bits", [64, 72, 128, 256])
     def test_packetizer_count_is_flits_for_packet(self, flit_payload_bits):
-        """The packetizer counts with the widths its constructor checked,
-        by the one formula ``Network.inject`` sizes SAF/VCT packets with:
-        equal to ``flits_for_packet`` for every kind, opcode, beat count
-        and beat width."""
+        """The packetizer segments with the widths its constructor
+        checked, into ``flit_count`` flits — the one formula
+        ``Network.inject`` sizes SAF/VCT packets with — for every kind,
+        opcode, beat count and beat width."""
         packetizer = Packetizer(flit_payload_bits)
         for kind in PacketKind:
             for opcode in Opcode:
@@ -76,7 +80,7 @@ class TestFlitCount:
                             kind=kind, opcode=opcode, slv_addr=1, mst_addr=0,
                             tag=0, beats=beats, beat_bytes=beat_bytes,
                         )
-                        count = flits_for_packet(packet, flit_payload_bits)
+                        count = len(packetizer.segment(packet))
                         assert flit_count(packet, flit_payload_bits) == count
                         assert len(packetizer.segment(packet)) == count
 
@@ -124,7 +128,7 @@ class TestPacketizer:
         flit must still equal, field for field, one built by reading the
         packet's properties per flit (the pre-hoist construction)."""
         flits = Packetizer(128).segment(packet, vc=1)
-        count = flits_for_packet(packet, 128)
+        count = flit_count(packet, 128)
         assert flits == [
             Flit(
                 packet_id=flits[0].packet_id,

@@ -1,6 +1,8 @@
 """Router and network integration tests (transport layer behaviour)."""
 
 import copy
+import hashlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
+from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 from repro.transport import topology as topo
 from repro.transport.flit import Packetizer
 from repro.transport.network import Fabric, Network
-from repro.transport.qos import PriorityArbiter
+from repro.transport.qos import PriorityArbiter, make_arbiter
 from repro.transport.router import Router
 from repro.transport.routing import (
     DatelineVcPolicy,
@@ -305,11 +308,17 @@ _OUT_PORTS = 5  # four neighbours + the ejection port
 _OPCODES = (Opcode.LOAD, Opcode.STORE, Opcode.LOCK, Opcode.UNLOCK)
 
 
-def _standalone_router(flavour, capacities, trace_on, fast):
+def _standalone_router(
+    flavour, capacities, trace_on, fast,
+    mode=SwitchingMode.WORMHOLE, arbiter="priority",
+):
     """The centre router of a 3x3 torus, wired as Network wires it, but
     to free-standing queues the test feeds and drains itself."""
     sim = Simulator(trace=Tracer(enabled=trace_on))
-    router = Router("r", _CENTRE, buffer_capacity=4, **_FLAVOURS[flavour])
+    router = Router(
+        "r", _CENTRE, buffer_capacity=4, mode=mode,
+        arbiter=make_arbiter(arbiter), **_FLAVOURS[flavour],
+    )
     vcs = router.vcs
     router.stream_fast_path = fast  # after construction, as the SoC tests do
     (endpoint,) = _TORUS.endpoints_at(_CENTRE)
@@ -374,7 +383,19 @@ def _router_schedules(draw, vcs):
     return packets, cycles, capacities, fault
 
 
-def _drive_twins(flavour, schedule, trace_on):
+def _stable_repr(router, outputs):
+    """The compared state as text that reads the same in any process:
+    the one set sorted, the shared routing table by presence only."""
+    state = dict(router.snapshot()["state"])
+    state["_dead_ports"] = sorted(state["_dead_ports"])
+    state["adaptive_table"] = state["adaptive_table"] is not None
+    return repr([state, [list(q) for q in outputs]])
+
+
+def _drive_twins(flavour, schedule, trace_on, digest=None, **knobs):
+    """Run the fast and the reference twin through ``schedule`` and
+    compare them after every cycle; ``digest`` (a hashlib object), when
+    given, also takes the compared state of every cycle and the trace."""
     packets, cycles, capacities, fault = schedule
     vcs = _FLAVOURS[flavour].get("vcs", 1)
     epochs = {}
@@ -384,7 +405,7 @@ def _drive_twins(flavour, schedule, trace_on):
         epochs[down] = (frozenset([dead]), True)
         epochs[down + length] = (frozenset(), False)
     twins = [
-        _standalone_router(flavour, capacities, trace_on, fast)
+        _standalone_router(flavour, capacities, trace_on, fast, **knobs)
         for fast in (True, False)
     ]
     pending = [[] for _ in range(_IN_PORTS * vcs)]
@@ -410,7 +431,11 @@ def _drive_twins(flavour, schedule, trace_on):
         (_, fast, _, fast_out), (_, slow, _, slow_out) = twins
         assert fast.snapshot() == slow.snapshot(), f"cycle {cycle}"
         assert [list(q) for q in fast_out] == [list(q) for q in slow_out]
+        if digest is not None:
+            digest.update(_stable_repr(fast, fast_out).encode())
     assert twins[0][0].trace.dump() == twins[1][0].trace.dump()
+    if digest is not None:
+        digest.update(twins[0][0].trace.dump().encode())
     return twins[0][1], twins[1][1]
 
 
@@ -485,3 +510,71 @@ class TestSoloTickMatchesReference:
             "route", list(detail.items())
         )
         assert lock_set.kind == "lock_set"
+
+
+# ---------------------------------------------------------------------- #
+# pinned: what the twin differential cannot see
+# ---------------------------------------------------------------------- #
+def _pinned_schedule(seed, vcs):
+    """A fixed schedule that keeps several inputs busy at once (so both
+    twins take the general path), locks ports and unlocks them again,
+    and downs one output for a stretch."""
+    rng = random.Random(seed)
+    n_in, n_out = _IN_PORTS * vcs, _OUT_PORTS * vcs
+    packets = []
+    for _ in range(30):
+        index, dest, src = rng.randrange(n_in), rng.randrange(9), rng.randrange(3)
+        opcode = rng.choice(_OPCODES[:2] * 4 + _OPCODES[2:3])
+        packets.append((index, dest, opcode, rng.randint(1, 6), src, rng.randrange(2)))
+        if opcode is Opcode.LOCK:  # its UNLOCK follows on the same input
+            packets.append((index, dest, Opcode.UNLOCK, 1, src, 0))
+    cycles = [(rng.getrandbits(n_in), rng.getrandbits(n_out)) for _ in range(70)]
+    capacities = [rng.randint(1, 4) for _ in range(3)]
+    fault = (rng.randint(5, 20), rng.randint(10, 30), rng.randrange(len(packets)))
+    return packets, cycles, capacities, fault
+
+
+#: sha256 (first 16 hex digits) of the per-cycle state the differential
+#: compares — router snapshot and output queues — plus the trace, for
+#: every switch flavour and switching mode under the priority (default)
+#: and age arbiters, taken before the two ticks were split into named
+#: phases.
+PINNED_ROUTER_DIGESTS = {
+    "adaptive-escape/STORE_AND_FORWARD/age": "ac5716da7513bbb3",
+    "adaptive-escape/STORE_AND_FORWARD/priority": "72244dc411f5f548",
+    "adaptive-escape/VIRTUAL_CUT_THROUGH/age": "d3fb114eebbd3116",
+    "adaptive-escape/VIRTUAL_CUT_THROUGH/priority": "b0d8af5d4f3ae7f1",
+    "adaptive-escape/WORMHOLE/age": "27667ea11b9df638",
+    "adaptive-escape/WORMHOLE/priority": "c4abf787dbea27b2",
+    "dateline/STORE_AND_FORWARD/age": "01df86b56a6ec646",
+    "dateline/STORE_AND_FORWARD/priority": "25bbf28055c21542",
+    "dateline/VIRTUAL_CUT_THROUGH/age": "53ef4c8be0ac832e",
+    "dateline/VIRTUAL_CUT_THROUGH/priority": "2840c391ebf78d35",
+    "dateline/WORMHOLE/age": "960ff2ff62543438",
+    "dateline/WORMHOLE/priority": "22a074a1dd706f26",
+    "single-vc/STORE_AND_FORWARD/age": "c5e6c642dfb7e8df",
+    "single-vc/STORE_AND_FORWARD/priority": "8aed6d336376cf48",
+    "single-vc/VIRTUAL_CUT_THROUGH/age": "0b0dd390b5c9e406",
+    "single-vc/VIRTUAL_CUT_THROUGH/priority": "50fc2cfa1d2db601",
+    "single-vc/WORMHOLE/age": "587e857f531a85e3",
+    "single-vc/WORMHOLE/priority": "af793d15b759051c",
+}
+
+
+class TestPinnedRouterState:
+    """``TestSoloTickMatchesReference`` is relative: with two or more
+    busy inputs, under SAF/VCT and on a degraded single-VC plane both
+    twins run the same general path, so a change to it moves both.
+    These digests pin that path itself."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_ROUTER_DIGESTS))
+    def test_general_path_is_pinned(self, case):
+        flavour, mode, arbiter = case.split("/")
+        vcs = _FLAVOURS[flavour].get("vcs", 1)
+        digest = hashlib.sha256()
+        reset_ids()
+        _drive_twins(
+            flavour, _pinned_schedule(1105, vcs), trace_on=True, digest=digest,
+            mode=SwitchingMode[mode], arbiter=arbiter,
+        )
+        assert digest.hexdigest()[:16] == PINNED_ROUTER_DIGESTS[case]
