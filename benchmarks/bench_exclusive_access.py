@@ -12,7 +12,8 @@ untouched — which is why OCP/AXI introduced these transactions.
 import pytest
 
 from repro.core.transaction import make_read
-from repro.ip import TrafficSpec
+from repro.ip import TrafficSpec, WorkloadStallError
+from repro.niu import TargetNiu
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
 
@@ -118,28 +119,43 @@ def test_e3_exclusive_scales_with_contention(benchmark, heading):
     benchmark(lambda: run("lock"))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP E3c defect: TargetNiu's park-aside for lock-blocked "
-    "requests removed the head-of-line block, so NIU-only LOCK now "
-    "completes instead of deadlocking",
-)
-def test_e3_ablation_lock_implementation(benchmark, heading):
+def naive_accept_requests(niu, cycle):
+    """The target NIU's request FIFO as the paper's §3 argument has it:
+    serve the head packet or block on it.  ``TargetNiu`` parks a
+    lock-blocked head aside instead, which is a transport-free fix of
+    its own; the ablation swaps this in for that, here and nowhere
+    else."""
+    queue = niu._req_packets
+    if not queue:
+        return
+    packet = queue.peek()
+    if niu.locks is not None and not niu.locks.may_proceed(packet.mst_addr):
+        niu.locks.note_blocked()
+        niu.lock_blocked_cycles += 1
+        return
+    if niu._serve_packet(packet, cycle):
+        queue.pop()
+
+
+def test_e3_ablation_lock_implementation(benchmark, heading, monkeypatch):
     """E3c ablation: where should LOCK semantics live?
 
     (a) transport-level port locking (the Arteris choice — "switches take
         specific decisions when they see LOCK-related packets", §3), vs
     (b) NIU-only serialization (the target NIU's lock manager alone).
 
-    The ablation *demonstrates why the paper is right that LOCK must
-    impact the transport level*: with NIU-only locking, a contender's
-    stalled READEX sits at the head of the target's single request FIFO
-    and head-of-line-blocks the lock **holder's** own release write
-    queued behind it — classic deadlock.  Transport-level locking avoids
-    it because a switch's per-input arbitration lets the holder's
-    packets overtake the stalled contender on a different input port.
+    Both arms run against the naive target request FIFO (one queue,
+    served head first, no park-aside).  The ablation *demonstrates why
+    the paper is right that LOCK must impact the transport level*: with
+    NIU-only locking, a contender's stalled READEX sits at the head of
+    the target's single request FIFO and head-of-line-blocks the lock
+    **holder's** own release write queued behind it — classic deadlock.
+    Transport-level locking avoids it because a switch's per-input
+    arbitration lets the holder's packets overtake the stalled contender
+    on a different input port.
     """
     heading("E3c: ablation — transport-level LOCK vs NIU-only serialization")
+    monkeypatch.setattr(TargetNiu, "_accept_requests", naive_accept_requests)
     # (a) transport + NIU: completes.
     soc = sync_soc("lock", transport_lock_support=None)
     cycles = soc.run_to_completion(max_cycles=500_000)
@@ -151,10 +167,8 @@ def test_e3_ablation_lock_implementation(benchmark, heading):
     assert sections == 12
 
     # (b) NIU-only: deadlocks under contention (bounded run raises).
-    from repro.sim.kernel import SimulationError
-
     soc2 = sync_soc("lock", transport_lock_support=False)
-    with pytest.raises(SimulationError):
+    with pytest.raises(WorkloadStallError):
         soc2.run_to_completion(max_cycles=30_000)
     holder = soc2.target_nius["sema"].locks.holder
     blocked = soc2.target_nius["sema"].lock_blocked_cycles

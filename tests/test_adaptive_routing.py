@@ -11,10 +11,10 @@ lock-admission window at VC allocation (ROADMAP open item).
 
 import pytest
 
+from differential import run
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
 from repro.ip import TrafficSpec
-from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import SimulationError, Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.transport import topology as topo
@@ -462,39 +462,6 @@ class TestAdaptiveLockSoc:
 # ---------------------------------------------------------------------- #
 # adaptive vs DOR + dateline on a hotspot SoC
 # ---------------------------------------------------------------------- #
-def hotspot_soc(routing, strict=None):
-    """4x4 torus: six masters hammer one slow target ("hot", long
-    latencies and a one-deep outstanding window, so its backpressure
-    tree reaches deep into the fabric); six more stream to three fast
-    background targets whose DOR paths share links with that tree.
-    ``strict`` selects the kernel as ``SocBuilder(strict_kernel=)``."""
-    reset_ids()
-    hot_range = [(0, 0x2000)]
-    bg_ranges = [(0x2000, 0x2000), (0x4000, 0x2000), (0x6000, 0x2000)]
-    if routing == "adaptive":
-        fabric = dict(routing="adaptive", vcs=3, vc_policy="escape")
-    else:
-        fabric = dict(routing="dor", vcs=2, vc_policy="dateline")
-    builder = SocBuilder(topology=topo.torus(4, 4, endpoints=16),
-                         strict_kernel=strict, **fabric)
-    for index in range(12):
-        hot = index % 2 == 0
-        builder.add_initiator(InitiatorSpec(
-            f"ip{index}", "AXI",
-            TrafficSpec(kind="poisson", pairs=hot_range if hot else bg_ranges,
-                        count=100_000, seed=20 + index,
-                        rate=0.9 if hot else 0.7, tags=4,
-                        burst_beats=(4, 8)),
-            protocol_kwargs={"id_count": 4},
-        ))
-    builder.add_target(TargetSpec("hot", size=0x2000, read_latency=14,
-                                  write_latency=7, max_outstanding=1))
-    for name in ("bg0", "bg1", "bg2"):
-        builder.add_target(TargetSpec(name, size=0x2000, read_latency=2,
-                                      write_latency=1))
-    return builder.build()
-
-
 class TestAdaptiveHotspotSoc:
     def test_adaptive_carries_more_flits_than_dor(self):
         """Identical traffic, same 1,500-cycle window: under adaptive
@@ -503,10 +470,11 @@ class TestAdaptiveHotspotSoc:
         counts are simulated, so the comparison is exact."""
         flits = {}
         for routing in ("adaptive", "dor"):
-            soc = hotspot_soc(routing)
-            soc.run(1_500)
-            assert soc.ordering_violations() == 0
-            flits[routing] = soc.fabric.total_flits_forwarded()
+            result = run(f"{routing}-hotspot", 1_500)
+            assert result.ordering_violations == 0
+            flits[routing] = sum(
+                router[0] for router in result.fingerprint["routers"].values()
+            )
         assert flits["adaptive"] > flits["dor"]
 
 

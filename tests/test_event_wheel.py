@@ -16,17 +16,7 @@ from repro.sim.component import Component
 from repro.sim.kernel import PARK_HORIZON, Simulator, TimingWheel
 from repro.phys.clocking import ClockDomain
 
-from test_kernel_determinism import _fresh_global_ids  # noqa: F401
-from test_kernel_determinism import (
-    build_adaptive_gals_soc,
-    build_faulted_adaptive_gals_soc,
-    build_gals_soc,
-    build_lock_soc,
-    build_mixed_soc,
-    build_vc_gals_soc,
-    build_vc_torus_soc,
-    fingerprint,
-)
+from differential import WINDOWS, assert_same, build, run
 
 
 class PulseSource(Component):
@@ -258,26 +248,19 @@ class TestSkippingMatchesStrictOnSocs:
     VC / adaptive SoCs — and that drained SoCs skip to the horizon."""
 
     @pytest.mark.parametrize(
-        "build, cycles",
-        [
-            (build_gals_soc, 5000),
-            (build_vc_gals_soc, 5000),
-            (build_adaptive_gals_soc, 5000),
-        ],
+        "recipe",
+        ["gals-serialized-links", "vc-dateline-gals", "adaptive-escape-gals"],
         ids=["gals", "vc-dateline-gals", "adaptive-escape-gals"],
     )
-    def test_skipping_engages(self, build, cycles):
-        soc = build(strict=False)
-        soc.run(cycles)
-        assert soc.sim.cycles_skipped > 0
+    def test_skipping_engages(self, recipe):
+        assert run(recipe, WINDOWS[recipe]).cycles_skipped > 0
 
     def test_strict_kernel_never_skips(self):
-        soc = build_gals_soc(strict=True)
-        soc.run(5000)
-        assert soc.sim.cycles_skipped == 0
+        recipe = "gals-serialized-links"
+        assert run(recipe, WINDOWS[recipe], "strict").cycles_skipped == 0
 
     def test_drained_soc_skips_nearly_everything(self):
-        soc = build_mixed_soc(strict=False)
+        soc = build("mixed-protocols")
         soc.run_to_completion()
         drained_at = soc.sim.cycle
         soc.run(50_000)
@@ -297,7 +280,7 @@ class TestFaultEdgesAndSkipping:
         # The faulted GALS SoC's traffic drains well before cycle 400,
         # so both fault edges (down 400, up 900) sit inside windows the
         # wheel would otherwise skip straight over.
-        soc = build_faulted_adaptive_gals_soc(strict=False)
+        soc = build("faulted-adaptive-gals")
         soc.run(5000)
         injector = soc.fabric.request_plane.fault_injector
         assert injector is not None
@@ -309,7 +292,7 @@ class TestFaultEdgesAndSkipping:
         assert soc.sim.cycles_skipped > 0
 
     def test_faulted_soc_completes_through_both_edges(self):
-        soc = build_faulted_adaptive_gals_soc(strict=False)
+        soc = build("faulted-adaptive-gals")
         soc.run_to_completion(max_cycles=400_000)
         assert all(m.finished() for m in soc.masters.values())
         assert soc.ordering_violations() == 0
@@ -318,13 +301,6 @@ class TestFaultEdgesAndSkipping:
             (400, True),
             (900, False),
         ]
-
-
-def _disable_fast_path(soc):
-    for plane in soc.fabric._planes:
-        for router in plane.routers.values():
-            router.stream_fast_path = False
-    return soc
 
 
 class TestBodyFlitFastPath:
@@ -336,31 +312,27 @@ class TestBodyFlitFastPath:
     construction, so the router must read it in the tick."""
 
     @pytest.mark.parametrize(
-        "build, cycles",
+        "recipe",
         [
-            (build_mixed_soc, 4000),
-            (build_vc_gals_soc, 5000),
-            (build_adaptive_gals_soc, 5000),
+            "mixed-protocols", "vc-dateline-gals", "adaptive-escape-gals",
             # LOCK / READEX ... UNLOCK: single-flit packets, head and
             # tail at once, that set and clear port locks.
-            (build_lock_soc, 3000),
-            (build_vc_torus_soc, 1000),
+            "legacy-lock",
+            "vc-torus-saturated",
             # A degraded plane: dead ports and swapped tables mid-run.
-            (build_faulted_adaptive_gals_soc, 5000),
+            "faulted-adaptive-gals",
         ],
         ids=[
             "single-vc", "vc-dateline-gals", "adaptive-escape-gals",
             "legacy-lock", "vc-torus-saturated", "faulted-adaptive-gals",
         ],
     )
-    def test_fast_path_matches_slow_path(self, build, cycles):
-        fast = fingerprint(build(strict=False), cycles)
-        slow = fingerprint(_disable_fast_path(build(strict=False)), cycles)
-        for key in fast:
-            assert fast[key] == slow[key], f"{key} diverged"
+    def test_fast_path_matches_slow_path(self, recipe):
+        cycles = WINDOWS[recipe]
+        assert_same(run(recipe, cycles, fast_path=False), run(recipe, cycles))
 
     def test_fast_path_is_on_by_default(self):
-        soc = build_mixed_soc(strict=False)
+        soc = build("mixed-protocols")
         routers = [
             r
             for plane in soc.fabric._planes

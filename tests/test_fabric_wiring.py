@@ -5,13 +5,13 @@ components and queues registered in a pinned order."""
 import hashlib
 import json
 import random
-from pathlib import Path
 
 import pytest
 
+from differential import E2E_SOCS, PINNED, e2e, run
 from repro.bus.system import build_bus_soc
 from repro.ip.traffic import TrafficSpec
-from repro.sim.fingerprint import fingerprint_soc, reset_ids
+from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
@@ -31,9 +31,6 @@ from repro.workloads.scenarios import (
     dma_chain,
     stream_pipeline,
 )
-
-E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
-
 
 # --------------------------------------------------------------------- #
 # canonical port order, whatever order the ports are added in
@@ -131,14 +128,11 @@ def port_order_digest(soc):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def test_e2e_workload_port_order_is_pinned(monkeypatch):
-    monkeypatch.syspath_prepend(str(E2E))
-    import workloads
-
-    assert sorted(workloads.WORKLOADS) == sorted(PINNED_PORT_ORDER)
+def test_e2e_workload_port_order_is_pinned():
+    assert sorted(e2e.WORKLOADS) == sorted(PINNED_PORT_ORDER)
     for name, digest in PINNED_PORT_ORDER.items():
         reset_ids()
-        soc = workloads.WORKLOADS[name]().builder(1105).build()
+        soc = e2e.WORKLOADS[name]().builder(1105).build()
         assert port_order_digest(soc) == digest, name
 
 
@@ -174,28 +168,25 @@ def registration_digest(sim):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def registration_builds(workloads):
+def registration_builds():
     """``{label: build()}`` for every SoC whose order is pinned."""
     builds = {
         name: (lambda workload=workload: workload().builder(1105).build())
-        for name, workload in workloads.WORKLOADS.items()
+        for name, workload in e2e.WORKLOADS.items()
     }
     for scenario in (collective_allreduce, dma_chain, stream_pipeline):
         builds[scenario.__name__.rsplit(".", 1)[1]] = scenario.build
 
     def bus():
-        specs = workloads.WORKLOADS["mixed_saturated"]().builder(1105)
+        specs = e2e.WORKLOADS["mixed_saturated"]().builder(1105)
         return build_bus_soc(specs.initiators, specs.targets)
 
     builds["bus_mixed_saturated"] = bus
     return builds
 
 
-def test_registration_order_is_pinned(monkeypatch):
-    monkeypatch.syspath_prepend(str(E2E))
-    import workloads
-
-    builds = registration_builds(workloads)
+def test_registration_order_is_pinned():
+    builds = registration_builds()
     assert sorted(builds) == sorted(PINNED_REGISTRATION_ORDER)
     for name, build in builds.items():
         reset_ids()
@@ -203,33 +194,14 @@ def test_registration_order_is_pinned(monkeypatch):
         assert digest == PINNED_REGISTRATION_ORDER[name], name
 
 
-#: ``fingerprint_hash`` of ``fingerprint_soc`` after the first 500
-#: cycles of every single-process e2e workload's SoC at seed 1105 (the
-#: sharded one runs in worker processes) — taken before the router's two
-#: ticks were split into named phases.  A window this short stays well
-#: under a second; the e2e bench checks the full windows.
-PINNED_WINDOW_FINGERPRINTS = {
-    "dma_completion": "51466a6976f0eee0",
-    "gals_links": "9681546a070ca89f",
-    "mixed_saturated": "b6b86f26f89e672b",
-    "mixed_sparse": "742b621aa2a41b2c",
-    "sweep_fork4": "b6b86f26f89e672b",
-    "torus_hotspot": "1f1f9f1172709ad9",
-}
-
-
-def test_short_windows_are_pinned(monkeypatch):
-    monkeypatch.syspath_prepend(str(E2E))
-    import workloads
-
-    single_process = sorted(set(workloads.WORKLOADS) - {"sharded_torus_2p"})
-    assert single_process == sorted(PINNED_WINDOW_FINGERPRINTS)
-    for name in single_process:
-        reset_ids()
-        soc = workloads.WORKLOADS[name]().builder(1105).build()
-        soc.run(500)
-        digest = workloads.fingerprint_hash(fingerprint_soc(soc))
-        assert digest == PINNED_WINDOW_FINGERPRINTS[name], name
+def test_short_windows_are_pinned():
+    """The first 500 cycles of every single-process e2e workload's SoC
+    at seed 1105 (the sharded one runs in worker processes) match their
+    row of the harness's digest table.  A window this short stays well
+    under a second; the e2e bench checks the full windows."""
+    assert sorted(E2E_SOCS) == sorted(n for n, cycles in PINNED if cycles == 500)
+    for name in E2E_SOCS:
+        assert run(name, 500).digest == PINNED[(name, 500)], name
 
 
 # --------------------------------------------------------------------- #

@@ -5,10 +5,10 @@ allocates a 760-byte block up front), and a checkpoint restores each one
 in place."""
 
 from collections import deque
-from pathlib import Path
 
 import pytest
 
+from differential import e2e as workloads
 from repro.ip.slaves import MemoryDevice
 from repro.ip.traffic import TrafficSpec
 from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink
@@ -20,8 +20,6 @@ from repro.sweep import Checkpoint
 from repro.transport import topology as topo
 from repro.transport.flow_control import CreditCounter
 
-E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
-
 #: The FIFOs on the stepping path, by owner class.
 FIFOS = {
     SimQueue: ("_committed",),
@@ -30,14 +28,6 @@ FIFOS = {
     VcPhysicalLink: ("_pipe", "_crossing"),
     MemoryDevice: ("_pipeline",),
 }
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(E2E))
-    import workloads
-
-    return workloads
 
 
 def owned_objects(soc):
@@ -83,7 +73,7 @@ def fifo_lists(soc):
     return fifos
 
 
-def test_no_deque_in_any_e2e_soc(workloads):
+def test_no_deque_in_any_e2e_soc():
     assert len(workloads.WORKLOADS) == 7
     for name, workload in sorted(workloads.WORKLOADS.items()):
         reset_ids()
@@ -128,9 +118,7 @@ def vc_torus_soc():
     ("vc_torus", {"SimQueue", "CreditCounter", "VcPhysicalLink", "MemoryDevice"}),
     ("gals_links", {"SimQueue", "PhysicalLink", "MemoryDevice"}),
 ])
-def test_restore_into_the_same_soc_refills_each_fifo_in_place(
-    which, owners, workloads
-):
+def test_restore_into_the_same_soc_refills_each_fifo_in_place(which, owners):
     if which == "vc_torus":
         soc = vc_torus_soc()
     else:

@@ -18,8 +18,7 @@ from repro.niu.tag_policy import TagPolicy
 from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
-from test_kernel_determinism import _fresh_global_ids  # noqa: F401
-from test_kernel_determinism import build_saturated_mixed_soc
+from differential import build as build_recipe
 
 
 def build(protocol, intents, protocol_kwargs=None, targets=2, policy=None):
@@ -253,7 +252,7 @@ class TestRefusalMemo:
             return real_admit(policy, txn, slv_addr, table)
 
         monkeypatch.setattr(TagPolicy, "admit", counted_admit)
-        soc = build_saturated_mixed_soc(strict=False)
+        soc = build_recipe("saturated-mixed")
         soc.run(2000)
         memoised = len(admits)
         nius = soc.initiator_nius
@@ -265,7 +264,7 @@ class TestRefusalMemo:
         # asked on (nearly) every attempt again, and nothing observable
         # moves — stall_cycles still counts every stalled tick.
         del admits[:]
-        defeated = build_saturated_mixed_soc(strict=False)
+        defeated = build_recipe("saturated-mixed")
         for _ in range(2000):
             for niu in defeated.initiator_nius.values():
                 niu._refused_txn = None

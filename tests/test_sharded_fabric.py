@@ -13,8 +13,6 @@ import json
 
 import pytest
 
-import repro.core.transaction as txn_mod
-import repro.transport.flit as flit_mod
 from repro.ip import TrafficSpec
 from repro.sim.shard import ShardConfigError, ShardPlan, plan_shards
 from repro.soc import (
@@ -26,15 +24,6 @@ from repro.soc import (
 )
 from repro.sweep.parallel import run_sharded
 from repro.transport import topology as topo
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_ids():
-    """Shard workers and reference runs reset the process-global id
-    counters; restore them so other tests stay byte-comparable."""
-    txn_ids, packet_ids = txn_mod._txn_ids, flit_mod._flit_packet_ids
-    yield
-    txn_mod._txn_ids, flit_mod._flit_packet_ids = txn_ids, packet_ids
 
 
 def canonical(fingerprint) -> str:

@@ -16,10 +16,9 @@ import struct
 import pytest
 
 import repro.sweep.checkpoint as checkpoint_module
-import test_kernel_determinism as tkd
+from differential import KERNELS, assert_same, build, observe, run
 from repro.ip import TrafficSeedError, TrafficSpec
 from repro.sim.component import Component
-from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.snapshot import (
     SerialCounter,
     SnapshotError,
@@ -30,61 +29,29 @@ from repro.sim.snapshot import (
 from repro.soc import FaultSchedule
 from repro.sweep import Checkpoint, CheckpointFormatError, Override, fork
 from repro.sweep.fork import run_cold
-from repro.transport import topology as topo
-
-# Reuse the determinism suite's autouse id-counter isolation.
-_fresh_global_ids = tkd._fresh_global_ids
 
 
-def _roundtrip(build, total, at, strict=False, probe=None, same_soc=False):
-    """Uninterrupted run vs checkpoint-at-``at`` + restore + continue.
-
-    ``probe(soc)`` returns a tuple of state the cut is meant to catch
-    mid-flight: every element must be truthy on the donor at the cut,
-    and the restored SoC must read the same.  ``same_soc`` restores into
-    the donor itself (after it ran on) instead of a congruent rebuild.
-    """
-    soc = build(strict=strict)
-    soc.run(total)
-    reference = fingerprint_soc(soc)
-
-    donor = build(strict=strict)
-    donor.run(at)
-    checkpoint = Checkpoint.capture(donor)
-    assert checkpoint.cycle == at
-    at_cut = probe(donor) if probe is not None else None
-    donor.run(97)  # mutate the donor afterwards: the checkpoint is detached
-
-    resumed = donor if same_soc else build(strict=strict)
-    checkpoint.restore_into(resumed)
-    assert resumed.sim.cycle == at
-    if probe is not None:
-        assert all(at_cut) and probe(resumed) == at_cut
-    resumed.run(total - at)
-    restored = fingerprint_soc(resumed)
-    for key in reference:
-        assert restored[key] == reference[key], f"{key} diverged"
-    return checkpoint
-
-
-@pytest.mark.parametrize("strict", [False, True], ids=["activity", "strict"])
-def test_mid_wormhole_roundtrip(strict):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mid_wormhole_roundtrip(kernel):
     """Cycle 850 of the lock workload: wormholes in flight, router LOCK
     ownership held, arbiters mid-rotation."""
-    _roundtrip(tkd.build_lock_soc, 3000, 850, strict)
+    assert_same(run("legacy-lock", 3000, kernel, cut=850),
+                run("legacy-lock", 3000, kernel))
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["activity", "strict"])
-def test_mid_fault_epoch_roundtrip(strict):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mid_fault_epoch_roundtrip(kernel):
     """Cycle 500 sits inside the [400, 900) degraded window: degraded
     route tables pushed, dead ports masked, partition watchdog armed."""
-    _roundtrip(tkd.build_faulted_adaptive_gals_soc, 5000, 500, strict)
+    assert_same(run("faulted-adaptive-gals", 5000, kernel, cut=500),
+                run("faulted-adaptive-gals", 5000, kernel))
 
 
 def test_mid_cdc_crossing_roundtrip():
     """Cycle 777 of the GALS build: phits mid-shift on serialized links,
     entries maturing inside CDC synchronizers, three clock domains."""
-    _roundtrip(tkd.build_gals_soc, 5000, 777, False)
+    assert_same(run("gals-serialized-links", 5000, cut=777),
+                run("gals-serialized-links", 5000))
 
 
 def test_parked_masters_and_returning_credits_roundtrip():
@@ -104,7 +71,8 @@ def test_parked_masters_and_returning_credits_roundtrip():
         ]
         return parked, returning, sum(returning)
 
-    _roundtrip(tkd.build_vc_torus_soc, 1000, 500, probe=probe)
+    assert_same(run("vc-torus-saturated", 1000, cut=500, probe=probe),
+                run("vc-torus-saturated", 1000))
 
 
 def test_aliases_inside_the_tree_survive_the_pickle():
@@ -132,15 +100,12 @@ def test_aliases_inside_the_tree_survive_the_pickle():
         )
         return peeked, blocked
 
-    build = functools.partial(
-        tkd.build_saturated_mixed_soc,
-        topology=topo.torus(3, 3, endpoints=7), routing="adaptive", vcs=3,
-    )
-    _roundtrip(build, 900, 626, probe=probe)
+    assert_same(run("saturated-adaptive-torus", 900, cut=626, probe=probe),
+                run("saturated-adaptive-torus", 900))
 
 
-@pytest.mark.parametrize("same_soc", [False, True], ids=["rebuilt", "same-soc"])
-def test_reorder_buffer_gap_roundtrip(same_soc):
+@pytest.mark.parametrize("restore", ["rebuilt", "same-soc"])
+def test_reorder_buffer_gap_roundtrip(restore):
     """Cycle 330 of the adaptive hotspot SoC: one target's ejection port
     holds packets behind a gap (``_rob_blocked`` clear, nothing to do
     until a flit arrives) while the hot target's holds a releasable
@@ -161,10 +126,10 @@ def test_reorder_buffer_gap_roundtrip(same_soc):
         blocked = sorted(e.name for e in eports if e._rob_blocked)
         return waiting, blocked
 
-    checkpoint = _roundtrip(
-        tkd.build_adaptive_hotspot_soc, 800, 330, probe=probe, same_soc=same_soc
-    )
-    assert b"_rob_blocked" not in checkpoint.to_bytes()
+    restored = run("adaptive-hotspot", 800, cut=330, restore=restore,
+                   probe=probe)
+    assert_same(restored, run("adaptive-hotspot", 800))
+    assert b"_rob_blocked" not in restored.checkpoint.to_bytes()
 
 
 def test_same_soc_restore_drops_stats_created_after_the_cut():
@@ -172,7 +137,8 @@ def test_same_soc_restore_drops_stats_created_after_the_cut():
     on to 137: the per-pair flow histograms first created in between
     must go (and the ejection ports' handle caches with them), or their
     post-cut samples are counted twice."""
-    _roundtrip(tkd.build_mixed_soc, 400, 40, same_soc=True)
+    assert_same(run("mixed-protocols", 400, cut=40, restore="same-soc"),
+                run("mixed-protocols", 400))
 
 
 def test_refusal_memo_is_dropped_on_restore_never_captured():
@@ -181,13 +147,8 @@ def test_refusal_memo_is_dropped_on_restore_never_captured():
     short-circuit).  The memo is a pure cache — absent from the
     snapshot, cleared by restore — so a rebuilt SoC *and* the donor
     itself, restored after running on, both continue byte-identically."""
-    build = functools.partial(tkd.build_saturated_mixed_soc, strict=False)
     total, at = 2000, 1500
-    soc = build()
-    soc.run(total)
-    reference = fingerprint_soc(soc)
-
-    donor = build()
+    donor = build("saturated-mixed")
     donor.run(at)
     niu = donor.initiator_nius["io_bvci"]
     assert niu._refused_txn is niu._peek_txn is not None
@@ -197,34 +158,30 @@ def test_refusal_memo_is_dropped_on_restore_never_captured():
     checkpoint = Checkpoint.capture(donor)
     donor.run(97)  # moves the donor's memo and table version on
 
-    for resumed in (build(), donor):
+    for resumed in (build("saturated-mixed"), donor):
         checkpoint.restore_into(resumed)
         assert resumed.initiator_nius["io_bvci"]._refused_txn is None
         resumed.run(total - at)
-        restored = fingerprint_soc(resumed)
-        for key in reference:
-            assert restored[key] == reference[key], f"{key} diverged"
+        assert_same(observe(resumed), run("saturated-mixed", total))
 
 
 def test_parked_wheel_roundtrip():
     """Checkpoint a fully drained SoC (every component parked or retired,
     wheel possibly holding stale entries): the restored system must stay
     quiescent and byte-identical."""
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run_to_completion()
     soc.run(16)
     assert soc.sim.active_count == 0
     checkpoint = Checkpoint.capture(soc)
-    reference = fingerprint_soc(soc)
+    reference = observe(soc).fingerprint
 
-    resumed = tkd.build_mixed_soc(strict=False)
+    resumed = build("mixed-protocols")
     checkpoint.restore_into(resumed)
     resumed.run(64)
     assert resumed.sim.active_count == 0
-    restored = fingerprint_soc(resumed)
     reference["cycle"] += 64  # only time advanced; nothing else may move
-    for key in reference:
-        assert restored[key] == reference[key], f"{key} diverged"
+    assert_same(observe(resumed), reference)
 
 
 # --------------------------------------------------------------------- #
@@ -236,9 +193,9 @@ def test_cached_flow_histogram_handles_survive_restore():
     again (StatsRegistry.restore mutates in place, the cache re-resolves),
     so flow_stats() after snapshot -> run -> restore -> deliver equals
     the uninterrupted run."""
-    reference = tkd.build_mixed_soc(strict=False)
+    reference = build("mixed-protocols")
     reference.run(1500)
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run(400)
     checkpoint = Checkpoint.capture(soc)
     at_cut = soc.flow_stats()
@@ -250,7 +207,7 @@ def test_cached_flow_histogram_handles_survive_restore():
 
 
 def test_checkpoint_bytes_and_file_roundtrip(tmp_path):
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run(1000)
     checkpoint = Checkpoint.capture(soc)
 
@@ -260,22 +217,19 @@ def test_checkpoint_bytes_and_file_roundtrip(tmp_path):
     path = tmp_path / "run.ckpt"
     checkpoint.save(str(path))
     loaded = Checkpoint.load(str(path))
-    resumed = tkd.build_mixed_soc(strict=False)
+    resumed = build("mixed-protocols")
     loaded.restore_into(resumed)
     assert resumed.sim.cycle == 1000
 
     soc.run(1500)
     resumed.run(1500)
-    ref = fingerprint_soc(soc)
-    got = fingerprint_soc(resumed)
-    for key in ref:
-        assert got[key] == ref[key], f"{key} diverged"
+    assert_same(observe(resumed), observe(soc))
 
 
 def test_checkpoint_bad_bytes():
     with pytest.raises(CheckpointFormatError):
         Checkpoint.from_bytes(b"not a checkpoint at all")
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run(10)
     good = Checkpoint.capture(soc).to_bytes()
     data = bytearray(good)
@@ -351,11 +305,11 @@ def test_copy_budget_of_a_serial_sweep(monkeypatch):
 # named errors
 # --------------------------------------------------------------------- #
 def test_snapshot_version_mismatch():
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run(10)
     state = soc.snapshot()
     state["__v__"] = 999
-    fresh = tkd.build_mixed_soc(strict=False)
+    fresh = build("mixed-protocols")
     with pytest.raises(SnapshotVersionError):
         fresh.restore(state)
 
@@ -370,10 +324,10 @@ def test_snapshot_envelope_version_mismatch():
 
 
 def test_restore_into_incongruent_build():
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.run(10)
     checkpoint = Checkpoint.capture(soc)
-    other = tkd.build_lock_soc(strict=False)
+    other = build("legacy-lock")
     with pytest.raises(SnapshotMismatchError):
         checkpoint.restore_into(other)
 
@@ -392,7 +346,7 @@ class _CallbackProbe(Component, Snapshottable):
 
 
 def test_capture_names_the_component_whose_state_does_not_pickle():
-    soc = tkd.build_mixed_soc(strict=False)
+    soc = build("mixed-protocols")
     soc.sim.add(_CallbackProbe("user.probe"))
     soc.run(10)
     with pytest.raises(SnapshotError, match="component 'user.probe'"):
@@ -409,7 +363,7 @@ def test_traffic_requires_explicit_seed():
 # fork sweeps
 # --------------------------------------------------------------------- #
 def _mixed_builder():
-    return tkd.build_mixed_soc(strict=False)
+    return build("mixed-protocols")
 
 
 def _set_rate(rate, soc):
@@ -417,7 +371,7 @@ def _set_rate(rate, soc):
 
 
 def _faulted_builder():
-    return tkd.build_faulted_adaptive_gals_soc(strict=False)
+    return build("faulted-adaptive-gals")
 
 
 def _extend_faults(soc):
@@ -438,7 +392,7 @@ RATE_OVERRIDES = [
 # override of every master's rate sends the four continuations four
 # different ways.
 def _saturated_builder():
-    return tkd.build_saturated_mixed_soc(strict=False)
+    return build("saturated-mixed")
 
 
 def _set_every_rate(rate, soc):
@@ -462,12 +416,20 @@ def router_flits(soc):
     ]
 
 
-def _loaded_checkpoint():
+@functools.cache
+def _loaded_sweep():
+    """The loaded cut and its serial sweep, computed once for the tests
+    that read them."""
     donor = _saturated_builder()
     donor.run(600)
     assert router_flits(donor)
     assert not any(m.finished() for m in donor.masters.values())
-    return donor, Checkpoint.capture(donor)
+    checkpoint = Checkpoint.capture(donor)
+    serial = fork(
+        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400,
+        processes=0,
+    )
+    return donor, checkpoint, serial
 
 
 def _assert_continuations_differ(report):
@@ -481,10 +443,7 @@ def test_fork_matches_cold_runs():
     """The acceptance bar: >= 4 overrides forked from one warm prefix of
     a loaded fabric, each byte-equal to a cold run applying the same
     override at the same cycle."""
-    donor, checkpoint = _loaded_checkpoint()
-    report = fork(
-        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400
-    )
+    donor, checkpoint, report = _loaded_sweep()
     assert report["fork_cycle"] == 600
     assert list(report["configs"]) == [o.name for o in LOADED_OVERRIDES]
     for override in LOADED_OVERRIDES:
@@ -512,11 +471,7 @@ def test_fork_matches_cold_runs():
 
 
 def test_fork_pool_matches_serial():
-    _donor, checkpoint = _loaded_checkpoint()
-    serial = fork(
-        checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400,
-        processes=0,
-    )
+    _donor, checkpoint, serial = _loaded_sweep()
     pooled = fork(
         checkpoint, LOADED_OVERRIDES, builder=_saturated_builder, cycles=400,
         processes=2,
@@ -541,7 +496,7 @@ def test_fork_fault_schedule_override():
 
 def test_fork_structural_override_runs_cold():
     def _vc_builder():
-        return tkd.build_vc_gals_soc(strict=False)
+        return build("vc-dateline-gals")
 
     donor = _mixed_builder()
     donor.run(500)

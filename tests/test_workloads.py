@@ -15,6 +15,7 @@ import types
 import pytest
 
 import repro.ip
+from differential import SCENARIOS, assert_same, run
 from repro.core.transaction import ResponseStatus
 from repro.ip import (
     TRAFFIC_KINDS,
@@ -33,9 +34,6 @@ from repro.workloads import (
     StreamChannel,
     stream_pair,
 )
-from repro.workloads import scenarios
-
-SCENARIOS = ["dma_chain", "stream_pipeline", "collective_allreduce"]
 
 
 @pytest.fixture(autouse=True)
@@ -52,9 +50,7 @@ class TestScenarioRegistry:
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_builtin_builds_and_completes(self, name):
-        soc = getattr(scenarios, name).build(strict_kernel=False)
-        soc.run_to_completion()
-        assert soc.total_completed() > 0
+        assert run(name, None).fingerprint["completed"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -424,30 +420,12 @@ class TestTrafficSpec:
 class TestScenarioDeterminism:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_strict_and_activity_agree(self, name):
-        prints = []
-        for strict in (True, False):
-            reset_ids()
-            soc = getattr(scenarios, name).build(strict_kernel=strict)
-            soc.run_to_completion()
-            prints.append(fingerprint_soc(soc))
-        assert prints[0] == prints[1]
+        assert_same(run(name, None, "activity"), run(name, None, "strict"))
 
     def test_checkpoint_restores_mid_chain(self):
         """Capture a DMA run mid-chain; the restored continuation matches
         the uninterrupted run byte-for-byte."""
-        reset_ids()
-        soc = scenarios.dma_chain.build(strict_kernel=False)
-        soc.run(150)
-        checkpoint = Checkpoint.capture(soc)
-        soc.run_to_completion()
-        uninterrupted = fingerprint_soc(soc)
-
-        reset_ids()
-        fresh = scenarios.dma_chain.build(strict_kernel=False)
-        checkpoint.restore_into(fresh)
-        assert fresh.sim.cycle == 150
-        fresh.run_to_completion()
-        assert fingerprint_soc(fresh) == uninterrupted
+        assert_same(run("dma_chain", None, cut=150), run("dma_chain", None))
 
     @staticmethod
     def _fan_in_soc():
