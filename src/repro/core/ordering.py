@@ -70,7 +70,6 @@ class _IssueRecord:
     sequence: int
     thread: int
     txn_tag: int
-    completed: bool = False
 
 
 @dataclass
@@ -82,6 +81,12 @@ class OrderingChecker(Snapshottable):
     completion is checked against all earlier *incomplete* issues in the
     same ordering stream; completing out of stream order is a violation.
 
+    Only open transactions are held: a record is dropped when its
+    transaction completes, so a long run pays for what is in flight, not
+    for everything it ever issued.  An id is therefore checked against
+    the open ones only; ids come from one process-global counter
+    (:mod:`repro.core.transaction`) and are never handed out twice.
+
     With ``strict=True`` violations raise immediately; otherwise they are
     collected in :attr:`violations` so a bench can count them.
     """
@@ -90,49 +95,48 @@ class OrderingChecker(Snapshottable):
     master: str = ""
     strict: bool = True
     violations: List[str] = field(default_factory=list)
+    # Open (incomplete) records by txn id.
     _records: Dict[int, _IssueRecord] = field(default_factory=dict)
-    # Open (incomplete) records bucketed by ordering stream, each bucket in
-    # issue order.  A completion only ever needs to look at its own stream,
-    # so the check is O(open-in-stream) instead of O(all issues ever) —
-    # with thousands of completed transactions retained for post-run stats,
-    # the full scan dominated saturated-workload profiles.
+    # The same records bucketed by ordering stream, each bucket in issue
+    # order.  A completion only ever needs to look at its own stream, so
+    # the check is O(open-in-stream).
     _open_by_stream: Dict[Tuple[int, ...], Dict[int, _IssueRecord]] = field(
         default_factory=dict
     )
-    _open_count: int = 0
-    _sequence: int = 0
+    _issued: int = 0
 
+    # A version-1 envelope also held completed records and an open count.
+    snapshot_version = 2
     # _open_by_stream buckets alias the _IssueRecord objects in _records;
     # the checkpoint layer's one pickle of the whole tree preserves that.
     _snapshot_fields = (
         "violations",
         "_records",
         "_open_by_stream",
-        "_open_count",
-        "_sequence",
+        "_issued",
     )
 
     def issue(self, txn_id: int, thread: int = 0, txn_tag: int = 0) -> None:
         if txn_id in self._records:
-            raise KeyError(f"txn {txn_id} already issued on {self.master!r}")
+            raise KeyError(f"txn {txn_id} already open on {self.master!r}")
         record = _IssueRecord(
             txn_id=txn_id,
-            sequence=self._sequence,
+            sequence=self._issued,
             thread=thread,
             txn_tag=txn_tag,
         )
         self._records[txn_id] = record
         key = self.model.stream_key(thread, txn_tag)
         self._open_by_stream.setdefault(key, {})[txn_id] = record
-        self._open_count += 1
-        self._sequence += 1
+        self._issued += 1
 
     def complete(self, txn_id: int) -> None:
         record = self._records.get(txn_id)
         if record is None:
-            raise KeyError(f"txn {txn_id} completing but never issued")
-        if record.completed:
-            raise KeyError(f"txn {txn_id} completed twice")
+            raise KeyError(
+                f"txn {txn_id} completing but not open on {self.master!r} "
+                f"(never issued, or completed already)"
+            )
         key = self.model.stream_key(record.thread, record.txn_tag)
         stream = self._open_by_stream[key]
         # Buckets hold only incomplete issues in issue order, so everything
@@ -149,23 +153,22 @@ class OrderingChecker(Snapshottable):
             if self.strict:
                 raise OrderingViolation(message)
             self.violations.append(message)
-        record.completed = True
+        del self._records[txn_id]
         del stream[txn_id]
         if not stream:
             del self._open_by_stream[key]
-        self._open_count -= 1
 
     @property
     def outstanding(self) -> int:
-        return self._open_count
-
-    @property
-    def issued(self) -> int:
         return len(self._records)
 
     @property
+    def issued(self) -> int:
+        return self._issued
+
+    @property
     def completed_count(self) -> int:
-        return len(self._records) - self._open_count
+        return self._issued - len(self._records)
 
     def all_complete(self) -> bool:
         return self.outstanding == 0 and self.issued > 0
@@ -173,7 +176,6 @@ class OrderingChecker(Snapshottable):
     def reset(self) -> None:
         self._records.clear()
         self._open_by_stream.clear()
-        self._open_count = 0
-        self._sequence = 0
+        self._issued = 0
         self.violations.clear()
 

@@ -19,33 +19,55 @@ from repro.sim.snapshot import Snapshottable
 
 
 class ByteStore(Snapshottable):
-    """Byte-addressed sparse storage shared by memory models.
+    """Byte-addressed storage shared by memory models.
 
     Values are stored per byte so mixed beat widths (a 32-bit AHB master
     and a 64-bit AXI master sharing a target) read back exactly what was
-    written.
+    written.  Two ``bytearray``s hold the data and a written-mask; both
+    grow only up to the highest offset written, so a store costs a byte
+    and a flag per address, not a dict entry per byte.  Bytes never
+    written read as zero.
     """
 
-    _snapshot_fields = ("_bytes",)
+    # A version-1 envelope held a ``{offset: byte}`` dict.
+    snapshot_version = 2
 
     def __init__(self) -> None:
-        self._bytes: Dict[int, int] = {}
+        self._data = bytearray()
+        self._written = bytearray()
 
     def write_beat(self, offset: int, value: int, beat_bytes: int) -> None:
-        for i in range(beat_bytes):
-            self._bytes[offset + i] = (value >> (8 * i)) & 0xFF
+        end = offset + beat_bytes
+        if end > len(self._data):
+            pad = bytes(end - len(self._data))
+            self._data += pad
+            self._written += pad
+        # Bits above the beat are dropped, as a beat-wide bus drops them.
+        mask = (1 << (8 * beat_bytes)) - 1
+        self._data[offset:end] = (value & mask).to_bytes(beat_bytes, "little")
+        self._written[offset:end] = b"\x01" * beat_bytes
 
     def read_beat(self, offset: int, beat_bytes: int) -> int:
-        value = 0
-        for i in range(beat_bytes):
-            value |= self._bytes.get(offset + i, 0) << (8 * i)
-        return value
+        return int.from_bytes(self._data[offset:offset + beat_bytes], "little")
 
     def image(self) -> Dict[int, int]:
-        return dict(self._bytes)
+        """``{offset: byte}`` of every byte written, zeros included."""
+        return {
+            offset: byte
+            for offset, (byte, written) in enumerate(zip(self._data, self._written))
+            if written
+        }
 
     def __len__(self) -> int:
-        return len(self._bytes)
+        return self._written.count(1)
+
+    # ``bytes`` copies: the captured tree must not follow later writes.
+    def _snapshot_state(self) -> dict:
+        return {"data": bytes(self._data), "written": bytes(self._written)}
+
+    def _restore_state(self, state) -> None:
+        self._data[:] = state["data"]
+        self._written[:] = state["written"]
 
 
 class MemoryDevice(Component, Snapshottable):

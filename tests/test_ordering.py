@@ -1,10 +1,12 @@
 """Unit + property tests for the three ordering models and the checker."""
 
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from differential import build
 from repro.core.ordering import (
     OrderingChecker,
     OrderingModel,
@@ -117,8 +119,64 @@ class TestChecker:
     def test_reset(self):
         checker = OrderingChecker(model=OrderingModel.THREADED)
         checker.issue(1)
+        checker.issue(2)
+        checker.complete(1)
         checker.reset()
         assert checker.issued == 0
+        assert checker.completed_count == 0
+        assert checker.outstanding == 0
+
+    def test_holds_only_open_records(self):
+        checker = OrderingChecker(model=OrderingModel.THREADED)
+        for i in range(6):
+            checker.issue(i, thread=i % 2)
+        for i in (0, 1, 3):
+            checker.complete(i)
+        assert sorted(checker._records) == [2, 4, 5]
+        assert sum(map(len, checker._open_by_stream.values())) == 3
+        for i in (2, 4, 5):
+            checker.complete(i)
+        assert checker._records == {} and checker._open_by_stream == {}
+        assert checker.issued == checker.completed_count == 6
+
+    def test_reissuing_an_open_id_rejected(self):
+        checker = OrderingChecker(model=OrderingModel.THREADED)
+        checker.issue(1, thread=0)
+        checker.issue(2, thread=1)
+        checker.complete(2)
+        with pytest.raises(KeyError, match="txn 1 already open"):
+            checker.issue(1, thread=1)
+
+    def test_counters_survive_snapshot_restore(self):
+        checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
+        for i in range(4):
+            checker.issue(i)
+        checker.complete(0)
+        checker.complete(1)
+        fresh = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
+        fresh.restore(pickle.loads(pickle.dumps(checker.snapshot())))
+        assert (fresh.issued, fresh.completed_count, fresh.outstanding) == (4, 2, 2)
+        # The restored scoreboard still orders what is open.
+        with pytest.raises(OrderingViolation):
+            fresh.complete(3)
+        fresh.complete(2)
+        fresh.complete(3)
+        assert fresh.all_complete()
+
+
+def test_checkers_hold_only_open_transactions_after_a_window():
+    """On a saturated SoC, every master's scoreboard holds exactly its
+    open transactions that expect a response, however many completed."""
+    soc = build("saturated-mixed")
+    soc.run(1500)
+    for name, master in soc.masters.items():
+        checker = master.checker
+        expecting = sum(
+            txn.opcode.expects_response for txn in master._inflight.values()
+        )
+        assert len(checker._records) == checker.outstanding == expecting, name
+        assert checker.completed_count > 10 * checker.outstanding, name
+    assert sum(m.checker.outstanding for m in soc.masters.values()) > 0
 
 
 @given(

@@ -1,5 +1,7 @@
 """Unit tests for memory targets and the byte store."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +9,31 @@ from repro.core.transaction import ResponseStatus
 from repro.ip.slaves import ByteStore, MemoryDevice
 from repro.protocols.base import SlaveRequest, SlaveSocket
 from repro.sim.kernel import Simulator
+
+
+class DictByteStore:
+    """The reference store: one ``{offset: byte}`` dict entry per byte
+    written.  :class:`ByteStore` must read, count and image exactly as
+    this does."""
+
+    def __init__(self):
+        self._bytes = {}
+
+    def write_beat(self, offset, value, beat_bytes):
+        for i in range(beat_bytes):
+            self._bytes[offset + i] = (value >> (8 * i)) & 0xFF
+
+    def read_beat(self, offset, beat_bytes):
+        value = 0
+        for i in range(beat_bytes):
+            value |= self._bytes.get(offset + i, 0) << (8 * i)
+        return value
+
+    def image(self):
+        return dict(self._bytes)
+
+    def __len__(self):
+        return len(self._bytes)
 
 
 class TestByteStore:
@@ -37,6 +64,49 @@ class TestByteStore:
         assert store.read_beat(offset, width) == value & (
             (1 << (8 * width)) - 1
         )
+
+    def test_matches_the_dict_reference(self):
+        """Seeded differential against :class:`DictByteStore`: writes of
+        every beat width with values wider than the beat (zeros
+        included), reads that reach bytes never written and past the
+        highest one, then a snapshot restored into a fresh store."""
+        rng = random.Random(20260)
+        store, reference = ByteStore(), DictByteStore()
+        reads_of_unwritten = 0
+        for _ in range(2500):
+            width = rng.choice((1, 2, 4, 8))
+            offset = rng.randrange(0x2000)
+            if rng.random() < 0.5:
+                value = rng.choice((0, rng.getrandbits(8 * width + 24)))
+                store.write_beat(offset, value, width)
+                reference.write_beat(offset, value, width)
+            else:
+                assert store.read_beat(offset, width) == reference.read_beat(
+                    offset, width
+                )
+                reads_of_unwritten += any(
+                    offset + i not in reference._bytes for i in range(width)
+                )
+        assert reads_of_unwritten > 500
+        assert len(store) == len(reference)
+        assert store.image() == reference.image()
+        assert 0 in reference.image().values()  # written zeros are kept
+        fresh = ByteStore()
+        fresh.restore(store.snapshot())
+        assert fresh.image() == reference.image()
+        assert len(fresh) == len(reference)
+        assert [fresh.read_beat(a, 8) for a in range(0, 0x2010, 5)] == [
+            reference.read_beat(a, 8) for a in range(0, 0x2010, 5)
+        ]
+
+    def test_snapshot_does_not_follow_later_writes(self):
+        store = ByteStore()
+        store.write_beat(0x0, 0x1122, 2)
+        envelope = store.snapshot()
+        store.write_beat(0x0, 0xFFFFFFFF, 4)
+        fresh = ByteStore()
+        fresh.restore(envelope)
+        assert fresh.image() == {0: 0x22, 1: 0x11}
 
 
 def make_memory(sim, **kwargs):

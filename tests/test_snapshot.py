@@ -323,6 +323,35 @@ def test_snapshot_envelope_version_mismatch():
         SerialCounter().restore(envelope)
 
 
+#: Version-1 layouts of the two classes whose captured state changed: the
+#: store's ``{offset: byte}`` dict, the checker's completed records and
+#: open count.
+_V1_ENVELOPES = {
+    ("dram", "store"): {
+        "__v__": 1, "__cls__": "ByteStore", "state": {"_bytes": {0: 7}},
+    },
+    ("cpu_ahb", "checker"): {
+        "__v__": 1, "__cls__": "OrderingChecker",
+        "state": {"violations": [], "_records": {}, "_open_by_stream": {},
+                  "_open_count": 0, "_sequence": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("where", _V1_ENVELOPES, ids=lambda w: w[1])
+def test_version_1_envelope_fails_by_class_name(where):
+    """A checkpoint written before a layout change fails with the class's
+    name, not with a missing key somewhere inside its restore."""
+    component, key = where
+    envelope = _V1_ENVELOPES[where]
+    soc = build("mixed-protocols")
+    soc.run(10)
+    state = soc.snapshot()
+    state["sim"]["state"]["components"][component]["state"]["state"][key] = envelope
+    with pytest.raises(SnapshotVersionError, match=f"^{envelope['__cls__']}: "):
+        build("mixed-protocols").restore(state)
+
+
 def test_restore_into_incongruent_build():
     soc = build("mixed-protocols")
     soc.run(10)
