@@ -122,6 +122,17 @@ def niu_gate_count(
     report.add("packet_datapath", header_bits * (GATES_PER_MUX_BIT * 4))
 
     # 6. Optional NoC-service state.
+    _add_service_state(report, fmt, exclusive_monitor_entries, lock_manager)
+    return report
+
+
+def _add_service_state(
+    report: GateReport,
+    fmt: PacketFormat,
+    exclusive_monitor_entries: int,
+    lock_manager: bool,
+) -> None:
+    """Exclusive-monitor reservations and the lock manager, when present."""
     if exclusive_monitor_entries:
         entry_bits = fmt.mst_addr_bits + 32 + 6  # initiator + addr + span
         report.add(
@@ -135,7 +146,6 @@ def niu_gate_count(
             "lock_manager",
             (fmt.mst_addr_bits + 4) * GATES_PER_FLOP + 200.0,
         )
-    return report
 
 
 def bridge_gate_count(

@@ -250,19 +250,9 @@ class Simulator(Snapshottable):
             self._step_strict()
             return
         cycle = self.cycle
-        # Re-activate parked components whose wheel slot is due.  Entries
-        # are validated against the park stamp: a component woken early
-        # (or re-parked elsewhere) left a stale entry behind, which is
-        # simply dropped.
-        wheel = self._wheel
-        if wheel._heap and wheel._heap[0] <= cycle:
-            wakes = self._wakes
-            for slot, component in wheel.pop_due(cycle):
-                if component._parked_until == slot and not component._scheduled:
-                    component._parked_until = -1
-                    component._scheduled = True
-                    wheel.events_fired += 1
-                    wakes.append(component)
+        heap = self._wheel._heap
+        if heap and heap[0] <= cycle:
+            self._pop_wheel(cycle)
         # Merge components woken since the last step (or freshly added).
         wakes = self._wakes
         run_list = self._run_list
@@ -291,37 +281,53 @@ class Simulator(Snapshottable):
         else:
             self._quiet_step = True
         # Retire dormant components (post-commit, so anything that just
-        # became visible keeps its consumer scheduled).  The sweep runs
-        # every RETIRE_EVERY cycles: retirement is purely an optimisation
-        # (extra ticks of a dormant component are no-ops), and sweeping
-        # on a cadence keeps busy phases from paying a next-event call
-        # per component per cycle while bursty traffic oscillates.  A
-        # component whose next event, aligned to its clock edge, is at
-        # least PARK_HORIZON out is parked on the timing wheel; a dormant
-        # one (None) is simply descheduled and its wake registrations
-        # bring it back.
+        # became visible keeps its consumer scheduled) every RETIRE_EVERY
+        # cycles.
         if cycle & self._retire_mask == self._retire_mask:
-            now = cycle + 1
-            wheel = self._wheel
-            retained = []
-            retain = retained.append
-            for component in run_list:
-                event = component.next_event_cycle(now)
-                if event is None:
-                    component._scheduled = False
-                    continue
-                divisor = component._clk_divisor
-                if divisor != 1:
-                    event += (component._clk_phase - event) % divisor
-                if event >= now + PARK_HORIZON:
-                    component._scheduled = False
-                    component._parked_until = event
-                    wheel.schedule(event, component)
-                    continue
-                retain(component)
-            if len(retained) != len(run_list):
-                self._run_list = retained
+            self._retire(cycle + 1, run_list)
         self.cycle += 1
+
+    def _pop_wheel(self, cycle: int) -> None:
+        """Re-activate parked components whose wheel slot is due.  Entries
+        are validated against the park stamp: a component woken early (or
+        re-parked elsewhere) left a stale entry behind, which is simply
+        dropped."""
+        wheel = self._wheel
+        wakes = self._wakes
+        for slot, component in wheel.pop_due(cycle):
+            if component._parked_until == slot and not component._scheduled:
+                component._parked_until = -1
+                component._scheduled = True
+                wheel.events_fired += 1
+                wakes.append(component)
+
+    def _retire(self, now: int, run_list: List[Component]) -> None:
+        """The retire sweep.  Retirement is purely an optimisation (extra
+        ticks of a dormant component are no-ops), and sweeping on a cadence
+        keeps busy phases from paying a next-event call per component per
+        cycle while bursty traffic oscillates.  A component whose next
+        event, aligned to its clock edge, is at least PARK_HORIZON out is
+        parked on the timing wheel; a dormant one (None) is simply
+        descheduled and its wake registrations bring it back."""
+        wheel = self._wheel
+        retained = []
+        retain = retained.append
+        for component in run_list:
+            event = component.next_event_cycle(now)
+            if event is None:
+                component._scheduled = False
+                continue
+            divisor = component._clk_divisor
+            if divisor != 1:
+                event += (component._clk_phase - event) % divisor
+            if event >= now + PARK_HORIZON:
+                component._scheduled = False
+                component._parked_until = event
+                wheel.schedule(event, component)
+                continue
+            retain(component)
+        if len(retained) != len(run_list):
+            self._run_list = retained
 
     def _step_strict(self) -> None:
         """Reference path: tick everything, commit everything."""

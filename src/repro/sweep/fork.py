@@ -134,31 +134,14 @@ def fork(
         {"fork_cycle": C, "run_cycles": N,
          "configs": {name: {"mode": "fork"|"cold", "metrics": {...}}}}
     """
-    if not overrides:
-        raise ValueError("fork() needs at least one override")
-    names = [o.name for o in overrides]
-    if len(set(names)) != len(names):
-        raise ValueError(f"override names must be unique, got {names}")
-    fork_cycle = checkpoint.cycle
-    ckpt_bytes = checkpoint.to_bytes()  # once per sweep, not per override
-    tasks = [
-        (
-            ckpt_bytes if override.build is None else b"",
-            builder,
-            override,
-            cycles,
-            fork_cycle,
-            collect,
-        )
-        for override in overrides
-    ]
+    tasks = _fork_tasks(checkpoint, overrides, builder, cycles, collect)
     if processes and processes > 0:
         with mp_context().Pool(processes) as pool:
             results: List[Dict] = pool.map(_run_fork_task, tasks)
     else:
         results = [_run_fork_task(task) for task in tasks]
     return {
-        "fork_cycle": fork_cycle,
+        "fork_cycle": checkpoint.cycle,
         "run_cycles": cycles,
         "configs": {
             override.name: {
@@ -168,3 +151,17 @@ def fork(
             for override, metrics in zip(overrides, results)
         },
     }
+
+
+def _fork_tasks(checkpoint, overrides, builder, cycles, collect) -> List[tuple]:
+    """One :func:`_run_fork_task` task per override, once the sweep is
+    known to be non-empty and its names unique; the checkpoint is
+    serialized once per sweep, not per override."""
+    if not overrides:
+        raise ValueError("fork() needs at least one override")
+    names = [o.name for o in overrides]
+    if len(set(names)) != len(names):
+        raise ValueError(f"override names must be unique, got {names}")
+    ckpt_bytes = checkpoint.to_bytes()
+    return [(ckpt_bytes if override.build is None else b"", builder, override,
+             cycles, checkpoint.cycle, collect) for override in overrides]

@@ -59,8 +59,11 @@ budget.  Fault schedules and lock traffic should not be mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.checks import Check, check
 from repro.sim.component import Component
 from repro.sim.kernel import SimulationError
 from repro.sim.snapshot import Snapshottable
@@ -201,94 +204,9 @@ class FaultSchedule:
         merged._events = list(self._events) + list(events)
         return merged
 
-    # ------------------------------------------------------------------ #
-    # build-time validation
-    # ------------------------------------------------------------------ #
     def validate(self, topology: Topology) -> None:
-        """Raise a named :class:`FaultConfigError` subclass on a bad schedule.
-
-        Checks, in order: every event's target exists in ``topology``
-        (:class:`UnknownFaultTargetError`); per-target down/up windows
-        are well-formed — no double-down, no up-without-down, no
-        zero-length window (:class:`OverlappingFaultWindowError`); and no
-        moment of the replayed schedule disconnects an endpoint pair on
-        the surviving graph (:class:`NoSurvivingPathError`, unless
-        ``allow_partition``).
-        """
-        for ev in self._events:
-            if ev.kind == "link":
-                a, b = ev.target
-                if not topology.has_link(a, b):
-                    raise UnknownFaultTargetError(
-                        f"fault schedule: no link {a!r} -- {b!r} in "
-                        f"topology {topology.name!r}"
-                    )
-            else:
-                router, port = ev.target
-                if router not in topology.routers:
-                    raise UnknownFaultTargetError(
-                        f"fault schedule: unknown router {router!r} in "
-                        f"topology {topology.name!r}"
-                    )
-                valid = {port_to(n) for n in topology.neighbors(router)}
-                valid.update(
-                    port_local(ep) for ep in topology.endpoints_at(router)
-                )
-                if port not in valid:
-                    raise UnknownFaultTargetError(
-                        f"fault schedule: router {router!r} has no output "
-                        f"port {port!r} (valid: {sorted(valid)})"
-                    )
-        # Window well-formedness: replay per target.
-        state: Dict[Tuple[str, tuple], Tuple[bool, int]] = {}
-        for ev in self.events:
-            key = (ev.kind, ev.target)
-            down, since = state.get(key, (False, -1))
-            if ev.down:
-                if down:
-                    raise OverlappingFaultWindowError(
-                        f"fault schedule: {ev.kind} {ev.target!r} taken down "
-                        f"at cycle {ev.cycle} but already down since cycle "
-                        f"{since} (overlapping down-windows)"
-                    )
-                state[key] = (True, ev.cycle)
-            else:
-                if not down:
-                    raise OverlappingFaultWindowError(
-                        f"fault schedule: {ev.kind} {ev.target!r} brought up "
-                        f"at cycle {ev.cycle} but was not down"
-                    )
-                if ev.cycle <= since:
-                    raise OverlappingFaultWindowError(
-                        f"fault schedule: {ev.kind} {ev.target!r} window "
-                        f"[{since}, {ev.cycle}) is empty — up must come "
-                        f"strictly after down"
-                    )
-                state[key] = (False, ev.cycle)
-        # Connectivity: no moment of the schedule may strand an endpoint
-        # pair on the graph itself (adaptive recompute can route around
-        # anything short of a true partition).
-        if self.allow_partition:
-            return
-        down_links: Set[DirectedEdge] = set()
-        down_ports: Set[PortKey] = set()
-        events = self.events
-        index = 0
-        while index < len(events):
-            cycle = events[index].cycle
-            while index < len(events) and events[index].cycle == cycle:
-                _apply_event(events[index], down_links, down_ports)
-                index += 1
-            stranded = unreachable_endpoint_pairs(topology, down_links, down_ports)
-            if stranded:
-                src, dst = stranded[0]
-                raise NoSurvivingPathError(
-                    f"fault schedule: from cycle {cycle} endpoint {src} has "
-                    f"no surviving path to endpoint {dst} (plus "
-                    f"{len(stranded) - 1} more stranded pairs) — not even an "
-                    f"escape route survives; pass allow_partition=True to "
-                    f"build anyway and rely on runtime partition detection"
-                )
+        """Raise the first failing :data:`FAULT_ROWS` row's named error."""
+        check("fault schedule", (self, topology), FAULT_ROWS)
 
 
 def _apply_event(
@@ -330,6 +248,93 @@ def unreachable_endpoint_pairs(
             if src != dst and topology.router_of(src) not in dist:
                 stranded.append((src, dst))
     return stranded
+
+
+def _output_ports(topology: Topology, router: RouterId) -> List[str]:
+    return sorted({port_to(n) for n in topology.neighbors(router)}
+                  | {port_local(ep) for ep in topology.endpoints_at(router)})
+
+
+def _target_row(name: str, kind: str, bad, message) -> Check:
+    """Refuse the first ``kind`` event (insertion order) whose target
+    ``bad(target, topology)`` finds missing from the topology."""
+    def first(s):
+        return next((ev.target for ev in s[0]._events
+                     if ev.kind == kind and bad(ev.target, s[1])), None)
+    return Check(name, ("faults", "topology"), lambda s: first(s) is None,
+                 lambda s: message(first(s), s[1]), UnknownFaultTargetError)
+
+
+def _window_breaks(schedule: FaultSchedule) -> Dict[str, Tuple[FaultEvent, int]]:
+    """Replay every target's down/up edges in cycle order: ``{rule: (event,
+    down since)}`` for the first event that breaks each window rule."""
+    state: Dict[Tuple[str, tuple], Tuple[bool, int]] = {}
+    breaks: Dict[str, Tuple[FaultEvent, int]] = {}
+    for ev in schedule.events:
+        down, since = state.get((ev.kind, ev.target), (False, -1))
+        if ev.down == down:
+            breaks.setdefault("double_down" if down else "up_without_down", (ev, since))
+        elif not ev.down and ev.cycle <= since:
+            breaks.setdefault("empty_window", (ev, since))
+        state[(ev.kind, ev.target)] = (ev.down, ev.cycle)
+    return breaks
+
+
+def _window_row(rule: str, message) -> Check:
+    return Check(rule, ("faults",), lambda s: rule not in _window_breaks(s[0]),
+                 lambda s: message(*_window_breaks(s[0])[rule]),
+                 OverlappingFaultWindowError)
+
+
+def _first_stranding(subject) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    """``(cycle, stranded pairs)`` at the first moment of the replayed
+    schedule that disconnects an endpoint pair on the router graph itself
+    (so not even a recomputed escape path survives), or None."""
+    schedule, topology = subject
+    down_links: Set[DirectedEdge] = set()
+    down_ports: Set[PortKey] = set()
+    for cycle, batch in groupby(schedule.events, key=attrgetter("cycle")):
+        for ev in batch:
+            _apply_event(ev, down_links, down_ports)
+        stranded = unreachable_endpoint_pairs(topology, down_links, down_ports)
+        if stranded:
+            return cycle, stranded
+    return None
+
+
+def _stranding_message(subject) -> str:
+    cycle, stranded = _first_stranding(subject)
+    return (f"from cycle {cycle} endpoint {stranded[0][0]} has no surviving path "
+            f"to endpoint {stranded[0][1]} (plus {len(stranded) - 1} more stranded "
+            f"pairs) — not even an escape route survives; pass allow_partition=True "
+            f"to build anyway and rely on runtime partition detection")
+
+
+#: Every build-time fault-schedule refusal, over ``(schedule, topology)``:
+#: each event's target exists, each target's down/up windows are
+#: well-formed, and (unless ``allow_partition``) no moment of the schedule
+#: strands an endpoint pair.
+FAULT_ROWS = (
+    _target_row("link", "link", lambda t, top: not top.has_link(*t),
+                lambda t, top: "no link {!r} -- {!r} in topology {!r}".format(
+                    *t, top.name)),
+    _target_row("router", "port", lambda t, top: t[0] not in top.routers,
+                lambda t, top: f"unknown router {t[0]!r} in topology {top.name!r}"),
+    _target_row("port", "port", lambda t, top: t[1] not in _output_ports(top, t[0]),
+                lambda t, top: f"router {t[0]!r} has no output port {t[1]!r} "
+                               f"(valid: {_output_ports(top, t[0])})"),
+    _window_row("double_down", lambda ev, since: (
+        f"{ev.kind} {ev.target!r} taken down at cycle {ev.cycle} but already "
+        f"down since cycle {since} (overlapping down-windows)")),
+    _window_row("up_without_down", lambda ev, since: (
+        f"{ev.kind} {ev.target!r} brought up at cycle {ev.cycle} but was not down")),
+    _window_row("empty_window", lambda ev, since: (
+        f"{ev.kind} {ev.target!r} window [{since}, {ev.cycle}) is empty — up "
+        f"must come strictly after down")),
+    Check("partition", ("faults", "topology"),
+          lambda s: s[0].allow_partition or _first_stranding(s) is None,
+          _stranding_message, NoSurvivingPathError),
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -412,8 +417,9 @@ class FaultInjector(Component, Snapshottable):
                     f"{self.name}: cannot extend the schedule with an "
                     f"event at past cycle {ev.cycle} (now {now})"
                 )
-        self.schedule = self.schedule.extended(events)
-        self.schedule.validate(self.network.topology)
+        merged = self.schedule.extended(events)
+        merged.validate(self.network.topology)  # a refused merge leaves no trace
+        self.schedule = merged
         suffix = self._events[self._idx :] + list(events)
         suffix.sort(key=lambda ev: ev.cycle)
         self._events = self._events[: self._idx] + suffix

@@ -265,6 +265,16 @@ def surviving_distances(
     return alive, distances_to
 
 
+def _closer_outputs(
+    alive: List[RouterId], dist: Dict[RouterId, int], here: Optional[int]
+) -> Tuple[str, ...]:
+    """The output ports toward the surviving neighbours strictly closer to
+    the destination's home than ``here`` (None: no path from here)."""
+    if here is None:
+        return ()
+    return tuple(port_to(n) for n in alive if n in dist and dist[n] < here)
+
+
 def compute_degraded_tables(
     topology: Topology,
     down_links: Set[DirectedEdge],
@@ -306,15 +316,8 @@ def compute_degraded_tables(
         for router in routers:
             if router == home and not local_dead:
                 cands: Tuple[str, ...] = (port_local(endpoint),)
-            elif router in dist:
-                here = dist[router]
-                cands = tuple(
-                    port_to(n)
-                    for n in alive[router]
-                    if n in dist and dist[n] < here
-                )
             else:
-                cands = ()
+                cands = _closer_outputs(alive[router], dist, dist.get(router))
             candidates[router][endpoint] = cands
             if cands:
                 choice = cands[0]

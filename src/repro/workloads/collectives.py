@@ -14,7 +14,8 @@ A generator returns ``{master_name: DmaEngine}``, one per
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import partial
+from typing import Dict, List
 
 from repro.workloads.channels import StreamChannel
 from repro.workloads.dma import DmaDescriptor, DmaEngine
@@ -24,6 +25,15 @@ __all__ = ["tree_reduction"]
 
 def _bursts_per_chunk(chunk_bytes: int, burst_beats: int, beat_bytes: int) -> int:
     return max(1, chunk_bytes // (burst_beats * beat_bytes))
+
+
+def _tree_pairs(n: int):
+    """``(receiver, partner)`` of every round of :func:`tree_reduction`, in
+    order; a bye carries its partial up unchanged."""
+    step = 1
+    while step < n:
+        yield from ((i, i + step) for i in range(0, n - step, 2 * step))
+        step *= 2
 
 
 def tree_reduction(
@@ -53,101 +63,34 @@ def tree_reduction(
     n = len(masters)
     if n < 2:
         raise ValueError("tree_reduction needs at least two masters")
-    bursts = _bursts_per_chunk(block_bytes, burst_beats, beat_bytes)
+    burst = partial(DmaDescriptor, beats=burst_beats, beat_bytes=beat_bytes,
+                    bursts=_bursts_per_chunk(block_bytes, burst_beats, beat_bytes),
+                    priority=priority)
 
-    def slot(i: int) -> int:
-        return scratch_base + i * block_bytes
+    def write(i: int, level: int, **after) -> DmaDescriptor:
+        """Master ``i``'s level-``level`` partial into its slot; the write's
+        channel gets one token per burst."""
+        return burst("write", address=scratch_base + i * block_bytes,
+                     signal=StreamChannel(f"tree.{masters[i]}.L{level}"),
+                     pattern=i + level * n, **after)
 
-    # ch[(i, L)]: master i's slot holds its level-L partial (one token
-    # per burst of the write that produced it).
-    channels: Dict[Tuple[int, int], StreamChannel] = {}
+    def read(i: int) -> DmaDescriptor:
+        """Master ``i``'s slot, once its latest partial (the last write of
+        its program) is written."""
+        return burst("read", address=scratch_base + i * block_bytes,
+                     wait=programs[masters[i]][-1].signal)
 
-    def channel(i: int, level: int) -> StreamChannel:
-        key = (i, level)
-        if key not in channels:
-            channels[key] = StreamChannel(f"tree.{masters[i]}.L{level}")
-        return channels[key]
-
-    programs: Dict[str, List[DmaDescriptor]] = {}
-    last_write: Dict[int, int] = {}  # master -> desc index of last write
-    level: Dict[int, int] = {}  # master -> level its slot holds
-    for i, name in enumerate(masters):
-        programs[name] = [
-            DmaDescriptor(
-                "write",
-                address=slot(i),
-                beats=burst_beats,
-                beat_bytes=beat_bytes,
-                bursts=bursts,
-                signal=channel(i, 0),
-                priority=priority,
-                pattern=i,
-            )
-        ]
-        last_write[i] = 0
-        level[i] = 0
-
-    step = 1
-    while step < n:
-        for i in range(0, n, 2 * step):
-            partner = i + step
-            if partner >= n:
-                continue  # bye: carries its partial up unchanged
-            program = programs[masters[i]]
-            read_idx = len(program)
-            program.append(
-                DmaDescriptor(
-                    "read",
-                    address=slot(partner),
-                    beats=burst_beats,
-                    beat_bytes=beat_bytes,
-                    bursts=bursts,
-                    wait=channel(partner, level[partner]),
-                    priority=priority,
-                )
-            )
-            program.append(
-                DmaDescriptor(
-                    "compute",
-                    delay=compute_delay,
-                    after=(read_idx, last_write[i]),
-                )
-            )
-            level[i] += 1
-            program.append(
-                DmaDescriptor(
-                    "write",
-                    address=slot(i),
-                    beats=burst_beats,
-                    beat_bytes=beat_bytes,
-                    bursts=bursts,
-                    after=(read_idx + 1,),
-                    signal=channel(i, level[i]),
-                    priority=priority,
-                    pattern=i + level[i] * n,
-                )
-            )
-            last_write[i] = read_idx + 2
-        step *= 2
-
+    programs = {name: [write(i, 0)] for i, name in enumerate(masters)}
+    level = dict.fromkeys(range(n), 0)  # master -> level its slot holds
+    for i, partner in _tree_pairs(n):
+        program = programs[masters[i]]
+        k = len(program)  # program[k - 1] wrote i's latest partial
+        level[i] += 1
+        program += [read(partner),
+                    DmaDescriptor("compute", delay=compute_delay, after=(k, k - 1)),
+                    write(i, level[i], after=(k + 1,))]
     if allreduce:
-        root_channel = channel(0, level[0])
-        for i, name in enumerate(masters):
-            if i == 0:
-                continue
-            programs[name].append(
-                DmaDescriptor(
-                    "read",
-                    address=slot(0),
-                    beats=burst_beats,
-                    beat_bytes=beat_bytes,
-                    bursts=bursts,
-                    wait=root_channel,
-                    priority=priority,
-                )
-            )
-
-    return {
-        name: DmaEngine(name, program, priority=priority)
-        for name, program in programs.items()
-    }
+        for name in masters[1:]:
+            programs[name].append(read(0))
+    return {name: DmaEngine(name, program, priority=priority)
+            for name, program in programs.items()}

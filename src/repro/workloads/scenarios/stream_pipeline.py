@@ -12,6 +12,8 @@ fabric-level flow control.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.workloads.channels import StreamChannel
@@ -37,57 +39,27 @@ def _pipeline_engines(
     # pipelines on the same memory stack their buffers above the first's.
     region = (pipe % 2) * _BUF_SIZE + (pipe // 2) * (stages - 1) * footprint
     buffer_base = [region + stage * footprint for stage in range(stages - 1)]
-    data = [
-        StreamChannel(f"p{pipe}.b{stage}.data") for stage in range(stages - 1)
-    ]
-    credit = [
-        StreamChannel(f"p{pipe}.b{stage}.credit", initial=depth)
-        for stage in range(stages - 1)
-    ]
-
-    def burst(op, stage, **kwargs):
-        return DmaDescriptor(
-            op,
-            address=buffer_base[stage],
-            beats=burst_beats,
-            beat_bytes=beat_bytes,
-            bursts=total_bursts,
-            ring=ring,
-            **kwargs,
-        )
-
+    data = [StreamChannel(f"p{pipe}.b{stage}.data") for stage in range(stages - 1)]
+    credit = [StreamChannel(f"p{pipe}.b{stage}.credit", initial=depth)
+              for stage in range(stages - 1)]
+    burst = partial(DmaDescriptor, beats=burst_beats, beat_bytes=beat_bytes,
+                    bursts=total_bursts, ring=ring)
     engines = {}
     for stage in range(stages):
         name = f"p{pipe}s{stage}"
         if stage == 0:
-            program = [
-                burst(
-                    "write", 0,
-                    wait=credit[0], signal=data[0],
-                    pattern=pipe * 101,
-                )
-            ]
+            program = [burst("write", address=buffer_base[0], wait=credit[0],
+                             signal=data[0], pattern=pipe * 101)]
         elif stage == stages - 1:
-            program = [
-                burst(
-                    "read", stage - 1,
-                    wait=data[stage - 1], signal=credit[stage - 1],
-                )
-            ]
+            program = [burst("read", address=buffer_base[stage - 1],
+                             wait=data[stage - 1], signal=credit[stage - 1])]
         else:
             work = StreamChannel(f"{name}.work")
             program = [
-                burst(
-                    "read", stage - 1,
-                    wait=data[stage - 1],
-                    signal=(credit[stage - 1], work),
-                ),
-                burst(
-                    "write", stage,
-                    wait=(work, credit[stage]),
-                    signal=data[stage],
-                    pattern=pipe * 101 + stage,
-                ),
+                burst("read", address=buffer_base[stage - 1], wait=data[stage - 1],
+                      signal=(credit[stage - 1], work)),
+                burst("write", address=buffer_base[stage], wait=(work, credit[stage]),
+                      signal=data[stage], pattern=pipe * 101 + stage),
             ]
         engines[name] = DmaEngine(name, program)
     return engines

@@ -18,6 +18,7 @@ memory footprint is the window, not the whole stream.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.workloads.channels import StreamChannel
@@ -48,42 +49,13 @@ def stream_pair(
         raise ValueError("total_bursts and depth must be >= 1")
     data = StreamChannel(f"{producer}->{consumer}.data")
     credit = StreamChannel(f"{producer}->{consumer}.credit", initial=depth)
-    ring = min(depth, total_bursts)
-    prod = DmaEngine(
-        producer,
-        [
-            DmaDescriptor(
-                "write",
-                address=buffer_base,
-                beats=burst_beats,
-                beat_bytes=beat_bytes,
-                bursts=total_bursts,
-                ring=ring,
-                wait=credit,
-                signal=data,
-                priority=priority,
-                pattern=pattern,
-            )
-        ],
-        priority=priority,
-    )
-    cons = DmaEngine(
-        consumer,
-        [
-            DmaDescriptor(
-                "read",
-                address=buffer_base,
-                beats=burst_beats,
-                beat_bytes=beat_bytes,
-                bursts=total_bursts,
-                ring=ring,
-                wait=data,
-                signal=credit,
-                priority=priority,
-            )
-        ],
-        priority=priority,
-    )
+    burst = partial(DmaDescriptor, address=buffer_base, beats=burst_beats,
+                    beat_bytes=beat_bytes, bursts=total_bursts,
+                    ring=min(depth, total_bursts), priority=priority)
+    prod = DmaEngine(producer, [burst("write", wait=credit, signal=data,
+                                      pattern=pattern)], priority=priority)
+    cons = DmaEngine(consumer, [burst("read", wait=data, signal=credit)],
+                     priority=priority)
     engines = {producer: prod, consumer: cons}
     channels = {"data": data, "credit": credit}
     return engines, channels

@@ -172,6 +172,24 @@ class TestScheduleValidation:
         with pytest.raises(UnknownFaultTargetError):
             build_soc(faults=FaultSchedule().link_down(10, (0, 0), (2, 2)))
 
+    def test_a_refused_extension_is_not_kept(self):
+        """A runtime extension the rows refuse leaves the schedule as it
+        was, so the next valid extension is accepted and applied."""
+        edge = ((1, 1), (2, 1))
+        cut = FaultSchedule().link_down(100, *edge).link_up(300, *edge)
+        soc = build_soc(faults=cut)
+        injector = soc.fabric._planes[0].fault_injector
+        overlap = FaultSchedule().link_down(200, *edge).events
+        with pytest.raises(OverlappingFaultWindowError, match="down since cycle 100"):
+            injector.extend_schedule(overlap)
+        assert injector.schedule is cut
+        window = (FaultSchedule().port_down(600, (0, 0), "to:(1, 0)")
+                  .port_up(700, (0, 0), "to:(1, 0)")).events
+        injector.extend_schedule(window)
+        assert len(injector.schedule) == 4
+        soc.run(701)
+        assert [ev for _, ev in injector.applied] == cut.events + window
+
 
 # ---------------------------------------------------------------------- #
 # degraded-table recomputation (unit level)

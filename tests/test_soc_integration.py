@@ -18,6 +18,7 @@ from repro.soc import FaultSchedule, InitiatorSpec, LinkSpec, SocBuilder, Target
 from repro.soc.builder import BUILD_ROWS
 from repro.soc.config import INITIATOR_ROWS, TARGET_ROWS
 from repro.transport import topology as topo
+from repro.transport.faults import FAULT_ROWS
 from repro.transport.network import PLANE_ROWS
 from repro.transport.switching import SwitchingMode
 
@@ -423,19 +424,26 @@ def _locking_pair():
 
 
 LINK_CUT = FaultSchedule().link_down(50, (0, 0), (1, 0)).link_up(400, (0, 0), (1, 0))
+EDGE = ((0, 0), (1, 0))
 PIPELINED = LinkSpec(phit_bits=32, pipeline_latency=1)
+
+
+def _faulted(schedule):
+    """The one-master NoC on the 2x2 mesh under ``schedule``."""
+    return lambda: noc(topology=topo.mesh(2, 2), faults=schedule)
 
 
 def _all_rows():
     """Every check row, keyed ``table.name``: the spec records, traffic
-    specs (then per kind), the plane, the NoC builder, the bus builder; a
-    row two tables share is keyed under the first."""
+    specs (then per kind), the plane, the fault schedule, the NoC builder,
+    the bus builder; a row two tables share is keyed under the first."""
     tables = {
         "InitiatorSpec": INITIATOR_ROWS,
         "TargetSpec": TARGET_ROWS,
         "TrafficSpec": UNKNOWN_KIND + UNNAMED_ROWS,
         **{f"TrafficSpec.{kind}": rows for kind, rows in TRAFFIC_ROWS.items()},
         "Network": PLANE_ROWS,
+        "FaultSchedule": FAULT_ROWS,
         "SocBuilder": BUILD_ROWS,
         "build_bus_soc": BUS_ROWS,
     }
@@ -708,6 +716,46 @@ REFUSALS = {
             kind="scripted", intents=[make_read(0), Transaction(Opcode.LOCK, 0)],
         ).build())], topology=topo.mesh(2, 2), faults=LINK_CUT),
         "soc: initiator 'cpu' can issue LOCK-family opcodes",
+    ),
+    # the fault schedule, validated by the plane before it registers
+    "noc_fault_link": (
+        "FaultSchedule.link", _faulted(FaultSchedule().link_down(10, (0, 0), (1, 1))),
+        "fault schedule: no link (0, 0) -- (1, 1) in topology 'mesh2x2'",
+    ),
+    "noc_fault_router": (
+        "FaultSchedule.router",
+        _faulted(FaultSchedule().port_down(10, (9, 9), "to:(0, 0)")),
+        "fault schedule: unknown router (9, 9) in topology 'mesh2x2'",
+    ),
+    "noc_fault_port": (
+        "FaultSchedule.port",
+        _faulted(FaultSchedule().port_down(10, (0, 0), "to:(1, 1)")),
+        "fault schedule: router (0, 0) has no output port 'to:(1, 1)' (valid: "
+        "['local:0', 'to:(0, 1)', 'to:(1, 0)'])",
+    ),
+    "noc_fault_double_down": (
+        "FaultSchedule.double_down",
+        _faulted(FaultSchedule().link_down(10, *EDGE).link_down(20, *EDGE)),
+        "fault schedule: link ((0, 0), (1, 0)) taken down at cycle 20 but already "
+        "down since cycle 10 (overlapping down-windows)",
+    ),
+    "noc_fault_up_without_down": (
+        "FaultSchedule.up_without_down",
+        _faulted(FaultSchedule().link_up(10, *EDGE)),
+        "fault schedule: link ((0, 0), (1, 0)) brought up at cycle 10 but was not down",
+    ),
+    "noc_fault_empty_window": (
+        "FaultSchedule.empty_window",
+        _faulted(FaultSchedule().link_down(10, *EDGE).link_up(10, *EDGE)),
+        "fault schedule: link ((0, 0), (1, 0)) window [10, 10) is empty — up must "
+        "come strictly after down",
+    ),
+    "noc_fault_partition": (
+        "FaultSchedule.partition",
+        _faulted(FaultSchedule().link_down(10, *EDGE).link_down(10, (0, 0), (0, 1))),
+        "fault schedule: from cycle 10 endpoint 1 has no surviving path to endpoint 0 "
+        "(plus 5 more stranded pairs) — not even an escape route survives; pass "
+        "allow_partition=True to build anyway",
     ),
     # sharding's block
     "noc_shards_strict": (
