@@ -26,6 +26,8 @@ from repro.sim.queue import SimQueue
 
 #: Largest burst the reference socket can carry (AHB INCR16).
 DEFAULT_MAX_BURST_BEATS = 16
+#: The grant schemes :meth:`SharedBus._arbitrate` knows.
+ARBITRATIONS = ("rr", "fixed", "priority")
 
 
 @dataclass
@@ -80,8 +82,6 @@ class SharedBus(Component):
         max_burst_beats: int = DEFAULT_MAX_BURST_BEATS,
     ) -> None:
         super().__init__(name)
-        if arbitration not in ("rr", "fixed", "priority"):
-            raise ValueError(f"unknown bus arbitration {arbitration!r}")
         self.sim = sim
         self.address_map = address_map
         self.arbitration = arbitration

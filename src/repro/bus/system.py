@@ -14,9 +14,9 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.bus.bridge import Bridge
-from repro.bus.shared_bus import SharedBus
+from repro.bus.shared_bus import ARBITRATIONS, SharedBus
 from repro.core.address_map import AddressMap
-from repro.core.checks import Check, check
+from repro.core.checks import Check, check, knob
 from repro.protocols.base import ProtocolMaster
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -68,13 +68,19 @@ def _not_modelled(side: str, field: str) -> Check:
 
 
 #: What :func:`build_bus_soc` refuses: the NoC builder's spec and source
-#: rows, and the spec fields the bus has no model for (clock regions, NIU
+#: rows, the spec fields the bus has no model for (clock regions, NIU
 #: tag policies, memory beat timing and error windows) — set, each is
-#: refused by name rather than silently ignored.
+#: refused by name rather than silently ignored — and its own knobs out
+#: of range.
 BUS_ROWS = (*SPEC_ROWS, *(_not_modelled(side, field) for side, field in (
     ("initiators", "region"), ("initiators", "policy"), ("targets", "region"),
     ("targets", "per_beat_cycles"), ("targets", "error_ranges"),
-)), *SOURCE_ROWS)
+)), *SOURCE_ROWS,
+    knob("arbitration", lambda s: s.arbitration in ARBITRATIONS,
+         f"one of {ARBITRATIONS}"),
+    knob("bridge_latency", lambda s: s.bridge_latency >= 0, ">= 0"),
+    knob("max_burst_beats", lambda s: s.max_burst_beats >= 1, ">= 1"),
+)
 
 
 def build_bus_soc(
@@ -94,7 +100,11 @@ def build_bus_soc(
     registered; ready sources are marked attached only as the build
     returns."""
     sources = hand_out(initiators)
-    draft = SimpleNamespace(initiators=initiators, targets=targets, sources=sources)
+    draft = SimpleNamespace(
+        initiators=initiators, targets=targets, sources=sources,
+        arbitration=arbitration, bridge_latency=bridge_latency,
+        max_burst_beats=max_burst_beats,
+    )
     check("bus", draft, BUS_ROWS)
     sim = Simulator(trace=trace)
     address_map = build_address_map(targets, first_slave=0)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.core.transaction import BurstType, Opcode, Transaction
-from repro.niu.base import InitiatorNiu
-from repro.niu.state_table import StateEntry
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.niu.base import InitiatorNiu, NativeSide
 from repro.protocols.ahb import AhbRequest, AhbResponse, HBurst, hresp_from_status
 
 
@@ -24,27 +23,19 @@ def _opcode_from(request: AhbRequest) -> Opcode:
     return Opcode.STORE if request.hwrite else Opcode.LOAD
 
 
-class AhbInitiatorNiu(InitiatorNiu):
-    """Initiator NIU for an AHB master socket.
+class AhbSide(NativeSide):
+    """An AHB master socket: one ``req`` channel, one ``rsp`` channel."""
 
-    AHB is fully ordered and single-outstanding at the socket, so the
-    natural policy is the minimal one (tag 0, one entry) — the cheapest
-    NIU in the gate-count sweep.  A deeper policy is still legal and lets
-    the NIU pipeline bus-side transfers it has already accepted.
-    """
-
-    protocol_name = "AHB"
-
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
+    def peek(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("req")
         if not channel._committed:
             return None
         request: AhbRequest = channel.peek()
-        if request is self._peek_key:
-            return self._peek_txn
+        if request is self.record:
+            return self.decoded
         sideband = request.txn
-        self._peek_key = request
-        self._peek_txn = Transaction(
+        self.record = request
+        self.decoded = Transaction(
             opcode=_opcode_from(request),
             address=request.haddr,
             beats=request.beats,
@@ -55,20 +46,35 @@ class AhbInitiatorNiu(InitiatorNiu):
             priority=sideband.priority if sideband else 0,
             txn_id=sideband.txn_id if sideband else -1,
         )
-        return self._peek_txn
+        return self.decoded
 
-    def pop_native(self) -> None:
+    def pop(self) -> None:
         self.socket.req("req").pop()
 
-    def push_native_response(self, entry: StateEntry) -> bool:
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
         channel = self.socket.rsp("rsp")
         if not channel.can_push():
             return False
         channel.push(
             AhbResponse(
-                txn_id=entry.txn_id,
-                hresp=hresp_from_status(entry.status),
-                hrdata=entry.payload,
+                txn_id=txn.txn_id,
+                hresp=hresp_from_status(status),
+                hrdata=data,
             )
         )
         return True
+
+
+class AhbInitiatorNiu(InitiatorNiu):
+    """Initiator NIU for an AHB master socket.
+
+    AHB is fully ordered and single-outstanding at the socket, so the
+    natural policy is the minimal one (tag 0, one entry) — the cheapest
+    NIU in the gate-count sweep.  A deeper policy is still legal and lets
+    the NIU pipeline bus-side transfers it has already accepted.
+    """
+
+    protocol_name = "AHB"
+    native_side = AhbSide

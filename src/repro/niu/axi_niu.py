@@ -8,11 +8,10 @@ the single packet-injection port.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.core.transaction import BurstType, Opcode, Transaction
-from repro.niu.base import InitiatorNiu
-from repro.niu.state_table import StateEntry
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.niu.base import InitiatorNiu, NativeSide
 from repro.protocols.axi import (
     AxBurst,
     AxLock,
@@ -32,17 +31,15 @@ def _burst_from_axburst(axburst: AxBurst, beats: int) -> BurstType:
     return BurstType.INCR if beats > 1 else BurstType.SINGLE
 
 
-class AxiInitiatorNiu(InitiatorNiu):
-    """Initiator NIU for an AXI master socket."""
+class AxiSide(NativeSide):
+    """An AXI master socket: ``ar`` and ``aw`` served alternately when
+    both hold a request; ``r`` and ``b`` answer them."""
 
-    protocol_name = "AXI"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self._prefer_read = True
         self._peeked_channel: Optional[str] = None
 
-    # ------------------------------------------------------------------ #
     def _convert_ar(self, ar: AxiAR) -> Transaction:
         sideband = ar.txn
         return Transaction(
@@ -76,7 +73,7 @@ class AxiInitiatorNiu(InitiatorNiu):
             txn_id=sideband.txn_id if sideband else -1,
         )
 
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
+    def peek(self, cycle: int) -> Optional[Transaction]:
         ar = self.socket.req("ar")
         aw = self.socket.req("aw")
         order = ["ar", "aw"] if self._prefer_read else ["aw", "ar"]
@@ -85,35 +82,37 @@ class AxiInitiatorNiu(InitiatorNiu):
             if channel._committed:
                 self._peeked_channel = channel_name
                 record = channel.peek()
-                if record is self._peek_key:
-                    return self._peek_txn
-                self._peek_key = record
+                if record is self.record:
+                    return self.decoded
+                self.record = record
                 if channel_name == "ar":
-                    self._peek_txn = self._convert_ar(record)
+                    self.decoded = self._convert_ar(record)
                 else:
-                    self._peek_txn = self._convert_aw(record)
-                return self._peek_txn
+                    self.decoded = self._convert_aw(record)
+                return self.decoded
         self._peeked_channel = None
         return None
 
-    def pop_native(self) -> None:
+    def pop(self) -> None:
         assert self._peeked_channel is not None
         self.socket.req(self._peeked_channel).pop()
         # Alternate between directions for fairness.
         self._prefer_read = self._peeked_channel == "aw"
         self._peeked_channel = None
 
-    def push_native_response(self, entry: StateEntry) -> bool:
-        if entry.txn.opcode.is_read:
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        if txn.opcode.is_read:
             channel = self.socket.rsp("r")
             if not channel.can_push():
                 return False
             channel.push(
                 AxiR(
-                    rid=entry.txn.txn_tag,
-                    rdata=entry.payload if entry.payload is not None else [],
-                    rresp=xresp_from_status(entry.status),
-                    txn_id=entry.txn_id,
+                    rid=txn.txn_tag,
+                    rdata=data if data is not None else [],
+                    rresp=xresp_from_status(status),
+                    txn_id=txn.txn_id,
                 )
             )
             return True
@@ -122,9 +121,16 @@ class AxiInitiatorNiu(InitiatorNiu):
             return False
         channel.push(
             AxiB(
-                bid=entry.txn.txn_tag,
-                bresp=xresp_from_status(entry.status),
-                txn_id=entry.txn_id,
+                bid=txn.txn_tag,
+                bresp=xresp_from_status(status),
+                txn_id=txn.txn_id,
             )
         )
         return True
+
+
+class AxiInitiatorNiu(InitiatorNiu):
+    """Initiator NIU for an AXI master socket."""
+
+    protocol_name = "AXI"
+    native_side = AxiSide

@@ -7,7 +7,10 @@ slim per-protocol subclasses (:mod:`repro.niu.ahb_niu` etc.) is the
 paper's compatibility argument made concrete: ordering, tagging, state
 tracking and service bits are one shared mechanism.  A new socket
 contributes its row in :mod:`repro.core.protocols` (ordering model,
-services, default tag policy) and record conversion — nothing else.
+services, default tag policy) and its :class:`NativeSide` — nothing
+else.  The native side is the family's one reading of its socket, so the
+bus bridge (:class:`repro.bus.bridge.Bridge`) serves the socket with the
+same code as the NIU.
 
 The target NIU terminates the socket protocol at the target side: it
 owns the per-target *NoC service* state (exclusive-access monitor, lock
@@ -16,7 +19,7 @@ manager) and presents the target IP a neutral read/write interface.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.address_map import AddressMap, DecodeError
 from repro.core.packet import NocPacket, PacketKind
@@ -28,7 +31,7 @@ from repro.core.transaction import (
     ResponseStatus,
     Transaction,
 )
-from repro.niu.state_table import StateEntry, StateTable
+from repro.niu.state_table import StateTable
 from repro.niu.tag_policy import TagPolicy, default_policy
 from repro.protocols.base import (
     MasterSocket,
@@ -42,6 +45,50 @@ from repro.sim.snapshot import Snapshottable
 from repro.transport.network import Fabric
 
 
+class NativeSide:
+    """One socket family's side of a master socket, for whichever
+    attachment serves it (an initiator NIU or a bus bridge).
+
+    Subclass contract (one per family, in its NIU module):
+
+    - :meth:`peek` — return the :class:`Transaction` encoded by the
+      native request the socket serves next (without consuming it), or
+      ``None``; the request record itself is left in :attr:`record`;
+    - :meth:`pop` — consume that request;
+    - :meth:`respond` — push the native response record for ``txn``
+      with ``status`` and read ``data``; return False if the socket
+      cannot accept it this cycle.
+
+    ``outstanding`` counts what the attachment holds in flight (a
+    request a family answers locally, like the MsgPort's FENCE, waits
+    for zero).
+    """
+
+    def __init__(
+        self, name: str, socket: MasterSocket, outstanding: Callable[[], int]
+    ) -> None:
+        self.name = name
+        self.socket = socket
+        self.outstanding = outstanding
+        # peek decode cache: a blocked head request is re-peeked every
+        # cycle, and native records are immutable once pushed, so peek
+        # memoizes the decoded Transaction by record identity (the cache
+        # holds a strong reference, so `is` stays sound).
+        self.record = None
+        self.decoded: Optional[Transaction] = None
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        raise NotImplementedError
+
+    def pop(self) -> None:
+        raise NotImplementedError
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        raise NotImplementedError
+
+
 class InitiatorNiu(Component, Snapshottable):
     """Generic initiator-NIU engine.
 
@@ -50,19 +97,12 @@ class InitiatorNiu(Component, Snapshottable):
     ``policy`` the row's default, and a policy of any other ordering
     model is a ``ValueError``.
 
-    Subclass contract (record conversion only):
-
-    - :attr:`protocol_name` — the socket family served;
-    - :meth:`peek_native` — return the :class:`Transaction` encoded by
-      the native request at the head of the socket (without consuming
-      it), or ``None``;
-    - :meth:`pop_native` — consume that request;
-    - :meth:`push_native_response` — translate a completed
-      :class:`StateEntry` into the native response record and push it to
-      the socket; return False if the socket cannot accept it this cycle.
+    Subclass contract: :attr:`protocol_name`, the socket family served,
+    and :attr:`native_side`, the family's :class:`NativeSide`.
     """
 
     protocol_name = "BASE"
+    native_side = NativeSide
 
     def __init__(
         self,
@@ -102,39 +142,40 @@ class InitiatorNiu(Component, Snapshottable):
         )
         for queue in self._native_req_queues:
             queue.wake_on_push(self)
-        # peek_native decode cache: a blocked head request is re-peeked
-        # every cycle, and native records are immutable once pushed, so
-        # subclasses memoize the decoded Transaction by record identity
-        # (the cache holds a strong reference, so `is` stays sound).
-        self._peek_key = None
-        self._peek_txn: Optional[Transaction] = None
+        # Bound once, so the per-tick path calls the native side directly.
+        self.native = native = self.native_side(name, socket, self.table.__len__)
+        self.peek_native = native.peek
+        self.pop_native = native.pop
+        self.respond_native = native.respond
         # Last native request TagPolicy.admit refused, and the table
         # version it was refused against (see _issue_requests).
         self._refused_txn: Optional[Transaction] = None
         self._refused_version = -1
 
     # -- state capture ----------------------------------------------------
-    # The peek-cache pair rides along so a restored NIU re-decodes (or
-    # not) exactly as the original would; the checkpoint's one pickle keeps
-    # `_peek_key is <head record>` aliasing intact.  The refusal memo is
-    # a pure cache: never captured, dropped on restore.
+    # The native side's peek cache rides along so a restored NIU
+    # re-decodes (or not) exactly as the original would; the checkpoint's
+    # one pickle keeps `record is <head record>` aliasing intact.  The
+    # refusal memo is a pure cache: never captured, dropped on restore.
     _snapshot_fields = (
         "requests_sent",
         "responses_delivered",
         "posted_sent",
         "decode_errors",
         "stall_cycles",
-        "_peek_key",
-        "_peek_txn",
     )
 
     def _snapshot_state(self) -> dict:
         state = super()._snapshot_state()
+        state["_peek_key"] = self.native.record
+        state["_peek_txn"] = self.native.decoded
         state["table"] = self.table.snapshot()
         return state
 
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
+        self.native.record = state["_peek_key"]
+        self.native.decoded = state["_peek_txn"]
         self.table.restore(state["table"])
         self._refused_txn = None
 
@@ -154,18 +195,6 @@ class InitiatorNiu(Component, Snapshottable):
             if queue._committed:
                 return now
         return None
-
-    # ------------------------------------------------------------------ #
-    # subclass interface
-    # ------------------------------------------------------------------ #
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
-        raise NotImplementedError
-
-    def pop_native(self) -> None:
-        raise NotImplementedError
-
-    def push_native_response(self, entry: StateEntry) -> bool:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # engine
@@ -201,7 +230,7 @@ class InitiatorNiu(Component, Snapshottable):
     def _deliver_responses(self, cycle: int) -> None:
         """Hand the socket one deliverable response per cycle."""
         for entry in self.table.deliverable():
-            if self.push_native_response(entry):
+            if self.respond_native(entry.txn, entry.status, entry.payload):
                 self.table.release(entry.txn_id)
                 self.responses_delivered += 1
                 return

@@ -7,11 +7,10 @@ exclusives, which is the paper's §3 punchline.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
-from repro.niu.base import InitiatorNiu
-from repro.niu.state_table import StateEntry
+from repro.niu.base import InitiatorNiu, NativeSide
 from repro.protocols.ocp import MCmd, OcpRequest, OcpResponse, SResp
 
 _OPCODES = {
@@ -23,25 +22,26 @@ _OPCODES = {
 }
 
 
-class OcpInitiatorNiu(InitiatorNiu):
-    """Initiator NIU for an OCP master socket."""
+class OcpSide(NativeSide):
+    """An OCP master socket: one ``req`` channel carrying every thread.
 
-    protocol_name = "OCP"
+    A WRC answered ``OKAY`` lost its reservation and answers ``FAIL``;
+    ``EXOKAY`` is a won one and answers ``DVA``."""
 
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
+    def peek(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("req")
         if not channel._committed:
             return None
         request: OcpRequest = channel.peek()
-        if request is self._peek_key:
-            return self._peek_txn
+        if request is self.record:
+            return self.decoded
         try:
             opcode, excl = _OPCODES[request.mcmd]
         except KeyError:
             raise ValueError(f"{self.name}: cannot convert {request.mcmd}") from None
         sideband = request.txn
-        self._peek_key = request
-        self._peek_txn = Transaction(
+        self.record = request
+        self.decoded = Transaction(
             opcode=opcode,
             address=request.maddr,
             beats=request.mburstlength,
@@ -56,22 +56,23 @@ class OcpInitiatorNiu(InitiatorNiu):
             priority=sideband.priority if sideband else 0,
             txn_id=sideband.txn_id if sideband else -1,
         )
-        return self._peek_txn
+        return self.decoded
 
-    def pop_native(self) -> None:
+    def pop(self) -> None:
         self.socket.req("req").pop()
 
-    def push_native_response(self, entry: StateEntry) -> bool:
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
         channel = self.socket.rsp("rsp")
         if not channel.can_push():
             return False
-        txn = entry.txn
         excl_failed = (
             txn.excl
             and txn.opcode.is_write
-            and entry.status is ResponseStatus.OKAY
+            and status is ResponseStatus.OKAY
         )
-        if entry.status.is_error:
+        if status.is_error:
             sresp = SResp.ERR
         elif excl_failed:
             sresp = SResp.FAIL
@@ -81,8 +82,15 @@ class OcpInitiatorNiu(InitiatorNiu):
             OcpResponse(
                 sresp=sresp,
                 sthreadid=txn.thread,
-                sdata=entry.payload,
-                txn_id=entry.txn_id,
+                sdata=data,
+                txn_id=txn.txn_id,
             )
         )
         return True
+
+
+class OcpInitiatorNiu(InitiatorNiu):
+    """Initiator NIU for an OCP master socket."""
+
+    protocol_name = "OCP"
+    native_side = OcpSide

@@ -1,18 +1,18 @@
 """Proprietary MsgPort initiator NIU.
 
 Demonstrates the paper's feature-locality claim (§2): the MsgPort's
-``FENCE`` primitive is supported entirely inside this NIU — it drains the
-state table and acknowledges locally.  No packet field, no transport or
-physical change, no other NIU touched (benchmark E6 counts exactly this).
+``FENCE`` primitive is supported entirely inside this module — it waits
+for the attachment to drain and acknowledges locally.  No packet field,
+no transport or physical change, no other NIU touched (benchmark E6
+counts exactly this).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.core.transaction import BurstType, Opcode, Transaction
-from repro.niu.base import InitiatorNiu
-from repro.niu.state_table import StateEntry
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.niu.base import InitiatorNiu, NativeSide
 from repro.protocols.proprietary import MsgKind, MsgRequest, MsgResponse
 
 _OPCODES = {
@@ -22,25 +22,20 @@ _OPCODES = {
 }
 
 
-class MsgInitiatorNiu(InitiatorNiu):
-    """Initiator NIU for the example proprietary message port."""
+class MsgSide(NativeSide):
+    """The MsgPort: one ``msg`` channel, one ``ack`` channel; a FENCE is
+    acknowledged here once nothing is outstanding."""
 
-    protocol_name = "PROPRIETARY"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.fences_served = 0
-
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
+    def peek(self, cycle: int) -> Optional[Transaction]:
         channel = self.socket.req("msg")
         if not channel._committed:
             return None
         request: MsgRequest = channel.peek()
         if request.kind is MsgKind.FENCE:
-            # NIU-local service: complete once every tracked transaction
-            # has retired.  Never reaches the fabric.
+            # Local service: complete once every tracked transaction has
+            # retired.  Never reaches the fabric.
             ack = self.socket.rsp("ack")
-            if len(self.table) == 0 and ack.can_push():
+            if self.outstanding() == 0 and ack.can_push():
                 channel.pop()
                 ack.push(
                     MsgResponse(
@@ -48,13 +43,12 @@ class MsgInitiatorNiu(InitiatorNiu):
                         txn_id=request.txn.txn_id if request.txn else -1,
                     )
                 )
-                self.fences_served += 1
             return None
         sideband = request.txn
-        if request is self._peek_key:
-            return self._peek_txn
-        self._peek_key = request
-        self._peek_txn = Transaction(
+        if request is self.record:
+            return self.decoded
+        self.record = request
+        self.decoded = Transaction(
             opcode=_OPCODES[request.kind],
             address=request.addr,
             beats=request.length_words,
@@ -67,20 +61,25 @@ class MsgInitiatorNiu(InitiatorNiu):
             priority=sideband.priority if sideband else 0,
             txn_id=sideband.txn_id if sideband else -1,
         )
-        return self._peek_txn
+        return self.decoded
 
-    def pop_native(self) -> None:
+    def pop(self) -> None:
         self.socket.req("msg").pop()
 
-    def push_native_response(self, entry: StateEntry) -> bool:
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
         channel = self.socket.rsp("ack")
         if not channel.can_push():
             return False
         channel.push(
-            MsgResponse(
-                ok=not entry.status.is_error,
-                data=entry.payload,
-                txn_id=entry.txn_id,
-            )
+            MsgResponse(ok=not status.is_error, data=data, txn_id=txn.txn_id)
         )
         return True
+
+
+class MsgInitiatorNiu(InitiatorNiu):
+    """Initiator NIU for the example proprietary message port."""
+
+    protocol_name = "PROPRIETARY"
+    native_side = MsgSide

@@ -7,13 +7,12 @@ AVCI's ``TRDID`` maps onto the Tag exactly like an AXI ID.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.address_map import AddressMap
 from repro.core.protocols import family
-from repro.core.transaction import BurstType, Opcode, Transaction
-from repro.niu.base import InitiatorNiu
-from repro.niu.state_table import StateEntry
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.niu.base import InitiatorNiu, NativeSide
 from repro.niu.tag_policy import TagPolicy
 from repro.protocols.base import MasterSocket
 from repro.protocols.vci import (
@@ -32,8 +31,61 @@ _OPCODES = {
 }
 
 
+class VciSide(NativeSide):
+    """A VCI master socket of any flavor: one ``cmd`` channel, one
+    ``rsp`` channel."""
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        channel = self.socket.req("cmd")
+        if not channel._committed:
+            return None
+        request: VciRequest = channel.peek()
+        if request is self.record:
+            return self.decoded
+        sideband = request.txn
+        beat_bytes = (
+            request.plen // request.cells if request.cells else 4
+        ) or 4
+        self.record = request
+        self.decoded = Transaction(
+            opcode=_OPCODES[request.cmd],
+            address=request.address,
+            beats=request.cells,
+            beat_bytes=beat_bytes,
+            burst=BurstType.INCR if request.cells > 1 else BurstType.SINGLE,
+            data=list(request.wdata) if request.wdata is not None else None,
+            master=sideband.master if sideband else self.name,
+            txn_tag=request.trdid,
+            priority=sideband.priority if sideband else 0,
+            txn_id=sideband.txn_id if sideband else -1,
+        )
+        return self.decoded
+
+    def pop(self) -> None:
+        self.socket.req("cmd").pop()
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        channel = self.socket.rsp("rsp")
+        if not channel.can_push():
+            return False
+        channel.push(
+            VciResponse(
+                rerror=rerror_from_status(status),
+                rdata=data,
+                rtrdid=txn.txn_tag,
+                rpktid=txn.txn_id & 0xFF,
+                txn_id=txn.txn_id,
+            )
+        )
+        return True
+
+
 class VciInitiatorNiu(InitiatorNiu):
     """Initiator NIU for a PVCI/BVCI/AVCI master socket."""
+
+    native_side = VciSide
 
     def __init__(
         self,
@@ -48,47 +100,3 @@ class VciInitiatorNiu(InitiatorNiu):
         # One class serves three families: the flavor names the row.
         self.protocol_name = family(flavor).name
         super().__init__(name, fabric, endpoint, address_map, socket, policy)
-
-    def peek_native(self, cycle: int) -> Optional[Transaction]:
-        channel = self.socket.req("cmd")
-        if not channel._committed:
-            return None
-        request: VciRequest = channel.peek()
-        if request is self._peek_key:
-            return self._peek_txn
-        sideband = request.txn
-        beat_bytes = (
-            request.plen // request.cells if request.cells else 4
-        ) or 4
-        self._peek_key = request
-        self._peek_txn = Transaction(
-            opcode=_OPCODES[request.cmd],
-            address=request.address,
-            beats=request.cells,
-            beat_bytes=beat_bytes,
-            burst=BurstType.INCR if request.cells > 1 else BurstType.SINGLE,
-            data=list(request.wdata) if request.wdata is not None else None,
-            master=sideband.master if sideband else self.name,
-            txn_tag=request.trdid,
-            priority=sideband.priority if sideband else 0,
-            txn_id=sideband.txn_id if sideband else -1,
-        )
-        return self._peek_txn
-
-    def pop_native(self) -> None:
-        self.socket.req("cmd").pop()
-
-    def push_native_response(self, entry: StateEntry) -> bool:
-        channel = self.socket.rsp("rsp")
-        if not channel.can_push():
-            return False
-        channel.push(
-            VciResponse(
-                rerror=rerror_from_status(entry.status),
-                rdata=entry.payload,
-                rtrdid=entry.txn.txn_tag,
-                rpktid=entry.txn_id & 0xFF,
-                txn_id=entry.txn_id,
-            )
-        )
-        return True

@@ -1,11 +1,16 @@
 """Shared-bus baseline and bridge tests (Fig-2 system, claims C1/E8)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bus import build_bus_soc, coverage_matrix, coverage_score
 from repro.bus.coverage import FeatureSupport, format_matrix
 from repro.core.transaction import Opcode, Transaction, make_read, make_write
 from repro.ip import TrafficSpec
+from repro.protocols.proprietary import make_fence
+from repro.sim.fingerprint import reset_ids
 from repro.soc import InitiatorSpec, TargetSpec
 
 
@@ -79,6 +84,14 @@ class TestBridgePenalties:
         lat_slow = slow.master_latency("m0")["mean"]
         # Both directions pay the pipe (±1 cycle of phase alignment).
         assert lat_slow >= lat_fast + 2 * 6 - 2
+
+    def test_zero_latency_keeps_each_answer(self):
+        """A zero-latency bridge takes the next intent in the cycle the
+        last one completes; the answer it still owes keeps its DECERR."""
+        intents = [make_read(address) for address in (0x9000_0000, 0x0) * 2]
+        soc = bus_soc("AXI", intents, bridge_latency=0)
+        soc.run_to_completion(max_cycles=10_000)
+        assert soc.masters["m0"].errors == 2
 
     def test_threads_serialized(self):
         """Two OCP threads behind a bridge cannot overlap — the bridge
@@ -217,3 +230,89 @@ def test_mixed_bus_completes_identically_on_both_kernels(monkeypatch):
     assert (activity[0], reference[0]) == (False, True)
     assert activity[1:] == reference[1:]
     assert sum(done for _, done, _ in activity[2].values()) > 120
+
+
+def _excl(txn):
+    txn.excl = True
+    return txn
+
+
+def _pinned_bus_run():
+    """All seven families on the bus, to completion: an AXI exclusive
+    loop and an OCP exclusive pair, an AHB locked sequence, an OCP posted
+    write, a FENCE on the proprietary port and a 40-beat AXI burst over
+    the 16-beat cap, beside three Poisson VCI masters."""
+    reset_ids()
+    ranges = [(0, 0x2000), (0x2000, 0x2000)]
+    scripted = {
+        "cpu_ahb": ("AHB", {}, [
+            make_write(0x100, [1, 2, 3, 4]), make_read(0x100, beats=4),
+            Transaction(opcode=Opcode.READEX, address=0x40),
+            Transaction(opcode=Opcode.STORE_COND_LOCKED, address=0x40, data=[7]),
+            make_read(0x2040),
+        ]),
+        "gpu_axi": ("AXI", {}, [
+            make_write(0x400, list(range(40))), make_read(0x400, beats=40),
+            make_read(0x2400, beats=8, txn_tag=1), make_read(0x9000_0000),
+        ]),
+        "dsp_ocp": ("OCP", {"threads": 2}, [
+            make_write(0x800, [5, 6], posted=True),
+            _excl(make_read(0xC0, thread=1)), _excl(make_write(0xC0, [3], thread=1)),
+            make_read(0x800, beats=2), make_write(0x2800, [8]),
+        ]),
+        "acc_msg": ("PROPRIETARY", {}, [
+            make_write(0x1000, [11, 12]), make_write(0x1008, [13], posted=True),
+            make_fence(), make_read(0x1000, beats=3),
+        ]),
+    }
+    initiators = [
+        InitiatorSpec(name, protocol, TrafficSpec(kind="scripted", intents=intents),
+                      protocol_kwargs=kwargs)
+        for name, (protocol, kwargs, intents) in scripted.items()
+    ] + [
+        InitiatorSpec("sync_axi", "AXI", TrafficSpec(kind="sync", style="excl",
+                                                     iterations=2)),
+    ] + [
+        InitiatorSpec(f"io_{protocol.lower()}", protocol,
+                      TrafficSpec(kind="poisson", pairs=ranges, count=12,
+                                  seed=seed, tags=4, rate=0.3))
+        for seed, protocol in enumerate(("PVCI", "BVCI", "AVCI"), start=7)
+    ]
+    targets = [
+        TargetSpec("dram", size=0x2000, read_latency=6, write_latency=3),
+        TargetSpec("sram", size=0x2000, read_latency=2, write_latency=1),
+    ]
+    soc = build_bus_soc(initiators, targets)
+    cycles = soc.run_to_completion(max_cycles=100_000)
+    bus = soc.bus
+    return {
+        "cycles": cycles,
+        "masters": {
+            name: (m.issued, m.completed, m.errors, m.exokay, m.excl_failures,
+                   soc.master_latency(name))
+            for name, m in soc.masters.items()
+        },
+        "bridges": {
+            name: (b.intents_converted, b.splits, b.lock_emulations,
+                   b.serialization_stall_cycles)
+            for name, b in soc.bridges.items()
+        },
+        "bus": (bus.transfers, bus.busy_cycles, bus.lock_held_cycles,
+                bus.grant_wait_cycles),
+        "stores": {t.name: t.store.image() for t in bus._targets.values()},
+    }
+
+
+#: ``_pinned_bus_run``'s digest, taken before the bridge shared its
+#: families' native sides with the NIUs.
+PINNED_BUS_RUN = "ef560e40934877ed"
+
+
+def test_pinned_bus_run():
+    observed = _pinned_bus_run()
+    assert observed["masters"]["acc_msg"][1] == 4  # the FENCE answered
+    assert observed["bridges"]["gpu_axi"][1] == 2  # both 40-beat bursts split
+    digest = hashlib.sha256(
+        json.dumps(observed, sort_keys=True, default=repr).encode()
+    ).hexdigest()[:16]
+    assert digest == PINNED_BUS_RUN

@@ -77,7 +77,7 @@ def test_parked_masters_and_returning_credits_roundtrip():
 
 def test_aliases_inside_the_tree_survive_the_pickle():
     """Cycle 626 of the saturated mixed SoC on an adaptive torus: an
-    NIU's ``_peek_key`` *is* its socket's head record and a router's
+    NIU's ``native.record`` *is* its socket's head record and a router's
     cached ``_alloc_fail`` flit *is* its input queue's front flit.  One
     pickle of the whole tree (one memo) keeps each pair one object."""
 
@@ -85,7 +85,7 @@ def test_aliases_inside_the_tree_survive_the_pickle():
         peeked = sorted(
             name for name, niu in soc.initiator_nius.items()
             if any(
-                queue._committed and queue._committed[0] is niu._peek_key
+                queue._committed and queue._committed[0] is niu.native.record
                 for queue in niu._native_req_queues
             )
         )
@@ -151,7 +151,7 @@ def test_refusal_memo_is_dropped_on_restore_never_captured():
     donor = build("saturated-mixed")
     donor.run(at)
     niu = donor.initiator_nius["io_bvci"]
-    assert niu._refused_txn is niu._peek_txn is not None
+    assert niu._refused_txn is niu.native.decoded is not None
     assert niu._refused_version == niu.table.version
     assert any(master._limit_blocked for master in donor.masters.values())
     assert not {"_refused_txn", "_refused_version"} & set(niu.snapshot()["state"])

@@ -402,10 +402,10 @@ def noc(initiators=None, targets=None, **knobs):
                      [_mem()] if targets is None else targets, **knobs)
 
 
-def bus(initiators=None, targets=None):
+def bus(initiators=None, targets=None, **knobs):
     """The same SoC through the bus builder."""
     return build_bus_soc([_cpu()] if initiators is None else initiators,
-                         [_mem()] if targets is None else targets)
+                         [_mem()] if targets is None else targets, **knobs)
 
 
 def _with(**knobs):
@@ -512,6 +512,22 @@ REFUSALS = {
         "build_bus_soc.target_error_ranges",
         lambda: bus(targets=[_mem(error_ranges=[(0, 0x10)])]),
         "target 'mem': the bus builder has no model for error_ranges=[(0, 16)]",
+    ),
+    # the bus builder's own knobs: a zero cap died in the first burst
+    # split as a bare ValueError from range(), a negative one wedged the
+    # run, a negative latency ran as 0 and the arbitration was refused
+    # inside SharedBus, outside the table
+    "bus_arbitration": (
+        "build_bus_soc.arbitration", lambda: bus(arbitration="bogus"),
+        "bus: arbitration must be one of ('rr', 'fixed', 'priority'), got 'bogus'",
+    ),
+    "bus_bridge_latency": (
+        "build_bus_soc.bridge_latency", lambda: bus(bridge_latency=-3),
+        "bus: bridge_latency must be >= 0, got -3",
+    ),
+    "bus_max_burst_beats": (
+        "build_bus_soc.max_burst_beats", lambda: bus(max_burst_beats=0),
+        "bus: max_burst_beats must be >= 1, got 0",
     ),
     # the spec records, at construction
     "noc_initiator_protocol": (
