@@ -628,12 +628,3 @@ _SOURCES = {
 #: Source kinds TrafficSpec can describe.
 TRAFFIC_KINDS = tuple(_SOURCES)
 
-
-def issues_locks(source) -> bool:
-    """Whether a built ``source`` can issue a LOCK-family opcode: a
-    ``lock``-style sync workload, or a script holding a locking intent."""
-    if isinstance(source, SyncWorkload):
-        return source.style == "lock"
-    return isinstance(source, ScriptedTraffic) and any(
-        txn.opcode.is_locking for txn in source._intents
-    )

@@ -140,11 +140,11 @@ class Component:
         return edge-accurate cycles for any internal per-edge state of
         their own.
 
-        Components with externally-timetabled events (e.g. the fault
-        injector's cycle-stamped link-down/up edges) rely on this
+        Components with timetabled events (e.g. a protocol master whose
+        Poisson source has drawn its next arrival cycle) rely on this
         contract to guarantee the event-wheel kernel never skips *over*
-        an edge: return the next scheduled cycle and the kernel will
-        land on it exactly, even if the whole fabric is otherwise quiet.
+        one: return the next scheduled cycle and the kernel will land on
+        it exactly, even if the whole fabric is otherwise quiet.
 
         Stay-hot rule: a component holding work that only *downstream
         queue space* would release must return ``now`` (its next clock

@@ -50,9 +50,6 @@ def fingerprint_soc(soc) -> Dict:
                 router.lock_stall_cycles,
                 router.packets_adaptive,
                 router.packets_escape,
-                router.faults_hit,
-                router.packets_rerouted,
-                router.fault_stall_cycles,
                 dict(router.output_busy_cycles),
             )
         for eport in plane.ejection_ports.values():

@@ -18,10 +18,9 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level failures (deadlock, double registration...).
 
     Subsystems raise *named* subclasses for conditions that deserve a
-    distinct ``except`` target — e.g.
-    :class:`repro.transport.faults.FabricPartitionError` when a fault
-    schedule severs all routes to a destination mid-run.  Catching
-    ``SimulationError`` still catches them all.
+    distinct ``except`` target — e.g. :class:`RunBudgetExceededError`
+    when a ``run_until`` budget runs out.  Catching ``SimulationError``
+    still catches them all.
     """
 
 
@@ -32,8 +31,8 @@ class RunBudgetExceededError(SimulationError):
     A *named* subclass so callers that can diagnose the stall (e.g.
     :meth:`repro.soc.builder.NocSoc.run_to_completion` asking each
     workload what it is blocked on) can tell a plain budget timeout from
-    the other :class:`SimulationError` conditions — a partition watchdog
-    firing, say — which they must not mask.
+    the other :class:`SimulationError` conditions, which they must not
+    mask.
     """
 
 

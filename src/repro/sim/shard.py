@@ -63,9 +63,8 @@ runs against the *same sharded build* run single-process, which is
 what the determinism tests pin.
 
 Out of scope for v1, rejected with :class:`ShardConfigError` at build
-time: fault schedules, the strict reference kernel, enabled tracers,
-transparent cut links, and snapshot/checkpoint capture of sharded
-builds.
+time: the strict reference kernel, enabled tracers, transparent cut
+links, and snapshot/checkpoint capture of sharded builds.
 """
 
 from __future__ import annotations
@@ -646,9 +645,6 @@ def fingerprint_shard(soc, shard: int) -> Dict:
                 router.lock_stall_cycles,
                 router.packets_adaptive,
                 router.packets_escape,
-                router.faults_hit,
-                router.packets_rerouted,
-                router.fault_stall_cycles,
                 dict(router.output_busy_cycles),
             )
         for eport in plane.ejection_ports.values():

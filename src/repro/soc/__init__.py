@@ -11,29 +11,17 @@ from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import (
     ClockDomain,
     EscapeVcPolicy,
-    FabricPartitionError,
-    FaultConfigError,
-    FaultSchedule,
     InitiatorSpec,
     LinkSpec,
-    NoSurvivingPathError,
-    OverlappingFaultWindowError,
     TargetSpec,
-    UnknownFaultTargetError,
 )
 
 __all__ = [
     "ClockDomain",
     "EscapeVcPolicy",
-    "FabricPartitionError",
-    "FaultConfigError",
-    "FaultSchedule",
     "InitiatorSpec",
     "LinkSpec",
-    "NoSurvivingPathError",
     "NocSoc",
-    "OverlappingFaultWindowError",
     "SocBuilder",
     "TargetSpec",
-    "UnknownFaultTargetError",
 ]

@@ -20,7 +20,7 @@ from repro.core.checks import Check, check, knob
 from repro.core.layer import TransactionLayerConfig, build_layer_config
 from repro.core.services import ExclusiveMonitor, LockManager, NocService
 from repro.ip.slaves import MemoryDevice
-from repro.ip.traffic import TrafficSpec, WorkloadStallError, issues_locks
+from repro.ip.traffic import TrafficSpec, WorkloadStallError
 from repro.niu.ahb_niu import AhbInitiatorNiu
 from repro.niu.axi_niu import AxiInitiatorNiu
 from repro.niu.base import InitiatorNiu, TargetNiu
@@ -41,7 +41,6 @@ from repro.sim.stats import Histogram
 from repro.sim.trace import Tracer
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo_mod
-from repro.transport.faults import FaultConfigError
 from repro.transport.network import Fabric
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
@@ -222,7 +221,7 @@ class NocSoc(BuiltSoc):
         ``diagnose_stall()`` — DMA engines name the halted/starved
         descriptor).  A timeout with all traffic retired — something
         stuck below the masters — re-raises untouched, as do the other
-        SimulationError conditions (e.g. a partition watchdog).
+        SimulationError conditions.
         """
         try:
             return self.sim.run_until(self.quiescent, max_cycles=max_cycles)
@@ -357,7 +356,7 @@ class NocSoc(BuiltSoc):
 LINK_CLASSES = ("router", "endpoint")
 #: The builder options each transport plane takes under the same name.
 PLANE_KNOBS = ("mode", "flit_payload_bits", "buffer_capacity", "arbiter", "routing",
-               "vcs", "vc_policy", "faults")
+               "vcs", "vc_policy")
 
 
 def resolve_links(links) -> Dict[str, Optional[LinkSpec]]:
@@ -379,7 +378,7 @@ def _undeclared(s) -> Optional[Tuple[str, str]]:
 
 #: What :meth:`SocBuilder.build` refuses, in order, before it registers
 #: anything (the plane options are :data:`~repro.transport.network.PLANE_ROWS`).
-#: The last four rows are sharding's, one block that leaves with it.
+#: The last three rows are sharding's, one block that leaves with it.
 BUILD_ROWS = (
     *SPEC_ROWS,
     Check("endpoints", ("topology",),
@@ -404,14 +403,6 @@ BUILD_ROWS = (
           lambda s: "links[{!r}]: expected a LinkSpec".format(next(
               cls for cls, spec in s.links.items() if not isinstance(spec, LinkSpec)))),
     *SOURCE_ROWS,
-    Check("faults_lock", ("faults", "traffic"),
-          lambda s: not s.faults or not any(map(issues_locks, s.sources)),
-          lambda s: "initiator {!r} can issue LOCK-family opcodes, and faults= is "
-                    "set: a LOCK/UNLOCK pair that spans a fault epoch can strand "
-                    "a port lock — drop the fault schedule or the locking "
-                    "traffic".format(next(spec.name for spec, source in zip(
-                        s.initiators, s.sources) if issues_locks(source))),
-          FaultConfigError),
     Check("shards_strict", ("shards", "strict_kernel"),
           lambda s: s.shards is None or not s.sim.strict,
           lambda s: "the strict reference kernel cannot drive sharded builds "
@@ -433,12 +424,6 @@ BUILD_ROWS = (
                     "there is no safe window to parallelize over) — give the "
                     "inter-router links a LinkSpec with pipeline_latency >= 1 or "
                     "narrowed phits",
-          ShardConfigError),
-    Check("shards_faults", ("shards", "faults"),
-          lambda s: s.shards is None or not s.faults,
-          lambda s: "fault injection is out of scope for sharded fabrics (v1) — "
-                    "a fault epoch is a global event that the per-shard safe "
-                    "window cannot order; drop the fault schedule or the shards",
           ShardConfigError),
 )
 
@@ -503,7 +488,6 @@ class SocBuilder:
         fabric_region: Optional[str] = None,
         vcs: int = 1,
         vc_policy=None,
-        faults=None,
         shards=None,
     ) -> None:
         self.name = name
@@ -525,10 +509,6 @@ class SocBuilder:
         self.fabric_region = fabric_region
         self.vcs = vcs
         self.vc_policy = vc_policy
-        # Deterministic fault schedule (PR 6): a
-        # :class:`~repro.transport.faults.FaultSchedule` applied to every
-        # plane of the fabric, validated at build time with named errors.
-        self.faults = faults
         # Sharded fabric (PR 10): shards=N partitions the topology into N
         # contiguous stripes (plan_shards), shards=ShardPlan(...) gives
         # the partition explicitly.  The build is then annotated with

@@ -19,14 +19,6 @@ from repro.core.protocols import FAMILIES
 from repro.niu.tag_policy import TagPolicy
 from repro.phys.clocking import ClockDomain
 from repro.phys.link import LinkSpec
-from repro.transport.faults import (
-    FabricPartitionError,
-    FaultConfigError,
-    FaultSchedule,
-    NoSurvivingPathError,
-    OverlappingFaultWindowError,
-    UnknownFaultTargetError,
-)
 from repro.transport.routing import (
     DatelineVcPolicy,
     EscapeVcPolicy,
@@ -38,17 +30,11 @@ __all__ = [
     "ClockDomain",
     "DatelineVcPolicy",
     "EscapeVcPolicy",
-    "FabricPartitionError",
-    "FaultConfigError",
-    "FaultSchedule",
     "InitiatorSpec",
     "KNOWN_PROTOCOLS",
     "LinkSpec",
-    "NoSurvivingPathError",
-    "OverlappingFaultWindowError",
     "PriorityVcPolicy",
     "TargetSpec",
-    "UnknownFaultTargetError",
     "VcPolicy",
 ]
 

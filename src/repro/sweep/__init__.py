@@ -3,8 +3,8 @@
 :class:`~repro.sweep.checkpoint.Checkpoint` freezes a running
 :class:`~repro.soc.builder.NocSoc` into a self-contained, serializable
 state tree; :func:`~repro.sweep.fork.fork` warm-starts one simulated
-prefix and forks N what-if continuations (load points, fault schedules,
-parameter tweaks) across a process pool, producing a deterministic
+prefix and forks N what-if continuations (load points, parameter
+tweaks) across a process pool, producing a deterministic
 comparison report; :func:`~repro.sweep.parallel.run_sharded` runs a
 ``SocBuilder(shards=N)`` build as one conservative shard-worker process
 per shard, byte-identical to the single-process run.

@@ -1,7 +1,7 @@
 """Fork one warmed simulation prefix into N what-if continuations.
 
 The design-space question "how would *this same* warmed-up system behave
-under a different load / VC budget / fault future?" usually costs N full
+under a different load or VC budget?" usually costs N full
 runs.  With checkpoints it costs one prefix plus N continuations: run the
 common prefix once, :meth:`Checkpoint.capture` it, then :func:`fork` —
 each continuation rebuilds a congruent SoC, restores the checkpoint,
@@ -12,7 +12,6 @@ the same cycle; the sweep is a pure wall-clock optimisation.
 Overrides come in two kinds:
 
 - **fork** (``apply=``): a state-compatible tweak — traffic rate, an
-  extended fault schedule (:meth:`FaultInjector.extend_schedule`), an
   arbiter knob.  Warm-started from the checkpoint.
 - **cold** (``build=``): a structural change — VC count, routing mode,
   topology — that makes the checkpoint non-congruent.  Run cold from

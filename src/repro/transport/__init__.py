@@ -8,16 +8,6 @@ semantics.  The single, deliberate exception is the legacy LOCK family,
 which the paper itself concedes "impacts transport level".
 """
 
-from repro.transport.faults import (
-    FabricPartitionError,
-    FaultConfigError,
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    NoSurvivingPathError,
-    OverlappingFaultWindowError,
-    UnknownFaultTargetError,
-)
 from repro.transport.flit import Flit, Packetizer, Reassembler
 from repro.transport.flow_control import CreditCounter
 from repro.transport.network import BufferSizingError, Fabric, Network
@@ -31,7 +21,6 @@ from repro.transport.routing import (
     RoutingError,
     VcPolicy,
     compute_adaptive_tables,
-    compute_degraded_tables,
     compute_tables,
     make_vc_policy,
     xy_route,
@@ -48,15 +37,8 @@ __all__ = [
     "DatelineVcPolicy",
     "EscapeVcPolicy",
     "Fabric",
-    "FabricPartitionError",
-    "FaultConfigError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
     "Flit",
     "Network",
-    "NoSurvivingPathError",
-    "OverlappingFaultWindowError",
     "Packetizer",
     "PriorityArbiter",
     "PriorityVcPolicy",
@@ -66,10 +48,8 @@ __all__ = [
     "RoutingError",
     "SwitchingMode",
     "Topology",
-    "UnknownFaultTargetError",
     "VcPolicy",
     "compute_adaptive_tables",
-    "compute_degraded_tables",
     "compute_tables",
     "make_vc_policy",
     "router_sort_key",

@@ -6,15 +6,6 @@ consumer's buffer has space *this* cycle.  :class:`CreditCounter` adds the
 realistic variant with a configurable credit-return delay, used by the
 physical-layer link model and by tests that check the fabric never
 overruns a buffer even with slow credit loops.
-
-Credits are *fault-transparent* under the transmit-side-cut model of
-:mod:`repro.transport.faults`: a downed link blocks only **new** output
-grants at the upstream router, while flits already in the link pipe (and
-the wormhole streaming behind a granted head) drain normally, so every
-consumed credit is eventually given back through the ordinary
-:meth:`CreditCounter.give_back` path — no credit reclamation pass is
-needed, and the fault injector's ``phits_in_flight_at_cut`` stat merely
-*accounts* what was mid-wire when the cut landed.
 """
 
 from __future__ import annotations

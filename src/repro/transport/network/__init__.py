@@ -39,7 +39,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
 from repro.sim.shard import ShardLinkRx, ShardLinkTx, ShardOwnership, ShardPlan
 from repro.sim.snapshot import Snapshottable
-from repro.transport.faults import FaultInjector, FaultSchedule
 from repro.transport.flit import Packetizer, flit_count
 from repro.transport.network.ports import EjectionPort, InjectionPort
 from repro.transport.qos import ARBITERS, make_arbiter
@@ -62,11 +61,10 @@ from repro.transport.topology import Topology
 def plane_tables(topology: Topology, routing: str) -> tuple:
     """``(tables, adaptive_tables or None)`` under ``routing``, computed
     once per (topology, scheme) and memoised on the topology: the one way
-    a :class:`Network` gets tables.  Both planes' routers and the fault
-    injector's pristine copy share these objects, so they are read-only:
-    a fault epoch swaps a router's ``adaptive_table``, never edits one,
-    and no table may become a ``_snapshot_fields`` entry
-    (``_restore_field`` restores dicts in place, every plane's at once).
+    a :class:`Network` gets tables.  Both planes' routers share these
+    objects, so they are read-only, and no table may become a
+    ``_snapshot_fields`` entry (``_restore_field`` restores dicts in
+    place, every plane's at once).
     """
     cached = topology._plane_tables.get(routing)
     if cached is None:
@@ -155,16 +153,14 @@ PLANE_ROWS = (
 
 
 class Network(Snapshottable):
-    """One routing plane, assembled in five steps; each registers its
+    """One routing plane, assembled in four steps; each registers its
     components after the step before, and component order is tick order:
 
     1. :meth:`_check_options` — every plane rule, before anything exists;
-    2. :meth:`_add_fault_injector` — ahead of the routers, so a fault
-       epoch is visible to every router tick of its cycle;
-    3. :meth:`_add_routers` — on :func:`plane_tables`' shared tables;
-    4. :meth:`_add_router_links` — one link per direction of every
+    2. :meth:`_add_routers` — on :func:`plane_tables`' shared tables;
+    3. :meth:`_add_router_links` — one link per direction of every
        topology link;
-    5. :meth:`_attach_endpoints` — injection, then ejection, per endpoint.
+    4. :meth:`_attach_endpoints` — injection, then ejection, per endpoint.
 
     The plane's only runtime state of its own is the per-(src, dst)
     injection sequence stream of adaptive planes; everything else lives
@@ -192,7 +188,6 @@ class Network(Snapshottable):
         endpoint_domains: Optional[Dict[int, object]] = None,
         vcs: int = 1,
         vc_policy=None,
-        faults: Optional[FaultSchedule] = None,
         shard_plan: Optional[ShardPlan] = None,
         shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
@@ -207,10 +202,9 @@ class Network(Snapshottable):
         self.endpoint_domains = dict(endpoint_domains or {})
         self._shard_plan, self._shard_ownership = shard_plan, shard_ownership
         self.arbiter = arbiter
-        self._check_options(vcs, vc_policy, faults)
+        self._check_options(vcs, vc_policy)
         self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
         self._link_feed_queues: List[SimQueue] = []
-        self._add_fault_injector(faults)
         self._add_routers(arbiter, lock_support)
         self._add_router_links()
         self._attach_endpoints(endpoint_queue_capacity)
@@ -218,11 +212,11 @@ class Network(Snapshottable):
     # ------------------------------------------------------------------ #
     # assembly steps
     # ------------------------------------------------------------------ #
-    def _check_options(self, vcs: int, vc_policy, faults: Optional[FaultSchedule]):
-        """:data:`PLANE_ROWS`, then the shard plan's and fault schedule's
-        own validation; sets the resolved ``vcs`` and VC policy.  A bare
-        ``routing="adaptive"`` is the minimal split: the escape policy and,
-        at ``vcs=1``, one adaptive VC on top of the escape pair."""
+    def _check_options(self, vcs: int, vc_policy):
+        """:data:`PLANE_ROWS`, then the shard plan's own validation; sets
+        the resolved ``vcs`` and VC policy.  A bare ``routing="adaptive"``
+        is the minimal split: the escape policy and, at ``vcs=1``, one
+        adaptive VC on top of the escape pair."""
         adaptive = self.routing == "adaptive"
         self.vcs = 1 + EscapeVcPolicy.escape_vcs if adaptive and vcs == 1 else vcs
         self.vc_policy = "escape" if adaptive and vc_policy is None else vc_policy
@@ -230,25 +224,11 @@ class Network(Snapshottable):
         self.vc_policy = make_vc_policy(self.vc_policy)
         if self._shard_plan is not None:
             self._shard_plan.validate(self.topology)
-        if faults:
-            faults.validate(self.topology)  # named FaultConfigError subclasses
-
-    def _add_fault_injector(self, faults: Optional[FaultSchedule]) -> None:
-        """The plane's fault injector, when it has a schedule: registered
-        before the routers, so a fault epoch is visible to every router
-        tick of its cycle under both kernels."""
-        self.fault_injector: Optional[FaultInjector] = None
-        if faults:
-            self.fault_injector = FaultInjector(f"{self.name}.faults", self, faults)
-            self.sim.add(self.fault_injector)
 
     def _add_routers(self, arbiter: str, lock_support: bool) -> None:
         """One router per topology router, in the topology's canonical
-        order.  ``_adaptive_tables`` keeps the pristine adaptive tables a
-        fault injector restores on a full heal (its recomputed ones are
-        BFS-canonical, not DOR)."""
+        order."""
         tables, adaptive = plane_tables(self.topology, self.routing)
-        self._adaptive_tables = adaptive
         self.routers: Dict[Hashable, Router] = {}
         for router_id in self.topology.routers:
             router = Router(
@@ -277,8 +257,6 @@ class Network(Snapshottable):
         #: Boundary halves of cut inter-router links, keyed (src, dst).
         self.boundary_tx: Dict[tuple, ShardLinkTx] = {}
         self.boundary_rx: Dict[tuple, ShardLinkRx] = {}
-        self._edge_links: Dict[tuple, Optional[Union[PhysicalLink, VcPhysicalLink]]] = {}
-        self._edge_feeds: Dict[tuple, List[SimQueue]] = {}
         for a, b in self.topology.links:
             for src, dst in ((a, b), (b, a)):
                 qname = f"{self.name}.link.{src}->{dst}"
@@ -290,13 +268,6 @@ class Network(Snapshottable):
                         feeds, deliveries = self._build_link(
                             qname, self.link_spec, domain, domain
                         )
-                # What a fault on this edge drains: a real link's staged and
-                # in-flight phits.  A transparent wire is the downstream
-                # input buffer itself, so nothing is ever in flight on it.
-                wired = feeds is not deliveries
-                link = self.links[-1] if wired and not cut else None
-                self._edge_links[(src, dst)] = link
-                self._edge_feeds[(src, dst)] = feeds if wired else []
                 out_port, in_port = port_to(dst), f"in:{src}"
                 for vc in range(self.vcs):
                     self.routers[src].add_output(

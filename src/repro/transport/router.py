@@ -48,8 +48,8 @@ allocation order does:
   mode and not locked against it; the output is claimed by the head's
   own transfer in Phase B.  A streaming input simply asks to continue.
 - **Phase V** (VC, :meth:`Router._allocate_vcs`) first allocates the
-  output VC (:meth:`Router._allocate_vc`: table or adaptive route, dead
-  port and lock admission, claim), then applies the switching gate.
+  output VC (:meth:`Router._allocate_vc`: table or adaptive route, lock
+  admission, claim), then applies the switching gate.
 - **Phase B** (:meth:`Router._switch`): per physical output in canonical
   order, a lone contender is a recorded sole grant, several go to
   ``arbiter.pick``; one flit per output and per input port.
@@ -57,7 +57,7 @@ allocation order does:
   the rest age by one.
 
 The steps inside the phases are written once: the SAF/VCT head gate
-(:meth:`Router._head_may_depart`), the lock- and fault-stall accounting
+(:meth:`Router._head_may_depart`), the lock-stall accounting
 (:meth:`Router._record_stalls`) and the move itself
 (:meth:`Router._transfer`).
 
@@ -71,11 +71,10 @@ passes the same checks as in Phase A (on the VC switch,
 gate, per tick: one busy input, ``stream_fast_path`` set, an arbiter
 with ``sole_pick_is_grant`` (a custom lone ``pick`` may do more than
 record a grant), and wormhole switching (under SAF/VCT, departure
-depends on the buffered packet); the single-VC switch also stands down
-on a fault-degraded plane (dead-port masking lives in Phase A).
-Everything else runs the phases, which are also the reference: tests
-assign ``stream_fast_path = False`` after construction to run them on
-every tick and compare the two, cycle for cycle.
+depends on the buffered packet).  Everything else runs the phases,
+which are also the reference: tests assign ``stream_fast_path = False``
+after construction to run them on every tick and compare the two, cycle
+for cycle.
 """
 
 from __future__ import annotations
@@ -99,10 +98,6 @@ _LOCK_CLEARERS = (Opcode.UNLOCK, Opcode.STORE_COND_LOCKED)
 
 #: Key of one input (or output) virtual channel: ``(port name, vc)``.
 VcKey = Tuple[str, int]
-
-#: A stall entry for a head waiting on a downed output (the others name
-#: the output whose lock refused the head); see Router._record_stalls.
-_DOWNED = None
 
 
 class Router(Component, Snapshottable):
@@ -160,14 +155,6 @@ class Router(Component, Snapshottable):
         self._alloc_fail: Dict[VcKey, Optional[Tuple[int, Flit]]] = {}
         self._release_version = 0
         self._init_ports()
-        # Fault state (pushed by transport.faults.FaultInjector, which is
-        # registered before the routers so an epoch's state is visible to
-        # every router tick of the same cycle).  _dead_ports are this
-        # router's downed *output* ports; _healthy_adaptive keeps the
-        # pristine table so degraded grants can be classified.
-        self._dead_ports: frozenset = frozenset()
-        self._fault_degraded = False
-        self._healthy_adaptive = adaptive_table
         self._init_stats()
 
     def _init_ports(self) -> None:
@@ -213,15 +200,6 @@ class Router(Component, Snapshottable):
         self.lock_stall_cycles = 0
         self.lock_stalls_by_output: Dict[str, int] = {}
         self.output_busy_cycles: Dict[str, int] = {}
-        #: Packets granted an output while the plane was degraded and the
-        #: candidate set differed from healthy (faults_hit), resp. granted
-        #: a port outside the healthy-minimal set (packets_rerouted —
-        #: genuine detours around a failure).
-        self.faults_hit = 0
-        self.packets_rerouted = 0
-        #: Cycles in which at least one head or in-flight stream here was
-        #: blocked purely by a downed output port.
-        self.fault_stall_cycles = 0
 
     # ------------------------------------------------------------------ #
     # wiring (Network calls these during construction)
@@ -306,34 +284,6 @@ class Router(Component, Snapshottable):
         insort(self._sorted_outputs, entry, key=self._port_keys.__getitem__)
         return queue
 
-    def apply_fault_state(
-        self,
-        dead_ports: frozenset,
-        degraded: bool,
-        adaptive_table: Optional[AdaptiveRoutingTable] = None,
-    ) -> None:
-        """New fault epoch: downed outputs, degraded flag, swapped tables.
-
-        Called by the plane's :class:`~repro.transport.faults.FaultInjector`
-        once per applied event batch.  A downed output is a transmit-side
-        cut: no *new* packet is granted the port until it comes back,
-        while a packet whose head already won it drains across (a
-        wormhole cannot be retracted mid-flight; there is no
-        retransmission layer to recover stranded flits).  Adaptive
-        planes additionally receive the surviving-graph tables (or their
-        pristine healthy tables on full heal).  The release-version bump
-        invalidates every cached failed allocation — blocked heads rescan
-        under the new epoch — and the wake covers the case where a heal
-        un-blocks a router that was idle-parked with frozen upstream
-        traffic elsewhere.
-        """
-        self._dead_ports = dead_ports
-        self._fault_degraded = degraded
-        if self.adaptive_table is not None and adaptive_table is not None:
-            self.adaptive_table = adaptive_table
-        self._release_version += 1
-        self.wake()
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
@@ -377,20 +327,14 @@ class Router(Component, Snapshottable):
             downstream_free=self._downstream_free(okey),
         )
 
-    def _record_stalls(self, stalls: List[Optional[str]]) -> None:
-        """Stall accounting, both switches.  ``stalls`` holds one entry
-        per refused head: the output whose lock another master holds, or
-        ``_DOWNED`` for a head waiting on a downed output.  A tick counts
-        at most one lock-stall and one fault-stall cycle, and one stall
+    def _record_stalls(self, stalls: List[str]) -> None:
+        """Lock-stall accounting, both switches.  ``stalls`` holds one
+        entry per refused head: the output whose lock another master
+        holds.  A tick counts at most one lock-stall cycle, and one stall
         per refusing output in ``lock_stalls_by_output``."""
-        refused = set(stalls)
-        if _DOWNED in refused:
-            refused.discard(_DOWNED)
-            self.fault_stall_cycles += 1
-        if refused:
-            self.lock_stall_cycles += 1
-            for out_port in refused:
-                self.lock_stalls_by_output[out_port] += 1
+        self.lock_stall_cycles += 1
+        for out_port in set(stalls):
+            self.lock_stalls_by_output[out_port] += 1
 
     def _output_vc_for(self, ivc: VcKey, out_port: str, escape=False) -> int:
         """The VC policy's output VC for a head on ``ivc`` leaving by
@@ -420,11 +364,11 @@ class Router(Component, Snapshottable):
     # VC allocation (Phase V, one head at a time)
     # ------------------------------------------------------------------ #
     def _allocate_vc(
-        self, ivc: VcKey, flit: Flit, stalls: List[Optional[str]]
+        self, ivc: VcKey, flit: Flit, stalls: List[str]
     ) -> Optional[VcKey]:
         """Claim an output VC for the head at the front of ``ivc``, or
         ``None`` to retry next cycle (appending to ``stalls`` when a lock
-        or a downed output is why).
+        is why).
 
         Lock admission happens *here*: a head from a non-holding master
         is refused the output VC while the port is locked — granting it
@@ -448,9 +392,6 @@ class Router(Component, Snapshottable):
                 return None  # no admissible candidate
         else:
             out_port = self._route(flit.dest)
-            if self._fault_degraded and out_port in self._dead_ports:
-                stalls.append(_DOWNED)
-                return None  # downed output: the head waits for a heal
             if self.lock_support:
                 holder = self._output_lock[out_port]
                 if holder is not None and holder != flit.src:
@@ -465,7 +406,7 @@ class Router(Component, Snapshottable):
         return okey
 
     def _allocate_adaptive(
-        self, ivc: VcKey, flit: Flit, stalls: List[Optional[str]]
+        self, ivc: VcKey, flit: Flit, stalls: List[str]
     ) -> Optional[VcKey]:
         """The least-congested admissible (output port, VC) for a head, or
         ``None`` (it retries, still requesting escape: the retry the
@@ -479,8 +420,8 @@ class Router(Component, Snapshottable):
         per candidate port; a head with none admissible is lock-stalled.
         """
         ports = self.adaptive_table.outputs(flit.dest)
-        if not ports or ports[0][0] == "l":  # unreachable, or "local:..."
-            return self._allocate_at_home(ivc, flit, ports, stalls)
+        if ports[0][0] == "l":  # "local:...": ejection at the home router
+            return self._allocate_at_home(ivc, flit, ports[0], stalls)
         src = flit.src
         locks = self._output_lock if self.lock_support else None
         output_owner = self._output_owner
@@ -522,45 +463,31 @@ class Router(Component, Snapshottable):
                 # an output VC is released or a lock moves (the version).
                 self._alloc_fail[ivc] = (self._release_version, flit)
             return None
-        self._count_adaptive_grant(flit.dest, ports, best)
+        self._count_adaptive_grant(best)
         return best
 
     def _allocate_at_home(
-        self, ivc: VcKey, flit: Flit, ports: tuple, stalls: List[Optional[str]]
+        self, ivc: VcKey, flit: Flit, port: str, stalls: List[str]
     ) -> Optional[VcKey]:
-        """``_allocate_adaptive`` without a route choice: ejection at the
-        home router (the single local port, keeping the input's VC
-        class), or a destination unreachable this fault epoch — cached
-        against the release version, which a heal bumps; the injector's
-        watchdog reports the packet if the partition is permanent."""
-        if ports:
-            port = ports[0]
-            if self.lock_support:
-                holder = self._output_lock[port]
-                if holder is not None and holder != flit.src:
-                    stalls.append(port)
-                    return None
-            okey = (port, ivc[1])
-            if self._output_owner[okey] is None:
-                return okey
+        """``_allocate_adaptive`` without a route choice: ejection by the
+        home router's one local ``port``, keeping the input's VC class."""
+        if self.lock_support:
+            holder = self._output_lock[port]
+            if holder is not None and holder != flit.src:
+                stalls.append(port)
+                return None
+        okey = (port, ivc[1])
+        if self._output_owner[okey] is None:
+            return okey
         self._alloc_fail[ivc] = (self._release_version, flit)
         return None
 
-    def _count_adaptive_grant(self, dest: int, ports: tuple, best: VcKey) -> None:
-        """An adaptive grant's class (escape or adaptive VC) and, on a
-        degraded plane, ``faults_hit`` when the candidate set differs
-        from the healthy one, ``packets_rerouted`` when the granted port
-        is outside it (a genuine detour)."""
+    def _count_adaptive_grant(self, best: VcKey) -> None:
+        """An adaptive grant's class: escape or adaptive VC."""
         if self._escape_on and best[1] >= self._escape_base_vc:
             self.packets_escape += 1
         else:
             self.packets_adaptive += 1
-        if self._fault_degraded:
-            healthy = self._healthy_adaptive.candidates.get(dest, ())
-            if ports != healthy:
-                self.faults_hit += 1
-                if best[0] not in healthy:
-                    self.packets_rerouted += 1
 
     # ------------------------------------------------------------------ #
     # the cycle
@@ -599,8 +526,7 @@ class Router(Component, Snapshottable):
         # construction to reach the reference arbitration below.
         sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
         if (
-            len(busy) == 1 and sole_grant and not self._fault_degraded
-            and self.mode is SwitchingMode.WORMHOLE
+            len(busy) == 1 and sole_grant and self.mode is SwitchingMode.WORMHOLE
         ):
             # Solo tick (module docstring): the one busy input either
             # moves its front flit or ages; Phases A-C reduce to exactly
@@ -649,7 +575,7 @@ class Router(Component, Snapshottable):
             input_age = self._input_age
             okey = self._input_alloc[ivc]
             if okey is None:
-                stalls: List[Optional[str]] = []
+                stalls: List[str] = []
                 okey = self._allocate_vc(ivc, queue._committed[0], stalls)
                 if okey is None:
                     if stalls:
@@ -678,18 +604,17 @@ class Router(Component, Snapshottable):
         """Phase A (single-VC): ``wants`` (output port -> asking inputs,
         in input order) and ``heads`` (the fresh heads among them).  A
         stream asks to continue when its output has room.  A fresh head
-        waits if its output is down (a fault stall), held, not ready under
-        the switching mode, or locked by another master (a lock stall,
-        counted only for a head that was otherwise ready)."""
+        waits if its output is held, not ready under the switching mode,
+        or locked by another master (a lock stall, counted only for a head
+        that was otherwise ready)."""
         input_alloc = self._input_alloc
         output_owner = self._output_owner
         outputs = self.outputs
         wormhole = self.mode is SwitchingMode.WORMHOLE
-        dead_ports = self._dead_ports if self._fault_degraded else ()
         locks = self._output_lock if self.lock_support else None
         wants: Dict[str, List[VcKey]] = {}
         heads: Dict[VcKey, Flit] = {}
-        stalls: List[Optional[str]] = []
+        stalls: List[str] = []
         for ivc, queue in busy:
             okey = input_alloc[ivc]
             if okey is None:
@@ -698,9 +623,6 @@ class Router(Component, Snapshottable):
                     raise self._framing_error(ivc, flit)
                 okey = (self._route(flit.dest), 0)
                 out_port = okey[0]
-                if out_port in dead_ports:
-                    stalls.append(_DOWNED)
-                    continue  # the head waits for a heal
                 if output_owner[okey] is not None:
                     continue  # Phase B continues the owner's stream
                 if not (outputs[okey].can_push() if wormhole
@@ -734,7 +656,7 @@ class Router(Component, Snapshottable):
         outputs = self.outputs
         wormhole = self.mode is SwitchingMode.WORMHOLE
         wants: Dict[str, List[VcKey]] = {}
-        stalls: List[Optional[str]] = []
+        stalls: List[str] = []
         for ivc, queue in busy:
             flit = queue._committed[0]
             okey = input_alloc[ivc]
@@ -889,11 +811,11 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # state capture
     # ------------------------------------------------------------------ #
-    # Everything the tick and fault paths mutate.  Not captured:
-    # wiring (inputs/outputs, sorted lists, candidate-key maps, neighbour
-    # geometry), _vc_cache (pure geometry), _healthy_adaptive
-    # (pristine build table).  adaptive_table IS captured — fault epochs
-    # swap it for a degraded copy.
+    # Everything the tick mutates.  Not captured: wiring (inputs/outputs,
+    # sorted lists, candidate-key maps, neighbour geometry), the routing
+    # tables (shared, read-only: see network.plane_tables) and _vc_cache
+    # (pure geometry).
+    snapshot_version = 2
     _snapshot_fields = (
         "_input_alloc",
         "_input_head",
@@ -902,9 +824,6 @@ class Router(Component, Snapshottable):
         "_output_lock",
         "_alloc_fail",
         "_release_version",
-        "_dead_ports",
-        "_fault_degraded",
-        "adaptive_table",
         "flits_forwarded",
         "packets_forwarded",
         "packets_adaptive",
@@ -912,9 +831,6 @@ class Router(Component, Snapshottable):
         "lock_stall_cycles",
         "lock_stalls_by_output",
         "output_busy_cycles",
-        "faults_hit",
-        "packets_rerouted",
-        "fault_stall_cycles",
     )
 
     def _snapshot_state(self) -> dict:

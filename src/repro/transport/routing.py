@@ -19,10 +19,8 @@ a destination's home router, name the neighbour to forward to:
   while a reserved *escape* VC pair falls back to the deterministic
   scheme (DOR with dateline classes on rings/tori, XY on meshes).  See
   :class:`AdaptiveRoutingTable` / :class:`EscapeVcPolicy` and the
-  deadlock argument below.  The candidate sets have one builder,
-  :func:`compute_degraded_tables`, which works on the *surviving*
-  directed graph of a fault epoch; the healthy tables
-  (:func:`compute_adaptive_tables`) are that builder with nothing down.
+  deadlock argument below.  :func:`compute_adaptive_tables` builds the
+  candidate sets and the escape tables.
 
 Port naming convention (shared with :mod:`repro.transport.router`):
 ``to:<router>`` for an inter-router link towards ``<router>`` and
@@ -55,12 +53,9 @@ dependency graph is acyclic and wormhole routing cannot deadlock.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.transport.topology import RouterId, Topology, bfs_distances
-
-DirectedEdge = Tuple[RouterId, RouterId]
-PortKey = Tuple[RouterId, str]
+from repro.transport.topology import RouterId, Topology
 
 
 class RoutingError(RuntimeError):
@@ -232,108 +227,6 @@ class AdaptiveRoutingTable:
         return self.escape[dest]
 
 
-def surviving_distances(
-    topology: Topology, down_links: Set[DirectedEdge], down_ports: Set[PortKey]
-) -> Tuple[Dict[RouterId, List[RouterId]], Callable[[RouterId], Dict[RouterId, int]]]:
-    """The surviving directed graph of a fault epoch.
-
-    Returns ``(alive, distances_to)``: ``alive[router]`` lists the
-    neighbours the router's outputs still reach (canonical order), and
-    ``distances_to(home)`` maps every router that still has a path *to*
-    ``home`` to its hop count (one search per home router, memoised).
-    """
-    alive = {
-        router: [
-            n
-            for n in topology.neighbors(router)
-            if (router, n) not in down_links
-            and (router, port_to(n)) not in down_ports
-        ]
-        for router in topology.routers
-    }
-    reverse: Dict[RouterId, List[RouterId]] = {r: [] for r in alive}
-    for router, neighbors in alive.items():
-        for n in neighbors:
-            reverse[n].append(router)
-    memo: Dict[RouterId, Dict[RouterId, int]] = {}
-
-    def distances_to(home: RouterId) -> Dict[RouterId, int]:
-        if home not in memo:
-            memo[home] = bfs_distances(reverse.__getitem__, home)
-        return memo[home]
-
-    return alive, distances_to
-
-
-def _closer_outputs(
-    alive: List[RouterId], dist: Dict[RouterId, int], here: Optional[int]
-) -> Tuple[str, ...]:
-    """The output ports toward the surviving neighbours strictly closer to
-    the destination's home than ``here`` (None: no path from here)."""
-    if here is None:
-        return ()
-    return tuple(port_to(n) for n in alive if n in dist and dist[n] < here)
-
-
-def compute_degraded_tables(
-    topology: Topology,
-    down_links: Set[DirectedEdge],
-    down_ports: Set[PortKey],
-    healthy_escape: Optional[Dict[RouterId, Dict[int, str]]] = None,
-) -> Tuple[Dict[RouterId, AdaptiveRoutingTable], Dict[RouterId, Set[int]]]:
-    """Adaptive tables computed on the surviving directed graph.
-
-    Candidate sets are the alive neighbours strictly closer to the
-    destination's home router under *surviving-graph* BFS distance — a
-    genuine reroute, so a router whose healthy-minimal neighbours all
-    died still forwards along the detour.  With nothing down that is
-    the minimal output set (on a mesh/torus exactly the minimal
-    quadrant, at most one neighbour per dimension with a non-zero
-    offset).  The escape entry keeps the healthy deterministic (DOR/XY)
-    port wherever it is still alive and minimal, preserving the proven
-    escape construction away from the fault; elsewhere it falls back to
-    the first surviving candidate (a per-destination BFS tree — acyclic
-    per destination but *not* proven deadlock-free across destinations,
-    which is why the partition watchdog and ``run_until`` budgets stay
-    armed while degraded).
-
-    Returns ``(tables, unroutable)`` where ``unroutable[router]`` is the
-    set of endpoints unreachable from that router this epoch (empty sets
-    omitted).  An endpoint whose ``local:`` ejection port is down is
-    unreachable from everywhere, including its home router.
-    """
-    alive, distances_to = surviving_distances(topology, down_links, down_ports)
-    routers = topology.routers
-    candidates: Dict[RouterId, Dict[int, Tuple[str, ...]]] = {
-        r: {} for r in routers
-    }
-    escape: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
-    unroutable: Dict[RouterId, Set[int]] = {}
-    for endpoint in topology.endpoints:
-        home = topology.router_of(endpoint)
-        local_dead = (home, port_local(endpoint)) in down_ports
-        dist = {} if local_dead else distances_to(home)
-        for router in routers:
-            if router == home and not local_dead:
-                cands: Tuple[str, ...] = (port_local(endpoint),)
-            else:
-                cands = _closer_outputs(alive[router], dist, dist.get(router))
-            candidates[router][endpoint] = cands
-            if cands:
-                choice = cands[0]
-                if healthy_escape is not None:
-                    preferred = healthy_escape[router].get(endpoint)
-                    if preferred in cands:
-                        choice = preferred
-                escape[router][endpoint] = choice
-            else:
-                unroutable.setdefault(router, set()).add(endpoint)
-    tables = {
-        r: AdaptiveRoutingTable(candidates[r], escape[r]) for r in routers
-    }
-    return tables, unroutable
-
-
 def compute_adaptive_tables(
     topology: Topology,
 ) -> Dict[RouterId, AdaptiveRoutingTable]:
@@ -343,8 +236,11 @@ def compute_adaptive_tables(
     supports: DOR where the wraparound links exist, XY on plain meshes,
     canonical BFS tables for arbitrary graphs (deadlock freedom of the
     escape subnetwork is only *argued* for ring/torus — with dateline
-    classes — and mesh; see :class:`EscapeVcPolicy`).  The candidate
-    sets are :func:`compute_degraded_tables` with nothing down.
+    classes — and mesh; see :class:`EscapeVcPolicy`).  A candidate set
+    is the outputs toward the neighbours strictly closer to the
+    destination's home router (on a mesh or torus exactly the minimal
+    quadrant, at most one neighbour per dimension with a non-zero
+    offset); at the home router it is the ejection port alone.
     """
     for scheme in ("dor", "xy", "table"):
         try:
@@ -355,8 +251,24 @@ def compute_adaptive_tables(
             # (topo.custom allows arbitrary hashables) — fall through to
             # the next scheme, ending at BFS tables which accept any id.
             continue
-    tables, _ = compute_degraded_tables(topology, set(), set(), escape_tables)
-    return tables
+    routers = topology.routers
+    candidates: Dict[RouterId, Dict[int, Tuple[str, ...]]] = {r: {} for r in routers}
+    escape: Dict[RouterId, Dict[int, str]] = {r: {} for r in routers}
+    for endpoint in topology.endpoints:
+        home = topology.router_of(endpoint)
+        dist = topology.distances_to(home)
+        for router in routers:
+            if router == home:
+                cands: Tuple[str, ...] = (port_local(endpoint),)
+            else:
+                here = dist[router]
+                cands = tuple(
+                    port_to(n) for n in topology.neighbors(router) if dist[n] < here
+                )
+            candidates[router][endpoint] = cands
+            preferred = escape_tables[router][endpoint]
+            escape[router][endpoint] = preferred if preferred in cands else cands[0]
+    return {r: AdaptiveRoutingTable(candidates[r], escape[r]) for r in routers}
 
 
 # ---------------------------------------------------------------------- #
@@ -489,27 +401,6 @@ class EscapeVcPolicy(VcPolicy):
     removes the escape class (pure minimal-adaptive) — the configuration
     the adversarial tests freeze — to demonstrate that the escape VCs,
     not luck, provide the guarantee.
-
-    **Under faults** (a :class:`~repro.transport.faults.FaultSchedule`
-    attached to the plane), the argument weakens honestly rather than
-    silently.  What still holds: routers whose ports all survive keep
-    their DOR escape next-hops verbatim (the degraded recompute prefers
-    the healthy escape port wherever it is alive and still minimal, see
-    :func:`compute_degraded_tables`), so away
-    from the fault the dateline/DOR acyclicity argument is untouched;
-    and blocked heads still request escape every cycle.  What is *lost*:
-    at routers forced to detour, the escape entry falls back to a
-    BFS-tree port on the surviving graph — acyclic per destination but
-    with no cross-destination channel ordering — so degraded escape
-    routes are **not proven deadlock-free**.  What loudly fails instead
-    of wedging: the plane's
-    :class:`~repro.transport.faults.FaultInjector` keeps a partition
-    watchdog armed the whole time any fault is active, raising a named
-    :class:`~repro.transport.faults.FabricPartitionError` for provably
-    stuck traffic within its cycle budget, and ``run_until`` budgets
-    bound everything else.  A destination with *no* surviving path is
-    rejected at build time (:class:`NoSurvivingPathError`) unless
-    explicitly allowed.
 
     Injection maps priority classes onto the adaptive VCs (as
     :class:`PriorityVcPolicy` does over the whole space), keeping QoS

@@ -4,8 +4,8 @@ A :class:`Topology` is the fabric's one router graph — an undirected
 adjacency map it owns, in canonical :func:`router_sort_key` order — plus
 a mapping from *endpoint ids* (the transaction layer's SlvAddr/MstAddr
 space) to the router each NIU attaches to.  Every hop distance in the
-tree (routing tables, minimal output sets, surviving-graph reroutes
-under faults) comes from one search, :func:`bfs_distances`.
+tree (routing tables, minimal output sets) comes from one search,
+:func:`bfs_distances`.
 Constructors cover the shapes used by the benchmarks: 2-D mesh, torus,
 ring, star, balanced tree, and arbitrary link lists for irregular SoC
 floorplans.
@@ -49,8 +49,7 @@ def bfs_distances(
     """Hop distance from ``start`` to every node ``successors`` reaches.
 
     The tree's one breadth-first search.  ``successors(node)`` yields the
-    nodes one hop on; feed it a reversed adjacency to get distances *to*
-    ``start`` on a directed graph (the surviving graph under faults).
+    nodes one hop on.
     """
     dist = {start: 0}
     frontier = [start]

@@ -17,8 +17,7 @@ from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
 from repro.transport import network as network_module
 from repro.transport import topology as topo
-from repro.transport.faults import FaultSchedule
-from repro.transport.network import Fabric, Network
+from repro.transport.network import Fabric, plane_tables
 from repro.transport.router import Router
 from repro.transport.routing import (
     compute_adaptive_tables,
@@ -250,46 +249,13 @@ def test_one_table_computation_per_fabric(scheme, builder_calls):
         for router in (rsp.routers[rid], again.request_plane.routers[rid]):
             assert router.table is shared.table
             assert router.adaptive_table is shared.adaptive_table
-            assert router._healthy_adaptive is shared.adaptive_table
         if scheme == "adaptive":
-            assert shared.adaptive_table is req._adaptive_tables[rid]
+            assert shared.adaptive_table is plane_tables(topology, scheme)[1][rid]
             assert shared.table is shared.adaptive_table.escape
         else:
             assert shared.adaptive_table is None
     fresh = compute_tables(topology, "dor" if scheme == "adaptive" else scheme)
     assert {rid: r.table for rid, r in req.routers.items()} == fresh
-
-
-def test_a_fault_epoch_leaves_the_shared_tables_alone():
-    """Two planes on one topology, a link fault on one of them: its
-    routers get degraded tables and, on the heal, the pristine shared
-    object back; the other plane's routers never leave it, and the
-    shared tables still equal a fresh computation."""
-    topology = topo.torus(4, 4)
-    sim = Simulator()
-    faults = FaultSchedule().link_down(5, (0, 0), (1, 0)).link_up(20, (0, 0), (1, 0))
-    req = Network(sim, topology, name="req", routing="adaptive", vcs=3,
-                  faults=faults)
-    rsp = Network(sim, topology, name="rsp", routing="adaptive", vcs=3)
-    pristine = req._adaptive_tables
-    assert rsp._adaptive_tables is pristine
-
-    sim.run(10)
-    assert req.fault_injector.fault_epoch == 1
-    for rid in topology.routers:
-        assert req.routers[rid].adaptive_table is not pristine[rid]
-        assert rsp.routers[rid].adaptive_table is pristine[rid]
-        assert req.routers[rid].table is rsp.routers[rid].table
-    assert req.routers[(0, 0)].adaptive_table.outputs(1) != pristine[(0, 0)].outputs(1)
-
-    sim.run(20)
-    assert req.fault_injector.fault_epoch == 2
-    for rid in topology.routers:
-        assert req.routers[rid].adaptive_table is pristine[rid]
-        assert rsp.routers[rid].adaptive_table is pristine[rid]
-    for rid, table in compute_adaptive_tables(topology).items():
-        assert pristine[rid].candidates == table.candidates
-        assert pristine[rid].escape == table.escape
 
 
 def adaptive_torus_soc():
@@ -309,18 +275,18 @@ def adaptive_torus_soc():
 
 
 def test_a_checkpoint_restores_one_shared_table_per_router():
+    """Tables are wiring, not state: a restore leaves every router on
+    the plane's one shared table, which no checkpoint carries."""
     donor = adaptive_torus_soc()
     donor.run(200)
     checkpoint = Checkpoint.capture(donor)
     fresh = adaptive_torus_soc()
     checkpoint.restore_into(fresh)
     req, rsp = fresh.fabric.request_plane, fresh.fabric.response_plane
+    shared = plane_tables(req.topology, "adaptive")[1]
     for rid, router in req.routers.items():
-        restored = router.adaptive_table
-        assert rsp.routers[rid].adaptive_table is restored
-        assert restored is not req._adaptive_tables[rid]  # unpickled
-        assert restored.candidates == req._adaptive_tables[rid].candidates
-        assert restored.escape == req._adaptive_tables[rid].escape
+        assert router.adaptive_table is shared[rid]
+        assert rsp.routers[rid].adaptive_table is shared[rid]
     # The restored SoC carries on exactly as the donor does.
     donor.run(100)
     fresh.run(100)

@@ -10,11 +10,9 @@ from repro.transport import topology as topo
 from repro.transport.routing import (
     RoutingError,
     compute_adaptive_tables,
-    compute_degraded_tables,
     compute_tables,
     port_local,
     port_to,
-    surviving_distances,
     xy_route,
 )
 from repro.transport.topology import bfs_distances
@@ -162,22 +160,20 @@ def test_tables_are_pinned(shape, scheme):
     [*PINNED_SHAPES.values(), lambda: topo.torus(6, 3), lambda: topo.star(4),
      lambda: topo.tree(2, 2), lambda: topo.single_router(3)],
 )
-def test_healthy_adaptive_tables_are_the_degraded_builder_with_nothing_down(make):
+def test_adaptive_candidates_are_the_minimal_neighbours(make):
     t = make()
-    healthy = compute_adaptive_tables(t)
-    rebuilt, unroutable = compute_degraded_tables(
-        t, set(), set(), {r: table.escape for r, table in healthy.items()}
-    )
-    assert not unroutable
+    tables = compute_adaptive_tables(t)
     for router in t.routers:
-        assert rebuilt[router].candidates == healthy[router].candidates
-        assert rebuilt[router].escape == healthy[router].escape
         for endpoint in t.endpoints:  # canonical order, closer neighbours only
-            if t.router_of(endpoint) != router:
-                assert healthy[router].outputs(endpoint) == tuple(
-                    port_to(n)
-                    for n in t.minimal_neighbors(router, t.router_of(endpoint))
+            home = t.router_of(endpoint)
+            table = tables[router]
+            if home == router:
+                assert table.outputs(endpoint) == (port_local(endpoint),)
+            else:
+                assert table.outputs(endpoint) == tuple(
+                    port_to(n) for n in t.minimal_neighbors(router, home)
                 )
+            assert table.escape_port(endpoint) in table.outputs(endpoint)
 
 
 # ---------------------------------------------------------------------- #
@@ -225,23 +221,3 @@ def test_bfs_distances_match_floyd_warshall(topology):
         assert topology.distances_to(router) == reference[router]
     assert topology.diameter() == max(max(row.values()) for row in reference.values())
 
-    # Directed: a random down-set of link directions and output ports, as a
-    # fault epoch leaves it.  distances_to(home)[r] is r's hop count *to* home.
-    rng = random.Random(len(routers))
-    directed = [(a, b) for a, b in topology.links] + [(b, a) for a, b in topology.links]
-    for _ in range(4):
-        down_links = {edge for edge in directed if rng.random() < 0.25}
-        down_ports = {(a, port_to(b)) for a, b in directed if rng.random() < 0.1}
-        alive, distances_to = surviving_distances(topology, down_links, down_ports)
-        assert alive == {
-            a: [
-                b for b in topology.neighbors(a)
-                if (a, b) not in down_links and (a, port_to(b)) not in down_ports
-            ]
-            for a in routers
-        }
-        reference = floyd_warshall(alive)
-        for home in routers:
-            assert distances_to(home) == {
-                r: reference[r][home] for r in routers if home in reference[r]
-            }

@@ -15,13 +15,7 @@ import pytest
 
 from repro.ip import TrafficSpec
 from repro.sim.shard import ShardConfigError, ShardPlan, plan_shards
-from repro.soc import (
-    FaultSchedule,
-    InitiatorSpec,
-    LinkSpec,
-    SocBuilder,
-    TargetSpec,
-)
+from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.sweep.parallel import run_sharded
 from repro.transport import topology as topo
 
@@ -213,15 +207,6 @@ def test_transparent_router_links_rejected():
     builder = _minimal_builder(shards=2)
     builder.links = None  # ideal wires: zero lookahead across the cut
     with pytest.raises(ShardConfigError, match="transparent"):
-        builder.build()
-
-
-def test_faults_with_shards_rejected():
-    builder = _minimal_builder(
-        shards=2,
-        faults=FaultSchedule().link_down(100, (0, 0), (1, 0)),
-    )
-    with pytest.raises(ShardConfigError, match="fault injection"):
         builder.build()
 
 

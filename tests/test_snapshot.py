@@ -3,10 +3,10 @@
 The uniform state-capture protocol is only worth having if a restored
 run is *byte-identical* to an uninterrupted one — same trace stream,
 same queue counters, same histograms, same memory images — at every
-layer and from every adversarial snapshot point: mid-wormhole, inside a
-degraded fault epoch with the watchdog armed, mid-CDC-crossing, and on
-a fully parked timing wheel.  These tests pin that on both kernels,
-and pin the fork sweep's warm == cold equivalence on top.
+layer and from every adversarial snapshot point: mid-wormhole,
+mid-CDC-crossing, and on a fully parked timing wheel.  These tests pin
+that on both kernels, and pin the fork sweep's warm == cold equivalence
+on top.
 """
 
 import functools
@@ -26,7 +26,6 @@ from repro.sim.snapshot import (
     SnapshotVersionError,
     Snapshottable,
 )
-from repro.soc import FaultSchedule
 from repro.sweep import Checkpoint, CheckpointFormatError, Override, fork
 from repro.sweep.fork import run_cold
 
@@ -37,14 +36,6 @@ def test_mid_wormhole_roundtrip(kernel):
     ownership held, arbiters mid-rotation."""
     assert_same(run("legacy-lock", 3000, kernel, cut=850),
                 run("legacy-lock", 3000, kernel))
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_mid_fault_epoch_roundtrip(kernel):
-    """Cycle 500 sits inside the [400, 900) degraded window: degraded
-    route tables pushed, dead ports masked, partition watchdog armed."""
-    assert_same(run("faulted-adaptive-gals", 5000, kernel, cut=500),
-                run("faulted-adaptive-gals", 5000, kernel))
 
 
 def test_mid_cdc_crossing_roundtrip():
@@ -352,6 +343,19 @@ def test_version_1_envelope_fails_by_class_name(where):
         build("mixed-protocols").restore(state)
 
 
+def test_version_1_router_envelope_fails_by_class_name():
+    """Version 2 of the router's layout dropped its fault state and its
+    adaptive table (a table is wiring, never state)."""
+    soc = build("mixed-protocols")
+    soc.run(10)
+    state = soc.snapshot()
+    envelope = state["sim"]["state"]["components"]["soc.req.r(0, 0)"]["state"]
+    assert envelope["__cls__"] == "Router" and envelope["__v__"] == 2
+    envelope["__v__"] = 1
+    with pytest.raises(SnapshotVersionError, match="^Router: "):
+        build("mixed-protocols").restore(state)
+
+
 def test_restore_into_incongruent_build():
     soc = build("mixed-protocols")
     soc.run(10)
@@ -397,16 +401,6 @@ def _mixed_builder():
 
 def _set_rate(rate, soc):
     soc.masters["gpu_axi"].traffic.rate = rate
-
-
-def _faulted_builder():
-    return build("faulted-adaptive-gals")
-
-
-def _extend_faults(soc):
-    events = FaultSchedule().link_down(2000, (1, 0), (1, 1)).events
-    for plane in soc.fabric._planes:
-        plane.fault_injector.extend_schedule(events)
 
 
 RATES = (0.05, 0.2, 0.5, 0.9)
@@ -509,20 +503,6 @@ def test_fork_pool_matches_serial():
     _assert_continuations_differ(serial)
 
 
-def test_fork_fault_schedule_override():
-    """A what-if fault future imposed on a restored checkpoint equals a
-    cold run extending the schedule at the same cycle."""
-    donor = _faulted_builder()
-    donor.run(1000)
-    checkpoint = Checkpoint.capture(donor)
-    override = Override(name="extra-fault", apply=_extend_faults)
-    report = fork(
-        checkpoint, [override], builder=_faulted_builder, cycles=2000
-    )
-    cold = run_cold(_faulted_builder, override, 1000, 2000)
-    assert report["configs"]["extra-fault"]["metrics"] == cold
-
-
 def test_fork_structural_override_runs_cold():
     def _vc_builder():
         return build("vc-dateline-gals")
@@ -548,7 +528,8 @@ def test_override_validation():
     with pytest.raises(ValueError):
         Override(name="neither")
     with pytest.raises(ValueError):
-        Override(name="both", apply=_extend_faults, build=_mixed_builder)
+        Override(name="both", apply=functools.partial(_set_rate, 0.3),
+                 build=_mixed_builder)
     donor = _mixed_builder()
     donor.run(10)
     checkpoint = Checkpoint.capture(donor)

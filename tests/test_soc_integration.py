@@ -7,18 +7,17 @@ import re
 import pytest
 
 from repro.bus.system import BUS_ROWS, build_bus_soc
-from repro.core.transaction import Opcode, Transaction, make_read, make_write
+from repro.core.transaction import make_read, make_write
 from repro.ip import TrafficSpec
 from repro.ip.traffic import TRAFFIC_ROWS, UNKNOWN_KIND, UNNAMED_ROWS
 from repro.niu.tag_policy import default_policy
 from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
-from repro.soc import FaultSchedule, InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
+from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.soc.builder import BUILD_ROWS
 from repro.soc.config import INITIATOR_ROWS, TARGET_ROWS
 from repro.transport import topology as topo
-from repro.transport.faults import FAULT_ROWS
 from repro.transport.network import PLANE_ROWS
 from repro.transport.switching import SwitchingMode
 
@@ -374,6 +373,49 @@ class TestPhysicalLayerKnobs:
             builder.build()
 
 
+class TestFlowStats:
+    """Per-flow latency percentiles: per priority and per (src, dst)
+    pair, on each plane of six AXI masters on an adaptive 4x4 torus."""
+
+    @staticmethod
+    def _torus_soc():
+        ranges = [(0, 0x2000), (0x2000, 0x2000)]
+        builder = SocBuilder(topology=topo.torus(4, 4, endpoints=16),
+                             routing="adaptive", vcs=4)
+        for i in range(6):
+            builder.add_initiator(InitiatorSpec(
+                f"m{i}", "AXI",
+                TrafficSpec(kind="poisson", pairs=ranges, count=20, seed=i,
+                            tags=4, rate=0.5, burst_beats=(1, 4)),
+                protocol_kwargs={"id_count": 4},
+            ))
+        builder.add_target(TargetSpec("dram", size=0x2000, read_latency=6,
+                                      write_latency=3))
+        builder.add_target(TargetSpec("sram", size=0x2000, read_latency=2,
+                                      write_latency=1))
+        soc = builder.build()
+        soc.run_to_completion()
+        return soc
+
+    def test_percentiles_per_priority_and_pair(self):
+        flows = self._torus_soc().flow_stats()
+        assert set(flows) == {"request", "response"}
+        for plane in flows.values():
+            assert plane["priority"], "per-priority histograms missing"
+            assert plane["pairs"], "per-pair histograms missing"
+            for summary in plane["priority"].values():
+                for key in ("p50", "p99", "p999", "count", "max"):
+                    assert key in summary
+                assert summary["p50"] <= summary["p99"] <= summary["p999"]
+
+    def test_pair_flows_are_src_dst_labelled(self):
+        pairs = self._torus_soc().flow_stats()["request"]["pairs"]
+        # every request pair ends at a target endpoint (6 = dram, 7 = sram)
+        for label in pairs:
+            src, dst = label.split("->")
+            assert int(dst) in (6, 7) and 0 <= int(src) < 6
+
+
 # --------------------------------------------------------------------- #
 # spec errors and source hand-out, shared by both builders
 # --------------------------------------------------------------------- #
@@ -417,33 +459,19 @@ def _poisson(**knobs):
     return _with(kind="poisson", seed=5, pairs=[(0, 0x1000)], **knobs)
 
 
-def _locking_pair():
-    """The 2x2 mesh with two AHB masters taking a LOCK section each."""
-    sync = TrafficSpec(kind="sync", style="lock", iterations=2)
-    return [InitiatorSpec("cpu0", "AHB", sync), InitiatorSpec("cpu1", "AHB", sync)]
-
-
-LINK_CUT = FaultSchedule().link_down(50, (0, 0), (1, 0)).link_up(400, (0, 0), (1, 0))
-EDGE = ((0, 0), (1, 0))
 PIPELINED = LinkSpec(phit_bits=32, pipeline_latency=1)
-
-
-def _faulted(schedule):
-    """The one-master NoC on the 2x2 mesh under ``schedule``."""
-    return lambda: noc(topology=topo.mesh(2, 2), faults=schedule)
 
 
 def _all_rows():
     """Every check row, keyed ``table.name``: the spec records, traffic
-    specs (then per kind), the plane, the fault schedule, the NoC builder,
-    the bus builder; a row two tables share is keyed under the first."""
+    specs (then per kind), the plane, the NoC builder, the bus builder;
+    a row two tables share is keyed under the first."""
     tables = {
         "InitiatorSpec": INITIATOR_ROWS,
         "TargetSpec": TARGET_ROWS,
         "TrafficSpec": UNKNOWN_KIND + UNNAMED_ROWS,
         **{f"TrafficSpec.{kind}": rows for kind, rows in TRAFFIC_ROWS.items()},
         "Network": PLANE_ROWS,
-        "FaultSchedule": FAULT_ROWS,
         "SocBuilder": BUILD_ROWS,
         "build_bus_soc": BUS_ROWS,
     }
@@ -463,9 +491,9 @@ ROWS = _all_rows()
 #: them the topology died as a bare ``KeyError: 2``, a shared name as a
 #: duplicate-component error, the bus built duplicate targets and every
 #: ignored field silently, and failed duplicate initiators on the internal
-#: queue name ``'cpu.sock.ar'``.  Without the rest, the faults x LOCK mix
-#: built and ran, and the plane knobs died mid-build with a bare
-#: ``KeyError`` / ``AttributeError`` or on an internal queue name.
+#: queue name ``'cpu.sock.ar'``.  Without the rest, the plane knobs died
+#: mid-build with a bare ``KeyError`` / ``AttributeError`` or on an
+#: internal queue name.
 REFUSALS = {
     "noc_topology_too_small": (
         "SocBuilder.endpoints",
@@ -721,58 +749,6 @@ REFUSALS = {
                      for name in ("cpu", "dma")]),
         "bus: initiator 'dma': its traffic source is already attached to master 'cpu'",
     ),
-    "noc_faults_with_lock_traffic": (
-        "SocBuilder.faults_lock",
-        lambda: noc(_locking_pair(), topology=topo.mesh(2, 2), faults=LINK_CUT),
-        "soc: initiator 'cpu0' can issue LOCK-family opcodes, and faults= is set",
-    ),
-    "noc_faults_with_a_ready_locking_script": (
-        "SocBuilder.faults_lock",
-        lambda: noc([InitiatorSpec("cpu", "AHB", TrafficSpec(
-            kind="scripted", intents=[make_read(0), Transaction(Opcode.LOCK, 0)],
-        ).build())], topology=topo.mesh(2, 2), faults=LINK_CUT),
-        "soc: initiator 'cpu' can issue LOCK-family opcodes",
-    ),
-    # the fault schedule, validated by the plane before it registers
-    "noc_fault_link": (
-        "FaultSchedule.link", _faulted(FaultSchedule().link_down(10, (0, 0), (1, 1))),
-        "fault schedule: no link (0, 0) -- (1, 1) in topology 'mesh2x2'",
-    ),
-    "noc_fault_router": (
-        "FaultSchedule.router",
-        _faulted(FaultSchedule().port_down(10, (9, 9), "to:(0, 0)")),
-        "fault schedule: unknown router (9, 9) in topology 'mesh2x2'",
-    ),
-    "noc_fault_port": (
-        "FaultSchedule.port",
-        _faulted(FaultSchedule().port_down(10, (0, 0), "to:(1, 1)")),
-        "fault schedule: router (0, 0) has no output port 'to:(1, 1)' (valid: "
-        "['local:0', 'to:(0, 1)', 'to:(1, 0)'])",
-    ),
-    "noc_fault_double_down": (
-        "FaultSchedule.double_down",
-        _faulted(FaultSchedule().link_down(10, *EDGE).link_down(20, *EDGE)),
-        "fault schedule: link ((0, 0), (1, 0)) taken down at cycle 20 but already "
-        "down since cycle 10 (overlapping down-windows)",
-    ),
-    "noc_fault_up_without_down": (
-        "FaultSchedule.up_without_down",
-        _faulted(FaultSchedule().link_up(10, *EDGE)),
-        "fault schedule: link ((0, 0), (1, 0)) brought up at cycle 10 but was not down",
-    ),
-    "noc_fault_empty_window": (
-        "FaultSchedule.empty_window",
-        _faulted(FaultSchedule().link_down(10, *EDGE).link_up(10, *EDGE)),
-        "fault schedule: link ((0, 0), (1, 0)) window [10, 10) is empty — up must "
-        "come strictly after down",
-    ),
-    "noc_fault_partition": (
-        "FaultSchedule.partition",
-        _faulted(FaultSchedule().link_down(10, *EDGE).link_down(10, (0, 0), (0, 1))),
-        "fault schedule: from cycle 10 endpoint 1 has no surviving path to endpoint 0 "
-        "(plus 5 more stranded pairs) — not even an escape route survives; pass "
-        "allow_partition=True to build anyway",
-    ),
     # sharding's block
     "noc_shards_strict": (
         "SocBuilder.shards_strict",
@@ -788,11 +764,6 @@ REFUSALS = {
         "SocBuilder.shards_links", lambda: noc(shards=2),
         "soc: the shard plan cuts inter-router links but the router link spec "
         "is transparent",
-    ),
-    "noc_shards_faults": (
-        "SocBuilder.shards_faults",
-        lambda: noc(shards=2, links=PIPELINED, faults=LINK_CUT),
-        "soc: fault injection is out of scope for sharded fabrics",
     ),
 }
 
@@ -815,13 +786,6 @@ def test_every_check_row_has_a_case():
     assert {row for row, _, _ in REFUSALS.values()} == set(ROWS)
     bus_cases = {row for case, (row, _, _) in REFUSALS.items() if case.startswith("bus_")}
     assert {key for key, row in ROWS.items() if row in BUS_ROWS} == bus_cases
-
-
-def test_faults_refuse_only_sources_that_can_lock():
-    """Exclusive-access sync and plain traffic build with a fault schedule."""
-    excl = TrafficSpec(kind="sync", style="excl")
-    noc([InitiatorSpec("cpu0", "AXI", excl), _cpu()],
-        topology=topo.mesh(2, 2), faults=LINK_CUT)
 
 
 def test_the_bus_builder_hands_out_a_ready_source_once():
@@ -853,11 +817,6 @@ def test_the_bus_builder_hands_out_a_ready_source_once():
 #: Builder options no bench, e2e workload or scenario sets, and why each
 #: stays anyway.
 EXEMPT = {
-    "faults": (
-        "no non-test caller yet: it is a feature, not a duplicate path; 17 "
-        "tests incl. strict == activity and fork; ROADMAP 1(c) gives it a "
-        "workload"
-    ),
     "trace": "the tests' observation channel; ROADMAP 3(g)",
 }
 
