@@ -144,9 +144,6 @@ class ExclusiveMonitor(Snapshottable):
         self.failures += 1
         return ExclusiveResult.OKAY_FAILED
 
-    def has_reservation(self, initiator: int) -> bool:
-        return initiator in self._table
-
     @property
     def live_reservations(self) -> int:
         return len(self._table)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.snapshot import SerialCounter
 
@@ -256,20 +256,3 @@ def make_write(
         data=list(data),
         **kwargs,
     )
-
-
-def split_burst(txn: Transaction, max_beats: int) -> List[Tuple[int, List[int]]]:
-    """Split a burst into (address, data-slice) chunks of ``max_beats``.
-
-    Used by bridges and narrow NIUs that cannot carry the original burst —
-    precisely the feature-loss the paper attributes to bridges.
-    """
-    if max_beats < 1:
-        raise ValueError("max_beats must be >= 1")
-    addresses = txn.beat_addresses()
-    chunks: List[Tuple[int, List[int]]] = []
-    for start in range(0, txn.beats, max_beats):
-        end = min(start + max_beats, txn.beats)
-        data = txn.data[start:end] if txn.data is not None else []
-        chunks.append((addresses[start], data))
-    return chunks

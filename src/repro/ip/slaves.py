@@ -200,7 +200,3 @@ class MemoryDevice(Component, Snapshottable):
 
     def idle(self) -> bool:
         return not self._pipeline and not self.socket.requests
-
-    @property
-    def stored_bytes(self) -> int:
-        return len(self.store)

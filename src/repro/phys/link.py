@@ -327,17 +327,6 @@ class PhysicalLink(Component, Snapshottable):
             self._shifting = (flit, self.serialization)
             self._shift_edge = cycle
 
-    @property
-    def bandwidth_bits_per_cycle(self) -> float:
-        """Peak payload bandwidth of this link (producer-clock cycles)."""
-        return self.flit_bits / self.serialization
-
-    @property
-    def latency_cycles(self) -> int:
-        """Cycles from first phit to delivery for one flit (same-domain;
-        a CDC adds ``sync_stages`` consumer edges on top)."""
-        return self.serialization + self.pipeline_latency
-
     # ------------------------------------------------------------------ #
     # state capture
     # ------------------------------------------------------------------ #
@@ -548,17 +537,6 @@ class VcPhysicalLink(Component, Snapshottable):
                 self._shifting = (vc, flit, self.serialization)
                 self._next_vc = (vc + 1) % self.vcs
                 return
-
-    @property
-    def bandwidth_bits_per_cycle(self) -> float:
-        """Peak payload bandwidth of this link (producer-clock cycles)."""
-        return self.flit_bits / self.serialization
-
-    @property
-    def latency_cycles(self) -> int:
-        """Cycles from first phit to delivery for one flit (same-domain;
-        a CDC adds ``sync_stages`` consumer edges on top)."""
-        return self.serialization + self.pipeline_latency
 
     # ------------------------------------------------------------------ #
     # state capture

@@ -16,12 +16,11 @@ pipeline latency is modelled throughout the transport layer.
 from repro.sim.component import Component
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.queue import SimQueue
-from repro.sim.stats import Counter, Histogram, LatencyStat, StatsRegistry
+from repro.sim.stats import Histogram, LatencyStat, StatsRegistry
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Component",
-    "Counter",
     "Histogram",
     "LatencyStat",
     "SimQueue",

@@ -50,7 +50,6 @@ def fingerprint_soc(soc) -> Dict:
                 router.lock_stall_cycles,
                 router.packets_adaptive,
                 router.packets_escape,
-                dict(router.output_busy_cycles),
             )
         for eport in plane.ejection_ports.values():
             eports[eport.name] = (

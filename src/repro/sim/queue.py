@@ -187,10 +187,6 @@ class SimQueue(Snapshottable):
         self._occ = len(self._committed) + len(self._staged)
 
     @property
-    def staged_count(self) -> int:
-        return len(self._staged)
-
-    @property
     def occupancy(self) -> int:
         """Committed + staged items (what capacity accounting sees)."""
         return self._occ

@@ -645,7 +645,6 @@ def fingerprint_shard(soc, shard: int) -> Dict:
                 router.lock_stall_cycles,
                 router.packets_adaptive,
                 router.packets_escape,
-                dict(router.output_busy_cycles),
             )
         for eport in plane.ejection_ports.values():
             if not mine(eport):

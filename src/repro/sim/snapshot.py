@@ -30,7 +30,7 @@ The default :meth:`Snapshottable._snapshot_state` /
 :meth:`Snapshottable._restore_state` pair is declarative: a class lists
 its runtime-mutable attributes in ``_snapshot_fields`` and the base
 implementation shallow-copies containers on capture and restores them
-**in place** (never rebinding a list/dict/set/deque the live object
+**in place** (never rebinding a list/dict/set the live object
 holds — other objects may legitimately cache references to those
 containers).  ``random.Random`` attributes are captured as
 ``getstate()`` tuples and restored with ``setstate`` so replayed draws
@@ -41,7 +41,6 @@ hooks and call ``super()``.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Any, Dict, Tuple
 
 
@@ -78,8 +77,6 @@ def _capture(value: Any) -> Any:
         return list(value)
     if isinstance(value, dict):
         return dict(value)
-    if isinstance(value, deque):
-        return list(value)
     if isinstance(value, set):
         return set(value)
     if isinstance(value, random.Random):
@@ -100,9 +97,6 @@ def _restore_field(obj: Any, name: str, saved: Any) -> None:
         current.setstate(saved[1])
     elif isinstance(current, list):
         current[:] = saved
-    elif isinstance(current, deque):
-        current.clear()
-        current.extend(saved)
     elif isinstance(current, dict):
         current.clear()
         current.update(saved)

@@ -1,8 +1,14 @@
-"""Statistics primitives shared by all layers.
+"""The simulator's sample store: exact histograms and latency stats.
 
-Everything that the benchmarks report — latencies, throughput, link
-utilization, feature-coverage ratios — flows through these classes so that
-every experiment prints comparable, reproducible numbers.
+A :class:`StatsRegistry` hangs off every :class:`~repro.sim.Simulator`
+and holds two named tables, both get-or-create: histograms (each
+plane's packet latencies by priority and by source→destination pair,
+recorded at the ejection ports and read by ``NocSoc.flow_stats()``) and
+latency stats (each master's ``<name>.txn`` request→response latency,
+read by ``NocSoc.master_latency()``).  Event counts are not kept here:
+each component counts its own events in plain integer attributes
+(``Router.flits_forwarded``, ``SimQueue.total_pushed``, ...), which the
+fingerprint reads directly.  Both tables are part of a snapshot.
 """
 
 from __future__ import annotations
@@ -11,28 +17,6 @@ import math
 from typing import Dict, List
 
 from repro.sim.snapshot import Snapshottable
-
-
-class Counter(Snapshottable):
-    """A monotonically increasing event counter."""
-
-    _snapshot_fields = ("value",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r}: negative increment")
-        self.value += amount
-
-    def rate(self, cycles: int) -> float:
-        """Events per cycle over ``cycles`` cycles."""
-        return self.value / cycles if cycles else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name!r}={self.value}>"
 
 
 class Histogram(Snapshottable):
@@ -87,14 +71,6 @@ class Histogram(Snapshottable):
 
     def maximum(self) -> float:
         return float(max(self._counts)) if self._counts else 0.0
-
-    def stddev(self) -> float:
-        n = self.count
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        spread = sum((v - mu) ** 2 * c for v, c in self._counts.items())
-        return math.sqrt(spread / (n - 1))
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
@@ -172,10 +148,9 @@ class LatencyStat(Snapshottable):
 
 
 class StatsRegistry:
-    """Namespace of counters/histograms/latency stats for one simulation."""
+    """Namespace of histograms and latency stats for one simulation."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._latencies: Dict[str, LatencyStat] = {}
 
@@ -185,7 +160,6 @@ class StatsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """Capture every registered stat, keyed by kind and name."""
         return {
-            "counters": {n: c.snapshot() for n, c in self._counters.items()},
             "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
             "latencies": {n: s.snapshot() for n, s in self._latencies.items()},
         }
@@ -204,7 +178,6 @@ class StatsRegistry:
         be cleared by their owner's restore).
         """
         for registered, saved, get in (
-            (self._counters, state["counters"], self.counter),
             (self._histograms, state["histograms"], self.histogram),
             (self._latencies, state["latencies"], self.latency),
         ):
@@ -212,11 +185,6 @@ class StatsRegistry:
                 del registered[name]
             for name, envelope in saved.items():
                 get(name).restore(envelope)
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:
@@ -228,30 +196,5 @@ class StatsRegistry:
             self._latencies[name] = LatencyStat(name)
         return self._latencies[name]
 
-    def counters(self) -> Dict[str, int]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
-
     def histograms(self) -> Dict[str, Dict[str, float]]:
         return {name: h.summary() for name, h in sorted(self._histograms.items())}
-
-    def report(self) -> str:
-        """Human-readable dump used by examples and bench harnesses."""
-        lines: List[str] = []
-        if self._counters:
-            lines.append("counters:")
-            for name, counter in sorted(self._counters.items()):
-                lines.append(f"  {name}: {counter.value}")
-        for name, hist in sorted(self._histograms.items()):
-            s = hist.summary()
-            lines.append(
-                f"hist {name}: n={int(s['count'])} mean={s['mean']:.2f} "
-                f"p50={s['p50']:.0f} p95={s['p95']:.0f} max={s['max']:.0f}"
-            )
-        for name, lat in sorted(self._latencies.items()):
-            s = lat.histogram.summary()
-            lines.append(
-                f"latency {name}: n={int(s['count'])} mean={s['mean']:.2f} "
-                f"p50={s['p50']:.0f} p95={s['p95']:.0f} max={s['max']:.0f} "
-                f"open={lat.open_count}"
-            )
-        return "\n".join(lines)

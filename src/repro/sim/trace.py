@@ -1,19 +1,24 @@
-"""Lightweight event tracing.
+"""Event tracing: what the fabric did, cycle by cycle.
 
-Tracing answers "what did the fabric actually do": which flits crossed
-which router at which cycle, when a NIU allocated a tag, when a LOCK was
-taken.  It is disabled by default and genuinely zero-cost in that state:
-``log`` is rebound to a no-op method, so hot paths pay one attribute
-lookup and an empty call instead of a branch per event.  Long saturated
-runs can bound memory with ``max_events``, which keeps only the newest
-events in a ring buffer.
+Components log one :class:`TraceEvent` per notable step — a router's
+``route`` of a packet head and ``lock_set`` / ``lock_clear`` of an
+output port, an initiator NIU's ``rsp_accept``, a target NIU's
+``lock_acquired`` / ``lock_released`` — to the simulator's
+:class:`Tracer`, which keeps them in arrival order.  :meth:`Tracer.dump`
+renders the stream as text; the run fingerprint and the differential
+tests compare that text.
+
+A tracer is on or off for its whole life.  Off (the simulator's default)
+it costs a caller one empty call per event: ``log`` is bound once, at
+construction, to a no-op.  Only a caller that would build an expensive
+detail dict reads :attr:`Tracer.enabled` first (the router's ``route``
+event, once per packet head).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.sim.snapshot import Snapshottable
 
@@ -33,110 +38,30 @@ class TraceEvent:
 
 
 class Tracer(Snapshottable):
-    """Collects :class:`TraceEvent` objects, optionally filtered by kind.
+    """Collects every logged :class:`TraceEvent` in :attr:`events`.
 
-    Parameters
-    ----------
-    enabled:
-        Start collecting immediately.  While disabled, :meth:`log` is a
-        bound no-op method.
-    kinds:
-        Optional whitelist of event kinds to record.
-    sink:
-        Optional callback invoked with every recorded event.
-    max_events:
-        If set, keep only the newest ``max_events`` events (ring
-        buffer); :attr:`total_logged` still counts every recorded event
-        so droppage is observable as ``total_logged - len(tracer)``.
+    ``enabled`` is fixed at construction.  ``log(cycle, source, kind,
+    **detail)`` is an instance attribute bound then: the recorder when
+    enabled, a no-op when not.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        kinds: Optional[List[str]] = None,
-        sink: Optional[Callable[[TraceEvent], None]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be >= 1 or None")
-        self._kinds = set(kinds) if kinds is not None else None
-        self._sink = sink
-        self.max_events = max_events
-        self.events = (
-            deque(maxlen=max_events) if max_events is not None else []
-        )
-        self.total_logged = 0
-        self._enabled = enabled
-        self._rebind()
+    snapshot_version = 2
+    _snapshot_fields = ("events",)
 
-    # ------------------------------------------------------------------ #
-    # enable/disable (rebinds ``log`` so the disabled path costs nothing)
-    # ------------------------------------------------------------------ #
-    def _rebind(self) -> None:
-        # Instance attribute shadows the class method: callers always go
-        # through ``tracer.log(...)`` and get the cheap path when off.
-        self.log = self._log if self._enabled else self._log_noop
+    def __init__(self, enabled: bool = True) -> None:
+        self._enabled = enabled
+        self.events: List[TraceEvent] = []
+        self.log = self._log if enabled else self._log_noop
 
     @property
     def enabled(self) -> bool:
         return self._enabled
 
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        self._rebind()
-
-    # ------------------------------------------------------------------ #
-    # logging
-    # ------------------------------------------------------------------ #
     def _log_noop(self, cycle: int, source: str, kind: str, **detail: Any) -> None:
         return None
 
     def _log(self, cycle: int, source: str, kind: str, **detail: Any) -> None:
-        if self._kinds is not None and kind not in self._kinds:
-            return
-        event = TraceEvent(cycle=cycle, source=source, kind=kind, detail=detail)
-        self.events.append(event)
-        self.total_logged += 1
-        if self._sink is not None:
-            self._sink(event)
-
-    # ``log`` is rebound per instance in __init__; this class-level alias
-    # keeps the method discoverable and the API documented.
-    log = _log
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def from_source(self, source: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.source == source]
-
-    @property
-    def dropped_events(self) -> int:
-        """Events discarded by the ``max_events`` ring buffer."""
-        return self.total_logged - len(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.total_logged = 0
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    _snapshot_fields = ("events", "total_logged", "_enabled")
-
-    def _restore_state(self, state) -> None:
-        # ``events`` is restored in place (list or ring-buffer deque,
-        # whichever this build configured); ``log`` is an instance
-        # attribute derived from ``_enabled``, so re-derive it.
-        super()._restore_state(state)
-        self._rebind()
+        self.events.append(TraceEvent(cycle, source, kind, detail))
 
     def dump(self) -> str:
         return "\n".join(str(e) for e in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -170,6 +170,12 @@ class BuiltSoc:
         return self.sim.run(cycles)
 
     def master_latency(self, name: str) -> Dict[str, float]:
+        """Master ``name``'s request→response latency summary.  A name
+        that is not a master raises ``KeyError`` and registers nothing."""
+        if name not in self.masters:
+            raise KeyError(
+                f"no master named {name!r}; masters: {sorted(self.masters)}"
+            )
         return self.sim.stats.latency(f"{name}.txn").histogram.summary()
 
     def aggregate_latency(self) -> Dict[str, float]:

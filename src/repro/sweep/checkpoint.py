@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import BinaryIO, Union
 
 from repro.sim.snapshot import SnapshotError
 
@@ -108,17 +107,3 @@ class Checkpoint:
                 f"checkpoint is {len(data)} bytes, header says {_HEADER.size + length}"
             )
         return cls(data[_HEADER.size :], cycle)
-
-    def save(self, target: Union[str, BinaryIO]) -> None:
-        if hasattr(target, "write"):
-            target.write(self.to_bytes())
-        else:
-            with open(target, "wb") as handle:
-                handle.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, source: Union[str, BinaryIO]) -> "Checkpoint":
-        if hasattr(source, "read"):
-            return cls.from_bytes(source.read())
-        with open(source, "rb") as handle:
-            return cls.from_bytes(handle.read())

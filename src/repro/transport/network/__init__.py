@@ -546,15 +546,6 @@ class Network(Snapshottable):
                 return False
         return True
 
-    def mean_link_utilization(self, cycles: int) -> float:
-        if cycles <= 0:
-            return 0.0
-        busy = sum(
-            sum(r.output_busy_cycles.values()) for r in self.routers.values()
-        )
-        ports = sum(len(r.output_busy_cycles) for r in self.routers.values())
-        return busy / (cycles * ports) if ports else 0.0
-
 
 class Fabric:
     """The request plane and the response plane: two :class:`Network`\\ s

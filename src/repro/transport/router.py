@@ -196,10 +196,8 @@ class Router(Component, Snapshottable):
         self.packets_adaptive = 0
         self.packets_escape = 0
         #: Cycles in which at least one output was lock-stalled (counted
-        #: at most once per cycle; per-output detail below).
+        #: at most once per cycle).
         self.lock_stall_cycles = 0
-        self.lock_stalls_by_output: Dict[str, int] = {}
-        self.output_busy_cycles: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # wiring (Network calls these during construction)
@@ -271,8 +269,6 @@ class Router(Component, Snapshottable):
         port_order = self._port_order(port, neighbor if order is None else order)
         if port not in self._output_lock:
             self._output_lock[port] = None
-            self.output_busy_cycles[port] = 0
-            self.lock_stalls_by_output[port] = 0
             self._phys_out_keys[port] = port_order
             insort(
                 self._physical_outputs, port, key=self._phys_out_keys.__getitem__
@@ -330,11 +326,9 @@ class Router(Component, Snapshottable):
     def _record_stalls(self, stalls: List[str]) -> None:
         """Lock-stall accounting, both switches.  ``stalls`` holds one
         entry per refused head: the output whose lock another master
-        holds.  A tick counts at most one lock-stall cycle, and one stall
-        per refusing output in ``lock_stalls_by_output``."""
+        holds.  A tick counts one lock-stall cycle however many heads it
+        refused, on however many outputs."""
         self.lock_stall_cycles += 1
-        for out_port in set(stalls):
-            self.lock_stalls_by_output[out_port] += 1
 
     def _output_vc_for(self, ivc: VcKey, out_port: str, escape=False) -> int:
         """The VC policy's output VC for a head on ``ivc`` leaving by
@@ -758,7 +752,6 @@ class Router(Component, Snapshottable):
         flit.vc = out_vc  # retag for the next link's VC
         self.outputs[okey].push(flit)
         self.flits_forwarded += 1
-        self.output_busy_cycles[out_port] += 1
         seq = flit.seq
         tail = seq == flit.count - 1
         if seq == 0:
@@ -815,7 +808,7 @@ class Router(Component, Snapshottable):
     # sorted lists, candidate-key maps, neighbour geometry), the routing
     # tables (shared, read-only: see network.plane_tables) and _vc_cache
     # (pure geometry).
-    snapshot_version = 2
+    snapshot_version = 3
     _snapshot_fields = (
         "_input_alloc",
         "_input_head",
@@ -829,8 +822,6 @@ class Router(Component, Snapshottable):
         "packets_adaptive",
         "packets_escape",
         "lock_stall_cycles",
-        "lock_stalls_by_output",
-        "output_busy_cycles",
     )
 
     def _snapshot_state(self) -> dict:
@@ -850,11 +841,4 @@ class Router(Component, Snapshottable):
             port: holder
             for port, holder in self._output_lock.items()
             if holder is not None
-        }
-
-    def utilization(self, cycles: int) -> Dict[str, float]:
-        if cycles <= 0:
-            return {port: 0.0 for port in self._physical_outputs}
-        return {
-            port: busy / cycles for port, busy in self.output_busy_cycles.items()
         }

@@ -424,9 +424,6 @@ class EscapeVcPolicy(VcPolicy):
     def escape_base(self, vcs: int) -> int:
         return vcs - self.escape_vcs
 
-    def is_escape_vc(self, vc: int, vcs: int) -> bool:
-        return self.escape and vc >= vcs - self.escape_vcs
-
     def injection_vc(self, packet, vcs: int) -> int:
         return max(0, min(packet.priority, self.adaptive_vcs(vcs) - 1))
 

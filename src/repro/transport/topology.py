@@ -149,9 +149,6 @@ class Topology:
     def neighbors(self, router: RouterId) -> List[RouterId]:
         return list(self._neighbors[router])
 
-    def has_link(self, a: RouterId, b: RouterId) -> bool:
-        return b in self._neighbors.get(a, ())
-
     def endpoints_at(self, router: RouterId) -> List[int]:
         """Endpoints attached to ``router`` (precomputed, ascending)."""
         return list(self._router_endpoints.get(router, ()))

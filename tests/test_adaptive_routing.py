@@ -149,15 +149,12 @@ class TestEscapeVcPolicy:
         policy = EscapeVcPolicy()
         assert policy.min_vcs == 3
         assert policy.adaptive_vcs(4) == 2
-        assert policy.escape_base(4) == 2
-        assert not policy.is_escape_vc(1, 4)
-        assert policy.is_escape_vc(2, 4) and policy.is_escape_vc(3, 4)
+        assert policy.escape_base(4) == 2  # VCs 2 and 3 are the escape class
 
     def test_pure_adaptive_ablation(self):
         policy = EscapeVcPolicy(escape=False)
         assert policy.min_vcs == 1
         assert policy.adaptive_vcs(2) == 2
-        assert not policy.is_escape_vc(1, 2)
 
     def test_escape_dateline_classes(self):
         policy = EscapeVcPolicy()
@@ -301,8 +298,8 @@ class TestCongestionAwareSelection:
                 received.append(queue.pop())
             return len(received) >= 12
         sim.run_until(pump, max_cycles=30_000)
-        used = [port for port, busy in source.output_busy_cycles.items()
-                if busy and port.startswith("to:")]
+        used = sorted({port for (port, _vc), queue in source.outputs.items()
+                       if queue.total_pushed and port.startswith("to:")})
         return received, used
 
     def test_adaptive_spreads_over_minimal_outputs(self):
@@ -526,7 +523,7 @@ class TestLockAdmissionWindow:
         sim.run(2)
         # ...and its flit passed the locked port (entered "first").
         assert [f.src for f in out[1]] == [1]
-        assert router.lock_stalls_by_output["local:2"] == 0
+        assert router.lock_stall_cycles == 0
 
         # A later head from a non-holder is refused at allocation.
         late = request(2, 1, txn_id=3)
@@ -534,7 +531,7 @@ class TestLockAdmissionWindow:
             in_b.push(flit)
         sim.run(10)
         assert router._input_alloc[("in:b", 1)] is None
-        assert router.lock_stalls_by_output["local:2"] > 0
+        assert router.lock_stall_cycles > 0
         assert len(in_b) == 1  # still parked at the input
 
         # UNLOCK from the holder releases it.

@@ -14,7 +14,6 @@ from repro.ip.traffic import TrafficSpec
 from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink
 from repro.sim.fingerprint import reset_ids
 from repro.sim.queue import SimQueue
-from repro.sim.trace import Tracer
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
 from repro.transport import topology as topo
@@ -49,11 +48,9 @@ def attributes(obj):
 
 def deques_held(obj):
     """``(class, attribute)`` for every deque ``obj`` holds directly or
-    one container level down — except a tracer's bounded ring buffer."""
+    one container level down."""
     found = []
     for name, value in attributes(obj):
-        if isinstance(obj, Tracer) and name == "events":
-            continue
         inner = value.values() if isinstance(value, dict) else (
             value if isinstance(value, (list, tuple)) else ())
         if isinstance(value, deque) or any(isinstance(v, deque) for v in inner):
@@ -84,10 +81,7 @@ def test_no_deque_in_any_e2e_soc():
         assert fifos and all(type(f) is list for f in fifos.values()), name
 
 
-def test_the_walk_sees_a_deque_and_spares_only_the_tracer_ring():
-    bounded = Tracer(max_events=8)
-    assert isinstance(bounded.events, deque)
-    assert deques_held(bounded) == []
+def test_the_walk_sees_a_deque():
     queue = SimQueue("q")
     queue._committed = deque()  # what every queue held before
     assert deques_held(queue) == [("SimQueue", "_committed")]

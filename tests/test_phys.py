@@ -72,8 +72,8 @@ class TestSerialization:
         sim = Simulator()
         up, down = sim.new_queue("u"), sim.new_queue("d")
         link = PhysicalLink("l", up, down, flit_bits=72, phit_bits=36)
-        assert link.bandwidth_bits_per_cycle == 36.0
-        assert link.latency_cycles == 2
+        assert link.serialization == 2  # 72 flit bits over 36-bit phits
+        assert link.flit_bits / link.serialization == 36.0
 
     def test_backpressure_no_loss(self):
         """A full downstream queue stalls the link; nothing is dropped."""

@@ -116,7 +116,6 @@ def test_occupancy_includes_staged():
     q.commit()
     q.push(2)
     assert q.occupancy == 2
-    assert q.staged_count == 1
     assert len(q) == 1
 
 
@@ -126,7 +125,7 @@ def test_drain_leaves_staged_items_by_default():
     q.commit()
     q.push(2)  # staged, not yet visible
     assert q.drain() == [1]
-    assert q.staged_count == 1
+    assert q.occupancy == 1  # the staged item
     q.commit()
     assert list(q) == [2]
 

@@ -1,81 +1,55 @@
 """Unit tests for the tracer."""
 
+import pytest
+
+from repro.sim.snapshot import SnapshotVersionError
 from repro.sim.trace import TraceEvent, Tracer
 
 
 def test_disabled_tracer_records_nothing():
     t = Tracer(enabled=False)
     t.log(0, "src", "kind", a=1)
-    assert len(t) == 0
+    assert t.events == []
 
 
 def test_enabled_tracer_records():
     t = Tracer()
     t.log(5, "router", "route", dest=3)
-    assert len(t) == 1
+    assert len(t.events) == 1
     event = t.events[0]
     assert event.cycle == 5
     assert event.source == "router"
     assert event.detail == {"dest": 3}
 
 
-def test_kind_filter():
-    t = Tracer(kinds=["lock_set"])
-    t.log(0, "r", "route")
-    t.log(1, "r", "lock_set")
-    assert len(t) == 1
-    assert t.events[0].kind == "lock_set"
-
-
-def test_of_kind_and_from_source():
-    t = Tracer()
-    t.log(0, "a", "x")
-    t.log(1, "b", "x")
-    t.log(2, "a", "y")
-    assert len(t.of_kind("x")) == 2
-    assert len(t.from_source("a")) == 2
-
-
-def test_sink_callback():
-    seen = []
-    t = Tracer(sink=seen.append)
-    t.log(0, "s", "k")
-    assert len(seen) == 1
-    assert isinstance(seen[0], TraceEvent)
-
-
-def test_dump_and_clear():
+def test_dump_renders_every_event_in_order():
     t = Tracer()
     t.log(3, "s", "k", v=9)
-    assert "v=9" in t.dump()
-    t.clear()
-    assert len(t) == 0
+    t.log(4, "r", "j")
+    lines = t.dump().splitlines()
+    assert lines == [str(TraceEvent(3, "s", "k", {"v": 9})), str(TraceEvent(4, "r", "j"))]
+    assert "v=9" in lines[0]
 
 
-def test_max_events_ring_buffer_keeps_newest():
-    t = Tracer(max_events=3)
-    for i in range(10):
-        t.log(i, "s", "k")
-    assert len(t) == 3
-    assert [e.cycle for e in t.events] == [7, 8, 9]
-    assert t.total_logged == 10
-    assert t.dropped_events == 7
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enabled_is_fixed_at_construction(enabled):
+    """``log`` is bound once, so the setting cannot change under it."""
+    t = Tracer(enabled=enabled)
+    assert t.enabled is enabled
+    assert t.log == (t._log if enabled else t._log_noop)
+    with pytest.raises(AttributeError):
+        t.enabled = not enabled
 
 
-def test_max_events_rejects_nonpositive():
-    import pytest
-
-    with pytest.raises(ValueError):
-        Tracer(max_events=0)
-
-
-def test_enabled_toggle_rebinds_log():
-    t = Tracer(enabled=False)
-    t.log(0, "s", "k")
-    assert len(t) == 0
-    t.enabled = True
+def test_snapshot_restores_the_event_list_in_place():
+    t = Tracer()
     t.log(1, "s", "k")
-    assert len(t) == 1
-    t.enabled = False
+    saved = t.snapshot()
+    events = t.events
     t.log(2, "s", "k")
-    assert len(t) == 1
+    t.restore(saved)
+    assert t.events is events
+    assert [e.cycle for e in t.events] == [1]
+    saved["__v__"] = 1  # the layout with the ring buffer and its count
+    with pytest.raises(SnapshotVersionError):
+        t.restore(saved)

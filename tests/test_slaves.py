@@ -191,4 +191,4 @@ class TestMemoryDevice:
         sim.run_until(lambda: len(socket.responses) >= 2, max_cycles=100)
         assert memory.writes_served == 1
         assert memory.reads_served == 1
-        assert memory.stored_bytes == 4
+        assert len(memory.store) == 4

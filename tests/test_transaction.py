@@ -11,8 +11,6 @@ from repro.core.transaction import (
     ResponseStatus,
     Transaction,
     make_read,
-    make_write,
-    split_burst,
 )
 
 
@@ -181,36 +179,3 @@ class TestResponse:
             txn_id=1, opcode=Opcode.STORE, status=ResponseStatus.EXOKAY
         )
         assert r.ok
-
-
-class TestSplitBurst:
-    def test_split_exact(self):
-        txn = make_write(0x0, list(range(8)))
-        chunks = split_burst(txn, 4)
-        assert chunks == [(0x0, [0, 1, 2, 3]), (0x10, [4, 5, 6, 7])]
-
-    def test_split_remainder(self):
-        txn = make_write(0x0, list(range(5)))
-        chunks = split_burst(txn, 4)
-        assert len(chunks) == 2
-        assert chunks[1] == (0x10, [4])
-
-    def test_split_read_has_empty_data(self):
-        txn = make_read(0x0, beats=6)
-        chunks = split_burst(txn, 4)
-        assert [c[1] for c in chunks] == [[], []]
-
-    def test_bad_max_beats(self):
-        with pytest.raises(ValueError):
-            split_burst(make_read(0), 0)
-
-    @given(
-        beats=st.integers(min_value=1, max_value=64),
-        max_beats=st.integers(min_value=1, max_value=16),
-    )
-    def test_split_preserves_data(self, beats, max_beats):
-        txn = make_write(0, list(range(beats)))
-        chunks = split_burst(txn, max_beats)
-        reassembled = [v for __, data in chunks for v in data]
-        assert reassembled == list(range(beats))
-        assert all(len(d) <= max_beats for __, d in chunks)

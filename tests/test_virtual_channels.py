@@ -411,8 +411,8 @@ class TestBufferSizingValidation:
 class TestLockStallCounting:
     def test_two_stalled_outputs_count_one_cycle(self):
         """Two lock-stalled outputs in the same cycle used to report two
-        "stall cycles"; the counter is per cycle, the per-output detail
-        lives in lock_stalls_by_output."""
+        "stall cycles"; the counter is per cycle, so a run of N cycles
+        reads at most N however many outputs stall in each."""
         sim = Simulator()
         net = Network(sim, topo.single_router(4))
         router = next(iter(net.routers.values()))
@@ -425,11 +425,9 @@ class TestLockStallCounting:
         net.inject(1, request(2, 1, txn_id=3))
         net.inject(2, request(3, 2, txn_id=4))
         sim.run(50)
-        stalls = router.lock_stalls_by_output
-        assert stalls["local:2"] > 0 and stalls["local:3"] > 0
-        assert stalls["local:2"] == stalls["local:3"]
+        assert not net.ejected(2) and not net.ejected(3)  # both refused
         # Both ports stall in the same cycles -> counted once per cycle.
-        assert router.lock_stall_cycles == stalls["local:2"]
+        assert 25 < router.lock_stall_cycles <= 50
         assert net.total_lock_stall_cycles() == router.lock_stall_cycles
 
     def test_locks_still_enforced_with_vcs(self):
