@@ -130,7 +130,6 @@ def naive_accept_requests(niu, cycle):
         return
     packet = queue.peek()
     if niu.locks is not None and not niu.locks.may_proceed(packet.mst_addr):
-        niu.locks.note_blocked()
         niu.lock_blocked_cycles += 1
         return
     if niu._serve_packet(packet, cycle):

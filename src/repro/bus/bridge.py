@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.protocols import family
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
-from repro.bus.shared_bus import BusOp, BusReply, SharedBus
+from repro.bus.shared_bus import MAX_BURST_BEATS, BusOp, BusReply, SharedBus
 from repro.protocols.base import ProtocolMaster
 from repro.sim.component import Component
 from repro.soc.builder import MODELS
@@ -72,18 +72,14 @@ class Bridge(Component):
     # ------------------------------------------------------------------ #
     def _convert(self, txn: Transaction) -> List[BusOp]:
         opcode = txn.opcode
-        locked = False
         if txn.excl:
             # Non-blocking exclusive → blocking bus-lock emulation.
             opcode = Opcode.READEX if txn.opcode.is_read else Opcode.STORE_COND_LOCKED
-            locked = True
             self.lock_emulations += 1
         elif opcode is Opcode.STORE_POSTED:
             opcode = Opcode.STORE  # reference socket acknowledges writes
-        elif opcode.is_locking:
-            locked = True
         addresses = txn.beat_addresses()
-        cap = self.bus.max_burst_beats
+        cap = MAX_BURST_BEATS
         starts = range(0, txn.beats, cap)
         if len(starts) > 1:
             self.splits += 1
@@ -96,8 +92,6 @@ class Bridge(Component):
                 beat_bytes=txn.beat_bytes,
                 addresses=addresses[start:start + cap],
                 data=None if txn.data is None else list(txn.data[start:start + cap]),
-                locked=locked,
-                priority=txn.priority,
                 txn_id=txn.txn_id,
                 part=part,
                 parts=len(starts),

@@ -7,9 +7,13 @@ matches most shipped AHB fabrics of the era).
 
 Reference-socket feature set (what bridges must down-convert to):
 single outstanding transfer per master and on the bus, strict in-order
-completion, INCR/WRAP bursts up to ``max_burst_beats``, acknowledged
-writes only, bus-level locking for synchronization, no threads / IDs /
-QoS signalling.
+completion, INCR/WRAP bursts up to :data:`MAX_BURST_BEATS` (bridges
+split longer ones), acknowledged writes only, bus-level locking for
+synchronization, no threads / IDs / QoS signalling.
+
+Grants rotate round-robin: the first requesting master after the last
+one granted.  A master holding the bus lock is the only one granted
+until it releases it.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
 
 #: Largest burst the reference socket can carry (AHB INCR16).
-DEFAULT_MAX_BURST_BEATS = 16
-#: The grant schemes :meth:`SharedBus._arbitrate` knows.
-ARBITRATIONS = ("rr", "fixed", "priority")
+MAX_BURST_BEATS = 16
 
 
 @dataclass
@@ -41,8 +43,6 @@ class BusOp:
     beat_bytes: int
     addresses: List[int]
     data: Optional[List[int]] = None
-    locked: bool = False
-    priority: int = 0
     txn_id: int = -1
     part: int = 0
     parts: int = 1
@@ -78,14 +78,10 @@ class SharedBus(Component):
         name: str,
         sim: Simulator,
         address_map: AddressMap,
-        arbitration: str = "rr",
-        max_burst_beats: int = DEFAULT_MAX_BURST_BEATS,
     ) -> None:
         super().__init__(name)
         self.sim = sim
         self.address_map = address_map
-        self.arbitration = arbitration
-        self.max_burst_beats = max_burst_beats
         self._targets: Dict[int, _BusTarget] = {}
         self.request_queues: List[SimQueue] = []
         self.reply_queues: List[SimQueue] = []
@@ -135,16 +131,7 @@ class SharedBus(Component):
         return (slv, target) if target is not None else None
 
     def _arbitrate(self, candidates: List[int]) -> int:
-        if self.arbitration == "fixed":
-            return min(candidates)
-        if self.arbitration == "priority":
-            best = max(self.request_queues[i].peek(0).priority for i in candidates)
-            candidates = [
-                i
-                for i in candidates
-                if self.request_queues[i].peek(0).priority == best
-            ]
-        # round-robin among (remaining) candidates
+        """Round-robin: the first candidate after the last winner."""
         after = [i for i in sorted(candidates) if i > self._rr_last]
         winner = after[0] if after else sorted(candidates)[0]
         self._rr_last = winner
@@ -202,12 +189,6 @@ class SharedBus(Component):
             self.transfers += 1
             return
         __, target = located
-        if op.beats > self.max_burst_beats:
-            raise ValueError(
-                f"{self.name}: bridge sent a {op.beats}-beat burst; the "
-                f"reference socket caps at {self.max_burst_beats} "
-                f"(bridges must split)"
-            )
         # Locking (READEX/LOCK take the bus; paired ops release in tick).
         if op.opcode in (Opcode.READEX, Opcode.LOCK):
             self.lock_holder = op.master_index

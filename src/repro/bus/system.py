@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.bus.bridge import Bridge
-from repro.bus.shared_bus import ARBITRATIONS, SharedBus
+from repro.bus.shared_bus import SharedBus
 from repro.core.address_map import AddressMap
 from repro.core.checks import Check, check, knob
 from repro.protocols.base import ProtocolMaster
@@ -70,25 +70,20 @@ def _not_modelled(side: str, field: str) -> Check:
 #: What :func:`build_bus_soc` refuses: the NoC builder's spec and source
 #: rows, the spec fields the bus has no model for (clock regions, NIU
 #: tag policies, memory beat timing and error windows) — set, each is
-#: refused by name rather than silently ignored — and its own knobs out
+#: refused by name rather than silently ignored — and its one knob out
 #: of range.
 BUS_ROWS = (*SPEC_ROWS, *(_not_modelled(side, field) for side, field in (
     ("initiators", "region"), ("initiators", "policy"), ("targets", "region"),
     ("targets", "per_beat_cycles"), ("targets", "error_ranges"),
 )), *SOURCE_ROWS,
-    knob("arbitration", lambda s: s.arbitration in ARBITRATIONS,
-         f"one of {ARBITRATIONS}"),
     knob("bridge_latency", lambda s: s.bridge_latency >= 0, ">= 0"),
-    knob("max_burst_beats", lambda s: s.max_burst_beats >= 1, ">= 1"),
 )
 
 
 def build_bus_soc(
     initiators: List[InitiatorSpec],
     targets: List[TargetSpec],
-    arbitration: str = "rr",
     bridge_latency: int = 2,
-    max_burst_beats: int = 16,
     trace: Optional[Tracer] = None,
 ) -> BusSoc:
     """Build the Fig-2 baseline from the same specs as the NoC builder.
@@ -102,16 +97,12 @@ def build_bus_soc(
     sources = hand_out(initiators)
     draft = SimpleNamespace(
         initiators=initiators, targets=targets, sources=sources,
-        arbitration=arbitration, bridge_latency=bridge_latency,
-        max_burst_beats=max_burst_beats,
+        bridge_latency=bridge_latency,
     )
     check("bus", draft, BUS_ROWS)
     sim = Simulator(trace=trace)
     address_map = build_address_map(targets, first_slave=0)
-    bus = SharedBus(
-        "bus", sim, address_map, arbitration=arbitration,
-        max_burst_beats=max_burst_beats,
-    )
+    bus = SharedBus("bus", sim, address_map)
     for index, spec in enumerate(targets):
         bus.add_target(
             spec.name,

@@ -36,7 +36,6 @@ from repro.core.services import (
 from repro.core.transaction import (
     BurstType,
     Opcode,
-    Response,
     ResponseStatus,
     Transaction,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "OrderingViolation",
     "PacketFormat",
     "PacketKind",
-    "Response",
     "ResponseStatus",
     "Transaction",
     "TransactionLayerConfig",

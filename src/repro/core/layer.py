@@ -7,9 +7,10 @@ plug into the NoC, without altering the transport and physical layers".
 instance and derives
 
 - the set of :class:`~repro.core.services.NocService` to activate (the
-  union of the rows' services),
+  union of the rows' services; a service no attached socket needs is
+  not activated, and there is no other way to activate one),
 - the resulting :class:`~repro.core.packet.PacketFormat` (base header +
-  the user bits those services need),
+  the user bits those services need, + any ``extra_user_bits``),
 - sizing parameters (tag bits from the largest outstanding-transaction
   budget, slv/mst address bits from the number of nodes).
 
@@ -65,7 +66,6 @@ def build_layer_config(
     initiators: int,
     targets: int,
     max_outstanding: int = 8,
-    extra_services: Iterable[NocService] = (),
     extra_user_bits: Iterable[UserBit] = (),
 ) -> TransactionLayerConfig:
     """Derive the transaction-layer configuration for a set of sockets.
@@ -81,13 +81,13 @@ def build_layer_config(
     max_outstanding:
         Largest simultaneously-outstanding transaction budget of any NIU;
         sizes the Tag field.
-    extra_services, extra_user_bits:
-        Hooks for the feature-locality experiment (E6): adding a new
-        socket feature means passing one more entry here and touching the
+    extra_user_bits:
+        The feature-locality experiment's hook (E6): adding a new socket
+        feature means passing one more packet bit here and touching the
         corresponding NIU — nothing else.
     """
     rows = [family(p) for p in protocols]
-    services: Set[NocService] = set(extra_services)
+    services: Set[NocService] = set()
     for row in rows:
         services |= row.services
 

@@ -7,8 +7,8 @@ out-of-order responses across IDs (ordered within an ID).  The Arteris
 layer adapts to all three "using a careful assignment policy" of
 SlvAddr/MstAddr/Tag.
 
-This module defines the three models, the ordering constraint they impose
-(:meth:`OrderingModel.must_order`), and :class:`OrderingChecker`, a
+This module defines the three models, the stream within which each keeps
+issue order (:meth:`OrderingModel.stream_key`), and :class:`OrderingChecker`, a
 scoreboard that replays an observed (issue, completion) sequence and
 reports violations.  Benchmarks E2 runs the same fabric under all three
 models and asserts zero violations.
@@ -46,18 +46,6 @@ class OrderingModel(enum.Enum):
         if self is OrderingModel.THREADED:
             return (thread,)
         return (thread, txn_tag)
-
-    def must_order(
-        self,
-        first: Tuple[int, int],
-        second: Tuple[int, int],
-    ) -> bool:
-        """Whether response(second) may not overtake response(first).
-
-        Arguments are ``(thread, txn_tag)`` pairs of two transactions
-        issued in that order by the same master.
-        """
-        return self.stream_key(*first) == self.stream_key(*second)
 
 
 class OrderingViolation(AssertionError):
@@ -165,17 +153,4 @@ class OrderingChecker(Snapshottable):
     @property
     def issued(self) -> int:
         return self._issued
-
-    @property
-    def completed_count(self) -> int:
-        return self._issued - len(self._records)
-
-    def all_complete(self) -> bool:
-        return self.outstanding == 0 and self.issued > 0
-
-    def reset(self) -> None:
-        self._records.clear()
-        self._open_by_stream.clear()
-        self._issued = 0
-        self.violations.clear()
 

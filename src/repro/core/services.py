@@ -16,15 +16,16 @@ The paper contrasts two synchronization families:
   target NIU, keyed by initiator, granting EXOKAY to an exclusive store
   only if the reservation still stands.
 
-Both are *services*: a NoC configuration activates them only when an
-attached socket needs them (:mod:`repro.core.layer`).
+Both are *services*: a NoC configuration activates one only when an
+attached socket's family row (:mod:`repro.core.protocols`) names it
+(:mod:`repro.core.layer`), and these two are all the rows name.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.packet import UserBit
 from repro.sim.snapshot import Snapshottable
@@ -36,29 +37,18 @@ EXCL_USER_BIT = UserBit(
     description="AXI exclusive access / OCP lazy synchronization marker",
 )
 
-#: Urgency side-band used by the QoS experiments (not in the paper's list,
-#: included to show the 'family of similar NoC services' is open-ended).
-URGENCY_USER_BIT = UserBit(
-    name="urgency",
-    width=2,
-    description="dynamic QoS boost requested by the initiator NIU",
-)
-
 
 class NocService(enum.Enum):
     """Activatable transaction-layer services."""
 
     EXCLUSIVE_ACCESS = "EXCLUSIVE_ACCESS"  # one packet bit + NIU state
     LEGACY_LOCK = "LEGACY_LOCK"  # transport-level path locking
-    URGENCY = "URGENCY"  # QoS boost side-band
 
     @property
     def packet_bits(self) -> List[UserBit]:
         """User bits this service adds to the packet format."""
         if self is NocService.EXCLUSIVE_ACCESS:
             return [EXCL_USER_BIT]
-        if self is NocService.URGENCY:
-            return [URGENCY_USER_BIT]
         return []  # LEGACY_LOCK rides on dedicated opcodes, not user bits
 
     @property
@@ -164,20 +154,17 @@ class LockManager(Snapshottable):
     While an initiator holds the lock, every other initiator's request at
     this target is stalled — the blocking behaviour the paper says newer
     exclusive accesses were introduced to avoid.  The transport-level half
-    (path reservation through switches) is modelled in the router.
+    (path reservation through switches) is modelled in the router.  The
+    cycles a parked request spends refused are counted once, by the
+    target NIU (``TargetNiu.lock_blocked_cycles``).
     """
 
     name: str = "lock-manager"
     holder: Optional[int] = None
-    acquisitions: int = 0
-    blocked_cycles: int = 0
-    _waiters: Set[int] = field(default_factory=set)
 
-    _snapshot_fields = ("holder", "acquisitions", "blocked_cycles", "_waiters")
-
-    @property
-    def locked(self) -> bool:
-        return self.holder is not None
+    # A version-1 envelope also held two counters and the waiter set.
+    snapshot_version = 2
+    _snapshot_fields = ("holder",)
 
     def may_proceed(self, initiator: int) -> bool:
         """Whether a request from ``initiator`` may access the target now."""
@@ -187,12 +174,9 @@ class LockManager(Snapshottable):
         """Try to take the lock; False means the caller must retry/stall."""
         if self.holder is None:
             self.holder = initiator
-            self.acquisitions += 1
-            self._waiters.discard(initiator)
             return True
         if self.holder == initiator:
             raise LockError(f"{self.name}: initiator {initiator} double-lock")
-        self._waiters.add(initiator)
         return False
 
     def release(self, initiator: int) -> None:
@@ -202,11 +186,3 @@ class LockManager(Snapshottable):
                 f"{self.holder}"
             )
         self.holder = None
-
-    def note_blocked(self, count: int = 1) -> None:
-        """Bench hook: accumulate cycles other masters spent stalled."""
-        self.blocked_cycles += count
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)

@@ -1,11 +1,12 @@
 """Protocol-neutral transaction primitives.
 
 Every VC socket (AHB, AXI, OCP, VCI, proprietary) is translated by its NIU
-into instances of :class:`Transaction`; responses travel back as
-:class:`Response`.  The vocabulary is the union of what the supported
-sockets can express — the paper's point is that this union is small enough
-to be carried by one packet format once ordering and synchronization are
-handled by field-assignment policies and optional user bits.
+into instances of :class:`Transaction`; a response travels back as a
+:class:`ResponseStatus` and the read data.  The vocabulary is the union of
+what the supported sockets can express — the paper's point is that this
+union is small enough to be carried by one packet format once ordering
+and synchronization are handled by field-assignment policies and
+optional user bits.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ class Transaction:
     txn_tag: int = 0
     excl: bool = False
     priority: int = 0
-    issued_cycle: int = -1
     txn_id: int = field(default_factory=_next_txn_id)
     meta: Dict[str, object] = field(default_factory=dict)
 
@@ -183,36 +183,6 @@ class Transaction:
             f"{self.opcode.value} @{self.address:#010x} x{self.beats}"
             f"({self.burst.value}) master={self.master} thread={self.thread}"
             f"{' EXCL' if self.excl else ''}"
-        )
-
-
-@dataclass
-class Response:
-    """Transaction-layer completion delivered back to the initiator NIU."""
-
-    txn_id: int
-    opcode: Opcode
-    status: ResponseStatus = ResponseStatus.OKAY
-    data: Optional[List[int]] = None
-    master: str = ""
-    thread: int = 0
-    txn_tag: int = 0
-    completed_cycle: int = -1
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.opcode.is_read and self.status is ResponseStatus.OKAY:
-            if self.data is None:
-                raise ValueError("read OKAY response requires data")
-
-    @property
-    def ok(self) -> bool:
-        return not self.status.is_error
-
-    def describe(self) -> str:
-        return (
-            f"RSP txn={self.txn_id} {self.opcode.value} {self.status.value} "
-            f"master={self.master} thread={self.thread}"
         )
 
 

@@ -261,7 +261,7 @@ class InitiatorNiu(Component, Snapshottable):
                 txn.address, txn.total_bytes
             )
         except DecodeError:
-            return self._reject_decode(txn, cycle), True
+            return self._reject_decode(txn), True
         if txn.opcode is Opcode.STORE_POSTED:
             if not self.fabric.can_inject_request(self.endpoint):
                 return False, True
@@ -277,13 +277,11 @@ class InitiatorNiu(Component, Snapshottable):
             return False, True
         self.pop_native()
         tag = self.policy.tag_for(txn)
-        self.table.allocate(
-            txn, tag, slv_addr, offset, self.policy.stream_of(txn), cycle
-        )
+        self.table.allocate(txn, tag, slv_addr, offset, self.policy.stream_of(txn))
         self._inject(txn, slv_addr, offset, tag)
         return True, True
 
-    def _reject_decode(self, txn: Transaction, cycle: int) -> bool:
+    def _reject_decode(self, txn: Transaction) -> bool:
         """Complete an unmapped address with DECERR, never entering the
         fabric (default-slave behaviour).  Posted stores are dropped."""
         if txn.opcode is Opcode.STORE_POSTED:
@@ -299,7 +297,6 @@ class InitiatorNiu(Component, Snapshottable):
             slv_addr=0,
             offset=0,
             stream=self.policy.stream_of(txn),
-            cycle=cycle,
         )
         self.table.mark_responded(
             entry.txn_id, ResponseStatus.DECERR, payload=None
@@ -470,7 +467,6 @@ class TargetNiu(Component, Snapshottable):
                     else:
                         blocked = True
                 if blocked:
-                    self.locks.note_blocked()
                     self.lock_blocked_cycles += 1
                 if servable is not None:
                     packet = self._parked[servable]

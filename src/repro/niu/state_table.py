@@ -33,7 +33,6 @@ class StateEntry:
     stream: StreamKey
     seq: int  # global allocation order (per NIU)
     stream_seq: int  # order within the stream
-    issued_cycle: int
     responded: bool = False
     status: ResponseStatus = ResponseStatus.OKAY
     payload: Optional[List[int]] = None
@@ -102,7 +101,6 @@ class StateTable(Snapshottable):
         slv_addr: int,
         offset: int,
         stream: StreamKey,
-        cycle: int,
     ) -> StateEntry:
         if not self.can_allocate():
             raise StateTableFullError(
@@ -120,7 +118,6 @@ class StateTable(Snapshottable):
             stream=stream,
             seq=self._seq,
             stream_seq=stream_seq,
-            issued_cycle=cycle,
         )
         self._seq += 1
         self._entries[txn.txn_id] = entry

@@ -42,22 +42,14 @@ class ClockDomain:
 
 
 def make_clock_domain(name: str, value) -> ClockDomain:
-    """Coerce a declarative clock-domain value into a :class:`ClockDomain`.
-
-    Accepted forms (what ``SocBuilder(clock_domains={...})`` takes):
-    an existing :class:`ClockDomain` (renamed to ``name`` if needed so
-    the mapping key is authoritative), an ``int`` divisor, or a
-    ``(divisor, phase)`` tuple.
+    """The :class:`ClockDomain` a ``SocBuilder(clock_domains={...})``
+    value declares: an ``int`` divisor or a ``(divisor, phase)`` tuple.
     """
-    if isinstance(value, ClockDomain):
-        if value.name == name:
-            return value
-        return ClockDomain(name, value.divisor, value.phase)
     if isinstance(value, int):
         return ClockDomain(name, value)
     if isinstance(value, tuple) and len(value) == 2:
         return ClockDomain(name, value[0], value[1])
     raise ValueError(
-        f"clock domain {name!r}: expected ClockDomain, divisor int or "
+        f"clock domain {name!r}: expected a divisor int or a "
         f"(divisor, phase) tuple, got {value!r}"
     )

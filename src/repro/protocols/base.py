@@ -139,13 +139,10 @@ class ProtocolMaster(Component, Snapshottable):
         self,
         name: str,
         traffic: TrafficSource,
-        strict_ordering_check: bool = True,
     ) -> None:
         super().__init__(name)
         self.traffic = traffic
-        self.checker = OrderingChecker(
-            model=self.ordering_model, master=name, strict=strict_ordering_check
-        )
+        self.checker = OrderingChecker(model=self.ordering_model, master=name)
         self._pending: Optional[Transaction] = None
         self._inflight: Dict[int, Transaction] = {}
         # Time-skipping lookahead (activity kernel only): when the
@@ -327,7 +324,6 @@ class ProtocolMaster(Component, Snapshottable):
             txn = self._pending
             self._pending = None
             self._limit_blocked = False
-            txn.issued_cycle = cycle
             self._inflight[txn.txn_id] = txn
             if txn.opcode.expects_response:
                 # Posted writes have no response, so they take no part in

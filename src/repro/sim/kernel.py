@@ -55,8 +55,8 @@ class TimingWheel:
     one entry per cycle that has sleepers) over per-cycle buckets of
     components (the fine level).  ``schedule`` is O(log n) in the number
     of *distinct* pending cycles, the due-check the kernel runs every
-    cycle is a single compare against the heap top, and ``next_cycle``
-    (what the skip logic needs) is O(1).
+    cycle is a single compare against the heap top, and the skip logic
+    reads the earliest event cycle off the same top in O(1).
 
     Entries can go stale: a parked component woken early by a queue event
     re-enters the schedule through the normal wake path and clears its
@@ -85,10 +85,6 @@ class TimingWheel:
         else:
             bucket.append(component)
         self.events_scheduled += 1
-
-    def next_cycle(self) -> Optional[int]:
-        """Earliest cycle holding parked components (None when empty)."""
-        return self._heap[0] if self._heap else None
 
     def pop_due(self, cycle: int) -> List[Tuple[int, Component]]:
         """Drain every slot at or before ``cycle`` (stale entries too —

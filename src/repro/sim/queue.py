@@ -191,27 +191,6 @@ class SimQueue(Snapshottable):
         """Committed + staged items (what capacity accounting sees)."""
         return self._occ
 
-    def drain(self, include_staged: bool = False) -> List[Any]:
-        """Pop every committed item (test/scoreboard convenience).
-
-        Staged items are **not** drained by default: they are not yet
-        consumer-visible, so a drain models a consumer emptying its
-        buffer mid-cycle.  Pass ``include_staged=True`` to also discard
-        the staged region (e.g. when resetting a queue between test
-        phases); discarded staged items count as popped so the
-        ``total_pushed - total_popped == occupancy`` invariant holds.
-        """
-        items = list(self._committed)
-        self.total_popped += len(items)
-        self._committed.clear()
-        self._occ -= len(items)
-        if include_staged and self._staged:
-            items.extend(self._staged)
-            self.total_popped += len(self._staged)
-            self._occ -= len(self._staged)
-            self._staged.clear()
-        return items
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SimQueue {self.name!r} committed={len(self._committed)} "

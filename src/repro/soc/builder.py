@@ -366,10 +366,8 @@ PLANE_KNOBS = ("mode", "flit_payload_bits", "buffer_capacity", "arbiter", "routi
 
 
 def resolve_links(links) -> Dict[str, Optional[LinkSpec]]:
-    """``links=`` as ``{"router": spec, "endpoint": spec}`` (``None``: the
-    ideal wire); a bare :class:`LinkSpec` is the inter-router spec."""
-    if isinstance(links, LinkSpec):
-        links = {"router": links}
+    """``links=`` with every class present: ``{"router": spec, "endpoint":
+    spec}`` (``None``: the ideal wire)."""
     return {cls: (links or {}).get(cls) for cls in LINK_CLASSES}
 
 
@@ -398,13 +396,13 @@ BUILD_ROWS = (
     Check("regions", ("fabric_region", "region"), lambda s: not _undeclared(s),
           lambda s: "{}: unknown clock region {!r}; declared domains: ".format(
               *_undeclared(s)) + str(sorted(s.clock_domains or {}) or "(none)")),
-    knob("links", lambda s: s.links is None or isinstance(s.links, (LinkSpec, dict)),
-         f"a LinkSpec or a mapping with keys from {LINK_CLASSES}"),
-    Check("link_classes", ("links",), lambda s: not isinstance(s.links, dict)
+    knob("links", lambda s: s.links is None or isinstance(s.links, dict),
+         f"a mapping with keys from {LINK_CLASSES}"),
+    Check("link_classes", ("links",), lambda s: s.links is None
           or all(cls in LINK_CLASSES for cls in s.links),
           lambda s: "links: unknown link class {!r}; known: {}".format(next(
               cls for cls in s.links if cls not in LINK_CLASSES), LINK_CLASSES)),
-    Check("link_specs", ("links",), lambda s: not isinstance(s.links, dict)
+    Check("link_specs", ("links",), lambda s: s.links is None
           or all(isinstance(spec, LinkSpec) for spec in s.links.values()),
           lambda s: "links[{!r}]: expected a LinkSpec".format(next(
               cls for cls, spec in s.links.items() if not isinstance(spec, LinkSpec)))),
@@ -447,13 +445,13 @@ class SocBuilder:
     Physical-layer knobs (all default to the ideal physical layer, which
     is cycle-identical to a build that never mentions them):
 
-    - ``links`` — a :class:`~repro.phys.link.LinkSpec` applied to every
-      inter-router connection, or a mapping with keys ``"router"``
-      (inter-router links) and/or ``"endpoint"`` (NIU↔router links);
-    - ``clock_domains`` — mapping of domain name to
-      :class:`~repro.phys.clocking.ClockDomain`, integer divisor, or
-      ``(divisor, phase)`` tuple; these are the names initiator/target
-      ``region=`` fields and ``fabric_region`` refer to;
+    - ``links`` — a mapping from ``"router"`` (inter-router links)
+      and/or ``"endpoint"`` (NIU↔router links) to the
+      :class:`~repro.phys.link.LinkSpec` every such connection gets;
+    - ``clock_domains`` — mapping of domain name to an integer divisor
+      or a ``(divisor, phase)`` tuple; these are the names
+      initiator/target ``region=`` fields and ``fabric_region`` refer
+      to;
     - ``fabric_region`` — the clock domain the routers (and the fabric
       side of every link) run in; ``None`` = kernel reference clock.
       Endpoints whose region differs from the fabric's domain get CDC
@@ -489,8 +487,8 @@ class SocBuilder:
         trace: Optional[Tracer] = None,
         transport_lock_support: Optional[bool] = None,
         strict_kernel: Optional[bool] = None,
-        links: Optional[Union[LinkSpec, Dict[str, LinkSpec]]] = None,
-        clock_domains: Optional[Dict[str, object]] = None,
+        links: Optional[Dict[str, LinkSpec]] = None,
+        clock_domains: Optional[Dict[str, Union[int, Tuple[int, int]]]] = None,
         fabric_region: Optional[str] = None,
         vcs: int = 1,
         vc_policy=None,

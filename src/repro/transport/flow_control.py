@@ -62,10 +62,6 @@ class CreditCounter(Snapshottable):
         self.total_consumed = 0
         self.total_returned = 0
 
-    @property
-    def available(self) -> int:
-        return self._available
-
     def can_send(self, count: int = 1) -> bool:
         return self._available >= count
 

@@ -22,11 +22,6 @@ class Candidate:
     port: str
     priority: int
     age: int  # cycles since the head flit reached the front
-    urgency: int = 0  # dynamic boost (URGENCY NoC service)
-
-    @property
-    def effective_priority(self) -> int:
-        return self.priority + self.urgency
 
 
 class Arbiter(Snapshottable):
@@ -105,7 +100,7 @@ class RoundRobinArbiter(Arbiter):
 
 
 class PriorityArbiter(Arbiter):
-    """Strict priority (highest effective priority first), RR tie-break.
+    """Strict priority (highest packet priority first), RR tie-break.
 
     This is the paper's QoS knob: latency-critical flows get a higher
     packet priority and overtake best-effort traffic at every switch.
@@ -116,8 +111,8 @@ class PriorityArbiter(Arbiter):
     def pick(self, output: str, candidates: Sequence[Candidate]) -> Candidate:
         if not candidates:
             raise ValueError("pick() with no candidates")
-        best = max(c.effective_priority for c in candidates)
-        top = [c for c in candidates if c.effective_priority == best]
+        best = max(c.priority for c in candidates)
+        top = [c for c in candidates if c.priority == best]
         return self._round_robin(output, top)
 
 

@@ -57,9 +57,9 @@ allocation order does:
   the rest age by one.
 
 The steps inside the phases are written once: the SAF/VCT head gate
-(:meth:`Router._head_may_depart`), the lock-stall accounting
-(:meth:`Router._record_stalls`) and the move itself
-(:meth:`Router._transfer`).
+(:meth:`Router._head_may_depart`) and the move itself
+(:meth:`Router._transfer`).  A tick counts one lock-stall cycle however
+many heads a lock refused, on however many outputs.
 
 **The solo rule.**  Arbitration needs two requesters.  When the busy
 scan finds exactly one input (VC) holding flits — most loaded ticks —
@@ -198,6 +198,9 @@ class Router(Component, Snapshottable):
         #: Cycles in which at least one output was lock-stalled (counted
         #: at most once per cycle).
         self.lock_stall_cycles = 0
+        #: Set by VC allocation when a lock refuses a head; the tick that
+        #: allocated counts one lock-stall cycle and clears it.
+        self._lock_refused = False
 
     # ------------------------------------------------------------------ #
     # wiring (Network calls these during construction)
@@ -323,13 +326,6 @@ class Router(Component, Snapshottable):
             downstream_free=self._downstream_free(okey),
         )
 
-    def _record_stalls(self, stalls: List[str]) -> None:
-        """Lock-stall accounting, both switches.  ``stalls`` holds one
-        entry per refused head: the output whose lock another master
-        holds.  A tick counts one lock-stall cycle however many heads it
-        refused, on however many outputs."""
-        self.lock_stall_cycles += 1
-
     def _output_vc_for(self, ivc: VcKey, out_port: str, escape=False) -> int:
         """The VC policy's output VC for a head on ``ivc`` leaving by
         ``out_port`` (its escape VC when ``escape``), cached."""
@@ -357,12 +353,10 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # VC allocation (Phase V, one head at a time)
     # ------------------------------------------------------------------ #
-    def _allocate_vc(
-        self, ivc: VcKey, flit: Flit, stalls: List[str]
-    ) -> Optional[VcKey]:
+    def _allocate_vc(self, ivc: VcKey, flit: Flit) -> Optional[VcKey]:
         """Claim an output VC for the head at the front of ``ivc``, or
-        ``None`` to retry next cycle (appending to ``stalls`` when a lock
-        is why).
+        ``None`` to retry next cycle (setting ``_lock_refused`` when a
+        lock is why).
 
         Lock admission happens *here*: a head from a non-holding master
         is refused the output VC while the port is locked — granting it
@@ -381,7 +375,7 @@ class Router(Component, Snapshottable):
                 and cached[1] is flit
             ):
                 return None  # still blocked: nothing freed since
-            okey = self._allocate_adaptive(ivc, flit, stalls)
+            okey = self._allocate_adaptive(ivc, flit)
             if okey is None:
                 return None  # no admissible candidate
         else:
@@ -389,7 +383,7 @@ class Router(Component, Snapshottable):
             if self.lock_support:
                 holder = self._output_lock[out_port]
                 if holder is not None and holder != flit.src:
-                    stalls.append(out_port)
+                    self._lock_refused = True
                     return None  # admission refused until UNLOCK passes
             okey = (out_port, self._output_vc_for(ivc, out_port))
             if self._output_owner[okey] is not None:
@@ -399,9 +393,7 @@ class Router(Component, Snapshottable):
         self._input_head[ivc] = flit
         return okey
 
-    def _allocate_adaptive(
-        self, ivc: VcKey, flit: Flit, stalls: List[str]
-    ) -> Optional[VcKey]:
+    def _allocate_adaptive(self, ivc: VcKey, flit: Flit) -> Optional[VcKey]:
         """The least-congested admissible (output port, VC) for a head, or
         ``None`` (it retries, still requesting escape: the retry the
         deadlock-freedom argument leans on).  Candidates, in canonical
@@ -415,19 +407,19 @@ class Router(Component, Snapshottable):
         """
         ports = self.adaptive_table.outputs(flit.dest)
         if ports[0][0] == "l":  # "local:...": ejection at the home router
-            return self._allocate_at_home(ivc, flit, ports[0], stalls)
+            return self._allocate_at_home(ivc, flit, ports[0])
         src = flit.src
         locks = self._output_lock if self.lock_support else None
         output_owner = self._output_owner
         escape_on = self._escape_on
-        refused: List[str] = []
+        refused = False
         best: Optional[VcKey] = None
         best_free = -1
         if not escape_on or not (ivc[1] >= self._escape_base_vc or flit.lock_related):
             for port in ports:
                 holder = locks[port] if locks is not None else None
                 if holder is not None and holder != src:
-                    refused.append(port)
+                    refused = True
                     continue
                 for vc in range(self._n_adaptive):
                     okey = (port, vc)
@@ -439,8 +431,7 @@ class Router(Component, Snapshottable):
             eport = self.adaptive_table.escape_port(flit.dest)
             holder = locks[eport] if locks is not None else None
             if holder is not None and holder != src:
-                if eport not in refused:
-                    refused.append(eport)
+                refused = True
             else:
                 evc = self._vc_cache.get((ivc, eport))
                 if evc is None:
@@ -451,7 +442,7 @@ class Router(Component, Snapshottable):
                         best = okey
         if best is None:
             if refused:
-                stalls.extend(refused)
+                self._lock_refused = True
             else:
                 # Nothing free and no lock involved: nothing changes until
                 # an output VC is released or a lock moves (the version).
@@ -461,14 +452,14 @@ class Router(Component, Snapshottable):
         return best
 
     def _allocate_at_home(
-        self, ivc: VcKey, flit: Flit, port: str, stalls: List[str]
+        self, ivc: VcKey, flit: Flit, port: str
     ) -> Optional[VcKey]:
         """``_allocate_adaptive`` without a route choice: ejection by the
         home router's one local ``port``, keeping the input's VC class."""
         if self.lock_support:
             holder = self._output_lock[port]
             if holder is not None and holder != flit.src:
-                stalls.append(port)
+                self._lock_refused = True
                 return None
         okey = (port, ivc[1])
         if self._output_owner[okey] is None:
@@ -542,7 +533,7 @@ class Router(Component, Snapshottable):
                 holder = self._output_lock[out_port] if self.lock_support else None
                 if holder is not None and holder != flit.src:
                     # Counted for a *ready* head only, like Phase A.
-                    self._record_stalls([out_port])
+                    self.lock_stall_cycles += 1
                     input_age[ivc] += 1
                     return
                 arbiter.note_sole_grant(out_port, self._ckey[ivc])
@@ -569,11 +560,11 @@ class Router(Component, Snapshottable):
             input_age = self._input_age
             okey = self._input_alloc[ivc]
             if okey is None:
-                stalls: List[str] = []
-                okey = self._allocate_vc(ivc, queue._committed[0], stalls)
+                okey = self._allocate_vc(ivc, queue._committed[0])
                 if okey is None:
-                    if stalls:
-                        self._record_stalls(stalls)
+                    if self._lock_refused:
+                        self._lock_refused = False
+                        self.lock_stall_cycles += 1
                     input_age[ivc] += 1
                     return
             out_queue = self.outputs[okey]
@@ -608,7 +599,7 @@ class Router(Component, Snapshottable):
         locks = self._output_lock if self.lock_support else None
         wants: Dict[str, List[VcKey]] = {}
         heads: Dict[VcKey, Flit] = {}
-        stalls: List[str] = []
+        stalled = False
         for ivc, queue in busy:
             okey = input_alloc[ivc]
             if okey is None:
@@ -624,7 +615,7 @@ class Router(Component, Snapshottable):
                     continue
                 holder = locks[out_port] if locks is not None else None
                 if holder is not None and holder != flit.src:
-                    stalls.append(out_port)
+                    stalled = True
                     continue
                 heads[ivc] = flit
             elif not outputs[okey].can_push():
@@ -633,8 +624,8 @@ class Router(Component, Snapshottable):
                 wants[okey[0]].append(ivc)
             else:
                 wants[okey[0]] = [ivc]
-        if stalls:
-            self._record_stalls(stalls)
+        if stalled:
+            self.lock_stall_cycles += 1
         return wants, heads
 
     def _allocate_vcs(self, busy: List[tuple]) -> Dict[str, List[VcKey]]:
@@ -650,12 +641,11 @@ class Router(Component, Snapshottable):
         outputs = self.outputs
         wormhole = self.mode is SwitchingMode.WORMHOLE
         wants: Dict[str, List[VcKey]] = {}
-        stalls: List[str] = []
         for ivc, queue in busy:
             flit = queue._committed[0]
             okey = input_alloc[ivc]
             if okey is None:
-                okey = self._allocate_vc(ivc, flit, stalls)
+                okey = self._allocate_vc(ivc, flit)
                 if okey is None:
                     continue
             if flit.seq == 0 and not wormhole:
@@ -672,8 +662,9 @@ class Router(Component, Snapshottable):
                 wants[okey[0]].append(ivc)
             else:
                 wants[okey[0]] = [ivc]
-        if stalls:
-            self._record_stalls(stalls)
+        if self._lock_refused:
+            self._lock_refused = False
+            self.lock_stall_cycles += 1
         return wants
 
     def _switch(
@@ -715,13 +706,10 @@ class Router(Component, Snapshottable):
                 for ivc in contenders:
                     if ivc[0] in used_input_ports:
                         continue
-                    head = heads[ivc]
-                    packet = head.packet
                     candidates.append(Candidate(
                         port=ckey[ivc],
-                        priority=head.priority,
+                        priority=heads[ivc].priority,
                         age=input_age[ivc],
-                        urgency=packet.user.get("urgency", 0) if packet else 0,
                     ))
                 if not candidates:
                     continue

@@ -248,7 +248,7 @@ def compute_adaptive_tables(
             break
         except (RoutingError, TypeError):
             # TypeError: DOR/XY arithmetic on non-numeric router ids
-            # (topo.custom allows arbitrary hashables) — fall through to
+            # (a Topology allows arbitrary hashables) — fall through to
             # the next scheme, ending at BFS tables which accept any id.
             continue
     routers = topology.routers
@@ -457,7 +457,7 @@ class EscapeVcPolicy(VcPolicy):
             else:
                 cls = min(in_vc - base, 1)
         except TypeError:
-            # Non-numeric router ids (arbitrary topo.custom graphs) have
+            # Non-numeric router ids (an arbitrary Topology graph) have
             # no ring geometry and hence no datelines to cross.
             cls = 0
         return base + cls

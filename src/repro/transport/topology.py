@@ -6,9 +6,9 @@ a mapping from *endpoint ids* (the transaction layer's SlvAddr/MstAddr
 space) to the router each NIU attaches to.  Every hop distance in the
 tree (routing tables, minimal output sets) comes from one search,
 :func:`bfs_distances`.
-Constructors cover the shapes used by the benchmarks: 2-D mesh, torus,
-ring, star, balanced tree, and arbitrary link lists for irregular SoC
-floorplans.
+Constructors cover the shapes the benchmarks, examples and scenarios
+build: 2-D mesh, torus, ring and the single-router crossbar.  An
+irregular floorplan is a :class:`Topology` built from its link list.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class Topology:
             if endpoint < 0:
                 raise ValueError(f"topology {name!r}: negative endpoint id")
         self.endpoint_router = dict(endpoint_router)
-        # Reverse index so wiring never rescans the whole endpoint map
-        # per router (endpoints_at used to be O(endpoints) per call).
-        self._router_endpoints: Dict[RouterId, List[int]] = {}
-        for endpoint in sorted(self.endpoint_router):
-            self._router_endpoints.setdefault(
-                self.endpoint_router[endpoint], []
-            ).append(endpoint)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -148,10 +141,6 @@ class Topology:
 
     def neighbors(self, router: RouterId) -> List[RouterId]:
         return list(self._neighbors[router])
-
-    def endpoints_at(self, router: RouterId) -> List[int]:
-        """Endpoints attached to ``router`` (precomputed, ascending)."""
-        return list(self._router_endpoints.get(router, ()))
 
     def router_of(self, endpoint: int) -> RouterId:
         try:
@@ -262,40 +251,9 @@ def ring(routers: int, endpoints: Optional[int] = None) -> Topology:
     return Topology(links, _auto_attach(ids, endpoints), name=f"ring{routers}")
 
 
-def star(leaves: int, endpoints: Optional[int] = None) -> Topology:
-    """One hub router with ``leaves`` leaf routers (crossbar-ish)."""
-    if leaves < 1:
-        raise ValueError("star needs >= 1 leaf")
-    ids = list(range(1, leaves + 1))  # endpoints attach to leaves
-    links = [(0, leaf) for leaf in ids]  # router 0 is the hub
-    return Topology(links, _auto_attach(ids, endpoints), name=f"star{leaves}")
-
-
-def tree(depth: int, fanout: int = 2, endpoints: Optional[int] = None) -> Topology:
-    """Balanced tree; endpoints attach to the leaves."""
-    if depth < 1:
-        raise ValueError("tree depth must be >= 1")
-    # Routers are numbered breadth-first from the root, 0: the parent of
-    # router ``child`` is ``(child - 1) // fanout``, the last level the leaves.
-    count = sum(fanout**level for level in range(depth + 1))
-    links = [((child - 1) // fanout, child) for child in range(1, count)]
-    leaves = list(range(count - fanout**depth, count))
-    return Topology(
-        links, _auto_attach(leaves, endpoints), name=f"tree_d{depth}_f{fanout}"
-    )
-
-
 def single_router(endpoints: int) -> Topology:
     """All endpoints on one router — the degenerate crossbar case."""
     return Topology(
         [], {ep: 0 for ep in range(endpoints)}, name="xbar", routers=[0]
     )
 
-
-def custom(
-    links: Iterable[Tuple[RouterId, RouterId]],
-    endpoint_router: Dict[int, RouterId],
-    name: str = "custom",
-) -> Topology:
-    """Arbitrary router graph for irregular SoC floorplans."""
-    return Topology(links, endpoint_router, name=name)

@@ -123,7 +123,7 @@ class TestAdaptiveTables:
         """Non-numeric router ids (irregular floorplans) have no DOR/XY
         geometry; the escape table must fall back to BFS tables instead
         of crashing on the id arithmetic, and the fabric still delivers."""
-        t = topo.custom(
+        t = topo.Topology(
             [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
             {0: "a", 1: "c", 2: "d"},
             name="floorplan",
@@ -342,7 +342,7 @@ class TestResequencing:
         for flit in pk.segment(early, vc=1):
             flit_queues[1].push(flit)
         sim.run(4)
-        assert [p.txn_id for p in pkts.drain()] == [0, 1]
+        assert [pkts.pop().txn_id for _ in range(len(pkts))] == [0, 1]
         assert eport.packets_resequenced == 1
         assert eport.reorder_occupancy == 0
         assert eport.reorder_high_watermark == 2

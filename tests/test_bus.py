@@ -109,26 +109,59 @@ class TestBridgePenalties:
 
 
 class TestBusArbitration:
-    def _two_master_soc(self, arbitration):
+    def _two_master_soc(self):
         inits = [
             InitiatorSpec(name, "BVCI",
                           TrafficSpec(kind="scripted",
                                       intents=[make_read(0x10 * i) for i in range(10)]))
             for name in ("a", "b")
         ]
-        return build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)],
-                             arbitration=arbitration)
+        return build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)])
 
-    @pytest.mark.parametrize("arbitration", ["rr", "fixed", "priority"])
-    def test_all_complete_under_any_arbitration(self, arbitration):
-        soc = self._two_master_soc(arbitration)
+    def test_all_complete(self):
+        soc = self._two_master_soc()
         soc.run_to_completion(max_cycles=100_000)
         assert soc.total_completed() == 20
 
     def test_bus_serializes_everything(self):
-        soc = self._two_master_soc("rr")
+        soc = self._two_master_soc()
         cycles = soc.run_to_completion(max_cycles=100_000)
         assert soc.bus.utilization(cycles) > 0.5  # single shared resource
+
+    def test_a_waiting_master_sees_no_other_granted_twice(self):
+        """Bounded wait: while one master's request waits for the bus,
+        every other master is granted at most once.  The pointer
+        rotation keeps this because every grant goes to the first
+        requester after the last winner, over all requesters; the
+        deleted ``priority`` mode rotated over a subset only, which can
+        starve a master (``transport.qos.Arbiter._round_robin``)."""
+        inits = [
+            InitiatorSpec(f"m{i}", "BVCI", TrafficSpec(kind="scripted", intents=[
+                make_read(0x10 * j) for j in range(4 + 3 * i)
+            ]))
+            for i in range(4)
+        ]
+        soc = build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)])
+        grants = []  # (masters requesting, master granted), per grant
+        arbitrate = soc.bus._arbitrate
+
+        def recording(candidates):
+            winner = arbitrate(candidates)
+            grants.append((tuple(candidates), winner))
+            return winner
+
+        soc.bus._arbitrate = recording
+        soc.run_to_completion(max_cycles=100_000)
+        assert soc.total_completed() == sum(4 + 3 * i for i in range(4))
+        assert len({len(waiting) for waiting, _ in grants}) > 2  # varied contests
+        for master in range(4):
+            others: dict = {}
+            for waiting, winner in grants:
+                if master not in waiting or winner == master:
+                    others.clear()
+                    continue
+                others[winner] = others.get(winner, 0) + 1
+                assert others[winner] == 1, (master, winner)
 
     def test_lock_blocks_other_master(self):
         seq = [

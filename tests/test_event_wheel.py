@@ -229,13 +229,13 @@ class TestTimingWheelUnit:
         wheel.schedule(30, c)
         wheel.schedule(10, a)
         wheel.schedule(10, b)
-        assert wheel.next_cycle() == 10
+        assert wheel._heap == [10, 30]  # one entry per distinct cycle
         assert len(wheel) == 3
         due = wheel.pop_due(10)
         assert due == [(10, a), (10, b)]
-        assert wheel.next_cycle() == 30
+        assert wheel._heap == [30]
         assert wheel.pop_due(100) == [(30, c)]
-        assert wheel.next_cycle() is None
+        assert wheel._heap == []
         assert len(wheel) == 0
 
     def test_events_scheduled_counter(self):

@@ -12,26 +12,26 @@ from repro.transport.flow_control import CreditCounter
 class TestBasics:
     def test_initial_credits_equal_capacity(self):
         c = CreditCounter(4)
-        assert c.available == 4
+        assert c._available == 4
         assert c.can_send(4)
         assert not c.can_send(5)
 
     def test_consume_and_immediate_return(self):
         c = CreditCounter(2, return_latency=0)
         c.consume(2)
-        assert c.available == 0
+        assert c._available == 0
         c.give_back()
-        assert c.available == 1
+        assert c._available == 1
 
     def test_delayed_return(self):
         c = CreditCounter(2, return_latency=2)
         c.consume(1)
         c.give_back(1)
-        assert c.available == 1  # not yet matured
+        assert c._available == 1  # not yet matured
         c.advance()
-        assert c.available == 1
+        assert c._available == 1
         c.advance()
-        assert c.available == 2
+        assert c._available == 2
 
     def test_underflow_rejected(self):
         c = CreditCounter(1)
@@ -80,8 +80,8 @@ def test_property_credits_conserved(capacity, latency, script):
             c.give_back()
         elif action == "tick":
             c.advance()
-        assert 0 <= c.available <= capacity
-        assert c.available + c.outstanding == capacity
+        assert 0 <= c._available <= capacity
+        assert c._available + c.outstanding == capacity
         assert receiver_occupancy <= capacity
         assert c.in_return_loop == sum(count for _, count in c._in_flight)
 
@@ -132,5 +132,5 @@ def test_property_step_matches_the_four_call_sequence(capacity, latency, script)
         assert c.snapshot() == oracle.snapshot()
         assert c.in_return_loop == sum(count for _, count in c._in_flight)
         assert c.outstanding >= c.in_return_loop + held
-        if c.available == capacity:
+        if c._available == capacity:
             assert c.in_return_loop == 0 and not c._in_flight  # step's early-out

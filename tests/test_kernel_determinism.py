@@ -96,7 +96,7 @@ def test_vc_gals_soc_drains_and_retires():
     assert all(link.in_flight == 0 for link in soc.fabric.physical_links)
     for link in soc.fabric.physical_links:
         for credit in link.credits:
-            assert credit.available == credit.capacity
+            assert credit._available == credit.capacity
     soc.run(16)
     assert soc.sim.active_count == 0
 

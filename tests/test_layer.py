@@ -87,15 +87,6 @@ class TestFeatureLocality:
         assert fmt_ext.slv_addr_bits == fmt_base.slv_addr_bits
         assert fmt_ext.tag_bits == fmt_base.tag_bits
 
-    def test_extra_service_activation(self):
-        cfg = build_layer_config(
-            ["AHB"],
-            initiators=1,
-            targets=1,
-            extra_services=[NocService.URGENCY],
-        )
-        assert cfg.packet_format.has_user_bit("urgency")
-
     def test_describe_mentions_protocols(self):
         cfg = build_layer_config(["AHB", "AXI"], initiators=2, targets=1)
         assert "AHB" in cfg.describe() and "AXI" in cfg.describe()

@@ -109,7 +109,7 @@ class TestAhbMaster:
             AhbMaster, "AHB", [make_read(0x10 * i) for i in range(5)]
         )
         assert master.completed == 5
-        assert master.checker.all_complete()
+        assert master.checker.outstanding == 0
 
     def test_hburst_encoding(self):
         assert hburst_for(BurstType.INCR, 4) is HBurst.INCR4
@@ -160,7 +160,7 @@ class TestAxiMaster:
         master = run_master(AxiMaster, "AXI", intents,
                             max_outstanding_reads=4, id_count=4)
         assert master.completed == 6
-        assert master.checker.all_complete()
+        assert master.checker.outstanding == 0
 
     def test_reads_and_writes_use_separate_channels(self):
         intents = [make_read(0x0), make_write(0x4, [1])]

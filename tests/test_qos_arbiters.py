@@ -11,8 +11,8 @@ from repro.transport.qos import (
 )
 
 
-def cand(port, priority=0, age=0, urgency=0):
-    return Candidate(port=port, priority=priority, age=age, urgency=urgency)
+def cand(port, priority=0, age=0):
+    return Candidate(port=port, priority=priority, age=age)
 
 
 class TestRoundRobin:
@@ -85,11 +85,6 @@ class TestPriority:
         candidates = [cand("a", 1), cand("b", 1)]
         winners = [arb.pick("out", candidates).port for __ in range(4)]
         assert winners == ["a", "b", "a", "b"]
-
-    def test_urgency_boost_applies(self):
-        arb = PriorityArbiter()
-        winner = arb.pick("out", [cand("a", 1), cand("b", 0, urgency=2)])
-        assert winner.port == "b"
 
 
 class TestAge:

@@ -65,8 +65,13 @@ class TestDelivery:
 
     @pytest.mark.parametrize(
         "topology",
-        [topo.ring(4), topo.star(4, endpoints=4), topo.single_router(4),
-         topo.tree(2, 2, endpoints=4), topo.torus(3, 3)],
+        [topo.ring(4),
+         topo.Topology([(0, 1), (0, 2), (0, 3), (0, 4)], {0: 1, 1: 2, 2: 3, 3: 4},
+                       name="star4"),
+         topo.single_router(4),
+         topo.Topology([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
+                       {0: 3, 1: 4, 2: 5, 3: 6}, name="tree_d2_f2"),
+         topo.torus(3, 3)],
         ids=lambda t: t.name,
     )
     def test_all_pairs_all_topologies(self, topology):
@@ -314,7 +319,7 @@ def _standalone_router(
     )
     vcs = router.vcs
     router.stream_fast_path = fast  # after construction, as the SoC tests do
-    (endpoint,) = _TORUS.endpoints_at(_CENTRE)
+    (endpoint,) = [ep for ep, r in _TORUS.endpoint_router.items() if r == _CENTRE]
     inputs, outputs = [], []
     for neighbour in _TORUS.neighbors(_CENTRE):
         for vc in range(vcs):

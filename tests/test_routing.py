@@ -18,6 +18,25 @@ from repro.transport.routing import (
 from repro.transport.topology import bfs_distances
 
 
+def star(leaves):
+    """A hub, router 0, and ``leaves`` leaf routers, an endpoint on each."""
+    return topo.Topology(
+        [(0, leaf) for leaf in range(1, leaves + 1)],
+        {ep: ep + 1 for ep in range(leaves)}, name=f"star{leaves}",
+    )
+
+
+def tree(depth, fanout):
+    """A balanced tree numbered breadth-first from root 0, an endpoint on
+    each leaf."""
+    count = (fanout ** (depth + 1) - 1) // (fanout - 1)
+    return topo.Topology(
+        [((child - 1) // fanout, child) for child in range(1, count)],
+        dict(enumerate(range(count - fanout ** depth, count))),
+        name=f"tree_d{depth}_f{fanout}",
+    )
+
+
 def follow_route(topology, tables, src_ep, dst_ep, max_hops=64):
     """Walk the tables from src's router until ejection; returns hops."""
     router = topology.router_of(src_ep)
@@ -41,8 +60,8 @@ class TestTableRouting:
             topo.mesh(3, 3),
             topo.torus(3, 3),
             topo.ring(6),
-            topo.star(4, endpoints=4),
-            topo.tree(2, 2, endpoints=4),
+            star(4),
+            tree(2, 2),
             topo.single_router(4),
         ],
         ids=lambda t: t.name,
@@ -102,7 +121,7 @@ class TestXyRouting:
 # loops, a separate healthy adaptive builder) and unchanged since
 # ---------------------------------------------------------------------- #
 def string_graph():
-    return topo.custom(
+    return topo.Topology(
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
          ("b", "e"), ("e", "f"), ("f", "c")],
         {0: "a", 1: "c", 2: "e", 3: "f", 4: "d"},
@@ -157,8 +176,8 @@ def test_tables_are_pinned(shape, scheme):
 
 @pytest.mark.parametrize(
     "make",
-    [*PINNED_SHAPES.values(), lambda: topo.torus(6, 3), lambda: topo.star(4),
-     lambda: topo.tree(2, 2), lambda: topo.single_router(3)],
+    [*PINNED_SHAPES.values(), lambda: topo.torus(6, 3), lambda: star(4),
+     lambda: tree(2, 2), lambda: topo.single_router(3)],
 )
 def test_adaptive_candidates_are_the_minimal_neighbours(make):
     t = make()
@@ -202,12 +221,12 @@ def random_connected_graph(rng):
     rng.shuffle(ids)
     links = [(ids[i], ids[rng.randrange(i)]) for i in range(1, len(ids))]
     links += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, len(ids)))]
-    return topo.custom(links, {ep: r for ep, r in enumerate(sorted(ids))})
+    return topo.Topology(links, {ep: r for ep, r in enumerate(sorted(ids))})
 
 
 SEARCH_SHAPES = [
     topo.mesh(3, 4), topo.mesh(1, 1), topo.torus(4, 4), topo.torus(6, 3),
-    topo.ring(2), topo.ring(7), topo.star(5), topo.tree(3, 2), topo.tree(2, 3),
+    topo.ring(2), topo.ring(7), star(5), tree(3, 2), tree(2, 3),
     topo.single_router(2), string_graph(),
 ] + [random_connected_graph(random.Random(seed)) for seed in range(20)]
 

@@ -26,7 +26,6 @@ class TestServiceDefinitions:
 
     def test_exclusive_does_not_touch_transport(self):
         assert not NocService.EXCLUSIVE_ACCESS.touches_transport
-        assert not NocService.URGENCY.touches_transport
 
 
 class TestExclusiveMonitor:
@@ -103,18 +102,18 @@ class TestLockManager:
     def test_acquire_release(self):
         lm = LockManager()
         assert lm.acquire(1)
-        assert lm.locked and lm.holder == 1
+        assert lm.holder == 1
         lm.release(1)
-        assert not lm.locked
+        assert lm.holder is None
 
     def test_contention(self):
         lm = LockManager()
         lm.acquire(1)
         assert not lm.acquire(2)
-        assert lm.waiting == 1
+        assert lm.holder == 1
         lm.release(1)
         assert lm.acquire(2)
-        assert lm.waiting == 0
+        assert lm.holder == 2
 
     def test_may_proceed(self):
         lm = LockManager()
@@ -134,8 +133,3 @@ class TestLockManager:
         lm.acquire(1)
         with pytest.raises(LockError):
             lm.release(2)
-
-    def test_blocked_cycle_accounting(self):
-        lm = LockManager()
-        lm.note_blocked(3)
-        assert lm.blocked_cycles == 3

@@ -89,16 +89,6 @@ def test_iteration_does_not_consume():
     assert len(q) == 2
 
 
-def test_drain_empties_and_counts():
-    q = SimQueue("q", capacity=4)
-    q.push(1)
-    q.push(2)
-    q.commit()
-    assert q.drain() == [1, 2]
-    assert len(q) == 0
-    assert q.total_popped == 2
-
-
 def test_statistics_counters():
     q = SimQueue("q", capacity=4)
     q.push(1)
@@ -119,38 +109,16 @@ def test_occupancy_includes_staged():
     assert len(q) == 1
 
 
-def test_drain_leaves_staged_items_by_default():
-    q = SimQueue("q", capacity=4)
-    q.push(1)
-    q.commit()
-    q.push(2)  # staged, not yet visible
-    assert q.drain() == [1]
-    assert q.occupancy == 1  # the staged item
-    q.commit()
-    assert list(q) == [2]
-
-
-def test_drain_include_staged_clears_everything():
-    q = SimQueue("q", capacity=4)
-    q.push(1)
-    q.commit()
-    q.push(2)
-    q.push(3)
-    assert q.drain(include_staged=True) == [1, 2, 3]
-    assert q.occupancy == 0
-    # accounting invariant: pushed - popped == occupancy
-    assert q.total_pushed - q.total_popped == q.occupancy == 0
-
-
 def test_high_watermark_tracks_committed_peak():
     q = SimQueue("q", capacity=8)
     for i in range(3):
         q.push(i)
     q.commit()
     assert q.high_watermark == 3
-    q.drain()
+    while q:
+        q.pop()
     q.commit()
-    assert q.high_watermark == 3  # watermark is a max, drain keeps it
+    assert q.high_watermark == 3  # watermark is a max, pops keep it
 
 
 class _WakeRecorder:

@@ -137,7 +137,7 @@ class TestMemoryDevice:
         socket.requests.push(write_req(0x40, [5, 6], token=0))
         socket.requests.push(read_req(0x40, beats=2, token=1))
         sim.run_until(lambda: len(socket.responses) >= 2, max_cycles=100)
-        first, second = socket.responses.drain()
+        first, second = [socket.responses.pop() for _ in range(len(socket.responses))]
         assert first.token == 0 and first.status is ResponseStatus.OKAY
         assert second.data == [5, 6]
 

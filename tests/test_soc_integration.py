@@ -1,5 +1,6 @@
 """Whole-SoC integration: mixed protocols, determinism, data integrity."""
 
+import ast
 import inspect
 import pathlib
 import re
@@ -116,7 +117,8 @@ class TestTopologyAndFabricKnobs:
         [
             lambda: topo.mesh(3, 3, endpoints=7),
             lambda: topo.ring(7, endpoints=7),
-            lambda: topo.star(7, endpoints=7),
+            lambda: topo.Topology([(0, leaf) for leaf in range(1, 8)],
+                                  {ep: ep + 1 for ep in range(7)}, name="star7"),
             lambda: topo.single_router(7),
         ],
         ids=["mesh", "ring", "star", "xbar"],
@@ -339,7 +341,7 @@ class TestPhysicalLayerKnobs:
         assert not any(".phy" in name for name in soc.sim._component_names)
 
     def test_narrow_links_only_no_domains(self):
-        soc = self._build(links=LinkSpec(phit_bits=16))
+        soc = self._build(links={"router": LinkSpec(phit_bits=16)})
         soc.run_to_completion(max_cycles=200_000)
         assert soc.total_completed() == 4
         assert soc.fabric.total_phits_carried() > 0
@@ -562,21 +564,10 @@ REFUSALS = {
         lambda: bus(targets=[_mem(error_ranges=[(0, 0x10)])]),
         "target 'mem': the bus builder has no model for error_ranges=[(0, 16)]",
     ),
-    # the bus builder's own knobs: a zero cap died in the first burst
-    # split as a bare ValueError from range(), a negative one wedged the
-    # run, a negative latency ran as 0 and the arbitration was refused
-    # inside SharedBus, outside the table
-    "bus_arbitration": (
-        "build_bus_soc.arbitration", lambda: bus(arbitration="bogus"),
-        "bus: arbitration must be one of ('rr', 'fixed', 'priority'), got 'bogus'",
-    ),
+    # the bus builder's own knob: a negative latency ran as 0
     "bus_bridge_latency": (
         "build_bus_soc.bridge_latency", lambda: bus(bridge_latency=-3),
         "bus: bridge_latency must be >= 0, got -3",
-    ),
-    "bus_max_burst_beats": (
-        "build_bus_soc.max_burst_beats", lambda: bus(max_burst_beats=0),
-        "bus: max_burst_beats must be >= 1, got 0",
     ),
     # the spec records, at construction
     "noc_initiator_protocol": (
@@ -705,7 +696,7 @@ REFUSALS = {
     "noc_link_staging": (
         "Network.link_staging",
         lambda: noc(mode=SwitchingMode.STORE_AND_FORWARD, buffer_capacity=16,
-                    links=LinkSpec(phit_bits=48, capacity=2)),
+                    links={"router": LinkSpec(phit_bits=48, capacity=2)}),
         "soc.req: router links stage only 2 flits but",
     ),
     # the NoC builder's own rows
@@ -735,10 +726,11 @@ REFUSALS = {
         "soc: initiator 'cpu': unknown clock region 'slow'; declared domains: "
         "['fast']",
     ),
+    # a bare LinkSpec was a second way in, read as the router links
     "noc_links": (
-        "SocBuilder.links", lambda: noc(links=[PIPELINED]),
-        "soc: links must be a LinkSpec or a mapping with keys from ('router', "
-        "'endpoint'), got [LinkSpec(",
+        "SocBuilder.links", lambda: noc(links=PIPELINED),
+        "soc: links must be a mapping with keys from ('router', 'endpoint'), "
+        "got LinkSpec(",
     ),
     "noc_link_class": (
         "SocBuilder.link_classes", lambda: noc(links={"diagonal": PIPELINED}),
@@ -773,12 +765,12 @@ REFUSALS = {
     # sharding's block
     "noc_shards_strict": (
         "SocBuilder.shards_strict",
-        lambda: noc(shards=2, links=PIPELINED, strict_kernel=True),
+        lambda: noc(shards=2, links={"router": PIPELINED}, strict_kernel=True),
         "soc: the strict reference kernel cannot drive sharded builds",
     ),
     "noc_shards_trace": (
         "SocBuilder.shards_trace",
-        lambda: noc(shards=2, links=PIPELINED, trace=Tracer(enabled=True)),
+        lambda: noc(shards=2, links={"router": PIPELINED}, trace=Tracer(enabled=True)),
         "soc: tracing is out of scope for sharded builds",
     ),
     "noc_shards_transparent_links": (
@@ -862,11 +854,9 @@ def test_every_builder_option_has_a_workload_or_an_excuse():
     assert unset == set(EXEMPT)
 
 
-#: Functions and methods in ``src/`` that nothing in ``src/``,
+#: Functions, methods and classes in ``src/`` that no code in ``src/``,
 #: ``benchmarks/`` or ``examples/`` names, and why each stays anyway.
 UNNAMED_EXEMPT = {
-    "src/repro/core/ordering.py::completed_count": "the ordering tests read it to show a checker keeps only open transactions",
-    "src/repro/core/ordering.py::all_complete": "the ordering and protocol-master tests' end-of-run check",
     "src/repro/core/services.py::live_reservations": "the exclusive-access test checks every reservation is released",
     "src/repro/protocols/proprietary.py::make_fence": "the proprietary socket's FENCE intent; no workload sends one, the bus and master tests drive it",
     "src/repro/sim/kernel.py::active_count": "test fixture: the scheduler tests read how many components tick next",
@@ -875,16 +865,35 @@ UNNAMED_EXEMPT = {
     "src/repro/transport/topology.py::hop_distance": "the routing tests check every table's hop count against it",
     "src/repro/transport/topology.py::diameter": "the routing tests check the BFS distances against it",
     "src/repro/transport/topology.py::single_router": "test fixture: the one-router crossbar the lock and routing tests build",
+    "src/repro/workloads/streams.py::stream_pair": "the producer/consumer credit-loop generator repro.workloads exports; the stream tests drive it",
 }
 
 
+def _named(tree):
+    """Every name a module's code uses: a ``Name``, an ``Attribute``, a
+    keyword argument, or the string argument of ``getattr`` /
+    ``hasattr``.  Docstrings, comments and f-string text name nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            yield node.args[1].value
+
+
 def test_every_function_in_src_is_named_or_excused():
-    """A function nothing calls is a reporting path nobody reads: every
-    function or method defined in ``src/`` is named (called, passed,
-    looked up by string) somewhere in ``src/``, ``benchmarks/`` or
-    ``examples/`` outside its own ``def`` line, or its reason to stay is
-    written in ``UNNAMED_EXEMPT`` — and leaves it once something names
-    it.  Files are read as text; nothing is imported.
+    """A definition nothing uses is a path nobody drives: every function,
+    method or class defined in ``src/`` is named by code somewhere in
+    ``src/``, ``benchmarks/`` or ``examples/`` (:func:`_named`), or its
+    reason to stay is written in ``UNNAMED_EXEMPT`` — and leaves it once
+    something names it.  Files are parsed; nothing is imported.  An
+    import or an ``__all__`` entry is not a use.
 
     The match is by name, so this is a floor, not a proof: a method
     whose name another definition shares and uses escapes it (the
@@ -892,27 +901,22 @@ def test_every_function_in_src_is_named_or_excused():
     is named by an example).  Dunder methods are left out: the
     interpreter names them."""
     repo = pathlib.Path(__file__).resolve().parents[1]
-    texts = {
-        path.relative_to(repo).as_posix(): path.read_text()
-        for root in ("src", "benchmarks", "examples")
-        for path in sorted((repo / root).rglob("*.py"))
-    }
-    words, defined = {}, []
-    for path, text in texts.items():
-        for word in re.findall(r"\w+", text):
-            words[word] = words.get(word, 0) + 1
-        if path.startswith("src/"):
-            defined += [
-                (path, name)
-                for name in re.findall(r"^\s*(?:async\s+)?def\s+(\w+)", text, re.M)
-            ]
-    defs = {}
-    for _, name in defined:
-        defs[name] = defs.get(name, 0) + 1
+    named, defined = set(), []
+    for root in ("src", "benchmarks", "examples"):
+        for path in sorted((repo / root).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            named.update(_named(tree))
+            if root == "src":
+                defined += [
+                    (path.relative_to(repo).as_posix(), node.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                ]
     unnamed = {
         f"{path}::{name}"
         for path, name in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and words[name] == defs[name]
+        and name not in named
     }
     assert unnamed == set(UNNAMED_EXEMPT)

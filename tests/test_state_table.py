@@ -8,10 +8,9 @@ from repro.core.transaction import ResponseStatus, make_read
 from repro.niu.state_table import StateTable, StateTableFullError
 
 
-def alloc(table, stream=(), tag=0, slv=1, cycle=0):
+def alloc(table, stream=(), tag=0, slv=1):
     txn = make_read(0x100)
-    return table.allocate(txn, tag=tag, slv_addr=slv, offset=0, stream=stream,
-                          cycle=cycle)
+    return table.allocate(txn, tag=tag, slv_addr=slv, offset=0, stream=stream)
 
 
 class TestAllocation:
@@ -32,9 +31,9 @@ class TestAllocation:
     def test_double_track_rejected(self):
         t = StateTable("t", capacity=4)
         txn = make_read(0)
-        t.allocate(txn, 0, 1, 0, (), 0)
+        t.allocate(txn, 0, 1, 0, ())
         with pytest.raises(KeyError):
-            t.allocate(txn, 0, 1, 0, (), 0)
+            t.allocate(txn, 0, 1, 0, ())
 
     def test_release_unknown_rejected(self):
         with pytest.raises(KeyError):

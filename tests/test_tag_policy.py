@@ -41,7 +41,7 @@ class TestAdmission:
         table = StateTable("t", capacity=1)
         t1 = txn()
         assert p.admit(t1, 1, table)
-        table.allocate(t1, 0, 1, 0, p.stream_of(t1), 0)
+        table.allocate(t1, 0, 1, 0, p.stream_of(t1))
         assert not p.admit(txn(), 1, table)
 
     def test_per_stream_budget(self):
@@ -52,7 +52,7 @@ class TestAdmission:
         )
         table = StateTable("t", capacity=8)
         t1 = txn(thread=0)
-        table.allocate(t1, 0, 1, 0, p.stream_of(t1), 0)
+        table.allocate(t1, 0, 1, 0, p.stream_of(t1))
         assert not p.admit(txn(thread=0), 1, table)
         assert p.admit(txn(thread=1), 1, table)
 
@@ -65,7 +65,7 @@ class TestAdmission:
         )
         table = StateTable("t", capacity=8)
         t1 = txn()
-        table.allocate(t1, 0, 3, 0, p.stream_of(t1), 0)
+        table.allocate(t1, 0, 3, 0, p.stream_of(t1))
         assert p.admit(txn(), 3, table)  # same target: fine
         assert not p.admit(txn(), 4, table)  # target switch: stall
 
@@ -78,7 +78,7 @@ class TestAdmission:
         )
         table = StateTable("t", capacity=8)
         t1 = txn()
-        table.allocate(t1, 0, 3, 0, p.stream_of(t1), 0)
+        table.allocate(t1, 0, 3, 0, p.stream_of(t1))
         assert p.admit(txn(), 4, table)
 
 

@@ -48,50 +48,14 @@ class TestOtherShapes:
         with pytest.raises(ValueError):
             topo.ring(1)
 
-    def test_star_endpoints_on_leaves(self):
-        t = topo.star(4, endpoints=4)
-        for ep in t.endpoints:
-            assert t.router_of(ep) != 0  # hub carries no endpoint
-
-    def test_tree_endpoints_on_leaves(self):
-        t = topo.tree(depth=2, fanout=2, endpoints=4)
-        for ep in t.endpoints:
-            assert len(t.neighbors(t.router_of(ep))) == 1
-
     def test_single_router_xbar(self):
         t = topo.single_router(6)
         assert t.routers == [0] and t.links == []
         assert all(t.router_of(ep) == 0 for ep in range(6))
 
     def test_custom(self):
-        t = topo.custom([(0, 1), (1, 2)], {0: 0, 1: 2})
+        t = topo.Topology([(0, 1), (1, 2)], {0: 0, 1: 2})
         assert t.hop_distance(0, 1) == 2
-
-
-class TestEndpointIndex:
-    def test_endpoints_at_matches_attachment_map(self):
-        t = topo.mesh(2, 2, endpoints=6)
-        for router in t.routers:
-            expected = sorted(
-                ep for ep, r in t.endpoint_router.items() if r == router
-            )
-            assert t.endpoints_at(router) == expected
-
-    def test_endpoints_at_unknown_router_is_empty(self):
-        t = topo.ring(3)
-        assert t.endpoints_at("nonexistent") == []
-
-    def test_index_is_precomputed_and_stable(self):
-        t = topo.star(4, endpoints=8)
-        first = t.endpoints_at(1)
-        # Returned lists are copies: callers cannot corrupt the index.
-        first.append(999)
-        assert 999 not in t.endpoints_at(1)
-
-    def test_every_endpoint_appears_exactly_once(self):
-        t = topo.tree(depth=2, fanout=2, endpoints=5)
-        seen = [ep for r in t.routers for ep in t.endpoints_at(r)]
-        assert sorted(seen) == t.endpoints
 
 
 class TestCanonicalOrdering:
@@ -140,16 +104,16 @@ class TestValidation:
 
     def test_no_routers_rejected(self):
         with pytest.raises(ValueError, match="topology 'floorplan': no routers"):
-            topo.custom([], {0: "a"}, name="floorplan")
+            topo.Topology([], {0: "a"}, name="floorplan")
 
     def test_self_link_rejected(self):
         with pytest.raises(ValueError, match="topology 'floorplan': link 'a' -- 'a'"):
-            topo.custom(
+            topo.Topology(
                 [("a", "a"), ("a", "b")], {0: "a", 1: "b"}, name="floorplan"
             )
 
     def test_repeated_and_reversed_links_collapse(self):
-        t = topo.custom([("b", "a"), ("a", "b"), ("b", "a"), ("c", "b")], {0: "a"})
+        t = topo.Topology([("b", "a"), ("a", "b"), ("b", "a"), ("c", "b")], {0: "a"})
         assert t.links == [("a", "b"), ("b", "c")]
         assert t.neighbors("b") == ["a", "c"]
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.transaction import (
     BurstType,
     Opcode,
-    Response,
     ResponseStatus,
     Transaction,
     make_read,
@@ -163,19 +162,3 @@ class TestTransaction:
     def test_describe_mentions_opcode_and_address(self):
         text = make_read(0x1000, master="cpu").describe()
         assert "LOAD" in text and "0x00001000" in text and "cpu" in text
-
-
-class TestResponse:
-    def test_read_okay_requires_data(self):
-        with pytest.raises(ValueError):
-            Response(txn_id=1, opcode=Opcode.LOAD)
-
-    def test_error_response_needs_no_data(self):
-        r = Response(txn_id=1, opcode=Opcode.LOAD, status=ResponseStatus.SLVERR)
-        assert not r.ok
-
-    def test_exokay_is_not_error(self):
-        r = Response(
-            txn_id=1, opcode=Opcode.STORE, status=ResponseStatus.EXOKAY
-        )
-        assert r.ok

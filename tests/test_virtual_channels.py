@@ -186,8 +186,8 @@ class TestQosIsolation:
         behind it; with priority-mapped VCs it rides its own buffer
         through the same ports and overtakes."""
         sim = Simulator()
-        topology = topo.custom([(0, 1)], {0: 0, 1: 0, 2: 1, 3: 1},
-                               name="two-routers")
+        topology = topo.Topology([(0, 1)], {0: 0, 1: 0, 2: 1, 3: 1},
+                                 name="two-routers")
         net = Network(sim, topology, vcs=vcs, vc_policy=policy,
                       buffer_capacity=2, endpoint_queue_capacity=2)
         for i in range(4):  # clog the path to endpoint 2 (never popped)
@@ -197,7 +197,8 @@ class TestQosIsolation:
         sim.run(100)  # wedge the shared router->router channel
         net.inject(1, request(3, 1, priority=1, txn_id=99))
         sim.run(300)
-        return [p.txn_id for p in net.ejected(3).drain()]
+        ejected = net.ejected(3)
+        return [ejected.pop().txn_id for _ in range(len(ejected))]
 
     def test_single_vc_head_of_line_blocks(self):
         assert self._hol_scenario(1, None) == []
@@ -234,12 +235,14 @@ class TestVcPhysicalLink:
         arrived_vc1 = 0
         for _ in range(30):  # drain VC 1 as a live consumer would
             sim.run(2)
-            arrived_vc1 += len(downs[1].drain())
+            while downs[1]:
+                downs[1].pop()
+                arrived_vc1 += 1
         assert arrived_vc1 == 4  # VC 1 flowed past the stalled VC 0
         assert len(downs[0]) == 2  # capacity reached, wires released
         assert len(ups[0]) == 2  # rest still staged upstream
         credit0 = link.credits[0]
-        assert credit0.available == 0 and credit0.outstanding == 2
+        assert credit0._available == 0 and credit0.outstanding == 2
 
     def test_credits_return_when_consumer_drains(self):
         sim = Simulator()
@@ -248,13 +251,15 @@ class TestVcPhysicalLink:
             ups[0].push(self._flit(0, seq=i, count=4))
         sim.run(60)
         assert len(downs[0]) == 2
-        downs[0].drain()
+        while downs[0]:
+            downs[0].pop()
         sim.run(60)
         assert len(downs[0]) == 2  # the remaining two flits came through
-        downs[0].drain()
+        while downs[0]:
+            downs[0].pop()
         sim.run(20)
         credit = link.credits[0]
-        assert credit.available == credit.capacity
+        assert credit._available == credit.capacity
         assert credit.total_consumed == credit.total_returned == 4
         assert link.next_event_cycle(sim.cycle) is None and link.in_flight == 0
         assert link.flits_per_vc[0] == 4 and link.phits_carried == 8
@@ -301,10 +306,11 @@ class TestVcPhysicalLink:
                 ups[0].push(self._flit(0, seq=burst * 2 + i, count=6))
             for _ in range(20):  # drain as a live consumer, credits loop
                 sim.run(1)
-                downs[0].drain()
+                while downs[0]:
+                    downs[0].pop()
         sim.run(20)
         credit = link.credits[0]
-        assert credit.available == credit.capacity
+        assert credit._available == credit.capacity
         assert credit.in_return_loop == 0
         assert credit.total_consumed == credit.total_returned == 6
         assert link.next_event_cycle(sim.cycle) is None
