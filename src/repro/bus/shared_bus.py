@@ -150,7 +150,7 @@ class SharedBus(Component):
             if not self.reply_queues[op.master_index].can_push():
                 return  # hold the bus until the bridge drains (rare)
             self.reply_queues[op.master_index].push(reply)
-            if op.opcode in (Opcode.STORE_COND_LOCKED, Opcode.UNLOCK):
+            if op.opcode is Opcode.STORE_COND_LOCKED:
                 if self.lock_holder == op.master_index:
                     self.lock_holder = None
             self._active = None
@@ -189,8 +189,8 @@ class SharedBus(Component):
             self.transfers += 1
             return
         __, target = located
-        # Locking (READEX/LOCK take the bus; paired ops release in tick).
-        if op.opcode in (Opcode.READEX, Opcode.LOCK):
+        # Locking (READEX takes the bus; its locked store releases it in tick).
+        if op.opcode is Opcode.READEX:
             self.lock_holder = op.master_index
         # Perform the access now (bus is serial; no overlap possible).
         status = ResponseStatus.OKAY
@@ -202,7 +202,7 @@ class SharedBus(Component):
         if not span_ok:
             status = ResponseStatus.SLVERR
             latency = 2
-        elif op.opcode.is_read or op.opcode is Opcode.LOCK:
+        elif op.opcode.is_read:
             data = [
                 target.store.read_beat(a - target.base, op.beat_bytes)
                 for a in op.addresses

@@ -3,7 +3,8 @@
 This package defines what IP blocks see when they plug into the NoC:
 
 - :mod:`repro.core.transaction` — protocol-neutral transaction primitives
-  (LOAD, STORE, READEX, LOCK, exclusive variants, bursts);
+  (LOAD, STORE, the READEX / STORE_COND_LOCKED pair, exclusive variants,
+  bursts);
 - :mod:`repro.core.packet` — the uniform packet format carrying
   ``SlvAddr`` / ``MstAddr`` / ``Tag`` plus optional user-defined bits;
 - :mod:`repro.core.ordering` — the three ordering models the layer must

@@ -2,9 +2,10 @@
 
 The paper contrasts two synchronization families:
 
-- **Legacy blocking**: READEX / LOCK.  These *impact the transport level*:
-  switches must take specific decisions when they see LOCK-related
-  packets (a path through the fabric is held for one master).
+- **Legacy blocking**: READEX / STORE_COND_LOCKED.  These *impact the
+  transport level*: switches must take specific decisions when they see
+  LOCK-related packets (a path through the fabric is held for one
+  master).
   :class:`LockManager` models the target-side lock state; the transport
   layer's routers additionally reserve the locked path (see
   :mod:`repro.transport.router`).
@@ -149,7 +150,8 @@ class LockError(RuntimeError):
 
 @dataclass
 class LockManager(Snapshottable):
-    """Target-side state for legacy LOCK/READEX blocking synchronization.
+    """Target-side state for legacy blocking synchronization (READEX /
+    STORE_COND_LOCKED).
 
     While an initiator holds the lock, every other initiator's request at
     this target is stalled — the blocking behaviour the paper says newer

@@ -23,11 +23,12 @@ class Opcode(enum.Enum):
 
     ``LOAD``/``STORE`` are the ordinary read/write primitives.
     ``STORE_POSTED`` is a write without a response (OCP posted writes,
-    AHB bufferable writes).  ``READEX``/``STORE_COND_LOCKED`` and
-    ``LOCK``/``UNLOCK`` implement the *blocking* legacy synchronization;
-    exclusive (non-blocking) synchronization reuses ``LOAD``/``STORE``
-    with the ``excl`` user bit set — exactly the paper's single-bit
-    "NoC service".
+    AHB bufferable writes).  ``READEX`` opens and ``STORE_COND_LOCKED``
+    closes the *blocking* legacy synchronization, the one locked pair
+    every socket's locked transfer translates into; exclusive
+    (non-blocking) synchronization reuses ``LOAD``/``STORE`` with the
+    ``excl`` user bit set — exactly the paper's single-bit "NoC
+    service".
 
     Each member's families are plain attributes, set once as the class
     is created: ``is_write``, ``is_read``, ``expects_response`` (posted
@@ -41,14 +42,12 @@ class Opcode(enum.Enum):
     STORE_POSTED = "STORE_POSTED"
     READEX = "READEX"
     STORE_COND_LOCKED = "STORE_COND_LOCKED"
-    LOCK = "LOCK"
-    UNLOCK = "UNLOCK"
 
     def __init__(self, value: str) -> None:
         self.is_write = value in ("STORE", "STORE_POSTED", "STORE_COND_LOCKED")
         self.is_read = value in ("LOAD", "READEX")
         self.expects_response = value != "STORE_POSTED"
-        self.is_locking = value in ("READEX", "STORE_COND_LOCKED", "LOCK", "UNLOCK")
+        self.is_locking = value in ("READEX", "STORE_COND_LOCKED")
 
 
 class BurstType(enum.Enum):

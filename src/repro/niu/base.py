@@ -358,10 +358,11 @@ class TargetNiu(Component, Snapshottable):
         self._release_on_complete: Dict[int, int] = {}  # token -> mst
         # Lock-blocked requests parked out of the delivery queue (arrival
         # order).  A bystander's request can land in the queue before the
-        # holder's LOCK engages — easily under adaptive routing, where
+        # holder's READEX engages — easily under adaptive routing, where
         # packets arrive over several paths — and blocking it at the
         # *head* would head-of-line block the holder's own traffic,
-        # including the UNLOCK that ends the critical section: deadlock.
+        # including the locked store that ends the critical section:
+        # deadlock.
         # Parking keeps per-source FIFO (later packets of a parked master
         # are parked too) while the holder keeps flowing.
         self._parked: List[NocPacket] = []
@@ -441,7 +442,7 @@ class TargetNiu(Component, Snapshottable):
         queue = self._req_packets
         if self.locks is not None:
             # Park lock-blocked heads aside so a bystander that slipped
-            # into the queue around the LOCK can never head-of-line
+            # into the queue around the READEX can never head-of-line
             # block the holder's traffic (see _parked).  Per-source FIFO
             # is preserved: later packets of a parked master park too.
             while queue:
@@ -457,7 +458,7 @@ class TargetNiu(Component, Snapshottable):
                 # proceed (one packet per cycle, parked first: they are
                 # the oldest arrivals).  Blocked-cycle accounting counts
                 # only cycles in which some parked packet is actually
-                # refused — not the post-UNLOCK drain.
+                # refused — not the drain after the locked store.
                 servable = None
                 blocked = False
                 for index, packet in enumerate(self._parked):
@@ -488,10 +489,6 @@ class TargetNiu(Component, Snapshottable):
         change so a stalled cycle has no side effects (in particular:
         the exclusive reservation must be consumed exactly once).
         """
-        if packet.opcode is Opcode.LOCK:
-            return self._serve_lock(packet, cycle)
-        if packet.opcode is Opcode.UNLOCK:
-            return self._serve_unlock(packet, cycle)
         excl = bool(packet.user.get("excl"))
         if excl and packet.opcode.is_write and self.monitor is None:
             self._respond_direct(packet, ResponseStatus.SLVERR)
@@ -519,29 +516,6 @@ class TargetNiu(Component, Snapshottable):
         self._next_token += 1
         self._order.append(token)
         return token
-
-    def _serve_lock(self, packet: NocPacket, cycle: int) -> bool:
-        assert self.locks is not None, "LOCK packet at target without lock support"
-        if not self.locks.acquire(packet.mst_addr):
-            return False  # holder active; stall (may_proceed covered re-check)
-        token = self._allocate_token()
-        self._ready[token] = packet.make_response(ResponseStatus.OKAY)
-        self.requests_served += 1
-        self.simulator.trace.log(
-            cycle, self.name, "lock_acquired", master=packet.mst_addr
-        )
-        return True
-
-    def _serve_unlock(self, packet: NocPacket, cycle: int) -> bool:
-        assert self.locks is not None
-        self.locks.release(packet.mst_addr)
-        token = self._allocate_token()
-        self._ready[token] = packet.make_response(ResponseStatus.OKAY)
-        self.requests_served += 1
-        self.simulator.trace.log(
-            cycle, self.name, "lock_released", master=packet.mst_addr
-        )
-        return True
 
     def _respond_direct(self, packet: NocPacket, status: ResponseStatus) -> None:
         """Complete at the NIU without involving the target IP."""

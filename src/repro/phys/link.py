@@ -204,10 +204,6 @@ class PhysicalLink(Component, Snapshottable):
             + len(self._deliver)
         )
 
-    def idle(self) -> bool:
-        """No flit on the wires or in the synchronizer (drain check)."""
-        return self.in_flight == 0
-
     def next_event_cycle(self, now: int):
         """Next clock edge on which this link's tick changes *visible*
         state.
@@ -428,19 +424,6 @@ class VcPhysicalLink(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # activity protocol
     # ------------------------------------------------------------------ #
-    @property
-    def in_flight(self) -> int:
-        """Flits somewhere inside the link (not counting upstream)."""
-        return (
-            (1 if self._shifting is not None else 0)
-            + len(self._pipe)
-            + len(self._crossing)
-        )
-
-    def idle(self) -> bool:
-        """No flit on the wires or in the synchronizer (drain check)."""
-        return self.in_flight == 0
-
     def next_event_cycle(self, now: int):
         """Like :meth:`PhysicalLink.next_event_cycle`, with one extra
         producer-side clause: credit bookkeeping (maturation and the

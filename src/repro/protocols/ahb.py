@@ -5,7 +5,7 @@ stream, responses strictly in request order, and blocking synchronization
 via ``HMASTLOCK`` locked sequences.  The master model issues one
 transaction at a time (address/data pipelining collapses to a single
 outstanding transfer at the transaction level) and maps locked sequences
-onto the transaction layer's READEX/LOCK family.
+onto the transaction layer's READEX / STORE_COND_LOCKED pair.
 
 Native signal vocabulary is preserved in the request/response records so
 the NIU genuinely converts *from* AHB fields, not from some pre-digested
@@ -123,9 +123,8 @@ class AhbMaster(ProtocolMaster):
     """AHB 2.0 master IP model: single outstanding, fully ordered.
 
     Locked synchronization: intents carrying ``Opcode.READEX`` /
-    ``Opcode.STORE_COND_LOCKED`` / ``LOCK`` / ``UNLOCK`` are issued with
-    ``HMASTLOCK`` asserted, which the NIU (or the bus) must translate into
-    its locking mechanism.
+    ``Opcode.STORE_COND_LOCKED`` are issued with ``HMASTLOCK`` asserted,
+    which the NIU (or the bus) must translate into its locking mechanism.
     """
 
     protocol_name = "AHB"
@@ -143,12 +142,6 @@ class AhbMaster(ProtocolMaster):
             raise ProtocolError(
                 f"{self.name}: AHB has no exclusive access; use locked "
                 f"sequences (READEX/STORE_COND_LOCKED)"
-            )
-        if txn.opcode in (Opcode.LOCK, Opcode.UNLOCK):
-            raise ProtocolError(
-                f"{self.name}: AHB expresses locking through HMASTLOCK on "
-                f"real transfers (READEX/STORE_COND_LOCKED), not bare "
-                f"LOCK/UNLOCK"
             )
         channel = self.socket.req("req")
         if not channel.can_push():

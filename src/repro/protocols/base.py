@@ -127,6 +127,9 @@ class ProtocolMaster(Component, Snapshottable):
 
     - :attr:`protocol_name` — the socket family modelled; its row in
       :mod:`repro.core.protocols` gives :attr:`ordering_model`;
+    - ``self.socket`` — the :class:`MasterSocket`, set in ``__init__``:
+      its response channels wake a dormant master, its request channels
+      tell a limit block from backpressure;
     - :meth:`try_issue` — if the pending intent can legally enter the
       socket this cycle, push the protocol records and return True;
     - :meth:`collect_responses` — pop whatever response channels have and
@@ -227,10 +230,8 @@ class ProtocolMaster(Component, Snapshottable):
         the time-skipping kernel while waiting on completions) is put
         back on the schedule the moment a response becomes visible."""
         super().bind(simulator)
-        socket = getattr(self, "socket", None)
-        if socket is not None:
-            for queue in socket.response_channels.values():
-                queue.wake_on_push(self)
+        for queue in self.socket.response_channels.values():
+            queue.wake_on_push(self)
         # Sources that couple masters to each other (DMA engines waiting
         # on stream-channel tokens, see repro.workloads) need a handle to
         # wake this master when an external signal re-arms them — a
@@ -257,10 +258,7 @@ class ProtocolMaster(Component, Snapshottable):
             # Checked first so a spent master never reaches lookahead
             # (whose eager rng draws are for live sources only).
             return None
-        socket = getattr(self, "socket", None)
-        if socket is None:
-            return now  # unknown subclass wiring: never skip
-        for queue in socket.response_channels.values():
+        for queue in self.socket.response_channels.values():
             if queue._committed:
                 return now  # responses waiting to be collected
         if self._has_local_completions():
@@ -340,9 +338,8 @@ class ProtocolMaster(Component, Snapshottable):
             # would then pass for a limit block that no response ends.
             # A limit block also short-circuits the ticks that follow
             # (top of this method) until a completion arrives.
-            socket = getattr(self, "socket", None)
-            self._limit_blocked = socket is not None and all(
-                queue.can_push() for queue in socket.request_channels.values()
+            self._limit_blocked = all(
+                queue.can_push() for queue in self.socket.request_channels.values()
             )
 
     def _complete(self, txn_id: int, cycle: int) -> None:

@@ -279,14 +279,6 @@ class ShardLinkTx(Component, Snapshottable):
         if envelopes:
             self.wake()
 
-    @property
-    def in_flight(self) -> int:
-        return 1 if self._shifting is not None else 0
-
-    def idle(self) -> bool:
-        """Nothing on the wires and nothing staged (drain check)."""
-        return self._shifting is None and not any(self.feeds) and not self.outbox
-
     def next_event_cycle(self, now: int):
         if self._shifting is not None:
             return now
@@ -398,13 +390,6 @@ class ShardLinkRx(Component, Snapshottable):
             inbox.append(envelope)
         if envelopes:
             self.wake()
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._inbox)
-
-    def idle(self) -> bool:
-        return not self._inbox and not self.credit_outbox
 
     def next_event_cycle(self, now: int):
         # Stay hot while a delivery queue holds flits: the destination

@@ -2,8 +2,7 @@
 
 Components log one :class:`TraceEvent` per notable step — a router's
 ``route`` of a packet head and ``lock_set`` / ``lock_clear`` of an
-output port, an initiator NIU's ``rsp_accept``, a target NIU's
-``lock_acquired`` / ``lock_released`` — to the simulator's
+output port, an initiator NIU's ``rsp_accept`` — to the simulator's
 :class:`Tracer`, which keeps them in arrival order.  :meth:`Tracer.dump`
 renders the stream as text; the run fingerprint and the differential
 tests compare that text.

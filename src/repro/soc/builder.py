@@ -462,9 +462,9 @@ class SocBuilder:
 
     - ``vcs`` — virtual channels per link (per plane);
     - ``vc_policy`` — a :class:`~repro.transport.routing.VcPolicy`
-      instance or name (``"keep"``, ``"priority"``, ``"dateline"``,
-      ``"escape"``); the dateline policy plus ``routing="dor"`` makes
-      ring/torus wormhole fabrics deadlock-free with 2 VCs.
+      instance or name (``"keep"``, ``"dateline"``, ``"escape"``); the
+      dateline policy plus ``routing="dor"`` makes ring/torus wormhole
+      fabrics deadlock-free with 2 VCs.
 
     Adaptive routing (``routing="adaptive"``): every hop may forward on
     any output of the minimal set, chosen per cycle by downstream

@@ -22,7 +22,6 @@ from repro.phys.link import LinkSpec
 from repro.transport.routing import (
     DatelineVcPolicy,
     EscapeVcPolicy,
-    PriorityVcPolicy,
     VcPolicy,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "InitiatorSpec",
     "KNOWN_PROTOCOLS",
     "LinkSpec",
-    "PriorityVcPolicy",
     "TargetSpec",
     "VcPolicy",
 ]

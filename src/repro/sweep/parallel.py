@@ -327,7 +327,7 @@ def run_sharded(builder: Callable, *, cycles: int, processes: int) -> Dict:
         credit_return = meta["credit_return"]
 
         horizon_cap = 0
-        pending_flits: Dict[str, List] = {}
+        flits_in_transit: Dict[str, List] = {}
         pending_credits: Dict[str, List] = {}
         next_events: List[Optional[int]] = [0] * processes
         rounds = 0
@@ -338,7 +338,7 @@ def run_sharded(builder: Callable, *, cycles: int, processes: int) -> Dict:
         while now < cycles:
             coord_started = time.perf_counter()
             horizons = [e for e in next_events if e is not None]
-            for rx_name, envelopes in pending_flits.items():
+            for rx_name, envelopes in flits_in_transit.items():
                 horizons.append(envelopes[0][0])
             for tx_name, credits in pending_credits.items():
                 horizons.append(credits[0][0] + credit_return[tx_name])
@@ -350,15 +350,15 @@ def run_sharded(builder: Callable, *, cycles: int, processes: int) -> Dict:
                 bound = cycles
             shard_flits: List[List] = [[] for _ in range(processes)]
             shard_credits: List[List] = [[] for _ in range(processes)]
-            for rx_name in sorted(pending_flits):
-                envelopes = pending_flits[rx_name]
+            for rx_name in sorted(flits_in_transit):
+                envelopes = flits_in_transit[rx_name]
                 envelopes.sort(key=lambda e: (e[0], e[2]))
                 shard_flits[rx_shard[rx_name]].append((rx_name, envelopes))
             for tx_name in sorted(pending_credits):
                 credits = pending_credits[tx_name]
                 credits.sort()
                 shard_credits[tx_shard[tx_name]].append((tx_name, credits))
-            pending_flits = {}
+            flits_in_transit = {}
             pending_credits = {}
             for shard, conn in enumerate(connections):
                 conn.send(
@@ -374,7 +374,7 @@ def run_sharded(builder: Callable, *, cycles: int, processes: int) -> Dict:
                 busy_total += busy
                 round_busy = max(round_busy, busy)
                 for tx_name, envelopes in flits_out:
-                    pending_flits.setdefault(
+                    flits_in_transit.setdefault(
                         flit_routes[tx_name], []
                     ).extend(envelopes)
                     batches += 1

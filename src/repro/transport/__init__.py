@@ -17,7 +17,6 @@ from repro.transport.routing import (
     AdaptiveRoutingTable,
     DatelineVcPolicy,
     EscapeVcPolicy,
-    PriorityVcPolicy,
     RoutingError,
     VcPolicy,
     compute_adaptive_tables,
@@ -41,7 +40,6 @@ __all__ = [
     "Network",
     "Packetizer",
     "PriorityArbiter",
-    "PriorityVcPolicy",
     "Reassembler",
     "Router",
     "RoundRobinArbiter",

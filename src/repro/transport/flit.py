@@ -171,7 +171,3 @@ class Reassembler(Snapshottable):
             self.packets_out += 1
             return packet
         return None
-
-    @property
-    def mid_packet(self) -> bool:
-        return self._current is not None

@@ -204,7 +204,6 @@ class Network(Snapshottable):
         self.arbiter = arbiter
         self._check_options(vcs, vc_policy)
         self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
-        self._link_feed_queues: List[SimQueue] = []
         self._add_routers(arbiter, lock_support)
         self._add_router_links()
         self._attach_endpoints(endpoint_queue_capacity)
@@ -414,7 +413,6 @@ class Network(Snapshottable):
             self.sim.add(rx)
         tx.bind_peer(rx)
         rx.bind_peer(tx)
-        self._link_feed_queues.extend(feeds)
         self.boundary_tx[(src, dst)] = tx
         self.boundary_rx[(src, dst)] = rx
         return feeds, deliveries
@@ -466,7 +464,6 @@ class Network(Snapshottable):
         )
         self.sim.add(link)
         self.links.append(link)
-        self._link_feed_queues.extend(feeds)
         return feeds, deliveries
 
     # ------------------------------------------------------------------ #
@@ -507,44 +504,21 @@ class Network(Snapshottable):
         return sum(r.lock_stall_cycles for r in self.routers.values())
 
     def idle(self) -> bool:
-        """No flit anywhere in this plane (used for drain detection)."""
-        for router in self.routers.values():
-            for queue in router.inputs.values():
-                if queue.occupancy:
-                    return False
-        for port in self.injection_ports.values():
-            if port.pending_flits() or port.packet_queue.occupancy:
+        """Drained (drain detection): no packet waits in an injection or
+        ejection packet queue, and every packet the injection ports took
+        in has come out of an ejection port.  A flit anywhere between the
+        two — router buffer, link, reassembler, reorder buffer, shard
+        boundary — belongs to a packet the count still holds, and a
+        packet lost on the way keeps the plane busy for good."""
+        for queue in self._inject_queues.values():
+            if queue.occupancy:
                 return False
         for queue in self._eject_queues.values():
             if queue.occupancy:
                 return False
-        for eport in self.ejection_ports.values():
-            for queue in eport.flit_queues:
-                if queue.occupancy:
-                    return False
-            for reassembler in eport.reassemblers:
-                if reassembler.mid_packet:
-                    return False
-            if eport.reorder_occupancy:
-                return False
-        # Physical links: flits may be staged on the feed side (a router
-        # output that is no longer any router's input) or in flight on
-        # the wires / in a synchronizer.
-        for queue in self._link_feed_queues:
-            if queue.occupancy:
-                return False
-        for link in self.links:
-            if link.in_flight:
-                return False
-        # Boundary halves of cut links: a flit mid-serialization or an
-        # envelope waiting in an inbox/outbox is still in flight.
-        for tx in self.boundary_tx.values():
-            if not tx.idle():
-                return False
-        for rx in self.boundary_rx.values():
-            if not rx.idle():
-                return False
-        return True
+        injected = sum(p.packets_injected for p in self.injection_ports.values())
+        ejected = sum(p.packets_ejected for p in self.ejection_ports.values())
+        return injected == ejected
 
 
 class Fabric:

@@ -73,9 +73,6 @@ class InjectionPort(Component, Snapshottable):
         "flits_injected",
     )
 
-    def pending_flits(self) -> int:
-        return sum(len(pending) for pending in self._pending)
-
     def next_event_cycle(self, now: int):
         """Dormant only when nothing is pending and no packet can be
         segmented (the packet pushes that end that are wake-registered in
@@ -240,11 +237,6 @@ class EjectionPort(Component, Snapshottable):
             self.reassemblers, state["reassemblers"]
         ):
             reassembler.restore(envelope)
-
-    @property
-    def reorder_occupancy(self) -> int:
-        """Packets currently parked in the reorder buffer."""
-        return self._rob_count
 
     def _record_flow(self, packet: NocPacket, src: int) -> None:
         """Injection-to-delivery latency into the per-flow histograms

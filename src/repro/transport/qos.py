@@ -31,16 +31,6 @@ class Arbiter(Snapshottable):
 
     _snapshot_fields = ("_grant_seq", "_grants")
 
-    #: True when granting a *lone* candidate is state-equivalent to
-    #: :meth:`note_sole_grant` — it holds for every built-in policy
-    #: (each reduces to the shared round-robin over its top set, and a
-    #: singleton always wins, so the only state change is the grant
-    #: recency update).  Routers rely on it to skip candidate
-    #: construction for uncontested outputs; a subclass whose
-    #: :meth:`pick` does anything more on a single candidate must set
-    #: this False to keep the bypass off.
-    sole_pick_is_grant = True
-
     def __init__(self) -> None:
         self._grant_seq = 0
         self._grants: Dict[tuple, int] = {}  # (output, port) -> grant seq
@@ -51,9 +41,12 @@ class Arbiter(Snapshottable):
     def note_sole_grant(self, output: str, port: str) -> None:
         """Record an uncontested grant without building a candidate.
 
-        Byte-identical to ``pick(output, [the_sole_candidate])`` for any
-        policy with ``sole_pick_is_grant``: the rotation state must see
-        the grant or a later contested tie would break differently.
+        Byte-identical to ``pick(output, [the_sole_candidate])`` for every
+        policy here (each reduces to the shared round-robin over its top
+        set, and a singleton always wins, so the only state change is
+        the grant recency update); routers rely on it to skip candidate
+        construction for uncontested outputs.  The rotation state must
+        see the grant or a later contested tie would break differently.
         """
         self._grant_seq += 1
         self._grants[(output, port)] = self._grant_seq

@@ -33,10 +33,12 @@ LOCK marker) and moves opaque flits.  Micro-architecture:
 - switching-mode gate on head departure (wormhole / store-and-forward /
   virtual cut-through, see :mod:`repro.transport.switching`);
 - **LOCK handling** — the one transaction-family leak the paper concedes:
-  after a ``LOCK``/``READEX`` request's tail passes an output port, the
-  port admits only packets from the locking master until that master's
-  ``UNLOCK``/``STORE_COND_LOCKED`` tail passes.  Locks are per physical
-  output port (they model a locked path, not a buffer).
+  after a ``READEX`` request's tail passes an output port, the port
+  admits only packets from the locking master until that master's
+  ``STORE_COND_LOCKED`` tail passes.  That pair is the whole lock
+  family: every socket's locked transfer reaches the fabric as one or
+  the other.  Locks are per physical output port (they model a locked
+  path, not a buffer).
 
 **Two switches, one skeleton.**  Both ticks scan for busy inputs, try
 the solo branch (below) inline, and otherwise run three phases, each
@@ -68,10 +70,10 @@ the tick: no ``wants`` map, no walk over the outputs.  A fresh head
 passes the same checks as in Phase A (on the VC switch,
 ``_allocate_vc`` runs unchanged) and its grant is recorded with
 :meth:`Arbiter.note_sole_grant` exactly where Phase B records one.  The
-gate, per tick: one busy input, ``stream_fast_path`` set, an arbiter
-with ``sole_pick_is_grant`` (a custom lone ``pick`` may do more than
-record a grant), and wormhole switching (under SAF/VCT, departure
-depends on the buffered packet).  Everything else runs the phases,
+gate, per tick: one busy input, ``stream_fast_path`` set, and wormhole
+switching (under SAF/VCT, departure depends on the buffered packet).
+Every arbiter's lone ``pick`` only records a grant, which is what
+:meth:`Arbiter.note_sole_grant` does.  Everything else runs the phases,
 which are also the reference: tests assign ``stream_fast_path = False``
 after construction to run them on every tick and compare the two, cycle
 for cycle.
@@ -93,8 +95,8 @@ from repro.transport.routing import AdaptiveRoutingTable, VcPolicy
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import router_sort_key
 
-_LOCK_SETTERS = (Opcode.LOCK, Opcode.READEX)
-_LOCK_CLEARERS = (Opcode.UNLOCK, Opcode.STORE_COND_LOCKED)
+_LOCK_SETTERS = (Opcode.READEX,)
+_LOCK_CLEARERS = (Opcode.STORE_COND_LOCKED,)
 
 #: Key of one input (or output) virtual channel: ``(port name, vc)``.
 VcKey = Tuple[str, int]
@@ -361,7 +363,7 @@ class Router(Component, Snapshottable):
         Lock admission happens *here*: a head from a non-holding master
         is refused the output VC while the port is locked — granting it
         would let the blocked packet hoard the VC and stall the holder's
-        own UNLOCK forever.  Once granted, a stream always completes (a
+        own locked store forever.  Once granted, a stream always completes (a
         packet admitted before the lock was set behaves as having entered
         the locked path first, exactly like the single-VC switch).
         """
@@ -384,7 +386,7 @@ class Router(Component, Snapshottable):
                 holder = self._output_lock[out_port]
                 if holder is not None and holder != flit.src:
                     self._lock_refused = True
-                    return None  # admission refused until UNLOCK passes
+                    return None  # admission refused until the locked store passes
             okey = (out_port, self._output_vc_for(ivc, out_port))
             if self._output_owner[okey] is not None:
                 return None  # output VC busy
@@ -401,9 +403,10 @@ class Router(Component, Snapshottable):
         packet's *minimal* outputs, then the escape VC of its DOR/XY
         output; the first best downstream free space wins.  An
         escape-class input VC stays escape (its dependency graph must
-        stay acyclic); LOCK-family packets route escape-only, so a LOCK
-        and its UNLOCK set and clear the same locks.  Lock admission is
-        per candidate port; a head with none admissible is lock-stalled.
+        stay acyclic); lock-family packets route escape-only, so a READEX
+        and its locked store set and clear the same locks.  Lock
+        admission is per candidate port; a head with none admissible is
+        lock-stalled.
         """
         ports = self.adaptive_table.outputs(flit.dest)
         if ports[0][0] == "l":  # "local:...": ejection at the home router
@@ -509,7 +512,7 @@ class Router(Component, Snapshottable):
         arbiter = self.arbiter
         # stream_fast_path is read per tick: tests clear it after
         # construction to reach the reference arbitration below.
-        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
+        sole_grant = self.stream_fast_path
         if (
             len(busy) == 1 and sole_grant and self.mode is SwitchingMode.WORMHOLE
         ):
@@ -551,7 +554,7 @@ class Router(Component, Snapshottable):
         holding an allocation skips VC allocation, adaptive scoring and
         routing entirely: its held grant *is* the decision."""
         arbiter = self.arbiter
-        sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
+        sole_grant = self.stream_fast_path
         if len(busy) == 1 and sole_grant and self.mode is SwitchingMode.WORMHOLE:
             # Solo tick (module docstring): Phase V's allocation runs
             # unchanged for the one busy input VC, and a ready flit then
@@ -634,7 +637,7 @@ class Router(Component, Snapshottable):
         canonical (port, vc) order, then the switching gate applies.  The
         lock admission window is one cycle wide: allocation reads the lock
         state *before* the transfers of the same cycle, so a head
-        VC-allocated in the very cycle a LOCK tail passes counts as having
+        VC-allocated in the very cycle a READEX tail passes counts as having
         entered the locked path first (tests/test_adaptive_routing.py).
         """
         input_alloc = self._input_alloc

@@ -30,11 +30,8 @@ Virtual-channel selection
 -------------------------
 A :class:`VcPolicy` decides which VC a packet is injected on and which
 output VC a router's VC-allocation stage assigns at each hop.  The
-default policy keeps everything on VC 0.  :class:`PriorityVcPolicy`
-maps packet priority classes onto VCs (QoS isolation: a high-priority
-flow can never be head-of-line blocked behind best-effort traffic
-sharing its input port).  :class:`DatelineVcPolicy` implements the
-classic dateline construction for wraparound topologies:
+default policy keeps everything on VC 0.  :class:`DatelineVcPolicy`
+implements the classic dateline construction for wraparound topologies:
 
 **Deadlock-freedom argument (dateline, 2 VCs).**  Under DOR routing a
 packet traverses each dimension's unidirectional ring at most once and
@@ -304,24 +301,6 @@ class VcPolicy:
         return in_vc
 
 
-class PriorityVcPolicy(VcPolicy):
-    """QoS isolation: packet priority class selects the injection VC.
-
-    Priority ``p`` rides VC ``min(p, vcs - 1)`` end to end, so a
-    high-priority flow owns its buffer at every *fabric* input port and
-    is never head-of-line blocked there behind a stalled best-effort
-    packet — the per-output QoS arbiters finally see the high-priority
-    head.  (The injection port's packet queue is still a shared FIFO;
-    one blocked packet parks aside per VC, deeper backlogs queue in
-    arrival order — see ROADMAP open items.)
-    """
-
-    name = "priority"
-
-    def injection_vc(self, packet, vcs: int) -> int:
-        return max(0, min(packet.priority, vcs - 1))
-
-
 class DatelineVcPolicy(VcPolicy):
     """Dateline VC classes for rings/tori (see module docstring).
 
@@ -402,9 +381,10 @@ class EscapeVcPolicy(VcPolicy):
     the adversarial tests freeze — to demonstrate that the escape VCs,
     not luck, provide the guarantee.
 
-    Injection maps priority classes onto the adaptive VCs (as
-    :class:`PriorityVcPolicy` does over the whole space), keeping QoS
-    isolation inside the adaptive class.
+    Injection maps priority ``p`` onto adaptive VC ``min(p, adaptive
+    VCs - 1)``, so a high-priority flow owns its buffer inside the
+    adaptive class and is never head-of-line blocked there behind a
+    stalled best-effort packet.
     """
 
     name = "escape"
@@ -478,7 +458,7 @@ class EscapeVcPolicy(VcPolicy):
 
 VC_POLICIES = {
     cls.name: cls
-    for cls in (VcPolicy, PriorityVcPolicy, DatelineVcPolicy, EscapeVcPolicy)
+    for cls in (VcPolicy, DatelineVcPolicy, EscapeVcPolicy)
 }
 
 

@@ -1,18 +1,17 @@
-"""Programmable endpoints: DMA programs, streams, collectives.
+"""Programmable endpoints: DMA programs and the stream channels they sync on.
 
 The workload layer sits *above* the protocol masters: everything here is
-a :class:`~repro.protocols.base.TrafficSource` (or generates them), so
-the kernel, NIUs and fabric never know whether a master runs a random
-workload or a descriptor-chained DMA program.  Complete ready-to-run
-SoCs built from them are the modules of
-:mod:`repro.workloads.scenarios`, each with a ``build()``.
+a :class:`~repro.protocols.base.TrafficSource`, so the kernel, NIUs and
+fabric never know whether a master runs a random workload or a
+descriptor-chained DMA program.  Stream credit loops and collectives are
+descriptor programs wired through :class:`StreamChannel` tokens; the
+complete SoCs built from them are the modules of
+:mod:`repro.workloads.scenarios`, each one fixed SoC with a ``build()``.
 """
 
 from repro.ip.traffic import TrafficSpec, WorkloadStallError
 from repro.workloads.channels import StreamChannel
-from repro.workloads.collectives import tree_reduction
 from repro.workloads.dma import DmaDescriptor, DmaEngine, DmaProgramError
-from repro.workloads.streams import stream_pair
 
 __all__ = [
     "DmaDescriptor",
@@ -21,6 +20,4 @@ __all__ = [
     "StreamChannel",
     "TrafficSpec",
     "WorkloadStallError",
-    "stream_pair",
-    "tree_reduction",
 ]

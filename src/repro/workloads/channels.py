@@ -4,7 +4,8 @@ A :class:`StreamChannel` is a cumulative counter of *tokens* — one token
 per completed burst (or compute step) of the descriptor that signals it.
 Descriptors that ``wait`` on a channel become eligible burst-by-burst as
 the count rises; producer/consumer credit loops are just two channels
-wired in opposite directions (see :func:`repro.workloads.streams.stream_pair`).
+wired in opposite directions (see
+:mod:`repro.workloads.scenarios.stream_pipeline`).
 
 Determinism contract
 --------------------

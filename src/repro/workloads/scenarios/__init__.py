@@ -1,8 +1,9 @@
-"""Built-in scenarios: one ready-to-run SoC per module.
+"""Built-in scenarios: one fixed, ready-to-run SoC per module.
 
-Each module's ``build(**params)`` returns a
-:class:`~repro.soc.builder.NocSoc` and accepts at least
-``strict_kernel=``::
+Each module's ``build(strict_kernel=None)`` returns a
+:class:`~repro.soc.builder.NocSoc`; the SoC's sizes are the module's
+constants, and ``strict_kernel=`` (the reference kernel, for the
+determinism tests) is its only parameter::
 
     from repro.workloads.scenarios import dma_chain
 

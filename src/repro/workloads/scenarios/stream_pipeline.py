@@ -1,13 +1,21 @@
 """``stream_pipeline`` — multi-stage streaming pipelines with credit flow.
 
 Two parallel pipelines of four stages each.  Adjacent stages share a
-ring buffer in memory, coupled by a ``data``/``credit`` channel pair
-(see :mod:`repro.workloads.streams`); a middle stage additionally
-threads a private ``work`` channel from its read descriptor to its write
-descriptor, so store burst ``b`` waits on *both* its own fetch ``b`` and
-a downstream credit — the tuple wait/signal form.  End-to-end the
-pipeline self-throttles to ``depth`` bursts in flight per hop with zero
-fabric-level flow control.
+ring buffer of ``_DEPTH`` bursts in memory, coupled by two channels:
+
+- ``data`` — the producer puts one token per completed write burst; the
+  consumer's read burst ``b`` waits for token ``b + 1`` (read-after-write
+  ordering over the shared buffer);
+- ``credit`` — preloaded with ``_DEPTH`` tokens; the producer's write
+  burst ``b`` waits for credit token ``b + 1`` and the consumer returns
+  one credit per completed read.  The producer can therefore run at
+  most ``_DEPTH`` bursts ahead — credit-based backpressure enforced by
+  the endpoints themselves, with zero fabric-level flow control.
+
+A middle stage additionally threads a private ``work`` channel from its
+read descriptor to its write descriptor, so store burst ``b`` waits on
+*both* its own fetch ``b`` and a downstream credit — the tuple
+wait/signal form.
 """
 
 from __future__ import annotations
@@ -21,36 +29,31 @@ from repro.workloads.dma import DmaDescriptor, DmaEngine
 
 __all__ = ["build"]
 
+_PIPELINES = 2
+_STAGES = 4
+_TOTAL_BURSTS = 24
+_DEPTH = 4
 _BUF_SIZE = 0x4000
 
 
-def _pipeline_engines(
-    pipe: int,
-    stages: int,
-    total_bursts: int,
-    depth: int,
-    burst_beats: int,
-    beat_bytes: int,
-):
-    """Engines for one pipeline; stage s reads buffer s-1, writes buffer s."""
-    ring = min(depth, total_bursts)
-    footprint = burst_beats * beat_bytes * ring
-    # Pipelines alternate between the two buffer memories; extra
-    # pipelines on the same memory stack their buffers above the first's.
-    region = (pipe % 2) * _BUF_SIZE + (pipe // 2) * (stages - 1) * footprint
-    buffer_base = [region + stage * footprint for stage in range(stages - 1)]
-    data = [StreamChannel(f"p{pipe}.b{stage}.data") for stage in range(stages - 1)]
-    credit = [StreamChannel(f"p{pipe}.b{stage}.credit", initial=depth)
-              for stage in range(stages - 1)]
-    burst = partial(DmaDescriptor, beats=burst_beats, beat_bytes=beat_bytes,
-                    bursts=total_bursts, ring=ring)
+def _pipeline_engines(pipe: int):
+    """Engines for one pipeline; stage s reads buffer s-1, writes buffer s.
+    Each pipeline has a buffer memory of its own."""
+    footprint = 8 * 4 * _DEPTH  # _DEPTH bursts of 8 beats x 4 bytes
+    buffer_base = [pipe * _BUF_SIZE + stage * footprint
+                   for stage in range(_STAGES - 1)]
+    data = [StreamChannel(f"p{pipe}.b{stage}.data") for stage in range(_STAGES - 1)]
+    credit = [StreamChannel(f"p{pipe}.b{stage}.credit", initial=_DEPTH)
+              for stage in range(_STAGES - 1)]
+    burst = partial(DmaDescriptor, beats=8, beat_bytes=4,
+                    bursts=_TOTAL_BURSTS, ring=_DEPTH)
     engines = {}
-    for stage in range(stages):
+    for stage in range(_STAGES):
         name = f"p{pipe}s{stage}"
         if stage == 0:
             program = [burst("write", address=buffer_base[0], wait=credit[0],
                              signal=data[0], pattern=pipe * 101)]
-        elif stage == stages - 1:
+        elif stage == _STAGES - 1:
             program = [burst("read", address=buffer_base[stage - 1],
                              wait=data[stage - 1], signal=credit[stage - 1])]
         else:
@@ -65,30 +68,13 @@ def _pipeline_engines(
     return engines
 
 
-def build(
-    *,
-    pipelines: int = 2,
-    stages: int = 4,
-    total_bursts: int = 24,
-    depth: int = 4,
-    burst_beats: int = 8,
-    beat_bytes: int = 4,
-    strict_kernel=None,
-) -> NocSoc:
-    if stages < 2:
-        raise ValueError("stream_pipeline needs at least two stages")
-    engines = {}
-    for pipe in range(pipelines):
-        engines.update(
-            _pipeline_engines(
-                pipe, stages, total_bursts, depth, burst_beats, beat_bytes
-            )
-        )
+def build(*, strict_kernel=None) -> NocSoc:
     builder = SocBuilder(name="stream_pipeline", strict_kernel=strict_kernel)
-    for name, engine in engines.items():
-        builder.add_initiator(
-            InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
-        )
+    for pipe in range(_PIPELINES):
+        for name, engine in _pipeline_engines(pipe).items():
+            builder.add_initiator(
+                InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
+            )
     builder.add_target(
         TargetSpec("buf0", size=_BUF_SIZE, read_latency=2, write_latency=1)
     )

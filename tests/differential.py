@@ -10,7 +10,9 @@ uninterrupted run is computed at most once per pytest session
 test that compares against it.  :data:`PINNED` holds the
 ``fingerprint_hash`` of each recipe at its window, so a change to the
 model fails tier-1 wherever it lands; a change that moves a digest on
-purpose re-pins it and names it in CHANGES.md.
+purpose re-pins it and names it in CHANGES.md.  :func:`buffer_walk` is
+the buffer walk that drain detection replaced, kept as the oracle the
+packet count is checked against.
 
 Test modules import from here, never from one another.
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from repro.ip import TrafficSpec
+from repro.phys.link import VcPhysicalLink
 from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.sim.trace import Tracer
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
@@ -440,3 +443,41 @@ def assert_same(got, want):
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], f"{key} diverged"
+
+
+# --------------------------------------------------------------------- #
+# the drain oracle
+# --------------------------------------------------------------------- #
+def link_in_flight(link):
+    """Flits inside a physical link, its feed queues not counted."""
+    if isinstance(link, VcPhysicalLink):
+        return (link._shifting is not None) + len(link._pipe) + len(link._crossing)
+    return link.in_flight
+
+
+def buffer_walk(plane):
+    """The buffer walk ``Network.idle`` ran before a drained plane became
+    a packet count, kept as the oracle: True when no flit or packet is
+    anywhere in ``plane``.  It reads the internals of five component
+    classes, which is why the plane no longer does."""
+    queues = [q for router in plane.routers.values() for q in router.inputs.values()]
+    queues += plane._inject_queues.values()
+    queues += plane._eject_queues.values()
+    for eport in plane.ejection_ports.values():
+        queues += eport.flit_queues
+    for link in plane.links:
+        queues += getattr(link, "upstreams", None) or [link.upstream]
+    for tx in plane.boundary_tx.values():
+        queues += tx.feeds
+    return not (
+        any(queue.occupancy for queue in queues)
+        or any(any(port._pending) for port in plane.injection_ports.values())
+        or any(
+            eport._rob_count or any(r._current is not None for r in eport.reassemblers)
+            for eport in plane.ejection_ports.values()
+        )
+        or any(link_in_flight(link) for link in plane.links)
+        or any(tx._shifting is not None or tx.outbox
+               for tx in plane.boundary_tx.values())
+        or any(rx._inbox or rx.credit_outbox for rx in plane.boundary_rx.values())
+    )

@@ -337,14 +337,14 @@ class TestResequencing:
             flit_queues[0].push(flit)
         sim.run(3)
         # seq 1 arrived first: parked, nothing delivered yet
-        assert eport.reorder_occupancy == 1
+        assert eport._rob_count == 1
         assert not pkts
         for flit in pk.segment(early, vc=1):
             flit_queues[1].push(flit)
         sim.run(4)
         assert [pkts.pop().txn_id for _ in range(len(pkts))] == [0, 1]
         assert eport.packets_resequenced == 1
-        assert eport.reorder_occupancy == 0
+        assert eport._rob_count == 0
         assert eport.reorder_high_watermark == 2
         sim.run(10)
         assert eport.next_event_cycle(sim.cycle) is None
@@ -356,10 +356,7 @@ class TestResequencing:
         net.inject(0, request(2, 0, txn_id=7))
         got = pump_all(sim, net, [2], 1, max_cycles=2000)
         assert got[0].fabric_seq == -1  # never stamped
-        assert all(
-            eport.reorder_occupancy == 0
-            for eport in net.ejection_ports.values()
-        )
+        assert all(not eport._rob for eport in net.ejection_ports.values())
 
 
 # ---------------------------------------------------------------------- #
@@ -382,26 +379,29 @@ class TestAdaptiveValidation:
     def test_locks_still_enforced_on_adaptive_fabric(self):
         sim = Simulator()
         net = Network(sim, topo.single_router(3), routing="adaptive", vcs=3)
-        net.inject(0, request(2, 0, opcode=Opcode.LOCK, txn_id=1))
+        net.inject(0, request(2, 0, opcode=Opcode.READEX, txn_id=1))
         got = pump_all(sim, net, [2], 1, max_cycles=500)
         assert got[0].txn_id == 1
         net.inject(1, request(2, 1, txn_id=2))
         sim.run(50)
         assert not net.ejected(2)
         assert net.total_lock_stall_cycles() > 0
-        net.inject(0, request(2, 0, opcode=Opcode.UNLOCK, txn_id=3))
+        net.inject(0, request(2, 0, opcode=Opcode.STORE_COND_LOCKED,
+                              payload=[0], txn_id=3))
         got = pump_all(sim, net, [2], 2, max_cycles=500)
         assert sorted(p.txn_id for p in got) == [2, 3]
 
     def test_lock_packets_ride_the_escape_network(self):
-        """LOCK and its paired UNLOCK must traverse the same ports, so
-        lock-family packets route escape-only even on adaptive VCs."""
+        """A READEX and its paired locked store must traverse the same
+        ports, so lock-family packets route escape-only even on adaptive
+        VCs."""
         sim = Simulator()
         t = topo.torus(4, 4)
         net = Network(sim, t, routing="adaptive", vcs=3)
-        net.inject(0, request(10, 0, opcode=Opcode.LOCK, txn_id=1))
+        net.inject(0, request(10, 0, opcode=Opcode.READEX, txn_id=1))
         pump_all(sim, net, [10], 1, max_cycles=2000)
-        net.inject(0, request(10, 0, opcode=Opcode.UNLOCK, txn_id=2))
+        net.inject(0, request(10, 0, opcode=Opcode.STORE_COND_LOCKED,
+                              payload=[0], txn_id=2))
         pump_all(sim, net, [10], 1, max_cycles=2000)
         sim.run(50)
         # every router is unlocked again: set and clear paired per port
@@ -417,7 +417,7 @@ class TestAdaptiveLockSoc:
         """Regression: adaptive multi-path arrival can land a bystander's
         request in the target's delivery queue around the LOCK; blocking
         it at the queue *head* used to head-of-line block the holder's
-        own traffic — including the UNLOCK — and wedge the SoC.  The
+        own traffic — including the locked store — and wedge the SoC.  The
         target NIU now parks lock-blocked requests aside (per-source
         FIFO preserved), so the critical section always completes."""
         import itertools
@@ -503,12 +503,12 @@ class TestLockAdmissionWindow:
         ]
         sim.add(router)
 
-        # Locker: single-flit LOCK from master 0 (head = tail), priority 1
+        # Locker: single-flit READEX from master 0 (head = tail), priority 1
         # so it wins switch allocation in the contested cycle.  Victim: a
         # single-flit request from master 1 committed in the same cycle,
-        # so both heads VC-allocate in the same Phase V — before the LOCK
+        # so both heads VC-allocate in the same Phase V — before the READEX
         # tail's Phase B transfer sets the lock.
-        locker = request(2, 0, opcode=Opcode.LOCK, priority=1, txn_id=1)
+        locker = request(2, 0, opcode=Opcode.READEX, priority=1, txn_id=1)
         victim = request(2, 1, txn_id=2)
         for flit in self._flits(locker, 0):
             in_a.push(flit)
@@ -534,8 +534,8 @@ class TestLockAdmissionWindow:
         assert router.lock_stall_cycles > 0
         assert len(in_b) == 1  # still parked at the input
 
-        # UNLOCK from the holder releases it.
-        unlock = request(2, 0, opcode=Opcode.UNLOCK, beats=1, payload=[0],
+        # The holder's locked store releases it.
+        unlock = request(2, 0, opcode=Opcode.STORE_COND_LOCKED, beats=1, payload=[0],
                          priority=1, txn_id=4)
         for flit in self._flits(unlock, 0):
             in_a.push(flit)

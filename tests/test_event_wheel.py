@@ -339,8 +339,8 @@ class TestBodyFlitFastPath:
         "recipe",
         [
             "mixed-protocols", "vc-dateline-gals", "adaptive-escape-gals",
-            # LOCK / READEX ... UNLOCK: single-flit packets, head and
-            # tail at once, that set and clear port locks.
+            # READEX ... STORE_COND_LOCKED: the lock pair, whose
+            # packets set and clear port locks.
             "legacy-lock",
             "vc-torus-saturated",
         ],

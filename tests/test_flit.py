@@ -117,7 +117,7 @@ class TestPacketizer:
         [
             write_request(beats=8),
             read_request(beats=8).make_response(payload=[0] * 8),
-            NocPacket(kind=PacketKind.REQUEST, opcode=Opcode.LOCK, slv_addr=2,
+            NocPacket(kind=PacketKind.REQUEST, opcode=Opcode.READEX, slv_addr=2,
                       mst_addr=3, tag=1, priority=2),
             read_request(beats=1),  # no payload: head and tail at once
         ],
@@ -194,10 +194,3 @@ class TestReassembler:
         r.accept(a[0])
         with pytest.raises(ReassemblyError):
             r.accept(b[1])
-
-    def test_mid_packet_flag(self):
-        flits = Packetizer(128).segment(write_request(beats=8))
-        r = Reassembler()
-        assert not r.mid_packet
-        r.accept(flits[0])
-        assert r.mid_packet

@@ -11,7 +11,7 @@ that contract; the recipes, the runs and the compare are
 
 import pytest
 
-from differential import WINDOWS, assert_same, build, run
+from differential import WINDOWS, assert_same, buffer_walk, build, run
 from repro.sim.kernel import Simulator
 
 
@@ -80,7 +80,7 @@ def test_gals_soc_drains_and_retires():
     soc.run_to_completion(max_cycles=400_000)
     assert all(m.finished() for m in soc.masters.values())
     assert soc.fabric.physical_links  # the phys path was actually built
-    assert all(link.in_flight == 0 for link in soc.fabric.physical_links)
+    assert all(buffer_walk(plane) for plane in soc.fabric._planes)
     soc.run(16)
     assert soc.sim.active_count == 0
 
@@ -93,7 +93,7 @@ def test_vc_gals_soc_drains_and_retires():
     soc.run_to_completion(max_cycles=400_000)
     assert all(m.finished() for m in soc.masters.values())
     assert soc.fabric.physical_links
-    assert all(link.in_flight == 0 for link in soc.fabric.physical_links)
+    assert all(buffer_walk(plane) for plane in soc.fabric._planes)
     for link in soc.fabric.physical_links:
         for credit in link.credits:
             assert credit._available == credit.capacity
@@ -109,9 +109,7 @@ def test_adaptive_soc_drains_and_retires():
     soc.run_to_completion(max_cycles=400_000)
     assert all(m.finished() for m in soc.masters.values())
     assert soc.ordering_violations() == 0
-    for plane in soc.fabric._planes:
-        for eport in plane.ejection_ports.values():
-            assert eport.reorder_occupancy == 0
+    assert all(buffer_walk(plane) for plane in soc.fabric._planes)
     soc.run(16)
     assert soc.sim.active_count == 0
 

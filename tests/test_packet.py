@@ -67,8 +67,8 @@ class TestRoutingView:
         assert p.route_source == 3
 
     def test_lock_marker_visible_to_transport(self):
-        assert make_request(opcode=Opcode.LOCK).is_lock_related
         assert make_request(opcode=Opcode.READEX).is_lock_related
+        assert make_request(opcode=Opcode.STORE_COND_LOCKED).is_lock_related
         assert not make_request(opcode=Opcode.LOAD).is_lock_related
 
 

@@ -114,7 +114,7 @@ class TestSerialization:
         assert [f.packet_id for f in received] == list(range(6))
         assert link.flits_carried == 6
         assert link.phits_carried == 6 * link.serialization == 24
-        assert link.in_flight == 0 and link.idle()
+        assert link.in_flight == 0
 
     def test_wake_protocol_link_retires_and_wakes(self):
         """An idle link leaves the schedule and a committed upstream push

@@ -208,11 +208,11 @@ class TestPriorityArbitration:
 
 class TestLockHandling:
     def test_lock_blocks_other_masters_path(self):
-        """After a LOCK packet passes, packets from other masters stall at
-        the locked port until UNLOCK passes (paper §3)."""
+        """After a READEX passes, packets from other masters stall at the
+        locked port until the holder's locked store passes (paper §3)."""
         sim = Simulator()
         net = Network(sim, topo.single_router(3))
-        net.inject(0, request(2, 0, opcode=Opcode.LOCK, txn_id=1))
+        net.inject(0, request(2, 0, opcode=Opcode.READEX, txn_id=1))
         got = drain(net, 2, sim, 1)
         assert got[0].txn_id == 1
         # Other master's packet now stalls.
@@ -224,15 +224,16 @@ class TestLockHandling:
         net.inject(0, request(2, 0, txn_id=3))
         got = drain(net, 2, sim, 1)
         assert got[0].txn_id == 3
-        # UNLOCK releases; blocked packet now flows.
-        net.inject(0, request(2, 0, opcode=Opcode.UNLOCK, txn_id=4))
+        # The locked store releases; blocked packet now flows.
+        net.inject(0, request(2, 0, opcode=Opcode.STORE_COND_LOCKED,
+                              payload=[0], txn_id=4))
         got = drain(net, 2, sim, 2)
         assert sorted(p.txn_id for p in got) == [2, 4]
 
     def test_lock_support_disableable(self):
         sim = Simulator()
         net = Network(sim, topo.single_router(3), lock_support=False)
-        net.inject(0, request(2, 0, opcode=Opcode.LOCK, txn_id=1))
+        net.inject(0, request(2, 0, opcode=Opcode.READEX, txn_id=1))
         drain(net, 2, sim, 1)
         net.inject(1, request(2, 1, txn_id=2))
         got = drain(net, 2, sim, 1)
@@ -303,7 +304,7 @@ _FLAVOURS = {
 }
 _IN_PORTS = 5  # four neighbours + the injection port
 _OUT_PORTS = 5  # four neighbours + the ejection port
-_OPCODES = (Opcode.LOAD, Opcode.STORE, Opcode.LOCK, Opcode.UNLOCK)
+_OPCODES = (Opcode.LOAD, Opcode.STORE, Opcode.READEX, Opcode.STORE_COND_LOCKED)
 
 
 def _standalone_router(
@@ -353,7 +354,7 @@ def _router_schedules(draw, vcs):
             st.integers(0, n_in - 1),  # input VC it arrives on
             st.integers(0, 8),  # destination endpoint
             st.sampled_from(_OPCODES),
-            st.integers(1, 6),  # beats (STORE only: 1 + ceil(beats / 2) flits)
+            st.integers(1, 6),  # beats (writes only: 1 + ceil(beats / 2) flits)
             st.integers(0, 2),  # source master
             st.integers(0, 1),  # priority
         ),
@@ -391,7 +392,7 @@ def _drive_twins(flavour, schedule, trace_on, digest=None, **knobs):
     ]
     pending = [[] for _ in range(_IN_PORTS * vcs)]
     for index, dest, opcode, beats, src, priority in packets:
-        store = opcode is Opcode.STORE
+        store = opcode.is_write
         packet = request(
             dest, src, opcode=opcode, beats=beats if store else 1,
             payload=[0] * beats if store else None, priority=priority,
@@ -471,7 +472,7 @@ class TestSoloTickMatchesReference:
         sim, router, inputs, _ = _standalone_router(
             flavour, [2], trace_on=True, fast=True
         )
-        lock = request(4, 1, opcode=Opcode.LOCK)
+        lock = request(4, 1, opcode=Opcode.READEX)
         (flit,) = Packetizer(64).segment(lock)
         inputs[0].push(flit)
         sim.run(2)
@@ -505,8 +506,8 @@ def _pinned_schedule(seed, vcs):
         index, dest, src = rng.randrange(n_in), rng.randrange(9), rng.randrange(3)
         opcode = rng.choice(_OPCODES[:2] * 4 + _OPCODES[2:3])
         packets.append((index, dest, opcode, rng.randint(1, 6), src, rng.randrange(2)))
-        if opcode is Opcode.LOCK:  # its UNLOCK follows on the same input
-            packets.append((index, dest, Opcode.UNLOCK, 1, src, 0))
+        if opcode is Opcode.READEX:  # its locked store follows on the same input
+            packets.append((index, dest, Opcode.STORE_COND_LOCKED, 1, src, 0))
     cycles = [(rng.getrandbits(n_in), rng.getrandbits(n_out)) for _ in range(70)]
     capacities = [rng.randint(1, 4) for _ in range(3)]
     return packets, cycles, capacities
@@ -519,26 +520,29 @@ def _pinned_schedule(seed, vcs):
 #: phases; re-taken when the fault state left the router, and again
 #: when ``lock_stalls_by_output`` and ``output_busy_cycles`` left its
 #: snapshot, each time after the schedules hashed without the dropped
-#: fields had matched the new digests exactly.
+#: fields had matched the new digests exactly.  Re-taken once more when
+#: the schedule's lock pair became READEX / STORE_COND_LOCKED (the bare
+#: LOCK / UNLOCK opcodes were deleted): computed on the tree before the
+#: deletion, where that pair already set and cleared locks.
 PINNED_ROUTER_DIGESTS = {
-    "adaptive-escape/STORE_AND_FORWARD/age": "dc5615d4409dcc49",
-    "adaptive-escape/STORE_AND_FORWARD/priority": "54068d0a94b7655d",
-    "adaptive-escape/VIRTUAL_CUT_THROUGH/age": "c0d3cd3ca8d3a63b",
-    "adaptive-escape/VIRTUAL_CUT_THROUGH/priority": "7e390aac4830ec0e",
-    "adaptive-escape/WORMHOLE/age": "fc52fe5d913e2060",
-    "adaptive-escape/WORMHOLE/priority": "08d5725f7bbdc621",
-    "dateline/STORE_AND_FORWARD/age": "333f072d0a10371d",
-    "dateline/STORE_AND_FORWARD/priority": "89c8c00e430087de",
-    "dateline/VIRTUAL_CUT_THROUGH/age": "c5c730e3668c6b78",
-    "dateline/VIRTUAL_CUT_THROUGH/priority": "2cae57c07d3614b5",
-    "dateline/WORMHOLE/age": "101f24fed3551d18",
-    "dateline/WORMHOLE/priority": "a9fa3c269eb83ea4",
-    "single-vc/STORE_AND_FORWARD/age": "434622d36e51405e",
-    "single-vc/STORE_AND_FORWARD/priority": "431b552e18a91603",
-    "single-vc/VIRTUAL_CUT_THROUGH/age": "7d0bc7a7f7368edf",
-    "single-vc/VIRTUAL_CUT_THROUGH/priority": "19a3aa945b6238a3",
-    "single-vc/WORMHOLE/age": "57e9d442d25d89c6",
-    "single-vc/WORMHOLE/priority": "d1d72884c8496be4",
+    "adaptive-escape/STORE_AND_FORWARD/age": "bde8ec83175e8757",
+    "adaptive-escape/STORE_AND_FORWARD/priority": "2ca27603c43c8753",
+    "adaptive-escape/VIRTUAL_CUT_THROUGH/age": "083c52648444c051",
+    "adaptive-escape/VIRTUAL_CUT_THROUGH/priority": "b67ac5931f7a8b4a",
+    "adaptive-escape/WORMHOLE/age": "6c6e26061f230e28",
+    "adaptive-escape/WORMHOLE/priority": "d2bc252fc95a246d",
+    "dateline/STORE_AND_FORWARD/age": "463f537339a00905",
+    "dateline/STORE_AND_FORWARD/priority": "3882356cb36afecb",
+    "dateline/VIRTUAL_CUT_THROUGH/age": "44028634b605fc1a",
+    "dateline/VIRTUAL_CUT_THROUGH/priority": "49ed0e7622d6ded8",
+    "dateline/WORMHOLE/age": "3e1f32968a718c2a",
+    "dateline/WORMHOLE/priority": "d71887f70030639d",
+    "single-vc/STORE_AND_FORWARD/age": "8ba4f09bb11a0da2",
+    "single-vc/STORE_AND_FORWARD/priority": "c60d726bf9f0b8a0",
+    "single-vc/VIRTUAL_CUT_THROUGH/age": "9e389d91f03b06b2",
+    "single-vc/VIRTUAL_CUT_THROUGH/priority": "be808876eb6e613c",
+    "single-vc/WORMHOLE/age": "7dddf0a4a6900501",
+    "single-vc/WORMHOLE/priority": "6e7409df532d0160",
 }
 
 

@@ -682,7 +682,7 @@ REFUSALS = {
     "noc_vc_policy": (
         "Network.vc_policy", lambda: noc(vcs=2, vc_policy="nope"),
         "soc.req: vc_policy must be a VcPolicy or one of ['dateline', 'escape', "
-        "'keep', 'priority'], got 'nope'",
+        "'keep'], got 'nope'",
     ),
     "noc_adaptive_vc_policy": (
         "Network.adaptive_vc_policy",
@@ -865,7 +865,6 @@ UNNAMED_EXEMPT = {
     "src/repro/transport/topology.py::hop_distance": "the routing tests check every table's hop count against it",
     "src/repro/transport/topology.py::diameter": "the routing tests check the BFS distances against it",
     "src/repro/transport/topology.py::single_router": "test fixture: the one-router crossbar the lock and routing tests build",
-    "src/repro/workloads/streams.py::stream_pair": "the producer/consumer credit-loop generator repro.workloads exports; the stream tests drive it",
 }
 
 

@@ -21,8 +21,6 @@ OPCODE_FAMILIES = {
     Opcode.STORE_POSTED: (True, False, False, False),
     Opcode.READEX: (False, True, True, True),
     Opcode.STORE_COND_LOCKED: (True, False, True, True),
-    Opcode.LOCK: (False, False, True, True),
-    Opcode.UNLOCK: (False, False, True, True),
 }
 
 #: Every response status's ``is_error``.
@@ -58,12 +56,7 @@ class TestOpcode:
 
     def test_locking_family(self):
         locking = {o for o in Opcode if o.is_locking}
-        assert locking == {
-            Opcode.READEX,
-            Opcode.STORE_COND_LOCKED,
-            Opcode.LOCK,
-            Opcode.UNLOCK,
-        }
+        assert locking == {Opcode.READEX, Opcode.STORE_COND_LOCKED}
 
 
 class TestBurst:

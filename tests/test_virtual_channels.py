@@ -9,6 +9,7 @@ makes ring/torus wormhole fabrics deadlock-free with 2 VCs.
 
 import pytest
 
+from differential import link_in_flight
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
 from repro.phys.link import LinkSpec, VcPhysicalLink
@@ -18,7 +19,6 @@ from repro.transport.flit import Flit
 from repro.transport.network import BufferSizingError, Fabric, Network
 from repro.transport.routing import (
     DatelineVcPolicy,
-    PriorityVcPolicy,
     RoutingError,
     VcPolicy,
     compute_tables,
@@ -166,7 +166,6 @@ class TestDatelinePolicyUnit:
     def test_factory(self):
         assert isinstance(make_vc_policy(None), VcPolicy)
         assert isinstance(make_vc_policy("dateline"), DatelineVcPolicy)
-        assert isinstance(make_vc_policy("priority"), PriorityVcPolicy)
         policy = DatelineVcPolicy()
         assert make_vc_policy(policy) is policy
         with pytest.raises(KeyError):
@@ -176,6 +175,16 @@ class TestDatelinePolicyUnit:
 # ---------------------------------------------------------------------- #
 # QoS isolation: per-VC buffers defeat head-of-line blocking
 # ---------------------------------------------------------------------- #
+class _PriorityClassVcs(VcPolicy):
+    """Priority ``p`` rides VC ``min(p, vcs - 1)`` end to end.  No
+    workload selects such a policy, so the library ships none; the plane
+    takes any ``VcPolicy`` instance, and this one is enough to show that
+    per-VC buffers, not the policy, defeat head-of-line blocking."""
+
+    def injection_vc(self, packet, vcs):
+        return min(packet.priority, vcs - 1)
+
+
 class TestQosIsolation:
     def _hol_scenario(self, vcs, policy):
         """Two flows share the single channel between two routers:
@@ -204,7 +213,7 @@ class TestQosIsolation:
         assert self._hol_scenario(1, None) == []
 
     def test_priority_vc_overtakes(self):
-        assert self._hol_scenario(2, "priority") == [99]
+        assert self._hol_scenario(2, _PriorityClassVcs()) == [99]
 
 
 # ---------------------------------------------------------------------- #
@@ -261,7 +270,7 @@ class TestVcPhysicalLink:
         credit = link.credits[0]
         assert credit._available == credit.capacity
         assert credit.total_consumed == credit.total_returned == 4
-        assert link.next_event_cycle(sim.cycle) is None and link.in_flight == 0
+        assert link.next_event_cycle(sim.cycle) is None and not link_in_flight(link)
         assert link.flits_per_vc[0] == 4 and link.phits_carried == 8
 
     def test_serialized_vc_ring_delivers_and_drains(self):
@@ -423,8 +432,8 @@ class TestLockStallCounting:
         net = Network(sim, topo.single_router(4))
         router = next(iter(net.routers.values()))
         # Master 0 locks the paths to endpoints 2 and 3.
-        net.inject(0, request(2, 0, opcode=Opcode.LOCK, txn_id=1))
-        net.inject(0, request(3, 0, opcode=Opcode.LOCK, txn_id=2))
+        net.inject(0, request(2, 0, opcode=Opcode.READEX, txn_id=1))
+        net.inject(0, request(3, 0, opcode=Opcode.READEX, txn_id=2))
         pump_all(sim, net, [2, 3], 2, max_cycles=500)
         assert set(router.locked_outputs()) == {"local:2", "local:3"}
         # Two other masters stall on the two locked ports simultaneously.
@@ -439,13 +448,14 @@ class TestLockStallCounting:
     def test_locks_still_enforced_with_vcs(self):
         sim = Simulator()
         net = Network(sim, topo.single_router(3), vcs=2)
-        net.inject(0, request(2, 0, opcode=Opcode.LOCK, txn_id=1))
+        net.inject(0, request(2, 0, opcode=Opcode.READEX, txn_id=1))
         got = pump_all(sim, net, [2], 1, max_cycles=500)
         assert got[0].txn_id == 1
         net.inject(1, request(2, 1, txn_id=2))
         sim.run(50)
         assert not net.ejected(2)
         assert net.total_lock_stall_cycles() > 0
-        net.inject(0, request(2, 0, opcode=Opcode.UNLOCK, txn_id=3))
+        net.inject(0, request(2, 0, opcode=Opcode.STORE_COND_LOCKED,
+                              payload=[0], txn_id=3))
         got = pump_all(sim, net, [2], 2, max_cycles=500)
         assert sorted(p.txn_id for p in got) == [2, 3]

@@ -32,8 +32,8 @@ from repro.workloads import (
     DmaEngine,
     DmaProgramError,
     StreamChannel,
-    stream_pair,
 )
+from repro.workloads.scenarios import stream_pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -255,31 +255,38 @@ class TestDmaEngine:
 
 
 # --------------------------------------------------------------------- #
-# streams + collectives
+# streams
 # --------------------------------------------------------------------- #
 class TestStreams:
     def test_credit_backpressure_bounds_producer_lead(self):
-        depth, total = 3, 12
-        engines, channels = stream_pair(
-            "prod", "cons", buffer_base=0, total_bursts=total, depth=depth
-        )
-        soc = _dma_soc(engines)
+        """Every hop of the ``stream_pipeline`` scenario (two pipelines
+        of four stages) is a credit loop of depth 4 over 24 bursts."""
+        depth, total = 4, 24
+        soc = stream_pipeline.build()
         soc.run_to_completion()
-        prod, cons = engines["prod"], engines["cons"]
-        assert prod.done() and cons.done()
-        assert channels["data"].total() == total
-        # Burst b of the producer needs b+1 credit tokens: the initial
-        # `depth` preload plus one per completed consumer read — so the
-        # producer can never run more than `depth` bursts ahead.
-        cons_complete = {
-            burst: cycle for desc, burst, cycle in cons.complete_log
-        }
-        lead_limited = 0
-        for desc, burst, cycle in prod.issue_log:
-            if burst >= depth:
-                assert cons_complete[burst - depth] < cycle
-                lead_limited += 1
-        assert lead_limited == total - depth
+        engines = {name: master.traffic for name, master in soc.masters.items()}
+        for pipe in range(2):
+            for hop in range(3):
+                prod = engines[f"p{pipe}s{hop}"]
+                cons = engines[f"p{pipe}s{hop + 1}"]
+                write = len(prod.program) - 1  # the stage's store descriptor
+                assert prod.done() and cons.done()
+                (data,) = prod.program[write].signal
+                assert data.total() == total
+                # Burst b of the producer needs b+1 credit tokens: the
+                # initial `depth` preload plus one per completed consumer
+                # read — so the producer can never run more than `depth`
+                # bursts ahead.
+                cons_complete = {
+                    burst: cycle for desc, burst, cycle in cons.complete_log
+                    if desc == 0  # the stage's fetch descriptor
+                }
+                lead_limited = 0
+                for desc, burst, cycle in prod.issue_log:
+                    if desc == write and burst >= depth:
+                        assert cons_complete[burst - depth] < cycle
+                        lead_limited += 1
+                assert lead_limited == total - depth
 
 
 # --------------------------------------------------------------------- #
