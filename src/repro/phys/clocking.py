@@ -7,6 +7,11 @@ strict) then tick it only on that domain's edges, with kernel cycle
 numbers.  This is what :class:`~repro.soc.builder.SocBuilder` uses for
 its ``clock_domains=`` / per-spec ``region=`` knobs.
 
+A :class:`ClockDomain` is a build-time record: a name, a divisor and a
+phase, validated once.  Nothing asks it about edges while the simulation
+runs — the kernel and the physical links copy its divisor and phase into
+plain integers and test ``cycle % divisor == phase`` themselves.
+
 This models GALS-style NoCs where the switch fabric runs faster than
 attached IP — a physical-layer concern that, per the paper, must not
 leak upward.
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ClockDomain:
-    """A named clock running at ``1/divisor`` of the kernel clock."""
+    """A named clock running at ``1/divisor`` of the kernel clock, with
+    edges on the kernel cycles where ``cycle % divisor == phase``."""
 
     name: str
     divisor: int = 1
@@ -30,15 +36,6 @@ class ClockDomain:
             raise ValueError(f"clock {self.name!r}: divisor must be >= 1")
         if not 0 <= self.phase < self.divisor:
             raise ValueError(f"clock {self.name!r}: phase out of range")
-
-    def active(self, kernel_cycle: int) -> bool:
-        """Does this domain have a clock edge at ``kernel_cycle``?"""
-        return kernel_cycle % self.divisor == self.phase
-
-    def next_edge(self, kernel_cycle: int) -> int:
-        """First clock edge at or after ``kernel_cycle`` — what the
-        event-wheel kernel aligns a component's next event to."""
-        return kernel_cycle + (self.phase - kernel_cycle) % self.divisor
 
 
 def make_clock_domain(name: str, value) -> ClockDomain:

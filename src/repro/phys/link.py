@@ -27,7 +27,6 @@ from repro.sim.component import Component
 from repro.sim.queue import SimQueue
 from repro.sim.snapshot import Snapshottable
 from repro.transport.flit import Flit
-from repro.transport.flow_control import CreditCounter
 
 
 def phits_per_flit(flit_bits: int, phit_bits: int) -> int:
@@ -91,14 +90,6 @@ def _domain_name(domain) -> Optional[str]:
     return None if domain is None else domain.name
 
 
-def _edge_at_or_after(domain, cycle: int) -> int:
-    """First clock edge of ``domain`` at or after ``cycle`` (``None`` =
-    the kernel reference clock, which has an edge every cycle)."""
-    if domain is None:
-        return cycle
-    return domain.next_edge(cycle)
-
-
 def domains_cross(producer_domain, consumer_domain) -> bool:
     """True when two link ends are asynchronous to each other.
 
@@ -159,8 +150,6 @@ class PhysicalLink(Component, Snapshottable):
         self.flit_bits = flit_bits
         self.phit_bits = phit_bits
         self.pipeline_latency = pipeline_latency
-        self.producer_domain = producer_domain
-        self.consumer_domain = consumer_domain
         self.sync_stages = sync_stages
         # Asynchronous ends (see domains_cross): every flit takes the
         # synchronizer.
@@ -181,13 +170,13 @@ class PhysicalLink(Component, Snapshottable):
         self._max_in_flight = pipeline_latency + 1 + (
             sync_stages if self.crosses_domains else 0
         )
-        # Integer clock gates (divisor/phase) so the per-tick edge tests
-        # are two arithmetic compares instead of method calls.
+        # Integer clock gates: a side has an edge where cycle % div == pha,
+        # and its first edge at or after a cycle is cycle + (pha - cycle) %
+        # div, the kernel's own alignment.
         self._pdiv = 1 if producer_domain is None else producer_domain.divisor
         self._ppha = 0 if producer_domain is None else producer_domain.phase
         self._cdiv = 1 if consumer_domain is None else consumer_domain.divisor
         self._cpha = 0 if consumer_domain is None else consumer_domain.phase
-        self.flits_carried = 0
         self.phits_carried = 0
         upstream.wake_on_push(self)
 
@@ -219,29 +208,31 @@ class PhysicalLink(Component, Snapshottable):
         idle-but-fed producer its next edge; a fully empty link is
         dormant (an upstream push-wake re-arms it).
         """
-        producer = self.producer_domain
-        consumer = self.consumer_domain
+        pdiv, ppha = self._pdiv, self._ppha
+        cdiv, cpha = self._cdiv, self._cpha
         best = None
         shifting = self._shifting
         if shifting is not None:
-            best = self._shift_edge + shifting[1] * self._pdiv
+            best = self._shift_edge + shifting[1] * pdiv
             if best < now:  # defensive: never propose the past
-                best = _edge_at_or_after(producer, now)
+                best = now + (ppha - now) % pdiv
         elif self.upstream._committed and self.in_flight < self._max_in_flight:
-            best = _edge_at_or_after(producer, now)
+            best = now + (ppha - now) % pdiv
         if self._deliver:
-            event = _edge_at_or_after(consumer, now)
+            event = now + (cpha - now) % cdiv
             if best is None or event < best:
                 best = event
         if self._crossing:
-            event = self._cross_edge + self._crossing[0][0] * self._cdiv
+            event = self._cross_edge + self._crossing[0][0] * cdiv
             if event < now:
-                event = _edge_at_or_after(consumer, now)
+                event = now + (cpha - now) % cdiv
             if best is None or event < best:
                 best = event
         if self._pipe:
             ready = self._pipe[0][0]
-            event = _edge_at_or_after(consumer, ready if ready > now else now)
+            if ready < now:
+                ready = now
+            event = ready + (cpha - ready) % cdiv
             if best is None or event < best:
                 best = event
         return best
@@ -276,7 +267,6 @@ class PhysicalLink(Component, Snapshottable):
                 # Deliver synchronized flits while downstream has room.
                 while self._deliver and self.downstream.can_push():
                     self.downstream.push(self._deliver.pop(0))
-                    self.flits_carried += 1
             elif self._pipe:
                 # Same-domain link: deliver flits whose pipeline matured.
                 while self._pipe and self._pipe[0][0] <= cycle:
@@ -284,7 +274,6 @@ class PhysicalLink(Component, Snapshottable):
                         break
                     __, flit = self._pipe.pop(0)
                     self.downstream.push(flit)
-                    self.flits_carried += 1
 
         pdiv = self._pdiv
         if pdiv != 1 and cycle % pdiv != self._ppha:
@@ -333,9 +322,9 @@ class PhysicalLink(Component, Snapshottable):
         "_deliver",
         "_shift_edge",
         "_cross_edge",
-        "flits_carried",
         "phits_carried",
     )
+    snapshot_version = 2
 
 
 class VcPhysicalLink(Component, Snapshottable):
@@ -346,14 +335,14 @@ class VcPhysicalLink(Component, Snapshottable):
     ``downstreams[v]`` are the per-VC staging queues; the link serializes
     one flit at a time over the shared ``phit_bits`` bundle, choosing the
     next VC round-robin among those with a flit staged *and* a credit
-    available.  Credits are per VC (:class:`CreditCounter`, capacity =
-    the downstream buffer depth): a credit is consumed when a flit
-    leaves the upstream queue and returned — ``credit_return_latency``
-    producer edges later — when the downstream buffer drains, so a
-    blocked VC stalls only itself while the wires keep carrying the
-    other VCs.  Because every in-flight flit holds a credit, delivery
-    can never find its downstream buffer full; flits therefore never
-    reorder *within* a VC, while VCs interleave freely on the wires.
+    available.  Credits are per-VC integers, one per slot of the
+    downstream buffer: a credit is taken when a flit leaves the upstream
+    queue, and a slot the downstream consumer drains is given back on
+    the next producer edge and usable on the one after, so a blocked VC
+    stalls only itself while the wires keep carrying the other VCs.
+    Because every in-flight flit holds a credit, delivery can never find
+    its downstream buffer full; flits therefore never reorder *within* a
+    VC, while VCs interleave freely on the wires.
 
     Pipelining and CDC behave as in :class:`PhysicalLink`: serialization
     advances on producer edges, delivery on consumer edges, and when the
@@ -361,9 +350,9 @@ class VcPhysicalLink(Component, Snapshottable):
     ``sync_stages`` consumer edges through the synchronizer.
 
     Activity contract: the link wakes on any upstream push, and it is
-    dormant only when nothing is staged, in flight, *or awaiting credit
-    maturation* — credit bookkeeping advances in :meth:`tick`, so the
-    link must stay scheduled until every counter is full again or the
+    dormant only when nothing is staged, in flight, *or awaiting a
+    credit* — the credit loop advances in :meth:`tick`, so the link must
+    stay scheduled until every VC holds all its credits again or the
     strict and activity kernels would disagree.  That same rule keeps
     it scheduled while any delivered flit is still buffered downstream
     (its credit is out), so a downstream pop needs no wake.
@@ -380,7 +369,6 @@ class VcPhysicalLink(Component, Snapshottable):
         producer_domain=None,
         consumer_domain=None,
         sync_stages: int = 2,
-        credit_return_latency: int = 1,
     ) -> None:
         super().__init__(name)
         if len(upstreams) != len(downstreams) or not upstreams:
@@ -392,32 +380,35 @@ class VcPhysicalLink(Component, Snapshottable):
         self.vcs = len(upstreams)
         self.upstreams = list(upstreams)
         self.downstreams = list(downstreams)
-        self.flit_bits = flit_bits
-        self.phit_bits = phit_bits
         self.pipeline_latency = pipeline_latency
-        self.producer_domain = producer_domain
-        self.consumer_domain = consumer_domain
         self.sync_stages = sync_stages
         self.crosses_domains = domains_cross(producer_domain, consumer_domain)
         self.serialization = phits_per_flit(flit_bits, phit_bits)
-        self.credits: List[CreditCounter] = []
         for vc, queue in enumerate(self.downstreams):
             if queue.capacity is None:
                 raise ValueError(
                     f"{name}: VC {vc} delivery queue must be bounded "
                     f"(credits track its depth)"
                 )
-            self.credits.append(
-                CreditCounter(queue.capacity, credit_return_latency)
-            )
+        # Per VC: credits usable now, credits given back on the last
+        # producer edge (usable on the next), and the downstream depth.
+        self._capacities = [queue.capacity for queue in self.downstreams]
+        self._credits = list(self._capacities)
+        self._returning = [0] * self.vcs
         self._shifting: Optional[Tuple[int, Flit, int]] = None  # (vc, flit, left)
         self._pipe: List[Tuple[int, int, Flit]] = []  # (ready, vc, flit)
         self._crossing: List[List] = []  # [edges left, vc, flit]
         self._in_flight_vc = [0] * self.vcs
         self._next_vc = 0
-        self.flits_carried = 0
         self.phits_carried = 0
-        self.flits_per_vc = [0] * self.vcs
+        # Integer clock gates (divisor/phase), as in PhysicalLink.  The link
+        # keeps neither its ClockDomain objects nor its flit and phit widths:
+        # at 30 instance attributes CPython 3.11 stops sharing dict keys, and
+        # the 256-router fabric's 1,920 links then held 2.1 MB more per build.
+        self._pdiv = 1 if producer_domain is None else producer_domain.divisor
+        self._ppha = 0 if producer_domain is None else producer_domain.phase
+        self._cdiv = 1 if consumer_domain is None else consumer_domain.divisor
+        self._cpha = 0 if consumer_domain is None else consumer_domain.phase
         for queue in self.upstreams:
             queue.wake_on_push(self)
 
@@ -426,26 +417,25 @@ class VcPhysicalLink(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     def next_event_cycle(self, now: int):
         """Like :meth:`PhysicalLink.next_event_cycle`, with one extra
-        producer-side clause: credit bookkeeping (maturation and the
-        drain-driven give-back) advances on every producer edge while any
-        counter is below capacity, so those edges stay unskippable until
-        the credit loop is whole again."""
-        producer = self.producer_domain
-        consumer = self.consumer_domain
+        producer-side clause: the credit loop advances on every producer
+        edge while any VC is short of credits, so those edges stay
+        unskippable until every VC holds all its credits again."""
         best = None
         if (
             self._shifting is not None
             or any(queue._committed for queue in self.upstreams)
-            or any(c._available != c.capacity for c in self.credits)
+            or self._credits != self._capacities
         ):
-            best = _edge_at_or_after(producer, now)
+            best = now + (self._ppha - now) % self._pdiv
         if self.crosses_domains and self._crossing:
-            event = _edge_at_or_after(consumer, now)
+            event = now + (self._cpha - now) % self._cdiv
             if best is None or event < best:
                 best = event
         elif self._pipe:
             ready = self._pipe[0][0]
-            event = _edge_at_or_after(consumer, ready if ready > now else now)
+            if ready < now:
+                ready = now
+            event = ready + (self._cpha - ready) % self._cdiv
             if best is None or event < best:
                 best = event
         return best
@@ -457,15 +447,10 @@ class VcPhysicalLink(Component, Snapshottable):
         # A held credit guarantees the downstream buffer has room.
         self.downstreams[vc].push(flit)
         self._in_flight_vc[vc] -= 1
-        self.flits_carried += 1
-        self.flits_per_vc[vc] += 1
 
     def tick(self, cycle: int) -> None:
-        producer = self.producer_domain
-        consumer = self.consumer_domain
-        on_consumer = consumer is None or consumer.active(cycle)
-
-        if on_consumer:
+        cdiv = self._cdiv
+        if cdiv == 1 or cycle % cdiv == self._cpha:
             if self.crosses_domains:
                 if self._crossing:
                     for entry in self._crossing:
@@ -481,18 +466,20 @@ class VcPhysicalLink(Component, Snapshottable):
                     __, vc, flit = self._pipe.pop(0)
                     self._deliver(vc, flit)
 
-        if producer is not None and not producer.active(cycle):
+        pdiv = self._pdiv
+        if pdiv != 1 and cycle % pdiv != self._ppha:
             return
 
-        # Sender-side credit loop: mature in-flight returns, then return
-        # credits for flits the downstream consumer has drained since the
-        # last producer edge (CreditCounter.step: everything outstanding
-        # that is neither on our wires, buffered downstream nor already
-        # travelling back).
-        in_flight_vc = self._in_flight_vc
-        downstreams = self.downstreams
-        for vc, credit in enumerate(self.credits):
-            credit.step(in_flight_vc[vc] + downstreams[vc]._occ)
+        # Sender-side credit loop: last edge's returns become usable, and
+        # each slot the downstream consumer drained since starts back.
+        credits, capacities = self._credits, self._capacities
+        if credits != capacities:
+            returning, in_flight = self._returning, self._in_flight_vc
+            for vc, queue in enumerate(self.downstreams):
+                available = credits[vc] + returning[vc]
+                freed = capacities[vc] - available - in_flight[vc] - queue._occ
+                returning[vc] = freed if freed > 0 else 0
+                credits[vc] = available
 
         # Shift phits of the flit currently on the wires.
         if self._shifting is not None:
@@ -508,14 +495,13 @@ class VcPhysicalLink(Component, Snapshottable):
                 self._shifting = (vc, flit, remaining)
             return
 
-        # Start serializing the next flit: round-robin over VCs with a
-        # flit staged and a credit in hand, so one blocked VC never
-        # claims the wires.
+        # Start serializing the next flit: round-robin over VCs with a flit
+        # staged and a credit in hand, so one blocked VC never claims the wires.
         for offset in range(self.vcs):
             vc = (self._next_vc + offset) % self.vcs
-            if self.upstreams[vc] and self.credits[vc].can_send():
+            if self.upstreams[vc] and credits[vc]:
                 flit = self.upstreams[vc].pop()
-                self.credits[vc].consume()
+                credits[vc] -= 1
                 self._in_flight_vc[vc] += 1
                 self._shifting = (vc, flit, self.serialization)
                 self._next_vc = (vc + 1) % self.vcs
@@ -525,22 +511,13 @@ class VcPhysicalLink(Component, Snapshottable):
     # state capture
     # ------------------------------------------------------------------ #
     _snapshot_fields = (
+        "_credits",
+        "_returning",
         "_shifting",
         "_pipe",
         "_crossing",
         "_in_flight_vc",
         "_next_vc",
-        "flits_carried",
         "phits_carried",
-        "flits_per_vc",
     )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["credits"] = [c.snapshot() for c in self.credits]
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        for credit, envelope in zip(self.credits, state["credits"]):
-            credit.restore(envelope)
+    snapshot_version = 2

@@ -9,8 +9,9 @@ results independent of the order components are ticked in.
 Capacity accounting covers committed **plus** staged items, which models
 credit-based flow control with a credit-return latency of zero: the
 producer may only push when the consumer's buffer has a free slot this
-cycle.  Explicit multi-cycle credit loops are modelled at the transport
-layer on top of this primitive.
+cycle.  The multi-cycle credit loop of a virtual-channel link is modelled
+on top of this primitive, as per-VC integers in the physical layer's
+:class:`~repro.phys.link.VcPhysicalLink`.
 
 Activity contract
 -----------------

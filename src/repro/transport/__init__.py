@@ -6,10 +6,14 @@ this package sees only flits and packet headers (destination, source,
 priority, the LOCK marker, the virtual channel) — never transaction
 semantics.  The single, deliberate exception is the legacy LOCK family,
 which the paper itself concedes "impacts transport level".
+
+Link-level flow control is not part of this package: a shared queue's
+capacity is the ideal zero-latency credit, and the credit loop of a
+link that owns wires and clocks lives with that link in the physical
+layer (:class:`~repro.phys.link.VcPhysicalLink`).
 """
 
 from repro.transport.flit import Flit, Packetizer, Reassembler
-from repro.transport.flow_control import CreditCounter
 from repro.transport.network import BufferSizingError, Fabric, Network
 from repro.transport.qos import AgeArbiter, Arbiter, PriorityArbiter, RoundRobinArbiter
 from repro.transport.router import Router
@@ -32,7 +36,6 @@ __all__ = [
     "AgeArbiter",
     "Arbiter",
     "BufferSizingError",
-    "CreditCounter",
     "DatelineVcPolicy",
     "EscapeVcPolicy",
     "Fabric",

@@ -1,8 +1,7 @@
 """A FIFO holds only its items: every bounded buffer a built SoC owns —
-queue, credit return loop, link pipeline, memory pipeline — is a plain
-list (56 bytes empty on CPython 3.11, where a ``collections.deque``
-allocates a 760-byte block up front), and a checkpoint restores each one
-in place."""
+queue, link pipeline, memory pipeline — is a plain list (56 bytes empty
+on CPython 3.11, where a ``collections.deque`` allocates a 760-byte
+block up front), and a checkpoint restores each one in place."""
 
 from collections import deque
 
@@ -17,12 +16,10 @@ from repro.sim.queue import SimQueue
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
 from repro.transport import topology as topo
-from repro.transport.flow_control import CreditCounter
 
 #: The FIFOs on the stepping path, by owner class.
 FIFOS = {
     SimQueue: ("_committed",),
-    CreditCounter: ("_in_flight",),
     PhysicalLink: ("_pipe", "_crossing", "_deliver"),
     VcPhysicalLink: ("_pipe", "_crossing"),
     MemoryDevice: ("_pipeline",),
@@ -30,11 +27,9 @@ FIFOS = {
 
 
 def owned_objects(soc):
-    """The kernel, its tracer, every component, queue and credit counter."""
+    """The kernel, its tracer, every component and queue."""
     sim = soc.sim
-    components = sim.components
-    credits = [c for link in components for c in getattr(link, "credits", ())]
-    return [sim, sim.trace, *components, *sim._queues, *credits]
+    return [sim, sim.trace, *sim.components, *sim._queues]
 
 
 def attributes(obj):
@@ -89,7 +84,7 @@ def test_the_walk_sees_a_deque():
 
 def vc_torus_soc():
     """3x3 DOR/dateline torus, 2 VCs over narrow pipelined links: every
-    router link is a VcPhysicalLink with one credit loop per VC."""
+    router link is a VcPhysicalLink."""
     reset_ids()
     builder = SocBuilder(
         topology=topo.torus(3, 3, endpoints=6), routing="dor", vcs=2,
@@ -109,7 +104,7 @@ def vc_torus_soc():
 
 
 @pytest.mark.parametrize("which, owners", [
-    ("vc_torus", {"SimQueue", "CreditCounter", "VcPhysicalLink", "MemoryDevice"}),
+    ("vc_torus", {"SimQueue", "VcPhysicalLink", "MemoryDevice"}),
     ("gals_links", {"SimQueue", "PhysicalLink", "MemoryDevice"}),
 ])
 def test_restore_into_the_same_soc_refills_each_fifo_in_place(which, owners):

@@ -87,7 +87,7 @@ def test_gals_soc_drains_and_retires():
 
 def test_vc_gals_soc_drains_and_retires():
     """VC fabrics obey the wake protocol too: per-VC router state,
-    VC-multiplexed links and their credit counters all go quiet, and the
+    VC-multiplexed links and their per-VC credits all go quiet, and the
     drained SoC leaves the schedule (active_count == 0)."""
     soc = build("vc-dateline-gals")
     soc.run_to_completion(max_cycles=400_000)
@@ -95,8 +95,7 @@ def test_vc_gals_soc_drains_and_retires():
     assert soc.fabric.physical_links
     assert all(buffer_walk(plane) for plane in soc.fabric._planes)
     for link in soc.fabric.physical_links:
-        for credit in link.credits:
-            assert credit._available == credit.capacity
+        assert link._credits == link._capacities
     soc.run(16)
     assert soc.sim.active_count == 0
 

@@ -47,9 +47,8 @@ def test_mid_cdc_crossing_roundtrip():
 
 def test_parked_masters_and_returning_credits_roundtrip():
     """Cycle 500 of the saturated VC torus: masters parked on their own
-    outstanding limit (the captured ``_limit_blocked``) and credits in
-    the VC links' return loops (``CreditCounter._returning`` is derived
-    state, rebuilt on restore)."""
+    outstanding limit (the captured ``_limit_blocked``) and credits on
+    their way back to the VC links' senders (``_returning``)."""
 
     def probe(soc):
         parked = sorted(
@@ -57,8 +56,8 @@ def test_parked_masters_and_returning_credits_roundtrip():
             if master._limit_blocked and not master._scheduled
         )
         returning = [
-            credit.in_return_loop
-            for link in soc.fabric.physical_links for credit in link.credits
+            count
+            for link in soc.fabric.physical_links for count in link._returning
         ]
         return parked, returning, sum(returning)
 

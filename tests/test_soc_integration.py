@@ -860,7 +860,6 @@ UNNAMED_EXEMPT = {
     "src/repro/core/services.py::live_reservations": "the exclusive-access test checks every reservation is released",
     "src/repro/protocols/proprietary.py::make_fence": "the proprietary socket's FENCE intent; no workload sends one, the bus and master tests drive it",
     "src/repro/sim/kernel.py::active_count": "test fixture: the scheduler tests read how many components tick next",
-    "src/repro/transport/flow_control.py::in_return_loop": "test fixture: credits in flight, read by the flow-control, VC and snapshot tests",
     "src/repro/transport/router.py::locked_outputs": "the lock tests read a router's held outputs through it",
     "src/repro/transport/topology.py::hop_distance": "the routing tests check every table's hop count against it",
     "src/repro/transport/topology.py::diameter": "the routing tests check the BFS distances against it",
