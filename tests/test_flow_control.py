@@ -1,136 +1,155 @@
-"""Unit + property tests for the credit counter."""
+"""A VC link's credit loop, driven through a real link.
 
-import copy
+:class:`~repro.phys.link.VcPhysicalLink` keeps each VC's credits as
+integers: ``_credits`` (usable now), ``_returning`` (given back on the
+last producer edge, usable on the next) and ``_capacities`` (the
+downstream depth).  It used to hold one credit counter object per VC,
+with a return latency of one producer edge.  Hypothesis drives a real
+link with random upstream pushes and downstream pops, under both
+kernels, with and without slower clocks on either end.  One test checks
+that every credit of a VC is usable, returning, on the wires or
+buffered downstream; the other runs the link in lockstep with
+:class:`CreditOracle`, the counter's ``advance`` / ``outstanding`` /
+``in_return_loop`` / ``give_back`` sequence written out, and checks that
+the link's usable credits equal the oracle's at every producer edge.
+"""
 
-import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.transport.flow_control import CreditCounter
+from repro.phys.clocking import ClockDomain
+from repro.phys.link import VcPhysicalLink
+from repro.sim.kernel import Simulator
+from repro.transport.flit import Flit
 
-
-class TestBasics:
-    def test_initial_credits_equal_capacity(self):
-        c = CreditCounter(4)
-        assert c._available == 4
-        assert c.can_send(4)
-        assert not c.can_send(5)
-
-    def test_consume_and_immediate_return(self):
-        c = CreditCounter(2, return_latency=0)
-        c.consume(2)
-        assert c._available == 0
-        c.give_back()
-        assert c._available == 1
-
-    def test_delayed_return(self):
-        c = CreditCounter(2, return_latency=2)
-        c.consume(1)
-        c.give_back(1)
-        assert c._available == 1  # not yet matured
-        c.advance()
-        assert c._available == 1
-        c.advance()
-        assert c._available == 2
-
-    def test_underflow_rejected(self):
-        c = CreditCounter(1)
-        c.consume(1)
-        with pytest.raises(RuntimeError):
-            c.consume(1)
-
-    def test_overflow_rejected(self):
-        c = CreditCounter(1, return_latency=0)
-        with pytest.raises(RuntimeError):
-            c.give_back(1)
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            CreditCounter(0)
-        with pytest.raises(ValueError):
-            CreditCounter(1, return_latency=-1)
-        with pytest.raises(ValueError):
-            CreditCounter(1).give_back(0)
-
-    def test_outstanding_accounting(self):
-        c = CreditCounter(4, return_latency=3)
-        c.consume(3)
-        c.give_back(2)
-        assert c.outstanding == 3  # 1 held + 2 in the return loop
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=8),
-    latency=st.integers(min_value=0, max_value=4),
+LINK_RUNS = dict(
+    vcs=st.integers(min_value=1, max_value=3),
+    capacity=st.integers(min_value=1, max_value=4),
+    producer_divisor=st.sampled_from([None, 2]),
+    consumer_divisor=st.sampled_from([None, 2, 3]),
+    strict=st.booleans(),
     script=st.lists(
-        st.sampled_from(["send", "ret", "tick"]), min_size=1, max_size=200
+        st.tuples(st.integers(min_value=0, max_value=2), st.booleans(),
+                  st.booleans()),
+        min_size=1, max_size=150,
     ),
 )
-def test_property_credits_conserved(capacity, latency, script):
-    """available + outstanding == capacity at every step, and the sender
-    can never overrun the receiver buffer."""
-    c = CreditCounter(capacity, return_latency=latency)
-    receiver_occupancy = 0
-    for action in script:
-        if action == "send" and c.can_send():
-            c.consume()
-            receiver_occupancy += 1
-        elif action == "ret" and receiver_occupancy > 0:
-            receiver_occupancy -= 1
-            c.give_back()
-        elif action == "tick":
-            c.advance()
-        assert 0 <= c._available <= capacity
-        assert c._available + c.outstanding == capacity
-        assert receiver_occupancy <= capacity
-        assert c.in_return_loop == sum(count for _, count in c._in_flight)
+
+link_settings = settings(max_examples=80, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
 
 
-def scan_credit_step(credit, held):
-    """What VcPhysicalLink.tick ran per VC per producer edge before
-    CreditCounter.step existed, kept verbatim as the oracle (with the
-    old in_return_loop, a sum over the return loop, written out)."""
-    credit.advance()
-    in_return_loop = sum(count for _due, count in credit._in_flight)
-    freed = credit.outstanding - in_return_loop - held
-    if freed > 0:
-        credit.give_back(freed)
+class CreditOracle:
+    """One VC's credit counter as the link held it, at return latency 1."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.available = capacity
+        self.in_flight = []  # (due edge, count)
+        self.now = 0
+
+    def consume(self):
+        assert self.available > 0, "sent without a credit"
+        self.available -= 1
+
+    def advance(self):
+        self.now += 1
+        while self.in_flight and self.in_flight[0][0] <= self.now:
+            self.available += self.in_flight.pop(0)[1]
+
+    @property
+    def outstanding(self):
+        return self.capacity - self.available
+
+    @property
+    def in_return_loop(self):
+        return sum(count for _due, count in self.in_flight)
+
+    def give_back(self, count):
+        self.in_flight.append((self.now + 1, count))
+
+    def step(self, held):
+        """Once per producer edge: mature last edge's returns, then give
+        back every credit that is neither usable, returning nor ``held``
+        (on the wires or buffered downstream)."""
+        self.advance()
+        freed = self.outstanding - self.in_return_loop - held
+        if freed > 0:
+            self.give_back(freed)
+        assert self.available <= self.capacity, "credit overflow"
 
 
-@given(
-    capacity=st.integers(min_value=1, max_value=8),
-    latency=st.integers(min_value=0, max_value=4),
-    script=st.lists(
-        st.sampled_from(["send", "drain", "tick", "tick", "restore"]),
-        min_size=1, max_size=200,
-    ),
-)
-def test_property_step_matches_the_four_call_sequence(capacity, latency, script):
-    """The link-side usage: credits are consumed per flit sent, the
-    receiver only drains its buffer, and the sender derives the
-    give-back from occupancy once per cycle.  step(held) must leave
-    exactly the state the old advance / outstanding / in_return_loop /
-    give_back sequence did, through restores too (_returning is derived
-    state, rebuilt from the return loop)."""
-    oracle = CreditCounter(capacity, return_latency=latency)
-    c = CreditCounter(capacity, return_latency=latency)
-    held = 0  # flits on the wires or buffered downstream
-    for action in script:
-        if action == "send" and c.can_send():
-            oracle.consume()
-            c.consume()
-            held += 1
-        elif action == "drain" and held > 0:
-            held -= 1
-        elif action == "tick":
-            scan_credit_step(oracle, held)
-            c.step(held)
-        elif action == "restore":
-            envelope = copy.deepcopy(c.snapshot())
-            c = CreditCounter(capacity, return_latency=latency)
-            c.restore(envelope)
-        assert c.snapshot() == oracle.snapshot()
-        assert c.in_return_loop == sum(count for _, count in c._in_flight)
-        assert c.outstanding >= c.in_return_loop + held
-        if c._available == capacity:
-            assert c.in_return_loop == 0 and not c._in_flight  # step's early-out
+def _flit(vc, seq):
+    return Flit(packet_id=seq, seq=0, count=1, dest=0, src=0, priority=0,
+                lock_related=False, vc=vc)
+
+
+def _producer_edges(vcs, capacity, producer_divisor, consumer_divisor,
+                    strict, script):
+    """Build a link and play ``script`` on it; after each producer edge
+    yield the link, its delivery queues and the flits it sent per VC."""
+    sim = Simulator(strict=strict)
+    ups = [sim.new_queue(f"up{vc}", capacity=4) for vc in range(vcs)]
+    downs = [sim.new_queue(f"down{vc}", capacity=capacity) for vc in range(vcs)]
+    producer = None if producer_divisor is None else ClockDomain(
+        "fabric", producer_divisor)
+    consumer = None if consumer_divisor is None else ClockDomain(
+        "ip", consumer_divisor, consumer_divisor - 1)
+    link = sim.add(VcPhysicalLink(
+        "link", ups, downs, flit_bits=96, phit_bits=48,
+        producer_domain=producer, consumer_domain=consumer,
+    ))
+    edges = 0
+    for seq, (pick, push, pop) in enumerate(script):
+        vc = pick % vcs
+        if push and ups[vc].can_push():
+            ups[vc].push(_flit(vc, seq))
+        if pop and downs[vc]:
+            downs[vc].pop()
+        popped = [queue.total_popped for queue in ups]
+        cycle = sim.cycle
+        sim.step()
+        if producer_divisor is not None and cycle % producer_divisor:
+            continue  # not a producer edge: the credit loop did not run
+        edges += 1
+        sent = [queue.total_popped - before
+                for queue, before in zip(ups, popped)]
+        yield link, downs, sent
+    assert edges
+
+
+@link_settings
+@given(**LINK_RUNS)
+def test_property_credits_conserved(vcs, capacity, producer_divisor,
+                                    consumer_divisor, strict, script):
+    """Per VC, usable + returning + on the wires + buffered downstream
+    is the downstream depth at every producer edge, so the sender can
+    never overrun the receiver's buffer."""
+    for link, downs, _sent in _producer_edges(
+            vcs, capacity, producer_divisor, consumer_divisor, strict, script):
+        for v in range(vcs):
+            assert 0 <= link._credits[v] <= capacity
+            assert 0 <= link._returning[v]
+            assert downs[v]._occ <= capacity
+            assert (link._credits[v] + link._returning[v]
+                    + link._in_flight_vc[v] + downs[v]._occ == capacity)
+
+
+@link_settings
+@given(**LINK_RUNS)
+def test_property_step_matches_the_four_call_sequence(
+    vcs, capacity, producer_divisor, consumer_divisor, strict, script
+):
+    """The link's int credits equal what the counter's advance /
+    outstanding / in_return_loop / give_back sequence, then one consume
+    per flit sent, leaves at every producer edge."""
+    oracles = [CreditOracle(capacity) for _ in range(vcs)]
+    for link, downs, sent in _producer_edges(
+            vcs, capacity, producer_divisor, consumer_divisor, strict, script):
+        for v, oracle in enumerate(oracles):
+            # The tick sends after its credit loop: take the flit it sent
+            # back out of what the loop saw held.
+            oracle.step(link._in_flight_vc[v] - sent[v] + downs[v]._occ)
+            if sent[v]:
+                oracle.consume()
+        assert link._credits == [oracle.available for oracle in oracles]
