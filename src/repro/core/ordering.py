@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.sim.snapshot import Snapshottable
-
 
 class OrderingModel(enum.Enum):
     """The three socket ordering disciplines the layer must absorb."""
@@ -61,7 +59,7 @@ class _IssueRecord:
 
 
 @dataclass
-class OrderingChecker(Snapshottable):
+class OrderingChecker:
     """Scoreboard validating observed completion order per master.
 
     Usage: call :meth:`issue` when the master hands a transaction to its
@@ -93,17 +91,8 @@ class OrderingChecker(Snapshottable):
     )
     _issued: int = 0
 
-    # A version-1 envelope also held completed records and an open count.
-    snapshot_version = 2
     # _open_by_stream buckets alias the _IssueRecord objects in _records;
-    # the checkpoint layer's one pickle of the whole tree preserves that.
-    _snapshot_fields = (
-        "violations",
-        "_records",
-        "_open_by_stream",
-        "_issued",
-    )
-
+    # a checkpoint's one pickle keeps them one object each.
     def issue(self, txn_id: int, thread: int = 0, txn_tag: int = 0) -> None:
         if txn_id in self._records:
             raise KeyError(f"txn {txn_id} already open on {self.master!r}")
@@ -153,4 +142,3 @@ class OrderingChecker(Snapshottable):
     @property
     def issued(self) -> int:
         return self._issued
-

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.packet import UserBit
-from repro.sim.snapshot import Snapshottable
 
 #: The paper's single optional packet bit for exclusive accesses.
 EXCL_USER_BIT = UserBit(
@@ -73,7 +72,7 @@ class _Reservation:
 
 
 @dataclass
-class ExclusiveMonitor(Snapshottable):
+class ExclusiveMonitor:
     """Per-target exclusive-access reservation table (NIU state).
 
     Semantics follow AXI: an exclusive load establishes a reservation for
@@ -90,8 +89,6 @@ class ExclusiveMonitor(Snapshottable):
     grants: int = 0
     failures: int = 0
     evictions: int = 0
-
-    _snapshot_fields = ("_table", "grants", "failures", "evictions")
 
     def exclusive_load(
         self, initiator: int, address: int, span: int, cycle: int
@@ -149,7 +146,7 @@ class LockError(RuntimeError):
 
 
 @dataclass
-class LockManager(Snapshottable):
+class LockManager:
     """Target-side state for legacy blocking synchronization (READEX /
     STORE_COND_LOCKED).
 
@@ -163,10 +160,6 @@ class LockManager(Snapshottable):
 
     name: str = "lock-manager"
     holder: Optional[int] = None
-
-    # A version-1 envelope also held two counters and the waiter set.
-    snapshot_version = 2
-    _snapshot_fields = ("holder",)
 
     def may_proceed(self, initiator: int) -> bool:
         """Whether a request from ``initiator`` may access the target now."""

@@ -15,8 +15,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.sim.snapshot import SerialCounter
-
 
 class Opcode(enum.Enum):
     """Transaction-layer operation codes.
@@ -95,9 +93,36 @@ class ResponseStatus(enum.Enum):
         self.is_error = value in ("SLVERR", "DECERR")
 
 
-#: Global transaction-id stream.  A SerialCounter (not itertools.count)
-#: so checkpoints can capture and restore it — a restored run must hand
-#: out exactly the ids the uninterrupted run would have.
+class SerialCounter:
+    """A drop-in for ``itertools.count()`` that can be read.
+
+    The global transaction/packet id streams travel with a checkpoint (a
+    restored run must hand out exactly the ids the uninterrupted run
+    would), and ``itertools.count`` cannot be queried — this can.
+    """
+
+    __slots__ = ("_next_value",)
+
+    def __init__(self, start: int = 0) -> None:
+        self._next_value = start
+
+    def __iter__(self) -> "SerialCounter":
+        return self
+
+    def __next__(self) -> int:
+        value = self._next_value
+        self._next_value = value + 1
+        return value
+
+    def peek(self) -> int:
+        """The id the next ``next()`` call will return."""
+        return self._next_value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SerialCounter({self._next_value})"
+
+
+#: Global transaction-id stream, read and re-armed by a checkpoint.
 _txn_ids = SerialCounter()
 
 #: Per-beat widths, in bytes, a transaction may carry.

@@ -15,10 +15,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.transaction import ResponseStatus
 from repro.protocols.base import SlaveRequest, SlaveResponse, SlaveSocket
 from repro.sim.component import Component
-from repro.sim.snapshot import Snapshottable
 
 
-class ByteStore(Snapshottable):
+class ByteStore:
     """Byte-addressed storage shared by memory models.
 
     Values are stored per byte so mixed beat widths (a 32-bit AHB master
@@ -28,9 +27,6 @@ class ByteStore(Snapshottable):
     and a flag per address, not a dict entry per byte.  Bytes never
     written read as zero.
     """
-
-    # A version-1 envelope held a ``{offset: byte}`` dict.
-    snapshot_version = 2
 
     def __init__(self) -> None:
         self._data = bytearray()
@@ -61,16 +57,8 @@ class ByteStore(Snapshottable):
     def __len__(self) -> int:
         return self._written.count(1)
 
-    # ``bytes`` copies: the captured tree must not follow later writes.
-    def _snapshot_state(self) -> dict:
-        return {"data": bytes(self._data), "written": bytes(self._written)}
 
-    def _restore_state(self, state) -> None:
-        self._data[:] = state["data"]
-        self._written[:] = state["written"]
-
-
-class MemoryDevice(Component, Snapshottable):
+class MemoryDevice(Component):
     """Simple-latency memory target.
 
     Parameters
@@ -109,23 +97,6 @@ class MemoryDevice(Component, Snapshottable):
         # Activity wiring: new requests wake the device; a matured
         # response blocked on the channel keeps it hot (next_event_cycle).
         socket.requests.wake_on_push(self)
-
-    # -- state capture ----------------------------------------------------
-    _snapshot_fields = (
-        "_pipeline",
-        "reads_served",
-        "writes_served",
-        "errors_served",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["store"] = self.store.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self.store.restore(state["store"])
 
     def next_event_cycle(self, now: int):
         """A request at the socket needs a tick now; otherwise the next

@@ -48,7 +48,6 @@ from repro.core.transaction import (
 )
 from repro.core.checks import Check, check, knob
 from repro.sim.kernel import SimulationError
-from repro.sim.snapshot import Snapshottable
 
 
 class WorkloadStallError(SimulationError):
@@ -213,10 +212,8 @@ UNNAMED_ROWS = (Check(
 ),)
 
 
-class ScriptedTraffic(Snapshottable):
+class ScriptedTraffic:
     """Issue a fixed list of intents in order, as fast as accepted."""
-
-    _snapshot_fields = ("_next", "completions")
 
     def __init__(self, spec: TrafficSpec, name: Optional[str]) -> None:
         self._intents: List[Transaction] = list(spec.intents)
@@ -244,7 +241,7 @@ class ScriptedTraffic(Snapshottable):
         self.completions.append((txn_id, cycle, status))
 
 
-class PoissonTraffic(Snapshottable):
+class PoissonTraffic:
     """Open-loop random traffic with a Bernoulli-per-cycle injection rate.
 
     Each cycle a poll wants to inject with probability ``rate`` (the
@@ -255,8 +252,6 @@ class PoissonTraffic(Snapshottable):
     ``threads`` / ``tags`` (protocol-dependent meaning: OCP ThreadID,
     AXI/AVCI ID).
     """
-
-    _snapshot_fields = ("rng", "remaining", "completions", "_armed", "_predrawn")
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
@@ -359,11 +354,9 @@ class PoissonTraffic(Snapshottable):
         self.completions.append((txn_id, cycle, status))
 
 
-class DependentTraffic(Snapshottable):
+class DependentTraffic:
     """Closed-loop, CPU-like: the next intent issues ``think_cycles``
     after the previous one completes (dependent loads)."""
-
-    _snapshot_fields = ("rng", "remaining", "_ready_at", "_waiting", "completions")
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
@@ -416,10 +409,8 @@ class DependentTraffic(Snapshottable):
         self.completions.append((txn_id, cycle, status))
 
 
-class StreamTraffic(Snapshottable):
+class StreamTraffic:
     """DMA-like: back-to-back long INCR bursts sweeping a region."""
-
-    _snapshot_fields = ("bursts_remaining", "_cursor", "_ready_at", "completions")
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
@@ -475,7 +466,7 @@ class StreamTraffic(Snapshottable):
         self.completions.append((txn_id, cycle, status))
 
 
-class SyncWorkload(Snapshottable):
+class SyncWorkload:
     """Critical-section loop in either synchronization style (E3).
 
     ``style="lock"`` (legacy blocking, AHB/VCI): READEX the semaphore
@@ -487,16 +478,6 @@ class SyncWorkload(Snapshottable):
     section work runs only after a successful exclusive store, and the
     semaphore is freed with a plain store.
     """
-
-    _snapshot_fields = (
-        "iterations_left",
-        "_state",
-        "_work_left",
-        "_inflight_id",
-        "retries",
-        "sections_completed",
-        "completions",
-    )
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
@@ -627,4 +608,3 @@ _SOURCES = {
 
 #: Source kinds TrafficSpec can describe.
 TRAFFIC_KINDS = tuple(_SOURCES)
-

@@ -41,7 +41,6 @@ from repro.protocols.base import (
 )
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import Snapshottable
 from repro.transport.network import Fabric
 
 
@@ -89,7 +88,7 @@ class NativeSide:
         raise NotImplementedError
 
 
-class InitiatorNiu(Component, Snapshottable):
+class InitiatorNiu(Component):
     """Generic initiator-NIU engine.
 
     The engine wires itself to the master ``socket`` and takes its tag
@@ -151,33 +150,6 @@ class InitiatorNiu(Component, Snapshottable):
         # version it was refused against (see _issue_requests).
         self._refused_txn: Optional[Transaction] = None
         self._refused_version = -1
-
-    # -- state capture ----------------------------------------------------
-    # The native side's peek cache rides along so a restored NIU
-    # re-decodes (or not) exactly as the original would; the checkpoint's
-    # one pickle keeps `record is <head record>` aliasing intact.  The
-    # refusal memo is a pure cache: never captured, dropped on restore.
-    _snapshot_fields = (
-        "requests_sent",
-        "responses_delivered",
-        "posted_sent",
-        "decode_errors",
-        "stall_cycles",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["_peek_key"] = self.native.record
-        state["_peek_txn"] = self.native.decoded
-        state["table"] = self.table.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self.native.record = state["_peek_key"]
-        self.native.decoded = state["_peek_txn"]
-        self.table.restore(state["table"])
-        self._refused_txn = None
 
     def next_event_cycle(self, now: int):
         """Dormant while merely *waiting*: outstanding table entries with
@@ -329,7 +301,7 @@ class InitiatorNiu(Component, Snapshottable):
         self.requests_sent += 1
 
 
-class TargetNiu(Component, Snapshottable):
+class TargetNiu(Component):
     """Generic target NIU: packets in, neutral slave operations out.
 
     Owns the per-target NoC-service state: the exclusive-access monitor
@@ -382,35 +354,6 @@ class TargetNiu(Component, Snapshottable):
         self._req_packets = fabric.requests(endpoint)
         self._req_packets.wake_on_push(self)
         slave_socket.responses.wake_on_push(self)
-
-    # -- state capture ----------------------------------------------------
-    _snapshot_fields = (
-        "_pending",
-        "_release_on_complete",
-        "_parked",
-        "_next_token",
-        "_order",
-        "_ready",
-        "requests_served",
-        "posted_served",
-        "excl_failures",
-        "lock_blocked_cycles",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        if self.monitor is not None:
-            state["monitor"] = self.monitor.snapshot()
-        if self.locks is not None:
-            state["locks"] = self.locks.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        if self.monitor is not None:
-            self.monitor.restore(state["monitor"])
-        if self.locks is not None:
-            self.locks.restore(state["locks"])
 
     # ------------------------------------------------------------------ #
     def next_event_cycle(self, now: int):

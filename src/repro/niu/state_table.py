@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction
-from repro.sim.snapshot import Snapshottable
 
 StreamKey = Tuple[int, ...]
 
@@ -46,29 +45,16 @@ class StateTableFullError(RuntimeError):
     """Allocation attempted on a full table (caller must check first)."""
 
 
-class StateTable(Snapshottable):
+class StateTable:
     """Bounded outstanding-transaction table with stream-order queries.
 
     ``version`` counts the table's writes: :meth:`allocate`,
     :meth:`release` and :meth:`mark_responded` — the only three methods
     that change what a query can return — each bump it, so an answer
     derived from the table (a :meth:`TagPolicy.admit` refusal, say)
-    holds while ``version`` does.  It is a cache stamp, not state: not
-    snapshotted, and meaningless across :meth:`restore`.
+    holds while ``version`` does.  A checkpoint carries it with the
+    entries and with every memo stamped with it.
     """
-
-    # Entries hold live Transaction/StateEntry objects; the checkpoint
-    # layer's one pickle of the whole tree preserves aliasing with the
-    # NIU's peeked-entry references.
-    _snapshot_fields = (
-        "_entries",
-        "_seq",
-        "_stream_seq",
-        "total_allocated",
-        "high_watermark",
-        "_responded_count",
-        "_stream_counts",
-    )
 
     def __init__(self, name: str, capacity: int) -> None:
         if capacity < 1:

@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import Snapshottable
 from repro.transport.flit import Flit
 
 
@@ -102,7 +101,7 @@ def domains_cross(producer_domain, consumer_domain) -> bool:
     return _domain_name(producer_domain) != _domain_name(consumer_domain)
 
 
-class PhysicalLink(Component, Snapshottable):
+class PhysicalLink(Component):
     """Serializing, pipelined point-to-point link between two flit queues.
 
     Parameters
@@ -312,22 +311,8 @@ class PhysicalLink(Component, Snapshottable):
             self._shifting = (flit, self.serialization)
             self._shift_edge = cycle
 
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    _snapshot_fields = (
-        "_shifting",
-        "_pipe",
-        "_crossing",
-        "_deliver",
-        "_shift_edge",
-        "_cross_edge",
-        "phits_carried",
-    )
-    snapshot_version = 2
 
-
-class VcPhysicalLink(Component, Snapshottable):
+class VcPhysicalLink(Component):
     """One physical channel time-multiplexing several virtual channels.
 
     The hardware reality virtual channels model: per-VC buffers at both
@@ -506,18 +491,3 @@ class VcPhysicalLink(Component, Snapshottable):
                 self._shifting = (vc, flit, self.serialization)
                 self._next_vc = (vc + 1) % self.vcs
                 return
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    _snapshot_fields = (
-        "_credits",
-        "_returning",
-        "_shifting",
-        "_pipe",
-        "_crossing",
-        "_in_flight_vc",
-        "_next_vc",
-        "phits_carried",
-    )
-    snapshot_version = 2

@@ -112,11 +112,6 @@ class AxiMaster(ProtocolMaster):
 
     protocol_name = "AXI"
 
-    _snapshot_fields = ProtocolMaster._snapshot_fields + (
-        "_reads_inflight",
-        "_writes_inflight",
-    )
-
     def __init__(
         self,
         name: str,

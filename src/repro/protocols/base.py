@@ -24,7 +24,6 @@ from repro.core.transaction import ResponseStatus, Transaction
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import Snapshottable
 
 
 class ProtocolError(RuntimeError):
@@ -120,7 +119,7 @@ class TrafficSource(Protocol):
         ...
 
 
-class ProtocolMaster(Component, Snapshottable):
+class ProtocolMaster(Component):
     """Base master IP model.
 
     Subclass contract:
@@ -169,35 +168,6 @@ class ProtocolMaster(Component, Snapshottable):
         self.errors = 0
         self.exokay = 0
         self.excl_failures = 0
-
-    # -- state capture ----------------------------------------------------
-    # Subclasses extend _snapshot_fields with their own inflight maps.
-    # `_latency_stat` is a bind()-time cache into the stats registry (the
-    # registry restores in place, so the reference stays valid); wiring
-    # (socket, channels) is the fresh build's.
-    _snapshot_fields = (
-        "_pending",
-        "_inflight",
-        "_armed_at",
-        "_limit_blocked",
-        "completion_status",
-        "issued",
-        "completed",
-        "errors",
-        "exokay",
-        "excl_failures",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["checker"] = self.checker.snapshot()
-        state["traffic"] = self.traffic.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self.checker.restore(state["checker"])
-        self.traffic.restore(state["traffic"])
 
     @property
     def ordering_model(self) -> OrderingModel:

@@ -75,12 +75,6 @@ class OcpMaster(ProtocolMaster):
 
     protocol_name = "OCP"
 
-    _snapshot_fields = ProtocolMaster._snapshot_fields + (
-        "_thread_inflight",
-        "_posted_complete",
-        "posted_count",
-    )
-
     def __init__(
         self,
         name: str,

@@ -62,11 +62,6 @@ class MsgMaster(ProtocolMaster):
 
     protocol_name = "PROPRIETARY"
 
-    _snapshot_fields = ProtocolMaster._snapshot_fields + (
-        "_posted_complete",
-        "fences_issued",
-    )
-
     def __init__(
         self,
         name: str,

@@ -20,7 +20,7 @@ from typing import Dict
 
 import repro.core.transaction as _txn_mod
 import repro.transport.flit as _flit_mod
-from repro.sim.snapshot import SerialCounter
+from repro.core.transaction import SerialCounter
 
 
 def reset_ids() -> None:

@@ -9,7 +9,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import SnapshotMismatchError, Snapshottable
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
 
@@ -98,7 +97,7 @@ class TimingWheel:
         return due
 
 
-class Simulator(Snapshottable):
+class Simulator:
     """Owns components and queues and advances them cycle by cycle.
 
     The kernel is two-phase: every *active* component's :meth:`tick` runs
@@ -440,106 +439,6 @@ class Simulator(Snapshottable):
                 )
             self.step()
         return self.cycle
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> dict:
-        """Everything that mutates as the simulation runs, keyed by name.
-
-        Scheduler state is captured per component (scheduled flag, park
-        stamp, and — when the component is itself :class:`Snapshottable`
-        — its state envelope).  The run-list/wakes partition is *not*
-        captured: :meth:`step` merges and sorts both by ``_sched_index``
-        before ticking, so restore reconstructs the same effective
-        schedule from the flags alone.  Wheel buckets are captured by
-        component name, stale entries included, so the post-restore skip
-        horizon is exactly the original's.
-        """
-        components = {}
-        for component in self._components:
-            entry: dict = {
-                "scheduled": component._scheduled,
-                "parked_until": component._parked_until,
-            }
-            if isinstance(component, Snapshottable):
-                entry["state"] = component.snapshot()
-            components[component.name] = entry
-        queues = {queue.name: queue.snapshot() for queue in self._queues}
-        wheel = self._wheel
-        return {
-            "cycle": self.cycle,
-            "cycles_skipped": self.cycles_skipped,
-            "quiet_step": self._quiet_step,
-            "components": components,
-            "queues": queues,
-            "dirty_queues": [q.name for q in self._dirty_queues],
-            "wheel": {
-                "buckets": {
-                    slot: [c.name for c in bucket]
-                    for slot, bucket in wheel._buckets.items()
-                },
-                "events_scheduled": wheel.events_scheduled,
-                "events_fired": wheel.events_fired,
-            },
-            "stats": self.stats.snapshot(),
-            "trace": self.trace.snapshot(),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        by_name = self._component_names
-        saved_components = state["components"]
-        unknown = set(saved_components) - set(by_name)
-        missing = set(by_name) - set(saved_components)
-        if unknown or missing:
-            raise SnapshotMismatchError(
-                "snapshot does not fit this build: "
-                f"unknown components {sorted(unknown)!r}, "
-                f"missing components {sorted(missing)!r}"
-            )
-        saved_queues = state["queues"]
-        expected_queues = set(self._queue_names)
-        if set(saved_queues) != expected_queues:
-            raise SnapshotMismatchError(
-                "snapshot does not fit this build: "
-                f"unknown queues {sorted(set(saved_queues) - expected_queues)!r}, "
-                f"missing queues {sorted(expected_queues - set(saved_queues))!r}"
-            )
-        self.cycle = state["cycle"]
-        self.cycles_skipped = state["cycles_skipped"]
-        self._quiet_step = state["quiet_step"]
-        scheduled: List[Component] = []
-        for name, entry in saved_components.items():
-            component = by_name[name]
-            component._scheduled = entry["scheduled"]
-            component._parked_until = entry["parked_until"]
-            sub = entry.get("state")
-            if sub is not None:
-                if not isinstance(component, Snapshottable):
-                    raise SnapshotMismatchError(
-                        f"component {name!r} has captured state but this "
-                        f"build's {type(component).__name__} is not "
-                        f"Snapshottable"
-                    )
-                component.restore(sub)
-            if component._scheduled:
-                scheduled.append(component)
-        scheduled.sort(key=_sched_key)
-        self._run_list = scheduled
-        self._wakes = []
-        for name, envelope in saved_queues.items():
-            self._queue_names[name].restore(envelope)
-        self._dirty_queues = [self._queue_names[n] for n in state["dirty_queues"]]
-        wheel = self._wheel
-        wheel._buckets.clear()
-        wheel._heap.clear()
-        for slot, names in state["wheel"]["buckets"].items():
-            wheel._buckets[slot] = [by_name[n] for n in names]
-            heappush(wheel._heap, slot)
-        wheel.events_scheduled = state["wheel"]["events_scheduled"]
-        wheel.events_fired = state["wheel"]["events_fired"]
-        self.stats.restore(state["stats"])
-        self.trace.restore(state["trace"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -32,10 +32,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.sim.snapshot import Snapshottable
 
-
-class SimQueue(Snapshottable):
+class SimQueue:
     """Bounded FIFO with next-cycle push visibility.
 
     Parameters
@@ -165,27 +163,6 @@ class SimQueue(Snapshottable):
                 self.high_watermark = len(self._committed)
             for waiter in self._push_waiters:
                 waiter.wake()
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    _snapshot_fields = (
-        "_committed",
-        "_staged",
-        "total_pushed",
-        "total_popped",
-        "high_watermark",
-        "_dirty",
-    )
-
-    def _restore_state(self, state) -> None:
-        # _committed is restored in place by the base hook (never
-        # rebound).  Derived occupancy is recomputed; dirty-list
-        # membership is the kernel's to rebuild
-        # (Simulator._restore_state), since an unregistered queue has no
-        # dirty list to join.
-        super()._restore_state(state)
-        self._occ = len(self._committed) + len(self._staged)
 
     @property
     def occupancy(self) -> int:

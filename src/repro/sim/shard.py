@@ -64,7 +64,8 @@ what the determinism tests pin.
 
 Out of scope for v1, rejected with :class:`ShardConfigError` at build
 time: the strict reference kernel, enabled tracers, transparent cut
-links, and snapshot/checkpoint capture of sharded builds.
+links; :class:`~repro.sweep.Checkpoint` refuses a sharded build with
+the same error.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import repro.core.transaction as _txn_mod
 import repro.transport.flit as _flit_mod
+from repro.core.transaction import SerialCounter
 from repro.sim.component import Component
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import SerialCounter, Snapshottable
 from repro.transport.topology import Topology, router_sort_key
 
 
@@ -189,7 +190,7 @@ def plan_shards(topology: Topology, n_shards: int) -> ShardPlan:
 # --------------------------------------------------------------------- #
 # boundary link halves
 # --------------------------------------------------------------------- #
-class ShardLinkTx(Component, Snapshottable):
+class ShardLinkTx(Component):
     """Transmit half of a cut inter-router link (source shard).
 
     Mirrors :class:`~repro.phys.link.VcPhysicalLink`'s producer side —
@@ -205,19 +206,6 @@ class ShardLinkTx(Component, Snapshottable):
     ``(pop_cycle, vc, count)`` that mature at
     ``pop_cycle + credit_return_latency``.
     """
-
-    _snapshot_fields = (
-        "_shifting",
-        "_next_vc",
-        "_credits",
-        "_pending_credits",
-        "_seq",
-        "outbox",
-        "flits_carried",
-        "phits_carried",
-        "flits_per_vc",
-        "envelopes_sent",
-    )
 
     def __init__(
         self,
@@ -251,10 +239,7 @@ class ShardLinkTx(Component, Snapshottable):
         self._seq = 0
         self.outbox: List[Tuple[int, int, int, object]] = []
         self._peer_rx: Optional["ShardLinkRx"] = None
-        self.flits_carried = 0
         self.phits_carried = 0
-        self.flits_per_vc = [0] * self.vcs
-        self.envelopes_sent = 0
         for queue in self.feeds:
             queue.wake_on_push(self)
 
@@ -311,8 +296,6 @@ class ShardLinkTx(Component, Snapshottable):
             self.phits_carried += 1
             if remaining == 0:
                 self._emit(cycle + 1 + self.pipeline_latency, vc, flit)
-                self.flits_carried += 1
-                self.flits_per_vc[vc] += 1
                 self._shifting = None
             else:
                 self._shifting = (vc, flit, remaining)
@@ -332,7 +315,6 @@ class ShardLinkTx(Component, Snapshottable):
     def _emit(self, arrival: int, vc: int, flit) -> None:
         envelope = (arrival, vc, self._seq, flit)
         self._seq += 1
-        self.envelopes_sent += 1
         peer = self._peer_rx
         if peer is not None:
             peer.receive_flits([envelope])
@@ -340,7 +322,7 @@ class ShardLinkTx(Component, Snapshottable):
             self.outbox.append(envelope)
 
 
-class ShardLinkRx(Component, Snapshottable):
+class ShardLinkRx(Component):
     """Receive half of a cut inter-router link (destination shard).
 
     Pushes each flit envelope into its VC's delivery queue at the
@@ -351,13 +333,6 @@ class ShardLinkRx(Component, Snapshottable):
     ``u`` — the component stays hot while any delivery queue holds
     flits, which is exactly when pops can happen.
     """
-
-    _snapshot_fields = (
-        "_inbox",
-        "_seen_pops",
-        "credit_outbox",
-        "flits_delivered",
-    )
 
     def __init__(self, name: str, deliveries: List[SimQueue]) -> None:
         super().__init__(name)
@@ -546,8 +521,8 @@ def _never_events(now: int):
 def mute_component(component: Component) -> None:
     """Neutralize a foreign component in a worker process.
 
-    The component stays registered (names, scheduling indices and
-    snapshot shape are unchanged) but never acts: its tick is a no-op
+    The component stays registered (names and scheduling indices are
+    unchanged) but never acts: its tick is a no-op
     and the kernel retires it as permanently dormant.  Queue wakes may
     still re-schedule it; the re-scheduled tick is a no-op and the next
     sweep retires it again.

@@ -8,7 +8,7 @@ latency stats (each master's ``<name>.txn`` request→response latency,
 read by ``NocSoc.master_latency()``).  Event counts are not kept here:
 each component counts its own events in plain integer attributes
 (``Router.flits_forwarded``, ``SimQueue.total_pushed``, ...), which the
-fingerprint reads directly.  Both tables are part of a snapshot.
+fingerprint reads directly.  Both tables travel with a checkpoint.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.sim.snapshot import Snapshottable
 
-
-class Histogram(Snapshottable):
+class Histogram:
     """Exact histogram: a ``{value: count}`` map with summary statistics.
 
     Memory is one entry per distinct value, however many samples arrive,
     and two histograms merge by adding their counts (:meth:`merge`).
     """
-
-    _snapshot_fields = ("_counts",)
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -102,24 +98,13 @@ class Histogram(Snapshottable):
         return f"<Histogram {self.name!r} n={self.count} mean={self.mean():.2f}>"
 
 
-class LatencyStat(Snapshottable):
+class LatencyStat:
     """Tracks request→response latencies keyed by an arbitrary token."""
-
-    _snapshot_fields = ("_open",)
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._open: Dict[object, int] = {}
         self.histogram = Histogram(name)
-
-    def _snapshot_state(self) -> Dict[str, object]:
-        state = super()._snapshot_state()
-        state["histogram"] = self.histogram.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self.histogram.restore(state["histogram"])
 
     def start(self, token: object, cycle: int) -> None:
         if token in self._open:
@@ -153,38 +138,6 @@ class StatsRegistry:
     def __init__(self) -> None:
         self._histograms: Dict[str, Histogram] = {}
         self._latencies: Dict[str, LatencyStat] = {}
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, object]:
-        """Capture every registered stat, keyed by kind and name."""
-        return {
-            "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
-            "latencies": {n: s.snapshot() for n, s in self._latencies.items()},
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Restore via get-or-create, in place for every stat named.
-
-        Components cache references to their stats (e.g. a protocol
-        master resolves its latency stat once in ``bind``), so restore
-        must mutate the registered objects in place.  A snapshot may
-        name stats this build has not touched yet — get-or-create
-        registers them, exactly as first use would have.  A stat the
-        snapshot does not name was first used after the cut and is
-        dropped, so restoring into the SoC the snapshot came from leaves
-        no post-cut samples behind (lazily resolved handle caches must
-        be cleared by their owner's restore).
-        """
-        for registered, saved, get in (
-            (self._histograms, state["histograms"], self.histogram),
-            (self._latencies, state["latencies"], self.latency),
-        ):
-            for name in registered.keys() - saved.keys():
-                del registered[name]
-            for name, envelope in saved.items():
-                get(name).restore(envelope)
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:

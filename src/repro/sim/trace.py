@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.sim.snapshot import Snapshottable
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -36,16 +34,13 @@ class TraceEvent:
         return f"[{self.cycle:>8}] {self.source:<24} {self.kind:<20} {extras}"
 
 
-class Tracer(Snapshottable):
+class Tracer:
     """Collects every logged :class:`TraceEvent` in :attr:`events`.
 
     ``enabled`` is fixed at construction.  ``log(cycle, source, kind,
     **detail)`` is an instance attribute bound then: the recorder when
     enabled, a no-op when not.
     """
-
-    snapshot_version = 2
-    _snapshot_fields = ("events",)
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled

@@ -254,65 +254,6 @@ class NocSoc(BuiltSoc):
             ) from exc
 
     # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    snapshot_version = 1
-
-    def snapshot(self) -> dict:
-        """Capture the full runtime state of the SoC as one state tree.
-
-        The tree holds *live references* into the running system; hand it
-        to :class:`repro.sweep.checkpoint.Checkpoint` (one pickle of the
-        tree, so all of it must pickle) before stepping the simulator again.
-        Wiring is not captured — restore targets a congruently rebuilt SoC.
-        """
-        from repro.core.transaction import _txn_ids
-        from repro.transport.flit import _flit_packet_ids
-
-        if self.shard_plan is not None:
-            from repro.sim.shard import ShardConfigError
-
-            raise ShardConfigError(
-                "snapshot/checkpoint of sharded builds is out of scope "
-                "for v1: per-source id streams are not captured, so a "
-                "restore would not replay byte-identically — build "
-                "without shards= for checkpoint sweeps"
-            )
-
-        return {
-            "__v__": type(self).snapshot_version,
-            "cycle": self.sim.cycle,
-            "id_counters": {
-                "txn": _txn_ids.snapshot(),
-                "flit": _flit_packet_ids.snapshot(),
-            },
-            "sim": self.sim.snapshot(),
-            "planes": {
-                plane.name: plane.snapshot() for plane in self.fabric._planes
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore a state tree captured by :meth:`snapshot` into this
-        (congruently built, typically fresh) SoC.  The caller owns
-        defensive copying; the tree's objects are adopted directly."""
-        from repro.core.transaction import _txn_ids
-        from repro.sim.snapshot import SnapshotVersionError
-        from repro.transport.flit import _flit_packet_ids
-
-        version = state.get("__v__")
-        if version != type(self).snapshot_version:
-            raise SnapshotVersionError(
-                f"NocSoc snapshot version {version!r} != "
-                f"{type(self).snapshot_version}"
-            )
-        _txn_ids.restore(state["id_counters"]["txn"])
-        _flit_packet_ids.restore(state["id_counters"]["flit"])
-        self.sim.restore(state["sim"])
-        for plane in self.fabric._planes:
-            plane.restore(state["planes"][plane.name])
-
-    # ------------------------------------------------------------------ #
     # metrics
     # ------------------------------------------------------------------ #
     def flow_stats(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:

@@ -1,14 +1,26 @@
 """Freeze/thaw a running SoC as a self-contained checkpoint.
 
-``NocSoc.snapshot()`` returns a *live-reference* state tree — fast to
-build, but aliased into the running system.  :meth:`Checkpoint.capture`
-detaches it with one :func:`pickle.dumps` of the whole tree: one memo,
-so every cross-object alias inside it (a router's cached flit that is
-also a queue's front flit, a state-table entry aliased by a peek cache)
-stays one object on the other side — and whatever a class lists in
-``_snapshot_fields`` must pickle.  The checkpoint *is* those bytes;
-:meth:`Checkpoint.restore_into` unpickles a private tree per restore, so
-one checkpoint seeds any number of what-if runs with no defensive copy.
+A checkpoint is one pickle of the state of the SoC's *named* objects:
+the built SoC (either builder's), its simulator, every registered
+component and queue (by registration name) and every master's traffic
+source.  An object's state is its instance attributes (``__dict__`` plus
+slots), less any attribute that shadows a method of its class — a
+wrapped ``tick`` or ``poll`` is instrumentation, and it stays on the
+object it was installed on.  A reference to a named object pickles as
+its name; everything else — flits and transactions in flight, stats,
+the tracer, the fabric's planes and tables — travels by value under the
+one memo, so every alias inside the SoC stays one object on the other
+side.  The two process-global id counters travel beside it.
+
+:meth:`Checkpoint.restore_into` unpickles with each name resolved to
+the target's own object and installs each state there, keeping the
+target's instrumentation.  The target is a congruent build (the same
+builder: the same names, objects with the same attributes), typically a
+fresh one, or the captured SoC itself.  Every *unnamed* object the
+target held is replaced by the checkpoint's copy: a plane, a stats
+registry or a tracer read off the SoC before ``restore_into`` is stale
+afterwards; read it off the SoC again.  Each restore unpickles a copy
+of its own, so one checkpoint seeds any number of what-if runs.
 
 Serialized, the payload follows a versioned header (magic, version,
 cycle, payload length); :class:`CheckpointFormatError` names format
@@ -18,13 +30,21 @@ a pickle: load only checkpoints this program wrote.
 
 from __future__ import annotations
 
+import copyreg
+import functools
+import io
 import pickle
 import struct
+from types import FunctionType, MethodType
+from typing import Dict, FrozenSet, Tuple
 
-from repro.sim.snapshot import SnapshotError
+import repro.core.transaction as _txn_mod
+import repro.transport.flit as _flit_mod
+from repro.core.transaction import SerialCounter
+from repro.sim.shard import ShardConfigError
 
-#: Bump when the on-disk envelope (not the state tree) changes shape.
-FORMAT_VERSION = 2
+#: Bump when the on-disk envelope or the payload's layout changes shape.
+FORMAT_VERSION = 3
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length
@@ -36,16 +56,126 @@ class CheckpointFormatError(RuntimeError):
     """Bytes that are not a checkpoint, or one from another format era."""
 
 
-def _first_unpicklable(state: dict) -> str:
-    """Blame the first envelope of ``state["sim"]`` that fails to pickle alone."""
-    sim = state["sim"]["state"]
-    for kind in ("component", "queue"):
-        for name, envelope in sim[kind + "s"].items():
-            try:
-                pickle.dumps(envelope, pickle.HIGHEST_PROTOCOL)
-            except _UNPICKLABLE:
-                return f"captured state of {kind} {name!r} does not pickle"
-    return "captured state outside components and queues does not pickle"
+class CheckpointMismatchError(RuntimeError):
+    """A checkpoint restored into a build with other named objects."""
+
+
+class CheckpointCaptureError(RuntimeError):
+    """A named object's state does not pickle."""
+
+
+def _named_objects(soc) -> Dict[Tuple[str, str], object]:
+    """The objects a checkpoint carries the state of, by name."""
+    if getattr(soc, "shard_plan", None) is not None:
+        raise ShardConfigError(
+            "a checkpoint of a sharded build is out of scope: per-source "
+            "id streams are not captured, so a restore would not replay "
+            "byte-identically — build without shards= for checkpoint sweeps"
+        )
+    named = {("soc", ""): soc, ("simulator", ""): soc.sim}
+    for component in soc.sim._components:
+        named["component", component.name] = component
+    for queue in soc.sim._queues:
+        named["queue", queue.name] = queue
+    for name, master in soc.masters.items():
+        named["traffic source", name] = master.traffic
+    return named
+
+
+def _describe(key: Tuple[str, str]) -> str:
+    kind, name = key
+    return f"{kind} {name!r}" if name else kind
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(cls) -> Tuple[FrozenSet[str], Tuple[str, ...]]:
+    """The method names and the slot names of ``cls``."""
+    methods = frozenset(
+        name
+        for name in dir(cls)
+        if isinstance(getattr(cls, name, None), (FunctionType, MethodType))
+    )
+    slots = tuple(
+        name
+        for klass in cls.__mro__
+        for name in klass.__dict__.get("__slots__", ())
+        if name not in ("__dict__", "__weakref__")
+    )
+    return methods, slots
+
+
+def _unshare(attrs: dict) -> None:
+    """Rewrite an instance dict that was just read as an ordinary dict.
+
+    CPython 3.11 keeps an object's attributes outside any dict until its
+    ``__dict__`` is read, and reading it leaves a dict whose keys are
+    shared with the class; every later attribute access on that object
+    then misses the interpreter's attribute cache, which an ordinary
+    dict does not.  Capture reads every dict it pickles; this keeps the
+    captured SoC's attribute reads cached when it runs on.
+    """
+    items = attrs.copy()
+    attrs.clear()
+    attrs.update(items)
+
+
+def _state_of(obj) -> dict:
+    """``obj``'s instance attributes, less those shadowing a method."""
+    methods, slots = _layout(type(obj))
+    state = {name: getattr(obj, name) for name in slots if hasattr(obj, name)}
+    attrs = getattr(obj, "__dict__", None)
+    if attrs is not None:
+        _unshare(attrs)
+        state.update((n, v) for n, v in attrs.items() if n not in methods)
+    return state
+
+
+def _install(obj, state: dict) -> None:
+    """Set ``state`` on ``obj`` attribute by attribute: its own shims stay,
+    and no dict is read into existence (see :func:`_unshare`)."""
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+
+
+def _reduce(obj):
+    """Reduce ``obj`` as pickle would, except that an object pickled as
+    its class and its instance dict gets its attributes back one by one
+    (:func:`_install`), where a built object keeps them, rather than in a
+    dict the unpickler reads into existence (see :func:`_unshare`): a
+    SoC restored that way ran its continuations 15-30% slower than a
+    built one."""
+    reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    if (
+        type(reduced) is tuple and len(reduced) == 5
+        and reduced[0] is copyreg.__newobj__ and type(reduced[2]) is dict
+        and reduced[3] is None and reduced[4] is None
+    ):
+        _unshare(reduced[2])
+        return reduced + (_install,)
+    return reduced
+
+
+class _Reducers(dict):
+    """The checkpoint pickler's dispatch table: :func:`_reduce`, or what
+    :mod:`copyreg` registers, for every class but metaclasses, whose
+    instances (classes) pickle by name."""
+
+    def __missing__(self, cls):
+        if issubclass(cls, type):
+            raise KeyError(cls)
+        reducer = self[cls] = copyreg.dispatch_table.get(cls, _reduce)
+        return reducer
+
+
+_REDUCERS = _Reducers()
+
+
+def _pickler(file, names: Dict[int, Tuple[str, str]]) -> pickle.Pickler:
+    """A pickler that writes a named object as its name."""
+    pickler = pickle.Pickler(file, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: names.get(id(obj))
+    pickler.dispatch_table = _REDUCERS
+    return pickler
 
 
 class Checkpoint:
@@ -60,27 +190,60 @@ class Checkpoint:
     # ------------------------------------------------------------------ #
     @classmethod
     def capture(cls, soc) -> "Checkpoint":
-        """Snapshot ``soc`` right now (one pickle of the whole tree)."""
-        state = soc.snapshot()
+        """Snapshot ``soc`` right now: its names first, then one pickle
+        of every named object's state and the two id counters."""
+        named = _named_objects(soc)
+        names = {id(obj): key for key, obj in named.items()}
+        states = {key: _state_of(obj) for key, obj in named.items()}
+        ids = (_txn_mod._txn_ids.peek(), _flit_mod._flit_packet_ids.peek())
+        buffer = io.BytesIO()
+        dumper = _pickler(buffer, names)
+        dumper.dump((soc.sim.cycle, tuple(named)))
         try:
-            payload = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+            dumper.dump((ids, states))
         except _UNPICKLABLE as exc:
-            raise SnapshotError(f"{_first_unpicklable(state)}: {exc}") from exc
-        return cls(payload, state["cycle"])
+            for key, state in states.items():
+                try:
+                    _pickler(io.BytesIO(), names).dump(state)
+                except _UNPICKLABLE:
+                    raise CheckpointCaptureError(
+                        f"state of {_describe(key)} does not pickle: {exc}"
+                    ) from exc
+            raise CheckpointCaptureError(f"id counters do not pickle: {exc}") from exc
+        return cls(buffer.getvalue(), soc.sim.cycle)
 
     def restore_into(self, soc) -> None:
         """Load this checkpoint into a congruently built SoC.
 
-        Each call unpickles a tree of its own, so the checkpoint stays
-        pristine and may be restored again (the fork sweep relies on this).
+        Each call unpickles a copy of its own, so the checkpoint stays
+        pristine and may be restored again (the fork sweep relies on
+        this).  Unnamed objects read off ``soc`` before the call are
+        stale after it (see the module docstring).
         """
+        named = _named_objects(soc)
+        loader = pickle.Unpickler(io.BytesIO(self._payload))
+        loader.persistent_load = named.__getitem__
         try:
-            state = pickle.loads(self._payload)
+            cycle, keys = loader.load()
         except Exception as exc:  # a corrupt pickle raises nearly anything
             raise CheckpointFormatError(f"payload does not unpickle: {exc!r}") from exc
-        if not isinstance(state, dict) or state.get("cycle") != self._cycle:
-            raise CheckpointFormatError(f"payload is no cycle-{self._cycle} state tree")
-        soc.restore(state)
+        if cycle != self._cycle or not isinstance(keys, tuple):
+            raise CheckpointFormatError(f"payload is no cycle-{self._cycle} checkpoint")
+        unknown, missing = set(keys) - named.keys(), named.keys() - set(keys)
+        if unknown or missing:
+            raise CheckpointMismatchError(
+                "checkpoint does not fit this build: "
+                f"unknown {sorted(map(_describe, unknown))!r}, "
+                f"missing {sorted(map(_describe, missing))!r}"
+            )
+        try:
+            (txn_id, packet_id), states = loader.load()
+        except Exception as exc:
+            raise CheckpointFormatError(f"payload does not unpickle: {exc!r}") from exc
+        for key, state in states.items():
+            _install(named[key], state)
+        _txn_mod._txn_ids = SerialCounter(txn_id)
+        _flit_mod._flit_packet_ids = SerialCounter(packet_id)
 
     @property
     def cycle(self) -> int:

@@ -5,9 +5,11 @@ under a different load or VC budget?" usually costs N full
 runs.  With checkpoints it costs one prefix plus N continuations: run the
 common prefix once, :meth:`Checkpoint.capture` it, then :func:`fork` —
 each continuation rebuilds a congruent SoC, restores the checkpoint,
-applies its override and runs on.  Because restore is byte-identical, a
-forked continuation equals a cold run that applied the same override at
-the same cycle; the sweep is a pure wall-clock optimisation.
+applies its override and runs on (a rebuild, so whatever the builder
+installs on a new SoC — a wrapped ``tick``, say — stays on every
+continuation).  Because restore is byte-identical, a forked
+continuation equals a cold run that applied the same override at the
+same cycle; the sweep is a pure wall-clock optimisation.
 
 Overrides come in two kinds:
 
@@ -40,8 +42,11 @@ class Override:
     Exactly one of ``apply`` (fork from the checkpoint) or ``build``
     (cold run with an alternate builder) must be provided.  ``apply``
     receives the restored SoC at the fork cycle, before any further
-    stepping; ``build`` is a zero-argument callable returning a fresh
-    SoC of the alternate structure.
+    stepping; it reads what it changes off that SoC, since an unnamed
+    object (a plane, the stats registry) held from before the restore
+    is stale after it (see :mod:`repro.sweep.checkpoint`).  ``build`` is
+    a zero-argument callable returning a fresh SoC of the alternate
+    structure.
     """
 
     name: str

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.packet import NocPacket, PacketFormat
-from repro.sim.snapshot import SerialCounter, Snapshottable
+from repro.core.transaction import SerialCounter
 
-#: Global packet-id stream for flit tagging.  A SerialCounter (not
-#: itertools.count) so checkpoints can capture and restore it.
+#: Global packet-id stream for flit tagging, read and re-armed by a
+#: checkpoint.
 _flit_packet_ids = SerialCounter()
 
 
@@ -119,7 +119,7 @@ class ReassemblyError(RuntimeError):
     """Flit stream violated head/body/tail framing."""
 
 
-class Reassembler(Snapshottable):
+class Reassembler:
     """Rebuilds packets from an in-order flit stream (one link's worth).
 
     Links never interleave flits of different packets (wormhole keeps a
@@ -127,8 +127,6 @@ class Reassembler(Snapshottable):
     check; interleaving is a fabric bug that this class turns into a loud
     :class:`ReassemblyError`.
     """
-
-    _snapshot_fields = ("_current", "_received", "packets_out")
 
     def __init__(self, name: str = "reassembler") -> None:
         self.name = name

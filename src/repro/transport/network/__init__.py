@@ -38,7 +38,6 @@ from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink, domains_cros
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
 from repro.sim.shard import ShardLinkRx, ShardLinkTx, ShardOwnership, ShardPlan
-from repro.sim.snapshot import Snapshottable
 from repro.transport.flit import Packetizer, flit_count
 from repro.transport.network.ports import EjectionPort, InjectionPort
 from repro.transport.qos import ARBITERS, make_arbiter
@@ -62,9 +61,8 @@ def plane_tables(topology: Topology, routing: str) -> tuple:
     """``(tables, adaptive_tables or None)`` under ``routing``, computed
     once per (topology, scheme) and memoised on the topology: the one way
     a :class:`Network` gets tables.  Both planes' routers share these
-    objects, so they are read-only, and no table may become a
-    ``_snapshot_fields`` entry (``_restore_field`` restores dicts in
-    place, every plane's at once).
+    objects, so they are read-only; a checkpoint carries them once, with
+    the topology's memo, so a restored SoC's routers share them too.
     """
     cached = topology._plane_tables.get(routing)
     if cached is None:
@@ -152,7 +150,7 @@ PLANE_ROWS = (
 )
 
 
-class Network(Snapshottable):
+class Network:
     """One routing plane, assembled in four steps; each registers its
     components after the step before, and component order is tick order:
 
@@ -164,10 +162,8 @@ class Network(Snapshottable):
 
     The plane's only runtime state of its own is the per-(src, dst)
     injection sequence stream of adaptive planes; everything else lives
-    on the registered components, which the kernel captures by name.
+    on the registered components.
     """
-
-    _snapshot_fields = ("_pair_seq",)
 
     def __init__(
         self,

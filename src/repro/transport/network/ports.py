@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.packet import NocPacket
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import Snapshottable
 from repro.sim.stats import Histogram
 from repro.transport.flit import Flit, Packetizer, Reassembler
 from repro.transport.routing import VcPolicy
@@ -23,7 +22,7 @@ def _vc_rotations(vcs: int) -> tuple:
     return tuple(tuple((v + k) % vcs for k in range(1, vcs + 1)) for v in range(vcs))
 
 
-class InjectionPort(Component, Snapshottable):
+class InjectionPort(Component):
     """Segments packets from a NIU into flits feeding the local router.
 
     With several VCs the port keeps one pending flit stream per VC (the
@@ -58,20 +57,11 @@ class InjectionPort(Component, Snapshottable):
         self._rotation = _vc_rotations(self.vcs)
         # The head packet the VC policy last placed, and its VC: the
         # policy is stateless by contract, so a waiting head is asked once.
-        # A function of the packet it holds: never captured, and no
-        # restore can make it wrong.
         self._head_packet: Optional[NocPacket] = None
         self._head_vc = 0
         self.packets_injected = 0
         self.flits_injected = 0
         packet_queue.wake_on_push(self)
-
-    _snapshot_fields = (
-        "_pending",
-        "_last_vc",
-        "packets_injected",
-        "flits_injected",
-    )
 
     def next_event_cycle(self, now: int):
         """Dormant only when nothing is pending and no packet can be
@@ -134,7 +124,7 @@ class InjectionPort(Component, Snapshottable):
                 return
 
 
-class EjectionPort(Component, Snapshottable):
+class EjectionPort(Component):
     """Reassembles flits arriving at an endpoint back into packets.
 
     One reassembler per VC (each VC carries whole packets, never
@@ -178,8 +168,7 @@ class EjectionPort(Component, Snapshottable):
         # "<flow_prefix>.pair.<src>-><dst>".  None disables recording.
         # The two handles are cached per (priority, source), resolved at
         # that flow's first packet so registry creation order is what
-        # per-packet lookups gave.  A pure cache: restore clears it and
-        # the handles re-resolve by get-or-create.
+        # per-packet lookups gave.
         self._flow_prefix = flow_prefix
         self._flow_hists: Dict[Tuple[int, int], Tuple[Histogram, Histogram]] = {}
         self.flit_queues = list(flit_queues)
@@ -199,7 +188,7 @@ class EjectionPort(Component, Snapshottable):
         # A releasable packet (its pair's next expected) was refused
         # delivery space: the one reorder-buffer state a tick can act on
         # without a new flit (a gap leaves it clear).  A function of _rob
-        # and _expected: never captured, recomputed on restore.
+        # and _expected.
         self._rob_blocked = False
         self.reorder_high_watermark = 0
         #: Packets that arrived ahead of a same-pair predecessor and had
@@ -207,36 +196,6 @@ class EjectionPort(Component, Snapshottable):
         self.packets_resequenced = 0
         for queue in self.flit_queues:
             queue.wake_on_push(self)
-
-    _snapshot_fields = (
-        "_last_vc",
-        "packets_ejected",
-        "_rob",
-        "_expected",
-        "_rob_count",
-        "reorder_high_watermark",
-        "packets_resequenced",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        # _rob is a dict of dicts; shallow-capture the inner maps too so
-        # the checkpoint's shape is fixed at capture time.
-        state["_rob"] = {src: dict(m) for src, m in self._rob.items()}
-        state["reassemblers"] = [a.snapshot() for a in self.reassemblers]
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self._flow_hists.clear()
-        expected = self._expected
-        self._rob_blocked = any(
-            expected.get(src, 0) in pending for src, pending in self._rob.items()
-        )
-        for reassembler, envelope in zip(
-            self.reassemblers, state["reassemblers"]
-        ):
-            reassembler.restore(envelope)
 
     def _record_flow(self, packet: NocPacket, src: int) -> None:
         """Injection-to-delivery latency into the per-flow histograms

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.sim.snapshot import Snapshottable
-
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
@@ -24,12 +22,10 @@ class Candidate:
     age: int  # cycles since the head flit reached the front
 
 
-class Arbiter(Snapshottable):
+class Arbiter:
     """Base arbitration policy; subclasses implement :meth:`pick`."""
 
     name = "base"
-
-    _snapshot_fields = ("_grant_seq", "_grants")
 
     def __init__(self) -> None:
         self._grant_seq = 0

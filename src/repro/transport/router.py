@@ -88,7 +88,6 @@ from repro.core.packet import PacketKind
 from repro.core.transaction import Opcode
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.snapshot import Snapshottable
 from repro.transport.flit import Flit
 from repro.transport.qos import Arbiter, Candidate, PriorityArbiter
 from repro.transport.routing import AdaptiveRoutingTable, VcPolicy
@@ -102,7 +101,7 @@ _LOCK_CLEARERS = (Opcode.STORE_COND_LOCKED,)
 VcKey = Tuple[str, int]
 
 
-class Router(Component, Snapshottable):
+class Router(Component):
     """One switch.  Wiring is done by :class:`~repro.transport.network.Network`."""
 
     #: Body-flit streaming fast path: once a head holds its output VC and
@@ -791,38 +790,6 @@ class Router(Component, Snapshottable):
                 self._simulator.trace.log(
                     cycle, self.name, "lock_clear", port=out_port, master=head.src
                 )
-
-    # ------------------------------------------------------------------ #
-    # state capture
-    # ------------------------------------------------------------------ #
-    # Everything the tick mutates.  Not captured: wiring (inputs/outputs,
-    # sorted lists, candidate-key maps, neighbour geometry), the routing
-    # tables (shared, read-only: see network.plane_tables) and _vc_cache
-    # (pure geometry).
-    snapshot_version = 3
-    _snapshot_fields = (
-        "_input_alloc",
-        "_input_head",
-        "_input_age",
-        "_output_owner",
-        "_output_lock",
-        "_alloc_fail",
-        "_release_version",
-        "flits_forwarded",
-        "packets_forwarded",
-        "packets_adaptive",
-        "packets_escape",
-        "lock_stall_cycles",
-    )
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["arbiter"] = self.arbiter.snapshot()
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        self.arbiter.restore(state["arbiter"])
 
     # ------------------------------------------------------------------ #
     # introspection (tests / benches)

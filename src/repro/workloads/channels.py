@@ -33,10 +33,9 @@ class StreamChannel:
     ``initial`` tokens (credit preload) are stamped at cycle ``-1`` so
     they are visible from cycle 0 onward.
 
-    State is the put-cycle list alone; it is captured/restored through
-    the :class:`~repro.workloads.dma.DmaEngine` snapshots of every engine
-    wired to the channel (idempotently — all engines hold the same list).
-    The waiter registry is wiring, rebuilt by ``bind_master``.
+    State is the put-cycle list alone; a checkpoint carries the channel
+    once, however many engines are wired to it.  The waiter registry is
+    wiring, filled by ``bind_master``.
     """
 
     def __init__(self, name: str, initial: int = 0) -> None:

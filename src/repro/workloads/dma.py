@@ -11,9 +11,9 @@ standard ``poll``/``lookahead``/``done`` questions, plus one extra hook
 
 The engine is deliberately *not* a kernel component: like every other
 traffic source it is event-deterministic — identical across the strict
-and activity kernels and across checkpoint/restore (it implements the
-:class:`~repro.sim.snapshot.Snapshottable` contract, including the
-channel token logs it shares with peer engines).
+and activity kernels and across checkpoint/restore (a checkpoint
+carries every engine's attributes, the channel token logs it shares
+with peer engines included).
 
 ``compute`` descriptors model the endpoint's local work: the descriptor
 completes ``delay`` cycles after its last dependency completes, without
@@ -29,7 +29,6 @@ from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction, make_read, make_write
-from repro.sim.snapshot import Snapshottable
 from repro.workloads.channels import StreamChannel
 
 __all__ = ["DmaDescriptor", "DmaEngine", "DmaProgramError"]
@@ -141,7 +140,7 @@ class DmaDescriptor:
         )
 
 
-class DmaEngine(Snapshottable):
+class DmaEngine:
     """Execute a descriptor program through the polling protocol master.
 
     ``on_error="halt"`` (default) freezes the program on the first error
@@ -178,23 +177,8 @@ class DmaEngine(Snapshottable):
     same computes in the same order as rescanning to a fixed point, and
     the first token-ready entry of ``_open_bursts`` is the lowest
     eligible index.  All of it is derived from ``_complete_cycle`` and
-    ``_issued``, so ``_rebuild_frontier`` recomputes it after a restore
-    and the checkpoint format never sees it.
+    ``_issued`` (``_rebuild_frontier``).
     """
-
-    _snapshot_fields = (
-        "_issued",
-        "_done_bursts",
-        "_complete_cycle",
-        "_compute_done",
-        "_signals_fired",
-        "_txn_desc",
-        "_halted",
-        "bursts_completed",
-        "issue_log",
-        "complete_log",
-        "completions",
-    )
 
     def __init__(
         self,
@@ -225,9 +209,8 @@ class DmaEngine(Snapshottable):
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._master = None  # set by bind_master (wiring, not state)
         self._rebuild_frontier()
-        # Channels this program touches, by name — the snapshot captures
-        # their token logs through every engine that references them
-        # (idempotent: all captures happen at the same instant).
+        # Channels this program touches, by name (a channel shared by two
+        # engines is one object in a checkpoint, as it is here).
         self._channels: Dict[str, StreamChannel] = {}
         for desc in self.program:
             for channel in desc.wait + desc.signal:
@@ -302,8 +285,7 @@ class DmaEngine(Snapshottable):
     # deterministic progress: the ready frontier
     # ------------------------------------------------------------------ #
     def _rebuild_frontier(self) -> None:
-        """Derive the frontier from ``_complete_cycle`` / ``_issued`` (at
-        construction and after every restore)."""
+        """Derive the frontier from ``_complete_cycle`` / ``_issued``."""
         cc, issued = self._complete_cycle, self._issued
         blocked = self._blocked = list(map(len, self._after))
         self._open_computes: List[int] = []
@@ -487,7 +469,7 @@ class DmaEngine(Snapshottable):
             self._advance(cycle)  # a finished dep may release computes
 
     # ------------------------------------------------------------------ #
-    # diagnostics + snapshot
+    # diagnostics
     # ------------------------------------------------------------------ #
     def diagnose_stall(self) -> Optional[str]:
         """One line per stuck reason; None when nothing is stuck."""
@@ -532,16 +514,3 @@ class DmaEngine(Snapshottable):
         if not reasons:
             reasons.append("unfinished (no further diagnosis)")
         return f"{self.name}: " + "; ".join(reasons)
-
-    def _snapshot_state(self) -> dict:
-        state = super()._snapshot_state()
-        state["channels"] = {
-            name: list(ch._puts) for name, ch in self._channels.items()
-        }
-        return state
-
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
-        for name, puts in state["channels"].items():
-            self._channels[name]._puts[:] = puts
-        self._rebuild_frontier()  # derived state: never snapshotted

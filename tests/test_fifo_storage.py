@@ -1,21 +1,15 @@
 """A FIFO holds only its items: every bounded buffer a built SoC owns —
 queue, link pipeline, memory pipeline — is a plain list (56 bytes empty
 on CPython 3.11, where a ``collections.deque`` allocates a 760-byte
-block up front), and a checkpoint restores each one in place."""
+block up front)."""
 
 from collections import deque
 
-import pytest
-
 from differential import e2e as workloads
 from repro.ip.slaves import MemoryDevice
-from repro.ip.traffic import TrafficSpec
-from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink
+from repro.phys.link import PhysicalLink, VcPhysicalLink
 from repro.sim.fingerprint import reset_ids
 from repro.sim.queue import SimQueue
-from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
-from repro.sweep import Checkpoint
-from repro.transport import topology as topo
 
 #: The FIFOs on the stepping path, by owner class.
 FIFOS = {
@@ -80,50 +74,3 @@ def test_the_walk_sees_a_deque():
     queue = SimQueue("q")
     queue._committed = deque()  # what every queue held before
     assert deques_held(queue) == [("SimQueue", "_committed")]
-
-
-def vc_torus_soc():
-    """3x3 DOR/dateline torus, 2 VCs over narrow pipelined links: every
-    router link is a VcPhysicalLink."""
-    reset_ids()
-    builder = SocBuilder(
-        topology=topo.torus(3, 3, endpoints=6), routing="dor", vcs=2,
-        vc_policy="dateline",
-        links={"router": LinkSpec(phit_bits=32, pipeline_latency=2)},
-    )
-    for index in range(4):
-        builder.add_initiator(InitiatorSpec(
-            f"ip{index}", "AXI",
-            TrafficSpec(kind="poisson", seed=50 + index, count=10**9,
-                        rate=0.5, pairs=[(0, 0x1000), (0x1000, 0x1000)]),
-            protocol_kwargs={"id_count": 4},
-        ))
-    for name in ("m0", "m1"):
-        builder.add_target(TargetSpec(name, size=0x1000))
-    return builder.build()
-
-
-@pytest.mark.parametrize("which, owners", [
-    ("vc_torus", {"SimQueue", "VcPhysicalLink", "MemoryDevice"}),
-    ("gals_links", {"SimQueue", "PhysicalLink", "MemoryDevice"}),
-])
-def test_restore_into_the_same_soc_refills_each_fifo_in_place(which, owners):
-    if which == "vc_torus":
-        soc = vc_torus_soc()
-    else:
-        reset_ids()
-        soc = workloads.WORKLOADS[which]().builder(1105).build()
-    soc.run(1500)
-    before = fifo_lists(soc)
-    assert {key[0] for key in before} == owners
-    held = {key: len(fifo) for key, fifo in before.items()}
-    assert sum(held.values()) > 0
-    checkpoint = Checkpoint.capture(soc)
-    soc.run(300)
-    assert {key: len(fifo) for key, fifo in before.items()} != held
-    checkpoint.restore_into(soc)
-    after = fifo_lists(soc)
-    assert after.keys() == before.keys()
-    for key, fifo in after.items():
-        assert fifo is before[key], key
-        assert type(fifo) is list and len(fifo) == held[key], key

@@ -1,6 +1,5 @@
 """Unit + property tests for the three ordering models and the checker."""
 
-import pickle
 
 import pytest
 from hypothesis import given
@@ -13,6 +12,7 @@ from repro.core.ordering import (
     OrderingViolation,
 )
 from repro.core.protocols import family
+from repro.sweep import Checkpoint
 
 
 class TestStreamKeys:
@@ -132,13 +132,17 @@ class TestChecker:
             checker.issue(1, thread=1)
 
     def test_counters_survive_snapshot_restore(self):
-        checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
+        donor = build("mixed-protocols")
+        checker = donor.masters["cpu_ahb"].checker
+        assert checker.model is OrderingModel.FULLY_ORDERED
         for i in range(4):
             checker.issue(i)
         checker.complete(0)
         checker.complete(1)
-        fresh = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
-        fresh.restore(pickle.loads(pickle.dumps(checker.snapshot())))
+        checkpoint = Checkpoint.capture(donor)
+        restored = build("mixed-protocols")
+        checkpoint.restore_into(restored)
+        fresh = restored.masters["cpu_ahb"].checker
         assert (fresh.issued, fresh.outstanding) == (4, 2)
         # The restored scoreboard still orders what is open.
         with pytest.raises(OrderingViolation):

@@ -16,6 +16,7 @@ import pytest
 from repro.ip import TrafficSpec
 from repro.sim.shard import ShardConfigError, ShardPlan, plan_shards
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
+from repro.sweep import Checkpoint
 from repro.sweep.parallel import run_sharded
 from repro.transport import topology as topo
 
@@ -226,8 +227,8 @@ def test_enabled_tracer_with_shards_rejected():
 
 def test_snapshot_of_sharded_build_rejected():
     soc = _minimal_builder(shards=2).build()
-    with pytest.raises(ShardConfigError, match="snapshot"):
-        soc.snapshot()
+    with pytest.raises(ShardConfigError, match="checkpoint"):
+        Checkpoint.capture(soc)
 
 
 def test_run_sharded_requires_a_sharded_build():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from differential import build
 from repro.sim.stats import Histogram, LatencyStat, StatsRegistry
+from repro.sweep import Checkpoint
 
 
 def test_histogram_summary():
@@ -117,16 +119,20 @@ def test_histograms_merge_by_adding_counts():
 
 
 def test_histogram_snapshot_round_trip():
-    h = Histogram("h")
+    """A registered histogram, checkpointed, then restored into its own
+    SoC (the sample added after the capture goes) and into a rebuild."""
+    soc = build("mixed-protocols")
+    h = soc.sim.stats.histogram("h")
     for v in (3, 3, 5, 40, 3):
         h.add(v)
-    saved = h.snapshot()
+    checkpoint = Checkpoint.capture(soc)
     h.add(1000)
-    h.restore(saved)
+    checkpoint.restore_into(soc)
+    h = soc.sim.stats.histogram("h")
     assert h.summary() == _list_summary([3, 3, 5, 40, 3])
-    fresh = Histogram("h")
-    fresh.restore(saved)
-    assert fresh.summary() == h.summary()
+    fresh = build("mixed-protocols")
+    checkpoint.restore_into(fresh)
+    assert fresh.sim.stats.histogram("h").summary() == h.summary()
 
 
 def test_histogram_memory_is_per_distinct_value():

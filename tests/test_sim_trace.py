@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim.snapshot import SnapshotVersionError
+from differential import build
 from repro.sim.trace import TraceEvent, Tracer
+from repro.sweep import Checkpoint
 
 
 def test_disabled_tracer_records_nothing():
@@ -41,15 +42,16 @@ def test_enabled_is_fixed_at_construction(enabled):
         t.enabled = not enabled
 
 
-def test_snapshot_restores_the_event_list_in_place():
-    t = Tracer()
-    t.log(1, "s", "k")
-    saved = t.snapshot()
-    events = t.events
-    t.log(2, "s", "k")
-    t.restore(saved)
-    assert t.events is events
-    assert [e.cycle for e in t.events] == [1]
-    saved["__v__"] = 1  # the layout with the ring buffer and its count
-    with pytest.raises(SnapshotVersionError):
-        t.restore(saved)
+def test_a_checkpoint_restores_the_event_list():
+    """The tracer travels by value: after a restore into the same SoC
+    the simulator holds the checkpoint's copy, and the tracer read off
+    it before is stale."""
+    soc = build("mixed-protocols")
+    tracer = soc.sim.trace
+    tracer.log(1, "s", "k")
+    checkpoint = Checkpoint.capture(soc)
+    tracer.log(2, "s", "k")
+    checkpoint.restore_into(soc)
+    assert soc.sim.trace is not tracer
+    assert [e.cycle for e in soc.sim.trace.events] == [1]
+    assert [e.cycle for e in tracer.events] == [1, 2]

@@ -5,10 +5,12 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+from differential import build
 from repro.core.transaction import ResponseStatus
 from repro.ip.slaves import ByteStore, MemoryDevice
 from repro.protocols.base import SlaveRequest, SlaveSocket
 from repro.sim.kernel import Simulator
+from repro.sweep import Checkpoint
 
 
 class DictByteStore:
@@ -69,9 +71,10 @@ class TestByteStore:
         """Seeded differential against :class:`DictByteStore`: writes of
         every beat width with values wider than the beat (zeros
         included), reads that reach bytes never written and past the
-        highest one, then a snapshot restored into a fresh store."""
+        highest one, then a checkpoint restored into a rebuilt SoC."""
         rng = random.Random(20260)
-        store, reference = ByteStore(), DictByteStore()
+        soc = build("mixed-protocols")
+        store, reference = soc.memories["dram"].store, DictByteStore()
         reads_of_unwritten = 0
         for _ in range(2500):
             width = rng.choice((1, 2, 4, 8))
@@ -91,8 +94,10 @@ class TestByteStore:
         assert len(store) == len(reference)
         assert store.image() == reference.image()
         assert 0 in reference.image().values()  # written zeros are kept
-        fresh = ByteStore()
-        fresh.restore(store.snapshot())
+        checkpoint = Checkpoint.capture(soc)
+        restored = build("mixed-protocols")
+        checkpoint.restore_into(restored)
+        fresh = restored.memories["dram"].store
         assert fresh.image() == reference.image()
         assert len(fresh) == len(reference)
         assert [fresh.read_beat(a, 8) for a in range(0, 0x2010, 5)] == [
@@ -100,13 +105,14 @@ class TestByteStore:
         ]
 
     def test_snapshot_does_not_follow_later_writes(self):
-        store = ByteStore()
+        soc = build("mixed-protocols")
+        store = soc.memories["dram"].store
         store.write_beat(0x0, 0x1122, 2)
-        envelope = store.snapshot()
+        checkpoint = Checkpoint.capture(soc)
         store.write_beat(0x0, 0xFFFFFFFF, 4)
-        fresh = ByteStore()
-        fresh.restore(envelope)
-        assert fresh.image() == {0: 0x22, 1: 0x11}
+        restored = build("mixed-protocols")
+        checkpoint.restore_into(restored)
+        assert restored.memories["dram"].store.image() == {0: 0x22, 1: 0x11}
 
 
 def make_memory(sim, **kwargs):

@@ -1,6 +1,6 @@
 """Checkpoint/restore and fork-sweep contracts.
 
-The uniform state-capture protocol is only worth having if a restored
+A checkpoint is only worth having if a restored
 run is *byte-identical* to an uninterrupted one — same trace stream,
 same queue counters, same histograms, same memory images — at every
 layer and from every adversarial snapshot point: mid-wormhole,
@@ -12,6 +12,7 @@ on top.
 import functools
 import pickle
 import struct
+from collections import Counter
 
 import pytest
 
@@ -19,14 +20,14 @@ import repro.sweep.checkpoint as checkpoint_module
 from differential import KERNELS, assert_same, build, observe, run
 from repro.ip import TrafficSeedError, TrafficSpec
 from repro.sim.component import Component
-from repro.sim.snapshot import (
-    SerialCounter,
-    SnapshotError,
-    SnapshotMismatchError,
-    SnapshotVersionError,
-    Snapshottable,
+from repro.sweep import (
+    Checkpoint,
+    CheckpointCaptureError,
+    CheckpointFormatError,
+    CheckpointMismatchError,
+    Override,
+    fork,
 )
-from repro.sweep import Checkpoint, CheckpointFormatError, Override, fork
 from repro.sweep.fork import run_cold
 
 
@@ -99,10 +100,9 @@ def test_reorder_buffer_gap_roundtrip(restore):
     """Cycle 330 of the adaptive hotspot SoC: one target's ejection port
     holds packets behind a gap (``_rob_blocked`` clear, nothing to do
     until a flit arrives) while the hot target's holds a releasable
-    packet refused delivery space (``_rob_blocked`` set).  The flag is a
-    function of the buffer, never captured: a rebuilt SoC and the donor
-    itself, restored after running on, both recompute it and continue
-    byte-identically."""
+    packet refused delivery space (``_rob_blocked`` set): a rebuilt SoC
+    and the donor itself, restored after running on, both read the
+    flags as captured and continue byte-identically."""
 
     def probe(soc):
         eports = [
@@ -119,7 +119,6 @@ def test_reorder_buffer_gap_roundtrip(restore):
     restored = run("adaptive-hotspot", 800, cut=330, restore=restore,
                    probe=probe)
     assert_same(restored, run("adaptive-hotspot", 800))
-    assert b"_rob_blocked" not in restored.checkpoint.to_bytes()
 
 
 def test_same_soc_restore_drops_stats_created_after_the_cut():
@@ -134,9 +133,9 @@ def test_same_soc_restore_drops_stats_created_after_the_cut():
 def test_refusal_memo_is_dropped_on_restore_never_captured():
     """Cycle 1500 of the saturated mixed SoC: ``io_bvci``'s NIU holds a
     memoised admit refusal and masters sit limit-blocked (their ticks
-    short-circuit).  The memo is a pure cache — absent from the
-    snapshot, cleared by restore — so a rebuilt SoC *and* the donor
-    itself, restored after running on, both continue byte-identically."""
+    short-circuit).  The memo travels with the table version it is
+    stamped with, so a rebuilt SoC *and* the donor itself, restored
+    after running on, both continue byte-identically."""
     total, at = 2000, 1500
     donor = build("saturated-mixed")
     donor.run(at)
@@ -144,13 +143,11 @@ def test_refusal_memo_is_dropped_on_restore_never_captured():
     assert niu._refused_txn is niu.native.decoded is not None
     assert niu._refused_version == niu.table.version
     assert any(master._limit_blocked for master in donor.masters.values())
-    assert not {"_refused_txn", "_refused_version"} & set(niu.snapshot()["state"])
     checkpoint = Checkpoint.capture(donor)
     donor.run(97)  # moves the donor's memo and table version on
 
     for resumed in (build("saturated-mixed"), donor):
         checkpoint.restore_into(resumed)
-        assert resumed.initiator_nius["io_bvci"]._refused_txn is None
         resumed.run(total - at)
         assert_same(observe(resumed), run("saturated-mixed", total))
 
@@ -174,15 +171,54 @@ def test_parked_wheel_roundtrip():
     assert_same(observe(resumed), reference)
 
 
+def _instrument(soc, counts):
+    """Counting closures on every component's ``tick`` and every traffic
+    source's ``poll``, set on the instances (as the benchmark's layer
+    table wraps them); returns ``soc``."""
+    for component in soc.sim.components:
+        def tick(cycle, _tick=component.tick, _name=component.name):
+            counts[_name] += 1
+            _tick(cycle)
+
+        component.tick = tick
+    for name, master in soc.masters.items():
+        def poll(*args, _poll=master.traffic.poll, _name=f"{name}.poll"):
+            counts[_name] += 1
+            return _poll(*args)
+
+        master.traffic.poll = poll
+    return soc
+
+
+def test_instrumentation_survives_a_round_trip():
+    """Closures on the donor's instances do not pickle and are left out
+    of the capture; the rebuilt target keeps its own, which count, call
+    for call, what the donor's count over the same cycles, and the run
+    ends on the uninterrupted fingerprint."""
+    donor_counts, counts = Counter(), Counter()
+    donor = _instrument(build("mixed-protocols"), donor_counts)
+    donor.run(137)
+    checkpoint = Checkpoint.capture(donor)
+    at_cut = Counter(donor_counts)
+    donor.run(463)  # first: the two SoCs draw ids from one global stream
+    resumed = _instrument(build("mixed-protocols"), counts)
+    checkpoint.restore_into(resumed)
+    assert not counts
+    resumed.run(463)
+    assert counts == donor_counts - at_cut
+    assert sum(counts.values()) > 0 and any(k.endswith(".poll") for k in counts)
+    assert_same(observe(resumed), observe(donor))
+
+
 # --------------------------------------------------------------------- #
 # serialization
 # --------------------------------------------------------------------- #
 def test_cached_flow_histogram_handles_survive_restore():
     """Ejection ports cache their per-flow histogram handles; after a
     restore into the *same* SoC they must point at the registered objects
-    again (StatsRegistry.restore mutates in place, the cache re-resolves),
-    so flow_stats() after snapshot -> run -> restore -> deliver equals
-    the uninterrupted run."""
+    again (the registry and the caches travel under one memo), so
+    flow_stats() after capture -> run -> restore -> deliver equals the
+    uninterrupted run."""
     reference = build("mixed-protocols")
     reference.run(1500)
     soc = build("mixed-protocols")
@@ -223,9 +259,9 @@ def test_checkpoint_bad_bytes():
     with pytest.raises(CheckpointFormatError):
         Checkpoint.from_bytes(bytes(data))
 
-    # v2 wire format: magic, version byte, cycle, payload length, payload.
+    # v3 wire format: magic, version byte, cycle, payload length, payload.
     header = len(b"repro-ckpt") + 1 + 8 + 8
-    v1_blob = b"repro-ckpt\x01" + pickle.dumps(soc.snapshot())
+    v1_blob = b"repro-ckpt\x01" + good[header:]
     for rejected_unparsed in (
         b"repro-ckpt",             # magic only
         b"repro-ckpt\x01",         # ... and a version byte
@@ -251,19 +287,20 @@ def test_checkpoint_bad_bytes():
 
 
 class _CountingPickle:
-    """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with the two
-    calls that cost a pass over the state tree counted."""
+    """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with the
+    pickler and the unpickler it makes — each one pass over the state —
+    counted."""
 
     def __init__(self):
-        self.calls = {"dumps": 0, "loads": 0}
+        self.calls = {"Pickler": 0, "Unpickler": 0}
 
-    def dumps(self, *args):
-        self.calls["dumps"] += 1
-        return pickle.dumps(*args)
+    def Pickler(self, *args):
+        self.calls["Pickler"] += 1
+        return pickle.Pickler(*args)
 
-    def loads(self, data):
-        self.calls["loads"] += 1
-        return pickle.loads(data)
+    def Unpickler(self, *args):
+        self.calls["Unpickler"] += 1
+        return pickle.Unpickler(*args)
 
     def __getattr__(self, name):
         return getattr(pickle, name)
@@ -280,92 +317,29 @@ def test_copy_budget_of_a_serial_sweep(monkeypatch):
     checkpoint = Checkpoint.capture(donor)
     fork(checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=50,
          processes=0)
-    assert counting.calls == {"dumps": 1, "loads": 4}
+    assert counting.calls == {"Pickler": 1, "Unpickler": 4}
     blob = checkpoint.to_bytes()
     assert checkpoint.to_bytes() == blob
     assert Checkpoint.from_bytes(blob).cycle == 200
-    assert counting.calls == {"dumps": 1, "loads": 4}
+    assert counting.calls == {"Pickler": 1, "Unpickler": 4}
 
 
 # --------------------------------------------------------------------- #
 # named errors
 # --------------------------------------------------------------------- #
-def test_snapshot_version_mismatch():
-    soc = build("mixed-protocols")
-    soc.run(10)
-    state = soc.snapshot()
-    state["__v__"] = 999
-    fresh = build("mixed-protocols")
-    with pytest.raises(SnapshotVersionError):
-        fresh.restore(state)
-
-
-def test_snapshot_envelope_version_mismatch():
-    counter = SerialCounter()
-    next(counter)
-    envelope = counter.snapshot()
-    envelope["__v__"] = 999
-    with pytest.raises(SnapshotVersionError):
-        SerialCounter().restore(envelope)
-
-
-#: Version-1 layouts of the two classes whose captured state changed: the
-#: store's ``{offset: byte}`` dict, the checker's completed records and
-#: open count.
-_V1_ENVELOPES = {
-    ("dram", "store"): {
-        "__v__": 1, "__cls__": "ByteStore", "state": {"_bytes": {0: 7}},
-    },
-    ("cpu_ahb", "checker"): {
-        "__v__": 1, "__cls__": "OrderingChecker",
-        "state": {"violations": [], "_records": {}, "_open_by_stream": {},
-                  "_open_count": 0, "_sequence": 0},
-    },
-}
-
-
-@pytest.mark.parametrize("where", _V1_ENVELOPES, ids=lambda w: w[1])
-def test_version_1_envelope_fails_by_class_name(where):
-    """A checkpoint written before a layout change fails with the class's
-    name, not with a missing key somewhere inside its restore."""
-    component, key = where
-    envelope = _V1_ENVELOPES[where]
-    soc = build("mixed-protocols")
-    soc.run(10)
-    state = soc.snapshot()
-    state["sim"]["state"]["components"][component]["state"]["state"][key] = envelope
-    with pytest.raises(SnapshotVersionError, match=f"^{envelope['__cls__']}: "):
-        build("mixed-protocols").restore(state)
-
-
-def test_version_1_router_envelope_fails_by_class_name():
-    """Version 2 of the router's layout dropped its fault state and its
-    adaptive table (a table is wiring, never state); version 3 its
-    per-output busy and lock-stall dicts.  Both older layouts fail."""
-    soc = build("mixed-protocols")
-    soc.run(10)
-    state = soc.snapshot()
-    envelope = state["sim"]["state"]["components"]["soc.req.r(0, 0)"]["state"]
-    assert envelope["__cls__"] == "Router" and envelope["__v__"] == 3
-    for old in (1, 2):
-        envelope["__v__"] = old
-        with pytest.raises(SnapshotVersionError, match="^Router: "):
-            build("mixed-protocols").restore(state)
-
-
 def test_restore_into_incongruent_build():
     soc = build("mixed-protocols")
     soc.run(10)
     checkpoint = Checkpoint.capture(soc)
     other = build("legacy-lock")
-    with pytest.raises(SnapshotMismatchError):
+    with pytest.raises(CheckpointMismatchError) as refused:
         checkpoint.restore_into(other)
+    unknown, missing = str(refused.value).split("missing")
+    assert "component 'cpu_ahb'" in unknown and "component '" in missing
 
 
-class _CallbackProbe(Component, Snapshottable):
-    """A user component that lists a callable among its captured fields."""
-
-    _snapshot_fields = ("on_tick",)
+class _CallbackProbe(Component):
+    """A user component holding a lambda, which no pickle takes."""
 
     def __init__(self, name):
         super().__init__(name)
@@ -379,7 +353,7 @@ def test_capture_names_the_component_whose_state_does_not_pickle():
     soc = build("mixed-protocols")
     soc.sim.add(_CallbackProbe("user.probe"))
     soc.run(10)
-    with pytest.raises(SnapshotError, match="component 'user.probe'"):
+    with pytest.raises(CheckpointCaptureError, match="component 'user.probe'"):
         Checkpoint.capture(soc)
 
 

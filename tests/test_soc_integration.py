@@ -19,6 +19,7 @@ from repro.sim.trace import Tracer
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.soc.builder import BUILD_ROWS
 from repro.soc.config import INITIATOR_ROWS, TARGET_ROWS
+from repro.sweep import Checkpoint
 from repro.transport import topology as topo
 from repro.transport.network import PLANE_ROWS
 from repro.transport.switching import SwitchingMode
@@ -423,7 +424,7 @@ class TestFlowStats:
 def test_master_latency_of_an_unknown_name_raises_and_registers_nothing(fabric):
     """A read never writes: the latency of a name that is not a master
     used to come back all zeros and leave ``<name>.txn`` registered, in
-    the registry and in every later snapshot."""
+    the registry and in every later checkpoint."""
     if fabric == "noc":
         soc = differential.build("mixed-protocols")
     else:
@@ -434,7 +435,7 @@ def test_master_latency_of_an_unknown_name_raises_and_registers_nothing(fabric):
         soc.master_latency("cpu_typo")
     assert all(repr(name) in str(refused.value) for name in soc.masters)
     assert set(soc.sim.stats._latencies) == registered
-    assert "cpu_typo.txn" not in soc.sim.snapshot()["state"]["stats"]["latencies"]
+    assert b"cpu_typo" not in Checkpoint.capture(soc).to_bytes()
     first = next(iter(soc.masters))
     assert soc.master_latency(first)["count"] > 0
 

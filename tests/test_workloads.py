@@ -482,11 +482,3 @@ class TestScenarioDeterminism:
             restored.run_to_completion()
             assert fan.done(), label
             assert fingerprint_soc(restored) == uninterrupted, label
-
-    def test_engine_snapshot_format_unchanged(self):
-        """Old checkpoints still load: the frontier adds no field."""
-        assert DmaEngine._snapshot_fields == (
-            "_issued", "_done_bursts", "_complete_cycle", "_compute_done",
-            "_signals_fired", "_txn_desc", "_halted", "bursts_completed",
-            "issue_log", "complete_log", "completions",
-        )
