@@ -15,12 +15,15 @@ side.  The two process-global id counters travel beside it.
 :meth:`Checkpoint.restore_into` unpickles with each name resolved to
 the target's own object and installs each state there, keeping the
 target's instrumentation.  The target is a congruent build (the same
-builder: the same names, objects with the same attributes), typically a
-fresh one, or the captured SoC itself.  Every *unnamed* object the
-target held is replaced by the checkpoint's copy: a plane, a stats
-registry or a tracer read off the SoC before ``restore_into`` is stale
-afterwards; read it off the SoC again.  Each restore unpickles a copy
-of its own, so one checkpoint seeds any number of what-if runs.
+builder: the same names, the same kernel and tracing, objects with the
+same attributes), typically a fresh one, or the captured SoC itself.
+Every other attribute of a named object is the donor's, a setting the
+target was built or configured with included (a router's
+``stream_fast_path``, say).  Every *unnamed* object the target held is
+replaced by the checkpoint's copy: a plane, a stats registry or a
+tracer read off the SoC before ``restore_into`` is stale afterwards;
+read it off the SoC again.  Each restore unpickles a copy of its own,
+so one checkpoint seeds any number of what-if runs.
 
 Serialized, the payload follows a versioned header (magic, version,
 cycle, payload length); :class:`CheckpointFormatError` names format
@@ -57,7 +60,8 @@ class CheckpointFormatError(RuntimeError):
 
 
 class CheckpointMismatchError(RuntimeError):
-    """A checkpoint restored into a build with other named objects."""
+    """A checkpoint restored into a build with other named objects, or
+    with another kernel or other tracing."""
 
 
 class CheckpointCaptureError(RuntimeError):
@@ -87,6 +91,12 @@ def _describe(key: Tuple[str, str]) -> str:
     return f"{kind} {name!r}" if name else kind
 
 
+def _modes(soc) -> Dict[str, bool]:
+    """The build settings a checkpoint carries and a restore will not
+    switch: which kernel runs, and whether the SoC's tracer records."""
+    return {"strict": soc.sim.strict, "tracing": soc.sim.trace.enabled}
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(cls) -> Tuple[FrozenSet[str], Tuple[str, ...]]:
     """The method names and the slot names of ``cls``."""
@@ -104,35 +114,21 @@ def _layout(cls) -> Tuple[FrozenSet[str], Tuple[str, ...]]:
     return methods, slots
 
 
-def _unshare(attrs: dict) -> None:
-    """Rewrite an instance dict that was just read as an ordinary dict.
-
-    CPython 3.11 keeps an object's attributes outside any dict until its
-    ``__dict__`` is read, and reading it leaves a dict whose keys are
-    shared with the class; every later attribute access on that object
-    then misses the interpreter's attribute cache, which an ordinary
-    dict does not.  Capture reads every dict it pickles; this keeps the
-    captured SoC's attribute reads cached when it runs on.
-    """
-    items = attrs.copy()
-    attrs.clear()
-    attrs.update(items)
-
-
 def _state_of(obj) -> dict:
     """``obj``'s instance attributes, less those shadowing a method."""
     methods, slots = _layout(type(obj))
     state = {name: getattr(obj, name) for name in slots if hasattr(obj, name)}
     attrs = getattr(obj, "__dict__", None)
     if attrs is not None:
-        _unshare(attrs)
         state.update((n, v) for n, v in attrs.items() if n not in methods)
     return state
 
 
 def _install(obj, state: dict) -> None:
-    """Set ``state`` on ``obj`` attribute by attribute: its own shims stay,
-    and no dict is read into existence (see :func:`_unshare`)."""
+    """Set ``state`` on ``obj`` attribute by attribute: its own shims
+    stay, and no instance dict is read into existence (on CPython 3.11
+    an object whose ``__dict__`` was read keeps its attribute reads off
+    the interpreter's cache)."""
     for name, value in state.items():
         object.__setattr__(obj, name, value)
 
@@ -141,29 +137,37 @@ def _reduce(obj):
     """Reduce ``obj`` as pickle would, except that an object pickled as
     its class and its instance dict gets its attributes back one by one
     (:func:`_install`), where a built object keeps them, rather than in a
-    dict the unpickler reads into existence (see :func:`_unshare`): a
-    SoC restored that way ran its continuations 15-30% slower than a
-    built one."""
+    dict the unpickler reads into existence: a SoC restored that way ran
+    its continuations 15-30% slower than a built one."""
     reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
     if (
         type(reduced) is tuple and len(reduced) == 5
         and reduced[0] is copyreg.__newobj__ and type(reduced[2]) is dict
         and reduced[3] is None and reduced[4] is None
     ):
-        _unshare(reduced[2])
         return reduced + (_install,)
     return reduced
 
 
+def _pickle_reduce(obj):
+    """Reduce ``obj`` exactly as pickle would."""
+    return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+
+
 class _Reducers(dict):
-    """The checkpoint pickler's dispatch table: :func:`_reduce`, or what
-    :mod:`copyreg` registers, for every class but metaclasses, whose
-    instances (classes) pickle by name."""
+    """The checkpoint pickler's dispatch table, per class: what
+    :mod:`copyreg` registers; pickle's own reduction for a class that
+    defines ``__setstate__``, which must run; :func:`_reduce` for the
+    rest.  Metaclasses are left out: their instances (classes) pickle by
+    name."""
 
     def __missing__(self, cls):
         if issubclass(cls, type):
             raise KeyError(cls)
-        reducer = self[cls] = copyreg.dispatch_table.get(cls, _reduce)
+        reducer = copyreg.dispatch_table.get(cls)
+        if reducer is None:
+            reducer = _pickle_reduce if hasattr(cls, "__setstate__") else _reduce
+        self[cls] = reducer
         return reducer
 
 
@@ -198,7 +202,7 @@ class Checkpoint:
         ids = (_txn_mod._txn_ids.peek(), _flit_mod._flit_packet_ids.peek())
         buffer = io.BytesIO()
         dumper = _pickler(buffer, names)
-        dumper.dump((soc.sim.cycle, tuple(named)))
+        dumper.dump((soc.sim.cycle, tuple(named), _modes(soc)))
         try:
             dumper.dump((ids, states))
         except _UNPICKLABLE as exc:
@@ -217,14 +221,17 @@ class Checkpoint:
 
         Each call unpickles a copy of its own, so the checkpoint stays
         pristine and may be restored again (the fork sweep relies on
-        this).  Unnamed objects read off ``soc`` before the call are
-        stale after it (see the module docstring).
+        this).  A build with other names, another kernel or other
+        tracing is refused (:class:`CheckpointMismatchError`); any other
+        setting of ``soc`` becomes the donor's.  Unnamed objects read
+        off ``soc`` before the call are stale after it (see the module
+        docstring).
         """
         named = _named_objects(soc)
         loader = pickle.Unpickler(io.BytesIO(self._payload))
         loader.persistent_load = named.__getitem__
         try:
-            cycle, keys = loader.load()
+            cycle, keys, modes = loader.load()
         except Exception as exc:  # a corrupt pickle raises nearly anything
             raise CheckpointFormatError(f"payload does not unpickle: {exc!r}") from exc
         if cycle != self._cycle or not isinstance(keys, tuple):
@@ -235,6 +242,10 @@ class Checkpoint:
                 "checkpoint does not fit this build: "
                 f"unknown {sorted(map(_describe, unknown))!r}, "
                 f"missing {sorted(map(_describe, missing))!r}"
+            )
+        if modes != _modes(soc):
+            raise CheckpointMismatchError(
+                f"checkpoint was taken with {modes!r}, this build has {_modes(soc)!r}"
             )
         try:
             (txn_id, packet_id), states = loader.load()

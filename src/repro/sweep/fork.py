@@ -5,9 +5,9 @@ under a different load or VC budget?" usually costs N full
 runs.  With checkpoints it costs one prefix plus N continuations: run the
 common prefix once, :meth:`Checkpoint.capture` it, then :func:`fork` —
 each continuation rebuilds a congruent SoC, restores the checkpoint,
-applies its override and runs on (a rebuild, so whatever the builder
-installs on a new SoC — a wrapped ``tick``, say — stays on every
-continuation).  Because restore is byte-identical, a forked
+applies its override and runs on (a rebuild, so a method the builder
+wraps on a new SoC — a counting ``tick``, say — stays wrapped on every
+continuation; every other attribute is the checkpoint's).  Because restore is byte-identical, a forked
 continuation equals a cold run that applied the same override at the
 same cycle; the sweep is a pure wall-clock optimisation.
 

@@ -176,8 +176,9 @@ class DmaEngine:
     lands behind ``_advance``'s cursor: one ascending pass stamps the
     same computes in the same order as rescanning to a fixed point, and
     the first token-ready entry of ``_open_bursts`` is the lowest
-    eligible index.  All of it is derived from ``_complete_cycle`` and
-    ``_issued`` (``_rebuild_frontier``).
+    eligible index.  All of it is set at build, where nothing is
+    complete and nothing issued, and a checkpoint carries it as it
+    stands.
     """
 
     def __init__(
@@ -208,7 +209,20 @@ class DmaEngine:
         self.complete_log: List[Tuple[int, int, int]] = []
         self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._master = None  # set by bind_master (wiring, not state)
-        self._rebuild_frontier()
+        # The ready frontier at build: nothing complete, nothing issued.
+        blocked = self._blocked = list(map(len, self._after))
+        self._open_computes: List[int] = []
+        self._open_bursts: List[int] = []
+        self._waiting: List[int] = []
+        self._remaining = n
+        for i, desc in enumerate(self.program):
+            if not blocked[i]:
+                if desc.op == "compute":
+                    self._open_computes.append(i)
+                else:
+                    self._open_bursts.append(i)
+            if desc.wait:
+                self._waiting.append(i)
         # Channels this program touches, by name (a channel shared by two
         # engines is one object in a checkpoint, as it is here).
         self._channels: Dict[str, StreamChannel] = {}
@@ -284,27 +298,6 @@ class DmaEngine:
     # ------------------------------------------------------------------ #
     # deterministic progress: the ready frontier
     # ------------------------------------------------------------------ #
-    def _rebuild_frontier(self) -> None:
-        """Derive the frontier from ``_complete_cycle`` / ``_issued``."""
-        cc, issued = self._complete_cycle, self._issued
-        blocked = self._blocked = list(map(len, self._after))
-        self._open_computes: List[int] = []
-        self._open_bursts: List[int] = []
-        self._waiting: List[int] = []
-        self._remaining = cc.count(None)
-        for i, desc in enumerate(self.program):
-            if cc[i] is not None:
-                for k in self._dependents[i]:  # k > i: settled before visited
-                    blocked[k] -= 1
-            elif desc.op == "compute":
-                if not blocked[i]:
-                    self._open_computes.append(i)
-            elif issued[i] < desc.bursts:
-                if not blocked[i]:
-                    self._open_bursts.append(i)
-                if desc.wait:
-                    self._waiting.append(i)
-
     def _finish(self, i: int, cycle: int) -> None:
         """Descriptor ``i`` completed at ``cycle`` — the only place that
         releases dependents into the open sets."""

@@ -20,6 +20,7 @@ import repro.sweep.checkpoint as checkpoint_module
 from differential import KERNELS, assert_same, build, observe, run
 from repro.ip import TrafficSeedError, TrafficSpec
 from repro.sim.component import Component
+from repro.sim.trace import Tracer
 from repro.sweep import (
     Checkpoint,
     CheckpointCaptureError,
@@ -287,12 +288,12 @@ def test_checkpoint_bad_bytes():
 
 
 class _CountingPickle:
-    """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with the
-    pickler and the unpickler it makes — each one pass over the state —
-    counted."""
+    """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with every
+    call that costs a pass over the state counted: the pickler and the
+    unpickler it makes, and ``dumps`` / ``loads``."""
 
     def __init__(self):
-        self.calls = {"Pickler": 0, "Unpickler": 0}
+        self.calls = {"Pickler": 0, "Unpickler": 0, "dumps": 0, "loads": 0}
 
     def Pickler(self, *args):
         self.calls["Pickler"] += 1
@@ -301,6 +302,14 @@ class _CountingPickle:
     def Unpickler(self, *args):
         self.calls["Unpickler"] += 1
         return pickle.Unpickler(*args)
+
+    def dumps(self, *args):
+        self.calls["dumps"] += 1
+        return pickle.dumps(*args)
+
+    def loads(self, data):
+        self.calls["loads"] += 1
+        return pickle.loads(data)
 
     def __getattr__(self, name):
         return getattr(pickle, name)
@@ -317,11 +326,12 @@ def test_copy_budget_of_a_serial_sweep(monkeypatch):
     checkpoint = Checkpoint.capture(donor)
     fork(checkpoint, RATE_OVERRIDES, builder=_mixed_builder, cycles=50,
          processes=0)
-    assert counting.calls == {"Pickler": 1, "Unpickler": 4}
+    budget = {"Pickler": 1, "Unpickler": 4, "dumps": 0, "loads": 0}
+    assert counting.calls == budget
     blob = checkpoint.to_bytes()
     assert checkpoint.to_bytes() == blob
     assert Checkpoint.from_bytes(blob).cycle == 200
-    assert counting.calls == {"Pickler": 1, "Unpickler": 4}
+    assert counting.calls == budget
 
 
 # --------------------------------------------------------------------- #
@@ -336,6 +346,43 @@ def test_restore_into_incongruent_build():
         checkpoint.restore_into(other)
     unknown, missing = str(refused.value).split("missing")
     assert "component 'cpu_ahb'" in unknown and "component '" in missing
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_restore_into_another_kernel_or_tracing_is_refused(kernel):
+    """The kernel mode and tracing are attributes a checkpoint carries;
+    a restore refuses a build that differs rather than switch it."""
+    soc = build("mixed-protocols", kernel)
+    soc.run(10)
+    checkpoint = Checkpoint.capture(soc)
+    other = "strict" if kernel == "activity" else "activity"
+    with pytest.raises(CheckpointMismatchError, match="'strict'"):
+        checkpoint.restore_into(build("mixed-protocols", other))
+    untraced = build("mixed-protocols", kernel)
+    assert untraced.sim.trace.enabled
+    untraced.sim.trace = Tracer(enabled=False)
+    with pytest.raises(CheckpointMismatchError, match="'tracing'"):
+        checkpoint.restore_into(untraced)
+
+
+class _SetStateProbe:
+    """A value with its own ``__setstate__``, which a restore must run."""
+
+    def __init__(self):
+        self.restored = False
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, restored=True)
+
+
+def test_a_value_with_setstate_is_restored_through_it():
+    soc = build("mixed-protocols")
+    soc.run(10)
+    soc.sim.probe = _SetStateProbe()
+    checkpoint = Checkpoint.capture(soc)
+    fresh = build("mixed-protocols")
+    checkpoint.restore_into(fresh)
+    assert fresh.sim.probe.restored and not soc.sim.probe.restored
 
 
 class _CallbackProbe(Component):
