@@ -144,14 +144,19 @@ def test_e3_ablation_lock_implementation(benchmark, heading, monkeypatch):
     (b) NIU-only serialization (the target NIU's lock manager alone).
 
     Both arms run against the naive target request FIFO (one queue,
-    served head first, no park-aside).  The ablation *demonstrates why
-    the paper is right that LOCK must impact the transport level*: with
-    NIU-only locking, a contender's stalled READEX sits at the head of
-    the target's single request FIFO and head-of-line-blocks the lock
-    **holder's** own release write queued behind it — classic deadlock.
-    Transport-level locking avoids it because a switch's per-input
-    arbitration lets the holder's packets overtake the stalled contender
-    on a different input port.
+    served head first, no park-aside).  The ablation shows why the
+    paper's target, which had that FIFO, needed LOCK in the transport
+    level: with NIU-only locking, a contender's stalled READEX sits at
+    the head of the target's single request FIFO and head-of-line-blocks
+    the lock **holder's** own release write queued behind it — classic
+    deadlock.  Transport-level locking avoids it because a switch's
+    per-input arbitration lets the holder's packets overtake the stalled
+    contender on a different input port.
+
+    It does not show that no NIU could do without transport LOCK:
+    :class:`~repro.niu.base.TargetNiu`'s park-aside, which this bench
+    patches out, sets a blocked request aside so the holder's release
+    passes it, and is itself an NIU-only cure for the same deadlock.
     """
     heading("E3c: ablation — transport-level LOCK vs NIU-only serialization")
     monkeypatch.setattr(TargetNiu, "_accept_requests", naive_accept_requests)
@@ -177,7 +182,8 @@ def test_e3_ablation_lock_implementation(benchmark, heading, monkeypatch):
     assert holder is not None  # lock stuck forever
     assert blocked > 0
     print()
-    print("=> reproduces paper §3: READEX/LOCK genuinely *must* impact "
-          "the transport level; NIU state alone cannot carry them.")
+    print("=> reproduces paper §3: behind a single target request FIFO, "
+          "READEX/LOCK must impact the transport level (an NIU that parks "
+          "blocked requests aside is the other cure).")
     benchmark(lambda: sync_soc("lock")
               .run_to_completion(max_cycles=500_000))

@@ -11,22 +11,37 @@ completion, INCR/WRAP bursts up to :data:`MAX_BURST_BEATS` (bridges
 split longer ones), acknowledged writes only, bus-level locking for
 synchronization, no threads / IDs / QoS signalling.
 
-Grants rotate round-robin: the first requesting master after the last
-one granted.  A master holding the bus lock is the only one granted
-until it releases it.
+The bus is built from the NoC's own parts, so E1 and E8 compare
+architectures, not two copies of a model:
+
+- Grants go through :class:`~repro.transport.qos.RoundRobinArbiter`,
+  the least-recently-granted rotation of every router output: of the
+  requesting masters, the one whose last grant is oldest wins, so
+  outside a locked sequence a waiting master sees every other master
+  granted at most once.  A master holding the bus lock is the only
+  candidate until it releases it.
+- Each target is a :class:`~repro.ip.slaves.Memory`, the model a NoC
+  target's :class:`~repro.ip.slaves.MemoryDevice` serves: the same size
+  and error-window checks (SLVERR), byte store, served counters and
+  latency (read or write, plus ``per_beat_cycles`` per beat).  A
+  transfer holds the bus for an address cycle, a cycle per beat and
+  that latency; an address no target decodes answers DECERR two cycles
+  after its grant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.address_map import AddressMap
 from repro.core.transaction import Opcode, ResponseStatus
-from repro.ip.slaves import ByteStore
+from repro.ip.slaves import Memory
+from repro.protocols.base import SlaveRequest
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
+from repro.transport.qos import Candidate, RoundRobinArbiter
 
 #: Largest burst the reference socket can carry (AHB INCR16).
 MAX_BURST_BEATS = 16
@@ -60,16 +75,6 @@ class BusReply:
     opcode: Opcode
 
 
-@dataclass
-class _BusTarget:
-    name: str
-    base: int
-    size: int
-    read_latency: int
-    write_latency: int
-    store: ByteStore = field(default_factory=ByteStore)
-
-
 class SharedBus(Component):
     """The arbitrated reference-socket bus."""
 
@@ -78,37 +83,21 @@ class SharedBus(Component):
         name: str,
         sim: Simulator,
         address_map: AddressMap,
+        targets: Dict[int, Memory],
     ) -> None:
         super().__init__(name)
         self.sim = sim
         self.address_map = address_map
-        self._targets: Dict[int, _BusTarget] = {}
+        self.targets = targets  # slave address -> memory
+        self.arbiter = RoundRobinArbiter()
         self.request_queues: List[SimQueue] = []
         self.reply_queues: List[SimQueue] = []
         self._active: Optional[Tuple[int, BusOp, BusReply]] = None  # (done, ...)
         self.lock_holder: Optional[int] = None
-        self._rr_last = -1
         self.transfers = 0
         self.busy_cycles = 0
         self.lock_held_cycles = 0
         self.grant_wait_cycles = 0
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def add_target(
-        self,
-        name: str,
-        base: int,
-        size: int,
-        read_latency: int = 4,
-        write_latency: int = 2,
-        slv_addr: Optional[int] = None,
-    ) -> _BusTarget:
-        slv = slv_addr if slv_addr is not None else len(self._targets)
-        target = _BusTarget(name, base, size, read_latency, write_latency)
-        self._targets[slv] = target
-        return target
 
     def attach_master(self, name: str) -> int:
         """Register a bridge; returns its master index."""
@@ -120,22 +109,6 @@ class SharedBus(Component):
             self.sim.new_queue(f"{self.name}.rsp{index}.{name}", capacity=2)
         )
         return index
-
-    # ------------------------------------------------------------------ #
-    def _target_for(self, address: int) -> Optional[Tuple[int, _BusTarget]]:
-        try:
-            slv, __ = self.address_map.decode(address)
-        except LookupError:
-            return None
-        target = self._targets.get(slv)
-        return (slv, target) if target is not None else None
-
-    def _arbitrate(self, candidates: List[int]) -> int:
-        """Round-robin: the first candidate after the last winner."""
-        after = [i for i in sorted(candidates) if i > self._rr_last]
-        winner = after[0] if after else sorted(candidates)[0]
-        self._rr_last = winner
-        return winner
 
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
@@ -155,76 +128,43 @@ class SharedBus(Component):
                     self.lock_holder = None
             self._active = None
             return
-        # Grant a new transfer.
+        # Grant a new transfer; a lock holder is the only candidate.
+        requesting = [i for i, queue in enumerate(self.request_queues) if queue]
         candidates = [
-            i
-            for i, queue in enumerate(self.request_queues)
-            if queue
-            and (self.lock_holder is None or self.lock_holder == i)
+            Candidate(port=i, priority=0, age=0)
+            for i in requesting if self.lock_holder in (None, i)
         ]
-        blocked = any(
-            queue and i not in candidates
-            for i, queue in enumerate(self.request_queues)
-        )
-        if blocked:
+        if len(candidates) < len(requesting):
             self.grant_wait_cycles += 1
         if not candidates:
             return
-        winner = self._arbitrate(candidates)
-        op: BusOp = self.request_queues[winner].pop()
-        self._begin(op, cycle)
+        winner = self.arbiter.pick(self.name, candidates).port
+        self._begin(self.request_queues[winner].pop(), cycle)
 
     def _begin(self, op: BusOp, cycle: int) -> None:
-        located = self._target_for(op.address)
-        if located is None:
-            reply = BusReply(
-                txn_id=op.txn_id,
-                status=ResponseStatus.DECERR,
-                data=None,
-                part=op.part,
-                parts=op.parts,
-                opcode=op.opcode,
-            )
-            self._active = (cycle + 2, op, reply)
-            self.transfers += 1
-            return
-        __, target = located
-        # Locking (READEX takes the bus; its locked store releases it in tick).
-        if op.opcode is Opcode.READEX:
-            self.lock_holder = op.master_index
-        # Perform the access now (bus is serial; no overlap possible).
-        status = ResponseStatus.OKAY
-        data: Optional[List[int]] = None
-        span_ok = all(
-            target.base <= a and a + op.beat_bytes <= target.base + target.size
-            for a in op.addresses
-        )
-        if not span_ok:
-            status = ResponseStatus.SLVERR
-            latency = 2
-        elif op.opcode.is_read:
-            data = [
-                target.store.read_beat(a - target.base, op.beat_bytes)
-                for a in op.addresses
-            ]
-            latency = target.read_latency
+        """Perform ``op`` now (the bus is serial: nothing overlaps) and
+        hold the bus until its reply is due."""
+        try:
+            slv, offset = self.address_map.decode(op.address)
+            memory = self.targets[slv]
+        except LookupError:
+            status, data, held = ResponseStatus.DECERR, None, 2
         else:
-            payload = op.data or []
-            for a, value in zip(op.addresses, payload):
-                target.store.write_beat(a - target.base, value, op.beat_bytes)
-            latency = target.write_latency
-        # Bus occupancy: 1 grant/address cycle + one cycle per beat + the
-        # slave's wait states (held on the bus — no SPLIT).
-        service = 1 + op.beats + latency
-        reply = BusReply(
-            txn_id=op.txn_id,
-            status=status,
-            data=data,
-            part=op.part,
-            parts=op.parts,
-            opcode=op.opcode,
-        )
-        self._active = (cycle + service, op, reply)
+            # READEX takes the bus; its locked store releases it in tick.
+            if op.opcode is Opcode.READEX:
+                self.lock_holder = op.master_index
+            base = op.address - offset
+            response, latency = memory.serve(SlaveRequest(
+                read=op.opcode.is_read, offset=offset, beats=op.beats,
+                beat_bytes=op.beat_bytes,
+                addresses=[a - base for a in op.addresses], data=op.data,
+            ))
+            status, data = response.status, response.data
+            # An address cycle, a cycle per beat and the slave's wait
+            # states, all held on the bus (no SPLIT).
+            held = 1 + op.beats + latency
+        reply = BusReply(op.txn_id, status, data, op.part, op.parts, op.opcode)
+        self._active = (cycle + held, op, reply)
         self.transfers += 1
 
     # ------------------------------------------------------------------ #

@@ -17,6 +17,7 @@ from repro.bus.bridge import Bridge
 from repro.bus.shared_bus import SharedBus
 from repro.core.address_map import AddressMap
 from repro.core.checks import Check, check, knob
+from repro.ip.slaves import Memory
 from repro.protocols.base import ProtocolMaster
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -68,13 +69,11 @@ def _not_modelled(side: str, field: str) -> Check:
 
 
 #: What :func:`build_bus_soc` refuses: the NoC builder's spec and source
-#: rows, the spec fields the bus has no model for (clock regions, NIU
-#: tag policies, memory beat timing and error windows) — set, each is
-#: refused by name rather than silently ignored — and its one knob out
-#: of range.
+#: rows, the spec fields the bus has no model for (clock regions and NIU
+#: tag policies) — set, each is refused by name rather than silently
+#: ignored — and its one knob out of range.
 BUS_ROWS = (*SPEC_ROWS, *(_not_modelled(side, field) for side, field in (
     ("initiators", "region"), ("initiators", "policy"), ("targets", "region"),
-    ("targets", "per_beat_cycles"), ("targets", "error_ranges"),
 )), *SOURCE_ROWS,
     knob("bridge_latency", lambda s: s.bridge_latency >= 0, ">= 0"),
 )
@@ -88,12 +87,13 @@ def build_bus_soc(
 ) -> BusSoc:
     """Build the Fig-2 baseline from the same specs as the NoC builder.
 
-    Target ``i`` is bus slave ``i``; each master ticks before its bridge,
-    and the bus after every bridge, so same-cycle requests are visible
-    the next cycle (queues enforce this anyway; order is for
-    determinism).  :data:`BUS_ROWS` are checked before anything is
-    registered; ready sources are marked attached only as the build
-    returns."""
+    Target ``i`` is bus slave ``i``, a :class:`~repro.ip.slaves.Memory`
+    built from the spec's fields as the NoC builder's memory device is.
+    Each master ticks before its bridge, and the bus after every bridge,
+    so same-cycle requests are visible the next cycle (queues enforce
+    this anyway; order is for determinism).  :data:`BUS_ROWS` are checked
+    before anything is registered; ready sources are marked attached only
+    as the build returns."""
     sources = hand_out(initiators)
     draft = SimpleNamespace(
         initiators=initiators, targets=targets, sources=sources,
@@ -102,16 +102,11 @@ def build_bus_soc(
     check("bus", draft, BUS_ROWS)
     sim = Simulator(trace=trace)
     address_map = build_address_map(targets, first_slave=0)
-    bus = SharedBus("bus", sim, address_map)
-    for index, spec in enumerate(targets):
-        bus.add_target(
-            spec.name,
-            base=address_map.range_for_target(index)[0].base,
-            size=spec.size,
-            read_latency=spec.read_latency,
-            write_latency=spec.write_latency,
-            slv_addr=index,
-        )
+    bus = SharedBus("bus", sim, address_map, {
+        index: Memory(spec.size, spec.read_latency, spec.write_latency,
+                      spec.per_beat_cycles, spec.error_ranges)
+        for index, spec in enumerate(targets)
+    })
     masters: Dict[str, ProtocolMaster] = {}
     bridges: Dict[str, Bridge] = {}
     for spec, source in zip(initiators, sources):

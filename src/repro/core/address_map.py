@@ -121,9 +121,6 @@ class AddressMap:
         """Sorted unique SlvAddr values in the map."""
         return sorted({r.slv_addr for r in self._ranges})
 
-    def range_for_target(self, slv_addr: int) -> List[AddressRange]:
-        return [r for r in self._ranges if r.slv_addr == slv_addr]
-
     def __len__(self) -> int:
         return len(self._ranges)
 

@@ -1,11 +1,11 @@
 """Target IP models.
 
-:class:`MemoryDevice` is the workhorse: byte-addressed storage behind a
-:class:`~repro.protocols.base.SlaveSocket`, with a configurable access
-latency pipeline.  It stores bytes (not words), so mixed beat widths from
-different sockets read back exactly what was written — a real
-compatibility requirement once AHB (32-bit) and AXI (64-bit) masters
-share a target.
+:class:`MemoryDevice` is the workhorse: a :class:`Memory` (byte-addressed
+storage and its access timing) behind a
+:class:`~repro.protocols.base.SlaveSocket`, with a latency pipeline.  It
+stores bytes (not words), so mixed beat widths from different sockets
+read back exactly what was written — a real compatibility requirement
+once AHB (32-bit) and AXI (64-bit) masters share a target.
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ class ByteStore:
         return self._written.count(1)
 
 
-class MemoryDevice(Component):
-    """Simple-latency memory target.
+class Memory:
+    """A memory target's contents and timing: what one request reads or
+    writes, how it is answered and what it costs.
+    :class:`MemoryDevice` serves it behind a slave socket and the Fig-2
+    bus (:mod:`repro.bus.shared_bus`) serves it directly, so a target
+    answers a request the same way on either architecture.
 
     Parameters
     ----------
@@ -74,44 +78,21 @@ class MemoryDevice(Component):
 
     def __init__(
         self,
-        name: str,
-        socket: SlaveSocket,
         size: int = 1 << 20,
         read_latency: int = 4,
         write_latency: int = 2,
         per_beat_cycles: int = 0,
         error_ranges: Optional[List[Tuple[int, int]]] = None,
     ) -> None:
-        super().__init__(name)
-        self.socket = socket
         self.size = size
         self.read_latency = read_latency
         self.write_latency = write_latency
         self.per_beat_cycles = per_beat_cycles
         self.error_ranges = list(error_ranges or [])
         self.store = ByteStore()
-        self._pipeline: List[Tuple[int, SlaveResponse]] = []
         self.reads_served = 0
         self.writes_served = 0
         self.errors_served = 0
-        # Activity wiring: new requests wake the device; a matured
-        # response blocked on the channel keeps it hot (next_event_cycle).
-        socket.requests.wake_on_push(self)
-
-    def next_event_cycle(self, now: int):
-        """A request at the socket needs a tick now; otherwise the next
-        event is the oldest pipeline entry's maturation cycle.  A matured
-        entry blocked on a full response channel keeps the device hot: a
-        pop frees channel space in the same cycle it happens and wakes
-        nobody, and the strict kernel lets a later-ticked device retire
-        into that slot immediately.  Dormant (``None``) only when truly
-        empty — new requests push-wake us."""
-        if self.socket.requests._committed:
-            return now
-        if self._pipeline:
-            ready = self._pipeline[0][0]
-            return ready if ready > now else now
-        return None
 
     # ------------------------------------------------------------------ #
     # storage helpers (also used directly by tests)
@@ -129,19 +110,11 @@ class MemoryDevice(Component):
         )
 
     # ------------------------------------------------------------------ #
-    def tick(self, cycle: int) -> None:
-        # Retire matured accesses (in order).
-        while (
-            self._pipeline
-            and self._pipeline[0][0] <= cycle
-            and self.socket.responses.can_push()
-        ):
-            __, response = self._pipeline.pop(0)
-            self.socket.responses.push(response)
-        # Accept one new request per cycle.
-        if not self.socket.requests._committed:
-            return
-        request: SlaveRequest = self.socket.requests.pop()
+    def serve(self, request: SlaveRequest) -> Tuple[SlaveResponse, int]:
+        """Perform ``request`` now: its response, and its latency in
+        cycles — the read or write latency plus ``per_beat_cycles`` per
+        beat, which a request past the end or into an error window pays
+        too, answered SLVERR."""
         span = request.beats * request.beat_bytes
         if request.offset + span > self.size or self._in_error_range(
             request.offset, span
@@ -166,7 +139,62 @@ class MemoryDevice(Component):
             self.writes_served += 1
             response = SlaveResponse(token=request.token)
             latency = self.write_latency
-        latency += self.per_beat_cycles * request.beats
+        return response, latency + self.per_beat_cycles * request.beats
+
+
+class MemoryDevice(Memory, Component):
+    """A :class:`Memory` behind a slave socket: one request accepted per
+    cycle, each response held for its latency (at least one cycle)."""
+
+    def __init__(
+        self,
+        name: str,
+        socket: SlaveSocket,
+        size: int = 1 << 20,
+        read_latency: int = 4,
+        write_latency: int = 2,
+        per_beat_cycles: int = 0,
+        error_ranges: Optional[List[Tuple[int, int]]] = None,
+    ) -> None:
+        Component.__init__(self, name)
+        Memory.__init__(
+            self, size, read_latency, write_latency, per_beat_cycles, error_ranges
+        )
+        self.socket = socket
+        self._pipeline: List[Tuple[int, SlaveResponse]] = []
+        # Activity wiring: new requests wake the device; a matured
+        # response blocked on the channel keeps it hot (next_event_cycle).
+        socket.requests.wake_on_push(self)
+
+    def next_event_cycle(self, now: int):
+        """A request at the socket needs a tick now; otherwise the next
+        event is the oldest pipeline entry's maturation cycle.  A matured
+        entry blocked on a full response channel keeps the device hot: a
+        pop frees channel space in the same cycle it happens and wakes
+        nobody, and the strict kernel lets a later-ticked device retire
+        into that slot immediately.  Dormant (``None``) only when truly
+        empty — new requests push-wake us."""
+        if self.socket.requests._committed:
+            return now
+        if self._pipeline:
+            ready = self._pipeline[0][0]
+            return ready if ready > now else now
+        return None
+
+    # ------------------------------------------------------------------ #
+    def tick(self, cycle: int) -> None:
+        # Retire matured accesses (in order).
+        while (
+            self._pipeline
+            and self._pipeline[0][0] <= cycle
+            and self.socket.responses.can_push()
+        ):
+            __, response = self._pipeline.pop(0)
+            self.socket.responses.push(response)
+        # Accept one new request per cycle.
+        if not self.socket.requests._committed:
+            return
+        response, latency = self.serve(self.socket.requests.pop())
         self._pipeline.append((cycle + max(1, latency), response))
 
     def idle(self) -> bool:

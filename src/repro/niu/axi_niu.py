@@ -21,6 +21,7 @@ from repro.protocols.axi import (
     AxiR,
     xresp_from_status,
 )
+from repro.sim.queue import SimQueue
 
 
 def _burst_from_axburst(axburst: AxBurst, beats: int) -> BurstType:
@@ -33,7 +34,8 @@ def _burst_from_axburst(axburst: AxBurst, beats: int) -> BurstType:
 
 class AxiSide(NativeSide):
     """An AXI master socket: ``ar`` and ``aw`` served alternately when
-    both hold a request; ``r`` and ``b`` answer them."""
+    both hold a request, except that an exclusive store waits behind an
+    exclusive load (:meth:`_store_waits`); ``r`` and ``b`` answer them."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -73,10 +75,22 @@ class AxiSide(NativeSide):
             txn_id=sideband.txn_id if sideband else -1,
         )
 
+    @staticmethod
+    def _store_waits(ar: SimQueue, aw: SimQueue) -> bool:
+        """Whether ``aw``'s head is an exclusive store and ``ar`` still
+        holds an exclusive load.  The load goes first whichever direction
+        the alternation prefers: a bridge emulates the pair with a bus
+        lock that the load takes and the store drops, and a store pulled
+        first would leave the load's lock held for good."""
+        return bool(aw) and aw.peek().awlock is AxLock.EXCLUSIVE and any(
+            request.arlock is AxLock.EXCLUSIVE for request in ar
+        )
+
     def peek(self, cycle: int) -> Optional[Transaction]:
         ar = self.socket.req("ar")
         aw = self.socket.req("aw")
-        order = ["ar", "aw"] if self._prefer_read else ["aw", "ar"]
+        read_first = self._prefer_read or self._store_waits(ar, aw)
+        order = ["ar", "aw"] if read_first else ["aw", "ar"]
         for channel_name in order:
             channel = ar if channel_name == "ar" else aw
             if channel._committed:

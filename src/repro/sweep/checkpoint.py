@@ -7,7 +7,9 @@ source.  An object's state is its instance attributes (``__dict__`` plus
 slots), less any attribute that shadows a method of its class — a
 wrapped ``tick`` or ``poll`` is instrumentation, and it stays on the
 object it was installed on.  A reference to a named object pickles as
-its name; everything else — flits and transactions in flight, stats,
+a call of :func:`_named` on its name (the dispatch table of the named
+objects' classes sees to it, so no other object costs a Python call);
+everything else — flits and transactions in flight, stats,
 the tracer, the fabric's planes and tables — travels by value under the
 one memo, so every alias inside the SoC stays one object on the other
 side.  The two process-global id counters travel beside it.
@@ -47,7 +49,7 @@ from repro.core.transaction import SerialCounter
 from repro.sim.shard import ShardConfigError
 
 #: Bump when the on-disk envelope or the payload's layout changes shape.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length
@@ -154,12 +156,31 @@ def _pickle_reduce(obj):
     return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
 
 
+def _named(key: Tuple[str, str]):
+    """Stands for the named object ``key`` in a checkpoint's pickle;
+    only :meth:`Checkpoint.restore_into`'s unpickler resolves it."""
+    raise CheckpointFormatError(f"{_describe(key)} resolves only in a restore")
+
+
 class _Reducers(dict):
-    """The checkpoint pickler's dispatch table, per class: what
-    :mod:`copyreg` registers; pickle's own reduction for a class that
-    defines ``__setstate__``, which must run; :func:`_reduce` for the
-    rest.  Metaclasses are left out: their instances (classes) pickle by
-    name."""
+    """One capture's dispatch table, per class: what :mod:`copyreg`
+    registers; pickle's own reduction for a class that defines
+    ``__setstate__``, which must run; :func:`_reduce` for the rest.  A
+    class with a named instance reduces that instance to a call of
+    :func:`_named` on its name, so only those classes pay a lookup per
+    object.  Metaclasses are left out: their instances (classes) pickle
+    by name."""
+
+    def __init__(self, named: Dict[Tuple[str, str], object]) -> None:
+        super().__init__()
+        names = {id(obj): key for key, obj in named.items()}
+
+        def name_or_reduce(obj, reduce):
+            key = names.get(id(obj))
+            return reduce(obj) if key is None else (_named, (key,))
+
+        for cls in {type(obj) for obj in named.values()}:
+            self[cls] = functools.partial(name_or_reduce, reduce=self[cls])
 
     def __missing__(self, cls):
         if issubclass(cls, type):
@@ -171,15 +192,23 @@ class _Reducers(dict):
         return reducer
 
 
-_REDUCERS = _Reducers()
-
-
-def _pickler(file, names: Dict[int, Tuple[str, str]]) -> pickle.Pickler:
-    """A pickler that writes a named object as its name."""
+def _pickler(file, named: Dict[Tuple[str, str], object]) -> pickle.Pickler:
+    """A pickler that writes a named object as a call on its name."""
     pickler = pickle.Pickler(file, pickle.HIGHEST_PROTOCOL)
-    pickler.persistent_id = lambda obj: names.get(id(obj))
-    pickler.dispatch_table = _REDUCERS
+    pickler.dispatch_table = _Reducers(named)
     return pickler
+
+
+def _unpickler(file, named: Dict[Tuple[str, str], object]) -> pickle.Unpickler:
+    """An unpickler that resolves :func:`_named` to ``named``'s objects."""
+
+    class Unpickler(pickle.Unpickler):
+        def find_class(self, module, name):
+            if (module, name) == (__name__, _named.__name__):
+                return named.__getitem__
+            return super().find_class(module, name)
+
+    return Unpickler(file)
 
 
 class Checkpoint:
@@ -197,18 +226,17 @@ class Checkpoint:
         """Snapshot ``soc`` right now: its names first, then one pickle
         of every named object's state and the two id counters."""
         named = _named_objects(soc)
-        names = {id(obj): key for key, obj in named.items()}
         states = {key: _state_of(obj) for key, obj in named.items()}
         ids = (_txn_mod._txn_ids.peek(), _flit_mod._flit_packet_ids.peek())
         buffer = io.BytesIO()
-        dumper = _pickler(buffer, names)
+        dumper = _pickler(buffer, named)
         dumper.dump((soc.sim.cycle, tuple(named), _modes(soc)))
         try:
             dumper.dump((ids, states))
         except _UNPICKLABLE as exc:
             for key, state in states.items():
                 try:
-                    _pickler(io.BytesIO(), names).dump(state)
+                    _pickler(io.BytesIO(), named).dump(state)
                 except _UNPICKLABLE:
                     raise CheckpointCaptureError(
                         f"state of {_describe(key)} does not pickle: {exc}"
@@ -228,8 +256,7 @@ class Checkpoint:
         docstring).
         """
         named = _named_objects(soc)
-        loader = pickle.Unpickler(io.BytesIO(self._payload))
-        loader.persistent_load = named.__getitem__
+        loader = _unpickler(io.BytesIO(self._payload), named)
         try:
             cycle, keys, modes = loader.load()
         except Exception as exc:  # a corrupt pickle raises nearly anything

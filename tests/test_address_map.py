@@ -89,10 +89,6 @@ class TestConstruction:
         assert small_map().targets() == [0, 1, 2]
         assert len(small_map()) == 3
 
-    def test_range_for_target(self):
-        ranges = small_map().range_for_target(1)
-        assert len(ranges) == 1 and ranges[0].name == "ram"
-
 
 @given(
     bases=st.lists(

@@ -11,7 +11,7 @@ from repro.core.transaction import Opcode, Transaction, make_read, make_write
 from repro.ip import TrafficSpec
 from repro.protocols.proprietary import make_fence
 from repro.sim.fingerprint import reset_ids
-from repro.soc import InitiatorSpec, TargetSpec
+from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
 def bus_soc(protocol, intents, protocol_kwargs=None, targets=2, **bus_kwargs):
@@ -130,11 +130,12 @@ class TestBusArbitration:
 
     def test_a_waiting_master_sees_no_other_granted_twice(self):
         """Bounded wait: while one master's request waits for the bus,
-        every other master is granted at most once.  The pointer
-        rotation keeps this because every grant goes to the first
-        requester after the last winner, over all requesters; the
-        deleted ``priority`` mode rotated over a subset only, which can
-        starve a master (``transport.qos.Arbiter._round_robin``)."""
+        every other master is granted at most once.  The routers'
+        least-recently-granted arbiter keeps this because every grant
+        goes to the requester whose last grant is oldest, over all
+        requesters; the deleted ``priority`` mode rotated over a subset
+        only, which can starve a master
+        (``transport.qos.Arbiter._round_robin``)."""
         inits = [
             InitiatorSpec(f"m{i}", "BVCI", TrafficSpec(kind="scripted", intents=[
                 make_read(0x10 * j) for j in range(4 + 3 * i)
@@ -143,14 +144,14 @@ class TestBusArbitration:
         ]
         soc = build_bus_soc(inits, [TargetSpec("mem0", size=0x1000)])
         grants = []  # (masters requesting, master granted), per grant
-        arbitrate = soc.bus._arbitrate
+        pick = soc.bus.arbiter.pick
 
-        def recording(candidates):
-            winner = arbitrate(candidates)
-            grants.append((tuple(candidates), winner))
+        def recording(output, candidates):
+            winner = pick(output, candidates)
+            grants.append((tuple(c.port for c in candidates), winner.port))
             return winner
 
-        soc.bus._arbitrate = recording
+        soc.bus.arbiter.pick = recording
         soc.run_to_completion(max_cycles=100_000)
         assert soc.total_completed() == sum(4 + 3 * i for i in range(4))
         assert len({len(waiting) for waiting, _ in grants}) > 2  # varied contests
@@ -177,6 +178,99 @@ class TestBusArbitration:
         soc.run_to_completion(max_cycles=50_000)
         assert soc.total_completed() == 3
         assert soc.bus.lock_held_cycles > 0
+
+
+def _excl(txn):
+    txn.excl = True
+    return txn
+
+
+class TestBridgedExclusives:
+    def test_a_store_issued_behind_its_load_cannot_wedge_the_bus(self):
+        """An AXI master issues an exclusive load and its store back to
+        back behind a plain read, beside a BVCI master reading the same
+        memory.  The bridge emulates the pair with a bus lock that the
+        load takes and the store drops.  The alternation between ``ar``
+        and ``aw`` pulled the store first, the load's lock was never
+        dropped and the BVCI master starved at 2 of 4; the AXI side now
+        keeps an exclusive store behind its load."""
+        initiators = [
+            InitiatorSpec("cpu", "AXI", TrafficSpec(kind="scripted", intents=[
+                make_read(0x0), _excl(make_read(0x40)), _excl(make_write(0x40, [1])),
+            ])),
+            InitiatorSpec("io", "BVCI", TrafficSpec(kind="scripted", intents=[
+                make_read(0x10 * i) for i in range(4)
+            ])),
+        ]
+        soc = build_bus_soc(initiators, [TargetSpec("mem0", size=0x1000)])
+        soc.run_to_completion(max_cycles=5_000)
+        assert soc.bus.lock_holder is None
+        assert soc.masters["io"].completed == 4
+        assert soc.masters["cpu"].exokay == 2
+
+
+class TestBusTargetsAreNocMemories:
+    """A bus target is the memory model a NoC target serves."""
+
+    TARGET = TargetSpec("mem0", size=0x1000, read_latency=5, write_latency=3,
+                        per_beat_cycles=2, error_ranges=[(0x100, 0x10)])
+
+    @staticmethod
+    def _intents():
+        reset_ids()
+        return [
+            make_write(0x40, [1, 2, 3, 4]), make_read(0x40, beats=4),
+            make_read(0x104), make_write(0x108, [9]),  # the error window
+            make_read(0x0, beats=2),
+        ]
+
+    def _cpu(self, intents=None):
+        return InitiatorSpec("cpu", "AXI", TrafficSpec(
+            kind="scripted", intents=intents or self._intents()))
+
+    @staticmethod
+    def _answers(soc):
+        """``{txn_id: (resp, data)}`` of every AXI response the master
+        collects, read off its response channels."""
+        master, answers = soc.masters["cpu"], {}
+        collect = master.collect_responses
+
+        def recording(cycle):
+            answers.update((r.txn_id, (r.rresp, r.rdata)) for r in master.socket.rsp("r"))
+            answers.update((b.txn_id, (b.bresp, None)) for b in master.socket.rsp("b"))
+            return collect(cycle)
+
+        master.collect_responses = recording
+        soc.run_to_completion(max_cycles=20_000)
+        return answers
+
+    def test_same_status_and_data_under_both_builders(self):
+        bus = build_bus_soc([self._cpu()], [self.TARGET])
+        builder = SocBuilder()
+        builder.add_initiator(self._cpu())
+        builder.add_target(self.TARGET)
+        noc = builder.build()
+        on_bus, on_noc = self._answers(bus), self._answers(noc)
+        assert on_bus == on_noc
+        assert [resp.value for resp, _ in on_bus.values()] == [
+            "OKAY", "OKAY", "SLVERR", "SLVERR", "OKAY"]
+        assert on_bus[min(on_bus) + 1][1] == [1, 2, 3, 4]
+        memory = bus.bus.targets[0]
+        assert (memory.reads_served, memory.writes_served, memory.errors_served) == (2, 1, 2)
+        assert memory.store.image() == noc.memories["mem0"].store.image()
+
+    def test_occupancy_follows_the_target_latency(self):
+        """A transfer holds the bus for an address cycle, its beats and
+        the target's latency, which an SLVERR pays too."""
+        intents = self._intents()
+        soc = build_bus_soc([self._cpu(intents)], [self.TARGET])
+        soc.run_to_completion(max_cycles=20_000)
+        t = self.TARGET
+        assert soc.bus.busy_cycles == sum(
+            1 + txn.beats + (t.read_latency if txn.opcode.is_read else t.write_latency)
+            + t.per_beat_cycles * txn.beats
+            for txn in intents
+        )
 
 
 class TestCoverageMatrices:
@@ -265,16 +359,12 @@ def test_mixed_bus_completes_identically_on_both_kernels(monkeypatch):
     assert sum(done for _, done, _ in activity[2].values()) > 120
 
 
-def _excl(txn):
-    txn.excl = True
-    return txn
-
-
 def _pinned_bus_run():
     """All seven families on the bus, to completion: an AXI exclusive
-    loop and an OCP exclusive pair, an AHB locked sequence, an OCP posted
-    write, a FENCE on the proprietary port and a 40-beat AXI burst over
-    the 16-beat cap, beside three Poisson VCI masters."""
+    loop, an AXI exclusive pair issued back to back behind a read and an
+    OCP exclusive pair, an AHB locked sequence, an OCP posted write, a
+    FENCE on the proprietary port and a 40-beat AXI burst over the
+    16-beat cap, beside three Poisson VCI masters."""
     reset_ids()
     ranges = [(0, 0x2000), (0x2000, 0x2000)]
     scripted = {
@@ -287,6 +377,10 @@ def _pinned_bus_run():
         "gpu_axi": ("AXI", {}, [
             make_write(0x400, list(range(40))), make_read(0x400, beats=40),
             make_read(0x2400, beats=8, txn_tag=1), make_read(0x9000_0000),
+        ]),
+        "pair_axi": ("AXI", {}, [
+            make_read(0x1400), _excl(make_read(0x1440)),
+            _excl(make_write(0x1440, [9])),
         ]),
         "dsp_ocp": ("OCP", {"threads": 2}, [
             make_write(0x800, [5, 6], posted=True),
@@ -332,13 +426,17 @@ def _pinned_bus_run():
         },
         "bus": (bus.transfers, bus.busy_cycles, bus.lock_held_cycles,
                 bus.grant_wait_cycles),
-        "stores": {t.name: t.store.image() for t in bus._targets.values()},
+        "stores": {spec.name: bus.targets[slv].store.image()
+                   for slv, spec in enumerate(targets)},
     }
 
 
-#: ``_pinned_bus_run``'s digest, taken before the bridge shared its
-#: families' native sides with the NIUs.
-PINNED_BUS_RUN = "ef560e40934877ed"
+#: ``_pinned_bus_run``'s digest, re-taken when the recipe gained the
+#: back-to-back AXI exclusive pair (``pair_axi``), which wedged the bus
+#: before the AXI side kept an exclusive store behind its load.  The
+#: recipe without it read the same digest with the bus's own round-robin
+#: and memory copy as with the routers' arbiter and ``Memory``.
+PINNED_BUS_RUN = "83d4f4f4a1d17cc4"
 
 
 def test_pinned_bus_run():

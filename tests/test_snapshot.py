@@ -290,18 +290,22 @@ def test_checkpoint_bad_bytes():
 class _CountingPickle:
     """``pickle`` as :mod:`repro.sweep.checkpoint` sees it, with every
     call that costs a pass over the state counted: the pickler and the
-    unpickler it makes, and ``dumps`` / ``loads``."""
+    unpickler it makes, and ``dumps`` / ``loads``.  ``Unpickler`` is a
+    class, so an unpickler of a subclass made from it counts too."""
 
     def __init__(self):
-        self.calls = {"Pickler": 0, "Unpickler": 0, "dumps": 0, "loads": 0}
+        calls = self.calls = {"Pickler": 0, "Unpickler": 0, "dumps": 0, "loads": 0}
+
+        class Unpickler(pickle.Unpickler):
+            def __init__(self, *args):
+                calls["Unpickler"] += 1
+                super().__init__(*args)
+
+        self.Unpickler = Unpickler
 
     def Pickler(self, *args):
         self.calls["Pickler"] += 1
         return pickle.Pickler(*args)
-
-    def Unpickler(self, *args):
-        self.calls["Unpickler"] += 1
-        return pickle.Unpickler(*args)
 
     def dumps(self, *args):
         self.calls["dumps"] += 1

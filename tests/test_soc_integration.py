@@ -555,16 +555,6 @@ REFUSALS = {
         "build_bus_soc.target_region", lambda: bus(targets=[_mem(region="io")]),
         "target 'mem': the bus builder has no model for region='io'",
     ),
-    "bus_target_per_beat_cycles": (
-        "build_bus_soc.target_per_beat_cycles",
-        lambda: bus(targets=[_mem(per_beat_cycles=2)]),
-        "target 'mem': the bus builder has no model for per_beat_cycles=2",
-    ),
-    "bus_target_error_ranges": (
-        "build_bus_soc.target_error_ranges",
-        lambda: bus(targets=[_mem(error_ranges=[(0, 0x10)])]),
-        "target 'mem': the bus builder has no model for error_ranges=[(0, 16)]",
-    ),
     # the bus builder's own knob: a negative latency ran as 0
     "bus_bridge_latency": (
         "build_bus_soc.bridge_latency", lambda: bus(bridge_latency=-3),
