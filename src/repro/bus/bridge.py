@@ -12,21 +12,20 @@ can express:
 - posted writes become acknowledged bus writes;
 - non-blocking exclusives are emulated with blocking bus locks.
 
-The socket itself is served by the family's :class:`~repro.niu.base.NativeSide`,
-the code its initiator NIU serves it with: which request is taken next,
-when a FENCE is answered and how a response record is built.
+The socket itself is served by the master's
+:class:`~repro.protocols.base.NativeSide`, the code its initiator NIU
+serves it with: which request is taken next, when a FENCE is answered
+and how a response record is built.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.protocols import family
 from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.bus.shared_bus import MAX_BURST_BEATS, BusOp, BusReply, SharedBus
 from repro.protocols.base import ProtocolMaster
 from repro.sim.component import Component
-from repro.soc.builder import MODELS
 
 
 class Bridge(Component):
@@ -36,19 +35,17 @@ class Bridge(Component):
         self,
         name: str,
         master: ProtocolMaster,
-        protocol: str,
         bus: SharedBus,
         latency: int = 2,
     ) -> None:
         super().__init__(name)
-        native_side = MODELS[family(protocol).name][1].native_side
         self.master = master
         self.bus = bus
         self.latency = latency
         self.index = bus.attach_master(name)
         self._req_queue = bus.request_queues[self.index]
         self._rsp_queue = bus.reply_queues[self.index]
-        self.native = native_side(name, master.socket, self._outstanding)
+        self.native = master.native_side(name, master.socket, self._outstanding)
         # One intent at a time (the serialization penalty).
         self._incoming: Optional[Tuple[int, Transaction]] = None  # (ready, txn)
         self._ops: List[BusOp] = []
@@ -139,10 +136,8 @@ class Bridge(Component):
         # the master's own sideband Transaction.
         if self._current is None and self._incoming is None:
             if self.native.peek(cycle) is not None:
-                txn = self.native.record.txn
-                assert txn is not None, "bridge needs the record sideband"
                 self.native.pop()
-                self._incoming = (cycle + self.latency, txn)
+                self._incoming = (cycle + self.latency, self.native.record.txn)
         elif self._incoming is None and self._pull_would_find(cycle):
             self.serialization_stall_cycles += 1
         if self._incoming is not None and self._incoming[0] <= cycle:

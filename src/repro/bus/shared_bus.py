@@ -25,8 +25,8 @@ architectures, not two copies of a model:
   and error-window checks (SLVERR), byte store, served counters and
   latency (read or write, plus ``per_beat_cycles`` per beat).  A
   transfer holds the bus for an address cycle, a cycle per beat and
-  that latency; an address no target decodes answers DECERR two cycles
-  after its grant.
+  that latency; a transfer whose span no one target decodes answers
+  DECERR two cycles after its grant, as the NoC's initiator NIU does.
 """
 
 from __future__ import annotations
@@ -145,7 +145,11 @@ class SharedBus(Component):
         """Perform ``op`` now (the bus is serial: nothing overlaps) and
         hold the bus until its reply is due."""
         try:
-            slv, offset = self.address_map.decode(op.address)
+            # The part's whole span must fit one target, as an initiator
+            # NIU decodes it: a burst past a target's end is DECERR.
+            slv, offset = self.address_map.decode_span(
+                op.address, op.beats * op.beat_bytes
+            )
             memory = self.targets[slv]
         except LookupError:
             status, data, held = ResponseStatus.DECERR, None, 2

@@ -111,10 +111,7 @@ def build_bus_soc(
     bridges: Dict[str, Bridge] = {}
     for spec, source in zip(initiators, sources):
         master = add_master(spec, sim, source)
-        bridge = Bridge(
-            f"{spec.name}.bridge", master, spec.protocol, bus,
-            latency=bridge_latency,
-        )
+        bridge = Bridge(f"{spec.name}.bridge", master, bus, latency=bridge_latency)
         sim.add(bridge)
         masters[spec.name] = master
         bridges[spec.name] = bridge

@@ -87,13 +87,6 @@ class AddressMap:
         self.add(r)
         return r
 
-    def decode(self, address: int) -> Tuple[int, int]:
-        """Return ``(slv_addr, offset)`` for a global byte address."""
-        r = self.lookup(address)
-        if r is None:
-            raise DecodeError(f"address {address:#010x} not mapped")
-        return r.slv_addr, address - r.base
-
     def lookup(self, address: int) -> Optional[AddressRange]:
         index = bisect.bisect(self._bases, address) - 1
         if index >= 0 and self._ranges[index].contains(address):
@@ -101,10 +94,12 @@ class AddressMap:
         return None
 
     def decode_span(self, address: int, span: int) -> Tuple[int, int]:
-        """Like :meth:`decode` but the whole span must fit one range.
+        """Return ``(slv_addr, offset)`` for a global byte address whose
+        whole ``span`` of bytes fits one range.
 
-        Bursts that straddle two targets are a socket-level error in every
-        protocol we model, so NIUs reject them here with DECERR.
+        Bursts that straddle two targets or run past a target's end are a
+        socket-level error in every protocol we model, so the initiator
+        NIU and the Fig-2 bus reject them here with DECERR.
         """
         r = self.lookup(address)
         if r is None or not r.contains_span(address, span):

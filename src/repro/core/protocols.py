@@ -12,7 +12,10 @@ family is data, declared once here:
   (:func:`repro.niu.tag_policy.default_policy`);
 - its protocol front end in the gate model (:mod:`repro.niu.gate_count`).
 
-The classes that model a family's master and NIU are bound once, in
+The family's behaviour — its records, its master IP model and the
+native side one :class:`~repro.niu.base.InitiatorNiu` (or a bus bridge)
+serves its socket with — is its module in :mod:`repro.protocols`; the
+master classes are bound to their rows once, in
 :data:`repro.soc.builder.MODELS`.
 """
 

@@ -1,10 +1,11 @@
 """Network Interface Units.
 
 "A Network Interface Unit (NIU) is responsible for converting the foreign
-IP protocol to the NoC transaction layer" (paper §1).  Per protocol
-family there is an initiator NIU (master IP → packets) and the generic
-target NIU (packets → target IP).  The pieces the paper names explicitly
-are first-class here:
+IP protocol to the NoC transaction layer" (paper §1).  One initiator NIU
+engine (master IP → packets) serves every socket family, reading the
+socket with the family's native side from :mod:`repro.protocols`, and
+one target NIU (packets → target IP) serves every target.  The pieces
+the paper names explicitly are first-class here:
 
 - :mod:`repro.niu.state_table` — "the standard NIU state lookup tables
   (which track for example that a Load request is waiting for a
@@ -21,23 +22,12 @@ from repro.niu.gate_count import GateReport, niu_gate_count
 from repro.niu.state_table import StateEntry, StateTable
 from repro.niu.tag_policy import TagPolicy
 
-from repro.niu.ahb_niu import AhbInitiatorNiu
-from repro.niu.axi_niu import AxiInitiatorNiu
-from repro.niu.ocp_niu import OcpInitiatorNiu
-from repro.niu.vci_niu import VciInitiatorNiu
-from repro.niu.proprietary_niu import MsgInitiatorNiu
-
 __all__ = [
-    "AhbInitiatorNiu",
-    "AxiInitiatorNiu",
     "GateReport",
     "InitiatorNiu",
-    "MsgInitiatorNiu",
-    "OcpInitiatorNiu",
     "StateEntry",
     "StateTable",
     "TagPolicy",
     "TargetNiu",
-    "VciInitiatorNiu",
     "niu_gate_count",
 ]

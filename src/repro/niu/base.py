@@ -2,15 +2,15 @@
 
 The initiator NIU converts a master socket's native requests into NoC
 packets and returns response packets to the socket in the order its
-protocol demands.  The split between the generic engine here and the
-slim per-protocol subclasses (:mod:`repro.niu.ahb_niu` etc.) is the
-paper's compatibility argument made concrete: ordering, tagging, state
-tracking and service bits are one shared mechanism.  A new socket
-contributes its row in :mod:`repro.core.protocols` (ordering model,
-services, default tag policy) and its :class:`NativeSide` — nothing
-else.  The native side is the family's one reading of its socket, so the
-bus bridge (:class:`repro.bus.bridge.Bridge`) serves the socket with the
-same code as the NIU.
+protocol demands.  One :class:`InitiatorNiu` serves every family, which
+is the paper's compatibility argument made concrete: ordering, tagging,
+state tracking and service bits are one shared mechanism, and the socket
+names the rest — its family row and its
+:class:`~repro.protocols.base.NativeSide`, the family's one reading of
+its socket, which the bus bridge (:class:`repro.bus.bridge.Bridge`)
+serves the socket with too.  A new socket contributes its row in
+:mod:`repro.core.protocols` (ordering model, services, default tag
+policy) and its module in :mod:`repro.protocols` — nothing else.
 
 The target NIU terminates the socket protocol at the target side: it
 owns the per-target *NoC service* state (exclusive-access monitor, lock
@@ -19,7 +19,7 @@ manager) and presents the target IP a neutral read/write interface.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.address_map import AddressMap, DecodeError
 from repro.core.packet import NocPacket, PacketKind
@@ -44,64 +44,14 @@ from repro.sim.queue import SimQueue
 from repro.transport.network import Fabric
 
 
-class NativeSide:
-    """One socket family's side of a master socket, for whichever
-    attachment serves it (an initiator NIU or a bus bridge).
-
-    Subclass contract (one per family, in its NIU module):
-
-    - :meth:`peek` — return the :class:`Transaction` encoded by the
-      native request the socket serves next (without consuming it), or
-      ``None``; the request record itself is left in :attr:`record`;
-    - :meth:`pop` — consume that request;
-    - :meth:`respond` — push the native response record for ``txn``
-      with ``status`` and read ``data``; return False if the socket
-      cannot accept it this cycle.
-
-    ``outstanding`` counts what the attachment holds in flight (a
-    request a family answers locally, like the MsgPort's FENCE, waits
-    for zero).
-    """
-
-    def __init__(
-        self, name: str, socket: MasterSocket, outstanding: Callable[[], int]
-    ) -> None:
-        self.name = name
-        self.socket = socket
-        self.outstanding = outstanding
-        # peek decode cache: a blocked head request is re-peeked every
-        # cycle, and native records are immutable once pushed, so peek
-        # memoizes the decoded Transaction by record identity (the cache
-        # holds a strong reference, so `is` stays sound).
-        self.record = None
-        self.decoded: Optional[Transaction] = None
-
-    def peek(self, cycle: int) -> Optional[Transaction]:
-        raise NotImplementedError
-
-    def pop(self) -> None:
-        raise NotImplementedError
-
-    def respond(
-        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
-    ) -> bool:
-        raise NotImplementedError
-
-
 class InitiatorNiu(Component):
-    """Generic initiator-NIU engine.
+    """The initiator-NIU engine, for a master socket of any family.
 
-    The engine wires itself to the master ``socket`` and takes its tag
-    policy from the family row named by :attr:`protocol_name`: with no
-    ``policy`` the row's default, and a policy of any other ordering
-    model is a ``ValueError``.
-
-    Subclass contract: :attr:`protocol_name`, the socket family served,
-    and :attr:`native_side`, the family's :class:`NativeSide`.
+    The engine wires itself to the master ``socket``, reads it with the
+    socket's ``native_side`` and takes its tag policy from the row of the
+    socket's ``family``: with no ``policy`` the row's default, and a
+    policy of any other ordering model is a ``ValueError``.
     """
-
-    protocol_name = "BASE"
-    native_side = NativeSide
 
     def __init__(
         self,
@@ -113,7 +63,7 @@ class InitiatorNiu(Component):
         policy: Optional[TagPolicy] = None,
     ) -> None:
         super().__init__(name)
-        row = family(self.protocol_name)
+        row = family(socket.family)
         if policy is None:
             policy = default_policy(row.name)
         elif policy.ordering is not row.ordering:
@@ -142,7 +92,7 @@ class InitiatorNiu(Component):
         for queue in self._native_req_queues:
             queue.wake_on_push(self)
         # Bound once, so the per-tick path calls the native side directly.
-        self.native = native = self.native_side(name, socket, self.table.__len__)
+        self.native = native = socket.native_side(name, socket, self.table.__len__)
         self.peek_native = native.peek
         self.pop_native = native.pop
         self.respond_native = native.respond

@@ -8,21 +8,26 @@ provides:
 - a *master* IP model (a :class:`~repro.sim.component.Component`) that
   converts abstract traffic intents into protocol-legal request streams,
   respecting that protocol's pipelining/ordering rules, and checks
-  responses against the protocol's ordering model.
+  responses against the protocol's ordering model;
+- its *native side* (a :class:`~repro.protocols.base.NativeSide`): the
+  attachment's end of the socket, which decodes the request records into
+  transactions and encodes the responses.  The master class names it.
 
-A module holds the family's records and behaviour only.  What the rest
-of the stack knows about the family — ordering model, NoC services,
+So a family's wire format is written and read in one module.  What the
+rest of the stack knows about the family — ordering model, NoC services,
 default NIU tag policy, gate-model front end — is its one row in
 :mod:`repro.core.protocols`, which a master's ``ordering_model`` reads
 through its ``protocol_name``.
 
-The protocol models are intentionally independent of the NoC: they can be
-attached to an initiator NIU (:mod:`repro.niu`) or to a bus bridge
-(:mod:`repro.bus`), which is exactly the comparison in Figs 1/2.
+The protocol models are intentionally independent of the NoC: a socket
+can be attached to the one initiator NIU (:mod:`repro.niu`) or to a bus
+bridge (:mod:`repro.bus`), both serving it with its native side, which
+is exactly the comparison in Figs 1/2.
 """
 
 from repro.protocols.base import (
     MasterSocket,
+    NativeSide,
     ProtocolError,
     ProtocolMaster,
     SlaveRequest,
@@ -32,6 +37,7 @@ from repro.protocols.base import (
 
 __all__ = [
     "MasterSocket",
+    "NativeSide",
     "ProtocolError",
     "ProtocolMaster",
     "SlaveRequest",

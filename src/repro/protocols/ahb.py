@@ -9,18 +9,21 @@ onto the transaction layer's READEX / STORE_COND_LOCKED pair.
 
 Native signal vocabulary is preserved in the request/response records so
 the NIU genuinely converts *from* AHB fields, not from some pre-digested
-form.
+form: :class:`AhbSide` is that conversion, the attachment's end of the
+socket.  AHB is fully ordered and single-outstanding at the socket, so
+its family row's default NIU policy is the minimal one (tag 0, one
+entry) — the cheapest NIU in the gate-count sweep.  A deeper policy is
+still legal and lets the NIU pipeline transfers it has already accepted.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
-from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
-from repro.sim.kernel import Simulator
+from repro.protocols.base import NativeSide, ProtocolError, ProtocolMaster
 
 
 class HBurst(enum.Enum):
@@ -119,6 +122,64 @@ def hresp_from_status(status: ResponseStatus) -> HResp:
     return HResp.OKAY if not status.is_error else HResp.ERROR
 
 
+def _burst_from_hburst(hburst: HBurst) -> BurstType:
+    if hburst is HBurst.SINGLE:
+        return BurstType.SINGLE
+    if hburst.wrapping:
+        return BurstType.WRAP
+    return BurstType.INCR
+
+
+def _opcode_from(request: AhbRequest) -> Opcode:
+    if request.hmastlock:
+        return Opcode.STORE_COND_LOCKED if request.hwrite else Opcode.READEX
+    return Opcode.STORE if request.hwrite else Opcode.LOAD
+
+
+class AhbSide(NativeSide):
+    """An AHB master socket: one ``req`` channel, one ``rsp`` channel."""
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        channel = self.socket.req("req")
+        if not channel._committed:
+            return None
+        request: AhbRequest = channel.peek()
+        if request is self.record:
+            return self.decoded
+        sideband = request.txn
+        self.record = request
+        self.decoded = Transaction(
+            opcode=_opcode_from(request),
+            address=request.haddr,
+            beats=request.beats,
+            beat_bytes=1 << request.hsize,
+            burst=_burst_from_hburst(request.hburst),
+            data=list(request.hwdata) if request.hwdata is not None else None,
+            master=sideband.master,
+            priority=sideband.priority,
+            txn_id=sideband.txn_id,
+        )
+        return self.decoded
+
+    def pop(self) -> None:
+        self.socket.req("req").pop()
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        channel = self.socket.rsp("rsp")
+        if not channel.can_push():
+            return False
+        channel.push(
+            AhbResponse(
+                txn_id=txn.txn_id,
+                hresp=hresp_from_status(status),
+                hrdata=data,
+            )
+        )
+        return True
+
+
 class AhbMaster(ProtocolMaster):
     """AHB 2.0 master IP model: single outstanding, fully ordered.
 
@@ -128,12 +189,9 @@ class AhbMaster(ProtocolMaster):
     """
 
     protocol_name = "AHB"
-
-    def __init__(self, name: str, sim: Simulator, traffic, depth: int = 2) -> None:
-        super().__init__(name, traffic)
-        self.socket = MasterSocket(
-            sim, f"{name}.sock", request_channels=["req"], response_channels=["rsp"]
-        )
+    native_side = AhbSide
+    request_channels = ("req",)
+    response_channels = ("rsp",)
 
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
         if self.outstanding > 0:
@@ -159,15 +217,14 @@ class AhbMaster(ProtocolMaster):
         channel.push(request)
         return True
 
-    def collect_responses(self, cycle: int) -> List[int]:
-        completed: List[int] = []
+    def collect_responses(self, cycle: int) -> List[Tuple[int, ResponseStatus]]:
+        completed = []
         channel = self.socket.rsp("rsp")
         while channel._committed:
             response: AhbResponse = channel.pop()
-            if response.hresp is HResp.ERROR:
-                self.errors += 1
-                self.completion_status[response.txn_id] = ResponseStatus.SLVERR
-            else:
-                self.completion_status[response.txn_id] = ResponseStatus.OKAY
-            completed.append(response.txn_id)
+            status = (
+                ResponseStatus.SLVERR if response.hresp is HResp.ERROR
+                else ResponseStatus.OKAY
+            )
+            completed.append((response.txn_id, status))
         return completed

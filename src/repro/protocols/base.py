@@ -16,7 +16,7 @@ ordering model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.ordering import OrderingChecker, OrderingModel
 from repro.core.protocols import family
@@ -30,31 +30,32 @@ class ProtocolError(RuntimeError):
     """A socket rule was violated (model bug or illegal stimulus)."""
 
 
+#: Capacity of every master socket channel.
+SOCKET_DEPTH = 2
+
+
 class MasterSocket:
     """Named channels between a master IP and its attachment point.
 
     The IP side pushes onto *request-direction* channels and pops from
     *response-direction* channels; the NIU/bridge side does the reverse.
-    Channel names are protocol specific ("req"/"rsp" for AHB-style,
-    "ar"/"aw"/"w"/"r"/"b" for AXI...).
+    Channel names are the master class's ("req"/"rsp" for AHB-style,
+    "ar"/"aw"/"r"/"b" for AXI...).  The socket also carries its
+    ``family`` and the ``native_side`` class that reads it, which is all
+    an attachment needs to serve it.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        request_channels: List[str],
-        response_channels: List[str],
-        depth: int = 2,
-    ) -> None:
-        self.name = name
+    def __init__(self, sim: Simulator, master: ProtocolMaster) -> None:
+        self.name = name = f"{master.name}.sock"
+        self.family = master.protocol_name
+        self.native_side = master.native_side
         self.request_channels: Dict[str, SimQueue] = {
-            ch: sim.new_queue(f"{name}.{ch}", capacity=depth)
-            for ch in request_channels
+            ch: sim.new_queue(f"{name}.{ch}", capacity=SOCKET_DEPTH)
+            for ch in master.request_channels
         }
         self.response_channels: Dict[str, SimQueue] = {
-            ch: sim.new_queue(f"{name}.{ch}", capacity=depth)
-            for ch in response_channels
+            ch: sim.new_queue(f"{name}.{ch}", capacity=SOCKET_DEPTH)
+            for ch in master.response_channels
         }
 
     def req(self, channel: str) -> SimQueue:
@@ -62,6 +63,52 @@ class MasterSocket:
 
     def rsp(self, channel: str) -> SimQueue:
         return self.response_channels[channel]
+
+
+class NativeSide:
+    """One socket family's side of a master socket, for whichever
+    attachment serves it (an initiator NIU or a bus bridge).
+
+    Subclass contract (one per family, in its protocol module):
+
+    - :meth:`peek` — return the :class:`Transaction` encoded by the
+      native request the socket serves next (without consuming it), or
+      ``None``; the request record itself is left in :attr:`record`;
+    - :meth:`pop` — consume that request;
+    - :meth:`respond` — push the native response record for ``txn``
+      with ``status`` and read ``data``; return False if the socket
+      cannot accept it this cycle.
+
+    A request record carries the master's intent as its ``txn``
+    sideband (correlation, not signals): the decoded transaction takes
+    its id, master name and priority from it.  ``outstanding`` counts
+    what the attachment holds in flight (a request a family answers
+    locally, like the MsgPort's FENCE, waits for zero).
+    """
+
+    def __init__(
+        self, name: str, socket: MasterSocket, outstanding: Callable[[], int]
+    ) -> None:
+        self.name = name
+        self.socket = socket
+        self.outstanding = outstanding
+        # peek decode cache: a blocked head request is re-peeked every
+        # cycle, and native records are immutable once pushed, so peek
+        # memoizes the decoded Transaction by record identity (the cache
+        # holds a strong reference, so `is` stays sound).
+        self.record = None
+        self.decoded: Optional[Transaction] = None
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        raise NotImplementedError
+
+    def pop(self) -> None:
+        raise NotImplementedError
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        raise NotImplementedError
 
 
 @dataclass
@@ -126,24 +173,30 @@ class ProtocolMaster(Component):
 
     - :attr:`protocol_name` — the socket family modelled; its row in
       :mod:`repro.core.protocols` gives :attr:`ordering_model`;
-    - ``self.socket`` — the :class:`MasterSocket`, set in ``__init__``:
-      its response channels wake a dormant master, its request channels
-      tell a limit block from backpressure;
+    - :attr:`native_side` — the family's :class:`NativeSide`, which an
+      attachment serves the socket with;
+    - :attr:`request_channels` / :attr:`response_channels` — the channel
+      names ``self.socket`` is built with: its response channels wake a
+      dormant master, its request channels tell a limit block from
+      backpressure;
     - :meth:`try_issue` — if the pending intent can legally enter the
-      socket this cycle, push the protocol records and return True;
+      socket this cycle, push the protocol records and return True; a
+      posted write that completes at acceptance appends its ``txn_id``
+      to ``self._posted``;
     - :meth:`collect_responses` — pop whatever response channels have and
-      return the ``txn_id`` of every intent that completed this cycle.
+      return ``(txn_id, status)`` for every intent answered this cycle,
+      the native status read in the transaction layer's vocabulary.
     """
 
     protocol_name = "BASE"
+    native_side = NativeSide
+    request_channels: Tuple[str, ...] = ()
+    response_channels: Tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        name: str,
-        traffic: TrafficSource,
-    ) -> None:
+    def __init__(self, name: str, sim: Simulator, traffic: TrafficSource) -> None:
         super().__init__(name)
         self.traffic = traffic
+        self.socket = MasterSocket(sim, self)
         self.checker = OrderingChecker(model=self.ordering_model, master=name)
         self._pending: Optional[Transaction] = None
         self._inflight: Dict[int, Transaction] = {}
@@ -160,9 +213,9 @@ class ProtocolMaster(Component):
         # the refusal (see tick), cleared by a successful issue.
         self._limit_blocked = False
         self._latency_stat = None  # resolved at bind()
-        #: Native status translated to the transaction-layer vocabulary,
-        #: recorded by subclasses before returning from collect_responses.
-        self.completion_status: Dict[int, ResponseStatus] = {}
+        # Posted writes accepted by the socket: each completes, OKAY, at
+        # the next tick, with no response to wait for.
+        self._posted: List[int] = []
         self.issued = 0
         self.completed = 0
         self.errors = 0
@@ -189,7 +242,7 @@ class ProtocolMaster(Component):
         """
         raise NotImplementedError
 
-    def collect_responses(self, cycle: int) -> List[int]:
+    def collect_responses(self, cycle: int) -> List[Tuple[int, ResponseStatus]]:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -217,11 +270,6 @@ class ProtocolMaster(Component):
     # ------------------------------------------------------------------ #
     # time-skipping protocol
     # ------------------------------------------------------------------ #
-    def _has_local_completions(self) -> bool:
-        """Completions to deliver that are not on a response channel
-        (protocols with locally-completed posted writes override)."""
-        return False
-
     def next_event_cycle(self, now: int):
         if self.finished():
             # Traffic fully spent, and true forever: no wake needed.
@@ -231,8 +279,8 @@ class ProtocolMaster(Component):
         for queue in self.socket.response_channels.values():
             if queue._committed:
                 return now  # responses waiting to be collected
-        if self._has_local_completions():
-            return now
+        if self._posted:
+            return now  # posted writes to complete
         if self._pending is not None:
             # Refused by our own outstanding limit: dormant until a
             # response (push-wake registered in bind()) lets
@@ -267,8 +315,12 @@ class ProtocolMaster(Component):
 
     def tick(self, cycle: int) -> None:
         completed = self.collect_responses(cycle)
-        for txn_id in completed:
-            self._complete(txn_id, cycle)
+        posted = self._posted
+        if posted:
+            completed[:0] = [(txn_id, ResponseStatus.OKAY) for txn_id in posted]
+            posted.clear()
+        for txn_id, status in completed:
+            self._complete(txn_id, status, cycle)
         if self._limit_blocked and not completed:
             # Still refused, exactly: the pending intent was refused with
             # every request channel pushable — by the outstanding limit,
@@ -312,7 +364,10 @@ class ProtocolMaster(Component):
                 queue.can_push() for queue in self.socket.request_channels.values()
             )
 
-    def _complete(self, txn_id: int, cycle: int) -> None:
+    def _complete(self, txn_id: int, status: ResponseStatus, cycle: int) -> None:
+        """Retire ``txn_id`` with ``status``: an error, or for an
+        exclusive access a won (EXOKAY) or lost (OKAY) reservation, is
+        counted here for every family."""
         txn = self._inflight.pop(txn_id, None)
         if txn is None:
             raise ProtocolError(
@@ -320,19 +375,16 @@ class ProtocolMaster(Component):
             )
         if txn.opcode.expects_response:
             self.checker.complete(txn_id)
-        self._latency_stat.stop(txn_id, cycle)
-        status = self.completion_status.pop(txn_id, ResponseStatus.OKAY)
-        self.traffic.notify_complete(txn_id, cycle, status)
-        self.completed += 1
-
-    def note_status(self, txn_id: int, status: ResponseStatus, excl: bool) -> None:
-        """Record per-response status before calling :meth:`_complete`."""
         if status.is_error:
             self.errors += 1
-        elif excl and status is ResponseStatus.EXOKAY:
-            self.exokay += 1
-        elif excl and status is ResponseStatus.OKAY:
-            self.excl_failures += 1
+        elif txn.excl:
+            if status is ResponseStatus.EXOKAY:
+                self.exokay += 1
+            else:
+                self.excl_failures += 1
+        self._latency_stat.stop(txn_id, cycle)
+        self.traffic.notify_complete(txn_id, cycle, status)
+        self.completed += 1
 
     @property
     def outstanding(self) -> int:
@@ -345,6 +397,3 @@ class ProtocolMaster(Component):
             and self._pending is None
             and not self._inflight
         )
-
-    def inflight_txn(self, txn_id: int) -> Transaction:
-        return self._inflight[txn_id]

@@ -8,17 +8,21 @@ unordered across threads.  Two OCP-specific features matter to the paper:
   socket acceptance — one of the "WRITEs without responses" §3 mentions;
 - **lazy synchronization** (``RDL``/``WRC`` — ReadLinked /
   WriteConditional): OCP's non-blocking synchronization, mapped by the
-  NIU onto the same single exclusive-access packet bit as AXI exclusives.
+  NIU onto the same single exclusive-access packet bit as AXI exclusives
+  — the same NoC service, which is the paper's §3 punchline.
+
+On the NoC, the initiator NIU's tag policy maps the MThreadID that
+:class:`OcpSide` decodes onto the packet Tag.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.transaction import Opcode, ResponseStatus, Transaction
-from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.protocols.base import NativeSide, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
 
 
@@ -66,6 +70,83 @@ class OcpResponse:
     txn_id: int = -1
 
 
+#: MCmd -> (transaction opcode, exclusive).
+_OPCODES = {
+    MCmd.RD: (Opcode.LOAD, False),
+    MCmd.WR: (Opcode.STORE_POSTED, False),
+    MCmd.WRNP: (Opcode.STORE, False),
+    MCmd.RDL: (Opcode.LOAD, True),
+    MCmd.WRC: (Opcode.STORE, True),
+}
+
+
+class OcpSide(NativeSide):
+    """An OCP master socket: one ``req`` channel carrying every thread.
+
+    A WRC answered ``OKAY`` lost its reservation and answers ``FAIL``;
+    ``EXOKAY`` is a won one and answers ``DVA``."""
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        channel = self.socket.req("req")
+        if not channel._committed:
+            return None
+        request: OcpRequest = channel.peek()
+        if request is self.record:
+            return self.decoded
+        try:
+            opcode, excl = _OPCODES[request.mcmd]
+        except KeyError:
+            raise ValueError(f"{self.name}: cannot convert {request.mcmd}") from None
+        sideband = request.txn
+        self.record = request
+        self.decoded = Transaction(
+            opcode=opcode,
+            address=request.maddr,
+            beats=request.mburstlength,
+            beat_bytes=sideband.beat_bytes,
+            burst=(
+                BurstType.INCR if request.mburstlength > 1 else BurstType.SINGLE
+            ),
+            data=list(request.mdata) if request.mdata is not None else None,
+            master=sideband.master,
+            thread=request.mthreadid,
+            excl=excl,
+            priority=sideband.priority,
+            txn_id=sideband.txn_id,
+        )
+        return self.decoded
+
+    def pop(self) -> None:
+        self.socket.req("req").pop()
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        channel = self.socket.rsp("rsp")
+        if not channel.can_push():
+            return False
+        excl_failed = (
+            txn.excl
+            and txn.opcode.is_write
+            and status is ResponseStatus.OKAY
+        )
+        if status.is_error:
+            sresp = SResp.ERR
+        elif excl_failed:
+            sresp = SResp.FAIL
+        else:
+            sresp = SResp.DVA
+        channel.push(
+            OcpResponse(
+                sresp=sresp,
+                sthreadid=txn.thread,
+                sdata=data,
+                txn_id=txn.txn_id,
+            )
+        )
+        return True
+
+
 class OcpMaster(ProtocolMaster):
     """OCP master IP model: multi-threaded, per-thread in-order.
 
@@ -74,6 +155,9 @@ class OcpMaster(ProtocolMaster):
     """
 
     protocol_name = "OCP"
+    native_side = OcpSide
+    request_channels = ("req",)
+    response_channels = ("rsp",)
 
     def __init__(
         self,
@@ -83,23 +167,14 @@ class OcpMaster(ProtocolMaster):
         threads: int = 2,
         per_thread_outstanding: int = 2,
         posted_writes: bool = True,
-        depth: int = 2,
     ) -> None:
-        super().__init__(name, traffic)
         if threads < 1:
             raise ValueError("OCP master needs >= 1 thread")
+        super().__init__(name, sim, traffic)
         self.threads = threads
         self.per_thread_outstanding = per_thread_outstanding
         self.posted_writes = posted_writes
-        self.socket = MasterSocket(
-            sim,
-            f"{name}.sock",
-            request_channels=["req"],
-            response_channels=["rsp"],
-            depth=depth,
-        )
         self._thread_inflight: Dict[int, int] = {t: 0 for t in range(threads)}
-        self._posted_complete: List[int] = []
         self.posted_count = 0
 
     def _mcmd_for(self, txn: Transaction) -> MCmd:
@@ -141,35 +216,25 @@ class OcpMaster(ProtocolMaster):
         )
         if mcmd is MCmd.WR:
             # Posted: completes at socket acceptance, no response will come.
-            self._posted_complete.append(txn.txn_id)
+            self._posted.append(txn.txn_id)
             self.posted_count += 1
         else:
             self._thread_inflight[thread] += 1
         return True
 
-    def _has_local_completions(self) -> bool:
-        return bool(self._posted_complete)
-
-    def collect_responses(self, cycle: int) -> List[int]:
-        completed: List[int] = list(self._posted_complete)
-        self._posted_complete.clear()
+    def collect_responses(self, cycle: int) -> List[Tuple[int, ResponseStatus]]:
+        completed = []
         channel = self.socket.rsp("rsp")
         while channel._committed:
             response: OcpResponse = channel.pop()
             self._thread_inflight[response.sthreadid] -= 1
-            txn = self.inflight_txn(response.txn_id)
             if response.sresp is SResp.ERR:
-                self.errors += 1
                 status = ResponseStatus.SLVERR
-            elif txn.excl:
-                if response.sresp is SResp.FAIL:
-                    self.excl_failures += 1
-                    status = ResponseStatus.OKAY  # lazy-sync store lost
-                else:
-                    self.exokay += 1
-                    status = ResponseStatus.EXOKAY
+            elif response.sresp is SResp.FAIL:
+                status = ResponseStatus.OKAY  # lazy-sync store lost
+            elif self._inflight[response.txn_id].excl:
+                status = ResponseStatus.EXOKAY
             else:
                 status = ResponseStatus.OKAY
-            self.completion_status[response.txn_id] = status
-            completed.append(response.txn_id)
+            completed.append((response.txn_id, status))
         return completed

@@ -9,17 +9,21 @@ completed).
 FENCE is deliberately *not* expressible in any standard socket: it is the
 running example for benchmark E6 (feature locality) — supporting it on
 the NoC requires only NIU behaviour (drain the state table), no packet
-change at all, since it never crosses the fabric.
+change at all, since it never crosses the fabric.  Both ends of it live
+in this module: the master issues it, and :class:`MsgSide`, the
+attachment's end of the socket, acknowledges it locally once nothing is
+outstanding.  No packet field, no transport or physical change and no
+other family's code is touched (benchmark E6 counts exactly this).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.core.transaction import Opcode, ResponseStatus, Transaction
-from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.protocols.base import NativeSide, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
 
 
@@ -57,10 +61,71 @@ def is_fence(txn: Transaction) -> bool:
     return bool(txn.meta.get("fence"))
 
 
+_OPCODES = {
+    MsgKind.GET: Opcode.LOAD,
+    MsgKind.PUT: Opcode.STORE_POSTED,
+    MsgKind.PUT_ACK: Opcode.STORE,
+}
+
+
+class MsgSide(NativeSide):
+    """The MsgPort: one ``msg`` channel, one ``ack`` channel; a FENCE is
+    acknowledged here once nothing is outstanding."""
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        channel = self.socket.req("msg")
+        if not channel._committed:
+            return None
+        request: MsgRequest = channel.peek()
+        sideband = request.txn
+        if request.kind is MsgKind.FENCE:
+            # Local service: complete once every tracked transaction has
+            # retired.  Never reaches the fabric.
+            ack = self.socket.rsp("ack")
+            if self.outstanding() == 0 and ack.can_push():
+                channel.pop()
+                ack.push(MsgResponse(ok=True, txn_id=sideband.txn_id))
+            return None
+        if request is self.record:
+            return self.decoded
+        self.record = request
+        self.decoded = Transaction(
+            opcode=_OPCODES[request.kind],
+            address=request.addr,
+            beats=request.length_words,
+            beat_bytes=sideband.beat_bytes,
+            burst=(
+                BurstType.INCR if request.length_words > 1 else BurstType.SINGLE
+            ),
+            data=list(request.data) if request.data is not None else None,
+            master=sideband.master,
+            priority=sideband.priority,
+            txn_id=sideband.txn_id,
+        )
+        return self.decoded
+
+    def pop(self) -> None:
+        self.socket.req("msg").pop()
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        channel = self.socket.rsp("ack")
+        if not channel.can_push():
+            return False
+        channel.push(
+            MsgResponse(ok=not status.is_error, data=data, txn_id=txn.txn_id)
+        )
+        return True
+
+
 class MsgMaster(ProtocolMaster):
     """Proprietary message-port master: strictly ordered, posted PUTs."""
 
     protocol_name = "PROPRIETARY"
+    native_side = MsgSide
+    request_channels = ("msg",)
+    response_channels = ("ack",)
 
     def __init__(
         self,
@@ -68,18 +133,9 @@ class MsgMaster(ProtocolMaster):
         sim: Simulator,
         traffic,
         max_outstanding: int = 2,
-        depth: int = 2,
     ) -> None:
-        super().__init__(name, traffic)
+        super().__init__(name, sim, traffic)
         self.max_outstanding = max_outstanding
-        self.socket = MasterSocket(
-            sim,
-            f"{name}.sock",
-            request_channels=["msg"],
-            response_channels=["ack"],
-            depth=depth,
-        )
-        self._posted_complete: List[int] = []
         self.fences_issued = 0
 
     def _kind_for(self, txn: Transaction) -> MsgKind:
@@ -116,22 +172,14 @@ class MsgMaster(ProtocolMaster):
             self.fences_issued += 1
         if kind is MsgKind.PUT:
             txn.opcode = Opcode.STORE_POSTED
-            self._posted_complete.append(txn.txn_id)
+            self._posted.append(txn.txn_id)
         return True
 
-    def _has_local_completions(self) -> bool:
-        return bool(self._posted_complete)
-
-    def collect_responses(self, cycle: int) -> List[int]:
-        completed: List[int] = list(self._posted_complete)
-        self._posted_complete.clear()
+    def collect_responses(self, cycle: int) -> List[Tuple[int, ResponseStatus]]:
+        completed = []
         channel = self.socket.rsp("ack")
         while channel._committed:
             response: MsgResponse = channel.pop()
-            if not response.ok:
-                self.errors += 1
-                self.completion_status[response.txn_id] = ResponseStatus.SLVERR
-            else:
-                self.completion_status[response.txn_id] = ResponseStatus.OKAY
-            completed.append(response.txn_id)
+            status = ResponseStatus.OKAY if response.ok else ResponseStatus.SLVERR
+            completed.append((response.txn_id, status))
         return completed

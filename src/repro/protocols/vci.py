@@ -10,16 +10,21 @@ packet/thread identifiers and allows out-of-order responses, like AXI.
   multiple outstanding requests, strictly ordered responses.
 - **AVCI** (Advanced VCI): BVCI plus ``TRDID``/``PKTID`` tags; responses
   may interleave across tags.
+
+One :class:`VciSide` reads all three: the flavor is the master's family,
+and with it the ordering model handed to the NIU's tag policy — PVCI and
+BVCI are fully ordered (Tag constantly 0), AVCI's ``TRDID`` maps onto
+the Tag exactly like an AXI ID.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.core.transaction import Opcode, ResponseStatus, Transaction
-from repro.protocols.base import MasterSocket, ProtocolError, ProtocolMaster
+from repro.core.transaction import BurstType, Opcode, ResponseStatus, Transaction
+from repro.protocols.base import NativeSide, ProtocolError, ProtocolMaster
 from repro.sim.kernel import Simulator
 
 
@@ -66,22 +71,74 @@ def rerror_from_status(status: ResponseStatus) -> VciRerror:
     return VciRerror.NORMAL if not status.is_error else VciRerror.GENERAL_ERROR
 
 
+_OPCODES = {
+    VciCmd.READ: Opcode.LOAD,
+    VciCmd.WRITE: Opcode.STORE,
+    VciCmd.LOCKED_READ: Opcode.READEX,
+    VciCmd.STORE_COND: Opcode.STORE_COND_LOCKED,
+}
+
+
+class VciSide(NativeSide):
+    """A VCI master socket of any flavor: one ``cmd`` channel, one
+    ``rsp`` channel."""
+
+    def peek(self, cycle: int) -> Optional[Transaction]:
+        channel = self.socket.req("cmd")
+        if not channel._committed:
+            return None
+        request: VciRequest = channel.peek()
+        if request is self.record:
+            return self.decoded
+        sideband = request.txn
+        beat_bytes = (
+            request.plen // request.cells if request.cells else 4
+        ) or 4
+        self.record = request
+        self.decoded = Transaction(
+            opcode=_OPCODES[request.cmd],
+            address=request.address,
+            beats=request.cells,
+            beat_bytes=beat_bytes,
+            burst=BurstType.INCR if request.cells > 1 else BurstType.SINGLE,
+            data=list(request.wdata) if request.wdata is not None else None,
+            master=sideband.master,
+            txn_tag=request.trdid,
+            priority=sideband.priority,
+            txn_id=sideband.txn_id,
+        )
+        return self.decoded
+
+    def pop(self) -> None:
+        self.socket.req("cmd").pop()
+
+    def respond(
+        self, txn: Transaction, status: ResponseStatus, data: Optional[List[int]]
+    ) -> bool:
+        channel = self.socket.rsp("rsp")
+        if not channel.can_push():
+            return False
+        channel.push(
+            VciResponse(
+                rerror=rerror_from_status(status),
+                rdata=data,
+                rtrdid=txn.txn_tag,
+                rpktid=txn.txn_id & 0xFF,
+                txn_id=txn.txn_id,
+            )
+        )
+        return True
+
+
 class _VciMasterBase(ProtocolMaster):
     """Shared issue/collect logic for the three flavors."""
 
+    native_side = VciSide
+    request_channels = ("cmd",)
+    response_channels = ("rsp",)
     max_outstanding = 1
     supports_locked = False
     tagged = False
-
-    def __init__(self, name: str, sim: Simulator, traffic, depth: int = 2) -> None:
-        super().__init__(name, traffic)
-        self.socket = MasterSocket(
-            sim,
-            f"{name}.sock",
-            request_channels=["cmd"],
-            response_channels=["rsp"],
-            depth=depth,
-        )
 
     def _cmd_for(self, txn: Transaction) -> VciCmd:
         if txn.excl:
@@ -129,17 +186,16 @@ class _VciMasterBase(ProtocolMaster):
         )
         return True
 
-    def collect_responses(self, cycle: int) -> List[int]:
-        completed: List[int] = []
+    def collect_responses(self, cycle: int) -> List[Tuple[int, ResponseStatus]]:
+        completed = []
         channel = self.socket.rsp("rsp")
         while channel._committed:
             response: VciResponse = channel.pop()
-            if response.rerror is VciRerror.GENERAL_ERROR:
-                self.errors += 1
-                self.completion_status[response.txn_id] = ResponseStatus.SLVERR
-            else:
-                self.completion_status[response.txn_id] = ResponseStatus.OKAY
-            completed.append(response.txn_id)
+            status = (
+                ResponseStatus.SLVERR if response.rerror is VciRerror.GENERAL_ERROR
+                else ResponseStatus.OKAY
+            )
+            completed.append((response.txn_id, status))
         return completed
 
 
@@ -165,9 +221,8 @@ class BvciMaster(_VciMasterBase):
         sim: Simulator,
         traffic,
         max_outstanding: int = 4,
-        depth: int = 2,
     ) -> None:
-        super().__init__(name, sim, traffic, depth=depth)
+        super().__init__(name, sim, traffic)
         self.max_outstanding = max_outstanding
 
 
@@ -185,9 +240,8 @@ class AvciMaster(_VciMasterBase):
         traffic,
         max_outstanding: int = 8,
         tag_count: int = 4,
-        depth: int = 2,
     ) -> None:
-        super().__init__(name, sim, traffic, depth=depth)
+        super().__init__(name, sim, traffic)
         self.max_outstanding = max_outstanding
         self.tag_count = tag_count
 

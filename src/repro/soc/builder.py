@@ -21,12 +21,7 @@ from repro.core.layer import TransactionLayerConfig, build_layer_config
 from repro.core.services import ExclusiveMonitor, LockManager, NocService
 from repro.ip.slaves import MemoryDevice
 from repro.ip.traffic import TrafficSpec, WorkloadStallError
-from repro.niu.ahb_niu import AhbInitiatorNiu
-from repro.niu.axi_niu import AxiInitiatorNiu
 from repro.niu.base import InitiatorNiu, TargetNiu
-from repro.niu.ocp_niu import OcpInitiatorNiu
-from repro.niu.proprietary_niu import MsgInitiatorNiu
-from repro.niu.vci_niu import VciInitiatorNiu
 from repro.phys.clocking import ClockDomain, make_clock_domain
 from repro.phys.link import LinkSpec
 from repro.protocols.ahb import AhbMaster
@@ -45,16 +40,14 @@ from repro.transport.network import Fabric
 from repro.transport.switching import SwitchingMode
 from repro.transport.topology import Topology
 
-#: Socket family → (master IP model, initiator NIU) classes; the bus
-#: builder reads the master half.
+#: Socket family → its master IP model class, which names the family's
+#: native side; one :class:`InitiatorNiu` serves them all.
 MODELS = {
-    "AHB": (AhbMaster, AhbInitiatorNiu),
-    "AXI": (AxiMaster, AxiInitiatorNiu),
-    "OCP": (OcpMaster, OcpInitiatorNiu),
-    "PVCI": (PvciMaster, VciInitiatorNiu),
-    "BVCI": (BvciMaster, VciInitiatorNiu),
-    "AVCI": (AvciMaster, VciInitiatorNiu),
-    "PROPRIETARY": (MsgMaster, MsgInitiatorNiu),
+    master.protocol_name: master
+    for master in (
+        AhbMaster, AxiMaster, OcpMaster, PvciMaster, BvciMaster, AvciMaster,
+        MsgMaster,
+    )
 }
 
 
@@ -149,8 +142,7 @@ def add_master(
 ) -> ProtocolMaster:
     """Register ``spec``'s master IP model around ``source``, in ``domain``
     (``None`` is the kernel reference clock)."""
-    master_cls = MODELS[spec.protocol][0]
-    master = master_cls(spec.name, sim, source, **spec.protocol_kwargs)
+    master = MODELS[spec.protocol](spec.name, sim, source, **spec.protocol_kwargs)
     master.set_clock_domain(domain)
     sim.add(master)
     return master
@@ -594,12 +586,9 @@ class SocBuilder:
             domain = endpoint_domains.get(endpoint)
             with scope(endpoint):
                 master = add_master(spec, sim, source, domain)
-                niu_cls = MODELS[spec.protocol][1]
-                # One NIU class serves the three VCI families.
-                vci = {"flavor": spec.protocol} if niu_cls is VciInitiatorNiu else {}
-                niu = niu_cls(
+                niu = InitiatorNiu(
                     f"{spec.name}.niu", fabric, endpoint, address_map,
-                    master.socket, policy=spec.policy, **vci,
+                    master.socket, policy=spec.policy,
                 )
                 niu.set_clock_domain(domain)
                 sim.add(niu)

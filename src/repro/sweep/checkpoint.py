@@ -48,8 +48,9 @@ import repro.transport.flit as _flit_mod
 from repro.core.transaction import SerialCounter
 from repro.sim.shard import ShardConfigError
 
-#: Bump when the on-disk envelope or the payload's layout changes shape.
-FORMAT_VERSION = 4
+#: Bump when the on-disk envelope or the payload's layout changes shape,
+#: or a pickled class moves module (a pickle names classes by module path).
+FORMAT_VERSION = 5
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length

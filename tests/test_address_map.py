@@ -18,20 +18,20 @@ def small_map():
 class TestDecode:
     def test_decode_start_and_end(self):
         m = small_map()
-        assert m.decode(0x0000) == (0, 0)
-        assert m.decode(0x0FFF) == (0, 0xFFF)
-        assert m.decode(0x2000) == (1, 0)
-        assert m.decode(0x3FFF) == (1, 0x1FFF)
+        assert m.decode_span(0x0000, 1) == (0, 0)
+        assert m.decode_span(0x0FFF, 1) == (0, 0xFFF)
+        assert m.decode_span(0x2000, 1) == (1, 0)
+        assert m.decode_span(0x3FFF, 1) == (1, 0x1FFF)
 
     def test_hole_raises(self):
         with pytest.raises(DecodeError):
-            small_map().decode(0x1000)
+            small_map().decode_span(0x1000, 1)
         with pytest.raises(DecodeError):
-            small_map().decode(0x7FFF)
+            small_map().decode_span(0x7FFF, 1)
 
     def test_above_everything_raises(self):
         with pytest.raises(DecodeError):
-            small_map().decode(0x9000)
+            small_map().decode_span(0x9000, 1)
 
     def test_lookup_returns_range(self):
         r = small_map().lookup(0x2004)
@@ -75,7 +75,7 @@ class TestConstruction:
     def test_adjacent_ok(self):
         m = small_map()
         m.add_range(0x1000, 0x1000, slv_addr=3)
-        assert m.decode(0x1000) == (3, 0)
+        assert m.decode_span(0x1000, 1) == (3, 0)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +106,6 @@ def test_property_decode_agrees_with_linear_scan(bases, probe):
     hit = next((r for r in ranges if r.contains(probe)), None)
     if hit is None:
         with pytest.raises(DecodeError):
-            m.decode(probe)
+            m.decode_span(probe, 1)
     else:
-        assert m.decode(probe) == (hit.slv_addr, probe - hit.base)
+        assert m.decode_span(probe, 1) == (hit.slv_addr, probe - hit.base)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bus.bridge import Bridge
+from repro.bus.system import build_bus_soc
 from repro.core.layer import build_layer_config
 from repro.core.ordering import OrderingModel
 from repro.core.packet import PacketFormat
@@ -10,7 +10,6 @@ from repro.core.protocols import FAMILIES, family
 from repro.ip import TrafficSpec
 from repro.niu.gate_count import bridge_gate_count, niu_gate_count
 from repro.niu.tag_policy import TagPolicy, default_policy
-from repro.niu.vci_niu import VciInitiatorNiu
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.soc.builder import MODELS
 from repro.soc.config import KNOWN_PROTOCOLS
@@ -34,7 +33,8 @@ def test_one_table_names_the_families():
 
 def test_every_layer_reads_its_row():
     """A SoC with all seven families: each master's ordering model and
-    each NIU's default policy are its family row's."""
+    each NIU's default policy are its family row's, and the NIU and a
+    bus bridge both serve the socket with the master's native side."""
     builder = SocBuilder()
     for index, protocol in enumerate(FAMILIES):
         builder.add_initiator(InitiatorSpec(
@@ -44,11 +44,16 @@ def test_every_layer_reads_its_row():
         ))
     builder.add_target(TargetSpec("mem", size=0x1000))
     soc = builder.build()
+    bus_soc = build_bus_soc(builder.initiators, builder.targets)
     for index, (protocol, row) in enumerate(FAMILIES.items()):
         master = soc.masters[f"m{index}"]
         niu = soc.initiator_nius[f"m{index}"]
-        assert (type(master), type(niu)) == MODELS[protocol]
-        assert master.protocol_name == niu.protocol_name == protocol
+        assert type(master) is MODELS[protocol]
+        assert master.protocol_name == niu.socket.family == protocol
+        assert type(niu.native) is master.native_side
+        bridged = bus_soc.masters[f"m{index}"]
+        assert type(bus_soc.bridges[f"m{index}"].native) is bridged.native_side
+        assert bridged.native_side is master.native_side
         assert master.ordering_model is row.ordering
         assert master.checker.model is row.ordering
         assert niu.policy == default_policy(protocol) == TagPolicy(
@@ -87,10 +92,8 @@ def test_policy_ordering_must_match_the_family(protocol, model):
     lambda: niu_gate_count("PCIE", default_policy("AXI"), PacketFormat()),
     lambda: build_layer_config(["AXI", "PCIE"], initiators=2, targets=1),
     lambda: default_policy("PCIE"),
-    lambda: Bridge("b", None, "PCIE", None),
-    lambda: VciInitiatorNiu("n", None, 0, None, None, flavor="PCIE"),
 ], ids=["bridge_gates", "bridge_reference", "niu_gates", "layer_config",
-        "default_policy", "bridge", "vci_flavor"])
+        "default_policy"])
 def test_unknown_family_is_one_named_error(lookup):
     with pytest.raises(KeyError) as info:
         lookup()
