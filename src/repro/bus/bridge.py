@@ -119,12 +119,13 @@ class Bridge(Component):
                 self._data.extend(reply.data)
             self._parts_done += 1
             if self._parts_done == self._parts_total:
+                # An errored intent answers with no data, as the NoC's
+                # target does, whatever its parts that succeeded read.
                 status = self._status
+                data = None if status.is_error else self._data or None
                 if txn.excl and not status.is_error:
                     status = ResponseStatus.EXOKAY  # lock emulation always wins
-                self._outgoing.append(
-                    (cycle + self.latency, txn, status, self._data or None)
-                )
+                self._outgoing.append((cycle + self.latency, txn, status, data))
                 self._current = None
                 self._ops = []
 

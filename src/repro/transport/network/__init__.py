@@ -231,7 +231,6 @@ class Network:
                 router_id=router_id,
                 table=tables[router_id],
                 mode=self.mode,
-                buffer_capacity=self.buffer_capacity,
                 arbiter=make_arbiter(arbiter),
                 lock_support=lock_support,
                 vcs=self.vcs,

@@ -58,6 +58,11 @@ allocation order does:
 - **Phase C** (:meth:`Router._age`): inputs that sent reset their age,
   the rest age by one.
 
+**One record per port and VC.**  Each input VC, output VC and physical
+output port is one slotted record, made where it is wired, holding what
+a tick reads and mutates; ``inputs`` / ``outputs`` are only the
+``(port, vc) -> queue`` wiring view.
+
 The steps inside the phases are written once: the SAF/VCT head gate
 (:meth:`Router._head_may_depart`) and the move itself
 (:meth:`Router._transfer`).  A tick counts one lock-stall cycle however
@@ -82,6 +87,8 @@ for cycle.
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.packet import PacketKind
@@ -99,6 +106,59 @@ _LOCK_CLEARERS = (Opcode.STORE_COND_LOCKED,)
 
 #: Key of one input (or output) virtual channel: ``(port name, vc)``.
 VcKey = Tuple[str, int]
+
+_ORDER = attrgetter("order")
+
+
+@dataclass(slots=True, eq=False)
+class _InputVc:
+    """One input VC: its buffer, canonical order key and arbitration id
+    (with one VC the port name, otherwise ``"port@vc<N>"``), the
+    upstream router the VC policy reads (None: an endpoint port), and
+    the state a tick mutates."""
+
+    port: str
+    vc: int
+    queue: SimQueue
+    order: tuple
+    ckey: str
+    neighbor: Optional[Hashable]
+    #: The output VC this input's packet holds until its tail passes,
+    #: and that packet's head flit.
+    alloc: Optional[_OutputVc] = None
+    head: Optional[Flit] = None
+    #: Cycles waited with flits buffered (arbitration reads it).
+    age: int = 0
+    #: ``(release version, head)`` of a failed adaptive allocation: the
+    #: head stays blocked until an output VC is released or a lock moves.
+    fail: Optional[Tuple[int, Flit]] = None
+    #: Output port -> the output VC the (stateless) VC policy chose for a
+    #: head leaving by it; the escape VC on an adaptive router.
+    out_vcs: Dict[_OutputPort, _OutputVc] = field(default_factory=dict)
+
+
+@dataclass(slots=True, eq=False)
+class _OutputVc:
+    """One output VC: its physical port, its queue and the input VC that
+    owns it until the owning packet's tail passes."""
+
+    port: _OutputPort
+    vc: int
+    queue: SimQueue
+    owner: Optional[_InputVc] = None
+
+
+@dataclass(slots=True, eq=False)
+class _OutputPort:
+    """One physical output: its canonical order key, the downstream
+    router (None: an ejection port), its output VCs by index (``vcs[0]``
+    is the single-VC switch's) and the master whose lock it holds."""
+
+    name: str
+    order: tuple
+    neighbor: Optional[Hashable]
+    vcs: List[Optional[_OutputVc]]
+    lock: Optional[int] = None
 
 
 class Router(Component):
@@ -119,7 +179,6 @@ class Router(Component):
         router_id: Hashable,
         table: Dict[int, str],
         mode: SwitchingMode = SwitchingMode.WORMHOLE,
-        buffer_capacity: int = 8,
         arbiter: Optional[Arbiter] = None,
         lock_support: bool = True,
         vcs: int = 1,
@@ -130,7 +189,6 @@ class Router(Component):
         self.router_id = router_id
         self.table = table
         self.mode = mode
-        self.buffer_capacity = buffer_capacity
         self.arbiter = arbiter if arbiter is not None else PriorityArbiter()
         self.lock_support = lock_support
         self.vcs = vcs
@@ -138,58 +196,22 @@ class Router(Component):
         # Minimal-adaptive mode: route choice becomes a per-cycle
         # multi-candidate allocation decision (see _allocate_adaptive);
         # ``table`` then holds the escape (deterministic) next hops, and
-        # the VC policy is an EscapeVcPolicy (Network._check_options).
+        # the VC policy is an EscapeVcPolicy (Network._check_options):
+        # VCs below the escape base are the adaptive class.
         self.adaptive_table = adaptive_table
         if adaptive_table is not None:
-            policy = self.vc_policy
-            self._n_adaptive = policy.adaptive_vcs(vcs)
-            self._escape_on = policy.escape
-            self._escape_base_vc = policy.escape_base(vcs)
-        # Allocation hot-path caches: the output VC of a hop (the escape
-        # VC on an adaptive router) is a pure function of (input VC, out
-        # port) geometry — VcPolicy is stateless; and a head that
-        # found no free candidate (with no locks involved) stays blocked
-        # until an output VC is released, so its failed scan is cached
-        # against a release/lock version stamp instead of repeated every
-        # cycle.
-        self._vc_cache: Dict[Tuple[VcKey, str], int] = {}
-        self._alloc_fail: Dict[VcKey, Optional[Tuple[int, Flit]]] = {}
+            self._escape_base = self.vc_policy.escape_base(vcs)
+        # Bumped whenever an output VC is released or a lock moves: an
+        # input's failed adaptive scan (``_InputVc.fail``) holds until then.
         self._release_version = 0
-        self._init_ports()
-        self._init_stats()
-
-    def _init_ports(self) -> None:
-        """Empty port maps and per-port state; ``add_input`` /
-        ``add_output`` fill them as the network wires the router."""
-        # Buffers keyed by (port, vc); vc is always 0 when vcs == 1.
+        # The wiring views, keyed (port, vc); vc is always 0 when vcs == 1.
         self.inputs: Dict[VcKey, SimQueue] = {}
         self.outputs: Dict[VcKey, SimQueue] = {}
-        # Hot-path port lists, kept in canonical order as ports are wired
-        # so tick never sorts (arbitration order is the (port, vc) key).
-        self._sorted_inputs: List[tuple] = []
-        self._sorted_outputs: List[tuple] = []
-        self._physical_outputs: List[str] = []
-        # per-input-VC state
-        self._input_alloc: Dict[VcKey, Optional[VcKey]] = {}
-        self._input_head: Dict[VcKey, Optional[Flit]] = {}
-        self._input_age: Dict[VcKey, int] = {}
-        # per-output-VC / per-output state
-        self._output_owner: Dict[VcKey, Optional[VcKey]] = {}
-        self._output_lock: Dict[str, Optional[int]] = {}
-        # neighbour geometry for the VC policy (None = endpoint port)
-        self._in_neighbor: Dict[str, Optional[Hashable]] = {}
-        self._out_neighbor: Dict[str, Optional[Hashable]] = {}
-        # arbitration candidate ids: with one VC the historical port name,
-        # otherwise "port@vc<N>" — one candidate per (input, VC)
-        self._ckey: Dict[VcKey, str] = {}
-        self._ckey_to_ivc: Dict[str, VcKey] = {}
-        # canonical order per (vc key, queue) list entry / physical port
-        self._port_keys: Dict[Tuple[VcKey, SimQueue], tuple] = {}
-        self._phys_out_keys: Dict[str, tuple] = {}
-        # each physical output's VC-0 key: the single-VC switch's outputs
-        self._vc0_okey: Dict[str, VcKey] = {}
-
-    def _init_stats(self) -> None:
+        # The records, kept in canonical order as ports are wired so tick
+        # never sorts (arbitration order is the (port, vc) order key).
+        self._sorted_inputs: List[_InputVc] = []
+        self._physical_outputs: List[_OutputPort] = []
+        self._ports: Dict[str, _OutputPort] = {}
         self.flits_forwarded = 0
         self.packets_forwarded = 0
         #: Packets granted an adaptive-class vs escape-class output VC at
@@ -227,29 +249,23 @@ class Router(Component):
         order: Optional[Hashable] = None,
     ) -> SimQueue:
         """Wire input ``(port, vc)``; ``neighbor`` is the upstream router,
-        ``order`` the id an endpoint port sorts by.  ``insort`` puts it
-        at its canonical place in ``_sorted_inputs`` (ties keep insertion
-        order, as a stable sort did): canonical after every call, in any
-        call order, with no finish-wiring step."""
+        ``order`` the id an endpoint port sorts by.  ``insort`` puts its
+        record at its canonical place in ``_sorted_inputs`` (ties keep
+        insertion order, as a stable sort did): canonical after every
+        call, in any call order, with no finish-wiring step."""
         key = (port, vc)
         if key in self.inputs:
             raise ValueError(f"{self.name}: duplicate input port {key!r}")
         if not 0 <= vc < self.vcs:
             raise ValueError(f"{self.name}: input VC {vc} outside 0..{self.vcs - 1}")
         self.inputs[key] = queue
-        self._input_alloc[key] = None
-        self._input_head[key] = None
-        self._input_age[key] = 0
-        self._alloc_fail[key] = None
-        self._in_neighbor[port] = neighbor
-        ckey = port if self.vcs == 1 else f"{port}@vc{vc}"
-        self._ckey[key] = ckey
-        self._ckey_to_ivc[ckey] = key
-        entry = (key, queue)
-        self._port_keys[entry] = (
-            self._port_order(port, neighbor if order is None else order), vc
+        record = _InputVc(
+            port, vc, queue,
+            (self._port_order(port, neighbor if order is None else order), vc),
+            port if self.vcs == 1 else f"{port}@vc{vc}",
+            neighbor,
         )
-        insort(self._sorted_inputs, entry, key=self._port_keys.__getitem__)
+        insort(self._sorted_inputs, record, key=_ORDER)
         queue.wake_on_push(self)
         return queue
 
@@ -261,61 +277,59 @@ class Router(Component):
         neighbor: Optional[Hashable] = None,
         order: Optional[Hashable] = None,
     ) -> SimQueue:
-        """:meth:`add_input`'s twin: ``_sorted_outputs``, ``_physical_outputs``."""
+        """:meth:`add_input`'s twin: the port's first VC makes its record
+        and puts it in ``_physical_outputs``; a port's VCs are in VC
+        order on its record."""
         key = (port, vc)
         if key in self.outputs:
             raise ValueError(f"{self.name}: duplicate output port {key!r}")
         if not 0 <= vc < self.vcs:
             raise ValueError(f"{self.name}: output VC {vc} outside 0..{self.vcs - 1}")
         self.outputs[key] = queue
-        self._output_owner[key] = None
-        self._out_neighbor[port] = neighbor
-        port_order = self._port_order(port, neighbor if order is None else order)
-        if port not in self._output_lock:
-            self._output_lock[port] = None
-            self._phys_out_keys[port] = port_order
-            insort(
-                self._physical_outputs, port, key=self._phys_out_keys.__getitem__
+        physical = self._ports.get(port)
+        if physical is None:
+            physical = self._ports[port] = _OutputPort(
+                port, self._port_order(port, neighbor if order is None else order),
+                neighbor, [None] * self.vcs,
             )
-        if vc == 0:
-            self._vc0_okey[port] = key
-        entry = (key, queue)
-        self._port_keys[entry] = (port_order, vc)
-        insort(self._sorted_outputs, entry, key=self._port_keys.__getitem__)
+            insort(self._physical_outputs, physical, key=_ORDER)
+        physical.vcs[vc] = _OutputVc(physical, vc, queue)
         return queue
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _route(self, dest: int) -> str:
+    def _route(self, dest: int) -> _OutputPort:
         try:
-            return self.table[dest]
+            name = self.table[dest]
         except KeyError:
             raise KeyError(
                 f"{self.name}: no route to endpoint {dest} "
                 f"(table has {sorted(self.table)})"
             ) from None
+        return self._ports[name]
 
-    def _framing_error(self, ivc: VcKey, flit: Flit) -> RuntimeError:
-        where = ivc[0] if self.vcs == 1 else f"{ivc[0]}:vc{ivc[1]}"
+    def _framing_error(self, inp: _InputVc, flit: Flit) -> RuntimeError:
+        where = inp.port if self.vcs == 1 else f"{inp.port}:vc{inp.vc}"
         return RuntimeError(
             f"{self.name}:{where}: body flit {flit!r} at front with no "
             f"allocation (framing bug)"
         )
 
-    def _downstream_free(self, okey: VcKey) -> int:
-        queue = self.outputs[okey]
+    @staticmethod
+    def _downstream_free(out: _OutputVc) -> int:
+        queue = out.queue
         if queue.capacity is None:
             return 1 << 30
         return queue.capacity - queue.occupancy
 
-    def _head_may_depart(self, queue: SimQueue, head: Flit, okey: VcKey) -> bool:
+    def _head_may_depart(self, inp: _InputVc, head: Flit, out: _OutputVc) -> bool:
         """The SAF/VCT gate on a head, both switches: the contiguous
         flits of its packet buffered here against the room downstream.
         (A wormhole head only needs one slot; the phases test that
         inline.)"""
         buffered = 0
-        for flit in queue:
+        for flit in inp.queue:
             if flit.packet_id != head.packet_id:
                 break
             buffered += 1
@@ -324,38 +338,32 @@ class Router(Component):
         return self.mode.head_may_depart(
             flits_buffered=buffered,
             packet_flits=head.count,
-            downstream_free=self._downstream_free(okey),
+            downstream_free=self._downstream_free(out),
         )
 
-    def _output_vc_for(self, ivc: VcKey, out_port: str, escape=False) -> int:
-        """The VC policy's output VC for a head on ``ivc`` leaving by
-        ``out_port`` (its escape VC when ``escape``), cached."""
-        out_vc = self._vc_cache.get((ivc, out_port))
-        if out_vc is None:
-            in_port, in_vc = ivc
-            policy = self.vc_policy
-            choose = policy.escape_output_vc if escape else policy.output_vc
-            out_vc = choose(
-                self.router_id,
-                self._in_neighbor.get(in_port),
-                self._out_neighbor.get(out_port),
-                in_vc,
-                self.vcs,
+    def _output_vc_for(
+        self, inp: _InputVc, port: _OutputPort, escape=False
+    ) -> _OutputVc:
+        """The VC policy's output VC for a head on ``inp`` leaving by
+        ``port`` (its escape VC when ``escape``), stored in
+        ``inp.out_vcs``, where callers look first."""
+        policy = self.vc_policy
+        choose = policy.escape_output_vc if escape else policy.output_vc
+        out_vc = choose(self.router_id, inp.neighbor, port.neighbor, inp.vc, self.vcs)
+        if not 0 <= out_vc < self.vcs:
+            raise ValueError(
+                f"{self.name}: VC policy {policy.name!r} chose VC "
+                f"{out_vc} outside 0..{self.vcs - 1} for {inp.port}:{inp.vc}"
+                f" -> {port.name}"
             )
-            if not 0 <= out_vc < self.vcs:
-                raise ValueError(
-                    f"{self.name}: VC policy {policy.name!r} chose VC "
-                    f"{out_vc} outside 0..{self.vcs - 1} for {in_port}:{in_vc}"
-                    f" -> {out_port}"
-                )
-            self._vc_cache[(ivc, out_port)] = out_vc
-        return out_vc
+        inp.out_vcs[port] = out = port.vcs[out_vc]
+        return out
 
     # ------------------------------------------------------------------ #
     # VC allocation (Phase V, one head at a time)
     # ------------------------------------------------------------------ #
-    def _allocate_vc(self, ivc: VcKey, flit: Flit) -> Optional[VcKey]:
-        """Claim an output VC for the head at the front of ``ivc``, or
+    def _allocate_vc(self, inp: _InputVc, flit: Flit) -> Optional[_OutputVc]:
+        """Claim an output VC for the head at the front of ``inp``, or
         ``None`` to retry next cycle (setting ``_lock_refused`` when a
         lock is why).
 
@@ -364,38 +372,40 @@ class Router(Component):
         would let the blocked packet hoard the VC and stall the holder's
         own locked store forever.  Once granted, a stream always completes (a
         packet admitted before the lock was set behaves as having entered
-        the locked path first, exactly like the single-VC switch).
+        the locked path first, exactly like the single-VC switch).  A
+        port is only ever locked on a router with ``lock_support``.
         """
         if flit.seq != 0:
-            raise self._framing_error(ivc, flit)
+            raise self._framing_error(inp, flit)
         if self.adaptive_table is not None:
-            cached = self._alloc_fail[ivc]
+            cached = inp.fail
             if (
                 cached is not None
                 and cached[0] == self._release_version
                 and cached[1] is flit
             ):
                 return None  # still blocked: nothing freed since
-            okey = self._allocate_adaptive(ivc, flit)
-            if okey is None:
+            out = self._allocate_adaptive(inp, flit)
+            if out is None:
                 return None  # no admissible candidate
         else:
-            out_port = self._route(flit.dest)
-            if self.lock_support:
-                holder = self._output_lock[out_port]
-                if holder is not None and holder != flit.src:
-                    self._lock_refused = True
-                    return None  # admission refused until the locked store passes
-            okey = (out_port, self._output_vc_for(ivc, out_port))
-            if self._output_owner[okey] is not None:
+            port = self._route(flit.dest)
+            holder = port.lock
+            if holder is not None and holder != flit.src:
+                self._lock_refused = True
+                return None  # admission refused until the locked store passes
+            out = inp.out_vcs.get(port)
+            if out is None:
+                out = self._output_vc_for(inp, port)
+            if out.owner is not None:
                 return None  # output VC busy
-        self._output_owner[okey] = ivc
-        self._input_alloc[ivc] = okey
-        self._input_head[ivc] = flit
-        return okey
+        out.owner = inp
+        inp.alloc = out
+        inp.head = flit
+        return out
 
-    def _allocate_adaptive(self, ivc: VcKey, flit: Flit) -> Optional[VcKey]:
-        """The least-congested admissible (output port, VC) for a head, or
+    def _allocate_adaptive(self, inp: _InputVc, flit: Flit) -> Optional[_OutputVc]:
+        """The least-congested admissible output VC for a head, or
         ``None`` (it retries, still requesting escape: the retry the
         deadlock-freedom argument leans on).  Candidates, in canonical
         port order, VCs ascending: every free adaptive-class VC of the
@@ -407,74 +417,67 @@ class Router(Component):
         admission is per candidate port; a head with none admissible is
         lock-stalled.
         """
-        ports = self.adaptive_table.outputs(flit.dest)
-        if ports[0][0] == "l":  # "local:...": ejection at the home router
-            return self._allocate_at_home(ivc, flit, ports[0])
+        names = self.adaptive_table.outputs(flit.dest)
+        if names[0][0] == "l":  # "local:...": ejection at the home router
+            return self._allocate_at_home(inp, flit, self._ports[names[0]])
+        ports = self._ports
         src = flit.src
-        locks = self._output_lock if self.lock_support else None
-        output_owner = self._output_owner
-        escape_on = self._escape_on
+        escape_on = self.vc_policy.escape
+        n_adaptive = self._escape_base
         refused = False
-        best: Optional[VcKey] = None
+        best: Optional[_OutputVc] = None
         best_free = -1
-        if not escape_on or not (ivc[1] >= self._escape_base_vc or flit.lock_related):
-            for port in ports:
-                holder = locks[port] if locks is not None else None
+        if not escape_on or not (inp.vc >= n_adaptive or flit.lock_related):
+            for name in names:
+                port = ports[name]
+                holder = port.lock
                 if holder is not None and holder != src:
                     refused = True
                     continue
-                for vc in range(self._n_adaptive):
-                    okey = (port, vc)
-                    if output_owner[okey] is None:
-                        free = self._downstream_free(okey)
+                for out in port.vcs[:n_adaptive]:
+                    if out.owner is None:
+                        free = self._downstream_free(out)
                         if free > best_free:
-                            best, best_free = okey, free
+                            best, best_free = out, free
         if escape_on:
-            eport = self.adaptive_table.escape_port(flit.dest)
-            holder = locks[eport] if locks is not None else None
+            port = ports[self.adaptive_table.escape_port(flit.dest)]
+            holder = port.lock
             if holder is not None and holder != src:
                 refused = True
             else:
-                evc = self._vc_cache.get((ivc, eport))
-                if evc is None:
-                    evc = self._output_vc_for(ivc, eport, escape=True)
-                okey = (eport, evc)
-                if output_owner[okey] is None:
-                    if self._downstream_free(okey) > best_free:
-                        best = okey
+                out = inp.out_vcs.get(port)
+                if out is None:
+                    out = self._output_vc_for(inp, port, escape=True)
+                if out.owner is None and self._downstream_free(out) > best_free:
+                    best = out
         if best is None:
             if refused:
                 self._lock_refused = True
             else:
                 # Nothing free and no lock involved: nothing changes until
                 # an output VC is released or a lock moves (the version).
-                self._alloc_fail[ivc] = (self._release_version, flit)
+                inp.fail = (self._release_version, flit)
             return None
-        self._count_adaptive_grant(best)
-        return best
-
-    def _allocate_at_home(
-        self, ivc: VcKey, flit: Flit, port: str
-    ) -> Optional[VcKey]:
-        """``_allocate_adaptive`` without a route choice: ejection by the
-        home router's one local ``port``, keeping the input's VC class."""
-        if self.lock_support:
-            holder = self._output_lock[port]
-            if holder is not None and holder != flit.src:
-                self._lock_refused = True
-                return None
-        okey = (port, ivc[1])
-        if self._output_owner[okey] is None:
-            return okey
-        self._alloc_fail[ivc] = (self._release_version, flit)
-        return None
-
-    def _count_adaptive_grant(self, best: VcKey) -> None:
-        """An adaptive grant's class: escape or adaptive VC."""
-        if self._escape_on and best[1] >= self._escape_base_vc:
+        if best.vc >= n_adaptive:
             self.packets_escape += 1
         else:
             self.packets_adaptive += 1
+        return best
+
+    def _allocate_at_home(
+        self, inp: _InputVc, flit: Flit, port: _OutputPort
+    ) -> Optional[_OutputVc]:
+        """``_allocate_adaptive`` without a route choice: ejection by the
+        home router's one local ``port``, keeping the input's VC class."""
+        holder = port.lock
+        if holder is not None and holder != flit.src:
+            self._lock_refused = True
+            return None
+        out = port.vcs[inp.vc]
+        if out.owner is None:
+            return out
+        inp.fail = (self._release_version, flit)
+        return None
 
     # ------------------------------------------------------------------ #
     # the cycle
@@ -488,8 +491,8 @@ class Router(Component):
         lock state only changes when a tail flit passes — so an
         all-inputs-empty router can sleep until a link queue wakes it.
         """
-        for _key, queue in self._sorted_inputs:
-            if queue._committed:
+        for inp in self._sorted_inputs:
+            if inp.queue._committed:
                 return now
         return None
 
@@ -498,17 +501,12 @@ class Router(Component):
         # Single busy scan shared by both switch flavours: collects the
         # input VCs holding flits (quiescent routers return on the empty
         # list — see next_event_cycle for why that is exact).
-        busy: List[tuple] = [
-            item for item in self._sorted_inputs if item[1]._committed
-        ]
+        busy = [inp for inp in self._sorted_inputs if inp.queue._committed]
         if not busy:
             return
         if self.vcs > 1 or self.adaptive_table is not None:
             self._tick_vc(cycle, busy)
             return
-        input_age = self._input_age
-        outputs = self.outputs
-        arbiter = self.arbiter
         # stream_fast_path is read per tick: tests clear it after
         # construction to reach the reference arbitration below.
         sole_grant = self.stream_fast_path
@@ -518,119 +516,109 @@ class Router(Component):
             # Solo tick (module docstring): the one busy input either
             # moves its front flit or ages; Phases A-C reduce to exactly
             # this when nobody else holds a flit.
-            ivc, queue = busy[0]
-            okey = self._input_alloc[ivc]
-            if okey is None:
-                flit = queue._committed[0]
+            inp = busy[0]
+            out = inp.alloc
+            if out is None:
+                flit = inp.queue._committed[0]
                 if flit.seq != 0:
-                    raise self._framing_error(ivc, flit)
-                out_port = self._route(flit.dest)
-                okey = (out_port, 0)
-                if (
-                    self._output_owner[okey] is not None
-                    or not outputs[okey].can_push()
-                ):
-                    input_age[ivc] += 1
+                    raise self._framing_error(inp, flit)
+                port = self._route(flit.dest)
+                out = port.vcs[0]
+                if out.owner is not None or not out.queue.can_push():
+                    inp.age += 1
                     return
-                holder = self._output_lock[out_port] if self.lock_support else None
+                holder = port.lock
                 if holder is not None and holder != flit.src:
                     # Counted for a *ready* head only, like Phase A.
                     self.lock_stall_cycles += 1
-                    input_age[ivc] += 1
+                    inp.age += 1
                     return
-                arbiter.note_sole_grant(out_port, self._ckey[ivc])
-            elif not outputs[okey].can_push():
-                input_age[ivc] += 1
+                self.arbiter.note_sole_grant(port.name, inp.ckey)
+            elif not out.queue.can_push():
+                inp.age += 1
                 return
-            self._transfer(ivc, okey, cycle)
-            input_age[ivc] = 0
+            self._transfer(inp, out, cycle)
+            inp.age = 0
             return
-        wants, heads = self._route_heads(busy)
-        self._age(busy, self._switch(wants, heads, self._vc0_okey, sole_grant, cycle))
+        self._age(busy, self._switch(self._route_heads(busy), True, sole_grant, cycle))
 
-    def _tick_vc(self, cycle: int, busy: List[tuple]) -> None:
+    def _tick_vc(self, cycle: int, busy: List[_InputVc]) -> None:
         """The VC switch: solo branch, else Phases V, B, C.  An input VC
         holding an allocation skips VC allocation, adaptive scoring and
         routing entirely: its held grant *is* the decision."""
-        arbiter = self.arbiter
         sole_grant = self.stream_fast_path
         if len(busy) == 1 and sole_grant and self.mode is SwitchingMode.WORMHOLE:
             # Solo tick (module docstring): Phase V's allocation runs
             # unchanged for the one busy input VC, and a ready flit then
             # moves at once; Phases B and C have nothing else to do.
-            ivc, queue = busy[0]
-            input_age = self._input_age
-            okey = self._input_alloc[ivc]
-            if okey is None:
-                okey = self._allocate_vc(ivc, queue._committed[0])
-                if okey is None:
+            inp = busy[0]
+            out = inp.alloc
+            if out is None:
+                out = self._allocate_vc(inp, inp.queue._committed[0])
+                if out is None:
                     if self._lock_refused:
                         self._lock_refused = False
                         self.lock_stall_cycles += 1
-                    input_age[ivc] += 1
+                    inp.age += 1
                     return
-            out_queue = self.outputs[okey]
+            out_queue = out.queue
             capacity = out_queue.capacity
             if capacity is None or out_queue._occ < capacity:
                 # The VC switch records a grant for every flit.
-                arbiter.note_sole_grant(okey[0], self._ckey[ivc])
-                self._transfer(ivc, okey, cycle)
-                input_age[ivc] = 0
+                self.arbiter.note_sole_grant(out.port.name, inp.ckey)
+                self._transfer(inp, out, cycle)
+                inp.age = 0
             else:
-                input_age[ivc] += 1
+                inp.age += 1
             return
-        wants = self._allocate_vcs(busy)
-        self._age(busy, self._switch(wants, self._input_head, None, sole_grant, cycle))
+        self._age(busy, self._switch(self._allocate_vcs(busy), False, sole_grant, cycle))
 
     # ------------------------------------------------------------------ #
     # the phases
     # ------------------------------------------------------------------ #
     def _route_heads(
-        self, busy: List[tuple]
-    ) -> Tuple[Dict[str, List[VcKey]], Dict[VcKey, Flit]]:
+        self, busy: List[_InputVc]
+    ) -> Dict[_OutputPort, List[_InputVc]]:
         """Phase A (single-VC): ``wants`` (output port -> asking inputs,
-        in input order) and ``heads`` (the fresh heads among them).  A
-        stream asks to continue when its output has room.  A fresh head
-        waits if its output is held, not ready under the switching mode,
-        or locked by another master (a lock stall, counted only for a head
-        that was otherwise ready)."""
-        input_alloc = self._input_alloc
-        output_owner = self._output_owner
-        outputs = self.outputs
+        in input order).  A stream asks to continue when its output has
+        room.  A fresh head (an input with no allocation) waits if its
+        output is held, not ready under the switching mode, or locked by
+        another master (a lock stall, counted only for a head that was
+        otherwise ready)."""
         wormhole = self.mode is SwitchingMode.WORMHOLE
-        locks = self._output_lock if self.lock_support else None
-        wants: Dict[str, List[VcKey]] = {}
-        heads: Dict[VcKey, Flit] = {}
+        wants: Dict[_OutputPort, List[_InputVc]] = {}
         stalled = False
-        for ivc, queue in busy:
-            okey = input_alloc[ivc]
-            if okey is None:
-                flit = queue._committed[0]
+        for inp in busy:
+            out = inp.alloc
+            if out is None:
+                flit = inp.queue._committed[0]
                 if flit.seq != 0:
-                    raise self._framing_error(ivc, flit)
-                okey = (self._route(flit.dest), 0)
-                out_port = okey[0]
-                if output_owner[okey] is not None:
+                    raise self._framing_error(inp, flit)
+                port = self._route(flit.dest)
+                out = port.vcs[0]
+                if out.owner is not None:
                     continue  # Phase B continues the owner's stream
-                if not (outputs[okey].can_push() if wormhole
-                        else self._head_may_depart(queue, flit, okey)):
+                if not (out.queue.can_push() if wormhole
+                        else self._head_may_depart(inp, flit, out)):
                     continue
-                holder = locks[out_port] if locks is not None else None
+                holder = port.lock
                 if holder is not None and holder != flit.src:
                     stalled = True
                     continue
-                heads[ivc] = flit
-            elif not outputs[okey].can_push():
+            elif not out.queue.can_push():
                 continue
-            if okey[0] in wants:
-                wants[okey[0]].append(ivc)
+            port = out.port
+            if port in wants:
+                wants[port].append(inp)
             else:
-                wants[okey[0]] = [ivc]
+                wants[port] = [inp]
         if stalled:
             self.lock_stall_cycles += 1
-        return wants, heads
+        return wants
 
-    def _allocate_vcs(self, busy: List[tuple]) -> Dict[str, List[VcKey]]:
+    def _allocate_vcs(
+        self, busy: List[_InputVc]
+    ) -> Dict[_OutputPort, List[_InputVc]]:
         """Phase V (VC switch): ``wants`` (physical output -> asking input
         VCs).  Fresh heads claim their output VC (:meth:`_allocate_vc`) in
         canonical (port, vc) order, then the switching gate applies.  The
@@ -639,31 +627,30 @@ class Router(Component):
         VC-allocated in the very cycle a READEX tail passes counts as having
         entered the locked path first (tests/test_adaptive_routing.py).
         """
-        input_alloc = self._input_alloc
-        outputs = self.outputs
         wormhole = self.mode is SwitchingMode.WORMHOLE
-        wants: Dict[str, List[VcKey]] = {}
-        for ivc, queue in busy:
-            flit = queue._committed[0]
-            okey = input_alloc[ivc]
-            if okey is None:
-                okey = self._allocate_vc(ivc, flit)
-                if okey is None:
+        wants: Dict[_OutputPort, List[_InputVc]] = {}
+        for inp in busy:
+            flit = inp.queue._committed[0]
+            out = inp.alloc
+            if out is None:
+                out = self._allocate_vc(inp, flit)
+                if out is None:
                     continue
             if flit.seq == 0 and not wormhole:
                 # Head under SAF/VCT (fresh or retrying).
-                if not self._head_may_depart(queue, flit, okey):
+                if not self._head_may_depart(inp, flit, out):
                     continue
             else:
                 # Streaming (or wormhole-head) request: room downstream.
-                out_queue = outputs[okey]
+                out_queue = out.queue
                 capacity = out_queue.capacity
                 if capacity is not None and out_queue._occ >= capacity:
                     continue
-            if okey[0] in wants:
-                wants[okey[0]].append(ivc)
+            port = out.port
+            if port in wants:
+                wants[port].append(inp)
             else:
-                wants[okey[0]] = [ivc]
+                wants[port] = [inp]
         if self._lock_refused:
             self._lock_refused = False
             self.lock_stall_cycles += 1
@@ -671,76 +658,72 @@ class Router(Component):
 
     def _switch(
         self,
-        wants: Dict[str, List[VcKey]],
-        heads: Dict[VcKey, Optional[Flit]],
-        port_okeys: Optional[Dict[str, VcKey]],
+        wants: Dict[_OutputPort, List[_InputVc]],
+        single_vc: bool,
         sole_grant: bool,
         cycle: int,
-    ) -> List[VcKey]:
+    ) -> List[_InputVc]:
         """Phase B, both switches: at most one flit per physical output
         and per input port, outputs in canonical order; returns the input
-        (VC)s that sent.  ``heads`` holds the head flit of every request
-        that needs a grant: all of them on the VC switch (``_input_head``;
-        VCs share the channel flit by flit), only fresh heads on the
-        single-VC switch, whose streams hold their port.  A flit leaves
-        by its claimed output VC, or on the single-VC switch by
-        ``port_okeys[port]``.  With ``sole_grant`` a lone contender skips
-        the candidates and the policy call; its grant is still recorded.
+        (VC)s that sent.  Every request needs a grant on the VC switch
+        (VCs share the channel flit by flit; the priority is the held
+        packet's head's), only a fresh head on the single-VC switch,
+        whose streams hold their port (a fresh head is the front flit of
+        an input with no allocation, and leaves by the port's VC 0).
+        With ``sole_grant`` a lone contender skips the candidates and
+        the policy call; its grant is still recorded.
         """
         arbiter = self.arbiter
-        ckey = self._ckey
-        input_alloc = self._input_alloc
-        input_age = self._input_age
-        sent: List[VcKey] = []
+        sent: List[_InputVc] = []
         used_input_ports: set = set()
-        for out_port in self._physical_outputs:
-            contenders = wants.get(out_port)
+        for port in self._physical_outputs:
+            contenders = wants.get(port)
             if contenders is None:
                 continue
-            ivc = contenders[0]
-            if len(contenders) == 1 and (sole_grant or ivc not in heads):
-                if ivc[0] in used_input_ports:
+            inp = contenders[0]
+            if len(contenders) == 1 and (
+                sole_grant or (single_vc and inp.alloc is not None)
+            ):
+                if inp.port in used_input_ports:
                     continue  # input port already sent a flit this cycle
-                if ivc in heads:
-                    arbiter.note_sole_grant(out_port, ckey[ivc])
+                if not single_vc or inp.alloc is None:
+                    arbiter.note_sole_grant(port.name, inp.ckey)
             else:
-                candidates: List[Candidate] = []
-                for ivc in contenders:
-                    if ivc[0] in used_input_ports:
-                        continue
-                    candidates.append(Candidate(
-                        port=ckey[ivc],
-                        priority=heads[ivc].priority,
-                        age=input_age[ivc],
-                    ))
-                if not candidates:
+                live = [c for c in contenders if c.port not in used_input_ports]
+                if not live:
                     continue
-                ivc = self._ckey_to_ivc[arbiter.pick(out_port, candidates).port]
-            # (a single-VC head claims its output by this very transfer)
-            okey = input_alloc[ivc] if port_okeys is None else port_okeys[out_port]
-            self._transfer(ivc, okey, cycle)
-            sent.append(ivc)
-            used_input_ports.add(ivc[0])
+                winner = arbiter.pick(port.name, [
+                    Candidate(
+                        port=c.ckey,
+                        priority=(c.queue._committed[0] if single_vc else c.head).priority,
+                        age=c.age,
+                    )
+                    for c in live
+                ]).port
+                inp = next(c for c in live if c.ckey == winner)
+            out = inp.alloc
+            self._transfer(inp, port.vcs[0] if out is None else out, cycle)
+            sent.append(inp)
+            used_input_ports.add(inp.port)
         return sent
 
-    def _age(self, busy: List[tuple], sent: List[VcKey]) -> None:
+    @staticmethod
+    def _age(busy: List[_InputVc], sent: List[_InputVc]) -> None:
         """Phase C, both switches: an input (VC) that sent resets its
         age, one that waited with flits buffered ages by one.  Only the
         inputs of the busy scan need touching: an input drains only
         through our own transfers (committed items grow at the kernel's
         post-tick commit), so an empty input's age is already 0."""
-        input_age = self._input_age
-        for ivc, _queue in busy:
-            if ivc in sent:
-                input_age[ivc] = 0
+        for inp in busy:
+            if inp in sent:
+                inp.age = 0
             else:
-                input_age[ivc] += 1
+                inp.age += 1
 
-    def _transfer(self, ivc: VcKey, okey: VcKey, cycle: int) -> None:
-        out_port, out_vc = okey
-        flit = self.inputs[ivc].pop()
-        flit.vc = out_vc  # retag for the next link's VC
-        self.outputs[okey].push(flit)
+    def _transfer(self, inp: _InputVc, out: _OutputVc, cycle: int) -> None:
+        flit = inp.queue.pop()
+        flit.vc = out.vc  # retag for the next link's VC
+        out.queue.push(flit)
         self.flits_forwarded += 1
         seq = flit.seq
         tail = seq == flit.count - 1
@@ -748,47 +731,48 @@ class Router(Component):
             head = flit
             trace = self._simulator.trace
             if trace.enabled:
-                detail = {"packet": flit.packet_id, "dest": flit.dest, "via": out_port}
+                detail = {"packet": flit.packet_id, "dest": flit.dest,
+                          "via": out.port.name}
                 if self.vcs > 1:
-                    detail["vc"] = out_vc
+                    detail["vc"] = out.vc
                 trace.log(cycle, self.name, "route", **detail)
             if not tail:
-                self._input_alloc[ivc] = okey
-                self._output_owner[okey] = ivc
-                self._input_head[ivc] = flit
+                inp.alloc = out
+                out.owner = inp
+                inp.head = flit
                 return
         elif tail:
-            head = self._input_head[ivc]
+            head = inp.head
             assert head is not None
         else:
             return  # body flit: no head/tail bookkeeping
         # Tail (of a single-flit packet too: Phase V may have claimed
         # the output VC for it, so the three are cleared, never set).
-        self._input_alloc[ivc] = None
-        self._output_owner[okey] = None
-        self._input_head[ivc] = None
+        inp.alloc = None
+        out.owner = None
+        inp.head = None
         self._release_version += 1  # a freed VC invalidates fail caches
         self.packets_forwarded += 1
         if self.lock_support and head.lock_related and head.packet is not None:
-            self._update_lock(out_port, head, cycle)
+            self._update_lock(out.port, head, cycle)
 
-    def _update_lock(self, out_port: str, head: Flit, cycle: int) -> None:
+    def _update_lock(self, port: _OutputPort, head: Flit, cycle: int) -> None:
         packet = head.packet
         assert packet is not None
         if packet.kind is not PacketKind.REQUEST:
             return
         if packet.opcode in _LOCK_SETTERS:
-            self._output_lock[out_port] = head.src
+            port.lock = head.src
             self._release_version += 1
             self._simulator.trace.log(
-                cycle, self.name, "lock_set", port=out_port, master=head.src
+                cycle, self.name, "lock_set", port=port.name, master=head.src
             )
         elif packet.opcode in _LOCK_CLEARERS:
-            if self._output_lock[out_port] == head.src:
-                self._output_lock[out_port] = None
+            if port.lock == head.src:
+                port.lock = None
                 self._release_version += 1
                 self._simulator.trace.log(
-                    cycle, self.name, "lock_clear", port=out_port, master=head.src
+                    cycle, self.name, "lock_clear", port=port.name, master=head.src
                 )
 
     # ------------------------------------------------------------------ #
@@ -796,7 +780,7 @@ class Router(Component):
     # ------------------------------------------------------------------ #
     def locked_outputs(self) -> Dict[str, int]:
         return {
-            port: holder
-            for port, holder in self._output_lock.items()
-            if holder is not None
+            port.name: port.lock
+            for port in self._ports.values()
+            if port.lock is not None
         }

@@ -491,7 +491,7 @@ class TestLockAdmissionWindow:
     def test_allocation_in_lock_set_cycle_is_admitted(self):
         sim = Simulator()
         table = {0: "local:0", 1: "local:1", 2: "local:2"}
-        router = Router("r", 0, table, vcs=2, buffer_capacity=4)
+        router = Router("r", 0, table, vcs=2)
         in_a = sim.new_queue("inA", capacity=8)
         in_b = sim.new_queue("inB", capacity=8)
         router.add_input("in:a", in_a, vc=0)
@@ -519,7 +519,8 @@ class TestLockAdmissionWindow:
         #             Phase B of the same cycle -> lock set *after* grant
         assert router.locked_outputs() == {"local:2": 0}
         # The window: the victim owns its output VC despite the lock.
-        assert router._input_alloc[("in:b", 1)] == ("local:2", 1)
+        (victim_vc,) = [i for i in router._sorted_inputs if i.queue is in_b]
+        assert (victim_vc.alloc.port.name, victim_vc.alloc.vc) == ("local:2", 1)
         sim.run(2)
         # ...and its flit passed the locked port (entered "first").
         assert [f.src for f in out[1]] == [1]
@@ -530,7 +531,7 @@ class TestLockAdmissionWindow:
         for flit in self._flits(late, 1):
             in_b.push(flit)
         sim.run(10)
-        assert router._input_alloc[("in:b", 1)] is None
+        assert victim_vc.alloc is None
         assert router.lock_stall_cycles > 0
         assert len(in_b) == 1  # still parked at the input
 

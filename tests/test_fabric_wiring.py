@@ -61,10 +61,13 @@ def wired_router(plan, vcs):
 
 
 def port_names(router):
+    """Inputs and output VCs (``((port, vc), queue name)``) and physical
+    outputs (names), each in the canonical order the router keeps."""
     return (
-        [(key, queue.name) for key, queue in router._sorted_inputs],
-        [(key, queue.name) for key, queue in router._sorted_outputs],
-        list(router._physical_outputs),
+        [((inp.port, inp.vc), inp.queue.name) for inp in router._sorted_inputs],
+        [((port.name, out.vc), out.queue.name)
+         for port in router._physical_outputs for out in port.vcs],
+        [port.name for port in router._physical_outputs],
     )
 
 
@@ -84,10 +87,14 @@ def test_port_order_does_not_depend_on_insertion_order(vcs):
         }
         def order(item):
             return keys[item[0]]
-        assert router._sorted_inputs == sorted(router.inputs.items(), key=order)
-        assert router._sorted_outputs == sorted(router.outputs.items(), key=order)
-        assert router._physical_outputs == sorted(
-            router._output_lock, key=lambda port: keys[(port, 0)]
+        inputs, outputs, physical = port_names(router)
+        assert inputs == [(key, queue.name) for key, queue in
+                          sorted(router.inputs.items(), key=order)]
+        assert outputs == [(key, queue.name) for key, queue in
+                           sorted(router.outputs.items(), key=order)]
+        assert physical == sorted(
+            dict.fromkeys(port for port, _ in router.outputs),
+            key=lambda port: keys[(port, 0)],
         )
         assert port_names(router) == canonical
     inputs, outputs, physical = canonical
@@ -115,14 +122,14 @@ PINNED_PORT_ORDER = {
 
 
 def port_order_digest(soc):
-    lists = [
-        [repr(rid),
-         [[repr(key), queue.name] for key, queue in router._sorted_inputs],
-         [[repr(key), queue.name] for key, queue in router._sorted_outputs],
-         list(router._physical_outputs)]
-        for plane in soc.fabric._planes
-        for rid, router in plane.routers.items()
-    ]
+    lists = []
+    for plane in soc.fabric._planes:
+        for rid, router in plane.routers.items():
+            inputs, outputs, physical = port_names(router)
+            lists.append([repr(rid),
+                          [[repr(key), name] for key, name in inputs],
+                          [[repr(key), name] for key, name in outputs],
+                          physical])
     blob = json.dumps(lists, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -133,6 +140,30 @@ def test_e2e_workload_port_order_is_pinned():
         reset_ids()
         soc = e2e.WORKLOADS[name]().builder(1105).build()
         assert port_order_digest(soc) == digest, name
+
+
+#: The classes whose instances are most numerous or tick most on the e2e
+#: SoCs: their instance dicts must stay key-shared.
+SHARED_KEY_CLASSES = ("Router", "VcPhysicalLink", "InitiatorNiu", "AxiMaster")
+
+
+def test_hot_classes_stay_under_the_shared_key_limit():
+    """CPython 3.11 shares the keys of a class's instance dicts only up
+    to 30 attributes; past that every instance holds a dict of its own
+    (1,584 bytes per router on sharded_torus_2p, 512 of them).  Every
+    instance of the hot classes on the seven e2e SoCs stays below."""
+    most = {}
+    for name, workload in sorted(e2e.WORKLOADS.items()):
+        reset_ids()
+        for component in workload().builder(1105).build().sim.components:
+            cls = type(component).__name__
+            if cls in SHARED_KEY_CLASSES:
+                attrs = len(vars(component))
+                if attrs > most.get(cls, (0, ""))[0]:
+                    most[cls] = (attrs, name)
+    assert sorted(most) == sorted(SHARED_KEY_CLASSES)
+    # {class: (most attributes, on which workload)} of the classes over
+    assert {cls: top for cls, top in most.items() if top[0] >= 30} == {}
 
 
 # --------------------------------------------------------------------- #

@@ -315,7 +315,7 @@ def _standalone_router(
     to free-standing queues the test feeds and drains itself."""
     sim = Simulator(trace=Tracer(enabled=trace_on))
     router = Router(
-        "r", _CENTRE, buffer_capacity=4, mode=mode,
+        "r", _CENTRE, mode=mode,
         arbiter=make_arbiter(arbiter), **_FLAVOURS[flavour],
     )
     vcs = router.vcs
@@ -375,19 +375,40 @@ def _router_schedules(draw, vcs):
     return packets, cycles, capacities
 
 
-#: What a router tick mutates, in the order the pinned digests hash it.
-_ROUTER_STATE = (
-    "_input_alloc", "_input_head", "_input_age", "_output_owner",
-    "_output_lock", "_alloc_fail", "_release_version", "flits_forwarded",
-    "packets_forwarded", "packets_adaptive", "packets_escape",
-    "lock_stall_cycles",
+#: The router's counters a tick mutates, hashed after its records.
+_ROUTER_COUNTERS = (
+    "_release_version", "flits_forwarded", "packets_forwarded",
+    "packets_adaptive", "packets_escape", "lock_stall_cycles",
 )
 
 
 def _router_state(router):
-    """The compared router state: the attributes a tick mutates and its
-    arbiter's grant record, laid out as the digests were pinned over."""
-    state = {name: getattr(router, name) for name in _ROUTER_STATE}
+    """The compared router state: what a tick mutates and its arbiter's
+    grant record, laid out as the digests were pinned over — the
+    per-port and per-VC maps the records replaced, rebuilt with the same
+    keys, in wiring order, with ``(port, vc)`` tuples as values."""
+    by_queue = {id(inp.queue): inp for inp in router._sorted_inputs}
+    inputs = [by_queue[id(queue)] for queue in router.inputs.values()]
+    by_queue = {
+        id(out.queue): out for port in router._physical_outputs for out in port.vcs
+    }
+    outputs = [by_queue[id(queue)] for queue in router.outputs.values()]
+
+    def in_key(inp):
+        return None if inp is None else (inp.port, inp.vc)
+
+    def out_key(out):
+        return None if out is None else (out.port.name, out.vc)
+
+    state = {
+        "_input_alloc": {in_key(i): out_key(i.alloc) for i in inputs},
+        "_input_head": {in_key(i): i.head for i in inputs},
+        "_input_age": {in_key(i): i.age for i in inputs},
+        "_output_owner": {out_key(o): in_key(o.owner) for o in outputs},
+        "_output_lock": {port.name: port.lock for port in router._ports.values()},
+        "_alloc_fail": {in_key(i): i.fail for i in inputs},
+    }
+    state.update((name, getattr(router, name)) for name in _ROUTER_COUNTERS)
     arbiter = router.arbiter
     state["arbiter"] = {
         "__v__": 1, "__cls__": type(arbiter).__name__,
@@ -498,9 +519,10 @@ class TestSoloTickMatchesReference:
         inputs[0].push(flit)
         sim.run(2)
         assert router.packets_forwarded == router.flits_forwarded == 1
-        assert set(router._input_alloc.values()) == {None}
-        assert set(router._output_owner.values()) == {None}
-        assert set(router._input_head.values()) == {None}
+        state = _router_state(router)
+        assert set(state["_input_alloc"].values()) == {None}
+        assert set(state["_output_owner"].values()) == {None}
+        assert set(state["_input_head"].values()) == {None}
         assert router.locked_outputs() == {"local:4": 1}
         assert router._release_version == 2  # the freed VC, then the lock
         route, lock_set = sim.trace.events

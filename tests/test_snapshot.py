@@ -69,9 +69,10 @@ def test_parked_masters_and_returning_credits_roundtrip():
 
 def test_aliases_inside_the_tree_survive_the_pickle():
     """Cycle 626 of the saturated mixed SoC on an adaptive torus: an
-    NIU's ``native.record`` *is* its socket's head record and a router's
-    cached ``_alloc_fail`` flit *is* its input queue's front flit.  One
-    pickle of the whole tree (one memo) keeps each pair one object."""
+    NIU's ``native.record`` *is* its socket's head record and the flit
+    of a router input VC's failed-allocation cache (its record's
+    ``fail``) *is* its input queue's front flit.  One pickle of the
+    whole tree (one memo) keeps each pair one object."""
 
     def probe(soc):
         peeked = sorted(
@@ -82,13 +83,13 @@ def test_aliases_inside_the_tree_survive_the_pickle():
             )
         )
         blocked = sorted(
-            (router.name, ivc)
+            (router.name, (inp.port, inp.vc))
             for plane in soc.fabric._planes
             for router in plane.routers.values()
-            for ivc, cached in router._alloc_fail.items()
-            if cached is not None
-            and router.inputs[ivc]._committed
-            and cached[1] is router.inputs[ivc]._committed[0]
+            for inp in router._sorted_inputs
+            if inp.fail is not None
+            and inp.queue._committed
+            and inp.fail[1] is inp.queue._committed[0]
         )
         return peeked, blocked
 

@@ -331,7 +331,7 @@ class TestSingleVcCompatibility:
         sim = Simulator()
         net = Network(sim, topo.mesh(2, 12))
         router = net.routers[(1, 10)]
-        in_ports = [key[0] for key, _q in router._sorted_inputs]
+        in_ports = [inp.port for inp in router._sorted_inputs]
         assert in_ports.index("in:(1, 9)") < in_ports.index("in:(1, 11)")
         assert in_ports.index("in:(0, 10)") < in_ports.index("in:(1, 9)")
 
