@@ -10,7 +10,7 @@ once AHB (32-bit) and AXI (64-bit) masters share a target.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus
 from repro.protocols.base import SlaveRequest, SlaveResponse, SlaveSocket
@@ -46,13 +46,17 @@ class ByteStore:
     def read_beat(self, offset: int, beat_bytes: int) -> int:
         return int.from_bytes(self._data[offset:offset + beat_bytes], "little")
 
-    def image(self) -> Dict[int, int]:
-        """``{offset: byte}`` of every byte written, zeros included."""
-        return {
-            offset: byte
-            for offset, (byte, written) in enumerate(zip(self._data, self._written))
-            if written
-        }
+    def image(self) -> Tuple[str, str]:
+        """The store's contents as ``(data.hex(), written.hex())``.
+
+        Exact and canonical: both arrays end at the highest byte written
+        and a byte never written is 0 in both, so two stores holding the
+        same bytes give equal images whatever order or beat widths wrote
+        them, and a written zero differs from a byte never written.  Two
+        strings are JSON-native and cost what the store holds, not an
+        object per byte.
+        """
+        return (self._data.hex(), self._written.hex())
 
     def __len__(self) -> int:
         return self._written.count(1)

@@ -218,7 +218,6 @@ class ScriptedTraffic:
     def __init__(self, spec: TrafficSpec, name: Optional[str]) -> None:
         self._intents: List[Transaction] = list(spec.intents)
         self._next = 0
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
     def poll(self, cycle: int) -> Optional[Transaction]:
         if self._next >= len(self._intents):
@@ -238,7 +237,7 @@ class ScriptedTraffic:
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
     ) -> None:
-        self.completions.append((txn_id, cycle, status))
+        pass  # open loop: a completion changes nothing
 
 
 class PoissonTraffic:
@@ -268,7 +267,6 @@ class PoissonTraffic:
         self.tags = spec.tags
         self.priority = spec.priority
         self.posted_writes = spec.posted
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._armed: Optional[Transaction] = None
         # True when lookahead() already consumed the successful rate draw
         # for the next poll; that poll skips its own draw and generates.
@@ -351,7 +349,7 @@ class PoissonTraffic:
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
     ) -> None:
-        self.completions.append((txn_id, cycle, status))
+        pass  # open loop: a completion changes nothing
 
 
 class DependentTraffic:
@@ -371,7 +369,6 @@ class DependentTraffic:
         self.priority = spec.priority
         self._ready_at = 0
         self._waiting = False
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
     def poll(self, cycle: int) -> Optional[Transaction]:
         if self.remaining <= 0 or self._waiting or cycle < self._ready_at:
@@ -406,7 +403,6 @@ class DependentTraffic:
     ) -> None:
         self._waiting = False
         self._ready_at = cycle + self.think_cycles
-        self.completions.append((txn_id, cycle, status))
 
 
 class StreamTraffic:
@@ -425,7 +421,6 @@ class StreamTraffic:
         self.bursts_remaining = max(1, spec.bytes_total // burst_bytes)
         self._cursor = spec.base
         self._ready_at = 0
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
     def poll(self, cycle: int) -> Optional[Transaction]:
         if self.bursts_remaining <= 0 or cycle < self._ready_at:
@@ -463,7 +458,7 @@ class StreamTraffic:
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
     ) -> None:
-        self.completions.append((txn_id, cycle, status))
+        pass  # open loop: a completion changes nothing
 
 
 class SyncWorkload:
@@ -491,7 +486,6 @@ class SyncWorkload:
         self._inflight_id: Optional[int] = None
         self.retries = 0
         self.sections_completed = 0
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
 
     # ------------------------------------------------------------------ #
     def _intent(self) -> Transaction:
@@ -557,7 +551,6 @@ class SyncWorkload:
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
     ) -> None:
-        self.completions.append((txn_id, cycle, status))
         if txn_id != self._inflight_id:
             raise AssertionError(
                 f"{self.name}: completion for {txn_id}, expected "

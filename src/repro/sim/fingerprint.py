@@ -8,6 +8,11 @@ with it; the snapshot round-trip tests pin a restored run against an
 uninterrupted one with the very same structure, so "byte-identical
 restore" means exactly what "byte-identical kernels" means.
 
+A memory image is one value per memory: its store's data and
+written-mask as two hex strings (:meth:`repro.ip.slaves.ByteStore.image`),
+exact and JSON-native, so a fingerprint and its JSON text cost what the
+stores hold, not an object per byte written.
+
 ``reset_ids()`` re-arms the process-global transaction/packet id
 counters so two builds of the same SoC are byte-comparable; fork workers
 call it before rebuilding (restore then overwrites the counters with the

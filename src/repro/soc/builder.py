@@ -284,8 +284,10 @@ class NocSoc(BuiltSoc):
             out[direction] = {"priority": by_prio, "pairs": by_pair}
         return out
 
-    def memory_image(self) -> Dict[str, Dict[int, int]]:
-        """Byte image of every memory (layer-independence fingerprint)."""
+    def memory_image(self) -> Dict[str, Tuple[str, str]]:
+        """Every memory's :meth:`~repro.ip.slaves.ByteStore.image`, by
+        name: two hex strings per memory (the layer-independence
+        fingerprint)."""
         return {
             name: mem.store.image() for name, mem in sorted(self.memories.items())
         }

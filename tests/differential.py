@@ -317,24 +317,26 @@ WINDOWS = {
 #: always-zero fault counters left the fingerprint, and again when its
 #: per-output busy-cycle dict (a sum of the output queues' push counts)
 #: did, each time after the same runs hashed without the dropped fields
-#: had matched the new ones exactly.
+#: had matched the new ones exactly; and again when a memory image became
+#: its store's two hex strings, after the runs hashed with the old model
+#: and the new image had matched them exactly.
 PINNED = {
-    ("dma_completion", 500): "ecf1199c224a2524",
-    ("gals_links", 500): "9be5e97fc2f10c3e",
-    ("mixed_saturated", 500): "abcba9b7f5f44d6a",
-    ("mixed_sparse", 500): "2081cea24db5f75c",
-    ("sweep_fork4", 500): "abcba9b7f5f44d6a",
-    ("torus_hotspot", 500): "a92e20bef93af10b",
-    ("collective_allreduce", None): "c4fabf161a9a19c0",
-    ("dma_chain", None): "26a2750200ef710f",
-    ("stream_pipeline", None): "91d4c7f898e1f641",
-    ("mixed-protocols", 4000): "d57c3a5f0bba2f99",
-    ("legacy-lock", 3000): "072707146fbe12f5",
-    ("gals-serialized-links", 5000): "8413a4f1498cc416",
-    ("vc-dateline-gals", 5000): "32f0cf03264eae1e",
-    ("adaptive-escape-gals", 5000): "710339ba0e4ef1b2",
-    ("vc-torus-saturated", 1000): "bf9bc62c1c6beb33",
-    ("adaptive-hotspot", 1500): "6a97cb3ab0b3e5bc",
+    ("dma_completion", 500): "5302e9f846b2a570",
+    ("gals_links", 500): "99f26a791525fb2b",
+    ("mixed_saturated", 500): "18addb82c00d2e36",
+    ("mixed_sparse", 500): "9dd696923274c32a",
+    ("sweep_fork4", 500): "18addb82c00d2e36",
+    ("torus_hotspot", 500): "08ce9d3d606bffdc",
+    ("collective_allreduce", None): "c893f9977196945d",
+    ("dma_chain", None): "55fc67c442826d11",
+    ("stream_pipeline", None): "caa43c3c8bd916bb",
+    ("mixed-protocols", 4000): "45004c7e4ad8456d",
+    ("legacy-lock", 3000): "c3a9816a9eac9771",
+    ("gals-serialized-links", 5000): "6415d743238ac1bd",
+    ("vc-dateline-gals", 5000): "eeb56985ed76414b",
+    ("adaptive-escape-gals", 5000): "f9398b287df95187",
+    ("vc-torus-saturated", 1000): "b9739331be445dda",
+    ("adaptive-hotspot", 1500): "b50119d35b1e51c7",
 }
 
 

@@ -455,8 +455,10 @@ def _pinned_bus_run():
 #: back-to-back AXI exclusive pair (``pair_axi``), which wedged the bus
 #: before the AXI side kept an exclusive store behind its load.  The
 #: recipe without it read the same digest with the bus's own round-robin
-#: and memory copy as with the routers' arbiter and ``Memory``.
-PINNED_BUS_RUN = "83d4f4f4a1d17cc4"
+#: and memory copy as with the routers' arbiter and ``Memory``.  Re-taken
+#: again when a store's image became its two hex strings, after the old
+#: model hashed with the new image had matched it.
+PINNED_BUS_RUN = "d1870f8dac47f0fa"
 
 
 def test_pinned_bus_run():

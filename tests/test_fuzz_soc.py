@@ -116,7 +116,7 @@ def test_fuzzed_socs_complete_cleanly(recipe):
         getattr(m.traffic, "read_fraction", 0) == 1.0
         for m in soc.masters.values()
     ):
-        assert all(len(img) == 0 for img in soc.memory_image().values())
+        assert all(len(mem.store) == 0 for mem in soc.memories.values())
 
 
 @settings(max_examples=10, deadline=None,

@@ -213,9 +213,16 @@ class TestOrderingDelivery:
         builder.add_target(TargetSpec("slow", size=0x1000, read_latency=60))
         builder.add_target(TargetSpec("fast", size=0x1000, read_latency=1))
         soc = builder.build()
-        soc.run_to_completion(max_cycles=20_000)
         traffic = soc.masters["m0"].traffic
-        completion_order = [txn_id for txn_id, __, __ in traffic.completions]
+        completion_order = []
+        notify = traffic.notify_complete
+
+        def record(txn_id, cycle, status):
+            completion_order.append(txn_id)
+            notify(txn_id, cycle, status)
+
+        traffic.notify_complete = record
+        soc.run_to_completion(max_cycles=20_000)
         assert completion_order == [fast_read.txn_id, slow_read.txn_id]
 
 

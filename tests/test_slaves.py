@@ -5,7 +5,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from differential import build
+from differential import WINDOWS, build, run
 from repro.core.transaction import ResponseStatus
 from repro.ip.slaves import ByteStore, MemoryDevice
 from repro.protocols.base import SlaveRequest, SlaveSocket
@@ -16,7 +16,8 @@ from repro.sweep import Checkpoint
 class DictByteStore:
     """The reference store: one ``{offset: byte}`` dict entry per byte
     written.  :class:`ByteStore` must read, count and image exactly as
-    this does."""
+    this does; its image is the dict laid out as two arrays ending at
+    the highest byte written, a byte never written 0 in both."""
 
     def __init__(self):
         self._bytes = {}
@@ -32,7 +33,11 @@ class DictByteStore:
         return value
 
     def image(self):
-        return dict(self._bytes)
+        end = max(self._bytes, default=-1) + 1
+        data, written = bytearray(end), bytearray(end)
+        for offset, byte in self._bytes.items():
+            data[offset], written[offset] = byte, 1
+        return data.hex(), written.hex()
 
     def __len__(self):
         return len(self._bytes)
@@ -67,6 +72,47 @@ class TestByteStore:
             (1 << (8 * width)) - 1
         )
 
+    @given(
+        contents=st.dictionaries(st.integers(0, 63), st.integers(0, 255)),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_property_image_is_the_bytes_not_how_they_were_written(
+        self, contents, rng
+    ):
+        """The same bytes written byte by byte in order, or in a shuffled
+        order as beats of any width, give equal images; writing a zero
+        where no byte was written reads the same but images differently."""
+        bytewise, beatwise = ByteStore(), ByteStore()
+        for offset in sorted(contents):
+            bytewise.write_beat(offset, contents[offset], 1)
+        offsets = list(contents)
+        rng.shuffle(offsets)
+        for offset in offsets:
+            width = rng.choice((1, 2, 4, 8))
+            span = range(offset, offset + width)
+            if not all(o in contents for o in span):
+                span = range(offset, offset + 1)
+            value = sum(contents[o] << (8 * i) for i, o in enumerate(span))
+            beatwise.write_beat(offset, value, len(span))
+        assert beatwise.image() == bytewise.image()
+        hole = next((o for o in range(64) if o not in contents), None)
+        if hole is not None:
+            beatwise.write_beat(hole, 0, 1)
+            assert beatwise.read_beat(hole, 1) == bytewise.read_beat(hole, 1)
+            assert beatwise.image() != bytewise.image()
+
+    def test_a_fingerprints_memory_is_one_value_per_store(self):
+        """A fingerprint carries each memory as its store's two hex
+        strings, not as one entry per byte written."""
+        window = WINDOWS["mixed-protocols"]
+        memory = run("mixed-protocols", window).fingerprint["memory"]
+        assert sorted(memory) == ["dram", "sram"]
+        for image in memory.values():
+            assert isinstance(image, tuple) and len(image) == 2
+            data, written = (bytes.fromhex(text) for text in image)
+            assert len(data) == len(written)
+            assert written.count(1) > 0 and set(written) <= {0, 1}
+
     def test_matches_the_dict_reference(self):
         """Seeded differential against :class:`DictByteStore`: writes of
         every beat width with values wider than the beat (zeros
@@ -93,7 +139,7 @@ class TestByteStore:
         assert reads_of_unwritten > 500
         assert len(store) == len(reference)
         assert store.image() == reference.image()
-        assert 0 in reference.image().values()  # written zeros are kept
+        assert 0 in reference._bytes.values()  # written zeros are kept
         checkpoint = Checkpoint.capture(soc)
         restored = build("mixed-protocols")
         checkpoint.restore_into(restored)
@@ -112,7 +158,7 @@ class TestByteStore:
         store.write_beat(0x0, 0xFFFFFFFF, 4)
         restored = build("mixed-protocols")
         checkpoint.restore_into(restored)
-        assert restored.memories["dram"].store.image() == {0: 0x22, 1: 0x11}
+        assert restored.memories["dram"].store.image() == ("2211", "0101")
 
 
 def make_memory(sim, **kwargs):

@@ -106,8 +106,10 @@ class TestMixedProtocolSoc:
         builder2.add_target(TargetSpec("mem0", size=0x1000))
         soc2 = builder2.build()
         # Pre-load the second SoC's memory from the first one's image.
-        for offset, value in soc.memories["mem0"].store.image().items():
-            soc2.memories["mem0"].store.write_beat(offset, value, 1)
+        data, written = map(bytes.fromhex, soc.memories["mem0"].store.image())
+        for offset, value in enumerate(data):
+            if written[offset]:
+                soc2.memories["mem0"].store.write_beat(offset, value, 1)
         soc2.run_to_completion(max_cycles=20_000)
         assert soc2.memories["mem0"].read_beat(0x500, 4) == 0x77
 

@@ -17,11 +17,6 @@ class TestScripted:
         assert polled[3] is None
         assert src.done()
 
-    def test_records_completions(self):
-        src = TrafficSpec(kind="scripted", intents=[make_read(0)]).build()
-        src.notify_complete(7, 42, OK)
-        assert src.completions == [(7, 42, OK)]
-
 
 class TestPoisson:
     def test_reproducible_with_seed(self):
