@@ -70,8 +70,9 @@ class OrderingChecker:
     Only open transactions are held: a record is dropped when its
     transaction completes, so a long run pays for what is in flight, not
     for everything it ever issued.  An id is therefore checked against
-    the open ones only; ids come from one process-global counter
-    (:mod:`repro.core.transaction`) and are never handed out twice.
+    the open ones only; a master's ids come from its SoC's stream (or,
+    in a sharded build, its source's own) and are never handed out
+    twice.
 
     With ``strict=True`` violations raise immediately; otherwise they are
     collected in :attr:`violations` so a bench can count them.

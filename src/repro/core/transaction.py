@@ -93,44 +93,8 @@ class ResponseStatus(enum.Enum):
         self.is_error = value in ("SLVERR", "DECERR")
 
 
-class SerialCounter:
-    """A drop-in for ``itertools.count()`` that can be read.
-
-    The global transaction/packet id streams travel with a checkpoint (a
-    restored run must hand out exactly the ids the uninterrupted run
-    would), and ``itertools.count`` cannot be queried — this can.
-    """
-
-    __slots__ = ("_next_value",)
-
-    def __init__(self, start: int = 0) -> None:
-        self._next_value = start
-
-    def __iter__(self) -> "SerialCounter":
-        return self
-
-    def __next__(self) -> int:
-        value = self._next_value
-        self._next_value = value + 1
-        return value
-
-    def peek(self) -> int:
-        """The id the next ``next()`` call will return."""
-        return self._next_value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SerialCounter({self._next_value})"
-
-
-#: Global transaction-id stream, read and re-armed by a checkpoint.
-_txn_ids = SerialCounter()
-
 #: Per-beat widths, in bytes, a transaction may carry.
 BEAT_WIDTHS = (1, 2, 4, 8, 16)
-
-
-def _next_txn_id() -> int:
-    return next(_txn_ids)
 
 
 @dataclass
@@ -156,7 +120,9 @@ class Transaction:
     priority:
         QoS class, 0 = lowest.  Purely a transport-layer hint.
     txn_id:
-        Globally unique simulation identifier (tracing / latency).
+        Simulation identifier (tracing / latency), unique within its SoC:
+        the source that issues the transaction draws it from the
+        simulator's ``txn_ids`` stream.  ``-1`` until then.
     meta:
         Socket-specific scratch (e.g. AHB HPROT) that the NIU round-trips.
     """
@@ -172,7 +138,7 @@ class Transaction:
     txn_tag: int = 0
     excl: bool = False
     priority: int = 0
-    txn_id: int = field(default_factory=_next_txn_id)
+    txn_id: int = -1
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -7,7 +7,8 @@ exclusive-access failures), ``done()`` signals exhaustion.
 
 All randomness is seeded ``random.Random`` — identical runs reproduce
 identical intent streams, which the layer-independence experiment (E5)
-relies on.
+relies on.  A source draws each intent's ``txn_id`` from ``txn_ids``,
+the SoC's transaction-id stream, which its master hands it when built.
 
 Lookahead protocol (time-skipping kernel)
 -----------------------------------------
@@ -213,26 +214,30 @@ UNNAMED_ROWS = (Check(
 
 
 class ScriptedTraffic:
-    """Issue a fixed list of intents in order, as fast as accepted."""
+    """Issue a fixed list of intents in order, as fast as accepted.
+
+    The intents are built before the SoC, so they carry no ids of their
+    own: the master that polls the source stamps them, in order, when it
+    is built (:class:`~repro.protocols.base.ProtocolMaster`)."""
 
     def __init__(self, spec: TrafficSpec, name: Optional[str]) -> None:
-        self._intents: List[Transaction] = list(spec.intents)
+        self.intents: List[Transaction] = list(spec.intents)
         self._next = 0
 
     def poll(self, cycle: int) -> Optional[Transaction]:
-        if self._next >= len(self._intents):
+        if self._next >= len(self.intents):
             return None
-        txn = self._intents[self._next]
+        txn = self.intents[self._next]
         self._next += 1
         return txn
 
     def lookahead(self, cycle: int):
-        if self._next >= len(self._intents):
+        if self._next >= len(self.intents):
             return None  # exhausted: dormant forever
         return ("at", cycle)  # always ready while intents remain
 
     def done(self) -> bool:
-        return self._next >= len(self._intents)
+        return self._next >= len(self.intents)
 
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
@@ -287,6 +292,7 @@ class PoissonTraffic:
                 beats=beats,
                 beat_bytes=self.beat_bytes,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         else:
             data = [self.rng.randrange(1 << 32) for _ in range(beats)]
@@ -296,6 +302,7 @@ class PoissonTraffic:
                 beat_bytes=self.beat_bytes,
                 posted=self.posted_writes,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         txn.thread = thread
         txn.txn_tag = tag
@@ -323,12 +330,12 @@ class PoissonTraffic:
         perform — one per future poll, stopping at the first success —
         so the rng stream is byte-identical to never skipping.  Only the
         rate draws are consumed here: the intent itself (whose
-        construction draws more randomness *and* allocates the global
-        transaction id) is generated by the winning poll, at the same
-        cycle and in the same cross-master order as a poll-every-cycle
-        run.  The master must not call :meth:`poll` again until the
-        returned number of polls have notionally elapsed (it converts
-        the count to an absolute cycle; see
+        construction draws more randomness *and* the transaction id
+        from the SoC's stream) is generated by the winning poll, at the
+        same cycle and in the same cross-master order as a
+        poll-every-cycle run.  The master must not call :meth:`poll`
+        again until the returned number of polls have notionally
+        elapsed (it converts the count to an absolute cycle; see
         ``ProtocolMaster.next_event_cycle``).
         """
         if self.remaining <= 0:
@@ -377,13 +384,17 @@ class DependentTraffic:
         beat_bytes = self.beat_bytes
         address = base + self.rng.randrange(max(1, size // beat_bytes)) * beat_bytes
         if self.rng.random() < self.read_fraction:
-            txn = make_read(address, beat_bytes=beat_bytes, master=self.name)
+            txn = make_read(
+                address, beat_bytes=beat_bytes, master=self.name,
+                txn_id=next(self.txn_ids),
+            )
         else:
             txn = make_write(
                 address,
                 [self.rng.randrange(1 << 32)],
                 beat_bytes=beat_bytes,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         txn.priority = self.priority
         self.remaining -= 1
@@ -433,6 +444,7 @@ class StreamTraffic:
                 beat_bytes=self.beat_bytes,
                 posted=self.posted,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         else:
             txn = make_read(
@@ -440,6 +452,7 @@ class StreamTraffic:
                 beats=self.burst_beats,
                 beat_bytes=self.beat_bytes,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         txn.priority = self.priority
         self._cursor += self.burst_beats * self.beat_bytes
@@ -535,7 +548,7 @@ class SyncWorkload:
         if self._state in ("locking", "excl_load", "excl_store_wait", "releasing"):
             return None  # waiting on completion callback
         txn = self._intent()
-        self._inflight_id = txn.txn_id
+        txn.txn_id = self._inflight_id = next(self.txn_ids)
         return txn
 
     def lookahead(self, cycle: int):

@@ -148,7 +148,10 @@ class SlaveSocket:
 
 
 class TrafficSource(Protocol):
-    """What a master IP model pulls intents from (see :mod:`repro.ip.traffic`)."""
+    """What a master IP model pulls intents from (see :mod:`repro.ip.traffic`).
+
+    The master sets ``txn_ids``, the stream every intent's ``txn_id`` is
+    drawn from, when it is built."""
 
     def poll(self, cycle: int) -> Optional[Transaction]:
         """Next intent if one is ready to issue at ``cycle``, else None."""
@@ -196,6 +199,12 @@ class ProtocolMaster(Component):
     def __init__(self, name: str, sim: Simulator, traffic: TrafficSource) -> None:
         super().__init__(name)
         self.traffic = traffic
+        # The source draws its intents' ids from the SoC's stream; a
+        # scripted source's intents exist already, so they are stamped
+        # now, in order.
+        ids = traffic.txn_ids = sim.txn_ids
+        for txn in getattr(traffic, "intents", ()):
+            txn.txn_id = next(ids)
         self.socket = MasterSocket(sim, self)
         self.checker = OrderingChecker(model=self.ordering_model, master=name)
         self._pending: Optional[Transaction] = None

@@ -13,25 +13,18 @@ written-mask as two hex strings (:meth:`repro.ip.slaves.ByteStore.image`),
 exact and JSON-native, so a fingerprint and its JSON text cost what the
 stores hold, not an object per byte written.
 
-``reset_ids()`` re-arms the process-global transaction/packet id
-counters so two builds of the same SoC are byte-comparable; fork workers
-call it before rebuilding (restore then overwrites the counters with the
-checkpointed values).
+Two builds of the same SoC are byte-comparable whatever ran before
+them in the process: each draws its transaction and packet ids from its
+own simulator's streams.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-import repro.core.transaction as _txn_mod
-import repro.transport.flit as _flit_mod
-from repro.core.transaction import SerialCounter
-
 
 def reset_ids() -> None:
-    """Re-arm the process-global txn/packet id counters from zero."""
-    _txn_mod._txn_ids = SerialCounter()
-    _flit_mod._flit_packet_ids = SerialCounter()
+    """No-op: a SoC's ids are its simulator's (kept for older callers)."""
 
 
 def fingerprint_soc(soc) -> Dict:

@@ -97,6 +97,31 @@ class TimingWheel:
         return due
 
 
+class SerialCounter:
+    """An id stream: ``itertools.count()`` as a plain object.
+
+    A stream is an attribute of whoever allocates from it, so it travels
+    by value in a checkpoint like any other state; ``itertools.count``
+    loses its pickle support in later Pythons, this does not.
+    """
+
+    __slots__ = ("_next_value",)
+
+    def __init__(self, start: int = 0) -> None:
+        self._next_value = start
+
+    def __iter__(self) -> "SerialCounter":
+        return self
+
+    def __next__(self) -> int:
+        value = self._next_value
+        self._next_value = value + 1
+        return value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SerialCounter({self._next_value})"
+
+
 class Simulator:
     """Owns components and queues and advances them cycle by cycle.
 
@@ -141,6 +166,15 @@ class Simulator:
     every queue — which must produce byte-identical stats and traces;
     tests assert exactly that.
 
+    Ids
+    ---
+    The simulator holds its SoC's two id streams, ``txn_ids`` and
+    ``packet_ids``: every master hands ``txn_ids`` to its traffic source,
+    every plane hands ``packet_ids`` to its injection ports (a sharded
+    build then gives each a stream of its own), and nothing else
+    allocates.  A SoC's ids therefore depend on that SoC alone, not on
+    what else ran in the process.
+
     Parameters
     ----------
     trace:
@@ -161,6 +195,8 @@ class Simulator:
         self.cycle = 0
         self.stats = StatsRegistry()
         self.trace = trace if trace is not None else Tracer(enabled=False)
+        self.txn_ids = SerialCounter()
+        self.packet_ids = SerialCounter()
         self._components: List[Component] = []
         self._component_names: Dict[str, Component] = {}
         self._queues: List[SimQueue] = []

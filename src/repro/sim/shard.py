@@ -74,11 +74,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-import repro.core.transaction as _txn_mod
-import repro.transport.flit as _flit_mod
-from repro.core.transaction import SerialCounter
 from repro.sim.component import Component
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import SerialCounter, SimulationError, Simulator
 from repro.sim.queue import SimQueue
 from repro.transport.topology import Topology, router_sort_key
 
@@ -456,55 +453,16 @@ class ShardOwnership:
 
 
 # --------------------------------------------------------------------- #
-# per-source id scoping
+# per-source id streams
 # --------------------------------------------------------------------- #
 #: Spacing between per-source id streams: stream k allocates from
-#: (k + 1) << ID_SCOPE_SHIFT, so scoped ids never collide with each
-#: other or with the process-global counters (which start at 0).
+#: (k + 1) << ID_SCOPE_SHIFT, so a source's ids never collide with
+#: another's or with the simulator's own streams (which start at 0).
 ID_SCOPE_SHIFT = 32
 
 
 def txn_id_stream(scope_index: int) -> SerialCounter:
     return SerialCounter(start=(scope_index + 1) << ID_SCOPE_SHIFT)
-
-
-def scope_txn_ids(component: Component, stream: SerialCounter) -> None:
-    """Make ``component.tick`` allocate transaction ids from ``stream``.
-
-    The single-process run of a sharded build interleaves every source
-    on the process-global counter; worker processes only run their own
-    sources, so the interleaving — and with it the id *values* — would
-    differ.  Values leak into behavior (protocol id truncation, e.g.
-    VCI's 8-bit pktid), so sharded builds give every allocating
-    component its own id stream: identical values whether the sources
-    run together or apart.  Unsharded builds are untouched.
-    """
-    inner = component.tick
-
-    def tick(cycle: int, _inner=inner, _stream=stream) -> None:
-        previous = _txn_mod._txn_ids
-        _txn_mod._txn_ids = _stream
-        try:
-            _inner(cycle)
-        finally:
-            _txn_mod._txn_ids = previous
-
-    component.tick = tick
-
-
-def scope_packet_ids(component: Component, stream: SerialCounter) -> None:
-    """Like :func:`scope_txn_ids`, for flit packet ids (injection ports)."""
-    inner = component.tick
-
-    def tick(cycle: int, _inner=inner, _stream=stream) -> None:
-        previous = _flit_mod._flit_packet_ids
-        _flit_mod._flit_packet_ids = _stream
-        try:
-            _inner(cycle)
-        finally:
-            _flit_mod._flit_packet_ids = previous
-
-    component.tick = tick
 
 
 # --------------------------------------------------------------------- #

@@ -637,41 +637,26 @@ class SocBuilder:
         return target_nius, memories
 
     def _install_shard_id_streams(self, soc: NocSoc) -> None:
-        """Give every id-allocating component its own id stream, then
-        check that every component and queue has a shard owner.
+        """Give every id-allocating object its own id stream, then check
+        that every component and queue has a shard owner.
 
-        A single-process run interleaves all sources on the process
-        globals (``transaction._txn_ids`` / ``flit._flit_packet_ids``);
-        worker processes only run their own sources, so the allocation
-        interleaving — and with it the id *values*, which leak into
-        behavior through protocol id truncation (VCI's 8-bit pktid) —
-        would differ.  Scoped streams make allocation a per-source
-        affair: identical values whether the sources run together or
-        apart.  Streams are a pure function of the build (endpoint and
-        port order), so every process derives the same ones.
+        An unsharded build's sources and injection ports all draw from
+        the simulator's two streams, interleaved; a worker process only
+        runs its own shard's, so the interleaving — and with it the id
+        *values*, which leak into behavior through protocol id truncation
+        (VCI's 8-bit pktid) — would differ.  Here each traffic source and
+        each injection port gets a stream of its own: identical values
+        whether they run together or apart.  Streams are a pure function
+        of the build (endpoint and port order), so every process derives
+        the same ones; ports count on from ``n_init + n_targets``.
         """
-        from repro.sim.shard import (
-            scope_packet_ids,
-            scope_txn_ids,
-            txn_id_stream,
-        )
+        from repro.sim.shard import txn_id_stream
 
         for endpoint, spec in enumerate(self.initiators):
-            stream = txn_id_stream(endpoint)
-            # Master and its NIU share the endpoint's stream: both
-            # allocate on behalf of the same source.
-            scope_txn_ids(soc.masters[spec.name], stream)
-            scope_txn_ids(soc.initiator_nius[spec.name], stream)
-        n_init = len(self.initiators)
-        for index, spec in enumerate(self.targets):
-            stream = txn_id_stream(n_init + index)
-            scope_txn_ids(soc.target_nius[spec.name], stream)
-            scope_txn_ids(soc.memories[spec.name], stream)
+            soc.masters[spec.name].traffic.txn_ids = txn_id_stream(endpoint)
         scope = len(self.initiators) + len(self.targets)
         for plane in soc.fabric._planes:
             for endpoint in sorted(plane.injection_ports):
-                scope_packet_ids(
-                    plane.injection_ports[endpoint], txn_id_stream(scope)
-                )
+                plane.injection_ports[endpoint].packet_ids = txn_id_stream(scope)
                 scope += 1
         soc.shard_ownership.finalize()

@@ -10,9 +10,10 @@ object it was installed on.  A reference to a named object pickles as
 a call of :func:`_named` on its name (the dispatch table of the named
 objects' classes sees to it, so no other object costs a Python call);
 everything else — flits and transactions in flight, stats,
-the tracer, the fabric's planes and tables — travels by value under the
-one memo, so every alias inside the SoC stays one object on the other
-side.  The two process-global id counters travel beside it.
+the tracer, the fabric's planes and tables, the simulator's id streams —
+travels by value under the one memo, so every alias inside the SoC stays
+one object on the other side (a traffic source and the simulator share
+one ``txn_ids`` stream before and after).
 
 :meth:`Checkpoint.restore_into` unpickles with each name resolved to
 the target's own object and installs each state there, keeping the
@@ -43,14 +44,11 @@ import struct
 from types import FunctionType, MethodType
 from typing import Dict, FrozenSet, Tuple
 
-import repro.core.transaction as _txn_mod
-import repro.transport.flit as _flit_mod
-from repro.core.transaction import SerialCounter
 from repro.sim.shard import ShardConfigError
 
 #: Bump when the on-disk envelope or the payload's layout changes shape,
 #: or a pickled class moves module (a pickle names classes by module path).
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length
@@ -75,9 +73,9 @@ def _named_objects(soc) -> Dict[Tuple[str, str], object]:
     """The objects a checkpoint carries the state of, by name."""
     if getattr(soc, "shard_plan", None) is not None:
         raise ShardConfigError(
-            "a checkpoint of a sharded build is out of scope: per-source "
-            "id streams are not captured, so a restore would not replay "
-            "byte-identically — build without shards= for checkpoint sweeps"
+            "a checkpoint of a sharded build is out of scope (v1): no "
+            "restore of one is shown to replay byte-identically — build "
+            "without shards= for checkpoint sweeps"
         )
     named = {("soc", ""): soc, ("simulator", ""): soc.sim}
     for component in soc.sim._components:
@@ -225,15 +223,14 @@ class Checkpoint:
     @classmethod
     def capture(cls, soc) -> "Checkpoint":
         """Snapshot ``soc`` right now: its names first, then one pickle
-        of every named object's state and the two id counters."""
+        of every named object's state."""
         named = _named_objects(soc)
         states = {key: _state_of(obj) for key, obj in named.items()}
-        ids = (_txn_mod._txn_ids.peek(), _flit_mod._flit_packet_ids.peek())
         buffer = io.BytesIO()
         dumper = _pickler(buffer, named)
         dumper.dump((soc.sim.cycle, tuple(named), _modes(soc)))
         try:
-            dumper.dump((ids, states))
+            dumper.dump(states)
         except _UNPICKLABLE as exc:
             for key, state in states.items():
                 try:
@@ -242,7 +239,7 @@ class Checkpoint:
                     raise CheckpointCaptureError(
                         f"state of {_describe(key)} does not pickle: {exc}"
                     ) from exc
-            raise CheckpointCaptureError(f"id counters do not pickle: {exc}") from exc
+            raise
         return cls(buffer.getvalue(), soc.sim.cycle)
 
     def restore_into(self, soc) -> None:
@@ -276,13 +273,11 @@ class Checkpoint:
                 f"checkpoint was taken with {modes!r}, this build has {_modes(soc)!r}"
             )
         try:
-            (txn_id, packet_id), states = loader.load()
+            states = loader.load()
         except Exception as exc:
             raise CheckpointFormatError(f"payload does not unpickle: {exc!r}") from exc
         for key, state in states.items():
             _install(named[key], state)
-        _txn_mod._txn_ids = SerialCounter(txn_id)
-        _flit_mod._flit_packet_ids = SerialCounter(packet_id)
 
     @property
     def cycle(self) -> int:

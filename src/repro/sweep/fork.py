@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sweep.checkpoint import Checkpoint
-from repro.sweep.worker import bootstrap_soc, mp_context
+from repro.sweep.worker import mp_context
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def run_cold(
     equivalence tests and the bench's ``results_match`` flag compare
     against it.
     """
-    soc = bootstrap_soc(builder if override.build is None else override.build)
+    soc = (builder if override.build is None else override.build)()
     soc.run(fork_cycle)
     if override.apply is not None:
         override.apply(soc)
@@ -99,7 +99,7 @@ def _run_fork_task(task) -> Dict:
         # Structural override: the checkpoint is non-congruent; pay for
         # the prefix again with the alternate builder.
         return run_cold(builder, override, fork_cycle, run_cycles, collect)
-    soc = bootstrap_soc(builder)
+    soc = builder()
     Checkpoint.from_bytes(ckpt_bytes).restore_into(soc)
     override.apply(soc)
     soc.run(run_cycles)

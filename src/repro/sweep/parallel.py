@@ -64,7 +64,7 @@ from repro.sim.shard import (
     restrict_to_shard,
     shard_next_event,
 )
-from repro.sweep.worker import bootstrap_soc, mp_context
+from repro.sweep.worker import mp_context
 
 
 class ShardWorkerError(RuntimeError):
@@ -152,7 +152,7 @@ def _shard_metrics(soc, shard: Optional[int]) -> Dict[str, int]:
 # --------------------------------------------------------------------- #
 def _shard_worker_main(conn, builder: Callable, shard: int) -> None:
     try:
-        soc = bootstrap_soc(builder)
+        soc = builder()
         if soc.shard_plan is None:
             raise ShardConfigError(
                 "run_sharded() needs a sharded build — construct with "
@@ -228,7 +228,7 @@ def _run_single_process(builder: Callable, cycles: int) -> Dict:
     halves handing envelopes to each other directly."""
     from repro.sim.fingerprint import fingerprint_soc
 
-    soc = bootstrap_soc(builder)
+    soc = builder()
     if soc.shard_plan is None:
         raise ShardConfigError(
             "run_sharded() needs a sharded build — construct with "

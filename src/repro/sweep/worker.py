@@ -2,10 +2,9 @@
 
 Both multi-process entry points — checkpoint-forked design-space sweeps
 (:mod:`repro.sweep.fork`) and sharded parallel simulation
-(:mod:`repro.sweep.parallel`) — spawn processes that must rebuild a SoC
-*congruent* with the parent's: same wiring, same names, and above all
-the same id-counter state, or fingerprints silently diverge.  That
-bootstrap lives here once so the two paths cannot drift.
+(:mod:`repro.sweep.parallel`) — spawn processes that rebuild a SoC
+*congruent* with the parent's by calling the same builder: a build's
+ids are its own simulator's, so nothing else needs resetting first.
 
 Workers use the ``fork`` start method (asserted at pool/process
 creation): builders are closed over live objects — topologies, traffic
@@ -18,9 +17,6 @@ paths raise rather than silently running with ``spawn`` semantics.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable
-
-from repro.sim.fingerprint import reset_ids
 
 #: The start method every multi-process sweep uses (see module docstring).
 START_METHOD = "fork"
@@ -31,10 +27,3 @@ def mp_context():
     workers (raises on platforms without the fork start method)."""
     return multiprocessing.get_context(START_METHOD)
 
-
-def bootstrap_soc(builder: Callable):
-    """Build a SoC the way every worker (and every reference run) must:
-    global id counters reset first, so the build allocates identically
-    no matter what ran in this process before."""
-    reset_ids()
-    return builder()

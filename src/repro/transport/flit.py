@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.packet import NocPacket, PacketFormat
-from repro.core.transaction import SerialCounter
-
-#: Global packet-id stream for flit tagging, read and re-armed by a
-#: checkpoint.
-_flit_packet_ids = SerialCounter()
 
 
 @dataclass(slots=True)
@@ -87,11 +82,12 @@ class Packetizer:
         layer serializes into phits."""
         return self._header_bits + self.flit_payload_bits
 
-    def segment(self, packet: NocPacket, vc: int = 0) -> List[Flit]:
+    def segment(self, packet: NocPacket, packet_id: int, vc: int = 0) -> List[Flit]:
+        """``packet``'s flits, tagged ``packet_id`` (the injection port
+        draws it from its SoC's packet-id stream) and ``vc``."""
         if self.packet_format is not None:
             packet.validate_against(self.packet_format)
         count = flit_count(packet, self.flit_payload_bits)
-        packet_id = next(_flit_packet_ids)
         # The routing header is per packet: evaluate its properties once,
         # not once per flit.
         dest = packet.route_destination

@@ -314,6 +314,7 @@ class Network:
             f"{name}.inj.{endpoint}",
             endpoint,
             self.packetizer,
+            sim.packet_ids,
             inj_packets,
             inj_feeds,
             vc_policy=self.vc_policy,

@@ -6,7 +6,7 @@ adaptive planes resequences) the packets leaving it.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.packet import NocPacket
 from repro.sim.component import Component
@@ -34,6 +34,10 @@ class InjectionPort(Component):
     backlog of several blocked packets queues in arrival order (the
     packet queue itself is a shared FIFO — per-VC injection queues are
     an open item, see ROADMAP).
+
+    Each segmented packet's id is drawn from ``packet_ids``, the SoC's
+    packet-id stream (``sim.packet_ids``, or a sharded build's stream of
+    its own).
     """
 
     def __init__(
@@ -41,6 +45,7 @@ class InjectionPort(Component):
         name: str,
         endpoint: int,
         packetizer: Packetizer,
+        packet_ids: Iterator[int],
         packet_queue: SimQueue,
         flit_queues: List[SimQueue],
         vc_policy: Optional[VcPolicy] = None,
@@ -48,6 +53,7 @@ class InjectionPort(Component):
         super().__init__(name)
         self.endpoint = endpoint
         self.packetizer = packetizer
+        self.packet_ids = packet_ids
         self.packet_queue = packet_queue
         self.flit_queues = list(flit_queues)
         self.vcs = len(self.flit_queues)
@@ -87,7 +93,7 @@ class InjectionPort(Component):
                 packet = self.packet_queue.pop()
                 packet.injected_cycle = cycle
                 pending = self._pending[0] = self.packetizer.segment(
-                    packet, vc=0
+                    packet, next(self.packet_ids)
                 )
                 self.packets_injected += 1
             if pending and self.flit_queues[0].can_push():
@@ -111,7 +117,9 @@ class InjectionPort(Component):
             if not pending_by_vc[vc]:
                 self.packet_queue.pop()
                 packet.injected_cycle = cycle
-                pending_by_vc[vc] = self.packetizer.segment(packet, vc=vc)
+                pending_by_vc[vc] = self.packetizer.segment(
+                    packet, next(self.packet_ids), vc=vc
+                )
                 self.packets_injected += 1
         # One flit per cycle onto the feed, round-robin over ready VCs.
         flit_queues = self.flit_queues

@@ -205,9 +205,6 @@ class DmaEngine:
         self._txn_desc: Dict[int, int] = {}  # txn_id -> descriptor index
         self._halted: Optional[str] = None
         self.bursts_completed = 0
-        self.issue_log: List[Tuple[int, int, int]] = []  # (desc, burst, cycle)
-        self.complete_log: List[Tuple[int, int, int]] = []
-        self.completions: List[Tuple[int, int, ResponseStatus]] = []
         self._master = None  # set by bind_master (wiring, not state)
         # The ready frontier at build: nothing complete, nothing issued.
         blocked = self._blocked = list(map(len, self._after))
@@ -338,7 +335,6 @@ class DmaEngine:
             # lands at or behind slot ``k``: same pass.
             del open_computes[k]
             self._finish(i, due)
-            self.complete_log.append((i, 0, due))
             for channel in self.program[i].signal:
                 channel.put(cycle)
                 self._signals_fired[i] += 1
@@ -358,6 +354,7 @@ class DmaEngine:
                 beats=desc.beats,
                 beat_bytes=desc.beat_bytes,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         else:
             data = [
@@ -370,6 +367,7 @@ class DmaEngine:
                 beat_bytes=desc.beat_bytes,
                 posted=desc.posted,
                 master=self.name,
+                txn_id=next(self.txn_ids),
             )
         txn.priority = (
             self.priority if desc.priority is None else desc.priority
@@ -395,7 +393,6 @@ class DmaEngine:
                     if desc.wait:
                         self._waiting.remove(i)
                 self._txn_desc[txn.txn_id] = i
-                self.issue_log.append((i, burst, cycle))
                 return txn
         return None
 
@@ -435,7 +432,6 @@ class DmaEngine:
     def notify_complete(
         self, txn_id: int, cycle: int, status: ResponseStatus
     ) -> None:
-        self.completions.append((txn_id, cycle, status))
         i = self._txn_desc.pop(txn_id, None)
         if i is None:
             raise AssertionError(
@@ -450,7 +446,6 @@ class DmaEngine:
             return
         self._done_bursts[i] += 1
         self.bursts_completed += 1
-        self.complete_log.append((i, self._done_bursts[i] - 1, cycle))
         for channel in desc.signal:
             channel.put(cycle)
             self._signals_fired[i] += 1

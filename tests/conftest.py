@@ -1,21 +1,8 @@
-"""Session-wide test plumbing: id-counter isolation and the harness's
-once-per-session check."""
+"""Session-wide test plumbing: the harness's once-per-session check."""
 
 import pytest
 
 import differential
-import repro.core.transaction as txn_mod
-import repro.transport.flit as flit_mod
-
-
-@pytest.fixture(autouse=True)
-def _fresh_global_ids():
-    """txn/packet ids come from process-global counters that every
-    harness build resets; restore them after each test so no test sees
-    another's counters."""
-    txn_ids, packet_ids = txn_mod._txn_ids, flit_mod._flit_packet_ids
-    yield
-    txn_mod._txn_ids, flit_mod._flit_packet_ids = txn_ids, packet_ids
 
 
 def _recomputed():

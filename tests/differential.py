@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from repro.ip import TrafficSpec
 from repro.phys.link import VcPhysicalLink
-from repro.sim.fingerprint import fingerprint_soc, reset_ids
+from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.trace import Tracer
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
@@ -233,7 +233,6 @@ def hotspot_soc(routing, strict=None):
     tree reaches deep into the fabric); six more stream to three fast
     background targets whose DOR paths share links with that tree.
     ``strict`` selects the kernel as ``SocBuilder(strict_kernel=)``."""
-    reset_ids()
     hot_range = [(0, 0x2000)]
     bg_ranges = [(0x2000, 0x2000), (0x4000, 0x2000), (0x6000, 0x2000)]
     if routing == "adaptive":
@@ -367,13 +366,12 @@ COMPUTED = Counter()
 
 
 def build(recipe, kernel="activity", *, fast_path=True):
-    """A fresh SoC of ``recipe`` on ``kernel``, global ids reset first.
+    """A fresh SoC of ``recipe`` on ``kernel``.
     ``fast_path=False`` runs every router tick through the reference
     phases (the flag is cleared after construction, so the router must
     read it in the tick)."""
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    reset_ids()
     soc = RECIPES[ALIASES.get(recipe, recipe)](kernel == "strict")
     if not fast_path:
         for plane in soc.fabric._planes:

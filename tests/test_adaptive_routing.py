@@ -9,6 +9,8 @@ complete once the escape subnetwork is in place.  Also pins the one-cycle
 lock-admission window at VC allocation (ROADMAP open item).
 """
 
+import itertools
+
 import pytest
 
 from differential import run
@@ -333,13 +335,13 @@ class TestResequencing:
         late.fabric_seq = 1
         early = request(0, 5, txn_id=0)
         early.fabric_seq = 0
-        for flit in pk.segment(late, vc=0):
+        for flit in pk.segment(late, 0, vc=0):
             flit_queues[0].push(flit)
         sim.run(3)
         # seq 1 arrived first: parked, nothing delivered yet
         assert eport._rob_count == 1
         assert not pkts
-        for flit in pk.segment(early, vc=1):
+        for flit in pk.segment(early, 1, vc=1):
             flit_queues[1].push(flit)
         sim.run(4)
         assert [pkts.pop().txn_id for _ in range(len(pkts))] == [0, 1]
@@ -420,13 +422,6 @@ class TestAdaptiveLockSoc:
         own traffic — including the locked store — and wedge the SoC.  The
         target NIU now parks lock-blocked requests aside (per-source
         FIFO preserved), so the critical section always completes."""
-        import itertools
-
-        import repro.core.transaction as txn_mod
-        import repro.transport.flit as flit_mod
-
-        txn_mod._txn_ids = itertools.count()
-        flit_mod._flit_packet_ids = itertools.count()
         builder = SocBuilder(
             topology=topo.torus(3, 3, endpoints=6),
             routing="adaptive",
@@ -485,8 +480,10 @@ class TestLockAdmissionWindow:
     path first.  The window is one cycle wide and deterministic — this
     test pins the winner."""
 
+    packet_ids = itertools.count()
+
     def _flits(self, packet, vc):
-        return Packetizer(128).segment(packet, vc=vc)
+        return Packetizer(128).segment(packet, next(self.packet_ids), vc=vc)
 
     def test_allocation_in_lock_set_cycle_is_admitted(self):
         sim = Simulator()

@@ -10,7 +10,6 @@ from repro.bus.coverage import FeatureSupport, format_matrix
 from repro.core.transaction import Opcode, Transaction, make_read, make_write
 from repro.ip import TrafficSpec
 from repro.protocols.proprietary import make_fence
-from repro.sim.fingerprint import reset_ids
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
@@ -217,7 +216,6 @@ class TestBusTargetsAreNocMemories:
 
     @staticmethod
     def _intents():
-        reset_ids()
         return [
             make_write(0x40, [1, 2, 3, 4]), make_read(0x40, beats=4),
             make_read(0x104), make_write(0x108, [9]),  # the error window
@@ -265,7 +263,6 @@ class TestBusTargetsAreNocMemories:
         splits it (the 32-beat read, whose first 16 beats fit) or not
         (the 4-beat one)."""
         def cpu():
-            reset_ids()
             return self._cpu([make_read(0xFF8, beats=4), make_read(0x10, beats=16),
                               make_read(0xFC0, beats=32)])
 
@@ -385,7 +382,6 @@ def _pinned_bus_run():
     OCP exclusive pair, an AHB locked sequence, an OCP posted write, a
     FENCE on the proprietary port and a 40-beat AXI burst over the
     16-beat cap, beside three Poisson VCI masters."""
-    reset_ids()
     ranges = [(0, 0x2000), (0x2000, 0x2000)]
     scripted = {
         "cpu_ahb": ("AHB", {}, [

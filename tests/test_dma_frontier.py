@@ -6,26 +6,29 @@ verbatim as a reference oracle: every ``poll`` / ``_advance`` /
 and re-derives dependency completion with ``all()``.  Both engines are
 driven by the same stub-master loop (no SoC, no kernel) over Hypothesis
 programs, and must agree on every ``lookahead`` answer, every ``poll``
-result and every log — the frontier is an index over the same state, not
-a second semantics.  Shrunk counterexamples and the shapes the frontier
-could plausibly get wrong are pinned as named cases at the bottom.
+result and every log (both record through
+:class:`dma_logs.RecordingDmaEngine`) — the frontier is an index over
+the same state, not a second semantics.  Shrunk counterexamples and the
+shapes the frontier could plausibly get wrong are pinned as named cases
+at the bottom.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dma_logs import RecordingDmaEngine
 from repro.core.transaction import ResponseStatus
-from repro.sim.fingerprint import reset_ids
-from repro.workloads import DmaDescriptor, DmaEngine, StreamChannel
+from repro.workloads import DmaDescriptor, StreamChannel
 
 
 # --------------------------------------------------------------------- #
 # reference oracle: the scan-based engine (parent commit, verbatim)
 # --------------------------------------------------------------------- #
-class ScanDmaEngine(DmaEngine):
+class ScanDmaEngine(RecordingDmaEngine):
     def _deps_complete(self, i):
         cc = self._complete_cycle
         return all(cc[j] is not None for j in self.program[i].after)
@@ -235,11 +238,11 @@ class _StubMaster:
 def drive(engine_cls, recipe, max_cycles=300):
     """Build ``recipe`` with ``engine_cls`` and run it to completion (or
     ``max_cycles`` — starved and halted programs are compared too)."""
-    reset_ids()
     channels = [
         StreamChannel(f"ch{k}", initial=credit)
         for k, credit in enumerate(recipe["credits"])
     ]
+    txn_ids = itertools.count()  # what a SoC hands its sources
     rng = random.Random(recipe["seed"])
     stalls = random.Random(recipe["seed"] + 1)
     masters = []
@@ -256,6 +259,7 @@ def drive(engine_cls, recipe, max_cycles=300):
         engine = engine_cls(
             f"e{e}", program, priority=e, on_error=spec["on_error"]
         )
+        engine.txn_ids = txn_ids
         masters.append(_StubMaster(engine, rng, stalls, recipe))
     trace = []
     for cycle in range(max_cycles):
@@ -282,7 +286,7 @@ def drive(engine_cls, recipe, max_cycles=300):
 
 
 def assert_engines_agree(recipe):
-    new = drive(DmaEngine, recipe)
+    new = drive(RecordingDmaEngine, recipe)
     old = drive(ScanDmaEngine, recipe)
     for got, want in zip(new[0], old[0]):
         assert got == want  # first diverging cycle, not a whole-trace diff
@@ -452,21 +456,21 @@ def test_named_case_matches_scan_engine(name):
 
 def test_named_cases_reach_their_corners():
     """The cases above exercise what their comments say they do."""
-    trace, final, _, _ = drive(DmaEngine, NAMED["tokens_ready_deps_pending"])
+    trace, final, _, _ = drive(RecordingDmaEngine, NAMED["tokens_ready_deps_pending"])
     first_write = next(c for d, _, c in final[0]["issue_log"] if d == 1)
     idle = [(cycle, hint) for cycle, _, hint, polled, _ in trace
             if polled is None and cycle < first_write]
     assert idle and all(hint == ("at", cycle) for cycle, hint in idle)
 
-    _, final, _, _ = drive(DmaEngine, NAMED["zero_delay_compute_cascade"])
+    _, final, _, _ = drive(RecordingDmaEngine, NAMED["zero_delay_compute_cascade"])
     cascade = [(d, c) for d, _, c in final[0]["complete_log"] if 1 <= d <= 4]
     assert [d for d, _ in cascade] == [1, 2, 3, 4]
     assert len({c for _, c in cascade}) == 1
 
-    _, final, puts, _ = drive(DmaEngine, NAMED["compute_observed_late"])
+    _, final, puts, _ = drive(RecordingDmaEngine, NAMED["compute_observed_late"])
     assert final[0]["complete_cycle"][:2] == [1, 1] and puts[0][0] > 1
 
-    _, final, _, _ = drive(DmaEngine, NAMED["halt_on_error"])
+    _, final, _, _ = drive(RecordingDmaEngine, NAMED["halt_on_error"])
     assert final[0]["halted"] is not None
     assert final[0]["compute_done"][1] == 2
 
@@ -513,8 +517,8 @@ def _visits_per_poll(engine_cls, links):
 
 
 def test_descriptor_visits_per_poll_do_not_grow_with_program_length():
-    short = _visits_per_poll(DmaEngine, 40)
-    long = _visits_per_poll(DmaEngine, 400)
+    short = _visits_per_poll(RecordingDmaEngine, 40)
+    long = _visits_per_poll(RecordingDmaEngine, 400)
     assert long <= short * 1.05 + 0.5, (short, long)
     assert long < 12
     # The instrument does see a rescan: the scan engine visits the whole

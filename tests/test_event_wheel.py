@@ -14,7 +14,7 @@ import pytest
 
 from repro.ip import TrafficSpec
 from repro.sim.component import Component
-from repro.sim.fingerprint import fingerprint_soc, reset_ids
+from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.kernel import PARK_HORIZON, Simulator, TimingWheel
 from repro.sim.trace import Tracer
 from repro.phys.clocking import ClockDomain
@@ -283,7 +283,6 @@ class TestTimetabledEventsOnSocs:
 
     @staticmethod
     def _sparse_soc(strict):
-        reset_ids()
         builder = SocBuilder(trace=Tracer(enabled=True), strict_kernel=strict)
         builder.add_initiator(InitiatorSpec(
             "cpu", "AXI",

@@ -11,7 +11,6 @@ import pytest
 from differential import E2E_SOCS, PINNED, e2e, run
 from repro.bus.system import build_bus_soc
 from repro.ip.traffic import TrafficSpec
-from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import Simulator
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
@@ -137,14 +136,15 @@ def port_order_digest(soc):
 def test_e2e_workload_port_order_is_pinned():
     assert sorted(e2e.WORKLOADS) == sorted(PINNED_PORT_ORDER)
     for name, digest in PINNED_PORT_ORDER.items():
-        reset_ids()
         soc = e2e.WORKLOADS[name]().builder(1105).build()
         assert port_order_digest(soc) == digest, name
 
 
 #: The classes whose instances are most numerous or tick most on the e2e
 #: SoCs: their instance dicts must stay key-shared.
-SHARED_KEY_CLASSES = ("Router", "VcPhysicalLink", "InitiatorNiu", "AxiMaster")
+SHARED_KEY_CLASSES = (
+    "Router", "VcPhysicalLink", "InitiatorNiu", "AxiMaster", "InjectionPort",
+)
 
 
 def test_hot_classes_stay_under_the_shared_key_limit():
@@ -154,7 +154,6 @@ def test_hot_classes_stay_under_the_shared_key_limit():
     instance of the hot classes on the seven e2e SoCs stays below."""
     most = {}
     for name, workload in sorted(e2e.WORKLOADS.items()):
-        reset_ids()
         for component in workload().builder(1105).build().sim.components:
             cls = type(component).__name__
             if cls in SHARED_KEY_CLASSES:
@@ -164,6 +163,16 @@ def test_hot_classes_stay_under_the_shared_key_limit():
     assert sorted(most) == sorted(SHARED_KEY_CLASSES)
     # {class: (most attributes, on which workload)} of the classes over
     assert {cls: top for cls, top in most.items() if top[0] >= 30} == {}
+
+
+def test_no_component_of_a_sharded_build_wraps_its_tick():
+    """A sharded build gives each traffic source and injection port an
+    id stream of its own as a plain attribute, so every component of
+    ``sharded_torus_2p`` ticks through its class's ``tick`` (only a
+    worker process mutes the components it does not own)."""
+    soc = e2e.WORKLOADS["sharded_torus_2p"]().builder(1105).build()
+    assert soc.shard_plan is not None
+    assert [c.name for c in soc.sim.components if "tick" in vars(c)] == []
 
 
 # --------------------------------------------------------------------- #
@@ -221,7 +230,6 @@ def test_registration_order_is_pinned():
     builds = registration_builds()
     assert sorted(builds) == sorted(PINNED_REGISTRATION_ORDER)
     for name, build in builds.items():
-        reset_ids()
         digest = registration_digest(build().sim)
         assert digest == PINNED_REGISTRATION_ORDER[name], name
 
@@ -292,7 +300,6 @@ def test_one_table_computation_per_fabric(scheme, builder_calls):
 
 
 def adaptive_torus_soc():
-    reset_ids()
     builder = SocBuilder(topology=topo.torus(3, 3, endpoints=6),
                          routing="adaptive", vcs=3)
     for index in range(4):

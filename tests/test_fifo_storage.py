@@ -8,7 +8,6 @@ from collections import deque
 from differential import e2e as workloads
 from repro.ip.slaves import MemoryDevice
 from repro.phys.link import PhysicalLink, VcPhysicalLink
-from repro.sim.fingerprint import reset_ids
 from repro.sim.queue import SimQueue
 
 #: The FIFOs on the stepping path, by owner class.
@@ -62,7 +61,6 @@ def fifo_lists(soc):
 def test_no_deque_in_any_e2e_soc():
     assert len(workloads.WORKLOADS) == 7
     for name, workload in sorted(workloads.WORKLOADS.items()):
-        reset_ids()
         soc = workload().builder(1105).build()
         held = sorted({hit for obj in owned_objects(soc) for hit in deques_held(obj)})
         assert held == [], name

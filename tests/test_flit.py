@@ -1,5 +1,7 @@
 """Unit tests for flit segmentation and reassembly."""
 
+import itertools
+
 import pytest
 
 from repro.core.packet import NocPacket, PacketFormat, PacketKind, UserBit
@@ -11,6 +13,10 @@ from repro.transport.flit import (
     ReassemblyError,
     flit_count,
 )
+
+#: Packet ids for the packets these tests segment (an injection port
+#: draws them from its SoC's stream).
+PACKET_IDS = itertools.count()
 
 
 def read_request(beats=4):
@@ -38,7 +44,8 @@ def write_request(beats=4, beat_bytes=4):
 
 
 def flits(packet, flit_payload_bits, packet_format=None):
-    return len(Packetizer(flit_payload_bits, packet_format).segment(packet))
+    packetizer = Packetizer(flit_payload_bits, packet_format)
+    return len(packetizer.segment(packet, next(PACKET_IDS)))
 
 
 class TestFlitCount:
@@ -80,37 +87,39 @@ class TestFlitCount:
                             kind=kind, opcode=opcode, slv_addr=1, mst_addr=0,
                             tag=0, beats=beats, beat_bytes=beat_bytes,
                         )
-                        count = len(packetizer.segment(packet))
+                        count = len(packetizer.segment(packet, next(PACKET_IDS)))
                         assert flit_count(packet, flit_payload_bits) == count
-                        assert len(packetizer.segment(packet)) == count
+                        assert len(packetizer.segment(packet, next(PACKET_IDS))) == count
 
 
 class TestPacketizer:
     def test_head_and_tail_flags(self):
-        flits = Packetizer(128).segment(write_request(beats=8))
+        flits = Packetizer(128).segment(write_request(beats=8), next(PACKET_IDS))
         assert flits[0].is_head and not flits[0].is_tail
         assert flits[-1].is_tail and not flits[-1].is_head
         assert all(not f.is_head and not f.is_tail for f in flits[1:-1])
 
     def test_single_flit_is_both(self):
-        flits = Packetizer(128).segment(read_request())
+        flits = Packetizer(128).segment(read_request(), next(PACKET_IDS))
         assert len(flits) == 1
         assert flits[0].is_head and flits[0].is_tail
 
     def test_only_head_carries_packet(self):
-        flits = Packetizer(128).segment(write_request(beats=8))
+        flits = Packetizer(128).segment(write_request(beats=8), next(PACKET_IDS))
         assert flits[0].packet is not None
         assert all(f.packet is None for f in flits[1:])
 
     def test_routing_fields_replicated(self):
-        flits = Packetizer(128).segment(write_request(beats=8))
+        flits = Packetizer(128).segment(write_request(beats=8), next(PACKET_IDS))
         assert all(f.dest == 1 and f.src == 0 for f in flits)
 
     def test_distinct_packet_ids(self):
+        """Every flit carries the id its packet was segmented with."""
         p = Packetizer(128)
-        a = p.segment(read_request())
-        b = p.segment(read_request())
-        assert a[0].packet_id != b[0].packet_id
+        a = p.segment(write_request(beats=8), 7)
+        b = p.segment(read_request(), 8)
+        assert [f.packet_id for f in a] == [7, 7, 7]
+        assert [f.packet_id for f in b] == [8]
 
     @pytest.mark.parametrize(
         "packet",
@@ -127,7 +136,7 @@ class TestPacketizer:
         """``segment`` reads the routing header once per packet; every
         flit must still equal, field for field, one built by reading the
         packet's properties per flit (the pre-hoist construction)."""
-        flits = Packetizer(128).segment(packet, vc=1)
+        flits = Packetizer(128).segment(packet, next(PACKET_IDS), vc=1)
         count = flit_count(packet, 128)
         assert flits == [
             Flit(
@@ -155,7 +164,7 @@ class TestPacketizer:
             tag=0,
         )
         with pytest.raises(ValueError):
-            packetizer.segment(bad)
+            packetizer.segment(bad, next(PACKET_IDS))
 
     def test_format_header_must_fit(self):
         fmt = PacketFormat()  # 67-bit header
@@ -166,21 +175,21 @@ class TestPacketizer:
 class TestReassembler:
     def test_roundtrip(self):
         packet = write_request(beats=8)
-        flits = Packetizer(128).segment(packet)
+        flits = Packetizer(128).segment(packet, next(PACKET_IDS))
         r = Reassembler()
         results = [r.accept(f) for f in flits]
         assert results[:-1] == [None] * (len(flits) - 1)
         assert results[-1] is packet
 
     def test_body_without_head_rejected(self):
-        flits = Packetizer(128).segment(write_request(beats=8))
+        flits = Packetizer(128).segment(write_request(beats=8), next(PACKET_IDS))
         with pytest.raises(ReassemblyError):
             Reassembler().accept(flits[1])
 
     def test_head_mid_packet_rejected(self):
         p = Packetizer(128)
-        a = p.segment(write_request(beats=8))
-        b = p.segment(write_request(beats=8))
+        a = p.segment(write_request(beats=8), next(PACKET_IDS))
+        b = p.segment(write_request(beats=8), next(PACKET_IDS))
         r = Reassembler()
         r.accept(a[0])
         with pytest.raises(ReassemblyError):
@@ -188,8 +197,8 @@ class TestReassembler:
 
     def test_interleaved_body_rejected(self):
         p = Packetizer(128)
-        a = p.segment(write_request(beats=8))
-        b = p.segment(write_request(beats=8))
+        a = p.segment(write_request(beats=8), next(PACKET_IDS))
+        b = p.segment(write_request(beats=8), next(PACKET_IDS))
         r = Reassembler()
         r.accept(a[0])
         with pytest.raises(ReassemblyError):

@@ -11,7 +11,15 @@ that contract; the recipes, the runs and the compare are
 
 import pytest
 
-from differential import WINDOWS, assert_same, buffer_walk, build, run
+from differential import (
+    RECIPES,
+    WINDOWS,
+    assert_same,
+    buffer_walk,
+    build,
+    observe,
+    run,
+)
 from repro.sim.kernel import Simulator
 
 
@@ -19,6 +27,18 @@ from repro.sim.kernel import Simulator
 def test_activity_kernel_matches_reference(recipe):
     cycles = WINDOWS[recipe]
     assert_same(run(recipe, cycles, "activity"), run(recipe, cycles, "strict"))
+
+
+def test_a_build_does_not_depend_on_what_ran_before_it():
+    """A SoC draws its transaction and packet ids from its own simulator:
+    built after another SoC has run in the same process, and with
+    nothing reset in between, ``mixed-protocols`` runs to the very
+    fingerprint of a fresh build (its trace names the ids)."""
+    cycles = WINDOWS["mixed-protocols"]
+    RECIPES["legacy-lock"](False).run(300)
+    soc = RECIPES["mixed-protocols"](False)
+    soc.run(cycles)
+    assert_same(observe(soc), run("mixed-protocols", cycles))
 
 
 def test_gap_waiting_ejection_port_is_dormant():

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core.packet import NocPacket, PacketKind
 from repro.core.transaction import Opcode
-from repro.sim.fingerprint import reset_ids
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 from repro.transport import topology as topo
@@ -277,7 +277,7 @@ def test_pop_reschedules_nothing():
     assert link is downstream.inputs[(f"in:{upstream.router_id}", 0)]
     sim.run(8)  # one retire sweep: every component is idle
     assert not upstream._scheduled and not downstream._scheduled
-    link.push(Packetizer().segment(request(1, 0))[0])
+    link.push(Packetizer().segment(request(1, 0), 0)[0])
     sim.step()  # the commit wakes the link's consumer only
     assert downstream._scheduled and not upstream._scheduled
     link.pop()
@@ -433,13 +433,16 @@ def _drive_twins(flavour, schedule, trace_on, digest=None, **knobs):
         for fast in (True, False)
     ]
     pending = [[] for _ in range(_IN_PORTS * vcs)]
+    packet_ids = itertools.count()
     for index, dest, opcode, beats, src, priority in packets:
         store = opcode.is_write
         packet = request(
             dest, src, opcode=opcode, beats=beats if store else 1,
             payload=[0] * beats if store else None, priority=priority,
         )
-        pending[index].extend(Packetizer(64).segment(packet, vc=index % vcs))
+        pending[index].extend(
+            Packetizer(64).segment(packet, next(packet_ids), vc=index % vcs)
+        )
     feeds = [pending, copy.deepcopy(pending)]
     for cycle, (arrive, pop) in enumerate(cycles):
         for (sim, router, inputs, outputs), feed in zip(twins, feeds):
@@ -515,7 +518,7 @@ class TestSoloTickMatchesReference:
             flavour, [2], trace_on=True, fast=True
         )
         lock = request(4, 1, opcode=Opcode.READEX)
-        (flit,) = Packetizer(64).segment(lock)
+        (flit,) = Packetizer(64).segment(lock, 0)
         inputs[0].push(flit)
         sim.run(2)
         assert router.packets_forwarded == router.flits_forwarded == 1
@@ -599,7 +602,6 @@ class TestPinnedRouterState:
         flavour, mode, arbiter = case.split("/")
         vcs = _FLAVOURS[flavour].get("vcs", 1)
         digest = hashlib.sha256()
-        reset_ids()
         _drive_twins(
             flavour, _pinned_schedule(1105, vcs), trace_on=True, digest=digest,
             mode=SwitchingMode[mode], arbiter=arbiter,

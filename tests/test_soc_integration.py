@@ -13,7 +13,7 @@ from repro.core.transaction import make_read, make_write
 from repro.ip import TrafficSpec
 from repro.ip.traffic import TRAFFIC_ROWS, UNKNOWN_KIND, UNNAMED_ROWS
 from repro.niu.tag_policy import default_policy
-from repro.sim.fingerprint import fingerprint_soc, reset_ids
+from repro.sim.fingerprint import fingerprint_soc
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 from repro.soc import InitiatorSpec, LinkSpec, SocBuilder, TargetSpec
@@ -219,7 +219,6 @@ class TestTopologyAndFabricKnobs:
         builder.add_target(TargetSpec("mem0", size=0x1000))
         prints = []
         for _ in range(2):
-            reset_ids()
             soc = builder.build()
             soc.run_to_completion(max_cycles=100_000)
             assert soc.total_completed() == 40

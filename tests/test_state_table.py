@@ -9,7 +9,8 @@ from repro.niu.state_table import StateTable, StateTableFullError
 
 
 def alloc(table, stream=(), tag=0, slv=1):
-    txn = make_read(0x100)
+    # Ids need only be unique within the table: number its allocations.
+    txn = make_read(0x100, txn_id=table.total_allocated)
     return table.allocate(txn, tag=tag, slv_addr=slv, offset=0, stream=stream)
 
 

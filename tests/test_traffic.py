@@ -1,5 +1,7 @@
 """Unit tests for traffic sources."""
 
+import itertools
+
 import pytest
 
 from repro.core.transaction import Opcode, ResponseStatus, make_read
@@ -8,10 +10,18 @@ from repro.ip import TrafficSpec
 OK = ResponseStatus.OKAY
 
 
+def built(**knobs):
+    """The source ``knobs`` describe, polled on its own: it draws ids
+    from a stream of its own (a master hands it the SoC's)."""
+    source = TrafficSpec(**knobs).build()
+    source.txn_ids = itertools.count()
+    return source
+
+
 class TestScripted:
     def test_issues_in_order_then_done(self):
         intents = [make_read(0x10 * i) for i in range(3)]
-        src = TrafficSpec(kind="scripted", intents=intents).build()
+        src = built(kind="scripted", intents=intents)
         polled = [src.poll(c) for c in range(4)]
         assert polled[:3] == intents
         assert polled[3] is None
@@ -21,21 +31,21 @@ class TestScripted:
 class TestPoisson:
     def test_reproducible_with_seed(self):
         def generate():
-            src = TrafficSpec(kind="poisson", master="m", seed=9, count=50,
-                              pairs=[(0, 0x1000)], rate=1.0).build()
+            src = built(kind="poisson", master="m", seed=9, count=50,
+                        pairs=[(0, 0x1000)], rate=1.0)
             return [src.poll(c).describe() for c in range(50)]
         assert generate() == generate()
 
     def test_rate_throttles(self):
-        src = TrafficSpec(kind="poisson", master="m", seed=1, count=1000,
-                          pairs=[(0, 0x1000)], rate=0.1).build()
+        src = built(kind="poisson", master="m", seed=1, count=1000,
+                    pairs=[(0, 0x1000)], rate=0.1)
         issued = sum(1 for c in range(1000) if src.poll(c) is not None)
         assert 40 < issued < 250  # ~100 expected
 
     def test_addresses_within_ranges(self):
-        src = TrafficSpec(kind="poisson", master="m", seed=2, count=200,
-                          pairs=[(0x100, 0x100)], rate=1.0,
-                          burst_beats=(1, 4, 8)).build()
+        src = built(kind="poisson", master="m", seed=2, count=200,
+                    pairs=[(0x100, 0x100)], rate=1.0,
+                    burst_beats=(1, 4, 8))
         while not src.done():
             txn = src.poll(0)
             if txn is None:
@@ -44,9 +54,9 @@ class TestPoisson:
                 assert 0x100 <= addr < 0x200
 
     def test_threads_and_tags_spread(self):
-        src = TrafficSpec(kind="poisson", master="m", seed=3, count=100,
-                          pairs=[(0, 0x1000)], rate=1.0, threads=4,
-                          tags=4).build()
+        src = built(kind="poisson", master="m", seed=3, count=100,
+                    pairs=[(0, 0x1000)], rate=1.0, threads=4,
+                    tags=4)
         threads, tags = set(), set()
         while not src.done():
             txn = src.poll(0)
@@ -66,8 +76,8 @@ class TestPoisson:
 
 class TestDependent:
     def test_waits_for_completion_and_think_time(self):
-        src = TrafficSpec(kind="dependent", master="m", seed=1, count=2,
-                          pairs=[(0, 0x100)], think_cycles=5).build()
+        src = built(kind="dependent", master="m", seed=1, count=2,
+                    pairs=[(0, 0x100)], think_cycles=5)
         first = src.poll(0)
         assert first is not None
         assert src.poll(1) is None  # waiting
@@ -76,8 +86,8 @@ class TestDependent:
         assert src.poll(15) is not None
 
     def test_done_only_after_last_completion(self):
-        src = TrafficSpec(kind="dependent", master="m", seed=1, count=1,
-                          pairs=[(0, 0x100)]).build()
+        src = built(kind="dependent", master="m", seed=1, count=1,
+                    pairs=[(0, 0x100)])
         txn = src.poll(0)
         assert not src.done()
         src.notify_complete(txn.txn_id, 5, OK)
@@ -86,8 +96,8 @@ class TestDependent:
 
 class TestStream:
     def test_covers_region_contiguously(self):
-        src = TrafficSpec(kind="stream", master="dma", base=0x100,
-                          bytes_total=256, burst_beats=8, beat_bytes=4).build()
+        src = built(kind="stream", master="dma", base=0x100,
+                    bytes_total=256, burst_beats=8, beat_bytes=4)
         addresses = []
         while not src.done():
             txn = src.poll(0)
@@ -95,22 +105,22 @@ class TestStream:
         assert addresses == [0x100 + 4 * i for i in range(64)]
 
     def test_gap_cycles_pace_bursts(self):
-        src = TrafficSpec(kind="stream", master="dma", bytes_total=128,
-                          gap_cycles=10).build()
+        src = built(kind="stream", master="dma", bytes_total=128,
+                    gap_cycles=10)
         assert src.poll(0) is not None
         assert src.poll(5) is None
         assert src.poll(10) is not None
 
     def test_read_mode_and_priority(self):
-        src = TrafficSpec(kind="stream", master="vid", bytes_total=64,
-                          write=False, priority=2).build()
+        src = built(kind="stream", master="vid", bytes_total=64,
+                    write=False, priority=2)
         txn = src.poll(0)
         assert txn.opcode is Opcode.LOAD
         assert txn.priority == 2
 
     def test_posted_mode(self):
-        src = TrafficSpec(kind="stream", master="dma", bytes_total=64,
-                          posted=True).build()
+        src = built(kind="stream", master="dma", bytes_total=64,
+                    posted=True)
         assert src.poll(0).opcode is Opcode.STORE_POSTED
 
 
@@ -127,8 +137,8 @@ class TestSyncWorkload:
         return cycle
 
     def test_lock_style_sequence(self):
-        src = TrafficSpec(kind="sync", master="m", style="lock",
-                          work_addr=0x100, iterations=2, work_ops=2).build()
+        src = built(kind="sync", master="m", style="lock",
+                    work_addr=0x100, iterations=2, work_ops=2)
         ops = []
         def responder(txn):
             ops.append(txn.opcode)
@@ -140,8 +150,8 @@ class TestSyncWorkload:
         assert Opcode.STORE_COND_LOCKED in ops
 
     def test_excl_style_retries_on_failure(self):
-        src = TrafficSpec(kind="sync", master="m", style="excl",
-                          work_addr=0x100, iterations=1, work_ops=1).build()
+        src = built(kind="sync", master="m", style="excl",
+                    work_addr=0x100, iterations=1, work_ops=1)
         fail_once = {"left": 1}
         def responder(txn):
             if txn.excl and txn.opcode.is_write:
@@ -158,4 +168,4 @@ class TestSyncWorkload:
 
     def test_invalid_style(self):
         with pytest.raises(ValueError):
-            TrafficSpec(kind="sync", master="m", style="spin").build()
+            built(kind="sync", master="m", style="spin")

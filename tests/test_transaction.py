@@ -11,6 +11,9 @@ from repro.core.transaction import (
     Transaction,
     make_read,
 )
+from repro.ip import TrafficSpec
+from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
+from repro.workloads import DmaDescriptor
 
 
 #: Every opcode's families: (is_write, is_read, expects_response,
@@ -144,9 +147,41 @@ class TestTransaction:
         assert txn.burst is BurstType.SINGLE
 
     def test_txn_ids_unique(self):
-        a = make_read(0)
-        b = make_read(0)
-        assert a.txn_id != b.txn_id
+        """Ids are unique within a SoC: every source, of every kind, draws
+        from its simulator's one stream (scripted intents are stamped at
+        build), so the ids a run issues are exactly 0..n-1."""
+        sources = {
+            "scripted": ("AHB", TrafficSpec(kind="scripted", intents=[
+                make_read(0x10), make_read(0x20, beats=4)])),
+            "poisson": ("AXI", TrafficSpec(kind="poisson", seed=1, count=30,
+                                           pairs=[(0, 0x800)], rate=0.5)),
+            "dependent": ("OCP", TrafficSpec(kind="dependent", seed=2, count=10,
+                                             pairs=[(0x800, 0x800)])),
+            "stream": ("BVCI", TrafficSpec(kind="stream", base=0x400,
+                                           bytes_total=256)),
+            "sync": ("AXI", TrafficSpec(kind="sync", style="excl",
+                                        sema_addr=0xF00, work_addr=0x900)),
+            "dma": ("AXI", TrafficSpec(kind="dma", program=[
+                DmaDescriptor("read", address=0x200, bursts=3),
+                DmaDescriptor("write", address=0x600, after=(0,))])),
+        }
+        builder = SocBuilder()
+        for name, (protocol, traffic) in sources.items():
+            builder.add_initiator(InitiatorSpec(name, protocol, traffic))
+        builder.add_target(TargetSpec("mem", size=0x1000))
+        soc = builder.build()
+        issued = []
+        for master in soc.masters.values():
+            def poll(cycle, _poll=master.traffic.poll):
+                txn = _poll(cycle)
+                if txn is not None:
+                    issued.append(txn.txn_id)
+                return txn
+
+            master.traffic.poll = poll
+        soc.run_to_completion()
+        assert soc.total_completed() == len(issued) > 50
+        assert sorted(issued) == list(range(len(issued)))
 
     def test_total_bytes(self):
         txn = make_read(0, beats=4, beat_bytes=8)

@@ -9,6 +9,7 @@ validates every knob at build time and builds every kind.
 
 import importlib
 import inspect
+import itertools
 import re
 import types
 
@@ -16,6 +17,7 @@ import pytest
 
 import repro.ip
 from differential import SCENARIOS, assert_same, run
+from dma_logs import RecordingDmaEngine
 from repro.core.transaction import ResponseStatus
 from repro.ip import (
     TRAFFIC_KINDS,
@@ -23,7 +25,7 @@ from repro.ip import (
     TrafficSpec,
     WorkloadStallError,
 )
-from repro.sim.fingerprint import fingerprint_soc, reset_ids
+from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 from repro.sweep import Checkpoint
 from repro.transport import topology as topo
@@ -34,12 +36,6 @@ from repro.workloads import (
     StreamChannel,
 )
 from repro.workloads.scenarios import stream_pipeline
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_ids()
-    yield
 
 
 # --------------------------------------------------------------------- #
@@ -128,6 +124,7 @@ class TestDmaProgramValidation:
                    for k in range(2)]
         assert shared.after == (0, 0)
         for engine in engines:
+            engine.txn_ids = itertools.count()  # polled without a master
             engine.notify_complete(engine.poll(0).txn_id, 3, ResponseStatus.OKAY)
             engine.notify_complete(engine.poll(3).txn_id, 5, ResponseStatus.OKAY)
             assert engine.done()
@@ -139,7 +136,6 @@ class TestDmaProgramValidation:
 def _dma_soc(engines, *, strict=False, adaptive=False,
              targets=None, **builder_kwargs):
     """Small SoC: the given engines as AXI initiators plus one memory."""
-    reset_ids()
     if adaptive:
         endpoints = len(engines) + len(targets or [1])
         builder_kwargs.setdefault(
@@ -196,7 +192,7 @@ class TestDmaEngine:
         """The dependency DAG holds under adaptive routing, whose
         per-packet route choice can reorder a pair's packets in flight."""
         engines = {
-            f"dma{i}": DmaEngine(
+            f"dma{i}": RecordingDmaEngine(
                 f"dma{i}", _chain(0x40 * i, 0x2000 + 0x40 * i,
                                   links=3, pattern=3 * i)
             )
@@ -258,10 +254,11 @@ class TestDmaEngine:
 # streams
 # --------------------------------------------------------------------- #
 class TestStreams:
-    def test_credit_backpressure_bounds_producer_lead(self):
+    def test_credit_backpressure_bounds_producer_lead(self, monkeypatch):
         """Every hop of the ``stream_pipeline`` scenario (two pipelines
         of four stages) is a credit loop of depth 4 over 24 bursts."""
         depth, total = 4, 24
+        monkeypatch.setattr(stream_pipeline, "DmaEngine", RecordingDmaEngine)
         soc = stream_pipeline.build()
         soc.run_to_completion()
         engines = {name: master.traffic for name, master in soc.masters.items()}
@@ -330,11 +327,13 @@ class TestTrafficSpec:
     def test_an_int_burst_means_one_length_built_either_way(self):
         source = TrafficSpec(kind="poisson", master="m", seed=1, count=1,
                              pairs=[(0, 64)], rate=1.0, burst_beats=4).build()
+        source.txn_ids = itertools.count()  # polled without a master
         assert source.poll(0).beats == 4
 
     def test_dependent_source_honours_beat_bytes(self):
         source = TrafficSpec(kind="dependent", master="m", seed=3, count=40,
                              pairs=[(0x100, 0x200)], beat_bytes=8).build()
+        source.txn_ids = itertools.count()  # polled without a master
         for cycle in range(0, 400, 10):  # past each think window
             txn = source.poll(cycle)
             assert txn.beat_bytes == 8
@@ -345,6 +344,7 @@ class TestTrafficSpec:
 
     def test_sync_needs_no_seed(self):
         source = TrafficSpec(kind="sync", master="m").build()
+        source.txn_ids = itertools.count()  # polled without a master
         assert source.poll(0) is not None
         assert not hasattr(source, "rng")
 
@@ -435,7 +435,7 @@ class TestScenarioDeterminism:
         """Two engines: a fan-in + compute cascade gated on a channel the
         second engine signals.  Returns (soc, first engine)."""
         ready = StreamChannel("ready")
-        fan = DmaEngine("fan", [
+        fan = RecordingDmaEngine("fan", [
             DmaDescriptor("read", address=0x000, bursts=2),
             DmaDescriptor("read", address=0x100, bursts=3),
             DmaDescriptor("compute", delay=40, after=(0, 1)),
