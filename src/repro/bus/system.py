@@ -28,7 +28,6 @@ from repro.soc.builder import (
     add_master,
     build_address_map,
     hand_out,
-    mark_attached,
     spec_label,
 )
 from repro.soc.config import InitiatorSpec, TargetSpec
@@ -91,15 +90,13 @@ def build_bus_soc(
     built from the spec's fields as the NoC builder's memory device is.
     Each master ticks before its bridge, and the bus after every bridge,
     so same-cycle requests are visible the next cycle (queues enforce
-    this anyway; order is for determinism).  :data:`BUS_ROWS` are checked
-    before anything is registered; ready sources are marked attached only
-    as the build returns."""
-    sources = hand_out(initiators)
+    this anyway; order is for determinism).  :data:`BUS_ROWS` are checked,
+    and the sources handed out, before anything is registered."""
     draft = SimpleNamespace(
-        initiators=initiators, targets=targets, sources=sources,
-        bridge_latency=bridge_latency,
+        initiators=initiators, targets=targets, bridge_latency=bridge_latency,
     )
     check("bus", draft, BUS_ROWS)
+    sources = hand_out(initiators)
     sim = Simulator(trace=trace)
     address_map = build_address_map(targets, first_slave=0)
     bus = SharedBus("bus", sim, address_map, {
@@ -116,5 +113,4 @@ def build_bus_soc(
         masters[spec.name] = master
         bridges[spec.name] = bridge
     sim.add(bus)
-    mark_attached(masters)
     return BusSoc(sim, bus, address_map, masters, bridges)

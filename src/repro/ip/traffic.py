@@ -36,7 +36,7 @@ their master.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.core.transaction import (
@@ -218,10 +218,11 @@ class ScriptedTraffic:
 
     The intents are built before the SoC, so they carry no ids of their
     own: the master that polls the source stamps them, in order, when it
-    is built (:class:`~repro.protocols.base.ProtocolMaster`)."""
+    is built (:class:`~repro.protocols.base.ProtocolMaster`).  It stamps
+    the source's copies, so a spec's intents serve any number of builds."""
 
     def __init__(self, spec: TrafficSpec, name: Optional[str]) -> None:
-        self.intents: List[Transaction] = list(spec.intents)
+        self.intents: List[Transaction] = [replace(txn) for txn in spec.intents]
         self._next = 0
 
     def poll(self, cycle: int) -> Optional[Transaction]:

@@ -265,13 +265,13 @@ class ProtocolMaster(Component):
         for queue in self.socket.response_channels.values():
             queue.wake_on_push(self)
         # Sources that couple masters to each other (DMA engines waiting
-        # on stream-channel tokens, see repro.workloads) need a handle to
-        # wake this master when an external signal re-arms them — a
-        # dormant master parked by the time-skipping kernel has no other
-        # way back onto the schedule.
+        # on the SoC's stream-channel token logs, see repro.workloads)
+        # need a handle to wake this master when an external signal
+        # re-arms them — a dormant master parked by the time-skipping
+        # kernel has no other way back onto the schedule.
         bind_traffic = getattr(self.traffic, "bind_master", None)
         if bind_traffic is not None:
-            bind_traffic(self)
+            bind_traffic(self, simulator.channels)
         # Issue/complete run once per transaction: resolve the latency
         # tracker once instead of a registry lookup per event.
         self._latency_stat = simulator.stats.latency(f"{self.name}.txn")

@@ -173,7 +173,7 @@ class Simulator:
     every plane hands ``packet_ids`` to its injection ports (a sharded
     build then gives each a stream of its own), and nothing else
     allocates.  A SoC's ids therefore depend on that SoC alone, not on
-    what else ran in the process.
+    what else ran in the process.  ``channels`` holds its DMA token logs.
 
     Parameters
     ----------
@@ -197,6 +197,7 @@ class Simulator:
         self.trace = trace if trace is not None else Tracer(enabled=False)
         self.txn_ids = SerialCounter()
         self.packet_ids = SerialCounter()
+        self.channels: Dict[str, object] = {}  # name -> TokenLog
         self._components: List[Component] = []
         self._component_names: Dict[str, Component] = {}
         self._queues: List[SimQueue] = []

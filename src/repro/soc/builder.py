@@ -70,14 +70,24 @@ def _shared_name(s) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _taken(s) -> Optional[Tuple[str, str]]:
-    """``(initiator, master)``: a source a built SoC or this one holds."""
-    claimed: Dict[int, str] = {}
-    for spec, source in zip(s.initiators, s.sources):
-        taken_by = getattr(source, "_attached_master", None) or claimed.get(id(source))
-        if taken_by:
-            return spec.name, taken_by
-        claimed[id(source)] = spec.name
+def _specless(s) -> Optional[str]:
+    """The first initiator whose traffic is not a spec, or ``None``."""
+    return next((spec.name for spec in s.initiators
+                 if not isinstance(spec.traffic, TrafficSpec)), None)
+
+
+def _redeclared(s) -> Optional[Tuple[str, str, int, int]]:
+    """``(initiator, channel, initial, first initial)``: the first stream
+    channel declared under one name with two ``initial`` token counts."""
+    initial: Dict[str, int] = {}
+    for spec in s.initiators:
+        program = spec.traffic.program if spec.traffic.kind == "dma" else None
+        for desc in program or ():
+            # An entry that is no descriptor is the engine's to refuse.
+            for channel in getattr(desc, "wait", ()) + getattr(desc, "signal", ()):
+                first = initial.setdefault(channel.name, channel.initial)
+                if first != channel.initial:
+                    return spec.name, channel.name, channel.initial, first
     return None
 
 
@@ -95,13 +105,13 @@ SPEC_ROWS = (
 
 #: The source hand-out's rows, on both builders (:func:`hand_out`).
 SOURCE_ROWS = (
-    Check("traffic", ("traffic",), lambda s: None not in s.sources,
-          lambda s: f"initiator {s.initiators[s.sources.index(None)].name!r} has "
-                    f"no traffic source — give InitiatorSpec(traffic=...)"),
-    Check("attached", ("traffic",), lambda s: not _taken(s),
-          lambda s: "initiator {!r}: its traffic source is already attached to "
-                    "master {!r}; sources are stateful — give a TrafficSpec or "
-                    "a fresh source per build".format(*_taken(s))),
+    Check("traffic", ("traffic",), lambda s: _specless(s) is None,
+          lambda s: f"initiator {_specless(s)!r} has no traffic spec — give "
+                    f"InitiatorSpec(traffic=TrafficSpec(...))"),
+    Check("channels", ("traffic",), lambda s: _redeclared(s) is None,
+          lambda s: "initiator {!r}: channel {!r} is declared with initial={} "
+                    "but was declared with initial={}; a channel name is one "
+                    "channel".format(*_redeclared(s))),
 )
 
 
@@ -126,15 +136,9 @@ def build_address_map(targets: Sequence[TargetSpec], first_slave: int) -> Addres
 
 
 def hand_out(initiators: Sequence[InitiatorSpec]) -> list:
-    """Each initiator's source for this build (:data:`SOURCE_ROWS` check
-    them): a fresh one from a :class:`~repro.ip.traffic.TrafficSpec`, or
-    the ready source itself.  Nothing is marked here, so a build that
-    raises leaves every source free (:func:`mark_attached`)."""
-    return [
-        spec.traffic.build(spec.name)
-        if isinstance(spec.traffic, TrafficSpec) else spec.traffic
-        for spec in initiators
-    ]
+    """Each initiator's source, fresh from its spec (:data:`SOURCE_ROWS`
+    check them), so one spec serves any number of builds."""
+    return [spec.traffic.build(spec.name) for spec in initiators]
 
 
 def add_master(
@@ -146,12 +150,6 @@ def add_master(
     master.set_clock_domain(domain)
     sim.add(master)
     return master
-
-
-def mark_attached(masters: Dict[str, ProtocolMaster]) -> None:
-    """Mark every master's source taken, as a build returns."""
-    for master in masters.values():
-        master.traffic._attached_master = master.name
 
 
 class BuiltSoc:
@@ -475,11 +473,12 @@ class SocBuilder:
         :meth:`_fabric` (the socket set's transaction-layer format, then
         both planes, whose rows fire before either registers anything);
         :meth:`_attach_initiators` (each master, then its NIU);
-        :meth:`_attach_targets` (each target NIU, then its memory).  Ready
-        sources are marked attached only as the build returns."""
+        :meth:`_attach_targets` (each target NIU, then its memory).  The
+        sources are handed out after the rows, before anything registers."""
         sim = Simulator(trace=self.trace, strict=self.strict_kernel)
         draft = self._draft(sim)
         check(self.name, draft, BUILD_ROWS)
+        sources = hand_out(self.initiators)
         address_map = build_address_map(self.targets, len(self.initiators))
         fabric_domain, endpoint_domains = self._regions()
         ownership, scope = self._shard_context(sim, draft)
@@ -487,7 +486,7 @@ class SocBuilder:
             sim, draft, fabric_domain, endpoint_domains, ownership
         )
         masters, initiator_nius = self._attach_initiators(
-            fabric, address_map, endpoint_domains, scope, draft.sources
+            fabric, address_map, endpoint_domains, scope, sources
         )
         target_nius, memories = self._attach_targets(
             fabric, layer_config, endpoint_domains, scope
@@ -498,7 +497,6 @@ class SocBuilder:
         )
         if draft.plan is not None:
             self._install_shard_id_streams(soc)
-        mark_attached(masters)
         return soc
 
     # ------------------------------------------------------------------ #
@@ -507,8 +505,7 @@ class SocBuilder:
     def _draft(self, sim: Simulator) -> SimpleNamespace:
         """What :data:`BUILD_ROWS` read: the knobs and specs, and what a
         build derives from them before registering anything — the
-        simulator, the topology, the sources (:func:`hand_out`) and the
-        shard plan."""
+        simulator, the topology and the shard plan."""
         endpoints = len(self.initiators) + len(self.targets)
         width = max(2, math.ceil(math.sqrt(endpoints)))  # the default: a mesh
         topology = self.topology or topo_mod.mesh(
@@ -517,7 +514,7 @@ class SocBuilder:
         if plan is not None and not isinstance(plan, ShardPlan):
             plan = plan_shards(topology, int(plan))
         return SimpleNamespace(**{**vars(self), "sim": sim, "topology": topology,
-                                  "plan": plan, "sources": hand_out(self.initiators)})
+                                  "plan": plan})
 
     def _regions(self) -> Tuple[Optional[ClockDomain], Dict[int, ClockDomain]]:
         """The fabric's clock domain and each endpoint's that names a

@@ -50,11 +50,9 @@ INITIATOR_ROWS = (
 class InitiatorSpec:
     """One master IP + socket + NIU attachment.
 
-    ``traffic`` is any :class:`~repro.protocols.base.TrafficSource`
-    (stateful: one build only) or a declarative
-    :class:`~repro.ip.traffic.TrafficSpec` (built fresh against this
-    initiator's name at every build); the builder raises at build time
-    if it is still ``None``.  ``protocol_kwargs`` feed the master model
+    ``traffic`` is a declarative :class:`~repro.ip.traffic.TrafficSpec`,
+    built fresh against this initiator's name at every build; the builder
+    refuses anything else at build time.  ``protocol_kwargs`` feed the master model
     constructor (e.g. OCP ``threads``, AXI ``id_count``); ``policy``
     overrides the NIU's default tag policy (benchmarks sweep this).
 

@@ -10,10 +10,10 @@ object it was installed on.  A reference to a named object pickles as
 a call of :func:`_named` on its name (the dispatch table of the named
 objects' classes sees to it, so no other object costs a Python call);
 everything else — flits and transactions in flight, stats,
-the tracer, the fabric's planes and tables, the simulator's id streams —
-travels by value under the one memo, so every alias inside the SoC stays
-one object on the other side (a traffic source and the simulator share
-one ``txn_ids`` stream before and after).
+the tracer, the fabric's planes and tables, the simulator's id streams
+and token logs — travels by value under the one memo, so every alias
+inside the SoC stays one object on the other side (a traffic source and
+the simulator share one ``txn_ids`` stream before and after).
 
 :meth:`Checkpoint.restore_into` unpickles with each name resolved to
 the target's own object and installs each state there, keeping the
@@ -48,7 +48,7 @@ from repro.sim.shard import ShardConfigError
 
 #: Bump when the on-disk envelope or the payload's layout changes shape,
 #: or a pickled class moves module (a pickle names classes by module path).
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length

@@ -1,10 +1,12 @@
 """Stream channels: the token counters DMA descriptor programs sync on.
 
-A :class:`StreamChannel` is a cumulative counter of *tokens* — one token
-per completed burst (or compute step) of the descriptor that signals it.
-Descriptors that ``wait`` on a channel become eligible burst-by-burst as
-the count rises; producer/consumer credit loops are just two channels
-wired in opposite directions (see
+A :class:`StreamChannel` declares a channel: a name and its tokens before
+cycle 0, no run state.  Each SoC keeps one :class:`TokenLog` per declared
+name (``Simulator.channels``), a cumulative counter of *tokens*: one
+token per completed burst (or compute step) of the descriptor that
+signals it.  Descriptors that ``wait`` on a channel become eligible
+burst-by-burst as the count rises; producer/consumer credit loops are
+just two channels wired in opposite directions (see
 :mod:`repro.workloads.scenarios.stream_pipeline`).
 
 Determinism contract
@@ -22,35 +24,40 @@ the *next* cycle, which is exactly when the token becomes visible.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import List
 
-__all__ = ["StreamChannel"]
+__all__ = ["StreamChannel", "TokenLog"]
 
 
+@dataclass(frozen=True)
 class StreamChannel:
-    """A named, monotone token counter with next-cycle visibility.
+    """A channel declaration: its name and its ``initial`` tokens (a
+    credit preload)."""
 
-    ``initial`` tokens (credit preload) are stamped at cycle ``-1`` so
-    they are visible from cycle 0 onward.
+    name: str
+    initial: int = 0
 
-    State is the put-cycle list alone; a checkpoint carries the channel
-    once, however many engines are wired to it.  The waiter registry is
-    wiring, filled by ``bind_master``.
-    """
+    def __post_init__(self) -> None:
+        if self.initial < 0:
+            raise ValueError(f"channel {self.name!r}: initial tokens must be >= 0")
 
-    def __init__(self, name: str, initial: int = 0) -> None:
-        if initial < 0:
-            raise ValueError(f"channel {name!r}: initial tokens must be >= 0")
-        self.name = name
-        self.initial = initial
+
+class TokenLog:
+    """One SoC's run state of a channel: a monotone token counter with
+    next-cycle visibility; ``initial`` tokens are stamped at cycle ``-1``
+    so they are visible from cycle 0 onward."""
+
+    def __init__(self, channel: StreamChannel) -> None:
+        self.name = channel.name
         # Monotone non-decreasing cycle stamps, one per token ever put.
-        self._puts: List[int] = [-1] * initial
+        self._puts: List[int] = [-1] * channel.initial
         self._waiters: list = []  # masters to wake on put (wiring)
 
     # ------------------------------------------------------------------ #
-    def put(self, cycle: int, count: int = 1) -> None:
-        """Add ``count`` tokens, visible from ``cycle + 1``."""
-        self._puts.extend([cycle] * count)
+    def put(self, cycle: int) -> None:
+        """Add a token, visible from ``cycle + 1``."""
+        self._puts.append(cycle)
         for master in self._waiters:
             master.wake()
 
@@ -70,6 +77,3 @@ class StreamChannel:
     def add_waiter(self, master) -> None:
         if master not in self._waiters:
             self._waiters.append(master)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"StreamChannel({self.name!r}, tokens={len(self._puts)})"

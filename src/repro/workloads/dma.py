@@ -4,16 +4,18 @@ A :class:`DmaEngine` is a :class:`~repro.protocols.base.TrafficSource`
 that executes a small *descriptor program*: read bursts, write bursts and
 compute delays, linked by intra-program dependencies (``after``) and by
 cross-engine :class:`~repro.workloads.channels.StreamChannel` tokens
-(``wait``/``signal``).  The protocol master that polls the engine
-supplies all kernel integration — the engine only has to answer the
-standard ``poll``/``lookahead``/``done`` questions, plus one extra hook
-(``bind_master``) so channel tokens can wake a parked master.
+(``wait``/``signal``).  ``TrafficSpec(kind="dma", program=...)`` builds
+it.  The protocol master that polls the engine supplies all kernel
+integration — the engine only has to answer the standard
+``poll``/``lookahead``/``done`` questions, plus one extra hook
+(``bind_master``), which binds the program's channel declarations to its
+SoC's token logs so channel tokens can wake a parked master.
 
 The engine is deliberately *not* a kernel component: like every other
 traffic source it is event-deterministic — identical across the strict
 and activity kernels and across checkpoint/restore (a checkpoint
-carries every engine's attributes, the channel token logs it shares
-with peer engines included).
+carries every engine's attributes, the token logs it shares with peer
+engines included).
 
 ``compute`` descriptors model the endpoint's local work: the descriptor
 completes ``delay`` cycles after its last dependency completes, without
@@ -29,7 +31,7 @@ from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction, make_read, make_write
-from repro.workloads.channels import StreamChannel
+from repro.workloads.channels import StreamChannel, TokenLog
 
 __all__ = ["DmaDescriptor", "DmaEngine", "DmaProgramError"]
 
@@ -67,7 +69,7 @@ class DmaDescriptor:
         Indices of *earlier* descriptors in the same program that must
         fully complete before any burst of this one may issue.
     wait / signal:
-        Stream channels — a single channel or a tuple of them.  Burst
+        Stream channel declarations — one or a tuple of them.  Burst
         ``b`` may issue only once *every* wait channel holds ``b + 1``
         visible tokens; each completed burst puts one token on every
         signal channel (a compute puts one on completion).  A pipeline
@@ -201,11 +203,10 @@ class DmaEngine:
         self._done_bursts = [0] * n  # bursts completed
         self._complete_cycle: List[Optional[int]] = [None] * n
         self._compute_done: List[Optional[int]] = [None] * n  # due cycles
-        self._signals_fired = [0] * n
         self._txn_desc: Dict[int, int] = {}  # txn_id -> descriptor index
         self._halted: Optional[str] = None
         self.bursts_completed = 0
-        self._master = None  # set by bind_master (wiring, not state)
+        self._wait = self._signal = []  # each descriptor's logs: bind_master
         # The ready frontier at build: nothing complete, nothing issued.
         blocked = self._blocked = list(map(len, self._after))
         self._open_computes: List[int] = []
@@ -220,18 +221,6 @@ class DmaEngine:
                     self._open_bursts.append(i)
             if desc.wait:
                 self._waiting.append(i)
-        # Channels this program touches, by name (a channel shared by two
-        # engines is one object in a checkpoint, as it is here).
-        self._channels: Dict[str, StreamChannel] = {}
-        for desc in self.program:
-            for channel in desc.wait + desc.signal:
-                known = self._channels.get(channel.name)
-                if known is not None and known is not channel:
-                    raise DmaProgramError(
-                        f"{name}: two distinct channels named "
-                        f"{channel.name!r} in one program"
-                    )
-                self._channels[channel.name] = channel
 
     def _validate_program(self) -> None:
         if not self.program:
@@ -284,13 +273,22 @@ class DmaEngine:
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
-    def bind_master(self, master) -> None:
-        """Called by the owning master's ``bind()``: register it as the
-        wake target of every channel this program waits on."""
-        self._master = master
-        for desc in self.program:
-            for channel in desc.wait:
-                channel.add_waiter(master)
+    def bind_master(self, master, channels: Dict[str, TokenLog]) -> None:
+        """Called by the owning master's ``bind()`` with its SoC's token
+        logs by channel name: resolve every declared channel to its log
+        (the first engine that names a channel makes it) and register
+        ``master`` as the wake target of every log this program waits on."""
+
+        def resolve(declared: Tuple[StreamChannel, ...]) -> Tuple[TokenLog, ...]:
+            return tuple(channels.setdefault(channel.name, TokenLog(channel))
+                         for channel in declared)
+
+        program = self.program
+        self._wait = [resolve(desc.wait) if desc.wait else () for desc in program]
+        self._signal = [resolve(desc.signal) if desc.signal else () for desc in program]
+        for logs in self._wait:
+            for log in logs:
+                log.add_waiter(master)
 
     # ------------------------------------------------------------------ #
     # deterministic progress: the ready frontier
@@ -335,14 +333,13 @@ class DmaEngine:
             # lands at or behind slot ``k``: same pass.
             del open_computes[k]
             self._finish(i, due)
-            for channel in self.program[i].signal:
-                channel.put(cycle)
-                self._signals_fired[i] += 1
+            for log in self._signal[i]:
+                log.put(cycle)
 
     def _tokens_visible(self, i: int, cycle: int) -> bool:
         """Every wait channel of open burst ``i`` shows its next token."""
         need = self._issued[i] + 1
-        return all(ch.level(cycle) >= need for ch in self.program[i].wait)
+        return all(log.level(cycle) >= need for log in self._wait[i])
 
     def _make_txn(self, i: int, burst: int) -> Transaction:
         desc = self.program[i]
@@ -416,9 +413,9 @@ class DmaEngine:
             # early poll is harmless.)  A channel still short of
             # tokens wakes us via its put() instead.
             need = self._issued[i] + 1
-            wait = self.program[i].wait
-            if all(ch.total() >= need for ch in wait):
-                at = max([cycle] + [ch.visible_at(need) for ch in wait])
+            wait = self._wait[i]
+            if all(log.total() >= need for log in wait):
+                at = max([cycle] + [log.visible_at(need) for log in wait])
                 horizon = at if horizon is None else min(horizon, at)
         if horizon is not None:
             return ("at", horizon)
@@ -446,9 +443,8 @@ class DmaEngine:
             return
         self._done_bursts[i] += 1
         self.bursts_completed += 1
-        for channel in desc.signal:
-            channel.put(cycle)
-            self._signals_fired[i] += 1
+        for log in self._signal[i]:
+            log.put(cycle)
         if (
             self._done_bursts[i] == desc.bursts
             and self._issued[i] == desc.bursts
@@ -490,9 +486,9 @@ class DmaEngine:
             elif desc.wait:
                 need = self._issued[i] + 1
                 starved = [
-                    f"{ch.name!r} holds {ch.total()}"
-                    for ch in desc.wait
-                    if ch.total() < need
+                    f"{log.name!r} holds {log.total()}"
+                    for log in self._wait[i]
+                    if log.total() < need
                 ]
                 reasons.append(
                     f"desc {i} {desc.describe()} starved: burst "

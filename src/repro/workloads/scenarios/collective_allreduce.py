@@ -25,11 +25,12 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List
 
+from repro.ip.traffic import TrafficSpec
 from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.transport import topology as topo
 from repro.workloads.channels import StreamChannel
-from repro.workloads.dma import DmaDescriptor, DmaEngine
+from repro.workloads.dma import DmaDescriptor
 
 __all__ = ["build"]
 
@@ -96,7 +97,7 @@ def build(*, strict_kernel=None) -> NocSoc:
     for name, program in _programs(names).items():
         builder.add_initiator(
             InitiatorSpec(
-                name, "AXI", DmaEngine(name, program),
+                name, "AXI", TrafficSpec(kind="dma", program=program),
                 protocol_kwargs={"id_count": 4},
             )
         )

@@ -10,9 +10,10 @@ order is a correctness property the determinism tests can pin.
 
 from __future__ import annotations
 
+from repro.ip.traffic import TrafficSpec
 from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import InitiatorSpec, TargetSpec
-from repro.workloads.dma import DmaDescriptor, DmaEngine
+from repro.workloads.dma import DmaDescriptor
 
 __all__ = ["build"]
 
@@ -61,10 +62,10 @@ def _chain_program(index: int):
 def build(*, strict_kernel=None) -> NocSoc:
     builder = SocBuilder(name="dma_chain", strict_kernel=strict_kernel)
     for index in range(_MASTERS):
-        name = f"dma{index}"
         builder.add_initiator(
             InitiatorSpec(
-                name, "AXI", DmaEngine(name, _chain_program(index)),
+                f"dma{index}", "AXI",
+                TrafficSpec(kind="dma", program=_chain_program(index)),
                 protocol_kwargs={"id_count": 4},
             )
         )

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.ip.traffic import TrafficSpec
 from repro.soc.builder import NocSoc, SocBuilder
 from repro.soc.config import InitiatorSpec, TargetSpec
 from repro.workloads.channels import StreamChannel
-from repro.workloads.dma import DmaDescriptor, DmaEngine
+from repro.workloads.dma import DmaDescriptor
 
 __all__ = ["build"]
 
@@ -36,9 +37,9 @@ _DEPTH = 4
 _BUF_SIZE = 0x4000
 
 
-def _pipeline_engines(pipe: int):
-    """Engines for one pipeline; stage s reads buffer s-1, writes buffer s.
-    Each pipeline has a buffer memory of its own."""
+def _pipeline_programs(pipe: int):
+    """Programs for one pipeline, by stage name; stage s reads buffer
+    s-1, writes buffer s.  Each pipeline has a buffer memory of its own."""
     footprint = 8 * 4 * _DEPTH  # _DEPTH bursts of 8 beats x 4 bytes
     buffer_base = [pipe * _BUF_SIZE + stage * footprint
                    for stage in range(_STAGES - 1)]
@@ -47,7 +48,7 @@ def _pipeline_engines(pipe: int):
               for stage in range(_STAGES - 1)]
     burst = partial(DmaDescriptor, beats=8, beat_bytes=4,
                     bursts=_TOTAL_BURSTS, ring=_DEPTH)
-    engines = {}
+    programs = {}
     for stage in range(_STAGES):
         name = f"p{pipe}s{stage}"
         if stage == 0:
@@ -64,16 +65,17 @@ def _pipeline_engines(pipe: int):
                 burst("write", address=buffer_base[stage], wait=(work, credit[stage]),
                       signal=data[stage], pattern=pipe * 101 + stage),
             ]
-        engines[name] = DmaEngine(name, program)
-    return engines
+        programs[name] = program
+    return programs
 
 
 def build(*, strict_kernel=None) -> NocSoc:
     builder = SocBuilder(name="stream_pipeline", strict_kernel=strict_kernel)
     for pipe in range(_PIPELINES):
-        for name, engine in _pipeline_engines(pipe).items():
+        for name, program in _pipeline_programs(pipe).items():
             builder.add_initiator(
-                InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
+                InitiatorSpec(name, "AXI", TrafficSpec(kind="dma", program=program),
+                              protocol_kwargs={"id_count": 4})
             )
     builder.add_target(
         TargetSpec("buf0", size=_BUF_SIZE, read_latency=2, write_latency=1)

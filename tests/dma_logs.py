@@ -5,7 +5,7 @@ issue and completion order (the frontier oracle, the dependency and
 credit-loop tests) read it off this subclass instead.
 """
 
-from repro.workloads import DmaEngine
+from repro.workloads.dma import DmaEngine
 
 
 class RecordingDmaEngine(DmaEngine):

@@ -1,7 +1,8 @@
 """Ready-frontier ``DmaEngine`` against the scan-based engine it replaced.
 
 ``ScanDmaEngine`` below is the pre-frontier engine's progress code kept
-verbatim as a reference oracle: every ``poll`` / ``_advance`` /
+as a reference oracle (reading the engine's bound token logs, as the
+engine does): every ``poll`` / ``_advance`` /
 ``lookahead`` / ``done`` / ``diagnose_stall`` rescans the whole program
 and re-derives dependency completion with ``all()``.  Both engines are
 driven by the same stub-master loop (no SoC, no kernel) over Hypothesis
@@ -62,9 +63,8 @@ class ScanDmaEngine(RecordingDmaEngine):
                 if due is not None and cycle >= due:
                     self._complete_cycle[i] = due
                     self.complete_log.append((i, 0, due))
-                    for channel in desc.signal:
-                        channel.put(cycle)
-                        self._signals_fired[i] += 1
+                    for log in self._signal[i]:
+                        log.put(cycle)
                     progress = True
 
     def _burst_eligible(self, i, cycle):
@@ -74,7 +74,7 @@ class ScanDmaEngine(RecordingDmaEngine):
         if not self._deps_complete(i):
             return False
         need = self._issued[i] + 1
-        return all(ch.level(cycle) >= need for ch in desc.wait)
+        return all(log.level(cycle) >= need for log in self._wait[i])
 
     def poll(self, cycle):
         self._advance(cycle)
@@ -111,9 +111,10 @@ class ScanDmaEngine(RecordingDmaEngine):
                 return ("at", cycle)
             if desc.wait:
                 need = self._issued[i] + 1
-                if all(ch.total() >= need for ch in desc.wait):
+                wait = self._wait[i]
+                if all(log.total() >= need for log in wait):
                     at = max(
-                        [cycle] + [ch.visible_at(need) for ch in desc.wait]
+                        [cycle] + [log.visible_at(need) for log in wait]
                     )
                     horizon = at if horizon is None else min(horizon, at)
         if horizon is not None:
@@ -157,9 +158,9 @@ class ScanDmaEngine(RecordingDmaEngine):
             elif desc.wait:
                 need = self._issued[i] + 1
                 starved = [
-                    f"{ch.name!r} holds {ch.total()}"
-                    for ch in desc.wait
-                    if ch.total() < need
+                    f"{log.name!r} holds {log.total()}"
+                    for log in self._wait[i]
+                    if log.total() < need
                 ]
                 reasons.append(
                     f"desc {i} {desc.describe()} starved: burst "
@@ -186,7 +187,7 @@ class _StubMaster:
     so computes are observed after their due cycle.
     """
 
-    def __init__(self, engine, rng, stalls, recipe):
+    def __init__(self, engine, channels, rng, stalls, recipe):
         self.engine = engine
         self.rng = rng
         self.stalls = stalls
@@ -196,7 +197,7 @@ class _StubMaster:
         self.inflight = []  # (due cycle, txn_id, status), issue order
         self.woken = False
         self.polls = 0
-        engine.bind_master(self)
+        engine.bind_master(self, channels)
 
     def wake(self):
         self.woken = True
@@ -237,11 +238,13 @@ class _StubMaster:
 
 def drive(engine_cls, recipe, max_cycles=300):
     """Build ``recipe`` with ``engine_cls`` and run it to completion (or
-    ``max_cycles`` — starved and halted programs are compared too)."""
-    channels = [
+    ``max_cycles`` — starved and halted programs are compared too).  The
+    engines share one token log per channel name, as a SoC's do."""
+    declared = [
         StreamChannel(f"ch{k}", initial=credit)
         for k, credit in enumerate(recipe["credits"])
     ]
+    channels = {}  # name -> TokenLog, filled as the engines bind
     txn_ids = itertools.count()  # what a SoC hands its sources
     rng = random.Random(recipe["seed"])
     stalls = random.Random(recipe["seed"] + 1)
@@ -250,8 +253,8 @@ def drive(engine_cls, recipe, max_cycles=300):
         program = [
             DmaDescriptor(
                 op,
-                wait=[channels[k] for k in wait],
-                signal=[channels[k] for k in signal],
+                wait=[declared[k] for k in wait],
+                signal=[declared[k] for k in signal],
                 **fields,
             )
             for op, wait, signal, fields in spec["program"]
@@ -260,7 +263,7 @@ def drive(engine_cls, recipe, max_cycles=300):
             f"e{e}", program, priority=e, on_error=spec["on_error"]
         )
         engine.txn_ids = txn_ids
-        masters.append(_StubMaster(engine, rng, stalls, recipe))
+        masters.append(_StubMaster(engine, channels, rng, stalls, recipe))
     trace = []
     for cycle in range(max_cycles):
         for master in masters:
@@ -274,7 +277,6 @@ def drive(engine_cls, recipe, max_cycles=300):
             completions=m.engine.completions,
             compute_done=m.engine._compute_done,
             complete_cycle=m.engine._complete_cycle,
-            signals_fired=m.engine._signals_fired,
             bursts_completed=m.engine.bursts_completed,
             halted=m.engine._halted,
             done=m.engine.done(),
@@ -282,7 +284,8 @@ def drive(engine_cls, recipe, max_cycles=300):
         )
         for m in masters
     ]
-    return trace, final, [list(ch._puts) for ch in channels], masters
+    puts = {name: list(log._puts) for name, log in channels.items()}
+    return trace, final, puts, masters
 
 
 def assert_engines_agree(recipe):
@@ -468,7 +471,7 @@ def test_named_cases_reach_their_corners():
     assert len({c for _, c in cascade}) == 1
 
     _, final, puts, _ = drive(RecordingDmaEngine, NAMED["compute_observed_late"])
-    assert final[0]["complete_cycle"][:2] == [1, 1] and puts[0][0] > 1
+    assert final[0]["complete_cycle"][:2] == [1, 1] and puts["ch0"][0] > 1
 
     _, final, _, _ = drive(RecordingDmaEngine, NAMED["halt_on_error"])
     assert final[0]["halted"] is not None

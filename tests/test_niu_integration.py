@@ -223,7 +223,8 @@ class TestOrderingDelivery:
 
         traffic.notify_complete = record
         soc.run_to_completion(max_cycles=20_000)
-        assert completion_order == [fast_read.txn_id, slow_read.txn_id]
+        slow, fast = traffic.intents  # the source's copies carry the ids
+        assert completion_order == [fast.txn_id, slow.txn_id]
 
 
 class TestNiuAccounting:

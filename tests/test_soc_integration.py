@@ -23,6 +23,7 @@ from repro.sweep import Checkpoint
 from repro.transport import topology as topo
 from repro.transport.network import PLANE_ROWS
 from repro.transport.switching import SwitchingMode
+from repro.workloads import DmaDescriptor, StreamChannel
 
 
 def mixed_specs(count=25):
@@ -157,58 +158,6 @@ class TestTopologyAndFabricKnobs:
         )
         with pytest.raises(ValueError):
             builder.build()  # two initiators named 'a': refused by a build row
-
-    def test_second_build_with_a_used_source_is_refused(self):
-        """A source object is stateful: a second SoC built around the
-        first one's exhausted source would silently do nothing."""
-        builder = SocBuilder()
-        builder.add_initiator(InitiatorSpec(
-            "gpu0", "AXI",
-            TrafficSpec(kind="poisson", pairs=[(0, 0x1000)], count=40, seed=2,
-                        rate=0.25).build("gpu0"),
-        ))
-        builder.add_target(TargetSpec("mem0", size=0x1000))
-        soc = builder.build()
-        soc.run_to_completion(max_cycles=100_000)
-        assert soc.total_completed() == 40
-        with pytest.raises(ValueError, match="'gpu0'.*fresh source per build"):
-            builder.build()
-
-    def test_a_failed_build_leaves_ready_sources_free(self):
-        """A build that raises after taking a ready source must not mark
-        it attached: no SoC holds it, so the retry has to succeed."""
-        source = TrafficSpec(
-            kind="poisson", seed=5, count=20, pairs=[(0, 0x1000)]
-        ).build("cpu")
-        broken = InitiatorSpec(
-            "dma", "AXI", TrafficSpec(kind="poisson", seed=6, count=20,
-                                      pairs=[(0, 0x1000)]),
-            protocol_kwargs={"no_such_option": 1},
-        )
-        builder = SocBuilder()
-        builder.add_initiator(InitiatorSpec("cpu", "AXI", source))
-        builder.add_initiator(broken)
-        builder.add_target(TargetSpec("mem0", size=0x1000))
-        with pytest.raises(TypeError, match="no_such_option"):
-            builder.build()
-        broken.protocol_kwargs = {}
-        soc = builder.build()
-        assert soc.masters["cpu"].traffic is source
-        soc.run_to_completion(max_cycles=100_000)
-        assert soc.masters["cpu"].completed == 20
-        with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
-            builder.build()
-
-    def test_one_source_on_two_initiators_is_refused(self):
-        source = TrafficSpec(
-            kind="poisson", seed=5, count=20, pairs=[(0, 0x1000)]
-        ).build("a")
-        builder = SocBuilder()
-        builder.add_initiator(InitiatorSpec("a", "AXI", source))
-        builder.add_initiator(InitiatorSpec("b", "AXI", source))
-        builder.add_target(TargetSpec("mem0", size=0x1000))
-        with pytest.raises(ValueError, match="'b'.*attached to master 'a'"):
-            builder.build()
 
     def test_traffic_spec_builds_a_fresh_source_every_time(self):
         builder = SocBuilder()
@@ -480,6 +429,15 @@ def _with(**knobs):
     return [InitiatorSpec("cpu", "AXI", TrafficSpec(**knobs))]
 
 
+def _credit_loop():
+    """Two DMA initiators that declare ``credit`` with 2 and 0 tokens."""
+    return [
+        InitiatorSpec(name, "AXI", TrafficSpec(kind="dma", program=[
+            DmaDescriptor("read", wait=StreamChannel("credit", initial))]))
+        for name, initial in (("cpu", 2), ("dma", 0))
+    ]
+
+
 def _poisson(**knobs):
     return _with(kind="poisson", seed=5, pairs=[(0, 0x1000)], **knobs)
 
@@ -734,25 +692,29 @@ REFUSALS = {
     ),
     "noc_no_traffic_source": (
         "SocBuilder.traffic", lambda: noc([InitiatorSpec("cpu", "AXI")]),
-        "soc: initiator 'cpu' has no traffic source — give InitiatorSpec(traffic=...)",
+        "soc: initiator 'cpu' has no traffic spec — give "
+        "InitiatorSpec(traffic=TrafficSpec(...))",
     ),
     "bus_no_traffic_source": (
         "SocBuilder.traffic", lambda: bus([InitiatorSpec("cpu", "AXI")]),
-        "bus: initiator 'cpu' has no traffic source",
+        "bus: initiator 'cpu' has no traffic spec",
     ),
-    "noc_shared_ready_source": (
-        "SocBuilder.attached",
-        lambda: noc([InitiatorSpec(name, "AXI", source)
-                     for source in [_traffic().build("cpu")]
-                     for name in ("cpu", "dma")]),
-        "soc: initiator 'dma': its traffic source is already attached to master 'cpu'",
+    # a built source is stateful: one build only, so it has no way in
+    "noc_built_source": (
+        "SocBuilder.traffic",
+        lambda: noc([InitiatorSpec("cpu", "AXI", _traffic().build("cpu"))]),
+        "soc: initiator 'cpu' has no traffic spec — give "
+        "InitiatorSpec(traffic=TrafficSpec(...))",
     ),
-    "bus_shared_ready_source": (
-        "SocBuilder.attached",
-        lambda: bus([InitiatorSpec(name, "AXI", source)
-                     for source in [_traffic().build("cpu")]
-                     for name in ("cpu", "dma")]),
-        "bus: initiator 'dma': its traffic source is already attached to master 'cpu'",
+    # a channel name is one token log per SoC, so one initial count
+    "noc_channel_declared_twice": (
+        "SocBuilder.channels", lambda: noc(_credit_loop()),
+        "soc: initiator 'dma': channel 'credit' is declared with initial=0 but "
+        "was declared with initial=2",
+    ),
+    "bus_channel_declared_twice": (
+        "SocBuilder.channels", lambda: bus(_credit_loop()),
+        "bus: initiator 'dma': channel 'credit' is declared with initial=0",
     ),
     # sharding's block
     "noc_shards_strict": (
@@ -791,29 +753,6 @@ def test_every_check_row_has_a_case():
     assert {row for row, _, _ in REFUSALS.values()} == set(ROWS)
     bus_cases = {row for case, (row, _, _) in REFUSALS.items() if case.startswith("bus_")}
     assert {key for key, row in ROWS.items() if row in BUS_ROWS} == bus_cases
-
-
-def test_the_bus_builder_hands_out_a_ready_source_once():
-    """A ready source is stateful.  The bus builder used to take it
-    unchecked: a second BusSoc around an exhausted source completed 0 of
-    its 20 transactions without an error, and SocBuilder accepted the
-    source afterwards.  Both builders now share one hand-out."""
-    source = _traffic().build("cpu")
-    spec = InitiatorSpec("cpu", "AXI", source)
-    targets = [_mem()]
-    with pytest.raises(ValueError, match="'dma'.*attached to master 'cpu'"):
-        build_bus_soc([spec, InitiatorSpec("dma", "AXI", source)], targets)
-    broken = InitiatorSpec("dma", "AXI", _traffic(),
-                           protocol_kwargs={"no_such_option": 1})
-    with pytest.raises(TypeError, match="no_such_option"):
-        build_bus_soc([spec, broken], targets)
-    soc = build_bus_soc([spec], targets)  # the failed builds marked nothing
-    soc.run_to_completion()
-    assert soc.total_completed() == 20
-    with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
-        build_bus_soc([spec], targets)
-    with pytest.raises(ValueError, match="'cpu'.*attached to master 'cpu'"):
-        build_noc([spec], targets)
 
 
 # --------------------------------------------------------------------- #

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
-from repro.core.transaction import Opcode, ResponseStatus, make_read
+from repro.core.transaction import Opcode, ResponseStatus, make_read, make_write
 from repro.ip import TrafficSpec
+from repro.sim.fingerprint import fingerprint_soc
+from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 OK = ResponseStatus.OKAY
 
@@ -26,6 +28,27 @@ class TestScripted:
         assert polled[:3] == intents
         assert polled[3] is None
         assert src.done()
+
+
+    def test_a_run_leaves_the_spec_as_written(self):
+        """The source issues copies of the spec's intents: its master
+        stamps ids on them and rewrites their opcode (an OCP master posts
+        a STORE), so the spec reads as written after a run, and a second
+        build from it runs as the first did."""
+        store = make_write(0x40, [7])
+        builder = SocBuilder()
+        builder.add_initiator(InitiatorSpec(
+            "m0", "OCP", TrafficSpec(kind="scripted", intents=[store])))
+        builder.add_target(TargetSpec("mem", size=0x1000))
+        prints = []
+        for _ in range(2):
+            soc = builder.build()
+            soc.run_to_completion()
+            (issued,) = soc.masters["m0"].traffic.intents
+            assert issued.opcode is Opcode.STORE_POSTED and issued.txn_id == 0
+            prints.append(fingerprint_soc(soc))
+        assert store.opcode is Opcode.STORE and store.txn_id == -1
+        assert prints[0] == prints[1]
 
 
 class TestPoisson:

@@ -27,14 +27,13 @@ from repro.ip import (
 )
 from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
-from repro.sweep import Checkpoint
+from repro.sweep import Checkpoint, Override, fork
+from repro.sweep.fork import run_cold
 from repro.transport import topology as topo
-from repro.workloads import (
-    DmaDescriptor,
-    DmaEngine,
-    DmaProgramError,
-    StreamChannel,
-)
+import repro.workloads.dma
+from repro.workloads import DmaDescriptor, DmaProgramError, StreamChannel
+from repro.workloads.channels import TokenLog
+from repro.workloads.dma import DmaEngine
 from repro.workloads.scenarios import stream_pipeline
 
 
@@ -53,27 +52,31 @@ class TestScenarioRegistry:
 # stream channels
 # --------------------------------------------------------------------- #
 class TestStreamChannel:
+    """A ``StreamChannel`` declares a channel; a ``TokenLog`` is one SoC's
+    run state of it."""
+
     def test_commit_delayed_visibility(self):
-        ch = StreamChannel("ch")
-        ch.put(5)
-        assert ch.level(5) == 0  # put at 5 is not visible at 5
-        assert ch.level(6) == 1
-        assert ch.total() == 1
-        assert ch.visible_at(1) == 6
+        log = TokenLog(StreamChannel("ch"))
+        log.put(5)
+        assert log.level(5) == 0  # put at 5 is not visible at 5
+        assert log.level(6) == 1
+        assert log.total() == 1
+        assert log.visible_at(1) == 6
 
     def test_initial_credit_visible_from_cycle_zero(self):
-        ch = StreamChannel("credit", initial=3)
-        assert ch.level(0) == 3
+        credit = StreamChannel("credit", initial=3)
+        assert TokenLog(credit).level(0) == 3
+        assert credit == StreamChannel("credit", initial=3)  # a value
         with pytest.raises(ValueError, match="initial"):
             StreamChannel("bad", initial=-1)
 
     def test_put_wakes_waiters(self):
         woken = []
         master = types.SimpleNamespace(wake=lambda: woken.append(True))
-        ch = StreamChannel("ch")
-        ch.add_waiter(master)
-        ch.add_waiter(master)  # idempotent
-        ch.put(0)
+        log = TokenLog(StreamChannel("ch"))
+        log.add_waiter(master)
+        log.add_waiter(master)  # idempotent
+        log.put(0)
         assert woken == [True]
 
 
@@ -102,11 +105,25 @@ class TestDmaProgramValidation:
             DmaEngine("e", [DmaDescriptor("compute", delay=4, wait=ch)])
 
     def test_distinct_channels_sharing_a_name(self):
-        with pytest.raises(DmaProgramError, match="named"):
-            DmaEngine("e", [
-                DmaDescriptor("read", wait=StreamChannel("tok")),
-                DmaDescriptor("write", signal=StreamChannel("tok")),
-            ])
+        """A channel name is one channel: two equal declarations are one
+        token log, and a name declared with two initial counts is refused
+        by the build, naming the initiator and the channel."""
+        engines = {"e": [DmaDescriptor("read", wait=StreamChannel("tok", 1)),
+                         DmaDescriptor("write", signal=StreamChannel("tok", 1))]}
+        soc = _dma_soc(engines)
+        engine = soc.masters["e"].traffic
+        assert engine._wait[0][0] is engine._signal[1][0] is soc.sim.channels["tok"]
+        engines["f"] = [DmaDescriptor("read", signal=StreamChannel("tok"))]
+        with pytest.raises(ValueError, match="initiator 'f': channel 'tok' is "
+                                             "declared with initial=0 but"):
+            _dma_soc(engines)
+
+    def test_a_program_entry_that_is_no_descriptor_is_refused_by_the_engine(self):
+        """The builder's channel row reads past it: the engine's own
+        validation names the entry, before anything is registered."""
+        program = [DmaDescriptor("read", signal=StreamChannel("tok")), "read"]
+        with pytest.raises(DmaProgramError, match="1 is not a DmaDescriptor"):
+            _dma_soc({"e": program})
 
     def test_on_error_knob(self):
         with pytest.raises(ValueError, match="on_error"):
@@ -124,7 +141,8 @@ class TestDmaProgramValidation:
                    for k in range(2)]
         assert shared.after == (0, 0)
         for engine in engines:
-            engine.txn_ids = itertools.count()  # polled without a master
+            engine.bind_master(None, {})  # polled without a master
+            engine.txn_ids = itertools.count()
             engine.notify_complete(engine.poll(0).txn_id, 3, ResponseStatus.OKAY)
             engine.notify_complete(engine.poll(3).txn_id, 5, ResponseStatus.OKAY)
             assert engine.done()
@@ -133,11 +151,12 @@ class TestDmaProgramValidation:
 # --------------------------------------------------------------------- #
 # DMA engines on a fabric
 # --------------------------------------------------------------------- #
-def _dma_soc(engines, *, strict=False, adaptive=False,
+def _dma_soc(programs, *, strict=False, adaptive=False,
              targets=None, **builder_kwargs):
-    """Small SoC: the given engines as AXI initiators plus one memory."""
+    """Small SoC: an AXI initiator per named program plus one memory; its
+    engines are ``soc.masters[name].traffic``."""
     if adaptive:
-        endpoints = len(engines) + len(targets or [1])
+        endpoints = len(programs) + len(targets or [1])
         builder_kwargs.setdefault(
             "topology", topo.torus(4, 4, endpoints=endpoints)
         )
@@ -145,14 +164,22 @@ def _dma_soc(engines, *, strict=False, adaptive=False,
     builder = SocBuilder(
         name="dma_test", strict_kernel=strict, **builder_kwargs,
     )
-    for name, engine in engines.items():
-        builder.add_initiator(
-            InitiatorSpec(name, "AXI", engine, protocol_kwargs={"id_count": 4})
-        )
+    for name, program in programs.items():
+        builder.add_initiator(InitiatorSpec(
+            name, "AXI", TrafficSpec(kind="dma", program=program),
+            protocol_kwargs={"id_count": 4},
+        ))
     for spec in targets or [TargetSpec("mem", size=0x4000, read_latency=3,
                                        write_latency=2)]:
         builder.add_target(spec)
     return builder.build()
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Every DMA spec builds a :class:`RecordingDmaEngine` (the dma kind
+    looks its engine class up when it builds)."""
+    monkeypatch.setattr(repro.workloads.dma, "DmaEngine", RecordingDmaEngine)
 
 
 def _chain(src, dst, *, links=2, compute_delay=8, pattern=7):
@@ -177,10 +204,9 @@ def _chain(src, dst, *, links=2, compute_delay=8, pattern=7):
 
 class TestDmaEngine:
     def test_chain_orders_and_lands_in_memory(self):
-        engine = DmaEngine("dma0", _chain(0x0, 0x100, links=2, pattern=11))
-        soc = _dma_soc({"dma0": engine})
+        soc = _dma_soc({"dma0": _chain(0x0, 0x100, links=2, pattern=11)})
         soc.run_to_completion()
-        assert engine.done()
+        assert soc.masters["dma0"].traffic.done()
         # Written data is the deterministic pattern, verifiable in the
         # target memory image.
         mem = soc.memories["mem"]
@@ -188,18 +214,15 @@ class TestDmaEngine:
             assert mem.read_beat(0x100 + 4 * k, 4) == (11 + k) & 0xFFFFFFFF
             assert mem.read_beat(0x120 + 4 * k, 4) == (12 + k) & 0xFFFFFFFF
 
-    def test_dependency_order_under_adaptive_routing(self):
+    def test_dependency_order_under_adaptive_routing(self, recording):
         """The dependency DAG holds under adaptive routing, whose
         per-packet route choice can reorder a pair's packets in flight."""
-        engines = {
-            f"dma{i}": RecordingDmaEngine(
-                f"dma{i}", _chain(0x40 * i, 0x2000 + 0x40 * i,
-                                  links=3, pattern=3 * i)
-            )
+        programs = {
+            f"dma{i}": _chain(0x40 * i, 0x2000 + 0x40 * i, links=3, pattern=3 * i)
             for i in range(4)
         }
         soc = _dma_soc(
-            engines, adaptive=True,
+            programs, adaptive=True,
             targets=[TargetSpec("mem", size=0x4000, read_latency=3,
                                 write_latency=2)],
         )
@@ -210,7 +233,7 @@ class TestDmaEngine:
             for r in plane.routers.values()
         )
         assert adaptive > 0, "no packet took an adaptive-class VC"
-        for engine in engines.values():
+        for engine in (master.traffic for master in soc.masters.values()):
             assert engine.done()
             complete = {}
             for desc, burst, cycle in engine.complete_log:
@@ -226,10 +249,7 @@ class TestDmaEngine:
                     assert issued[read] >= complete[write - 3]
 
     def test_unmapped_address_halts_by_name(self):
-        engine = DmaEngine(
-            "dma0", [DmaDescriptor("read", address=0x9_0000)]
-        )
-        soc = _dma_soc({"dma0": engine})
+        soc = _dma_soc({"dma0": [DmaDescriptor("read", address=0x9_0000)]})
         with pytest.raises(WorkloadStallError) as err:
             soc.run_to_completion(max_cycles=2_000)
         assert "dma0" in str(err.value)
@@ -240,10 +260,7 @@ class TestDmaEngine:
         """A program that can never complete raises the named stall error
         (with the starved channel) instead of a bare budget timeout."""
         never = StreamChannel("never")
-        engine = DmaEngine(
-            "dma0", [DmaDescriptor("read", address=0, wait=never)]
-        )
-        soc = _dma_soc({"dma0": engine})
+        soc = _dma_soc({"dma0": [DmaDescriptor("read", address=0, wait=never)]})
         with pytest.raises(WorkloadStallError) as err:
             soc.run_to_completion(max_cycles=2_000)
         assert "starved" in str(err.value)
@@ -254,11 +271,10 @@ class TestDmaEngine:
 # streams
 # --------------------------------------------------------------------- #
 class TestStreams:
-    def test_credit_backpressure_bounds_producer_lead(self, monkeypatch):
+    def test_credit_backpressure_bounds_producer_lead(self, recording):
         """Every hop of the ``stream_pipeline`` scenario (two pipelines
         of four stages) is a credit loop of depth 4 over 24 bursts."""
         depth, total = 4, 24
-        monkeypatch.setattr(stream_pipeline, "DmaEngine", RecordingDmaEngine)
         soc = stream_pipeline.build()
         soc.run_to_completion()
         engines = {name: master.traffic for name, master in soc.masters.items()}
@@ -268,7 +284,8 @@ class TestStreams:
                 cons = engines[f"p{pipe}s{hop + 1}"]
                 write = len(prod.program) - 1  # the stage's store descriptor
                 assert prod.done() and cons.done()
-                (data,) = prod.program[write].signal
+                (data,) = prod._signal[write]
+                assert data is soc.sim.channels[f"p{pipe}.b{hop}.data"]
                 assert data.total() == total
                 # Burst b of the producer needs b+1 credit tokens: the
                 # initial `depth` preload plus one per completed consumer
@@ -284,6 +301,39 @@ class TestStreams:
                         assert cons_complete[burst - depth] < cycle
                         lead_limited += 1
                 assert lead_limited == total - depth
+
+
+    def test_one_builder_builds_the_same_soc_every_time(self):
+        """A channel declaration holds no run state: a builder whose two
+        DMA specs share a data and a credit channel builds the same SoC a
+        second time as a fresh builder does.  When the declaration was
+        the token log, the second build's consumer saw the first run's 8
+        data tokens (its ``latencies`` moved) and the first SoC's
+        consumer stayed a waiter of the shared log."""
+
+        def builder():
+            data, credit = StreamChannel("data"), StreamChannel("credit", initial=2)
+            burst = dict(beats=8, beat_bytes=4, bursts=8, ring=2)
+            builder = SocBuilder(name="reuse")
+            builder.add_initiator(InitiatorSpec("producer", "AXI", TrafficSpec(
+                kind="dma", program=[DmaDescriptor(
+                    "write", address=0, wait=credit, signal=data, **burst)])))
+            builder.add_initiator(InitiatorSpec("consumer", "AXI", TrafficSpec(
+                kind="dma", program=[DmaDescriptor(
+                    "read", address=0, wait=data, signal=credit, **burst)])))
+            builder.add_target(TargetSpec("mem", size=0x1000, read_latency=20))
+            return builder
+
+        def fingerprint(builder):
+            soc = builder.build()
+            soc.run_to_completion()
+            return fingerprint_soc(soc)
+
+        reused = builder()
+        first, second = fingerprint(reused), fingerprint(reused)
+        fresh = fingerprint(builder())
+        assert_same(second, fresh)
+        assert_same(first, fresh)
 
 
 # --------------------------------------------------------------------- #
@@ -426,16 +476,32 @@ class TestScenarioDeterminism:
         assert_same(run(name, None, "activity"), run(name, None, "strict"))
 
     def test_checkpoint_restores_mid_chain(self):
-        """Capture a DMA run mid-chain; the restored continuation matches
-        the uninterrupted run byte-for-byte."""
-        assert_same(run("dma_chain", None, cut=150), run("dma_chain", None))
+        """Capture each scenario mid-run; the restored continuation, in a
+        rebuild whose token logs start empty, matches the uninterrupted
+        run byte-for-byte."""
+        for name, cut in (("dma_chain", 150), ("stream_pipeline", 250),
+                          ("collective_allreduce", 350)):
+            assert_same(run(name, None, cut=cut), run(name, None))
+
+    def test_fork_matches_cold_on_a_stream_pipeline(self):
+        """A scenario rebuilds from its specs, so ``fork()`` restores a
+        mid-run ``stream_pipeline`` into a fresh build and continues it
+        as the cold run does."""
+        donor = stream_pipeline.build()
+        donor.run(250)
+        override = Override(name="as built", apply=lambda soc: None)
+        report = fork(Checkpoint.capture(donor), [override],
+                      builder=stream_pipeline.build, cycles=350)
+        forked = report["configs"]["as built"]
+        assert forked["mode"] == "fork"
+        assert forked["metrics"] == run_cold(stream_pipeline.build, override, 250, 350)
 
     @staticmethod
     def _fan_in_soc():
         """Two engines: a fan-in + compute cascade gated on a channel the
         second engine signals.  Returns (soc, first engine)."""
         ready = StreamChannel("ready")
-        fan = RecordingDmaEngine("fan", [
+        soc = _dma_soc({"fan": [
             DmaDescriptor("read", address=0x000, bursts=2),
             DmaDescriptor("read", address=0x100, bursts=3),
             DmaDescriptor("compute", delay=40, after=(0, 1)),
@@ -444,13 +510,12 @@ class TestScenarioDeterminism:
             DmaDescriptor("write", address=0x800, after=(4,), wait=ready,
                           bursts=2, pattern=9),
             DmaDescriptor("write", address=0xC00, after=(5, 2), pattern=5),
-        ])
-        feeder = DmaEngine("feeder", [
+        ], "feeder": [
             DmaDescriptor("read", address=0x400, bursts=2, signal=ready),
-        ])
-        return _dma_soc({"fan": fan, "feeder": feeder}), fan
+        ]})
+        return soc, soc.masters["fan"].traffic
 
-    def test_checkpoint_restores_at_every_frontier_shape(self):
+    def test_checkpoint_restores_at_every_frontier_shape(self, recording):
         """The frontier is derived state: whatever it held at the cut —
         nothing issued, bursts in flight, a compute armed but not due,
         the last descriptor in flight, everything done — the restored
