@@ -26,10 +26,14 @@ from repro.core.transaction import Opcode, ResponseStatus, Transaction
 from repro.bus.shared_bus import MAX_BURST_BEATS, BusOp, BusReply, SharedBus
 from repro.protocols.base import ProtocolMaster
 from repro.sim.component import Component
+from repro.sim.stats import Counters
 
 
 class Bridge(Component):
     """Socket → reference-bus converter for one master."""
+
+    COUNTERS = Counters("bridges", (
+        "intents_converted", "splits", "lock_emulations", "serialization_stall_cycles"))
 
     def __init__(
         self,

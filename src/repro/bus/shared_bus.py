@@ -41,6 +41,7 @@ from repro.protocols.base import SlaveRequest
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters
 from repro.transport.qos import Candidate, RoundRobinArbiter
 
 #: Largest burst the reference socket can carry (AHB INCR16).
@@ -77,6 +78,10 @@ class BusReply:
 
 class SharedBus(Component):
     """The arbitrated reference-socket bus."""
+
+    COUNTERS = Counters(
+        "buses", ("transfers", "busy_cycles", "lock_held_cycles", "grant_wait_cycles")
+    )
 
     def __init__(
         self,

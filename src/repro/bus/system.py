@@ -43,6 +43,11 @@ class BusSoc(BuiltSoc):
     masters: Dict[str, ProtocolMaster]
     bridges: Dict[str, Bridge]
 
+    @property
+    def memories(self) -> Dict[str, Memory]:
+        """The bus's memories by target name."""
+        return {r.name: self.bus.targets[r.slv_addr] for r in self.address_map.ranges()}
+
     def quiescent(self) -> bool:
         return (
             all(m.finished() for m in self.masters.values())

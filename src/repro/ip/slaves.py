@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 from repro.core.transaction import ResponseStatus
 from repro.protocols.base import SlaveRequest, SlaveResponse, SlaveSocket
 from repro.sim.component import Component
+from repro.sim.stats import Counters
 
 
 class ByteStore:
@@ -79,6 +80,8 @@ class Memory:
         ``(offset, size)`` windows that respond SLVERR — used by error
         propagation tests.
     """
+
+    COUNTERS = Counters("memories", ("reads_served", "writes_served", "errors_served"))
 
     def __init__(
         self,

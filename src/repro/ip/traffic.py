@@ -49,6 +49,7 @@ from repro.core.transaction import (
 )
 from repro.core.checks import Check, check, knob
 from repro.sim.kernel import SimulationError
+from repro.sim.stats import Counters
 
 
 class WorkloadStallError(SimulationError):
@@ -258,6 +259,8 @@ class PoissonTraffic:
     AXI/AVCI ID).
     """
 
+    COUNTERS = Counters("traffic", ("remaining",))
+
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
         self.rng = random.Random(spec.seed)
@@ -364,6 +367,8 @@ class DependentTraffic:
     """Closed-loop, CPU-like: the next intent issues ``think_cycles``
     after the previous one completes (dependent loads)."""
 
+    COUNTERS = Counters("traffic", ("remaining",))
+
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
         self.rng = random.Random(spec.seed)
@@ -419,6 +424,8 @@ class DependentTraffic:
 
 class StreamTraffic:
     """DMA-like: back-to-back long INCR bursts sweeping a region."""
+
+    COUNTERS = Counters("traffic", ("bursts_remaining",))
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name
@@ -487,6 +494,10 @@ class SyncWorkload:
     section work runs only after a successful exclusive store, and the
     semaphore is freed with a plain store.
     """
+
+    COUNTERS = Counters(
+        "traffic", ("iterations_left", "retries", "sections_completed")
+    )
 
     def __init__(self, spec: TrafficSpec, name: str) -> None:
         self.name = name

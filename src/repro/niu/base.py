@@ -41,6 +41,7 @@ from repro.protocols.base import (
 )
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters
 from repro.transport.network import Fabric
 
 
@@ -52,6 +53,10 @@ class InitiatorNiu(Component):
     socket's ``family``: with no ``policy`` the row's default, and a
     policy of any other ordering model is a ``ValueError``.
     """
+
+    COUNTERS = Counters("initiator_nius", (
+        "requests_sent", "responses_delivered", "stall_cycles", "posted_sent",
+        "decode_errors"))
 
     def __init__(
         self,
@@ -258,6 +263,9 @@ class TargetNiu(Component):
     (the "state information in the NIU" of §3) and the lock manager for
     the legacy blocking family.
     """
+
+    COUNTERS = Counters("target_nius", (
+        "requests_served", "excl_failures", "lock_blocked_cycles", "posted_served"))
 
     def __init__(
         self,

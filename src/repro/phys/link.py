@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters
 from repro.transport.flit import Flit
 
 
@@ -126,6 +127,8 @@ class PhysicalLink(Component):
     itself is never domain-gated by the kernel (it spans two domains);
     it self-gates each side on the matching domain's edges.
     """
+
+    COUNTERS = Counters("links", ("phits_carried",))
 
     def __init__(
         self,
@@ -342,6 +345,8 @@ class VcPhysicalLink(Component):
     it scheduled while any delivered flit is still buffered downstream
     (its credit is out), so a downstream pop needs no wake.
     """
+
+    COUNTERS = Counters("links", ("phits_carried",))
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ from repro.core.transaction import ResponseStatus, Transaction
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters
 
 
 class ProtocolError(RuntimeError):
@@ -190,6 +191,10 @@ class ProtocolMaster(Component):
       return ``(txn_id, status)`` for every intent answered this cycle,
       the native status read in the transaction layer's vocabulary.
     """
+
+    COUNTERS = Counters(
+        "masters", ("issued", "completed", "errors", "excl_failures", "exokay")
+    )
 
     protocol_name = "BASE"
     native_side = NativeSide

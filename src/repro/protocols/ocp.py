@@ -154,6 +154,8 @@ class OcpMaster(ProtocolMaster):
     intents go out as posted ``WR`` commands that complete at acceptance.
     """
 
+    COUNTERS = ProtocolMaster.COUNTERS.extend("posted_count")
+
     protocol_name = "OCP"
     native_side = OcpSide
     request_channels = ("req",)

@@ -122,6 +122,8 @@ class MsgSide(NativeSide):
 class MsgMaster(ProtocolMaster):
     """Proprietary message-port master: strictly ordered, posted PUTs."""
 
+    COUNTERS = ProtocolMaster.COUNTERS.extend("fences_issued")
+
     protocol_name = "PROPRIETARY"
     native_side = MsgSide
     request_channels = ("msg",)

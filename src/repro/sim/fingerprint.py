@@ -1,12 +1,18 @@
-"""Shared run-fingerprint helpers for determinism and snapshot tests.
+"""The run fingerprint: the determinism contract's one comparable dict.
 
-A *fingerprint* is the full observable surface of a run — per-queue
-counters, per-component stats, latency histograms, the trace stream, the
-memory images — collected into one comparable dict.  The kernel
+A *fingerprint* is the full observable surface of a run: every named
+part's declared counters, the masters' latency summaries, the registry
+histograms, the trace stream and the memory images.  The kernel
 determinism matrix pins the activity kernel against the strict reference
-with it; the snapshot round-trip tests pin a restored run against an
-uninterrupted one with the very same structure, so "byte-identical
-restore" means exactly what "byte-identical kernels" means.
+with it, and the snapshot round-trip tests a restored run against an
+uninterrupted one, so "byte-identical restore" means exactly what
+"byte-identical kernels" means.
+
+The counters are one walk over :func:`named_parts` (the parts a
+checkpoint carries): a part whose class declares ``COUNTERS`` (a
+:class:`~repro.sim.stats.Counters`) puts those attributes, in declared
+order, in the declared section under its name, e.g.
+``fingerprint["routers"][name] == (flits_forwarded, ...)``.
 
 A memory image is one value per memory: its store's data and
 written-mask as two hex strings (:meth:`repro.ip.slaves.ByteStore.image`),
@@ -20,67 +26,48 @@ own simulator's streams.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 
 def reset_ids() -> None:
     """No-op: a SoC's ids are its simulator's (kept for older callers)."""
 
 
+def named_parts(soc) -> Dict[Tuple[str, str], object]:
+    """The SoC's parts by ``(kind, name)``: every registered component
+    and queue, by registration name, and every master's traffic source,
+    by the master's name."""
+    named: Dict[Tuple[str, str], object] = {}
+    for component in soc.sim._components:
+        named["component", component.name] = component
+    for queue in soc.sim._queues:
+        named["queue", queue.name] = queue
+    for name, master in soc.masters.items():
+        named["traffic source", name] = master.traffic
+    return named
+
+
+def declared_counters(named) -> Dict[str, Dict[str, Tuple[int, ...]]]:
+    """``{section: {name: counters}}`` of every part in ``named`` whose
+    class declares ``COUNTERS``."""
+    sections: Dict[str, Dict[str, Tuple[int, ...]]] = {}
+    for (__, name), part in named.items():
+        declared = getattr(part, "COUNTERS", None)
+        if declared is not None:
+            sections.setdefault(declared.section, {})[name] = tuple(
+                getattr(part, counter) for counter in declared.names
+            )
+    return sections
+
+
 def fingerprint_soc(soc) -> Dict:
     """Collect the observable-state fingerprint of ``soc`` right now."""
     sim = soc.sim
-    queues = {
-        name: (q.total_pushed, q.total_popped, q.high_watermark)
-        for name, q in sim._queue_names.items()
-    }
-    masters = {
-        name: (m.issued, m.completed, m.errors, m.excl_failures)
-        for name, m in soc.masters.items()
-    }
-    routers = {}
-    eports = {}
-    for plane in (soc.fabric.request_plane, soc.fabric.response_plane):
-        for router in plane.routers.values():
-            routers[router.name] = (
-                router.flits_forwarded,
-                router.packets_forwarded,
-                router.lock_stall_cycles,
-                router.packets_adaptive,
-                router.packets_escape,
-            )
-        for eport in plane.ejection_ports.values():
-            eports[eport.name] = (
-                eport.packets_ejected,
-                eport.packets_resequenced,
-                eport.reorder_high_watermark,
-            )
-    nius = {
-        name: (niu.requests_sent, niu.responses_delivered, niu.stall_cycles)
-        for name, niu in soc.initiator_nius.items()
-    }
-    tnius = {
-        name: (t.requests_served, t.excl_failures, t.lock_blocked_cycles)
-        for name, t in soc.target_nius.items()
-    }
-    latencies = {name: soc.master_latency(name) for name in soc.masters}
     return {
-        "queues": queues,
-        "masters": masters,
-        "routers": routers,
-        "ejection_ports": eports,
-        "initiator_nius": nius,
-        "target_nius": tnius,
-        "latencies": latencies,
+        **declared_counters(named_parts(soc)),
+        "latencies": {name: soc.master_latency(name) for name in soc.masters},
         "stats": sim.stats.histograms(),
         "trace": sim.trace.dump(),
         "memory": soc.memory_image(),
-        "completed": soc.total_completed(),
         "cycle": sim.cycle,
     }
-
-
-def fingerprint(soc, cycles: int) -> Dict:
-    """Run ``soc`` for ``cycles`` and return its fingerprint."""
-    soc.run(cycles)
-    return fingerprint_soc(soc)

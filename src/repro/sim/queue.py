@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.sim.stats import Counters
+
 
 class SimQueue:
     """Bounded FIFO with next-cycle push visibility.
@@ -44,6 +46,8 @@ class SimQueue:
         Maximum number of items committed + staged.  ``None`` means
         unbounded (useful for sink-side scoreboards in tests).
     """
+
+    COUNTERS = Counters("queues", ("total_pushed", "total_popped", "high_watermark"))
 
     # Slotted: queue attribute access (_occ, _committed, capacity) is
     # the single hottest operation in the simulator.

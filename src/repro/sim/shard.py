@@ -75,8 +75,10 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.sim.component import Component
+from repro.sim.fingerprint import declared_counters, named_parts
 from repro.sim.kernel import SerialCounter, SimulationError, Simulator
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters, Histogram
 from repro.transport.topology import Topology, router_sort_key
 
 
@@ -203,6 +205,8 @@ class ShardLinkTx(Component):
     ``(pop_cycle, vc, count)`` that mature at
     ``pop_cycle + credit_return_latency``.
     """
+
+    COUNTERS = Counters("boundary_tx", ("phits_carried",))
 
     def __init__(
         self,
@@ -331,6 +335,8 @@ class ShardLinkRx(Component):
     flits, which is exactly when pops can happen.
     """
 
+    COUNTERS = Counters("boundary_rx", ("flits_delivered",))
+
     def __init__(self, name: str, deliveries: List[SimQueue]) -> None:
         super().__init__(name)
         self.deliveries = list(deliveries)
@@ -431,9 +437,6 @@ class ShardOwnership:
         for queue in sim._queues[q0:]:
             self.queue_owner[queue.name] = shard
 
-    def queues_of(self, shard: int) -> set:
-        return {n for n, s in self.queue_owner.items() if s == shard}
-
     def finalize(self) -> None:
         unowned = [
             c.name
@@ -529,114 +532,55 @@ def shard_next_event(sim: Simulator) -> Optional[int]:
 # per-shard fingerprints
 # --------------------------------------------------------------------- #
 def fingerprint_shard(soc, shard: int) -> Dict:
-    """The slice of :func:`repro.sim.fingerprint.fingerprint_soc` owned
-    by ``shard``, with the registry histograms themselves (shared
-    plane-level histograms — per-priority flow latencies — are recorded
-    by several shards and merge exactly by adding their counts)."""
-    ownership = soc.shard_ownership
-    owned_queues = ownership.queues_of(shard)
-    owner = ownership.component_owner
+    """The part of :func:`repro.sim.fingerprint.fingerprint_soc` owned by
+    ``shard`` (a traffic source goes with its master), with the registry
+    histograms themselves (shared plane-level histograms — per-priority
+    flow latencies — are recorded by several shards and merge exactly by
+    adding their counts)."""
+    owner = soc.shard_ownership.component_owner
+    owners = {"queue": soc.shard_ownership.queue_owner}
     sim = soc.sim
-
-    def mine(obj) -> bool:
-        return owner.get(obj.name) == shard
-
-    queues = {
-        name: (q.total_pushed, q.total_popped, q.high_watermark)
-        for name, q in sim._queue_names.items()
-        if name in owned_queues
-    }
-    masters = {
-        name: (m.issued, m.completed, m.errors, m.excl_failures)
-        for name, m in soc.masters.items()
-        if mine(m)
-    }
-    routers = {}
-    eports = {}
-    for plane in (soc.fabric.request_plane, soc.fabric.response_plane):
-        for router in plane.routers.values():
-            if not mine(router):
-                continue
-            routers[router.name] = (
-                router.flits_forwarded,
-                router.packets_forwarded,
-                router.lock_stall_cycles,
-                router.packets_adaptive,
-                router.packets_escape,
-            )
-        for eport in plane.ejection_ports.values():
-            if not mine(eport):
-                continue
-            eports[eport.name] = (
-                eport.packets_ejected,
-                eport.packets_resequenced,
-                eport.reorder_high_watermark,
-            )
-    nius = {
-        name: (niu.requests_sent, niu.responses_delivered, niu.stall_cycles)
-        for name, niu in soc.initiator_nius.items()
-        if mine(niu)
-    }
-    tnius = {
-        name: (t.requests_served, t.excl_failures, t.lock_blocked_cycles)
-        for name, t in soc.target_nius.items()
-        if mine(t)
-    }
-    latencies = {
-        name: soc.master_latency(name)
-        for name, m in soc.masters.items()
-        if mine(m)
-    }
-    memory = {
-        name: mem.store.image()
-        for name, mem in sorted(soc.memories.items())
-        if mine(mem)
-    }
     return {
-        "queues": queues,
-        "masters": masters,
-        "routers": routers,
-        "ejection_ports": eports,
-        "initiator_nius": nius,
-        "target_nius": tnius,
-        "latencies": latencies,
+        **declared_counters({
+            (kind, name): part for (kind, name), part in named_parts(soc).items()
+            if owners.get(kind, owner)[name] == shard
+        }),
+        "latencies": {
+            name: soc.master_latency(name)
+            for name in soc.masters if owner[name] == shard
+        },
+        "memory": {
+            name: image for name, image in soc.memory_image().items()
+            if owner[name] == shard
+        },
         "histograms": dict(sim.stats._histograms),
         "trace": sim.trace.dump(),
-        "memory": memory,
-        "completed": sum(m.completed for m in soc.masters.values() if mine(m)),
         "cycle": sim.cycle,
     }
 
 
 def merge_shard_fingerprints(fragments: List[Dict]) -> Dict:
     """Union per-shard fragments into one :func:`fingerprint_soc`-shaped
-    dict (byte-comparable with the single-process run)."""
-    from repro.sim.stats import Histogram
-
+    dict (byte-comparable with the single-process run): every section a
+    fragment holds is unioned by name, and the histograms merge."""
     if not fragments:
         raise ValueError("merge_shard_fingerprints() needs >= 1 fragment")
     cycles = {fragment["cycle"] for fragment in fragments}
     if len(cycles) != 1:
         raise RuntimeError(f"shards ended at different cycles: {cycles!r}")
-    merged: Dict = {
-        "queues": {},
-        "masters": {},
-        "routers": {},
-        "ejection_ports": {},
-        "initiator_nius": {},
-        "target_nius": {},
-        "latencies": {},
-        "memory": {},
-    }
-    for section in merged:
-        for fragment in fragments:
-            for name, value in fragment[section].items():
-                if name in merged[section]:
+    merged: Dict = {}
+    for fragment in fragments:
+        for section, part in fragment.items():
+            if section in ("histograms", "trace", "cycle"):
+                continue
+            into = merged.setdefault(section, {})
+            for name, value in part.items():
+                if name in into:
                     raise RuntimeError(
                         f"shard fingerprint collision in {section!r}: "
                         f"{name!r} owned by two shards"
                     )
-                merged[section][name] = value
+                into[name] = value
     histograms: Dict[str, Histogram] = {}
     for fragment in fragments:
         for name, part in fragment["histograms"].items():
@@ -647,7 +591,5 @@ def merge_shard_fingerprints(fragments: List[Dict]) -> Dict:
     # Sharded builds reject enabled tracers, so every fragment's trace
     # dump is the empty string; join keeps the fingerprint_soc shape.
     merged["trace"] = "\n".join(t for t in (f["trace"] for f in fragments) if t)
-    merged["memory"] = dict(sorted(merged["memory"].items()))
-    merged["completed"] = sum(f["completed"] for f in fragments)
     merged["cycle"] = cycles.pop()
     return merged

@@ -6,15 +6,36 @@ plane's packet latencies by priority and by source→destination pair,
 recorded at the ejection ports and read by ``NocSoc.flow_stats()``) and
 latency stats (each master's ``<name>.txn`` request→response latency,
 read by ``NocSoc.master_latency()``).  Event counts are not kept here:
-each component counts its own events in plain integer attributes
-(``Router.flits_forwarded``, ``SimQueue.total_pushed``, ...), which the
-fingerprint reads directly.  Both tables travel with a checkpoint.
+each component, queue and traffic source counts its own events in plain
+integer attributes (``Router.flits_forwarded``, ``SimQueue.total_pushed``,
+...), and its class names them once in a :class:`Counters` declaration,
+which is all :func:`~repro.sim.fingerprint.fingerprint_soc` reads of it.
+Both tables travel with a checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
+
+
+class Counters(NamedTuple):
+    """A class's event counters, declared once as its ``COUNTERS``: the
+    fingerprint section its instances go in and the names of their int
+    counter attributes, in tuple order.  A subclass :meth:`extend`-s its
+    base's, so a section's shared names lead every tuple in it."""
+
+    section: str
+    names: Tuple[str, ...]
+
+    def extend(self, *names: str) -> "Counters":
+        """The same section, with ``names`` after this declaration's."""
+        return Counters(self.section, self.names + names)
+
+    def total(self, fingerprint: Dict, name: str) -> int:
+        """Counter ``name`` summed over this section of ``fingerprint``."""
+        index = self.names.index(name)
+        return sum(row[index] for row in fingerprint.get(self.section, {}).values())
 
 
 class Histogram:

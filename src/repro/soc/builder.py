@@ -153,8 +153,9 @@ def add_master(
 
 
 class BuiltSoc:
-    """What both builders return: a simulator and its masters by name
-    (subclasses set ``sim`` and ``masters``), run and measured alike."""
+    """What both builders return: a simulator, its masters and its
+    memories by name (subclasses set ``sim``, ``masters`` and
+    ``memories``), run and measured alike."""
 
     def run(self, cycles: int) -> int:
         return self.sim.run(cycles)
@@ -179,6 +180,14 @@ class BuiltSoc:
 
     def ordering_violations(self) -> int:
         return sum(len(m.checker.violations) for m in self.masters.values())
+
+    def memory_image(self) -> Dict[str, Tuple[str, str]]:
+        """Every memory's :meth:`~repro.ip.slaves.ByteStore.image`, by
+        name: two hex strings per memory (the layer-independence
+        fingerprint)."""
+        return {
+            name: mem.store.image() for name, mem in sorted(self.memories.items())
+        }
 
 
 @dataclass(eq=False)
@@ -281,14 +290,6 @@ class NocSoc(BuiltSoc):
                     by_pair[key[5:]] = summary
             out[direction] = {"priority": by_prio, "pairs": by_pair}
         return out
-
-    def memory_image(self) -> Dict[str, Tuple[str, str]]:
-        """Every memory's :meth:`~repro.ip.slaves.ByteStore.image`, by
-        name: two hex strings per memory (the layer-independence
-        fingerprint)."""
-        return {
-            name: mem.store.image() for name, mem in sorted(self.memories.items())
-        }
 
 
 #: The connection classes ``links=`` may map to a :class:`LinkSpec`.

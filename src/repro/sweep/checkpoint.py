@@ -44,6 +44,7 @@ import struct
 from types import FunctionType, MethodType
 from typing import Dict, FrozenSet, Tuple
 
+from repro.sim.fingerprint import named_parts
 from repro.sim.shard import ShardConfigError
 
 #: Bump when the on-disk envelope or the payload's layout changes shape,
@@ -70,21 +71,15 @@ class CheckpointCaptureError(RuntimeError):
 
 
 def _named_objects(soc) -> Dict[Tuple[str, str], object]:
-    """The objects a checkpoint carries the state of, by name."""
+    """The objects a checkpoint carries the state of, by name: the SoC,
+    its simulator and its :func:`~repro.sim.fingerprint.named_parts`."""
     if getattr(soc, "shard_plan", None) is not None:
         raise ShardConfigError(
             "a checkpoint of a sharded build is out of scope (v1): no "
             "restore of one is shown to replay byte-identically — build "
             "without shards= for checkpoint sweeps"
         )
-    named = {("soc", ""): soc, ("simulator", ""): soc.sim}
-    for component in soc.sim._components:
-        named["component", component.name] = component
-    for queue in soc.sim._queues:
-        named["queue", queue.name] = queue
-    for name, master in soc.masters.items():
-        named["traffic source", name] = master.traffic
-    return named
+    return {("soc", ""): soc, ("simulator", ""): soc.sim, **named_parts(soc)}
 
 
 def _describe(key: Tuple[str, str]) -> str:

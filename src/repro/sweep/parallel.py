@@ -57,13 +57,17 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.phys.link import PhysicalLink
+from repro.protocols.base import ProtocolMaster
 from repro.sim.shard import (
     ShardConfigError,
+    ShardLinkTx,
     fingerprint_shard,
     merge_shard_fingerprints,
     restrict_to_shard,
     shard_next_event,
 )
+from repro.transport.router import Router
 from repro.sweep.worker import mp_context
 
 
@@ -116,34 +120,13 @@ def _boundary_meta(soc) -> Dict:
     }
 
 
-def _shard_metrics(soc, shard: Optional[int]) -> Dict[str, int]:
-    """Traffic counters for this shard (``shard=None``: the whole SoC)."""
-    owner = (
-        soc.shard_ownership.component_owner if shard is not None else None
-    )
-
-    def mine(name: str) -> bool:
-        return owner is None or owner.get(name) == shard
-
-    flits = 0
-    for plane in soc.fabric._planes:
-        for router in plane.routers.values():
-            if mine(router.name):
-                flits += router.flits_forwarded
-    phits = sum(
-        link.phits_carried
-        for link in soc.fabric.physical_links
-        if mine(link.name)
-    )
-    all_tx, __ = _boundary_halves(soc)
-    phits += sum(tx.phits_carried for tx in all_tx.values() if mine(tx.name))
-    completed = sum(
-        m.completed for m in soc.masters.values() if mine(m.name)
-    )
+def _metrics(fingerprint: Dict) -> Dict[str, int]:
+    """A run's traffic totals: sums over its fingerprint's sections."""
     return {
-        "flits_forwarded": flits,
-        "phits_carried": phits,
-        "completed": completed,
+        "flits_forwarded": Router.COUNTERS.total(fingerprint, "flits_forwarded"),
+        "phits_carried": sum(link.COUNTERS.total(fingerprint, "phits_carried")
+                             for link in (PhysicalLink, ShardLinkTx)),
+        "completed": ProtocolMaster.COUNTERS.total(fingerprint, "completed"),
     }
 
 
@@ -202,13 +185,7 @@ def _shard_worker_main(conn, builder: Callable, shard: int) -> None:
                     )
                 )
             elif command == "finish":
-                conn.send(
-                    (
-                        "result",
-                        fingerprint_shard(soc, shard),
-                        _shard_metrics(soc, shard),
-                    )
-                )
+                conn.send(("result", fingerprint_shard(soc, shard)))
                 conn.close()
                 return
             else:
@@ -239,11 +216,12 @@ def _run_single_process(builder: Callable, cycles: int) -> Dict:
     soc.run(cycles)
     cpu = time.process_time() - cpu_started
     wall = time.perf_counter() - started
+    fingerprint = fingerprint_soc(soc)
     return {
         "processes": 1,
-        "fingerprint": fingerprint_soc(soc),
+        "fingerprint": fingerprint,
         "cycle": soc.sim.cycle,
-        "metrics": _shard_metrics(soc, None),
+        "metrics": _metrics(fingerprint),
         "timing": {
             "wall_s": wall,
             # Same CPU-time basis as the parallel critical path, so
@@ -392,22 +370,17 @@ def run_sharded(builder: Callable, *, cycles: int, processes: int) -> Dict:
             critical_path += round_busy
         critical_path += coordinator_s
 
-        fragments = []
-        metrics = {"flits_forwarded": 0, "phits_carried": 0, "completed": 0}
         for conn in connections:
             conn.send(("finish",))
-        for conn in connections:
-            __, fragment, shard_metrics = expect(conn, "result")
-            fragments.append(fragment)
-            for key in metrics:
-                metrics[key] += shard_metrics[key]
-        merged = merge_shard_fingerprints(fragments)
+        merged = merge_shard_fingerprints(
+            [expect(conn, "result")[1] for conn in connections]
+        )
         wall = time.perf_counter() - wall_started
         return {
             "processes": processes,
             "fingerprint": merged,
             "cycle": merged["cycle"],
-            "metrics": metrics,
+            "metrics": _metrics(merged),
             "timing": {
                 "wall_s": wall,
                 "critical_path_s": critical_path,

@@ -11,7 +11,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.core.packet import NocPacket
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
-from repro.sim.stats import Histogram
+from repro.sim.stats import Counters, Histogram
 from repro.transport.flit import Flit, Packetizer, Reassembler
 from repro.transport.routing import VcPolicy
 
@@ -39,6 +39,8 @@ class InjectionPort(Component):
     packet-id stream (``sim.packet_ids``, or a sharded build's stream of
     its own).
     """
+
+    COUNTERS = Counters("injection_ports", ("flits_injected", "packets_injected"))
 
     def __init__(
         self,
@@ -158,6 +160,9 @@ class EjectionPort(Component):
     tracks it.  Deterministic planes skip the machinery entirely
     (identical wiring and timing to the pre-adaptive fabric).
     """
+
+    COUNTERS = Counters("ejection_ports", (
+        "packets_ejected", "packets_resequenced", "reorder_high_watermark"))
 
     def __init__(
         self,

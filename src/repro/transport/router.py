@@ -95,6 +95,7 @@ from repro.core.packet import PacketKind
 from repro.core.transaction import Opcode
 from repro.sim.component import Component
 from repro.sim.queue import SimQueue
+from repro.sim.stats import Counters
 from repro.transport.flit import Flit
 from repro.transport.qos import Arbiter, Candidate, PriorityArbiter
 from repro.transport.routing import AdaptiveRoutingTable, VcPolicy
@@ -163,6 +164,10 @@ class _OutputPort:
 
 class Router(Component):
     """One switch.  Wiring is done by :class:`~repro.transport.network.Network`."""
+
+    COUNTERS = Counters("routers", (
+        "flits_forwarded", "packets_forwarded", "lock_stall_cycles",
+        "packets_adaptive", "packets_escape"))
 
     #: Body-flit streaming fast path: once a head holds its output VC and
     #: an output is uncontested, later flits bypass candidate

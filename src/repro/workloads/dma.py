@@ -31,6 +31,7 @@ from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction, make_read, make_write
+from repro.sim.stats import Counters
 from repro.workloads.channels import StreamChannel, TokenLog
 
 __all__ = ["DmaDescriptor", "DmaEngine", "DmaProgramError"]
@@ -182,6 +183,8 @@ class DmaEngine:
     complete and nothing issued, and a checkpoint carries it as it
     stands.
     """
+
+    COUNTERS = Counters("traffic", ("bursts_completed",))
 
     def __init__(
         self,

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
+from differential import exclusive, pinned_bus_soc
 from repro.bus import build_bus_soc, coverage_matrix, coverage_score
 from repro.bus.coverage import FeatureSupport, format_matrix
 from repro.core.transaction import Opcode, Transaction, make_read, make_write
 from repro.ip import TrafficSpec
-from repro.protocols.proprietary import make_fence
+from repro.sim.fingerprint import fingerprint_soc
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 
@@ -179,11 +180,6 @@ class TestBusArbitration:
         assert soc.bus.lock_held_cycles > 0
 
 
-def _excl(txn):
-    txn.excl = True
-    return txn
-
-
 class TestBridgedExclusives:
     def test_a_store_issued_behind_its_load_cannot_wedge_the_bus(self):
         """An AXI master issues an exclusive load and its store back to
@@ -195,7 +191,7 @@ class TestBridgedExclusives:
         keeps an exclusive store behind its load."""
         initiators = [
             InitiatorSpec("cpu", "AXI", TrafficSpec(kind="scripted", intents=[
-                make_read(0x0), _excl(make_read(0x40)), _excl(make_write(0x40, [1])),
+                make_read(0x0), exclusive(make_read(0x40)), exclusive(make_write(0x40, [1])),
             ])),
             InitiatorSpec("io", "BVCI", TrafficSpec(kind="scripted", intents=[
                 make_read(0x10 * i) for i in range(4)
@@ -376,91 +372,24 @@ def test_mixed_bus_completes_identically_on_both_kernels(monkeypatch):
     assert sum(done for _, done, _ in activity[2].values()) > 120
 
 
-def _pinned_bus_run():
-    """All seven families on the bus, to completion: an AXI exclusive
-    loop, an AXI exclusive pair issued back to back behind a read and an
-    OCP exclusive pair, an AHB locked sequence, an OCP posted write, a
-    FENCE on the proprietary port and a 40-beat AXI burst over the
-    16-beat cap, beside three Poisson VCI masters."""
-    ranges = [(0, 0x2000), (0x2000, 0x2000)]
-    scripted = {
-        "cpu_ahb": ("AHB", {}, [
-            make_write(0x100, [1, 2, 3, 4]), make_read(0x100, beats=4),
-            Transaction(opcode=Opcode.READEX, address=0x40),
-            Transaction(opcode=Opcode.STORE_COND_LOCKED, address=0x40, data=[7]),
-            make_read(0x2040),
-        ]),
-        "gpu_axi": ("AXI", {}, [
-            make_write(0x400, list(range(40))), make_read(0x400, beats=40),
-            make_read(0x2400, beats=8, txn_tag=1), make_read(0x9000_0000),
-        ]),
-        "pair_axi": ("AXI", {}, [
-            make_read(0x1400), _excl(make_read(0x1440)),
-            _excl(make_write(0x1440, [9])),
-        ]),
-        "dsp_ocp": ("OCP", {"threads": 2}, [
-            make_write(0x800, [5, 6], posted=True),
-            _excl(make_read(0xC0, thread=1)), _excl(make_write(0xC0, [3], thread=1)),
-            make_read(0x800, beats=2), make_write(0x2800, [8]),
-        ]),
-        "acc_msg": ("PROPRIETARY", {}, [
-            make_write(0x1000, [11, 12]), make_write(0x1008, [13], posted=True),
-            make_fence(), make_read(0x1000, beats=3),
-        ]),
-    }
-    initiators = [
-        InitiatorSpec(name, protocol, TrafficSpec(kind="scripted", intents=intents),
-                      protocol_kwargs=kwargs)
-        for name, (protocol, kwargs, intents) in scripted.items()
-    ] + [
-        InitiatorSpec("sync_axi", "AXI", TrafficSpec(kind="sync", style="excl",
-                                                     iterations=2)),
-    ] + [
-        InitiatorSpec(f"io_{protocol.lower()}", protocol,
-                      TrafficSpec(kind="poisson", pairs=ranges, count=12,
-                                  seed=seed, tags=4, rate=0.3))
-        for seed, protocol in enumerate(("PVCI", "BVCI", "AVCI"), start=7)
-    ]
-    targets = [
-        TargetSpec("dram", size=0x2000, read_latency=6, write_latency=3),
-        TargetSpec("sram", size=0x2000, read_latency=2, write_latency=1),
-    ]
-    soc = build_bus_soc(initiators, targets)
-    cycles = soc.run_to_completion(max_cycles=100_000)
-    bus = soc.bus
-    return {
-        "cycles": cycles,
-        "masters": {
-            name: (m.issued, m.completed, m.errors, m.exokay, m.excl_failures,
-                   soc.master_latency(name))
-            for name, m in soc.masters.items()
-        },
-        "bridges": {
-            name: (b.intents_converted, b.splits, b.lock_emulations,
-                   b.serialization_stall_cycles)
-            for name, b in soc.bridges.items()
-        },
-        "bus": (bus.transfers, bus.busy_cycles, bus.lock_held_cycles,
-                bus.grant_wait_cycles),
-        "stores": {spec.name: bus.targets[slv].store.image()
-                   for slv, spec in enumerate(targets)},
-    }
-
-
-#: ``_pinned_bus_run``'s digest, re-taken when the recipe gained the
+#: ``pinned_bus_soc``'s digest after its run to completion, re-taken when the recipe gained the
 #: back-to-back AXI exclusive pair (``pair_axi``), which wedged the bus
 #: before the AXI side kept an exclusive store behind its load.  The
 #: recipe without it read the same digest with the bus's own round-robin
 #: and memory copy as with the routers' arbiter and ``Memory``.  Re-taken
 #: again when a store's image became its two hex strings, after the old
-#: model hashed with the new image had matched it.
-PINNED_BUS_RUN = "d1870f8dac47f0fa"
+#: model hashed with the new image had matched it.  Re-taken when the
+#: recipe returned ``fingerprint_soc`` instead of its own tuples, after
+#: the old model, its readers patched to emit that shape, had matched it.
+PINNED_BUS_RUN = "b2d47661abd1b379"
 
 
 def test_pinned_bus_run():
-    observed = _pinned_bus_run()
+    soc = pinned_bus_soc()
+    soc.run_to_completion(max_cycles=100_000)
+    observed = fingerprint_soc(soc)
     assert observed["masters"]["acc_msg"][1] == 4  # the FENCE answered
-    assert observed["bridges"]["gpu_axi"][1] == 2  # both 40-beat bursts split
+    assert observed["bridges"]["gpu_axi.bridge"][1] == 2  # both 40-beat bursts split
     digest = hashlib.sha256(
         json.dumps(observed, sort_keys=True, default=repr).encode()
     ).hexdigest()[:16]

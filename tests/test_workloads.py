@@ -19,6 +19,7 @@ import repro.ip
 from differential import SCENARIOS, assert_same, run
 from dma_logs import RecordingDmaEngine
 from repro.core.transaction import ResponseStatus
+from repro.protocols.base import ProtocolMaster
 from repro.ip import (
     TRAFFIC_KINDS,
     TrafficSeedError,
@@ -45,7 +46,8 @@ class TestScenarioRegistry:
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_builtin_builds_and_completes(self, name):
-        assert run(name, None).fingerprint["completed"] > 0
+        fingerprint = run(name, None).fingerprint
+        assert ProtocolMaster.COUNTERS.total(fingerprint, "completed") > 0
 
 
 # --------------------------------------------------------------------- #
