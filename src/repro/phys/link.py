@@ -125,7 +125,9 @@ class PhysicalLink(Component):
     component.  A flit blocked on a full downstream queue keeps the link
     hot on its consumer edges, so a downstream pop needs no wake.  The link
     itself is never domain-gated by the kernel (it spans two domains);
-    it self-gates each side on the matching domain's edges.
+    it self-gates each side on the matching domain's edges.  A side that
+    holds work names its next edge and counts down one edge per tick, so
+    the kernel never skips an edge on which a countdown moves.
     """
 
     COUNTERS = Counters("links", ("phits_carried",))
@@ -161,14 +163,6 @@ class PhysicalLink(Component):
         self._pipe: List[Tuple[int, Flit]] = []  # (ready cycle, flit)
         self._crossing: List[List] = []  # [consumer edges left, flit]
         self._deliver: List[Flit] = []  # synchronized, awaiting room
-        # Edge bookkeeping for the time-skipping kernel: shifting and
-        # synchronizer aging are *internal* per-edge state (nothing
-        # outside the link can observe a partially shifted flit), so a
-        # tick that lands after skipped cycles catches the countdowns up
-        # by the number of elapsed edges.  These record the last edge on
-        # which each side ran, so elapsed edges are exact.
-        self._shift_edge = -1  # producer edge of the last shift/start
-        self._cross_edge = -1  # last consumer edge the link ticked on
         self._max_in_flight = pipeline_latency + 1 + (
             sync_stages if self.crosses_domains else 0
         )
@@ -196,45 +190,27 @@ class PhysicalLink(Component):
         )
 
     def next_event_cycle(self, now: int):
-        """Next clock edge on which this link's tick changes *visible*
-        state.
-
-        Shifting and synchronizer aging are internal countdowns that the
-        tick catches up across skipped edges, so their events are the
-        countdowns' completion edges, not every edge: the shift ends at
-        the ``remaining``-th producer edge after the last shift tick and
-        the synchronizer's head flit matures (and is delivered) at its
-        ``edges-left``-th consumer edge — nothing outside the link can
-        tell the intermediate edges happened or not.  Pipeline maturation
-        and blocked delivery contribute their own consumer edges, an
-        idle-but-fed producer its next edge; a fully empty link is
-        dormant (an upstream push-wake re-arms it).
-        """
-        pdiv, ppha = self._pdiv, self._ppha
-        cdiv, cpha = self._cdiv, self._cpha
+        """Next clock edge on which this link's tick may act: the next
+        producer edge while a flit is shifting, or while the upstream
+        queue holds a flit and the in-flight window has room; the next
+        consumer edge while a flit is crossing the synchronizer or
+        awaiting delivery; and the consumer edge on which the head piped
+        flit matures.  A fully empty link is dormant (an upstream
+        push-wake re-arms it)."""
         best = None
-        shifting = self._shifting
-        if shifting is not None:
-            best = self._shift_edge + shifting[1] * pdiv
-            if best < now:  # defensive: never propose the past
-                best = now + (ppha - now) % pdiv
-        elif self.upstream._committed and self.in_flight < self._max_in_flight:
-            best = now + (ppha - now) % pdiv
-        if self._deliver:
-            event = now + (cpha - now) % cdiv
+        if self._shifting is not None or (
+            self.upstream._committed and self.in_flight < self._max_in_flight
+        ):
+            best = now + (self._ppha - now) % self._pdiv
+        if self._crossing or self._deliver:
+            event = now + (self._cpha - now) % self._cdiv
             if best is None or event < best:
                 best = event
-        if self._crossing:
-            event = self._cross_edge + self._crossing[0][0] * cdiv
-            if event < now:
-                event = now + (cpha - now) % cdiv
-            if best is None or event < best:
-                best = event
-        if self._pipe:
+        elif self._pipe:
             ready = self._pipe[0][0]
             if ready < now:
                 ready = now
-            event = ready + (cpha - ready) % cdiv
+            event = ready + (self._cpha - ready) % self._cdiv
             if best is None or event < best:
                 best = event
         return best
@@ -245,21 +221,12 @@ class PhysicalLink(Component):
     def tick(self, cycle: int) -> None:
         cdiv = self._cdiv
         if cdiv == 1 or cycle % cdiv == self._cpha:
-            last_edge = self._cross_edge
-            self._cross_edge = cycle
             if self.crosses_domains:
-                # Age the synchronizer; flits mature strictly in order
-                # (all entries share sync_stages).  When the kernel
-                # skipped edges (it never skips past the head flit's
-                # maturation — see next_event_cycle), the aging catches
-                # up by the number of elapsed consumer edges.
+                # Age the synchronizer one consumer edge; flits mature
+                # strictly in order (all entries share sync_stages).
                 if self._crossing:
-                    if last_edge < 0:
-                        edges = 1
-                    else:
-                        edges = (cycle - last_edge) // cdiv
                     for entry in self._crossing:
-                        entry[0] -= edges
+                        entry[0] -= 1
                     while self._crossing and self._crossing[0][0] <= 0:
                         self._deliver.append(self._crossing.pop(0)[1])
                 # Pipeline-matured flits enter the synchronizer.
@@ -281,18 +248,12 @@ class PhysicalLink(Component):
         if pdiv != 1 and cycle % pdiv != self._ppha:
             return
 
-        # Shift phits of the flit currently on the wires, catching up
-        # over skipped producer edges (the kernel never skips past the
-        # completion edge, where the flit enters the wire pipeline).
+        # Shift one phit of the flit currently on the wires.
         if self._shifting is not None:
             flit, remaining = self._shifting
-            edges = (cycle - self._shift_edge) // pdiv
-            self._shift_edge = cycle
-            if edges > remaining:
-                edges = remaining  # keep the phit counter exact
-            remaining -= edges
-            self.phits_carried += edges
-            if remaining <= 0:
+            remaining -= 1
+            self.phits_carried += 1
+            if remaining == 0:
                 # +1: the last phit lands this cycle, the flit is whole at
                 # the far end next cycle, plus any pipeline stages.
                 self._pipe.append((cycle + 1 + self.pipeline_latency, flit))
@@ -305,14 +266,11 @@ class PhysicalLink(Component):
         # never take a flit off the upstream queue unless the in-flight
         # window (pipe + synchronizer + delivery staging) has room, so a
         # blocked downstream stalls the wires instead of dropping flits.
-        # (_shifting is None here — the shift branch above returned.)
         if self.upstream._committed and (
             len(self._pipe) + len(self._crossing) + len(self._deliver)
             < self._max_in_flight
         ):
-            flit = self.upstream.pop()
-            self._shifting = (flit, self.serialization)
-            self._shift_edge = cycle
+            self._shifting = (self.upstream.pop(), self.serialization)
 
 
 class VcPhysicalLink(Component):

@@ -51,8 +51,8 @@ class Component:
         # Scheduler bookkeeping (owned by Simulator; see kernel.py).
         self._scheduled = False
         self._sched_index = -1
-        # >= 0 while parked on the kernel's timing wheel (the value is the
-        # wheel slot's cycle; -1 otherwise).  Owned by Simulator/wake.
+        # >= 0 while parked (the cycle its park-heap entry is due; -1
+        # otherwise).  Owned by Simulator/wake.
         self._parked_until = -1
         # Clock-domain gating (see set_clock_domain); divisor 1 == the
         # kernel reference clock, checked on the kernel hot path as two
@@ -108,7 +108,7 @@ class Component:
             sim = self._simulator
             if sim is not None:
                 self._scheduled = True
-                self._parked_until = -1  # invalidate any timing-wheel slot
+                self._parked_until = -1  # invalidate any park-heap entry
                 sim._wakes.append(self)
 
     def next_event_cycle(self, now: int):
@@ -120,13 +120,13 @@ class Component:
 
         - every tick at a cycle *before* the returned value changes no
           consumer-visible state, no stats and no traces — the kernel may
-          therefore skip those cycles entirely or park the component on
-          its timing wheel until the returned cycle; and
+          therefore skip those cycles entirely or park the component
+          until the returned cycle; and
         - ``None`` (dormant: this tick, and every future tick until
           external input arrives, is a no-op) additionally promises that
           every external event that could create an event :meth:`wake`\\ s
           the component — a wake during a skipped window re-schedules
-          the component and invalidates its wheel slot.
+          the component and invalidates its park entry.
 
         The kernel asks between steps, from its retire sweep and its
         skip scan — which the strict kernel never runs — so the answer
@@ -136,13 +136,12 @@ class Component:
         disables skipping; that is the default, so a component that does
         not override it ticks on every edge of its clock domain.  The
         kernel aligns returned cycles to the component's clock-domain
-        edges itself; multi-domain components (physical links) must
-        return edge-accurate cycles for any internal per-edge state of
-        their own.
+        edges itself; a component spanning two domains (a physical link)
+        names the edge of the side that acts next.
 
         Components with timetabled events (e.g. a protocol master whose
         Poisson source has drawn its next arrival cycle) rely on this
-        contract to guarantee the event-wheel kernel never skips *over*
+        contract to guarantee the skipping kernel never skips *over*
         one: return the next scheduled cycle and the kernel will land on
         it exactly, even if the whole fabric is otherwise quiet.
 

@@ -40,61 +40,11 @@ class RunBudgetExceededError(SimulationError):
 _sched_key = attrgetter("_sched_index")
 
 
-#: Park a component on the wheel only when its next event is at least this
-#: many cycles out; nearer events stay in the run list (the per-cycle
-#: no-op ticks are cheaper than wheel churn) and are handled by the
-#: whole-kernel skip in :meth:`Simulator.run` when the fabric is quiet.
+#: Park a component only when its next event is at least this many cycles
+#: out; nearer events stay in the run list (the per-cycle no-op ticks are
+#: cheaper than heap churn) and are handled by the whole-kernel skip in
+#: :meth:`Simulator.run` when the fabric is quiet.
 PARK_HORIZON = 8
-
-
-class TimingWheel:
-    """Hierarchical re-activation schedule for parked components.
-
-    Two levels: a min-heap of distinct event cycles (the coarse level —
-    one entry per cycle that has sleepers) over per-cycle buckets of
-    components (the fine level).  ``schedule`` is O(log n) in the number
-    of *distinct* pending cycles, the due-check the kernel runs every
-    cycle is a single compare against the heap top, and the skip logic
-    reads the earliest event cycle off the same top in O(1).
-
-    Entries can go stale: a parked component woken early by a queue event
-    re-enters the schedule through the normal wake path and clears its
-    ``_parked_until`` stamp, so the wheel validates each entry against
-    that stamp when its slot comes due and silently drops mismatches —
-    this is what makes wakes during a skipped window rewind-safe.
-    """
-
-    __slots__ = ("_buckets", "_heap", "events_scheduled", "events_fired")
-
-    def __init__(self) -> None:
-        self._buckets: Dict[int, List[Component]] = {}
-        self._heap: List[int] = []
-        self.events_scheduled = 0
-        self.events_fired = 0
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def schedule(self, cycle: int, component: Component) -> None:
-        """Park ``component`` until ``cycle`` (caller stamps it)."""
-        bucket = self._buckets.get(cycle)
-        if bucket is None:
-            self._buckets[cycle] = [component]
-            heappush(self._heap, cycle)
-        else:
-            bucket.append(component)
-        self.events_scheduled += 1
-
-    def pop_due(self, cycle: int) -> List[Tuple[int, Component]]:
-        """Drain every slot at or before ``cycle`` (stale entries too —
-        the caller validates against ``_parked_until``)."""
-        due: List[Tuple[int, Component]] = []
-        heap = self._heap
-        while heap and heap[0] <= cycle:
-            slot = heappop(heap)
-            for component in self._buckets.pop(slot):
-                due.append((slot, component))
-        return due
 
 
 class SerialCounter:
@@ -136,8 +86,8 @@ class Simulator:
     keeps an **active set**.  Components are active from registration and
     leave the set by one contract, :meth:`Component.next_event_cycle`:
     ``None`` (dormant) deschedules the component, a cycle at least
-    ``PARK_HORIZON`` away parks it on the timing wheel until then, and
-    anything nearer — the default answers ``now`` — keeps it ticking.  A
+    ``PARK_HORIZON`` away parks it until then, and anything nearer — the
+    default answers ``now`` — keeps it ticking.  A
     descheduled component re-enters the set only when
     :meth:`Component.wake` is called — normally by a :class:`SimQueue`
     it registered with (``wake_on_push`` fires at commit time, when
@@ -211,19 +161,17 @@ class Simulator:
         # Idle components are retired from the run list every
         # (RETIRE_EVERY = mask + 1) cycles; must be a power of two - 1.
         self._retire_mask = 7
-        # Event-wheel state: components whose next event is far away are
-        # parked here by the retire sweep and re-activated when their
-        # slot comes due (or earlier, by a wake).  run() additionally
-        # skips `now` straight past provably dead stretches.
-        self._wheel = TimingWheel()
+        # Parked components: a min-heap of (cycle, _sched_index) entries
+        # pushed by the retire sweep and popped when their cycle comes due
+        # (a component woken earlier leaves its entry behind, and the pop
+        # drops it against _parked_until).  run() additionally skips `now`
+        # straight past provably dead stretches.
+        self._parked: List[Tuple[int, int]] = []
         self._quiet_step = True
+        #: Components parked so far (bench metric).
+        self.wheel_events = 0
         #: Cycles advanced without executing a kernel step (bench metric).
         self.cycles_skipped = 0
-
-    @property
-    def wheel_events(self) -> int:
-        """Timing-wheel re-activations scheduled so far (bench metric)."""
-        return self._wheel.events_scheduled
 
     # ------------------------------------------------------------------ #
     # registration
@@ -281,9 +229,9 @@ class Simulator:
             self._step_strict()
             return
         cycle = self.cycle
-        heap = self._wheel._heap
-        if heap and heap[0] <= cycle:
-            self._pop_wheel(cycle)
+        parked = self._parked
+        if parked and parked[0][0] <= cycle:
+            self._unpark(cycle)
         # Merge components woken since the last step (or freshly added).
         wakes = self._wakes
         run_list = self._run_list
@@ -318,18 +266,20 @@ class Simulator:
             self._retire(cycle + 1, run_list)
         self.cycle += 1
 
-    def _pop_wheel(self, cycle: int) -> None:
-        """Re-activate parked components whose wheel slot is due.  Entries
-        are validated against the park stamp: a component woken early (or
+    def _unpark(self, cycle: int) -> None:
+        """Re-activate parked components whose cycle is due.  Entries are
+        validated against the park stamp: a component woken early (or
         re-parked elsewhere) left a stale entry behind, which is simply
-        dropped."""
-        wheel = self._wheel
+        dropped, and so is the second of two entries for one slot."""
+        parked = self._parked
+        components = self._components
         wakes = self._wakes
-        for slot, component in wheel.pop_due(cycle):
+        while parked and parked[0][0] <= cycle:
+            slot, index = heappop(parked)
+            component = components[index]
             if component._parked_until == slot and not component._scheduled:
                 component._parked_until = -1
                 component._scheduled = True
-                wheel.events_fired += 1
                 wakes.append(component)
 
     def _retire(self, now: int, run_list: List[Component]) -> None:
@@ -338,9 +288,9 @@ class Simulator:
         keeps busy phases from paying a next-event call per component per
         cycle while bursty traffic oscillates.  A component whose next
         event, aligned to its clock edge, is at least PARK_HORIZON out is
-        parked on the timing wheel; a dormant one (None) is simply
-        descheduled and its wake registrations bring it back."""
-        wheel = self._wheel
+        parked until then; a dormant one (None) is simply descheduled and
+        its wake registrations bring it back."""
+        parked = self._parked
         retained = []
         retain = retained.append
         for component in run_list:
@@ -354,7 +304,8 @@ class Simulator:
             if event >= now + PARK_HORIZON:
                 component._scheduled = False
                 component._parked_until = event
-                wheel.schedule(event, component)
+                heappush(parked, (event, component._sched_index))
+                self.wheel_events += 1
                 continue
             retain(component)
         if len(retained) != len(run_list):
@@ -380,16 +331,16 @@ class Simulator:
 
         Called between steps with no wakes and no dirty queues pending:
         every scheduled component is asked for its next event, aligned to
-        its clock edge, the timing wheel contributes its earliest slot,
-        and the minimum is where ``run`` may jump ``now`` to.  Any
+        its clock edge, the park heap contributes its earliest cycle, and
+        the minimum is where ``run`` may jump ``now`` to.  Any
         component that may act next cycle makes the answer ``self.cycle``
         (no skip) — the scan bails out on the first such component.
         """
         now = self.cycle
         horizon = limit
-        heap = self._wheel._heap
-        if heap:
-            slot = heap[0]
+        parked = self._parked
+        if parked:
+            slot = parked[0][0]
             if slot <= now:
                 return now
             if slot < horizon:

@@ -49,7 +49,7 @@ from repro.sim.shard import ShardConfigError
 
 #: Bump when the on-disk envelope or the payload's layout changes shape,
 #: or a pickled class moves module (a pickle names classes by module path).
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 _MAGIC = b"repro-ckpt"
 #: magic, format version, cycle, payload length

@@ -146,12 +146,11 @@ class DmaDescriptor:
 class DmaEngine:
     """Execute a descriptor program through the polling protocol master.
 
-    ``on_error="halt"`` (default) freezes the program on the first error
-    completion (DECERR/SLVERR): ``done()`` stays false forever, so the
-    run times out and :class:`~repro.ip.traffic.WorkloadStallError`
-    surfaces this engine's :meth:`diagnose_stall` — a DMA program
-    targeting an unmapped address fails loudly, by name.
-    ``on_error="continue"`` counts the burst as done and carries on.
+    The first error completion (DECERR/SLVERR) freezes the program:
+    ``done()`` stays false forever, so the run times out and
+    :class:`~repro.ip.traffic.WorkloadStallError` surfaces this engine's
+    :meth:`diagnose_stall` — a DMA program targeting an unmapped address
+    fails loudly, by name.
 
     Deterministic progress
     ----------------------
@@ -192,14 +191,10 @@ class DmaEngine:
         program: List[DmaDescriptor],
         *,
         priority: int = 0,
-        on_error: str = "halt",
     ) -> None:
-        if on_error not in ("halt", "continue"):
-            raise ValueError("on_error must be 'halt' or 'continue'")
         self.name = name
         self.program: List[DmaDescriptor] = list(program)
         self.priority = priority
-        self.on_error = on_error
         self._validate_program()
         n = len(self.program)
         self._issued = [0] * n  # bursts handed to the master
@@ -438,7 +433,7 @@ class DmaEngine:
                 f"{self.name}: completion for unknown txn {txn_id}"
             )
         desc = self.program[i]
-        if status.is_error and self.on_error == "halt":
+        if status.is_error:
             self._halted = (
                 f"descriptor {i} {desc.describe()} completed with "
                 f"{status.name} at cycle {cycle}"

@@ -33,7 +33,7 @@ class RecordingDmaEngine(DmaEngine):
         # before any compute it releases.
         self.completions.append((txn_id, cycle, status))
         i = self._txn_desc.get(txn_id)
-        if i is not None and not (status.is_error and self.on_error == "halt"):
+        if i is not None and not status.is_error:
             self.complete_log.append((i, self._done_bursts[i], cycle))
         super().notify_complete(txn_id, cycle, status)
 

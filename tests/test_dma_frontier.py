@@ -259,9 +259,7 @@ def drive(engine_cls, recipe, max_cycles=300):
             )
             for op, wait, signal, fields in spec["program"]
         ]
-        engine = engine_cls(
-            f"e{e}", program, priority=e, on_error=spec["on_error"]
-        )
+        engine = engine_cls(f"e{e}", program, priority=e)
         engine.txn_ids = txn_ids
         masters.append(_StubMaster(engine, channels, rng, stalls, recipe))
     trace = []
@@ -334,10 +332,7 @@ def recipes(draw):
     engines = []
     for _ in range(draw(st.integers(1, 2))):
         size = draw(st.integers(1, 9))
-        engines.append(dict(
-            program=[draw(descriptor(i)) for i in range(size)],
-            on_error=draw(st.sampled_from(["halt", "continue"])),
-        ))
+        engines.append(dict(program=[draw(descriptor(i)) for i in range(size)]))
     return dict(
         engines=engines,
         credits=[draw(st.integers(0, 3)) for _ in range(N_CHANNELS)],
@@ -362,9 +357,9 @@ def test_frontier_engine_matches_scan_engine(recipe):
 # named cases
 # --------------------------------------------------------------------- #
 def _recipe(*programs, credits=(0, 0, 0), obey=False, error_rate=0.0,
-            stall_rate=0.0, on_error="halt", seed=5):
+            stall_rate=0.0, seed=5):
     return dict(
-        engines=[dict(program=list(p), on_error=on_error) for p in programs],
+        engines=[dict(program=list(p)) for p in programs],
         credits=list(credits), seed=seed, obey=obey, error_rate=error_rate,
         stall_rate=stall_rate,
     )
@@ -442,11 +437,6 @@ NAMED = {
         _compute(2, signal=(0,)),
         _burst("write", after=(0, 1)),
     ], error_rate=1.0, seed=11),
-    "continue_on_error": _recipe([
-        _burst("read", bursts=3),
-        _compute(2, after=(0,)),
-        _burst("write", after=(1,)),
-    ], error_rate=0.5, on_error="continue", seed=3, obey=True),
 }
 
 

@@ -4,10 +4,10 @@ The activity contract (:meth:`Component.next_event_cycle`) is only
 legal if it is invisible:
 every observable — what components do, when queue items move, every stat
 — must be byte-identical to the strict tick-everything kernel.  These
-tests pin the kernel mechanics (skip targets, timing-wheel parking,
-stale-slot validation, wake-during-a-skipped-window rewinds, clock-edge
-alignment) on purpose-built components, and pin the router's body-flit
-fast path against its slow-path reference on full SoCs.
+tests pin the kernel mechanics (skip targets, parking, stale-entry
+validation, wake-during-a-skipped-window rewinds, clock-edge alignment)
+on purpose-built components, and pin the router's body-flit fast path
+against its slow-path reference on full SoCs.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.ip import TrafficSpec
 from repro.sim.component import Component
 from repro.sim.fingerprint import fingerprint_soc
-from repro.sim.kernel import PARK_HORIZON, Simulator, TimingWheel
+from repro.sim.kernel import PARK_HORIZON, Simulator
 from repro.sim.trace import Tracer
 from repro.phys.clocking import ClockDomain
 from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
@@ -210,6 +210,28 @@ class TestTimingWheelParking:
         sim.run(600)  # the stale slot at 500 must not re-fire anything
         assert out.total_pushed == 1
 
+    def test_reparked_at_the_same_slot_ticks_there_once(self):
+        """Parked at 500, woken early without firing, parked at 500
+        again: the heap holds two (500, index) entries, and the second
+        pop finds the component already scheduled and drops it."""
+        sim = Simulator()
+        q = sim.new_queue("q", capacity=4)
+        src = sim.add(PulseSource("src", q, fire_at=500))
+        sim.add(GatedTicker("hot"))
+        sim.run(40)
+        assert src._parked_until == 500
+        assert sim.wheel_events == 1
+        src.wake()  # nothing to do yet: the next sweep parks it again
+        sim.run(20)
+        assert src._parked_until == 500
+        assert sim.wheel_events == 2
+        assert sorted(sim._parked) == [(500, src._sched_index)] * 2
+        sim.run(600)
+        assert src.tick_cycles.count(500) == 1
+        assert q.total_pushed == 1
+        assert sim.wheel_events == 2
+        assert sim._parked == []
+
     def test_park_horizon_keeps_near_events_in_the_run_list(self):
         sim = Simulator()
         q = sim.new_queue("q", capacity=4)
@@ -220,29 +242,6 @@ class TestTimingWheelParking:
         assert src._parked_until == -1
         sim.run(PARK_HORIZON)
         assert src.fired
-
-
-class TestTimingWheelUnit:
-    def test_schedule_and_pop_due_orders_slots(self):
-        wheel = TimingWheel()
-        a, b, c = (Component(n) for n in "abc")
-        wheel.schedule(30, c)
-        wheel.schedule(10, a)
-        wheel.schedule(10, b)
-        assert wheel._heap == [10, 30]  # one entry per distinct cycle
-        assert len(wheel) == 3
-        due = wheel.pop_due(10)
-        assert due == [(10, a), (10, b)]
-        assert wheel._heap == [30]
-        assert wheel.pop_due(100) == [(30, c)]
-        assert wheel._heap == []
-        assert len(wheel) == 0
-
-    def test_events_scheduled_counter(self):
-        wheel = TimingWheel()
-        for i in range(5):
-            wheel.schedule(7, Component(f"c{i}"))
-        assert wheel.events_scheduled == 5
 
 
 class TestSkippingMatchesStrictOnSocs:

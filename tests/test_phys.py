@@ -5,7 +5,7 @@ import pytest
 from repro.phys.clocking import ClockDomain, make_clock_domain
 from repro.phys.link import LinkSpec, PhysicalLink, phits_per_flit
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PARK_HORIZON, Simulator
 from repro.transport.flit import Flit
 
 
@@ -156,15 +156,18 @@ class TestLinkSpec:
 
 
 class TestLinkCdc:
-    def _cross(self, prod_div=1, cons_div=1, cons_phase=0, stages=2,
-               flits=4, strict=False):
-        """Push ``flits`` flits through a CDC link; return delivery cycles."""
+    @staticmethod
+    def _cross(prod_div=1, cons_div=1, cons_phase=0, stages=2, flits=4,
+               phit_bits=32, pipeline_latency=0, strict=False):
+        """Push ``flits`` flits through a CDC link; return their delivery
+        cycles and how often the kernel parked the (working) link."""
         sim = Simulator(strict=strict)
         up = sim.new_queue("up", capacity=8)
         down = sim.new_queue("down", capacity=8)
         sim.add(
             PhysicalLink(
-                "link", up, down, flit_bits=64, phit_bits=32,
+                "link", up, down, flit_bits=64, phit_bits=phit_bits,
+                pipeline_latency=pipeline_latency,
                 producer_domain=ClockDomain("p", prod_div),
                 consumer_domain=ClockDomain("c", cons_div, cons_phase),
                 sync_stages=stages,
@@ -177,11 +180,11 @@ class TestLinkCdc:
             while down:
                 arrivals.append((down.pop().packet_id, sim.cycle))
             return len(arrivals) >= flits
-        sim.run_until(drain, max_cycles=2000)
-        return arrivals
+        sim.run_until(drain, max_cycles=4000)
+        return arrivals, sim.wheel_events
 
     def test_cdc_adds_sync_latency(self):
-        same = self._cross(prod_div=1, cons_div=1, stages=2)
+        same, __ = self._cross(prod_div=1, cons_div=1, stages=2)
         # Same-name domains would not cross; different names at equal
         # ratios still synchronize — compare against a no-CDC link.
         sim = Simulator()
@@ -193,20 +196,40 @@ class TestLinkCdc:
         assert same[0][1] > no_cdc_first
 
     def test_cdc_preserves_order(self):
-        arrivals = self._cross(prod_div=2, cons_div=3, flits=6)
+        arrivals, __ = self._cross(prod_div=2, cons_div=3, flits=6)
         assert [pid for pid, _ in arrivals] == list(range(6))
 
-    @pytest.mark.parametrize("prod_div", [1, 2, 3])
-    @pytest.mark.parametrize("cons_div,cons_phase", [(1, 0), (2, 1), (4, 3)])
+    @pytest.mark.parametrize("prod_div", [1, 2, 3, 9, 16])
+    @pytest.mark.parametrize(
+        "cons_div,cons_phase", [(1, 0), (2, 1), (4, 3), (9, 4), (16, 7)]
+    )
     def test_cdc_determinism_across_divisor_phase_sweeps(
         self, prod_div, cons_div, cons_phase
     ):
         """Strict and activity kernels agree on every (divisor, phase)
-        combination — CDC timing is an optimisation-stable function of
-        visible state."""
-        activity = self._cross(prod_div, cons_div, cons_phase, strict=False)
-        reference = self._cross(prod_div, cons_div, cons_phase, strict=True)
-        assert activity == reference
+        combination and link shape — CDC timing is an optimisation-stable
+        function of visible state.  A divisor of at least PARK_HORIZON
+        parks the working link between its edges, and 8-bit phits or 9
+        pipeline stages keep a flit shifting or piped across several of
+        them: a link that named a later edge than the next one it counts
+        down on would deliver late."""
+        parked = 0
+        for phit_bits, latency in ((32, 0), (8, 0), (32, 9), (8, 9)):
+            activity, parks = self._cross(
+                prod_div, cons_div, cons_phase, phit_bits=phit_bits,
+                pipeline_latency=latency,
+            )
+            reference, __ = self._cross(
+                prod_div, cons_div, cons_phase, phit_bits=phit_bits,
+                pipeline_latency=latency, strict=True,
+            )
+            assert activity == reference, (phit_bits, latency)
+            parked += parks
+        # A producer divisor of at least PARK_HORIZON parks the link
+        # between phits; a consumer one parks it only when an edge lands
+        # far enough past a retire sweep, which twice the horizon does.
+        if prod_div >= PARK_HORIZON or cons_div >= 2 * PARK_HORIZON:
+            assert parked > 0
 
 
 class TestClockDomains:

@@ -127,10 +127,6 @@ class TestDmaProgramValidation:
         with pytest.raises(DmaProgramError, match="1 is not a DmaDescriptor"):
             _dma_soc({"e": program})
 
-    def test_on_error_knob(self):
-        with pytest.raises(ValueError, match="on_error"):
-            DmaEngine("e", [DmaDescriptor("read")], on_error="ignore")
-
     def test_beat_bytes_rejected_at_build(self):
         with pytest.raises(DmaProgramError, match="beat_bytes"):
             DmaEngine("e", [DmaDescriptor("read", beat_bytes=0)])
